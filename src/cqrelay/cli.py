@@ -30,9 +30,9 @@ from .channels import (
     overlap_pair_channel,
     product_broadcast_channel,
 )
-from .coding import SimConfig, end_to_end_broadcast_sim
+from .coding import SimConfig, _sample_typical_word, end_to_end_broadcast_sim
 from .errors import InvalidInputError, RelayError, ResourceLimitError
-from .lemmas import sweep_lemma_checks
+from .lemmas import random_density, sweep_lemma_checks
 from .operators import ProbabilityDistribution, von_neumann_entropy
 from .regions import DistributionGrid, broadcast_region, intersect_regions, mac_region
 from .typicality import (
@@ -216,25 +216,9 @@ def cmd_region(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    mat = g @ g.conj().T
-    return mat / np.trace(mat).real
-
-
 def _random_binary_channel(rng: np.random.Generator, dim: int) -> CQChannel:
-    states = {"0": _random_density(rng, dim), "1": _random_density(rng, dim)}
+    states = {"0": random_density(rng, dim), "1": random_density(rng, dim)}
     return CQChannel(("0", "1"), states)
-
-
-def _sample_typical_word(rng, dist, n, delta):
-    tset = typical_sequences(dist, n, delta)
-    labels = list(dist.labels)
-    for _ in range(10_000):
-        word = tuple(labels[i] for i in rng.choice(len(labels), size=n, p=dist.weights))
-        if word in tset:
-            return word
-    raise ResourceLimitError("could not sample a typical word for verification")
 
 
 def _verify_projectors(ns, alphas, preset, seed, instances=_PROJECTOR_INSTANCES) -> dict:
@@ -253,7 +237,7 @@ def _verify_projectors(ns, alphas, preset, seed, instances=_PROJECTOR_INSTANCES)
             for i in range(instances):
                 dim = 2 if i % 2 == 0 else 3
                 report = verify_state_projector_bounds(
-                    _random_density(rng, dim), n, alpha, preset
+                    random_density(rng, dim), n, alpha, preset
                 )
                 count += 1
                 margin = report.measured["capture"] - report.reference_bounds["capture"]
@@ -283,7 +267,7 @@ def _verify_projectors(ns, alphas, preset, seed, instances=_PROJECTOR_INSTANCES)
         for alpha in alphas:
             for i in range(instances):
                 channel = _random_binary_channel(rng, 2 if i % 2 == 0 else 3)
-                word = _sample_typical_word(rng, dist, n, 0.5)
+                word = _sample_typical_word(rng, dist, typical_sequences(dist, n, 0.5), n, 10_000)
                 report = verify_conditional_projector_bounds(channel, word, dist, alpha, preset)
                 count += 1
                 margin = report.measured["capture"] - report.reference_bounds["capture"]

@@ -1,10 +1,11 @@
 """Random codebooks, square-root-measurement decoding, and end-to-end runs.
 
 The decoder construction sandwiches each word's conditional typical projector
-between averaged-state projectors, sums the resulting detection operators
-over the messages that share a side-information index, and normalizes with
-the pseudo inverse square root of the sum.  All error figures are exact
-traces; sampling enters only through codebook generation.
+between averaged-state projectors and square-root normalizes the resulting
+detection operators over the messages that share a side-information index.
+Detection and decoding operators are held only as N x K factors; the
+normalization runs on the K x K Gram matrix of each group.  All error figures
+are exact traces; sampling enters only through codebook generation.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import BroadcastCQChannel, CQChannel, MACCQChannel, holevo_chi, output_state
+from .channels import BroadcastCQChannel, CQChannel, holevo_chi, output_state
 from .errors import ExpurgationError, InvalidInputError, ResourceLimitError
 from .operators import (
     DEFAULT_DIM_CAP,
     ProbabilityDistribution,
     hermitian_part,
     pseudo_sqrt_inverse,
-    trace_pair,
 )
 from .typicality import (
     PRESET_FIXED,
@@ -110,12 +110,21 @@ def sample_codebook(
 # ---------------------------------------------------------------------------
 
 
-def _sandwiched_detection(channel: CQChannel, words, dist, alpha, preset, dim_cap):
-    """Averaged-state projector plus, per word, the sandwiched detection operator.
+def _factor_trace(factor: np.ndarray, rho: np.ndarray) -> float:
+    """Real part of tr(F† rho F) = tr(rho F F†) for an N x K factor F."""
+    return float(np.einsum("ij,ij->", factor.conj(), rho @ factor).real)
 
-    Returns (projector, {word: dense op}, {word: factor or None}, {word: rank}).
-    The factor F satisfies D' = F F† and keeps later products cheap when the
-    conditional projector rank is small.
+
+def _factor_op(factor: np.ndarray) -> np.ndarray:
+    return hermitian_part(factor @ factor.conj().T)
+
+
+def _sandwiched_detection(channel: CQChannel, words, dist, alpha, preset, dim_cap):
+    """Averaged-state projector plus, per word, the sandwiched detection factor.
+
+    Returns (projector, {word: factor}, {word: rank}).  The factor
+    F = Pi V, with V the conditional projector's included vectors, is N x rank
+    and satisfies D' = Pi P_w Pi = F F†.
     """
     n = len(words[0])
     if channel.output_dim**n > dim_cap:
@@ -127,40 +136,30 @@ def _sandwiched_detection(channel: CQChannel, words, dist, alpha, preset, dim_ca
         output_state(channel, dist), n, alpha * math.sqrt(a_size), preset, dim_cap
     )
     pi = proj.matrix()
-    total = channel.output_dim**n
-    dense, factors, ranks = {}, {}, {}
+    factors, ranks = {}, {}
     for w in words:
-        if w in dense:
-            continue
-        cond = conditional_typical_projector(channel, w, alpha, preset, dim_cap)
-        ranks[w] = cond.rank
-        if cond.rank == 0:
-            dense[w] = np.zeros((total, total), dtype=complex)
-            factors[w] = np.zeros((total, 0), dtype=complex)
-        elif cond.rank <= total // 2:
-            f = pi @ cond.included_vectors()
-            dense[w] = hermitian_part(f @ f.conj().T)
-            factors[w] = f
-        else:
-            dense[w] = hermitian_part(pi @ cond.matrix() @ pi)
-            factors[w] = None
-    return proj, dense, factors, ranks
+        if w not in factors:
+            cond = conditional_typical_projector(channel, w, alpha, preset, dim_cap)
+            ranks[w] = cond.rank
+            factors[w] = pi @ cond.included_vectors()
+    return proj, factors, ranks
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionOperators:
-    """Per-word sandwiched detection operators for both receivers."""
+    """Per-word sandwiched detection operators D' = F F† for both receivers,
+    held as their N x rank factors F."""
 
     codebook: Codebook
     alpha: float
     preset: str
     projectors: dict  # receiver -> TypicalProjector of the averaged state
-    dprime: dict  # receiver -> {(m1, m2): dense operator}
-    factors: dict  # receiver -> {(m1, m2): factor or None}
+    factors: dict  # receiver -> {(m1, m2): factor F}
     cond_ranks: dict  # receiver -> {(m1, m2): conditional projector rank}
 
     def op(self, receiver: int, m1: int, m2: int) -> np.ndarray:
-        return self.dprime[receiver][(m1, m2)]
+        """Dense D' = F F†, formed on request."""
+        return _factor_op(self.factors[receiver][(m1, m2)])
 
 
 def build_detection_operators(
@@ -172,91 +171,83 @@ def build_detection_operators(
 ) -> DetectionOperators:
     preset = resolve_preset(preset)
     words = [codebook.words[pair] for pair in sorted(codebook.words)]
-    projectors, dprime, factors, ranks = {}, {}, {}, {}
+    projectors, factors, ranks = {}, {}, {}
     for receiver in (1, 2):
-        proj, dense_by_word, factor_by_word, rank_by_word = _sandwiched_detection(
+        proj, factor_by_word, rank_by_word = _sandwiched_detection(
             bc.marginal(receiver), words, codebook.dist, alpha, preset, dim_cap
         )
         projectors[receiver] = proj
-        dprime[receiver] = {
-            pair: dense_by_word[codebook.words[pair]] for pair in sorted(codebook.words)
-        }
-        factors[receiver] = {
-            pair: factor_by_word[codebook.words[pair]] for pair in sorted(codebook.words)
-        }
-        ranks[receiver] = {
-            pair: rank_by_word[codebook.words[pair]] for pair in sorted(codebook.words)
-        }
+        factors[receiver] = {pair: factor_by_word[w] for pair, w in sorted(codebook.words.items())}
+        ranks[receiver] = {pair: rank_by_word[w] for pair, w in sorted(codebook.words.items())}
     return DetectionOperators(
         codebook=codebook,
         alpha=float(alpha),
         preset=preset,
         projectors=projectors,
-        dprime=dprime,
         factors=factors,
         cond_ranks=ranks,
     )
 
 
-def _normalize_group(dense_ops, factor_ops):
+def _normalize_group(factors):
     """Square-root normalization of one detection-operator group.
 
-    Returns (normalized ops, margin) where margin is the largest eigenvalue
-    of (sum of normalized ops - identity); a sub-POVM keeps it <= ~0.
+    With F = [F_1 ... F_M] stacked and its Gram matrix G = F†F (K x K), the
+    normalized factors are H = F G^{+1/2}, so that H_i H_i† = S^{-1/2} D_i S^{-1/2}
+    for S = sum_i D_i: FF† and G share their nonzero spectrum, so the pseudo
+    inverse keeps the same eigenvalues.  Returns (normalized factors, margin)
+    where margin is the largest eigenvalue of (sum of normalized ops -
+    identity); a sub-POVM keeps it <= ~0 and an all-zero group gives -1.
     """
-    total = sum(dense_ops)
-    inv_root = pseudo_sqrt_inverse(total)
-    ops = []
-    for dense, factor in zip(dense_ops, factor_ops):
-        if factor is not None:
-            g = inv_root @ factor
-            ops.append(hermitian_part(g @ g.conj().T))
-        else:
-            ops.append(hermitian_part(inv_root @ dense @ inv_root))
-    acc = sum(ops) - np.eye(total.shape[0])
-    margin = float(np.linalg.eigvalsh(hermitian_part(acc))[-1])
-    return ops, margin
+    stacked = np.concatenate(factors, axis=1)
+    if stacked.shape[1] == 0:
+        return list(factors), -1.0
+    gram = hermitian_part(stacked.conj().T @ stacked)
+    inv_root = pseudo_sqrt_inverse(gram)
+    normalized = stacked @ inv_root
+    margin = float(np.linalg.eigvalsh(hermitian_part(inv_root @ gram @ inv_root))[-1]) - 1.0
+    cuts = np.cumsum([f.shape[1] for f in factors])[:-1]
+    return np.split(normalized, cuts, axis=1), margin
 
 
 @dataclass(frozen=True, eq=False)
 class SquareRootDecoder:
-    """Normalized decoding operators; receiver r resolves its own message index
-    given the other index as side information."""
+    """Normalized decoding operators Λ = H H†, held as their factors H;
+    receiver r resolves its own message index given the other index as side
+    information."""
 
     m1_size: int
     m2_size: int
-    ops: dict  # receiver -> {(m1, m2): operator}
+    factors: dict  # receiver -> {(m1, m2): factor H}
     subpovm_margins: dict  # receiver 1: {m2: margin}; receiver 2: {m1: margin}
 
-    def op(self, receiver: int, m1: int, m2: int) -> np.ndarray:
+    def factor(self, receiver: int, m1: int, m2: int) -> np.ndarray:
         try:
-            return self.ops[receiver][(m1, m2)]
+            return self.factors[receiver][(m1, m2)]
         except KeyError:
             raise InvalidInputError(
                 f"decoder has no operator for receiver {receiver}, pair ({m1}, {m2})"
             ) from None
 
+    def op(self, receiver: int, m1: int, m2: int) -> np.ndarray:
+        """Dense Λ = H H†, formed on request."""
+        return _factor_op(self.factor(receiver, m1, m2))
+
 
 def build_square_root_decoder(detection: DetectionOperators) -> SquareRootDecoder:
     cb = detection.codebook
-    ops = {1: {}, 2: {}}
+    factors = {1: {}, 2: {}}
     margins = {1: {}, 2: {}}
     for m2 in range(cb.m2_size):
-        dense = [detection.dprime[1][(m1, m2)] for m1 in range(cb.m1_size)]
-        factors = [detection.factors[1][(m1, m2)] for m1 in range(cb.m1_size)]
-        group, margin = _normalize_group(dense, factors)
-        margins[1][m2] = margin
-        for m1 in range(cb.m1_size):
-            ops[1][(m1, m2)] = group[m1]
+        pairs = [(m1, m2) for m1 in range(cb.m1_size)]
+        group, margins[1][m2] = _normalize_group([detection.factors[1][p] for p in pairs])
+        factors[1].update(zip(pairs, group))
     for m1 in range(cb.m1_size):
-        dense = [detection.dprime[2][(m1, m2)] for m2 in range(cb.m2_size)]
-        factors = [detection.factors[2][(m1, m2)] for m2 in range(cb.m2_size)]
-        group, margin = _normalize_group(dense, factors)
-        margins[2][m1] = margin
-        for m2 in range(cb.m2_size):
-            ops[2][(m1, m2)] = group[m2]
+        pairs = [(m1, m2) for m2 in range(cb.m2_size)]
+        group, margins[2][m1] = _normalize_group([detection.factors[2][p] for p in pairs])
+        factors[2].update(zip(pairs, group))
     return SquareRootDecoder(
-        m1_size=cb.m1_size, m2_size=cb.m2_size, ops=ops, subpovm_margins=margins
+        m1_size=cb.m1_size, m2_size=cb.m2_size, factors=factors, subpovm_margins=margins
     )
 
 
@@ -281,7 +272,7 @@ def first_kind_error(
     out = []
     for receiver in (1, 2):
         state = bc.marginal(receiver).word_state(w)
-        out.append(_clamp01(1.0 - trace_pair(decoder.op(receiver, m1, m2), state)))
+        out.append(_clamp01(1.0 - _factor_trace(decoder.factor(receiver, m1, m2), state)))
     return out[0], out[1]
 
 
@@ -347,26 +338,17 @@ def average_errors(
             w = codebook.words[(m1, m2)]
             for receiver in (1, 2):
                 state = states[receiver][w]
-                err = _clamp01(1.0 - trace_pair(decoder.op(receiver, m1, m2), state))
+                err = _clamp01(1.0 - _factor_trace(decoder.factor(receiver, m1, m2), state))
                 first[receiver][(m1, m2)] = err
                 if detection is not None:
+                    own = detection.factors[receiver]
                     if receiver == 1:
-                        others = [
-                            detection.dprime[1][(k, m2)]
-                            for k in range(codebook.m1_size)
-                            if k != m1
-                        ]
+                        others = [own[(k, m2)] for k in range(codebook.m1_size) if k != m1]
                     else:
-                        others = [
-                            detection.dprime[2][(m1, k)]
-                            for k in range(codebook.m2_size)
-                            if k != m2
-                        ]
-                    mass = sum(_clamp01(trace_pair(op, state)) for op in others)
+                        others = [own[(m1, k)] for k in range(codebook.m2_size) if k != m2]
+                    mass = sum(_clamp01(_factor_trace(f, state)) for f in others)
                     coll[receiver][(m1, m2)] = mass
-                    miss = _clamp01(
-                        1.0 - trace_pair(detection.dprime[receiver][(m1, m2)], state)
-                    )
+                    miss = _clamp01(1.0 - _factor_trace(own[(m1, m2)], state))
                     bounds[receiver][(m1, m2)] = 2.0 * miss + 4.0 * mass
     avg_by_m2 = {
         m2: float(np.mean([first[1][(m1, m2)] for m1 in range(codebook.m1_size)]))
@@ -438,27 +420,22 @@ def second_kind_collision_check(
     lam_max = spectrum_projector_stats(proj.eigenvalues, n, proj.tau).lambda_max
     chi2 = holevo_chi(channel, dist)
 
-    def dprime_of(word):
+    def factor_of(word):
         cond = conditional_typical_projector(channel, word, alpha, preset, dim_cap)
-        if cond.rank == 0:
-            dim = channel.output_dim**n
-            return np.zeros((dim, dim), dtype=complex), 0
-        f = pi @ cond.included_vectors()
-        return hermitian_part(f @ f.conj().T), cond.rank
+        return pi @ cond.included_vectors(), cond.rank
 
     if exact:
+        # E[tr(W(X) D'(X'))] = sum_w p(w) tr(F_w† rho_mix F_w) for independent X, X'
         words = list(tset.members())
-        rho_mix = None
-        d_mix = None
+        weights = [math.prod(dist.weight(a) for a in w) / typical_mass for w in words]
+        rho_mix = sum(p * channel.word_state(w) for p, w in zip(weights, words))
+        total = 0.0
         mean_rank = 0.0
-        for w in words:
-            p = math.prod(dist.weight(a) for a in w) / typical_mass
-            dmat, rank = dprime_of(w)
-            state = channel.word_state(w)
-            rho_mix = p * state if rho_mix is None else rho_mix + p * state
-            d_mix = p * dmat if d_mix is None else d_mix + p * dmat
+        for p, w in zip(weights, words):
+            f, rank = factor_of(w)
+            total += p * _factor_trace(f, rho_mix)
             mean_rank += p * rank
-        estimate = _clamp01(trace_pair(rho_mix, d_mix))
+        estimate = _clamp01(total)
         trials_used = len(words) ** 2
     else:
         rng = np.random.default_rng(seed)
@@ -467,8 +444,8 @@ def second_kind_collision_check(
         for _ in range(trials):
             x = _sample_typical_word(rng, dist, tset, n, 100_000)
             x_prime = _sample_typical_word(rng, dist, tset, n, 100_000)
-            dmat, rank = dprime_of(x_prime)
-            total += _clamp01(trace_pair(channel.word_state(x), dmat))
+            f, rank = factor_of(x_prime)
+            total += _clamp01(_factor_trace(f, channel.word_state(x)))
             mean_rank += rank
         estimate = total / trials
         mean_rank /= trials
@@ -526,12 +503,7 @@ class ExpurgationResult:
         }
 
 
-def expurgate(
-    codebook: Codebook,
-    decoder: SquareRootDecoder | None,
-    errors: ErrorReport,
-    delta: float,
-) -> ExpurgationResult:
+def expurgate(errors: ErrorReport, delta: float) -> ExpurgationResult:
     """Keep the better half of each message set when the global averages allow it.
 
     Selection keeps the ceil(size/2) indices with the smallest averaged error
@@ -598,10 +570,10 @@ def decode_with_side_info(
     if not 0 <= known_message < other_size:
         raise InvalidInputError(f"known message {known_message} outside its set")
     if receiver == 1:
-        ops = [decoder.op(1, m, known_message) for m in range(own_size)]
+        group = [decoder.factor(1, m, known_message) for m in range(own_size)]
     else:
-        ops = [decoder.op(2, known_message, m) for m in range(own_size)]
-    probs = np.array([_clamp01(trace_pair(op, state)) for op in ops])
+        group = [decoder.factor(2, known_message, m) for m in range(own_size)]
+    probs = np.array([_clamp01(_factor_trace(h, state)) for h in group])
     if mode == "argmax":
         return int(np.argmax(probs))
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -748,6 +720,30 @@ def end_to_end_broadcast_sim(bc: BroadcastCQChannel, config: SimConfig | dict) -
     return _proof_construction_sim(bc, config, dist, chi1, chi2, report)
 
 
+def _first_passing_seed(config: SimConfig, realize, report: dict):
+    """Realize codes for seeds config.seed, config.seed + 1, ... in turn.
+
+    realize(seed) returns (worst average error, realization).  Returns the
+    first seed whose worst average error is <= config.delta with its
+    realization, or (None, last realization) after marking the report
+    threshold-not-met.
+    """
+    for attempt in range(config.max_seed_attempts):
+        seed = config.seed + attempt
+        worst, realization = realize(seed)
+        if worst <= config.delta:
+            report["attempts_used"] = attempt + 1
+            return seed, realization
+    report.update(
+        attempts_used=config.max_seed_attempts,
+        status="threshold-not-met",
+        reason=f"no realization reached average error <= {config.delta} "
+        f"within {config.max_seed_attempts} seeds",
+        seed_last=seed,
+    )
+    return None, realization
+
+
 def _proof_construction_sim(bc, config, dist, chi1, chi2, report):
     m1_size, m2_size = _sized_message_sets(config, chi1, chi2, report["notices"])
     if m1_size < 2 or m2_size < 2:
@@ -757,34 +753,19 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, report):
         )
         return report
     report["sizes"] = {"sampled_m1": m1_size, "sampled_m2": m2_size}
-    accepted = None
-    attempts = 0
-    for attempt in range(config.max_seed_attempts):
-        attempts = attempt + 1
-        seed_i = config.seed + attempt
-        cb = sample_codebook(
-            dist, config.n, m1_size, m2_size, config.delta_code, seed_i
-        )
-        detection = build_detection_operators(
-            cb, bc, config.alpha, config.preset, config.dim_cap
-        )
+
+    def realize(seed):
+        cb = sample_codebook(dist, config.n, m1_size, m2_size, config.delta_code, seed)
+        detection = build_detection_operators(cb, bc, config.alpha, config.preset, config.dim_cap)
         decoder = build_square_root_decoder(detection)
         errs = average_errors(cb, bc, decoder, detection)
-        if max(errs.overall[1], errs.overall[2]) <= config.delta:
-            accepted = (seed_i, cb, detection, decoder, errs)
-            break
-    report["attempts_used"] = attempts
-    if accepted is None:
-        report.update(
-            status="threshold-not-met",
-            reason=f"no realization reached average error <= {config.delta} "
-            f"within {config.max_seed_attempts} seeds",
-            errors=errs.as_dict(),
-            seed_last=seed_i,
-        )
+        return max(errs.overall[1], errs.overall[2]), (cb, decoder, errs)
+
+    seed_used, (cb, decoder, errs) = _first_passing_seed(config, realize, report)
+    if seed_used is None:
+        report["errors"] = errs.as_dict()
         return report
-    seed_used, cb, detection, decoder, errs = accepted
-    exp = expurgate(cb, decoder, errs, config.delta)
+    exp = expurgate(errs, config.delta)
     decode_table = {}
     all_correct = True
     marg1, marg2 = bc.marginal(1), bc.marginal(2)
@@ -822,12 +803,8 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, report):
 
 
 def _common_message_povm(channel, words, dist, alpha, preset, dim_cap):
-    proj, dense_by_word, factor_by_word, _ = _sandwiched_detection(
-        channel, words, dist, alpha, preset, dim_cap
-    )
-    dense = [dense_by_word[w] for w in words]
-    factors = [factor_by_word[w] for w in words]
-    return _normalize_group(dense, factors)
+    _, factor_by_word, _ = _sandwiched_detection(channel, words, dist, alpha, preset, dim_cap)
+    return _normalize_group([factor_by_word[w] for w in words])
 
 
 def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
@@ -858,12 +835,9 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
     report["sizes"] = {"common": size}
 
     marg1, marg2 = bc.marginal(1), bc.marginal(2)
-    accepted = None
-    attempts = 0
-    for attempt in range(config.max_seed_attempts):
-        attempts = attempt + 1
-        seed_i = config.seed + attempt
-        cb = sample_codebook(dist, config.n, size, 1, config.delta_code, seed_i)
+
+    def realize(seed):
+        cb = sample_codebook(dist, config.n, size, 1, config.delta_code, seed)
         words = [cb.word(m, 0) for m in range(size)]
         povm1, margin1 = _common_message_povm(
             marg1, words, dist, config.alpha, config.preset, config.dim_cap
@@ -872,28 +846,21 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
             marg2, words, dist, config.alpha, config.preset, config.dim_cap
         )
         errors1 = [
-            _clamp01(1.0 - trace_pair(povm1[c], marg1.word_state(words[c])))
+            _clamp01(1.0 - _factor_trace(povm1[c], marg1.word_state(words[c])))
             for c in range(size)
         ]
         errors2 = [
-            _clamp01(1.0 - trace_pair(povm2[c], marg2.word_state(words[c])))
+            _clamp01(1.0 - _factor_trace(povm2[c], marg2.word_state(words[c])))
             for c in range(size)
         ]
-        avg1, avg2 = float(np.mean(errors1)), float(np.mean(errors2))
-        if max(avg1, avg2) <= config.delta:
-            accepted = (seed_i, words, povm1, povm2, errors1, errors2, margin1, margin2)
-            break
-    report["attempts_used"] = attempts
-    if accepted is None:
-        report.update(
-            status="threshold-not-met",
-            reason=f"no realization reached average error <= {config.delta} "
-            f"within {config.max_seed_attempts} seeds",
-            common_errors={"receiver1": errors1, "receiver2": errors2},
-            seed_last=seed_i,
-        )
+        worst = max(float(np.mean(errors1)), float(np.mean(errors2)))
+        return worst, (words, povm1, povm2, errors1, errors2, margin1, margin2)
+
+    seed_used, realization = _first_passing_seed(config, realize, report)
+    words, povm1, povm2, errors1, errors2, margin1, margin2 = realization
+    if seed_used is None:
+        report["common_errors"] = {"receiver1": errors1, "receiver2": errors2}
         return report
-    seed_used, words, povm1, povm2, errors1, errors2, margin1, margin2 = accepted
 
     decode_table = {}
     all_correct = True
@@ -902,8 +869,8 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
             common = modular_sum_encode(m1, m2, size)
             state1 = marg1.word_state(words[common])
             state2 = marg2.word_state(words[common])
-            got_common1 = int(np.argmax([_clamp01(trace_pair(op, state1)) for op in povm1]))
-            got_common2 = int(np.argmax([_clamp01(trace_pair(op, state2)) for op in povm2]))
+            got_common1 = int(np.argmax([_clamp01(_factor_trace(h, state1)) for h in povm1]))
+            got_common2 = int(np.argmax([_clamp01(_factor_trace(h, state2)) for h in povm2]))
             ok1 = modular_sum_decode(got_common1, m2, size) == m1
             ok2 = modular_sum_decode(got_common2, m1, size) == m2
             all_correct = all_correct and ok1 and ok2
@@ -923,31 +890,3 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
         decode={"all_correct": all_correct, "table": decode_table},
     )
     return report
-
-
-# ---------------------------------------------------------------------------
-# Two-sender average-error evaluator (experimental).
-# ---------------------------------------------------------------------------
-
-
-def mac_average_error(mac: MACCQChannel, words1, words2, povm) -> float:
-    """Average decoding error of an externally supplied two-sender code.
-
-    Experimental evaluator: words1/words2 map message indices to sender
-    words, povm maps (m1, m2) to a decoding operator on the n-fold output
-    space.  No code construction is attempted here.
-    """
-    words1 = {i: tuple(w) for i, w in (words1.items() if isinstance(words1, dict) else enumerate(words1))}
-    words2 = {i: tuple(w) for i, w in (words2.items() if isinstance(words2, dict) else enumerate(words2))}
-    if not words1 or not words2:
-        raise InvalidInputError("both senders need at least one word")
-    total = 0.0
-    for m1, w1 in sorted(words1.items()):
-        for m2, w2 in sorted(words2.items()):
-            try:
-                op = povm[(m1, m2)]
-            except KeyError:
-                raise InvalidInputError(f"povm misses the pair ({m1}, {m2})") from None
-            state = mac.word_state(w1, w2)
-            total += _clamp01(1.0 - trace_pair(op, state))
-    return total / (len(words1) * len(words2))

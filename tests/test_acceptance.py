@@ -281,7 +281,7 @@ def test_criterion_6_expurgation(capsys):
         first2 = {(i, j): float(rng.uniform(0, 0.5)) for i in range(m1s) for j in range(m2s)}
         report = synthetic_report(first1, first2, m1s, m2s)
         delta = max(report.overall[1], report.overall[2])  # global average <= delta
-        result = expurgate(None, None, report, delta)
+        result = expurgate(report, delta)
 
         # pigeonhole oracle: the ceil(M/2) smallest selection averages cannot
         # exceed 2 delta when the overall mean is at most delta

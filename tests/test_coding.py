@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cqrelay.channels import (
-    adder_mac_channel,
     depolarized_channel,
     orthogonal_pure_channel,
     product_broadcast_channel,
@@ -20,7 +19,6 @@ from cqrelay.coding import (
     end_to_end_broadcast_sim,
     expurgate,
     first_kind_error,
-    mac_average_error,
     modular_sum_decode,
     modular_sum_encode,
     sample_codebook,
@@ -109,17 +107,6 @@ def test_detection_operators_are_positive_subunital():
             assert w.max() <= 1.0 + 1e-10
 
 
-def test_detection_factors_match_dense_operators():
-    bc = noisy_broadcast()
-    cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
-    det = build_detection_operators(cb, bc, alpha=0.5)
-    for r in (1, 2):
-        for pair in cb.words:
-            f = det.factors[r][pair]
-            if f is not None:
-                assert np.allclose(f @ f.conj().T, det.dprime[r][pair], atol=1e-10)
-
-
 def test_detection_operators_live_inside_averaged_projector():
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
@@ -142,7 +129,7 @@ def test_detection_first_kind_lower_bound_chain():
     for r in (1, 2):
         marg = bc.marginal(r)
         for pair, w in sorted(cb.words.items()):
-            got = trace_pair(det.dprime[r][pair], marg.word_state(w))
+            got = trace_pair(det.op(r, *pair), marg.word_state(w))
             cond = conditional_projector_stats(marg, w, 0.3)
             cross = cross_capture_stats(marg, w, dist, 0.3)
             lower = cond.capture - math.sqrt(8.0 * max(0.0, 1.0 - cross.capture))
@@ -326,7 +313,7 @@ def test_expurgation_keeps_better_half_and_respects_bounds():
         first2 = {(i, j): float(rng.uniform(0, 0.4)) for i in range(m1s) for j in range(m2s)}
         report = synthetic_report(first1, first2)
         delta = max(report.overall[1], report.overall[2]) + 0.01
-        result = expurgate(None, None, report, delta)
+        result = expurgate(report, delta)
         assert len(result.m2_kept) == math.ceil(m2s / 2)
         assert len(result.m1_kept) == math.ceil(m1s / 2)
         # kept sets hold the smallest selection averages
@@ -348,7 +335,7 @@ def test_expurgation_tie_break_prefers_lower_index():
     first1 = {(i, j): 0.1 for i in range(4) for j in range(4)}
     first2 = dict(first1)
     report = synthetic_report(first1, first2)
-    result = expurgate(None, None, report, 0.2)
+    result = expurgate(report, 0.2)
     assert result.m1_kept == (0, 1)
     assert result.m2_kept == (0, 1)
 
@@ -357,9 +344,9 @@ def test_expurgation_rejects_large_average():
     first1 = {(i, j): 0.6 for i in range(2) for j in range(2)}
     report = synthetic_report(first1, dict(first1))
     with pytest.raises(ExpurgationError):
-        expurgate(None, None, report, 0.25)
+        expurgate(report, 0.25)
     with pytest.raises(InvalidInputError):
-        expurgate(None, None, report, 0.0)
+        expurgate(report, 0.0)
 
 
 def test_expurgation_on_real_pipeline():
@@ -368,7 +355,7 @@ def test_expurgation_on_real_pipeline():
     det = build_detection_operators(cb, bc, alpha=0.3)
     dec = build_square_root_decoder(det)
     report = average_errors(cb, bc, dec, det)
-    result = expurgate(cb, dec, report, 0.25)
+    result = expurgate(report, 0.25)
     assert result.within_two_delta
     assert result.within_four_delta
     json.dumps(result.as_dict())
@@ -547,30 +534,3 @@ def test_end_to_end_dist_override():
     assert report["input_weights"] == [0.5, 0.5]
     with pytest.raises(InvalidInputError):
         end_to_end_broadcast_sim(bc, {"n": 4, "M1": 2, "M2": 2, "dist": [0.2, 0.3, 0.5]})
-
-
-# ---------------------------------------------------------------------------
-# two-sender error evaluator
-# ---------------------------------------------------------------------------
-
-
-def test_mac_average_error_perfect_code():
-    mac = adder_mac_channel()
-    # length-2 words with distinct orthogonal output sums per message pair
-    words1 = {0: ("0", "0"), 1: ("1", "1")}
-    words2 = {0: ("0", "1")}
-    povm = {}
-    for m1, w1 in words1.items():
-        for m2, w2 in words2.items():
-            state = mac.word_state(w1, w2)
-            povm[(m1, m2)] = (state > 1e-12).astype(float)  # diagonal projector
-    err = mac_average_error(mac, words1, words2, povm)
-    assert err == pytest.approx(0.0, abs=1e-10)
-
-
-def test_mac_average_error_validation():
-    mac = adder_mac_channel()
-    with pytest.raises(InvalidInputError):
-        mac_average_error(mac, {}, {0: ("0",)}, {})
-    with pytest.raises(InvalidInputError):
-        mac_average_error(mac, {0: ("0",)}, {0: ("0",)}, {})
