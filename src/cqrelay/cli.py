@@ -70,6 +70,17 @@ def _emit_json(obj, out_path: str | None) -> None:
     _emit(json.dumps(obj, indent=2, sort_keys=True), out_path)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and resolutions: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_dist(text: str, labels) -> ProbabilityDistribution:
     try:
         weights = [float(part) for part in text.split(",")]
@@ -162,41 +173,33 @@ def _region_jsonable(region) -> dict:
     }
 
 
-def _mac_region_from_args(args):
-    if not args.mac_channel:
-        raise InvalidInputError("this region kind needs --mac-channel")
-    mac = load_channel(args.mac_channel)
-    if not isinstance(mac, MACCQChannel):
-        raise InvalidInputError(f"{args.mac_channel!r} does not hold a two-sender channel")
-    k = args.grid_k or _default_grid_k(*mac.alphabets)
-    grid = DistributionGrid(tuple(mac.alphabets[0]), k)
-    grid2 = DistributionGrid(tuple(mac.alphabets[1]), k)
-    return mac_region(mac, grid, args.variant, grid2)
-
-
-def _broadcast_region_from_args(args):
-    if not args.bc_channel:
-        raise InvalidInputError("this region kind needs --bc-channel")
-    bc = load_channel(args.bc_channel)
-    if not isinstance(bc, BroadcastCQChannel):
-        raise InvalidInputError(f"{args.bc_channel!r} does not hold a broadcast channel")
-    k = args.grid_k or _default_grid_k(bc.alphabet)
-    return broadcast_region(bc, DistributionGrid(tuple(bc.alphabet), k))
+def _load_region_channel(path, flag: str, kind: type, what: str):
+    if not path:
+        raise InvalidInputError(f"this region kind needs {flag}")
+    channel = load_channel(path)
+    if not isinstance(channel, kind):
+        raise InvalidInputError(f"{path!r} does not hold {what}")
+    return channel
 
 
 def cmd_region(args) -> int:
-    if args.kind == "mac":
-        named = [("mac", _mac_region_from_args(args))]
-    elif args.kind == "broadcast":
-        named = [("broadcast", _broadcast_region_from_args(args))]
-    else:
-        first = _mac_region_from_args(args)
-        second = _broadcast_region_from_args(args)
-        named = [
-            ("mac", first),
-            ("broadcast", second),
-            ("intersection", intersect_regions(first, second)),
-        ]
+    # Load and type-check every channel file before computing any region.
+    mac = bc = None
+    if args.kind != "broadcast":
+        mac = _load_region_channel(args.mac_channel, "--mac-channel", MACCQChannel, "a two-sender channel")
+    if args.kind != "mac":
+        bc = _load_region_channel(args.bc_channel, "--bc-channel", BroadcastCQChannel, "a broadcast channel")
+    named = []
+    if mac is not None:
+        k = args.grid_k or _default_grid_k(*mac.alphabets)
+        grid = DistributionGrid(tuple(mac.alphabets[0]), k)
+        grid2 = DistributionGrid(tuple(mac.alphabets[1]), k)
+        named.append(("mac", mac_region(mac, grid, args.variant, grid2)))
+    if bc is not None:
+        k = args.grid_k or _default_grid_k(bc.alphabet)
+        named.append(("broadcast", broadcast_region(bc, DistributionGrid(tuple(bc.alphabet), k))))
+    if len(named) == 2:
+        named.append(("intersection", intersect_regions(named[0][1], named[1][1])))
     if args.format == "json":
         if len(named) == 1:
             _emit_json(_region_jsonable(named[0][1]), args.out)
@@ -381,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--bc-channel", help="broadcast channel JSON file")
     p_region.add_argument(
         "--grid-k",
-        type=int,
+        type=_positive_int,
         help="simplex grid resolution; default 64 for binary alphabets, 16 otherwise",
     )
     p_region.add_argument("--variant", choices=("conditional", "as-written"), default="conditional")
@@ -391,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run inequality verification sweeps")
     p_verify.add_argument("targets", choices=("lemmas", "projectors", "all"))
-    p_verify.add_argument("--trials", type=int, default=1000, help="instances per lemma sweep")
+    p_verify.add_argument("--trials", type=_positive_int, default=1000, help="instances per lemma sweep")
     p_verify.add_argument("--seed", type=int, default=20240801)
     p_verify.add_argument(
         "--n", default=_DEFAULT_PROJECTOR_NS, help="comma-separated block lengths for projectors"

@@ -70,12 +70,56 @@ class DistributionGrid:
             yield ProbabilityDistribution(self.labels, row)
 
 
+def _run_ids(values: np.ndarray, tol: float) -> np.ndarray:
+    """Label runs of sorted values whose neighbours are at most tol apart.
+
+    Float subtraction is monotone, so two values within tol of each other
+    always share a label.
+    """
+    order = np.argsort(values)
+    ids = np.empty(len(values), dtype=np.int64)
+    ids[order] = np.cumsum(np.diff(values[order], prepend=values[order[:1]]) > tol)
+    return ids
+
+
 def _dedup_points(points, tol=_VERTEX_DEDUP_TOL):
-    out = []
-    for p in points:
-        if not any(abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol for q in out):
-            out.append(p)
-    return out
+    """Drop each point within tol, in both coordinates, of an earlier kept point.
+
+    Exact repeats go first, in order: a repeat is always within tol of the
+    point that absorbed its twin.  A point alone in its pair of x and y runs
+    (``_run_ids``) has no other point within tol and is kept outright.
+    Each remaining point is compared only with the kept points in the
+    neighbouring cells of a hash grid.  Cells are 2*tol wide, so two points
+    within tol of each other land in the same or adjacent cells even when
+    x / cell is off by rounding.
+    """
+    pts = list(dict.fromkeys(points))
+    xy = np.array(pts, dtype=float).reshape(-1, 2)
+    runs = _run_ids(xy[:, 0], tol) * len(pts) + _run_ids(xy[:, 1], tol)
+    _, where, sizes = np.unique(runs, return_inverse=True, return_counts=True)
+    keep = sizes[where] == 1
+    cell = 2.0 * tol
+    buckets: dict[tuple[int, int], list] = {}
+    for k in np.flatnonzero(~keep).tolist():
+        p = pts[k]
+        i, j = math.floor(p[0] / cell), math.floor(p[1] / cell)
+        near = (q for di in (-1, 0, 1) for dj in (-1, 0, 1) for q in buckets.get((i + di, j + dj), ()))
+        if not any(abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol for q in near):
+            keep[k] = True
+            buckets.setdefault((i, j), []).append(p)
+    return [p for p, kept in zip(pts, keep.tolist()) if kept]
+
+
+def _point_array(points) -> np.ndarray:
+    """Rate points as a finite (P, 2) float array."""
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        return pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise InvalidInputError("rate points must be (R1, R2) pairs")
+    if not np.isfinite(pts).all():
+        raise InvalidInputError("rate points must be finite")
+    return pts
 
 
 def convex_hull(points) -> list[tuple[float, float]]:
@@ -83,9 +127,12 @@ def convex_hull(points) -> list[tuple[float, float]]:
 
     Coordinates are rounded to 12 decimals first: float jitter far below the
     rate scale can otherwise reorder sort ties along a near-vertical edge,
-    and the collinearity pops then erode a true corner point.
+    and the collinearity pops then erode a true corner point.  Exact repeats
+    are dropped before rounding and the tolerant dedup is linear, so the
+    cost is one sort of the distinct points.
     """
-    pts = sorted(_dedup_points([(round(float(p[0]), 12), round(float(p[1]), 12)) for p in points]))
+    distinct = dict.fromkeys(map(tuple, _point_array(points).tolist()))
+    pts = sorted(_dedup_points([(round(x, 12), round(y, 12)) for x, y in distinct]))
     if len(pts) <= 2:
         return pts
 
@@ -117,16 +164,15 @@ class RateRegion:
 
     @classmethod
     def from_points(cls, points) -> "RateRegion":
-        cleaned = []
-        for p in points:
-            x, y = float(p[0]), float(p[1])
-            cleaned.append((0.0 if abs(x) < _VERTEX_DEDUP_TOL else x, 0.0 if abs(y) < _VERTEX_DEDUP_TOL else y))
-        if not cleaned:
+        pts = _point_array(points)
+        if len(pts) == 0:
             raise InvalidInputError("a region needs at least one point")
-        for x, y in cleaned:
-            if x < 0.0 or y < 0.0:
-                raise InvalidInputError(f"rate point ({x}, {y}) is negative")
-        hull = convex_hull(cleaned)
+        pts = np.where(np.abs(pts) < _VERTEX_DEDUP_TOL, 0.0, pts)
+        negative = (pts < 0.0).any(axis=1)
+        if negative.any():
+            x, y = pts[np.argmax(negative)].tolist()
+            raise InvalidInputError(f"rate point ({x}, {y}) is negative")
+        hull = convex_hull(pts)
         start = min(range(len(hull)), key=lambda i: hull[i])
         ordered = tuple(RatePair(*hull[(start + i) % len(hull)]) for i in range(len(hull)))
         return cls(vertices=ordered, halfplanes=cls._halfplanes_of(ordered))
@@ -215,44 +261,36 @@ def _batched_entropy_bits(mats: np.ndarray) -> np.ndarray:
 
 
 def _chi_evaluator(channel: CQChannel):
-    """Fast closure weights -> Holevo information, reusing state entropies."""
+    """Fast closure weights -> Holevo information, reusing state entropies.
+
+    A (G, d) stack of weight rows gives the G values in one batched
+    eigensolve.  The mean entropy is a (1, d) @ (d, 1) product per row,
+    which runs the same dot kernel as a single row's ``weights @ ent``, so
+    each value equals a one-row call bit for bit.
+    """
     states = np.stack([channel.state(a) for a in channel.alphabet])
     ent = _batched_entropy_bits(states)
 
-    def chi(weights: np.ndarray) -> float:
-        avg = np.einsum("i,ijk->jk", weights, states)
-        return float(_batched_entropy_bits(avg[None])[0] - weights @ ent)
+    def chi(weights: np.ndarray):
+        avg = np.einsum("...i,ijk->...jk", weights, states)
+        mean_ent = (weights[..., None, :] @ ent[:, None])[..., 0, 0]
+        return _batched_entropy_bits(avg) - mean_ent
 
     return chi
 
 
-def _pentagon_points(a: float, b: float, c: float):
-    a, b, c = max(a, 0.0), max(b, 0.0), max(c, 0.0)
-    aa, bb = min(a, c), min(b, c)
-    return [
-        (0.0, 0.0),
-        (bb, 0.0),
-        (0.0, aa),
-        (bb, min(aa, c - bb)),
-        (min(bb, c - aa), aa),
-    ]
+def _with_origin(corners: np.ndarray) -> np.ndarray:
+    """The origin once, then the corners as (x, y) rows in grid order."""
+    return np.concatenate([np.zeros((1, 2)), corners.reshape(-1, 2)])
 
 
-def mac_region(
+def _pentagon_bounds(
     mac: MACCQChannel,
     grid: DistributionGrid,
-    variant: str = "conditional",
-    grid2: DistributionGrid | None = None,
-) -> RateRegion:
-    """Union of pentagons over independent sender distributions, then hull.
-
-    Each pair (Q1, Q2) from the two simplex grids yields the pentagon
-    {R2 <= A, R1 <= B, R1 + R2 <= C}.  'conditional' averages the slice
-    information over the other sender (the form whose classical
-    specializations come out right); 'as-written' scores each sender
-    against the other-averaged channel.  grid2 defaults to the same
-    resolution over the second alphabet.
-    """
+    variant: str,
+    grid2: DistributionGrid | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (G1, G2) arrays A (caps R2), B (caps R1) and C (caps R1 + R2)."""
     if variant not in ("conditional", "as-written"):
         raise InvalidInputError(f"unknown region variant {variant!r}")
     a1, a2 = mac.alphabets
@@ -291,28 +329,41 @@ def mac_region(
     else:
         a_bound = h_sigma - q1 @ h_slice1.T
         b_bound = h_sigma - h_slice2 @ q2.T
+    return a_bound, b_bound, c_bound
 
-    points = []
-    for i in range(g1):
-        for j in range(g2):
-            points.extend(
-                _pentagon_points(float(a_bound[i, j]), float(b_bound[i, j]), float(c_bound[i, j]))
-            )
-    return RateRegion.from_points(points)
+
+def mac_region(
+    mac: MACCQChannel,
+    grid: DistributionGrid,
+    variant: str = "conditional",
+    grid2: DistributionGrid | None = None,
+) -> RateRegion:
+    """Union of pentagons over independent sender distributions, then hull.
+
+    Each pair (Q1, Q2) from the two simplex grids yields the pentagon
+    {R2 <= A, R1 <= B, R1 + R2 <= C}.  'conditional' averages the slice
+    information over the other sender (the form whose classical
+    specializations come out right); 'as-written' scores each sender
+    against the other-averaged channel.  grid2 defaults to the same
+    resolution over the second alphabet.
+    """
+    a, b, c = (np.maximum(bound, 0.0) for bound in _pentagon_bounds(mac, grid, variant, grid2))
+    aa, bb = np.minimum(a, c), np.minimum(b, c)
+    zero = np.zeros_like(c)
+    # Corners (B, 0), (0, A), (B, min(A, C - B)) and (min(B, C - A), A).
+    corners = np.stack([bb, zero, zero, aa, bb, np.minimum(aa, c - bb), np.minimum(bb, c - aa), aa], axis=-1)
+    return RateRegion.from_points(_with_origin(corners))
 
 
 def broadcast_region(bc: BroadcastCQChannel, grid: DistributionGrid) -> RateRegion:
     """Union of per-distribution rectangles (chi to each receiver), then hull."""
     if grid.labels != bc.alphabet:
         raise InvalidInputError("grid labels must match the broadcast alphabet")
-    chi1 = _chi_evaluator(bc.marginal(1))
-    chi2 = _chi_evaluator(bc.marginal(2))
-    points = []
-    for weights in grid.weight_matrix():
-        x1 = max(0.0, chi1(weights))
-        x2 = max(0.0, chi2(weights))
-        points.extend([(0.0, 0.0), (x1, 0.0), (0.0, x2), (x1, x2)])
-    return RateRegion.from_points(points)
+    weights = grid.weight_matrix()
+    x1 = np.maximum(_chi_evaluator(bc.marginal(1))(weights), 0.0)
+    x2 = np.maximum(_chi_evaluator(bc.marginal(2))(weights), 0.0)
+    zero = np.zeros_like(x1)
+    return RateRegion.from_points(_with_origin(np.stack([x1, zero, zero, x2, x1, x2], axis=-1)))
 
 
 def _project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -358,8 +409,7 @@ def optimize_chi(
         raise InvalidInputError("grid labels must match the channel alphabet")
     chi = _chi_evaluator(channel)
     mat = grid.weight_matrix()
-    values = [chi(row) for row in mat]
-    best_idx = int(np.argmax(values))
+    best_idx = int(np.argmax(chi(mat)))
     w, best, _ = _refine_simplex_ascent(chi, mat[best_idx], refine_steps)
     w = w / w.sum()
     return ProbabilityDistribution(channel.alphabet, w), float(best)

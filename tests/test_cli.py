@@ -196,6 +196,23 @@ def test_region_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_region_bidirectional_checks_both_files_first(tmp_path, capsys, monkeypatch):
+    import cqrelay.cli as cli
+    import cqrelay.regions as regions
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("a region was computed before the inputs were checked")
+
+    monkeypatch.setattr(regions, "mac_region", boom)
+    monkeypatch.setattr(cli, "mac_region", boom)
+    mac = write_channel(tmp_path, "adder-mac", "mac.json")
+    missing = str(tmp_path / "missing.json")
+    for extra in ([], ["--bc-channel", mac], ["--bc-channel", missing]):
+        assert main(["region", "bidirectional", "--mac-channel", mac, *extra]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -238,6 +255,20 @@ def test_verify_flag_parse_errors(capsys):
     assert main(["verify", "projectors", "--n", "2.5"]) == 1
     assert main(["verify", "projectors", "--alpha", "zebra"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_count_flags_must_be_positive_integers(tmp_path, capsys, value):
+    mac = write_channel(tmp_path, "adder-mac", "mac.json")
+    for argv in (
+        ["region", "mac", "--mac-channel", mac, "--grid-k", value],
+        ["verify", "lemmas", "--trials", value],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 # ---------------------------------------------------------------------------
