@@ -81,6 +81,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for seeds: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_dist(text: str, labels) -> ProbabilityDistribution:
     try:
         weights = [float(part) for part in text.split(",")]
@@ -395,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run inequality verification sweeps")
     p_verify.add_argument("targets", choices=("lemmas", "projectors", "all"))
     p_verify.add_argument("--trials", type=_positive_int, default=1000, help="instances per lemma sweep")
-    p_verify.add_argument("--seed", type=int, default=20240801)
+    p_verify.add_argument("--seed", type=_nonnegative_int, default=20240801)
     p_verify.add_argument(
         "--n", default=_DEFAULT_PROJECTOR_NS, help="comma-separated block lengths for projectors"
     )

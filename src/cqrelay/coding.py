@@ -4,8 +4,10 @@ The decoder construction sandwiches each word's conditional typical projector
 between averaged-state projectors and square-root normalizes the resulting
 detection operators over the messages that share a side-information index.
 Detection and decoding operators are held only as N x K factors; the
-normalization runs on the K x K Gram matrix of each group.  All error figures
-are exact traces; sampling enters only through codebook generation.
+normalization runs on the K x K Gram matrix of each group.  Product operators
+(the averaged-state projector, word states) are held as their n single-letter
+factors and applied as mode products, so no N x N array is formed.  All error
+figures are exact traces; sampling enters only through codebook generation.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .operators import (
     DEFAULT_DIM_CAP,
     ProbabilityDistribution,
     hermitian_part,
+    kron_apply,
+    multinomial_coefficient,
     pseudo_sqrt_inverse,
 )
 from .typicality import (
@@ -110,9 +114,25 @@ def sample_codebook(
 # ---------------------------------------------------------------------------
 
 
-def _factor_trace(factor: np.ndarray, rho: np.ndarray) -> float:
-    """Real part of tr(F† rho F) = tr(rho F F†) for an N x K factor F."""
-    return float(np.einsum("ij,ij->", factor.conj(), rho @ factor).real)
+def _require_within_cap(d: int, n: int, dim_cap: int, what: str) -> None:
+    # 2^n > dim_cap as soon as n reaches the cap's bit length; testing that
+    # first keeps d**n from being formed for absurd n
+    if (d > 1 and n >= int(dim_cap).bit_length()) or d**n > dim_cap:
+        raise ResourceLimitError(f"{what} dimension {d}^{n} exceeds cap {dim_cap}")
+
+
+def _word_factors(channel: CQChannel, word) -> list:
+    """The word's output state W(x_1) (x) ... (x) W(x_n), as its tensor factors."""
+    return [channel.state(a) for a in word]
+
+
+def _factor_trace(factor: np.ndarray, state) -> float:
+    """Real part of tr(F† rho F) = tr(rho F F†) for an N x K factor F.
+
+    state lists the tensor factors of rho; a dense N x N state is the
+    one-factor list.
+    """
+    return float(np.vdot(factor, kron_apply(state, factor)).real)
 
 
 def _factor_op(factor: np.ndarray) -> np.ndarray:
@@ -124,24 +144,20 @@ def _sandwiched_detection(channel: CQChannel, words, dist, alpha, preset, dim_ca
 
     Returns (projector, {word: factor}, {word: rank}).  The factor
     F = Pi V, with V the conditional projector's included vectors, is N x rank
-    and satisfies D' = Pi P_w Pi = F F†.
+    and satisfies D' = Pi P_w Pi = F F†; Pi itself is never formed.
     """
     n = len(words[0])
-    if channel.output_dim**n > dim_cap:
-        raise ResourceLimitError(
-            f"detection space dimension {channel.output_dim}^{n} exceeds cap {dim_cap}"
-        )
+    _require_within_cap(channel.output_dim, n, dim_cap, "detection space")
     a_size = len(channel.alphabet)
     proj = typical_projector(
         output_state(channel, dist), n, alpha * math.sqrt(a_size), preset, dim_cap
     )
-    pi = proj.matrix()
     factors, ranks = {}, {}
     for w in words:
         if w not in factors:
             cond = conditional_typical_projector(channel, w, alpha, preset, dim_cap)
             ranks[w] = cond.rank
-            factors[w] = pi @ cond.included_vectors()
+            factors[w] = cond.sandwiched_factor(proj)
     return proj, factors, ranks
 
 
@@ -204,10 +220,9 @@ def _normalize_group(factors):
         return list(factors), -1.0
     gram = hermitian_part(stacked.conj().T @ stacked)
     inv_root = pseudo_sqrt_inverse(gram)
-    normalized = stacked @ inv_root
     margin = float(np.linalg.eigvalsh(hermitian_part(inv_root @ gram @ inv_root))[-1]) - 1.0
-    cuts = np.cumsum([f.shape[1] for f in factors])[:-1]
-    return np.split(normalized, cuts, axis=1), margin
+    ends = np.cumsum([f.shape[1] for f in factors])
+    return [stacked @ inv_root[:, end - f.shape[1] : end] for f, end in zip(factors, ends)], margin
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +271,8 @@ def build_square_root_decoder(detection: DetectionOperators) -> SquareRootDecode
 # ---------------------------------------------------------------------------
 
 
-def _clamp01(x: float) -> float:
+def _clamp_nonnegative(x: float) -> float:
+    """x with negative roundoff clamped to 0; values above 1 pass unchanged."""
     return 0.0 if x < 0.0 else float(x)
 
 
@@ -271,8 +287,8 @@ def first_kind_error(
     w = codebook.word(m1, m2)
     out = []
     for receiver in (1, 2):
-        state = bc.marginal(receiver).word_state(w)
-        out.append(_clamp01(1.0 - _factor_trace(decoder.factor(receiver, m1, m2), state)))
+        state = _word_factors(bc.marginal(receiver), w)
+        out.append(_clamp_nonnegative(1.0 - _factor_trace(decoder.factor(receiver, m1, m2), state)))
     return out[0], out[1]
 
 
@@ -324,21 +340,12 @@ def average_errors(
     first = {1: {}, 2: {}}
     coll = {1: {}, 2: {}}
     bounds = {1: {}, 2: {}}
-    states = {}
-    for receiver in (1, 2):
-        marg = bc.marginal(receiver)
-        cache = {}
-        for pair in sorted(codebook.words):
-            w = codebook.words[pair]
-            if w not in cache:
-                cache[w] = marg.word_state(w)
-        states[receiver] = cache
     for m1 in range(codebook.m1_size):
         for m2 in range(codebook.m2_size):
             w = codebook.words[(m1, m2)]
             for receiver in (1, 2):
-                state = states[receiver][w]
-                err = _clamp01(1.0 - _factor_trace(decoder.factor(receiver, m1, m2), state))
+                state = _word_factors(bc.marginal(receiver), w)
+                err = _clamp_nonnegative(1.0 - _factor_trace(decoder.factor(receiver, m1, m2), state))
                 first[receiver][(m1, m2)] = err
                 if detection is not None:
                     own = detection.factors[receiver]
@@ -346,9 +353,9 @@ def average_errors(
                         others = [own[(k, m2)] for k in range(codebook.m1_size) if k != m1]
                     else:
                         others = [own[(m1, k)] for k in range(codebook.m2_size) if k != m2]
-                    mass = sum(_clamp01(_factor_trace(f, state)) for f in others)
+                    mass = sum(_clamp_nonnegative(_factor_trace(f, state)) for f in others)
                     coll[receiver][(m1, m2)] = mass
-                    miss = _clamp01(1.0 - _factor_trace(own[(m1, m2)], state))
+                    miss = _clamp_nonnegative(1.0 - _factor_trace(own[(m1, m2)], state))
                     bounds[receiver][(m1, m2)] = 2.0 * miss + 4.0 * mass
     avg_by_m2 = {
         m2: float(np.mean([first[1][(m1, m2)] for m1 in range(codebook.m1_size)]))
@@ -382,6 +389,44 @@ def average_errors(
     )
 
 
+def _typical_mixture_apply(channel: CQChannel, tset, block: np.ndarray) -> np.ndarray:
+    """(sum over typical words w of p(w) W(w_1) (x) ... (x) W(w_n)) @ block.
+
+    p is the unnormalized product weight of tset's distribution.  Partial
+    sums are kept per letter-count vector of the positions applied so far,
+    so each position costs one mode product per count vector and letter
+    instead of one kron_apply per typical word.  Count vectors that can no
+    longer end inside the typical windows are dropped on the way.
+    """
+    dist, n = tset.dist, tset.n
+    windows = tset.count_windows()
+    d = channel.output_dim
+    cols = block.shape[1]
+    letters = [
+        (i, p * channel.state(a)) for i, (a, p) in enumerate(zip(dist.labels, dist.weights)) if p > 0.0
+    ]
+    partial = {(0,) * len(dist.labels): block}
+    for k in range(n):
+        left = n - k - 1
+        step = {}
+        for counts, blk in partial.items():
+            view = blk.reshape(d**k, d, d**left * cols)
+            for i, weighted_state in letters:
+                grown = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+                if grown[i] > windows[i][1] or any(c + left < lo for c, (lo, _) in zip(grown, windows)):
+                    continue
+                term = np.matmul(weighted_state, view)
+                if grown in step:
+                    step[grown] += term
+                else:
+                    step[grown] = term
+        partial = step
+    out = np.zeros(block.shape, dtype=complex)
+    for blk in partial.values():
+        out += blk.reshape(block.shape)
+    return out
+
+
 def second_kind_collision_check(
     dist: ProbabilityDistribution,
     bc: BroadcastCQChannel,
@@ -400,19 +445,16 @@ def second_kind_collision_check(
     Estimates E[tr(W2(X) D'(X'))] over independent typical words X, X' and
     compares it against the rigorous equipartition-times-rank budget, reported
     both directly and as the exponent offset eps_slack with
-    budget = 2^(-n (chi2 - eps_slack)).  With exact=True the expectation is
-    evaluated exactly by enumerating the typical set.
+    budget = 2^(-n (chi2 - eps_slack)).  With exact=True the expectation over
+    all pairs of typical words is evaluated exactly, one type class at a time;
+    "trials" then reports the number of pairs it covers.
     """
     preset = resolve_preset(preset)
     channel = bc.marginal(2)
-    if channel.output_dim**n > dim_cap:
-        raise ResourceLimitError(
-            f"collision check dimension {channel.output_dim}^{n} exceeds cap {dim_cap}"
-        )
+    _require_within_cap(channel.output_dim, n, dim_cap, "collision check")
     a_size = len(channel.alphabet)
     avg = output_state(channel, dist)
     proj = typical_projector(avg, n, alpha * math.sqrt(a_size), preset, dim_cap)
-    pi = proj.matrix()
     tset = typical_sequences(dist, n, delta_code)
     typical_mass = tset.probability()
     if typical_mass <= 0.0:
@@ -422,21 +464,26 @@ def second_kind_collision_check(
 
     def factor_of(word):
         cond = conditional_typical_projector(channel, word, alpha, preset, dim_cap)
-        return pi @ cond.included_vectors(), cond.rank
+        return cond.sandwiched_factor(proj), cond.rank
 
     if exact:
-        # E[tr(W(X) D'(X'))] = sum_w p(w) tr(F_w† rho_mix F_w) for independent X, X'
-        words = list(tset.members())
-        weights = [math.prod(dist.weight(a) for a in w) / typical_mass for w in words]
-        rho_mix = sum(p * channel.word_state(w) for p, w in zip(weights, words))
+        # E[tr(W(X) D'(X'))] = sum_w p(w) tr(F_w† rho_mix F_w) for independent
+        # X, X'.  rho_mix and the averaged projector commute with permutations
+        # of the positions and D'(pi w) = P_pi D'(w) P_pi†, so the trace only
+        # depends on the type of w: one word per type class stands for all.
         total = 0.0
         mean_rank = 0.0
-        for p, w in zip(weights, words):
+        for counts in tset.count_vectors():
+            w = tuple(a for a, k in zip(dist.labels, counts) for _ in range(k))
+            p = multinomial_coefficient(n, counts) * math.prod(dist.weight(a) for a in w) / typical_mass
+            if p == 0.0:
+                continue
             f, rank = factor_of(w)
-            total += p * _factor_trace(f, rho_mix)
+            mixed = _typical_mixture_apply(channel, tset, f) / typical_mass
+            total += p * float(np.vdot(f, mixed).real)
             mean_rank += p * rank
-        estimate = _clamp01(total)
-        trials_used = len(words) ** 2
+        estimate = _clamp_nonnegative(total)
+        trials_used = tset.size() ** 2
     else:
         rng = np.random.default_rng(seed)
         total = 0.0
@@ -445,7 +492,7 @@ def second_kind_collision_check(
             x = _sample_typical_word(rng, dist, tset, n, 100_000)
             x_prime = _sample_typical_word(rng, dist, tset, n, 100_000)
             f, rank = factor_of(x_prime)
-            total += _clamp01(_factor_trace(f, channel.word_state(x)))
+            total += _clamp_nonnegative(_factor_trace(f, _word_factors(channel, x)))
             mean_rank += rank
         estimate = total / trials
         mean_rank /= trials
@@ -550,13 +597,14 @@ def decode_with_side_info(
     decoder: SquareRootDecoder,
     receiver: int,
     known_message: int,
-    state: np.ndarray,
+    state,
     mode: str = "argmax",
     rng: np.random.Generator | None = None,
 ):
     """Apply one side-information decoding group to an output state.
 
-    Receiver 1 knows m2 and resolves m1; receiver 2 the reverse.  Outcome
+    Receiver 1 knows m2 and resolves m1; receiver 2 the reverse.  The state
+    is a dense N x N array or the list of its tensor factors.  Outcome
     probabilities are exact traces; "argmax" returns the most likely message,
     "sampled" draws from the full outcome distribution and returns None on
     the complement outcome.
@@ -573,11 +621,13 @@ def decode_with_side_info(
         group = [decoder.factor(1, m, known_message) for m in range(own_size)]
     else:
         group = [decoder.factor(2, known_message, m) for m in range(own_size)]
-    probs = np.array([_clamp01(_factor_trace(h, state)) for h in group])
+    if isinstance(state, np.ndarray) and state.ndim == 2:
+        state = [state]
+    probs = np.array([_clamp_nonnegative(_factor_trace(h, state)) for h in group])
     if mode == "argmax":
         return int(np.argmax(probs))
     rng = rng if rng is not None else np.random.default_rng(0)
-    fail = _clamp01(1.0 - float(probs.sum()))
+    fail = _clamp_nonnegative(1.0 - float(probs.sum()))
     full = np.append(probs, fail)
     full = full / full.sum()
     outcome = int(rng.choice(len(full), p=full))
@@ -609,6 +659,56 @@ def modular_sum_decode(common: int, known: int, size: int) -> int:
 _SCHEMES = ("proof-construction", "modular-sum")
 
 
+def _config_integer(value, key: str) -> int:
+    """An integral number (not a bool) as an int."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise InvalidInputError(f"config {key!r} must be an integer, got {value!r}")
+
+
+def _config_real(value, key: str) -> float:
+    """A finite number (not a bool) as a float."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise InvalidInputError(f"config {key!r} must be a finite number, got {value!r}")
+
+
+def _config_reals(value, key: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInputError(f"config {key!r} must be a list of numbers, got {value!r}")
+    return tuple(_config_real(x, key) for x in value)
+
+
+def _config_string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidInputError(f"config {key!r} must be a string, got {value!r}")
+    return value
+
+
+_CONFIG_CHECKS = {
+    "n": _config_integer,
+    "alpha": _config_real,
+    "preset": _config_string,
+    "delta_code": _config_real,
+    "epsilon": _config_real,
+    "m1_size": _config_integer,
+    "m2_size": _config_integer,
+    "seed": _config_integer,
+    "scheme": _config_string,
+    "max_seed_attempts": _config_integer,
+    "delta": _config_real,
+    "dist": _config_reals,
+    "dim_cap": _config_integer,
+}
+
+
 @dataclass
 class SimConfig:
     """Configuration of one broadcast-phase run."""
@@ -628,8 +728,14 @@ class SimConfig:
     dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
+        for key, field in self._KEY_MAP.items():
+            value = getattr(self, field)
+            if value is not None or field not in self._OPTIONAL:
+                setattr(self, field, _CONFIG_CHECKS[field](value, key))
         if self.n < 1:
             raise InvalidInputError(f"block length must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise InvalidInputError(f"config 'seed' must be >= 0, got {self.seed}")
         self.preset = resolve_preset(self.preset)
         if self.scheme not in _SCHEMES:
             raise InvalidInputError(f"unknown scheme {self.scheme!r}; pick from {_SCHEMES}")
@@ -653,6 +759,7 @@ class SimConfig:
         "dist": "dist",
         "dim_cap": "dim_cap",
     }
+    _OPTIONAL = ("epsilon", "m1_size", "m2_size", "dist")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
@@ -663,10 +770,7 @@ class SimConfig:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         if "n" not in raw:
             raise InvalidInputError("config requires 'n'")
-        kwargs = {cls._KEY_MAP[k]: v for k, v in raw.items()}
-        if kwargs.get("dist") is not None:
-            kwargs["dist"] = tuple(float(x) for x in kwargs["dist"])
-        return cls(**kwargs)
+        return cls(**{cls._KEY_MAP[k]: v for k, v in raw.items()})
 
 
 def _input_distribution(bc: BroadcastCQChannel, config: SimConfig) -> ProbabilityDistribution:
@@ -683,7 +787,7 @@ def _sized_message_sets(config: SimConfig, chi1: float, chi2: float, notices: li
     if config.m1_size is not None or config.m2_size is not None:
         if config.m1_size is None or config.m2_size is None:
             raise InvalidInputError("give both message sizes or neither")
-        return int(config.m1_size), int(config.m2_size)
+        return config.m1_size, config.m2_size
     eps = config.epsilon
     if eps is None:
         candidates = [(n * chi - 1.0) / (2.0 * n) for chi in (chi1, chi2)]
@@ -720,14 +824,17 @@ def end_to_end_broadcast_sim(bc: BroadcastCQChannel, config: SimConfig | dict) -
     return _proof_construction_sim(bc, config, dist, chi1, chi2, report)
 
 
-def _first_passing_seed(config: SimConfig, realize, report: dict):
+def _first_passing_seed(bc: BroadcastCQChannel, config: SimConfig, realize, report: dict):
     """Realize codes for seeds config.seed, config.seed + 1, ... in turn.
 
     realize(seed) returns (worst average error, realization).  Returns the
     first seed whose worst average error is <= config.delta with its
     realization, or (None, last realization) after marking the report
-    threshold-not-met.
+    threshold-not-met.  Both receivers' detection spaces are checked against
+    the dimension cap before any codebook is sampled.
     """
+    for receiver in (1, 2):
+        _require_within_cap(bc.marginal(receiver).output_dim, config.n, config.dim_cap, "detection space")
     for attempt in range(config.max_seed_attempts):
         seed = config.seed + attempt
         worst, realization = realize(seed)
@@ -761,7 +868,7 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, report):
         errs = average_errors(cb, bc, decoder, detection)
         return max(errs.overall[1], errs.overall[2]), (cb, decoder, errs)
 
-    seed_used, (cb, decoder, errs) = _first_passing_seed(config, realize, report)
+    seed_used, (cb, decoder, errs) = _first_passing_seed(bc, config, realize, report)
     if seed_used is None:
         report["errors"] = errs.as_dict()
         return report
@@ -772,8 +879,8 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, report):
     for m1 in exp.m1_kept:
         for m2 in exp.m2_kept:
             w = cb.word(m1, m2)
-            got1 = decode_with_side_info(decoder, 1, m2, marg1.word_state(w))
-            got2 = decode_with_side_info(decoder, 2, m1, marg2.word_state(w))
+            got1 = decode_with_side_info(decoder, 1, m2, _word_factors(marg1, w))
+            got2 = decode_with_side_info(decoder, 2, m1, _word_factors(marg2, w))
             ok = got1 == m1 and got2 == m2
             all_correct = all_correct and ok
             decode_table[f"{m1},{m2}"] = {"receiver1": got1 == m1, "receiver2": got2 == m2}
@@ -811,9 +918,9 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
     if config.m1_size is not None and config.m2_size is not None:
         if config.m1_size != config.m2_size:
             raise InvalidInputError("the sum-forwarding scheme uses one common message size")
-        size = int(config.m1_size)
+        size = config.m1_size
     elif config.m1_size is not None or config.m2_size is not None:
-        size = int(config.m1_size if config.m1_size is not None else config.m2_size)
+        size = config.m1_size if config.m1_size is not None else config.m2_size
     else:
         weak_chi = min(chi1, chi2)
         eps = config.epsilon if config.epsilon is not None else (config.n * weak_chi - 1.0) / (
@@ -845,19 +952,16 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
         povm2, margin2 = _common_message_povm(
             marg2, words, dist, config.alpha, config.preset, config.dim_cap
         )
-        errors1 = [
-            _clamp01(1.0 - _factor_trace(povm1[c], marg1.word_state(words[c])))
-            for c in range(size)
-        ]
-        errors2 = [
-            _clamp01(1.0 - _factor_trace(povm2[c], marg2.word_state(words[c])))
-            for c in range(size)
-        ]
+        # outcome probabilities of every common message on every word's state
+        probs1 = [[_factor_trace(h, _word_factors(marg1, w)) for h in povm1] for w in words]
+        probs2 = [[_factor_trace(h, _word_factors(marg2, w)) for h in povm2] for w in words]
+        errors1 = [_clamp_nonnegative(1.0 - probs1[c][c]) for c in range(size)]
+        errors2 = [_clamp_nonnegative(1.0 - probs2[c][c]) for c in range(size)]
         worst = max(float(np.mean(errors1)), float(np.mean(errors2)))
-        return worst, (words, povm1, povm2, errors1, errors2, margin1, margin2)
+        return worst, (probs1, probs2, errors1, errors2, margin1, margin2)
 
-    seed_used, realization = _first_passing_seed(config, realize, report)
-    words, povm1, povm2, errors1, errors2, margin1, margin2 = realization
+    seed_used, realization = _first_passing_seed(bc, config, realize, report)
+    probs1, probs2, errors1, errors2, margin1, margin2 = realization
     if seed_used is None:
         report["common_errors"] = {"receiver1": errors1, "receiver2": errors2}
         return report
@@ -867,10 +971,8 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
     for m1 in range(size):
         for m2 in range(size):
             common = modular_sum_encode(m1, m2, size)
-            state1 = marg1.word_state(words[common])
-            state2 = marg2.word_state(words[common])
-            got_common1 = int(np.argmax([_clamp01(_factor_trace(h, state1)) for h in povm1]))
-            got_common2 = int(np.argmax([_clamp01(_factor_trace(h, state2)) for h in povm2]))
+            got_common1 = int(np.argmax([_clamp_nonnegative(t) for t in probs1[common]]))
+            got_common2 = int(np.argmax([_clamp_nonnegative(t) for t in probs2[common]]))
             ok1 = modular_sum_decode(got_common1, m2, size) == m1
             ok2 = modular_sum_decode(got_common2, m1, size) == m2
             all_correct = all_correct and ok1 and ok2

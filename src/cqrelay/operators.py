@@ -97,6 +97,49 @@ def tensor_all(mats) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
+def kron_apply(mats, block) -> np.ndarray:
+    """(mats[0] ⊗ ... ⊗ mats[-1]) @ block without forming the Kronecker product.
+
+    Each factor acts as one mode product on the block reshaped to
+    (q_1, ..., q_n, K), so a product of n d x d factors costs O(n d N K) time
+    and O(N K) memory on an N x K block instead of N^2 K.  A single factor is
+    an ordinary matrix product.
+    """
+    mats = list(mats)
+    block = np.asarray(block)
+    if not mats:
+        raise InvalidInputError("kron_apply needs at least one factor")
+    rows = math.prod(m.shape[1] for m in mats)
+    if block.ndim != 2 or block.shape[0] != rows:
+        raise InvalidInputError(f"block of shape {block.shape} does not match {rows} factor columns")
+    cols = block.shape[1]
+    done, rest = 1, rows * cols
+    out = block
+    for m in mats:
+        p, q = m.shape
+        rest //= q
+        # modes before this one are already applied (done rows), the rest wait
+        out = np.matmul(m, out.reshape(done, q, rest))
+        done *= p
+    return out.reshape(done, cols)
+
+
+def product_columns(factors, index_words) -> np.ndarray:
+    """Columns ⊗_k factors[k][:, j_k], one per index word (j_1, ..., j_n).
+
+    index_words is an (R, n) integer array; the result is prod(d_k) x R.
+    Entries are the same products, taken in the same order, as the
+    left-to-right np.kron of the selected columns, so they agree bit for bit.
+    """
+    index_words = np.asarray(index_words, dtype=np.intp).reshape(-1, len(factors))
+    r = index_words.shape[0]
+    out = np.ones((1, r), dtype=complex)
+    for k, f in enumerate(factors):
+        picked = np.asarray(f)[:, index_words[:, k]]
+        out = (out[:, None, :] * picked[None, :, :]).reshape(out.shape[0] * picked.shape[0], r)
+    return out
+
+
 def partial_trace(mat, dims: tuple[int, int], keep: int) -> np.ndarray:
     """Trace out one tensor factor of a bipartite operator.
 

@@ -14,12 +14,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import BroadcastCQChannel, CQChannel, MACCQChannel, holevo_chi
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .operators import ZERO_EIGENVALUE_TOL, ProbabilityDistribution
 
 _VERTEX_DEDUP_TOL = 1e-8
 _COLLINEAR_TOL = 1e-12
 _CONTAIN_TOL = 1e-9
+
+# mac_region refuses grids whose (G1, G2, dim, dim) complex stack of averaged
+# states would exceed this many bytes.  The hull's per-point work on the same
+# grid takes several times the stack (about 7x for qutrit outputs), so this
+# keeps a whole run under about 1 GB.
+_PENTAGON_STACK_BYTE_LIMIT = 128 * 2**20
 
 
 class RatePair(NamedTuple):
@@ -303,6 +309,12 @@ def _pentagon_bounds(
         raise InvalidInputError("grid2 labels must match the second sender alphabet")
     states = np.stack([np.stack([mac.state(y1, y2) for y2 in a2]) for y1 in a1])
     dim = states.shape[-1]
+    stack_bytes = len(grid) * len(grid2) * dim * dim * np.dtype(complex).itemsize
+    if stack_bytes > _PENTAGON_STACK_BYTE_LIMIT:
+        raise ResourceLimitError(
+            f"MAC region grid needs a {stack_bytes / 2**30:.3g} GiB state stack, "
+            f"above the {_PENTAGON_STACK_BYTE_LIMIT / 2**30:.3g} GiB limit; use a coarser grid"
+        )
     ent = _batched_entropy_bits(states.reshape(d1 * d2, dim, dim)).reshape(d1, d2)
 
     q1 = grid.weight_matrix()  # (G1, d1)

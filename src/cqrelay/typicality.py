@@ -27,7 +27,9 @@ from .operators import (
     ProbabilityDistribution,
     hermitian_eigendecomposition,
     hermitian_part,
+    kron_apply,
     multinomial_coefficient,
+    product_columns,
     spectrum_entropy_bits,
     tensor_all,
     validate_density,
@@ -203,11 +205,55 @@ def _eigen_windows(eigenvalues: np.ndarray, n: int, tau: float) -> list[tuple[in
     ]
 
 
-def _word_counts(word, d: int) -> tuple[int, ...]:
-    counts = [0] * d
-    for j in word:
-        counts[j] += 1
-    return tuple(counts)
+def _index_words(d: int, n: int) -> np.ndarray:
+    """All d^n index words as the rows of a (d^n, n) array, in product-basis order."""
+    return np.indices((d,) * n).reshape(n, -1).T
+
+
+def _within_windows(words: np.ndarray, d: int, windows) -> np.ndarray:
+    """Row flags: every eigen-index count of the word lies in its window."""
+    counts = (words[:, :, None] == np.arange(d)).sum(axis=1)
+    lo, hi = np.array(windows).reshape(d, 2).T
+    return ((counts >= lo) & (counts <= hi)).all(axis=1)
+
+
+def _word_set(words: np.ndarray, keep: np.ndarray) -> frozenset:
+    return frozenset(map(tuple, words[keep].tolist()))
+
+
+def _sorted_words(included: frozenset, n: int) -> np.ndarray:
+    """Included index words in product-basis (lexicographic) order, as an (R, n) array."""
+    return np.array(sorted(included), dtype=np.intp).reshape(-1, n)
+
+
+def _included_mask(included: frozenset, d: int, n: int) -> np.ndarray:
+    """Flags of the included index words over all d^n product-basis positions."""
+    mask = np.zeros(d**n, dtype=bool)
+    mask[_sorted_words(included, n) @ d ** np.arange(n - 1, -1, -1)] = True
+    return mask
+
+
+def _product_projector(factors: list, included: frozenset) -> np.ndarray:
+    """Dense sum of |v><v| over the product columns v of the included words.
+
+    factors[k] is the orthonormal basis at position k.  Low rank or low
+    corank sums outer products instead of forming full basis-change products.
+    """
+    n = len(factors)
+    d = factors[0].shape[0]
+    total = d**n
+    r = len(included)
+    if r == 0:
+        return np.zeros((total, total), dtype=complex)
+    if r * 4 <= total:
+        cols = product_columns(factors, _sorted_words(included, n))
+        return hermitian_part(cols @ cols.conj().T)
+    mask = _included_mask(included, d, n)
+    if (total - r) * 4 <= total:
+        cols = product_columns(factors, _index_words(d, n)[~mask])
+        return hermitian_part(np.eye(total, dtype=complex) - cols @ cols.conj().T)
+    big = tensor_all(factors)
+    return hermitian_part((big * mask) @ big.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,46 +281,11 @@ class TypicalProjector:
 
     def included_vectors(self) -> np.ndarray:
         """Orthonormal columns spanning the projector's range."""
-        cols = np.empty((self.dim**self.n, len(self.included)), dtype=complex)
-        for k, word in enumerate(sorted(self.included)):
-            vec = np.array([1.0], dtype=complex)
-            for j in word:
-                vec = np.kron(vec, self.basis[:, j])
-            cols[:, k] = vec
-        return cols
+        return product_columns([self.basis] * self.n, _sorted_words(self.included, self.n))
 
     def matrix(self) -> np.ndarray:
         """Dense realization in the computational product basis."""
-        d, n = self.dim, self.n
-        total = d**n
-        r = len(self.included)
-        if r == 0:
-            return np.zeros((total, total), dtype=complex)
-        # Low rank (or low corank): sum outer products instead of full
-        # basis-change products.
-        if r * 4 <= total or (total - r) * 4 <= total:
-            if r * 4 <= total:
-                cols = self.included_vectors()
-                return hermitian_part(cols @ cols.conj().T)
-            excluded = [
-                word
-                for word in itertools.product(range(d), repeat=n)
-                if word not in self.included
-            ]
-            out = np.eye(total, dtype=complex)
-            for word in excluded:
-                vec = np.array([1.0], dtype=complex)
-                for j in word:
-                    vec = np.kron(vec, self.basis[:, j])
-                out -= np.outer(vec, vec.conj())
-            return hermitian_part(out)
-        big = tensor_all([self.basis] * n)
-        ind = np.fromiter(
-            (1.0 if word in self.included else 0.0 for word in itertools.product(range(d), repeat=n)),
-            dtype=float,
-            count=total,
-        )
-        return hermitian_part((big * ind) @ big.conj().T)
+        return _product_projector([self.basis] * self.n, self.included)
 
 
 def typical_projector(
@@ -295,12 +306,8 @@ def typical_projector(
     tau = threshold_for(alpha, n, preset)
     w, u = hermitian_eigendecomposition(rho)
     w = _clean_eigenvalues(w)
-    windows = _eigen_windows(w, n, tau)
-    included = frozenset(
-        word
-        for word in itertools.product(range(d), repeat=n)
-        if all(lo <= k <= hi for k, (lo, hi) in zip(_word_counts(word, d), windows))
-    )
+    words = _index_words(d, n)
+    included = _word_set(words, _within_windows(words, d, _eigen_windows(w, n, tau)))
     return TypicalProjector(
         eigenvalues=w, basis=u, n=n, alpha=float(alpha), tau=tau, preset=preset, included=included
     )
@@ -340,30 +347,28 @@ class ConditionalTypicalProjector:
         return tuple(index_word) in self.included
 
     def included_vectors(self) -> np.ndarray:
-        cols = np.empty((self.dim**self.n, len(self.included)), dtype=complex)
-        for k, jword in enumerate(sorted(self.included)):
-            vec = np.array([1.0], dtype=complex)
-            for a, j in zip(self.word, jword):
-                vec = np.kron(vec, self.bases[a][:, j])
-            cols[:, k] = vec
-        return cols
+        return product_columns([self.bases[a] for a in self.word], _sorted_words(self.included, self.n))
 
     def matrix(self) -> np.ndarray:
-        d, n = self.dim, self.n
-        total = d**n
-        r = len(self.included)
-        if r == 0:
-            return np.zeros((total, total), dtype=complex)
-        if r * 4 <= total:
-            cols = self.included_vectors()
-            return hermitian_part(cols @ cols.conj().T)
-        big = tensor_all([self.bases[a] for a in self.word])
-        ind = np.fromiter(
-            (1.0 if jw in self.included else 0.0 for jw in itertools.product(range(d), repeat=n)),
-            dtype=float,
-            count=total,
-        )
-        return hermitian_part((big * ind) @ big.conj().T)
+        return _product_projector([self.bases[a] for a in self.word], self.included)
+
+    def sandwiched_factor(self, outer: TypicalProjector) -> np.ndarray:
+        """Pi V for Pi = outer.matrix() and V = self.included_vectors(), never
+        forming Pi.
+
+        Pi is diagonal in the product eigenbasis U^(x)n of the outer state, so
+        Pi V = U^(x)n (mask * (U†)^(x)n V), and (U†)^(x)n V is itself the
+        product columns of the rotated bases U† B_x.
+        """
+        if (outer.dim, outer.n) != (self.dim, self.n):
+            raise InvalidInputError(
+                f"outer projector on {outer.dim}^{outer.n} does not match {self.dim}^{self.n}"
+            )
+        u = outer.basis
+        rotated = {a: u.conj().T @ b for a, b in self.bases.items()}
+        cols = product_columns([rotated[a] for a in self.word], _sorted_words(self.included, self.n))
+        cols[~_included_mask(outer.included, self.dim, self.n)] = 0.0
+        return kron_apply([u] * self.n, cols)
 
 
 def conditional_typical_projector(
@@ -382,29 +387,16 @@ def conditional_typical_projector(
     if d**n > dim_cap:
         raise ResourceLimitError(f"projector dimension {d}^{n} exceeds cap {dim_cap}")
     preset = resolve_preset(preset)
-    class_counts = Counter(word)
-    eigs, bases, taus, windows, positions = {}, {}, {}, {}, {}
-    for a, na in class_counts.items():
+    words = _index_words(d, n)
+    admitted = np.ones(len(words), dtype=bool)
+    eigs, bases, taus = {}, {}, {}
+    for a, na in Counter(word).items():
         w, u = hermitian_eigendecomposition(channel.state(a))
         w = _clean_eigenvalues(w)
         tau_a = threshold_for(alpha, na, preset)
         eigs[a], bases[a], taus[a] = w, u, tau_a
-        windows[a] = _eigen_windows(w, na, tau_a)
-        positions[a] = [k for k, b in enumerate(word) if b == a]
-
-    def admitted(jword) -> bool:
-        for a, pos in positions.items():
-            counts = [0] * d
-            for k in pos:
-                counts[jword[k]] += 1
-            for c, (lo, hi) in zip(counts, windows[a]):
-                if not lo <= c <= hi:
-                    return False
-        return True
-
-    included = frozenset(
-        jw for jw in itertools.product(range(d), repeat=n) if admitted(jw)
-    )
+        positions = [k for k, b in enumerate(word) if b == a]
+        admitted &= _within_windows(words[:, positions], d, _eigen_windows(w, na, tau_a))
     return ConditionalTypicalProjector(
         word=word,
         eigenvalues=eigs,
@@ -412,7 +404,7 @@ def conditional_typical_projector(
         taus=taus,
         alpha=float(alpha),
         preset=preset,
-        included=included,
+        included=_word_set(words, admitted),
     )
 
 

@@ -271,6 +271,35 @@ def test_count_flags_must_be_positive_integers(tmp_path, capsys, value):
         assert len(err) == 1 and err[0].startswith("error:")
 
 
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
+def test_seed_flag_must_be_nonnegative_integer(capsys, value):
+    assert main(["verify", "lemmas", "--trials", "5", "--seed", value]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_seed_flag_accepts_zero(capsys):
+    assert main(["verify", "lemmas", "--trials", "5", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_hold"] is True
+
+
+def test_region_grid_beyond_byte_limit_exits_three(tmp_path, capsys):
+    # the adder MAC's (G1, G2, 3, 3) stack at grid 100000 would take 1.3 TiB;
+    # the guard refuses it before any grid array is built
+    mac = write_channel(tmp_path, "adder-mac", "mac.json")
+    bc = write_channel(tmp_path, "product-broadcast", "bc.json")
+    for kind in ("mac", "bidirectional"):
+        argv = ["region", kind, "--mac-channel", mac, "--bc-channel", bc, "--grid-k", "100000"]
+        assert main(argv) == 3
+        assert_one_error_line(capsys)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -303,6 +332,42 @@ def test_simulate_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"n": "6"},
+        {"seed": -1},
+        {"dist": "ab"},
+        {"dist": [0.5, "x"]},
+        {"dist": [0.5, float("nan")]},
+        {"M1": 2.5},
+        {"M2": True},
+        {"max_seed_attempts": True},
+        {"dim_cap": 64.5},
+        {"alpha": "0.3"},
+        {"preset": ["fixed"]},
+    ],
+    ids=lambda o: json.dumps(o),
+)
+def test_simulate_rejects_mistyped_config(tmp_path, capsys, override):
+    bc = write_channel(tmp_path, "product-broadcast", "bc.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "M1": 2, "M2": 2, "alpha": 0.3, **override}))
+    assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_simulate_accepts_integral_floats(tmp_path, capsys):
+    bc = write_channel(tmp_path, "product-broadcast", "bc.json")
+    outputs = []
+    for n, m in ((4, 2), (4.0, 2.0)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": n, "M1": m, "M2": m, "alpha": 0.3, "seed": 3}))
+        assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_resource_limit_exits_three(tmp_path, capsys):
     bc = write_channel(tmp_path, "product-broadcast", "bc.json")
     cfg = tmp_path / "big.json"
@@ -310,6 +375,16 @@ def test_simulate_resource_limit_exits_three(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg), "--bc-channel", bc])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_checks_the_cap_before_sampling(tmp_path, capsys):
+    # a codebook word of length 10^12 would need a 7 TiB draw; the cap check
+    # refuses the block length before any word is sampled
+    bc = write_channel(tmp_path, "product-broadcast", "bc.json")
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"n": 10**12, "M1": 2, "M2": 2}))
+    assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 3
+    assert_one_error_line(capsys)
 
 
 # ---------------------------------------------------------------------------
