@@ -32,11 +32,12 @@ from .channels import (
 )
 from .coding import SimConfig, _sample_typical_word, end_to_end_broadcast_sim
 from .errors import InvalidInputError, RelayError, ResourceLimitError
-from .lemmas import random_density, sweep_lemma_checks
+from .lemmas import densities, gaussian_draws, sweep_lemma_checks
 from .operators import ProbabilityDistribution, von_neumann_entropy
 from .regions import DistributionGrid, broadcast_region, intersect_regions, mac_region
 from .typicality import (
     resolve_preset,
+    threshold_for,
     typical_sequences,
     verify_conditional_projector_bounds,
     verify_state_projector_bounds,
@@ -230,15 +231,40 @@ def cmd_region(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _random_binary_channel(rng: np.random.Generator, dim: int) -> CQChannel:
-    states = {"0": random_density(rng, dim), "1": random_density(rng, dim)}
-    return CQChannel(("0", "1"), states)
+def _score_by_dim(groups, draws, score) -> list:
+    """Build each dimension's states as one stack and score it in one call.
+
+    draws[i] holds instance i's gaussian_draws, one per state;
+    score(indices, states) gets the (k, states, d, d) stack and
+    returns the reports of those instances, put back in instance order.
+    """
+    reports = [None] * len(draws)
+    for idx in groups.values():
+        states = densities(np.array([draws[i] for i in idx]))
+        for i, report in zip(idx, score(idx, states)):
+            reports[i] = report
+    return reports
 
 
 def _verify_projectors(ns, alphas, preset, seed, instances=_PROJECTOR_INSTANCES) -> dict:
+    """Projector reports for every (n, alpha) pair, instances at a time.
+
+    Each (n, alpha) group draws its instances in order (for a conditional
+    instance, both letter states and then its typical word), then scores
+    them with one report call per output dimension.
+    """
+    if instances < 1:
+        raise InvalidInputError(f"projector verification needs at least one instance, got {instances}")
+    if not ns or not alphas:
+        raise InvalidInputError("projector verification needs at least one block length and one alpha")
     preset = resolve_preset(preset)
+    for n in ns:
+        for alpha in alphas:
+            threshold_for(alpha, n, preset)
     base = np.random.SeedSequence(seed)
     state_stream, cond_stream = base.spawn(2)
+    dims = [2 if i % 2 == 0 else 3 for i in range(instances)]
+    groups = {dim: [i for i, d in enumerate(dims) if d == dim] for dim in dict.fromkeys(dims)}
     summary = {}
 
     failures = 0
@@ -248,11 +274,11 @@ def _verify_projectors(ns, alphas, preset, seed, instances=_PROJECTOR_INSTANCES)
     rng = np.random.default_rng(state_stream)
     for n in ns:
         for alpha in alphas:
-            for i in range(instances):
-                dim = 2 if i % 2 == 0 else 3
-                report = verify_state_projector_bounds(
-                    random_density(rng, dim), n, alpha, preset
-                )
+            draws = [gaussian_draws(rng, dim) for dim in dims]
+            reports = _score_by_dim(
+                groups, draws, lambda idx, states: verify_state_projector_bounds(states[:, 0], n, alpha, preset)
+            )
+            for report in reports:
                 count += 1
                 margin = report.measured["capture"] - report.reference_bounds["capture"]
                 min_margin = min(min_margin, margin)
@@ -278,11 +304,21 @@ def _verify_projectors(ns, alphas, preset, seed, instances=_PROJECTOR_INSTANCES)
     rng = np.random.default_rng(cond_stream)
     dist = ProbabilityDistribution(("0", "1"), np.array([0.5, 0.5]))
     for n in ns:
+        tset = typical_sequences(dist, n, 0.5)
         for alpha in alphas:
-            for i in range(instances):
-                channel = _random_binary_channel(rng, 2 if i % 2 == 0 else 3)
-                word = _sample_typical_word(rng, dist, typical_sequences(dist, n, 0.5), n, 10_000)
-                report = verify_conditional_projector_bounds(channel, word, dist, alpha, preset)
+            draws, words = [], []
+            for dim in dims:
+                draws.append(gaussian_draws(rng, dim, count=2))  # both letter states
+                words.append(_sample_typical_word(rng, dist, tset, n, 10_000))
+
+            def score(idx, states):
+                # letter states are checked once, inside the report call
+                channels = [CQChannel(dist.labels, dict(zip(dist.labels, st)), validate=False) for st in states]
+                return verify_conditional_projector_bounds(
+                    channels, [words[i] for i in idx], dist, alpha, preset
+                )
+
+            for report in _score_by_dim(groups, draws, score):
                 count += 1
                 margin = report.measured["capture"] - report.reference_bounds["capture"]
                 min_margin = min(min_margin, margin)
@@ -360,7 +396,7 @@ def cmd_generate(args) -> int:
     elif args.family == "depolarized":
         channel = depolarized_channel(args.p, args.dim)
     elif args.family == "constant":
-        channel = constant_channel(args.dim)
+        channel = constant_channel(dim=args.dim)
     elif args.family == "adder-mac":
         channel = adder_mac_channel()
     elif args.family == "product-broadcast":
@@ -431,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a canonical test channel file")
     p_gen.add_argument("family", choices=_FAMILIES)
     p_gen.add_argument("--p", type=float, default=0.1, help="depolarizing weight where relevant")
-    p_gen.add_argument("--dim", type=int, default=2, help="output dimension where relevant")
+    p_gen.add_argument("--dim", type=_positive_int, default=2, help="output dimension where relevant")
     p_gen.add_argument("--out", help="output file; stdout when omitted")
     p_gen.set_defaults(func=cmd_generate)
     return parser

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .operators import (
+    _spectral_apply,
     hermitian_part,
     matrix_sqrt,
     pseudo_sqrt_inverse,
@@ -86,32 +87,94 @@ def check_hayashi_nagaoka(s_op, t_op, instance: str = "") -> LemmaCheckResult:
 
 # ---------------------------------------------------------------------------
 # Random instance generators (documented distributions, reproducible by seed).
+# Each random matrix comes from one complex Gaussian G, drawn as its real and
+# then its imaginary parts.  The builders turn (..., 2, d, d) stacks of such
+# draws into operators, so instances drawn one at a time build as a stack.
 # ---------------------------------------------------------------------------
+
+
+def gaussian_draws(rng: np.random.Generator, dim: int, count: int = 1) -> np.ndarray:
+    """count draws of G, shape (count, 2, dim, dim), as count generator calls draw them."""
+    return rng.standard_normal((count, 2, dim, dim))
+
+
+def _ginibre(draws: np.ndarray) -> np.ndarray:
+    return draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
+
+
+def densities(draws: np.ndarray) -> np.ndarray:
+    """Normalized Wishart states G G† / tr(G G†), one per draw."""
+    g = _ginibre(draws)
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def subunital_effects(draws: np.ndarray) -> np.ndarray:
+    """The Hermitian part of G with its eigenvalues clamped into [0, 1], one per draw."""
+    w, u = np.linalg.eigh(hermitian_part(_ginibre(draws)))
+    return _spectral_apply(u, np.clip(w, 0.0, 1.0))
+
+
+def scaled_positives(draws: np.ndarray, scale) -> np.ndarray:
+    """scale G G† / d, one per draw (scale broadcasts over the draws)."""
+    g = _ginibre(draws)
+    scale = np.asarray(scale, dtype=float)[..., None, None]
+    return scale * (g @ g.conj().swapaxes(-1, -2)) / g.shape[-1]
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Normalized Wishart state: G G† / tr(G G†) with complex Gaussian G."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
+    return densities(gaussian_draws(rng, dim))[0]
 
 
 def random_subunital_positive(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random Hermitian with eigenvalues clamped into [0, 1]."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = hermitian_part(g)
-    w, u = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, 1.0)
-    return hermitian_part((u * w) @ u.conj().T)
+    return subunital_effects(gaussian_draws(rng, dim))[0]
 
 
 def random_positive(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     """Scaled Wishart positive operator (not trace-normalized)."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (g @ g.conj().T) / dim
+    return scaled_positives(gaussian_draws(rng, dim), scale)[0]
 
 
 _LEMMA_NAMES = ("close-states", "tender", "hayashi-nagaoka")
+
+# A sweep draws its trials this many at a time and builds each block's
+# operators as per-dimension stacks; a fixed size bounds the memory it holds.
+SWEEP_BLOCK = 256
+
+
+def _draw_trial(name: str, rng: np.random.Generator, dim: int) -> tuple[np.ndarray, float]:
+    """A trial's draws, in the order its random_* generator calls take them."""
+    if name == "hayashi-nagaoka":
+        # the scale of T is drawn between the draws of S and T
+        s_draw = gaussian_draws(rng, dim)
+        scale = float(rng.uniform(0.0, 2.0))
+        return np.concatenate([s_draw, gaussian_draws(rng, dim)]), scale
+    return gaussian_draws(rng, dim, 3 if name == "close-states" else 2), 0.0
+
+
+def _build_operands(name: str, draws: np.ndarray, scales: np.ndarray) -> tuple:
+    """The check's operand stacks from a (k, matrices, 2, d, d) stack of trial draws."""
+    if name == "close-states":
+        return densities(draws[:, 0]), densities(draws[:, 1]), subunital_effects(draws[:, 2])
+    if name == "tender":
+        return densities(draws[:, 0]), subunital_effects(draws[:, 1])
+    return subunital_effects(draws[:, 0]), scaled_positives(draws[:, 1], scales)
+
+
+def _block_operands(name: str, block: list) -> list:
+    """Each (dim, draws, scale) trial's operands, built one stack per dimension."""
+    by_dim: dict[int, list] = {}
+    for i, (dim, _, _) in enumerate(block):
+        by_dim.setdefault(dim, []).append(i)
+    operands = [None] * len(block)
+    for idx in by_dim.values():
+        draws = np.array([block[i][1] for i in idx])
+        built = _build_operands(name, draws, np.array([block[i][2] for i in idx]))
+        for j, i in enumerate(idx):
+            operands[i] = tuple(stack[j] for stack in built)
+    return operands
 
 
 def sweep_lemma_checks(
@@ -120,11 +183,23 @@ def sweep_lemma_checks(
     dims=(2, 3, 4, 5, 6, 7, 8),
     which=_LEMMA_NAMES,
 ) -> dict:
-    """Randomized verification sweeps; returns per-lemma slack summaries."""
+    """Randomized verification sweeps; returns per-lemma slack summaries.
+
+    Trial i of a lemma draws its dimension and then its matrices from the
+    i-th child of the lemma's seed stream, and is checked on its own.
+    """
     unknown = set(which) - set(_LEMMA_NAMES)
     if unknown:
         raise InvalidInputError(f"unknown lemma names: {sorted(unknown)}")
+    if trials < 1:
+        raise InvalidInputError(f"a sweep needs at least one trial, got {trials!r}")
     dims = tuple(int(d) for d in dims)
+    # looked up per sweep, so a wrapped module-level check is the one called
+    checks = {
+        "close-states": check_measurement_on_close_states,
+        "tender": check_tender_operator,
+        "hayashi-nagaoka": check_hayashi_nagaoka,
+    }
     summary = {}
     base = np.random.SeedSequence(seed)
     streams = dict(zip(_LEMMA_NAMES, base.spawn(len(_LEMMA_NAMES))))
@@ -133,32 +208,20 @@ def sweep_lemma_checks(
         min_slack = math.inf
         worst = ""
         failures = 0
-        for i, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            dim = int(rng.choice(dims))
-            tag = f"{name}[{i}] dim={dim}"
-            if name == "close-states":
-                result = check_measurement_on_close_states(
-                    random_density(rng, dim),
-                    random_density(rng, dim),
-                    random_subunital_positive(rng, dim),
-                    instance=tag,
-                )
-            elif name == "tender":
-                result = check_tender_operator(
-                    random_density(rng, dim), random_subunital_positive(rng, dim), instance=tag
-                )
-            else:
-                result = check_hayashi_nagaoka(
-                    random_subunital_positive(rng, dim),
-                    random_positive(rng, dim, scale=float(rng.uniform(0.0, 2.0))),
-                    instance=tag,
-                )
-            if result.slack < min_slack:
-                min_slack = result.slack
-                worst = tag
-            if not result.holds:
-                failures += 1
+        for start in range(0, trials, SWEEP_BLOCK):
+            block = []
+            for child in children[start : start + SWEEP_BLOCK]:
+                rng = np.random.default_rng(child)
+                dim = dims[int(rng.integers(0, len(dims)))]  # the same draw as rng.choice(dims)
+                block.append((dim, *_draw_trial(name, rng, dim)))
+            for i, ((dim, _, _), operands) in enumerate(zip(block, _block_operands(name, block)), start):
+                tag = f"{name}[{i}] dim={dim}"
+                result = checks[name](*operands, instance=tag)
+                if result.slack < min_slack:
+                    min_slack = result.slack
+                    worst = tag
+                if not result.holds:
+                    failures += 1
         summary[name] = {
             "trials": trials,
             "min_slack": min_slack,

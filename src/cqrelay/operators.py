@@ -30,60 +30,105 @@ DEFAULT_DIM_CAP = 4096
 ZERO_EIGENVALUE_TOL = 1e-12
 
 
+def _batch_label(name: str, flags: np.ndarray) -> tuple[str, tuple] | None:
+    """Label and batch index of the first flagged matrix, or None if none is.
+
+    A plain matrix keeps its name; a matrix of a (..., d, d) stack is named
+    by its index, e.g. "state[3]".
+    """
+    if not np.count_nonzero(flags):
+        return None
+    flags = np.asarray(flags)
+    at = tuple(int(i) for i in np.unravel_index(int(np.argmax(flags)), flags.shape))
+    return (f"{name}[{', '.join(map(str, at))}]" if at else name), at
+
+
+def _per_matrix(values: np.ndarray):
+    """A per-matrix result: a float for a plain matrix, an array for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def as_square_matrix(mat, name: str = "matrix") -> np.ndarray:
+    """Complex array of shape (..., d, d) with finite entries."""
     m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise InvalidInputError(f"{name} has non-finite entries")
+    bad = _batch_label(name, ~np.isfinite(m).all(axis=(-2, -1)))
+    if bad is not None:
+        raise InvalidInputError(f"{bad[0]} has non-finite entries")
     return m
 
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
     """(A + A†)/2, used to absorb roundoff before spectral routines."""
-    return (mat + mat.conj().T) / 2
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2
 
 
-def hermitian_deviation(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+def hermitian_deviation(mat: np.ndarray):
+    """Largest entry of |A - A†|, per matrix of a stack."""
+    dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    return _per_matrix(dev)
 
 
 def require_hermitian(mat, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
     m = as_square_matrix(mat, name)
-    dev = hermitian_deviation(m)
-    if dev > atol:
-        raise InvalidInputError(f"{name} is not Hermitian (max deviation {dev:.3e})")
+    dev = np.asarray(hermitian_deviation(m))
+    bad = _batch_label(name, dev > atol)
+    if bad is not None:
+        raise InvalidInputError(f"{bad[0]} is not Hermitian (max deviation {dev[bad[1]]:.3e})")
     return m
+
+
+def _checked_spectrum(mat, name: str, sub_unital: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian, positive (optionally <= id) operators and their ascending spectra."""
+    m = require_hermitian(mat, name=name)
+    w = np.linalg.eigvalsh(hermitian_part(m))
+    if w.shape[-1]:
+        bad = _batch_label(name, w[..., 0] < -PSD_ATOL)
+        if bad is not None:
+            raise InvalidInputError(f"{bad[0]} has negative eigenvalue {w[bad[1]][0]:.3e}")
+        if sub_unital:
+            bad = _batch_label(name, w[..., -1] > 1.0 + SUBUNITAL_ATOL)
+            if bad is not None:
+                raise InvalidInputError(
+                    f"{bad[0]} exceeds the identity (max eigenvalue {float(w[bad[1]][-1])!r})"
+                )
+    return m, w
+
+
+def _checked_density(rho, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """_checked_spectrum plus the unit-trace check."""
+    m, w = _checked_spectrum(rho, name)
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    bad = _batch_label(name, np.abs(tr - 1.0) > TRACE_ATOL)
+    if bad is not None:
+        raise InvalidInputError(f"{bad[0]} has trace {float(tr[bad[1]])!r}, expected 1")
+    return m, w
 
 
 def validate_density(rho, name: str = "state") -> np.ndarray:
-    """Check Hermiticity, positivity and unit trace; returns the array."""
-    m = require_hermitian(rho, name=name)
-    w = np.linalg.eigvalsh(hermitian_part(m))
-    if w.size and w[0] < -PSD_ATOL:
-        raise InvalidInputError(f"{name} has negative eigenvalue {w[0]:.3e}")
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise InvalidInputError(f"{name} has trace {tr!r}, expected 1")
-    return m
+    """Check Hermiticity, positivity and unit trace; returns the array.
+
+    Accepts one matrix or a (..., d, d) stack; a failure names the first
+    failing matrix of a stack by its index.
+    """
+    return _checked_density(rho, name)[0]
 
 
 def validate_positive(mat, sub_unital: bool = False, name: str = "operator") -> np.ndarray:
-    """Check Hermiticity and positivity; optionally the operator-norm bound <= 1."""
-    m = require_hermitian(mat, name=name)
-    w = np.linalg.eigvalsh(hermitian_part(m))
-    if w.size and w[0] < -PSD_ATOL:
-        raise InvalidInputError(f"{name} has negative eigenvalue {w[0]:.3e}")
-    if sub_unital and w.size and w[-1] > 1.0 + SUBUNITAL_ATOL:
-        raise InvalidInputError(f"{name} exceeds the identity (max eigenvalue {w[-1]!r})")
-    return m
+    """Check Hermiticity and positivity; optionally the operator-norm bound <= 1.
+
+    Accepts one matrix or a (..., d, d) stack, like validate_density.
+    """
+    return _checked_spectrum(mat, name, sub_unital)[0]
 
 
 def hermitian_eigendecomposition(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues in descending order and matching orthonormal eigenvector columns."""
+    """Eigenvalues in descending order and matching orthonormal eigenvector columns,
+    per matrix of a stack."""
     m = require_hermitian(mat)
     w, u = np.linalg.eigh(hermitian_part(m))
-    return w[::-1].copy(), u[:, ::-1].copy()
+    return w[..., ::-1].copy(), u[..., ::-1].copy()
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -158,33 +203,42 @@ def partial_trace(mat, dims: tuple[int, int], keep: int) -> np.ndarray:
     raise InvalidInputError(f"keep must be 1 or 2, got {keep!r}")
 
 
-def trace_norm(mat) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
+def trace_norm(mat):
+    """Sum of absolute eigenvalues of a Hermitian matrix, per matrix of a stack."""
     m = require_hermitian(mat)
-    return float(np.abs(np.linalg.eigvalsh(hermitian_part(m))).sum())
+    return _per_matrix(np.abs(np.linalg.eigvalsh(hermitian_part(m))).sum(axis=-1))
 
 
-def trace_pair(a: np.ndarray, b: np.ndarray) -> float:
-    """Real part of tr(A B); intended for Hermitian pairs."""
-    return float(np.einsum("ij,ji->", a, b).real)
+def trace_pair(a: np.ndarray, b: np.ndarray):
+    """Real part of tr(A B), per pair of a stack; intended for Hermitian pairs."""
+    return _per_matrix(np.einsum("...ij,...ji->...", a, b).real)
+
+
+def _spectral_apply(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Hermitian part of U diag(values) U†, per matrix of a stack."""
+    return hermitian_part((u * values[..., None, :]) @ u.conj().swapaxes(-1, -2))
 
 
 def matrix_sqrt(mat) -> np.ndarray:
+    """Positive square root, per matrix of a stack."""
     m = validate_positive(mat, name="matrix_sqrt argument")
     w, u = np.linalg.eigh(hermitian_part(m))
-    w = np.clip(w, 0.0, None)
-    return hermitian_part((u * np.sqrt(w)) @ u.conj().T)
+    return _spectral_apply(u, np.sqrt(np.clip(w, 0.0, None)))
 
 
 def pseudo_sqrt_inverse(mat, rel_tol: float = 1e-10) -> np.ndarray:
-    """Inverse square root on the support; eigenvalues <= rel_tol * max are dropped."""
+    """Inverse square root on the support, per matrix of a stack.
+
+    Eigenvalues <= rel_tol * max are dropped; a matrix with no positive
+    eigenvalue maps to zero.
+    """
     m = validate_positive(mat, name="pseudo_sqrt_inverse argument")
     w, u = np.linalg.eigh(hermitian_part(m))
-    wmax = float(w[-1]) if w.size else 0.0
-    if wmax <= 0.0:
-        return np.zeros_like(m)
-    inv = np.where(w > rel_tol * wmax, 1.0 / np.sqrt(np.clip(w, rel_tol * wmax, None)), 0.0)
-    return hermitian_part((u * inv) @ u.conj().T)
+    cut = rel_tol * w.max(axis=-1, keepdims=True, initial=0.0)
+    floor = np.where(cut > 0.0, cut, 1.0)
+    out = _spectral_apply(u, np.where(w > cut, 1.0 / np.sqrt(np.clip(w, floor, None)), 0.0))
+    out[cut[..., 0] <= 0.0] = 0.0
+    return out
 
 
 def support_projector(mat, rel_tol: float = 1e-10) -> np.ndarray:
@@ -197,13 +251,36 @@ def support_projector(mat, rel_tol: float = 1e-10) -> np.ndarray:
     return hermitian_part((u * keep) @ u.conj().T)
 
 
-def spectrum_entropy_bits(eigenvalues: np.ndarray) -> float:
-    """Shannon entropy in bits of a nonnegative spectrum summing to ~1."""
+def _plogp(w: np.ndarray) -> np.ndarray:
+    return w * np.log2(w)
+
+
+def _kept_row_sums(values: np.ndarray, keep: np.ndarray, fn):
+    """Per row of a (..., d) array, the sum of fn over the kept entries.
+
+    Rows with the same number of kept entries are compressed together, so
+    each row sums a contiguous run of exactly its kept values: the result
+    agrees bit for bit with fn(row[keep_row]).sum() on each row alone.
+    """
+    values = np.asarray(values, dtype=float)
+    keep = np.broadcast_to(keep, values.shape)
+    flat, flat_keep = values.reshape(-1, values.shape[-1]), keep.reshape(-1, values.shape[-1])
+    sizes = flat_keep.sum(axis=-1)
+    out = np.zeros(len(flat))
+    for k in sorted(set(sizes[sizes > 0].tolist())):
+        rows = sizes == k
+        out[rows] = fn(flat[rows][flat_keep[rows]].reshape(-1, k)).sum(axis=-1)
+    return _per_matrix(out.reshape(values.shape[:-1]))
+
+
+def spectrum_entropy_bits(eigenvalues: np.ndarray):
+    """Shannon entropy in bits of a nonnegative spectrum summing to ~1.
+
+    A (..., d) stack of spectra gives one entropy per row.
+    """
     w = np.asarray(eigenvalues, dtype=float)
-    w = w[w > ZERO_EIGENVALUE_TOL]
-    if w.size == 0:
-        return 0.0
-    return max(0.0, float(-(w * np.log2(w)).sum()))
+    h = -np.asarray(_kept_row_sums(w, w > ZERO_EIGENVALUE_TOL, _plogp))
+    return _per_matrix(np.where(h > 0.0, h, 0.0))
 
 
 def von_neumann_entropy(rho) -> float:

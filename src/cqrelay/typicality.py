@@ -12,6 +12,7 @@ works far beyond the dimension cap that limits dense realizations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,10 +20,12 @@ from collections import Counter
 
 import numpy as np
 
-from .channels import CQChannel, conditional_entropy, output_state
+from .channels import CQChannel, _require_matching_alphabet
 from .errors import InvalidInputError, ResourceLimitError
 from .operators import (
     DEFAULT_DIM_CAP,
+    _checked_density,
+    _kept_row_sums,
     ZERO_EIGENVALUE_TOL,
     ProbabilityDistribution,
     hermitian_eigendecomposition,
@@ -50,14 +53,23 @@ def resolve_preset(preset: str) -> str:
 
 
 def threshold_for(alpha: float, length: int, preset: str) -> float:
-    """Per-index frequency threshold for a block of the given length."""
-    if alpha <= 0.0:
-        raise InvalidInputError(f"threshold parameter must be positive, got {alpha}")
+    """Per-index frequency threshold for a block of the given length.
+
+    alpha must be a positive finite number whose bounds stay representable:
+    tau^2 may not underflow to 0 and (length * alpha)^2 may not overflow.
+    """
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise InvalidInputError(f"threshold parameter must be positive and finite, got {alpha}")
     if length < 1:
         raise InvalidInputError(f"block length must be >= 1, got {length}")
-    if resolve_preset(preset) == PRESET_FIXED:
-        return float(alpha)
-    return float(alpha) / math.sqrt(length)
+    tau = float(alpha) if resolve_preset(preset) == PRESET_FIXED else float(alpha) / math.sqrt(length)
+    scaled = length * float(alpha)
+    if tau * tau == 0.0 or not math.isfinite(scaled * scaled):
+        raise InvalidInputError(
+            f"threshold parameter {alpha!r} is out of range at block length {length}: "
+            "its square underflows or overflows"
+        )
+    return tau
 
 
 def _count_window(length: int, target: float, tau: float) -> tuple[int, int]:
@@ -412,10 +424,148 @@ def conditional_typical_projector(
 # Exact scalar evaluation over letter-count classes.
 # ---------------------------------------------------------------------------
 
+# A count-class table, or an outer sum of class tables, whose estimated size
+# passes this many bytes raises ResourceLimitError before it is built.  The
+# limit bounds each table; up to 16 tables stay cached (_count_table).
+# Stacks of spectra and instances are scored in chunks that keep their
+# working arrays near the limit.
+COUNT_TABLE_BYTE_LIMIT = 32 * 2**20
+
+
+@dataclass(frozen=True, eq=False)
+class _CountTable:
+    """Every letter-count vector of n over d letters, in lexicographic order."""
+
+    counts: np.ndarray  # (R, d) count vectors
+    multinomials: np.ndarray  # (R,) exact: int64, or Python ints beyond int64
+    weights: np.ndarray  # (R,) the multinomials as floats
+    binomials: np.ndarray  # binomials[a, p] = C(a, p) for a < n + d, p < d (capped)
+
+
+def _require_table_bytes(nbytes: int, what: str) -> None:
+    if nbytes > COUNT_TABLE_BYTE_LIMIT:
+        raise ResourceLimitError(
+            f"{what} needs about {nbytes} bytes, above the {COUNT_TABLE_BYTE_LIMIT}-byte limit"
+        )
+
+
+def _fits_int64(n: int, d: int) -> bool:
+    # every multinomial and every sum of them is at most d^n
+    return n * math.log2(d) < 63
+
+
+def _table_rows(n: int, d: int) -> int:
+    return math.comb(n + d - 1, d - 1)
+
+
+def _count_table_bytes(n: int, d: int) -> int:
+    rows = _table_rows(n, d)
+    exact = 8 if _fits_int64(n, d) else 40 + math.ceil(n * math.log2(d) / 8)
+    return rows * (8 * d + 8 + exact)
+
+
+_comb = np.frompyfunc(math.comb, 2, 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _count_table(n: int, d: int) -> _CountTable:
+    """The (n, d) count-class table, built once; its size is checked first.
+
+    The cache holds at most 16 tables, so at most 16 times the byte limit.
+    """
+    _require_table_bytes(_count_table_bytes(n, d), f"count-class table for n={n}, d={d}")
+    counts = np.zeros((1, 0), dtype=np.intp)
+    remaining = np.array([n])
+    mult = np.array([1], dtype=object)
+    for _ in range(d - 1):
+        # expand each row by every count 0..remaining of the next letter
+        parent = np.repeat(np.arange(len(remaining)), remaining + 1)
+        k = np.arange(len(parent)) - np.repeat(np.cumsum(remaining + 1) - remaining - 1, remaining + 1)
+        counts = np.column_stack([counts[parent], k])
+        mult = mult[parent] * _comb(remaining[parent], k)
+        remaining = remaining[parent] - k
+    counts = np.column_stack([counts, remaining])
+    try:
+        weights = mult.astype(float)
+    except OverflowError:
+        raise ResourceLimitError(
+            f"count classes for n={n}, d={d} have multinomials beyond the float range"
+        ) from None
+    if _fits_int64(n, d):
+        mult = mult.astype(np.int64)
+    # table ranks are below the row count, so these binomials fit int64
+    binomials = np.array(
+        [[min(math.comb(a, p), 2**63 - 1) for p in range(d)] for a in range(n + d)],
+        dtype=np.int64,
+    )
+    for arr in (counts, mult, weights, binomials):
+        arr.setflags(write=False)
+    return _CountTable(counts=counts, multinomials=mult, weights=weights, binomials=binomials)
+
+
+def _power_table(values: np.ndarray, n: int) -> np.ndarray:
+    """values[..., i] ** k for k = 0..n, shape (..., n + 1).
+
+    Each power is the scalar w**k of numpy's float64 scalar, as a per-class
+    loop takes it; the vectorized power ufunc may round differently.
+    """
+    flat = np.asarray(values, dtype=float).ravel()
+    table = np.array([[w**k for k in range(n + 1)] for w in flat]).reshape(flat.size, n + 1)
+    return table.reshape(np.shape(values) + (n + 1,))
+
+
+def _class_products(powers: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """prod_i w_i^(c_i) over a table's count rows, multiplied left to right."""
+    out = powers[..., 0, counts[:, 0]]
+    for i in range(1, counts.shape[1]):
+        out = out * powers[..., i, counts[:, i]]
+    return out
+
+
+def _count_allowed(eigenvalues: np.ndarray, n: int, tau) -> np.ndarray:
+    """allowed[..., i, k]: count k of eigen-index i lies in its window.
+
+    Same predicate as _count_window and _eigen_windows: |k/n - lambda| <= tau,
+    and only k = 0 for a zero eigenvalue.
+    """
+    k = np.arange(n + 1)
+    lam = eigenvalues[..., None]
+    inside = np.abs(k / n - lam) <= np.asarray(tau, dtype=float)[..., None, None]
+    return np.where(lam == 0.0, k == 0, inside)
+
+
+def _score_spectra(w: np.ndarray, n: int, tau: np.ndarray):
+    """Captures, exact ranks and largest products of an (S, d) stack of spectra."""
+    table = _count_table(n, w.shape[-1])
+    # each spectrum holds a few rows of table length at once: take the
+    # spectra in chunks
+    chunk = max(1, COUNT_TABLE_BYTE_LIMIT // (32 * len(table.counts)))
+    if len(w) > chunk:
+        parts = [_score_spectra(w[i : i + chunk], n, tau[i : i + chunk]) for i in range(0, len(w), chunk)]
+        return (
+            np.concatenate([capture for capture, _, _ in parts]),
+            [rank for _, ranks, _ in parts for rank in ranks],
+            np.concatenate([lam_max for _, _, lam_max in parts]),
+        )
+    allowed = _count_allowed(w, n, tau)
+    mask = np.ones((len(w), len(table.counts)), dtype=bool)
+    for i in range(w.shape[-1]):
+        mask &= allowed[:, i, table.counts[:, i]]
+    p = _class_products(_power_table(w, n), table.counts)
+    # a sequential running sum adds the admissible classes in table order
+    capture = np.cumsum(np.where(mask, table.weights * p, 0.0), axis=-1)[:, -1]
+    ranks = np.where(mask, table.multinomials, 0).sum(axis=-1)
+    lam_max = np.where(mask, p, 0.0).max(axis=-1, initial=0.0)
+    return capture, [int(r) for r in ranks], lam_max
+
 
 @dataclass(frozen=True)
 class SpectrumProjectorStats:
-    """Exact projector functionals for an i.i.d. spectrum block."""
+    """Exact projector functionals for an i.i.d. spectrum block.
+
+    For a stack of spectra, capture, rank and lambda_max are arrays with one
+    entry per spectrum (rank holds exact Python ints).
+    """
 
     eigenvalues: np.ndarray
     n: int
@@ -425,26 +575,31 @@ class SpectrumProjectorStats:
     lambda_max: float  # largest eigenvalue of the compressed state
 
 
-def spectrum_projector_stats(eigenvalues, n: int, tau: float) -> SpectrumProjectorStats:
+def spectrum_projector_stats(eigenvalues, n, tau) -> SpectrumProjectorStats:
+    """Exact stats of one spectrum, or of an (S, d) stack of spectra.
+
+    For a stack, n and tau may be scalars or one value per spectrum.  Each
+    spectrum is scored against the cached count-class table of its (n, d):
+    the capture adds the admissible classes in table order, so it matches a
+    class-by-class loop bit for bit.
+    """
     w = _clean_eigenvalues(np.asarray(eigenvalues, dtype=float))
-    windows = _eigen_windows(w, n, tau)
-    capture = 0.0
-    rank = 0
-    lam_max = 0.0
-    for counts in _admissible_count_vectors(n, windows):
-        m = multinomial_coefficient(n, counts)
-        p = _weight_power(w, counts)
-        capture += m * p
-        rank += m
-        if p > lam_max:
-            lam_max = p
+    flat = w.reshape(-1, w.shape[-1])
+    lengths = np.broadcast_to(np.asarray(n), (len(flat),))
+    taus = np.broadcast_to(np.asarray(tau, dtype=float), (len(flat),))
+    capture = np.zeros(len(flat))
+    lam_max = np.zeros(len(flat))
+    ranks = np.zeros(len(flat), dtype=object)
+    for length in sorted(set(lengths.tolist())):
+        rows = lengths == length
+        capture[rows], ranks_rows, lam_max[rows] = _score_spectra(flat[rows], length, taus[rows])
+        ranks[rows] = ranks_rows
+    if w.ndim == 1:
+        capture, ranks, lam_max = float(capture[0]), int(ranks[0]), float(lam_max[0])
+    else:
+        capture, ranks, lam_max = (a.reshape(w.shape[:-1]) for a in (capture, ranks, lam_max))
     return SpectrumProjectorStats(
-        eigenvalues=w,
-        n=n,
-        tau=tau,
-        capture=float(capture),
-        rank=int(rank),
-        lambda_max=float(lam_max),
+        eigenvalues=w, n=n, tau=tau, capture=capture, rank=ranks, lambda_max=lam_max
     )
 
 
@@ -469,34 +624,87 @@ class ConditionalProjectorStats:
     lambda_max: float
 
 
+@dataclass(frozen=True, eq=False)
+class _WordBatch:
+    """Words paired with their channels' letter states, checked once.
+
+    states[s, j] is the state of letter dist.labels[j] in instance s;
+    classes[s] lists (letter index, class size) in order of first appearance.
+    """
+
+    words: list
+    states: np.ndarray  # (S, |A|, d, d)
+    classes: list
+    labels: tuple
+
+
+def _word_batch(channels, words, labels, empty_message: str) -> _WordBatch:
+    words = [tuple(word) for word in words]
+    if len(words) != len(channels):
+        raise InvalidInputError(f"{len(channels)} channels but {len(words)} words")
+    dims = {ch.output_dim for ch in channels}
+    if len(dims) > 1:
+        raise InvalidInputError(f"channels of one batch must share an output dimension, got {sorted(dims)}")
+    position = {a: j for j, a in enumerate(labels)}
+    classes = []
+    for word in words:
+        if not word:
+            raise InvalidInputError(empty_message)
+        for a in word:
+            if a not in position:
+                raise InvalidInputError(f"input {a!r} not in channel alphabet")
+        classes.append([(position[a], na) for a, na in Counter(word).items()])
+    states = np.array([[ch.state(a) for a in labels] for ch in channels], dtype=complex)
+    return _WordBatch(words=words, states=states, classes=classes, labels=tuple(labels))
+
+
+def _class_stats(batch: _WordBatch, alpha: float, preset: str) -> list[ConditionalProjectorStats]:
+    """Conditional projector stats of every word, all classes scored in one stack."""
+    pairs = [(s, j, na) for s, cls in enumerate(batch.classes) for j, na in cls]
+    w, _ = hermitian_eigendecomposition(np.array([batch.states[s, j] for s, j, _ in pairs]))
+    sizes = [na for _, _, na in pairs]
+    taus = [threshold_for(alpha, na, preset) for na in sizes]
+    stats = spectrum_projector_stats(w, np.array(sizes), np.array(taus))
+    out = []
+    row = 0
+    for word, cls in zip(batch.words, batch.classes):
+        capture, rank, lam_max = 1.0, 1, 1.0
+        class_stats = {}
+        for j, na in cls:
+            one = SpectrumProjectorStats(
+                eigenvalues=stats.eigenvalues[row],
+                n=na,
+                tau=taus[row],
+                capture=float(stats.capture[row]),
+                rank=int(stats.rank[row]),
+                lambda_max=float(stats.lambda_max[row]),
+            )
+            class_stats[batch.labels[j]] = one
+            capture *= one.capture
+            rank *= one.rank
+            lam_max *= one.lambda_max
+            row += 1
+        if rank == 0:
+            lam_max = 0.0
+            capture = 0.0
+        out.append(
+            ConditionalProjectorStats(
+                word=word,
+                class_sizes={batch.labels[j]: na for j, na in cls},
+                class_stats=class_stats,
+                capture=capture,
+                rank=rank,
+                lambda_max=lam_max,
+            )
+        )
+    return out
+
+
 def conditional_projector_stats(
     channel: CQChannel, word, alpha: float, preset: str = PRESET_FIXED
 ) -> ConditionalProjectorStats:
-    word = tuple(word)
-    if not word:
-        raise InvalidInputError("conditioning word is empty")
-    preset = resolve_preset(preset)
-    class_counts = dict(Counter(word))
-    capture, rank, lam_max = 1.0, 1, 1.0
-    class_stats = {}
-    for a, na in class_counts.items():
-        w, _ = hermitian_eigendecomposition(channel.state(a))
-        stats = spectrum_projector_stats(w, na, threshold_for(alpha, na, preset))
-        class_stats[a] = stats
-        capture *= stats.capture
-        rank *= stats.rank
-        lam_max *= stats.lambda_max
-    if rank == 0:
-        lam_max = 0.0
-        capture = 0.0
-    return ConditionalProjectorStats(
-        word=word,
-        class_sizes=class_counts,
-        class_stats=class_stats,
-        capture=capture,
-        rank=rank,
-        lambda_max=lam_max,
-    )
+    batch = _word_batch([channel], [word], channel.alphabet, "conditioning word is empty")
+    return _class_stats(batch, alpha, resolve_preset(preset))[0]
 
 
 @dataclass(frozen=True)
@@ -508,6 +716,109 @@ class CrossCaptureStats:
     capture: float
     variance_sum: float  # sum over indices of the count variance
     mean_shift: float  # max index-wise |mean count/n - projector eigenvalue|
+
+
+def _mixture_states(states: np.ndarray, dist: ProbabilityDistribution) -> np.ndarray:
+    """Averaged output states of a (S, |A|, d, d) stack, summed letter by letter."""
+    out = np.zeros(states.shape[:1] + states.shape[2:], dtype=complex)
+    for j, w in enumerate(dist.weights):
+        if w > 0.0:
+            out += w * states[:, j]
+    return hermitian_part(out)
+
+
+def _composition_ranks(counts: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Row index of each count vector in its lexicographic count-class table.
+
+    A vector c of m over d letters is preceded by the vectors whose first
+    differing count is smaller: sum_i [C(r_i + p_i, p_i) - C(r_i - c_i + p_i, p_i)]
+    with r_i = m - c_0 - ... - c_(i-1) and p_i = d - 1 - i.
+    """
+    d = counts.shape[1]
+    rank = np.zeros(len(counts), dtype=np.int64)
+    remaining = counts.sum(axis=1)
+    for i in range(d - 1):
+        p = d - 1 - i
+        rank += binom[remaining + p, p] - binom[remaining - counts[:, i] + p, p]
+        remaining = remaining - counts[:, i]
+    return rank
+
+
+def _letter_count_masses(q: np.ndarray, classes, allowed: np.ndarray) -> np.ndarray:
+    """Mass of the summed letter counts inside the windows, per instance.
+
+    q[:, j] holds letter j's eigen-index probabilities for each of S
+    instances that share their classes ((letter index, size) pairs).  Each
+    class's count distribution lives on its count table; classes are
+    combined one at a time as an outer sum of tables, merged onto the table
+    of the combined length.  allowed is _count_allowed of the projector
+    spectra.
+    """
+    s_count, d = q.shape[0], q.shape[-1]
+    sizes = [na for _, na in classes]
+    pairs = max(_table_rows(sum(sizes[:k]), d) * _table_rows(na, d) for k, na in enumerate(sizes))
+    _require_table_bytes(pairs * (d + 1) * 8, f"outer sum of count classes for n={sum(sizes)}, d={d}")
+    # each instance adds a mass and an index per pair: take instances in chunks
+    chunk = max(1, COUNT_TABLE_BYTE_LIMIT // (16 * pairs))
+    if s_count > chunk:
+        return np.concatenate(
+            [_letter_count_masses(q[i : i + chunk], classes, allowed[i : i + chunk]) for i in range(0, s_count, chunk)]
+        )
+    length = 0
+    probs = np.ones((s_count, 1))
+    keys = np.zeros((1, d), dtype=np.intp)
+    for j, na in classes:
+        table = _count_table(na, d)
+        mass = table.weights * _class_products(_power_table(q[:, j], na), table.counts)
+        length += na
+        merged = _count_table(length, d)
+        pair_keys = (keys[:, None, :] + table.counts[None, :, :]).reshape(-1, d)
+        slots = _composition_ranks(pair_keys, merged.binomials)
+        rows = len(merged.counts)
+        flat = (np.arange(s_count)[:, None] * rows + slots).ravel()
+        pair_mass = (probs[:, :, None] * mass[:, None, :]).reshape(s_count, -1)
+        probs = np.bincount(flat, weights=pair_mass.ravel(), minlength=s_count * rows).reshape(s_count, rows)
+        keys = merged.counts
+    inside = np.ones(probs.shape, dtype=bool)
+    for i in range(d):
+        inside &= allowed[:, i, keys[:, i]]
+    return np.where(inside, probs, 0.0).sum(axis=-1)
+
+
+def _cross_stats(batch: _WordBatch, dist: ProbabilityDistribution, alpha: float, preset: str):
+    """Cross-capture stats of every word; instances that share their letter
+    classes are scored together."""
+    a_size = len(batch.labels)
+    w_all, u_all = hermitian_eigendecomposition(_mixture_states(batch.states, dist))
+    w_all = _clean_eigenvalues(w_all)
+    ut = u_all.conj().swapaxes(-1, -2)
+    diag = np.clip(
+        np.real(np.einsum("...ij,...ajk,...ki->...ai", ut, batch.states, u_all)), 0.0, None
+    )
+    groups: dict = {}
+    for s, cls in enumerate(batch.classes):
+        groups.setdefault(tuple(cls), []).append(s)
+    out = [None] * len(batch.words)
+    for cls, idx in groups.items():
+        n = sum(na for _, na in cls)
+        w, q = w_all[idx], diag[idx]
+        tau = threshold_for(alpha * math.sqrt(a_size), n, preset)
+        capture = _letter_count_masses(q, cls, _count_allowed(w, n, tau))
+        mean = np.zeros(w.shape)
+        var = np.zeros(len(idx))
+        for j, na in cls:
+            mean += na * q[:, j]
+            var = var + (na * q[:, j] * (1.0 - q[:, j])).sum(axis=-1)
+        shift = np.abs(mean / n - w).max(axis=-1, initial=0.0)
+        for t, s in enumerate(idx):
+            out[s] = CrossCaptureStats(
+                word=batch.words[s],
+                tau=tau,
+                capture=float(capture[t]),
+                variance_sum=float(var[t]),
+                mean_shift=float(shift[t]),
+            )
+    return out
 
 
 def cross_capture_stats(
@@ -523,54 +834,9 @@ def cross_capture_stats(
     parameter alpha*sqrt(|alphabet|).  Counts of each projector eigen-index
     under the word's product state convolve exactly over letter classes.
     """
-    word = tuple(word)
-    if not word:
-        raise InvalidInputError("word is empty")
-    n = len(word)
-    preset = resolve_preset(preset)
-    avg = output_state(channel, dist)
-    w, u = hermitian_eigendecomposition(avg)
-    w = _clean_eigenvalues(w)
-    d = len(w)
-    a_size = len(channel.alphabet)
-    tau = threshold_for(alpha * math.sqrt(a_size), n, preset)
-    windows = _eigen_windows(w, n, tau)
-
-    class_counts = Counter(word)
-    diag = {}
-    for a in class_counts:
-        q = np.real(np.einsum("ij,jk,ki->i", u.conj().T, channel.state(a), u))
-        diag[a] = np.clip(q, 0.0, None)
-
-    dist_map = {(0,) * d: 1.0}
-    for a, na in class_counts.items():
-        q = diag[a]
-        terms = []
-        for counts in _admissible_count_vectors(na, [(0, na)] * d):
-            p = _weight_power(q, counts)
-            if p > 0.0:
-                terms.append((counts, multinomial_coefficient(na, counts) * p))
-        new_map: dict = {}
-        for base, pb in dist_map.items():
-            for counts, pc in terms:
-                key = tuple(b + c for b, c in zip(base, counts))
-                new_map[key] = new_map.get(key, 0.0) + pb * pc
-        dist_map = new_map
-
-    capture = sum(
-        p
-        for counts, p in dist_map.items()
-        if all(lo <= k <= hi for k, (lo, hi) in zip(counts, windows))
-    )
-    mean = np.zeros(d)
-    var = 0.0
-    for a, na in class_counts.items():
-        mean += na * diag[a]
-        var += float((na * diag[a] * (1.0 - diag[a])).sum())
-    shift = float(np.max(np.abs(mean / n - w))) if d else 0.0
-    return CrossCaptureStats(
-        word=word, tau=tau, capture=capture, variance_sum=var, mean_shift=shift
-    )
+    _require_matching_alphabet(channel.alphabet, dist)
+    batch = _word_batch([channel], [word], dist.labels, "word is empty")
+    return _cross_stats(batch, dist, alpha, resolve_preset(preset))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +847,13 @@ _EXPONENT_GRACE = 1e-9
 _CAPTURE_GRACE = 1e-12
 
 
-def _log_inverse_sum(eigenvalues: np.ndarray) -> float:
-    w = eigenvalues[eigenvalues > 0.0]
-    return float(np.log2(1.0 / w).sum()) if w.size else 0.0
+def _log_inverse_sum(eigenvalues: np.ndarray):
+    """sum log2(1/lambda) over the positive eigenvalues, per spectrum of a stack."""
+    return _kept_row_sums(eigenvalues, eigenvalues > 0.0, _log2_inverse)
+
+
+def _log2_inverse(w: np.ndarray) -> np.ndarray:
+    return np.log2(1.0 / w)
 
 
 @dataclass
@@ -619,36 +889,24 @@ class ProjectorBoundReport:
         }
 
 
-def verify_state_projector_bounds(
-    rho, n: int, alpha: float, preset: str = PRESET_FIXED
-) -> ProjectorBoundReport:
-    """Exact capture/counting/equipartition check for an i.i.d. state block."""
-    rho = validate_density(rho)
-    preset = resolve_preset(preset)
-    d = rho.shape[0]
-    tau = threshold_for(alpha, n, preset)
-    w, _ = hermitian_eigendecomposition(rho)
-    w = _clean_eigenvalues(w)
-    stats = spectrum_projector_stats(w, n, tau)
-    entropy = spectrum_entropy_bits(w)
-    c = _log_inverse_sum(w)
-
+def _state_report(d, n, alpha, tau, preset, capture, rank, lam_max, entropy, c, spread):
+    """One state report from its spectrum's precomputed functionals."""
     capture_ref = 1.0 - d / (4.0 * n * alpha**2)
-    chebyshev = 1.0 - float((w * (1.0 - w)).sum()) / (n * tau**2)
+    chebyshev = 1.0 - spread / (n * tau**2)
     quarter = 1.0 - d / (4.0 * n * tau**2)
     counting_exp = n * (entropy + tau * c)
     equip_exp = -n * (entropy - tau * c)
 
-    log_rank = math.log2(stats.rank) if stats.rank > 0 else None
-    log_lmax = math.log2(stats.lambda_max) if stats.lambda_max > 0.0 else None
+    log_rank = math.log2(rank) if rank > 0 else None
+    log_lmax = math.log2(lam_max) if lam_max > 0.0 else None
     denom = d * alpha * math.sqrt(n)
     k_count = max(0.0, (log_rank - n * entropy) / denom) if log_rank is not None else 0.0
     k_equip = max(0.0, (log_lmax + n * entropy) / denom) if log_lmax is not None else 0.0
 
     flags = {
-        "reference_capture": bool(stats.capture >= capture_ref - _CAPTURE_GRACE),
-        "provable_capture_chebyshev": bool(stats.capture >= chebyshev - _CAPTURE_GRACE),
-        "provable_capture_quarter": bool(stats.capture >= quarter - _CAPTURE_GRACE),
+        "reference_capture": bool(capture >= capture_ref - _CAPTURE_GRACE),
+        "provable_capture_chebyshev": bool(capture >= chebyshev - _CAPTURE_GRACE),
+        "provable_capture_quarter": bool(capture >= quarter - _CAPTURE_GRACE),
         "provable_counting": bool(log_rank is None or log_rank <= counting_exp + _EXPONENT_GRACE),
         "provable_equipartition": bool(
             log_lmax is None or log_lmax <= equip_exp + _EXPONENT_GRACE
@@ -666,9 +924,9 @@ def verify_state_projector_bounds(
             "log_inverse_sum": c,
         },
         measured={
-            "capture": stats.capture,
-            "rank": stats.rank,
-            "lambda_max": stats.lambda_max,
+            "capture": capture,
+            "rank": rank,
+            "lambda_max": lam_max,
         },
         reference_bounds={"capture": capture_ref},
         provable_bounds={
@@ -682,46 +940,51 @@ def verify_state_projector_bounds(
     )
 
 
-def verify_conditional_projector_bounds(
-    channel: CQChannel,
-    word,
-    dist: ProbabilityDistribution,
-    alpha: float,
-    preset: str = PRESET_FIXED,
-) -> ProjectorBoundReport:
-    """Conditional capture/counting/equipartition plus the cross-capture check.
+def verify_state_projector_bounds(rho, n: int, alpha: float, preset: str = PRESET_FIXED):
+    """Exact capture/counting/equipartition check for an i.i.d. state block.
 
-    The conditional bounds use the word's empirical type exactly; the
-    reference forms use the supplied input distribution.  Cross capture pairs
-    the word's product state with the averaged-state projector at threshold
-    parameter alpha*sqrt(|alphabet|).
+    rho may also be an (S, d, d) stack of states; then the S reports come
+    back as a list, with every spectral quantity computed for the whole stack
+    at once.
     """
-    word = tuple(word)
+    rho = validate_density(rho)
     preset = resolve_preset(preset)
-    n = len(word)
-    d = channel.output_dim
-    a_size = len(channel.alphabet)
-    cond = conditional_projector_stats(channel, word, alpha, preset)
-    cross = cross_capture_stats(channel, word, dist, alpha, preset)
+    d = rho.shape[-1]
+    tau = threshold_for(alpha, n, preset)
+    w, _ = hermitian_eigendecomposition(rho.reshape(-1, d, d))
+    w = _clean_eigenvalues(w)
+    stats = spectrum_projector_stats(w, n, tau)
+    columns = zip(
+        stats.capture.tolist(),
+        stats.rank,
+        stats.lambda_max.tolist(),
+        spectrum_entropy_bits(w).tolist(),
+        _log_inverse_sum(w).tolist(),
+        (w * (1.0 - w)).sum(axis=-1).tolist(),
+    )
+    reports = [_state_report(d, n, alpha, tau, preset, *col) for col in columns]
+    return reports[0] if rho.ndim == 2 else reports
 
+
+def _conditional_report(word, dist, alpha, preset, d, a_size, cond, cross, cond_entropy_true, per_class):
+    """One conditional report from its word's precomputed class functionals.
+
+    per_class maps each letter to (entropy, log-inverse sum, spread) of its
+    class spectrum.
+    """
+    n = len(word)
     cheb_sum = 0.0
     quarter_sum = 0.0
     counting_exp = 0.0
     for a, stats in cond.class_stats.items():
         na = cond.class_sizes[a]
-        wa = stats.eigenvalues
-        cheb_sum += float((wa * (1.0 - wa)).sum()) / (na * stats.tau**2)
+        entropy, c, spread = per_class[a]
+        cheb_sum += spread / (na * stats.tau**2)
         quarter_sum += d / (4.0 * na * stats.tau**2)
-        counting_exp += na * (
-            spectrum_entropy_bits(wa) + stats.tau * _log_inverse_sum(wa)
-        )
-    emp_cond_entropy = sum(
-        cond.class_sizes[a] * spectrum_entropy_bits(stats.eigenvalues)
-        for a, stats in cond.class_stats.items()
-    ) / n
+        counting_exp += na * (entropy + stats.tau * c)
+    emp_cond_entropy = sum(cond.class_sizes[a] * per_class[a][0] for a in cond.class_stats) / n
     equip_exp = counting_exp - 2.0 * n * emp_cond_entropy
 
-    cond_entropy_true = conditional_entropy(channel, dist)
     capture_ref = 1.0 - a_size * d / (4.0 * n * alpha**2)
 
     type_counts = Counter(word)
@@ -789,6 +1052,62 @@ def verify_conditional_projector_bounds(
         flags=flags,
         empirical_K=max(k_count, k_equip),
     )
+
+
+def verify_conditional_projector_bounds(
+    channel,
+    word,
+    dist: ProbabilityDistribution,
+    alpha: float,
+    preset: str = PRESET_FIXED,
+):
+    """Conditional capture/counting/equipartition plus the cross-capture check.
+
+    The conditional bounds use the word's empirical type exactly; the
+    reference forms use the supplied input distribution.  Cross capture pairs
+    the word's product state with the averaged-state projector at threshold
+    parameter alpha*sqrt(|alphabet|).
+
+    channel may also be a list of S channels on one output dimension, with
+    word a list of S words; then the S reports come back as a list, with
+    every spectral quantity computed for the whole batch at once.  Every
+    letter state is checked as a density operator.
+    """
+    single = isinstance(channel, CQChannel)
+    channels, words = ([channel], [word]) if single else (list(channel), list(word))
+    preset = resolve_preset(preset)
+    for ch in channels:
+        _require_matching_alphabet(ch.alphabet, dist)
+    batch = _word_batch(channels, words, dist.labels, "conditioning word is empty")
+    states, spectra = _checked_density(batch.states, "channel state")
+    d = states.shape[-1]
+    a_size = len(dist.labels)
+    conds = _class_stats(batch, alpha, preset)
+    crosses = _cross_stats(batch, dist, alpha, preset)
+
+    # the conditional entropy under dist, as conditional_entropy sums it
+    letter_entropy = spectrum_entropy_bits(spectra)
+    cond_entropy = np.zeros(len(channels))
+    for j, wgt in enumerate(dist.weights):
+        if wgt > 0.0:
+            cond_entropy = cond_entropy + wgt * letter_entropy[:, j]
+
+    class_w = np.array([stats.eigenvalues for cond in conds for stats in cond.class_stats.values()])
+    per_class = iter(
+        zip(
+            spectrum_entropy_bits(class_w).tolist(),
+            _log_inverse_sum(class_w).tolist(),
+            (class_w * (1.0 - class_w)).sum(axis=-1).tolist(),
+        )
+    )
+    reports = [
+        _conditional_report(
+            batch.words[s], dist, alpha, preset, d, a_size, cond, cross, float(cond_entropy[s]),
+            {a: next(per_class) for a in cond.class_stats},
+        )
+        for s, (cond, cross) in enumerate(zip(conds, crosses))
+    ]
+    return reports[0] if single else reports
 
 
 def verify_projector_bounds(

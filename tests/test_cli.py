@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from cqrelay.channels import (
     load_channel,
 )
 from cqrelay.cli import main
+from cqrelay.errors import InvalidInputError
 from cqrelay.operators import ProbabilityDistribution
 
 
@@ -44,6 +46,12 @@ def test_generate_families_roundtrip(tmp_path):
     for family, cls in expected.items():
         path = write_channel(tmp_path, family, family + ".json")
         assert isinstance(load_channel(path), cls)
+
+
+def test_generate_constant_dim_sets_the_output_dimension(tmp_path):
+    channel = load_channel(write_channel(tmp_path, "constant", "c.json", ["--dim", "3"]))
+    assert channel.alphabet == ("0", "1")
+    assert channel.output_dim == 3
 
 
 def test_generate_rejects_invalid_weight(tmp_path, capsys):
@@ -263,6 +271,7 @@ def test_count_flags_must_be_positive_integers(tmp_path, capsys, value):
     for argv in (
         ["region", "mac", "--mac-channel", mac, "--grid-k", value],
         ["verify", "lemmas", "--trials", value],
+        ["generate", "depolarized", "--dim", value],
     ):
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -287,6 +296,39 @@ def test_seed_flag_must_be_nonnegative_integer(capsys, value):
 def test_seed_flag_accepts_zero(capsys):
     assert main(["verify", "lemmas", "--trials", "5", "--seed", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["all_hold"] is True
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "1e-300", "1e300"])
+def test_verify_alpha_must_have_a_representable_square(capsys, alpha):
+    # nan and inf are not thresholds; 1e-300 squared underflows to 0 and
+    # 1e300 squared overflows, which used to end in a traceback
+    assert main(["verify", "projectors", "--n", "2,3", "--alpha", alpha]) == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"ns": [], "alphas": [0.5]}, {"ns": [2], "alphas": []}, {"ns": [2], "alphas": [0.5], "instances": 0}],
+)
+def test_projector_verification_is_never_vacuous(kwargs):
+    from cqrelay.cli import _verify_projectors
+
+    with pytest.raises(InvalidInputError):
+        _verify_projectors(preset="fixed", seed=1, **kwargs)
+
+
+def test_count_table_beyond_byte_limit_exits_three(capsys):
+    # a count-class table at n = 10^6 would hold 10^6 rows of exact
+    # multinomials with 10^5-byte integers; its size is refused before any
+    # table or per-class array is built
+    tracemalloc.start()
+    try:
+        assert main(["verify", "projectors", "--n", "1000000", "--alpha", "0.5"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert_one_error_line(capsys)
 
 
 def test_region_grid_beyond_byte_limit_exits_three(tmp_path, capsys):
