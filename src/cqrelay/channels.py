@@ -192,11 +192,6 @@ class BroadcastCQChannel:
         return self._marginals[receiver]
 
 
-def marginal_channel(broadcast: BroadcastCQChannel, receiver: int) -> CQChannel:
-    """Point-to-point channel seen by one receiver of a broadcast channel."""
-    return broadcast.marginal(receiver)
-
-
 class MACCQChannel:
     """Two classical senders, one quantum output."""
 

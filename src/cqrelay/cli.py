@@ -30,7 +30,7 @@ from .channels import (
     overlap_pair_channel,
     product_broadcast_channel,
 )
-from .coding import SimConfig, _sample_typical_word, end_to_end_broadcast_sim
+from .coding import SimConfig, end_to_end_broadcast_sim
 from .errors import InvalidInputError, RelayError, ResourceLimitError
 from .lemmas import densities, gaussian_draws, sweep_lemma_checks
 from .operators import ProbabilityDistribution, von_neumann_entropy
@@ -309,7 +309,7 @@ def _verify_projectors(ns, alphas, preset, seed, instances=_PROJECTOR_INSTANCES)
             draws, words = [], []
             for dim in dims:
                 draws.append(gaussian_draws(rng, dim, count=2))  # both letter states
-                words.append(_sample_typical_word(rng, dist, tset, n, 10_000))
+                words.append(tset.sample(rng, 10_000))
 
             def score(idx, states):
                 # letter states are checked once, inside the report call

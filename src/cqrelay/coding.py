@@ -64,18 +64,6 @@ class Codebook:
         return seen
 
 
-def _sample_typical_word(rng, dist, typical_set, n, max_tries):
-    d = len(dist.labels)
-    for _ in range(max_tries):
-        draw = rng.choice(d, size=n, p=dist.weights)
-        word = tuple(dist.labels[i] for i in draw)
-        if word in typical_set:
-            return word
-    raise ResourceLimitError(
-        f"rejection sampling failed to hit the typical set within {max_tries} tries"
-    )
-
-
 def sample_codebook(
     dist: ProbabilityDistribution,
     n: int,
@@ -97,7 +85,7 @@ def sample_codebook(
     words = {}
     for m1 in range(m1_size):
         for m2 in range(m2_size):
-            words[(m1, m2)] = _sample_typical_word(rng, dist, tset, n, max_tries)
+            words[(m1, m2)] = tset.sample(rng, max_tries)
     return Codebook(
         n=n,
         m1_size=m1_size,
@@ -489,8 +477,8 @@ def second_kind_collision_check(
         total = 0.0
         mean_rank = 0.0
         for _ in range(trials):
-            x = _sample_typical_word(rng, dist, tset, n, 100_000)
-            x_prime = _sample_typical_word(rng, dist, tset, n, 100_000)
+            x = tset.sample(rng, 100_000)
+            x_prime = tset.sample(rng, 100_000)
             f, rank = factor_of(x_prime)
             total += _clamp_nonnegative(_factor_trace(f, _word_factors(channel, x)))
             mean_rank += rank

@@ -131,10 +131,6 @@ def hermitian_eigendecomposition(mat) -> tuple[np.ndarray, np.ndarray]:
     return w[..., ::-1].copy(), u[..., ::-1].copy()
 
 
-def tensor_product(a, b) -> np.ndarray:
-    return np.kron(as_square_matrix(a, "left factor"), as_square_matrix(b, "right factor"))
-
-
 def tensor_all(mats) -> np.ndarray:
     mats = list(mats)
     if not mats:
@@ -359,3 +355,22 @@ def multinomial_coefficient(n: int, counts) -> int:
     if remaining != 0:
         raise InvalidInputError(f"count vector {tuple(counts)} does not sum to {n}")
     return out
+
+
+def compositions(n: int, d: int) -> np.ndarray:
+    """Every count vector of n over d letters, as the rows of an (R, d) array.
+
+    Rows are in lexicographic order and R = C(n + d - 1, d - 1).  Typical
+    sets, count-class tables and distribution grids all enumerate these.
+    """
+    if n < 0 or d < 1:
+        raise InvalidInputError(f"compositions need n >= 0 and d >= 1, got n={n}, d={d}")
+    counts = np.zeros((1, 0), dtype=np.intp)
+    remaining = np.array([n], dtype=np.intp)
+    for _ in range(d - 1):
+        # expand each row by every count 0..remaining of the next letter
+        parent = np.repeat(np.arange(len(remaining)), remaining + 1)
+        k = np.arange(len(parent)) - np.repeat(np.cumsum(remaining + 1) - remaining - 1, remaining + 1)
+        counts = np.column_stack([counts[parent], k])
+        remaining = remaining[parent] - k
+    return np.column_stack([counts, remaining])

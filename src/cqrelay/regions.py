@@ -15,37 +15,32 @@ import numpy as np
 
 from .channels import BroadcastCQChannel, CQChannel, MACCQChannel, holevo_chi
 from .errors import InvalidInputError, ResourceLimitError
-from .operators import ZERO_EIGENVALUE_TOL, ProbabilityDistribution
+from .operators import ZERO_EIGENVALUE_TOL, ProbabilityDistribution, compositions
 
 _VERTEX_DEDUP_TOL = 1e-8
 _COLLINEAR_TOL = 1e-12
 _CONTAIN_TOL = 1e-9
 
-# mac_region refuses grids whose (G1, G2, dim, dim) complex stack of averaged
-# states would exceed this many bytes.  The hull's per-point work on the same
-# grid takes several times the stack (about 7x for qutrit outputs), so this
-# keeps a whole run under about 1 GB.
+# Region grids whose complex stack of averaged states, (G1, G2, dim, dim) for
+# mac_region and (G, dim, dim) for broadcast_region, would exceed this many
+# bytes are refused.  The hull's per-point work on the same grid takes several
+# times the stack (about 7x for qutrit outputs), so this keeps a whole run
+# under about 1 GB.
 _PENTAGON_STACK_BYTE_LIMIT = 128 * 2**20
+
+
+def _require_stack_bytes(points: int, dim: int, what: str) -> None:
+    stack_bytes = points * dim * dim * np.dtype(complex).itemsize
+    if stack_bytes > _PENTAGON_STACK_BYTE_LIMIT:
+        raise ResourceLimitError(
+            f"{what} grid needs a {stack_bytes / 2**30:.3g} GiB state stack, "
+            f"above the {_PENTAGON_STACK_BYTE_LIMIT / 2**30:.3g} GiB limit; use a coarser grid"
+        )
 
 
 class RatePair(NamedTuple):
     r1: float
     r2: float
-
-
-def simplex_lattice(resolution: int, d: int):
-    """Integer vectors of length d summing to the resolution."""
-    if resolution < 1 or d < 1:
-        raise InvalidInputError("resolution and dimension must be >= 1")
-
-    def rec(i, remaining, prefix):
-        if i == d - 1:
-            yield prefix + (remaining,)
-            return
-        for k in range(remaining + 1):
-            yield from rec(i + 1, remaining - k, prefix + (k,))
-
-    yield from rec(0, resolution, ())
 
 
 @dataclass(frozen=True)
@@ -68,8 +63,7 @@ class DistributionGrid:
 
     def weight_matrix(self) -> np.ndarray:
         """All lattice weights as a (grid size, |labels|) array."""
-        pts = np.array(list(simplex_lattice(self.resolution, len(self.labels))), dtype=float)
-        return pts / self.resolution
+        return compositions(self.resolution, len(self.labels)) / self.resolution
 
     def distributions(self):
         for row in self.weight_matrix():
@@ -309,12 +303,7 @@ def _pentagon_bounds(
         raise InvalidInputError("grid2 labels must match the second sender alphabet")
     states = np.stack([np.stack([mac.state(y1, y2) for y2 in a2]) for y1 in a1])
     dim = states.shape[-1]
-    stack_bytes = len(grid) * len(grid2) * dim * dim * np.dtype(complex).itemsize
-    if stack_bytes > _PENTAGON_STACK_BYTE_LIMIT:
-        raise ResourceLimitError(
-            f"MAC region grid needs a {stack_bytes / 2**30:.3g} GiB state stack, "
-            f"above the {_PENTAGON_STACK_BYTE_LIMIT / 2**30:.3g} GiB limit; use a coarser grid"
-        )
+    _require_stack_bytes(len(grid) * len(grid2), dim, "MAC region")
     ent = _batched_entropy_bits(states.reshape(d1 * d2, dim, dim)).reshape(d1, d2)
 
     q1 = grid.weight_matrix()  # (G1, d1)
@@ -371,6 +360,7 @@ def broadcast_region(bc: BroadcastCQChannel, grid: DistributionGrid) -> RateRegi
     """Union of per-distribution rectangles (chi to each receiver), then hull."""
     if grid.labels != bc.alphabet:
         raise InvalidInputError("grid labels must match the broadcast alphabet")
+    _require_stack_bytes(len(grid), max(bc.dims), "broadcast region")
     weights = grid.weight_matrix()
     x1 = np.maximum(_chi_evaluator(bc.marginal(1))(weights), 0.0)
     x2 = np.maximum(_chi_evaluator(bc.marginal(2))(weights), 0.0)
@@ -419,6 +409,7 @@ def optimize_chi(
     """Grid search for the Holevo information, then local simplex ascent."""
     if grid.labels != channel.alphabet:
         raise InvalidInputError("grid labels must match the channel alphabet")
+    _require_stack_bytes(len(grid), channel.output_dim, "chi search")
     chi = _chi_evaluator(channel)
     mat = grid.weight_matrix()
     best_idx = int(np.argmax(chi(mat)))

@@ -13,7 +13,6 @@ works far beyond the dimension cap that limits dense realizations.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from collections import Counter
@@ -28,10 +27,10 @@ from .operators import (
     _kept_row_sums,
     ZERO_EIGENVALUE_TOL,
     ProbabilityDistribution,
+    compositions,
     hermitian_eigendecomposition,
     hermitian_part,
     kron_apply,
-    multinomial_coefficient,
     product_columns,
     spectrum_entropy_bits,
     tensor_all,
@@ -41,8 +40,6 @@ from .operators import (
 PRESET_FIXED = "fixed"
 PRESET_SQRT = "sqrt"
 _PRESET_ALIASES = {"fixed": PRESET_FIXED, "sqrt": PRESET_SQRT, "sqrt-scaled": PRESET_SQRT}
-
-DEFAULT_ENUMERATION_CAP = 1_000_000
 
 
 def resolve_preset(preset: str) -> str:
@@ -72,81 +69,26 @@ def threshold_for(alpha: float, length: int, preset: str) -> float:
     return tau
 
 
-def _count_window(length: int, target: float, tau: float) -> tuple[int, int]:
-    """Largest integer interval [lo, hi] with |k/length - target| <= tau.
-
-    Boundary handling defers to the float predicate itself so that window
-    arithmetic and direct membership checks can never disagree.
-    """
-
-    def pred(k: int) -> bool:
-        return abs(k / length - target) <= tau
-
-    lo = max(0, math.ceil(length * (target - tau)) - 1)
-    hi = min(length, math.floor(length * (target + tau)) + 1)
-    while lo > 0 and pred(lo - 1):
-        lo -= 1
-    while hi < length and pred(hi + 1):
-        hi += 1
-    while lo <= hi and not pred(lo):
-        lo += 1
-    while lo <= hi and not pred(hi):
-        hi -= 1
-    return lo, hi
-
-
-def _admissible_count_vectors(total: int, windows):
-    """All integer vectors within the per-coordinate windows summing to total."""
-    d = len(windows)
-    suffix_lo = [0] * (d + 1)
-    suffix_hi = [0] * (d + 1)
-    for i in range(d - 1, -1, -1):
-        lo, hi = windows[i]
-        if lo > hi:
-            return
-        suffix_lo[i] = suffix_lo[i + 1] + lo
-        suffix_hi[i] = suffix_hi[i + 1] + hi
-
-    def rec(i, remaining, prefix):
-        if i == d - 1:
-            lo, hi = windows[i]
-            if lo <= remaining <= hi:
-                yield prefix + (remaining,)
-            return
-        lo, hi = windows[i]
-        kmin = max(lo, remaining - suffix_hi[i + 1])
-        kmax = min(hi, remaining - suffix_lo[i + 1])
-        for k in range(kmin, kmax + 1):
-            yield from rec(i + 1, remaining - k, prefix + (k,))
-
-    yield from rec(0, total, ())
-
-
-def _weight_power(weights, counts) -> float:
-    out = 1.0
-    for w, k in zip(weights, counts):
-        if k:
-            if w <= 0.0:
-                return 0.0
-            out *= w**k
-    return out
-
-
 class TypicalSet:
-    """Words whose letter frequencies all sit within delta/|alphabet| of the mean."""
+    """Words whose letter frequencies all sit within delta/|alphabet| of the mean.
+
+    The set is held as its (|alphabet|, n + 1) admissibility mask: entry
+    [i, k] says whether k copies of letter i are allowed.  A zero-weight
+    letter is not forced to count 0; only the frequency window applies.
+    """
 
     def __init__(self, dist: ProbabilityDistribution, n: int, delta: float):
         if n < 1:
             raise InvalidInputError(f"word length must be >= 1, got {n}")
-        if delta <= 0.0:
-            raise InvalidInputError(f"delta must be positive, got {delta}")
+        if not (math.isfinite(delta) and delta > 0.0):
+            raise InvalidInputError(f"delta must be positive and finite, got {delta}")
+        d = len(dist.labels)
+        _require_table_bytes(d * (n + 1), f"typical-set mask for n={n}, d={d}")
         self.dist = dist
         self.n = int(n)
         self.delta = float(delta)
-        self.threshold = self.delta / len(dist.labels)
-        self._windows = [
-            _count_window(self.n, float(w), self.threshold) for w in dist.weights
-        ]
+        self.threshold = self.delta / d
+        self._allowed = _count_allowed(dist.weights, self.n, self.threshold)
 
     def counts(self, word) -> tuple[int, ...]:
         word = tuple(word)
@@ -159,44 +101,64 @@ class TypicalSet:
         return tuple(counter.get(a, 0) for a in self.dist.labels)
 
     def __contains__(self, word) -> bool:
-        counts = self.counts(word)
-        return all(
-            abs(k / self.n - float(w)) <= self.threshold
-            for k, w in zip(counts, self.dist.weights)
-        )
+        return all(self._allowed[i, k] for i, k in enumerate(self.counts(word)))
 
     def count_windows(self) -> list[tuple[int, int]]:
-        return list(self._windows)
+        """Per letter, the interval [lo, hi] of allowed counts.
 
-    def count_vectors(self) -> list[tuple[int, ...]]:
-        return list(_admissible_count_vectors(self.n, self._windows))
+        An empty window is (g + 1, g), with g the number of counts k whose
+        k/n lies under the window's upper edge, so lo > hi.
+        """
+        windows = []
+        for w, row in zip(self.dist.weights, self._allowed):
+            allowed = np.flatnonzero(row)
+            if len(allowed):
+                windows.append((int(allowed[0]), int(allowed[-1])))
+            else:
+                under = int(np.count_nonzero(np.arange(self.n + 1) / self.n <= w + self.threshold))
+                windows.append((under + 1, under))
+        return windows
 
     def is_empty(self) -> bool:
-        return not any(True for _ in _admissible_count_vectors(self.n, self._windows))
+        # windows are intervals, so every total between the sums is reachable
+        lo, hi = np.array(self.count_windows()).T
+        return not ((lo <= hi).all() and lo.sum() <= self.n <= hi.sum())
+
+    def _member_classes(self):
+        """The count-class table of (n, |alphabet|) and its member-row flags."""
+        table = _count_table(self.n, len(self.dist.labels))
+        return table, _rows_allowed(self._allowed, table.counts)
+
+    def count_vectors(self) -> list[tuple[int, ...]]:
+        table, keep = self._member_classes()
+        return [tuple(row) for row in table.counts[keep].tolist()]
 
     def size(self) -> int:
         """Exact number of member words."""
-        return sum(
-            multinomial_coefficient(self.n, counts) for counts in self.count_vectors()
-        )
+        table, keep = self._member_classes()
+        return int(table.multinomials[keep].sum())
 
     def probability(self) -> float:
-        """Exact product-distribution mass of the set."""
-        return sum(
-            multinomial_coefficient(self.n, counts) * _weight_power(self.dist.weights, counts)
-            for counts in self.count_vectors()
-        )
+        """Exact product-distribution mass of the set, summed in table order."""
+        table, keep = self._member_classes()
+        products = _class_products(_power_table(self.dist.weights, self.n), table.counts[keep])
+        return sum((table.weights[keep] * products).tolist())
 
-    def members(self, cap: int = DEFAULT_ENUMERATION_CAP):
-        """Yield all member words; refuses alphabets too large to enumerate."""
-        total = len(self.dist.labels) ** self.n
-        if total > cap:
-            raise ResourceLimitError(
-                f"enumerating {total} candidate words exceeds cap {cap}"
-            )
-        for word in itertools.product(self.dist.labels, repeat=self.n):
+    def sample(self, rng, max_tries: int) -> tuple:
+        """Draw i.i.d. words from the distribution until one is a member.
+
+        Each try makes the draws of rng.choice(d, size=n, p=weights).
+        """
+        cdf = np.cumsum(self.dist.weights)
+        cdf /= cdf[-1]
+        labels = self.dist.labels
+        for _ in range(max_tries):
+            word = tuple(labels[i] for i in cdf.searchsorted(rng.random(self.n), side="right").tolist())
             if word in self:
-                yield word
+                return word
+        raise ResourceLimitError(
+            f"rejection sampling failed to hit the typical set within {max_tries} tries"
+        )
 
 
 def typical_sequences(dist: ProbabilityDistribution, n: int, delta: float) -> TypicalSet:
@@ -209,24 +171,15 @@ def _clean_eigenvalues(values: np.ndarray) -> np.ndarray:
     return w
 
 
-def _eigen_windows(eigenvalues: np.ndarray, n: int, tau: float) -> list[tuple[int, int]]:
-    # Zero eigenvalues are excluded outright: their index may not appear.
-    return [
-        (0, 0) if lam == 0.0 else _count_window(n, float(lam), tau)
-        for lam in eigenvalues
-    ]
-
-
 def _index_words(d: int, n: int) -> np.ndarray:
     """All d^n index words as the rows of a (d^n, n) array, in product-basis order."""
     return np.indices((d,) * n).reshape(n, -1).T
 
 
-def _within_windows(words: np.ndarray, d: int, windows) -> np.ndarray:
-    """Row flags: every eigen-index count of the word lies in its window."""
-    counts = (words[:, :, None] == np.arange(d)).sum(axis=1)
-    lo, hi = np.array(windows).reshape(d, 2).T
-    return ((counts >= lo) & (counts <= hi)).all(axis=1)
+def _word_allowed(words: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Row flags: every index count of the word is allowed (allowed[i, k])."""
+    counts = (words[:, :, None] == np.arange(allowed.shape[0])).sum(axis=1)
+    return _rows_allowed(allowed, counts)
 
 
 def _word_set(words: np.ndarray, keep: np.ndarray) -> frozenset:
@@ -319,7 +272,7 @@ def typical_projector(
     w, u = hermitian_eigendecomposition(rho)
     w = _clean_eigenvalues(w)
     words = _index_words(d, n)
-    included = _word_set(words, _within_windows(words, d, _eigen_windows(w, n, tau)))
+    included = _word_set(words, _word_allowed(words, _eigen_allowed(w, n, tau)))
     return TypicalProjector(
         eigenvalues=w, basis=u, n=n, alpha=float(alpha), tau=tau, preset=preset, included=included
     )
@@ -408,7 +361,7 @@ def conditional_typical_projector(
         tau_a = threshold_for(alpha, na, preset)
         eigs[a], bases[a], taus[a] = w, u, tau_a
         positions = [k for k, b in enumerate(word) if b == a]
-        admitted &= _within_windows(words[:, positions], d, _eigen_windows(w, na, tau_a))
+        admitted &= _word_allowed(words[:, positions], _eigen_allowed(w, na, tau_a))
     return ConditionalTypicalProjector(
         word=word,
         eigenvalues=eigs,
@@ -474,17 +427,12 @@ def _count_table(n: int, d: int) -> _CountTable:
     The cache holds at most 16 tables, so at most 16 times the byte limit.
     """
     _require_table_bytes(_count_table_bytes(n, d), f"count-class table for n={n}, d={d}")
-    counts = np.zeros((1, 0), dtype=np.intp)
-    remaining = np.array([n])
-    mult = np.array([1], dtype=object)
-    for _ in range(d - 1):
-        # expand each row by every count 0..remaining of the next letter
-        parent = np.repeat(np.arange(len(remaining)), remaining + 1)
-        k = np.arange(len(parent)) - np.repeat(np.cumsum(remaining + 1) - remaining - 1, remaining + 1)
-        counts = np.column_stack([counts[parent], k])
-        mult = mult[parent] * _comb(remaining[parent], k)
-        remaining = remaining[parent] - k
-    counts = np.column_stack([counts, remaining])
+    counts = compositions(n, d)
+    # multinomial = prod_i C(n - c_0 - ... - c_(i-1), c_i)
+    remaining = n - np.cumsum(counts, axis=1) + counts
+    mult = np.ones(len(counts), dtype=object)
+    for i in range(d - 1):
+        mult = mult * _comb(remaining[:, i], counts[:, i])
     try:
         weights = mult.astype(float)
     except OverflowError:
@@ -522,16 +470,28 @@ def _class_products(powers: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _count_allowed(eigenvalues: np.ndarray, n: int, tau) -> np.ndarray:
-    """allowed[..., i, k]: count k of eigen-index i lies in its window.
+def _count_allowed(weights, n: int, tau) -> np.ndarray:
+    """allowed[..., i, k]: |k/n - weights[..., i]| <= tau, for k = 0..n.
 
-    Same predicate as _count_window and _eigen_windows: |k/n - lambda| <= tau,
-    and only k = 0 for a zero eigenvalue.
+    The one window predicate: typical sets, projectors and count tables all
+    look their counts up in it.  tau is a scalar or one value per row of a
+    stack of weight vectors.
     """
     k = np.arange(n + 1)
-    lam = eigenvalues[..., None]
-    inside = np.abs(k / n - lam) <= np.asarray(tau, dtype=float)[..., None, None]
-    return np.where(lam == 0.0, k == 0, inside)
+    return np.abs(k / n - np.asarray(weights, dtype=float)[..., None]) <= np.asarray(tau, dtype=float)[..., None, None]
+
+
+def _eigen_allowed(eigenvalues: np.ndarray, n: int, tau) -> np.ndarray:
+    """_count_allowed for a projector: a zero eigenvalue admits only k = 0."""
+    return np.where(eigenvalues[..., None] == 0.0, np.arange(n + 1) == 0, _count_allowed(eigenvalues, n, tau))
+
+
+def _rows_allowed(allowed: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """flags[..., r]: every count of counts[r] is allowed (allowed[..., i, k])."""
+    mask = allowed[..., 0, counts[:, 0]]
+    for i in range(1, counts.shape[1]):
+        mask = mask & allowed[..., i, counts[:, i]]
+    return mask
 
 
 def _score_spectra(w: np.ndarray, n: int, tau: np.ndarray):
@@ -547,10 +507,7 @@ def _score_spectra(w: np.ndarray, n: int, tau: np.ndarray):
             [rank for _, ranks, _ in parts for rank in ranks],
             np.concatenate([lam_max for _, _, lam_max in parts]),
         )
-    allowed = _count_allowed(w, n, tau)
-    mask = np.ones((len(w), len(table.counts)), dtype=bool)
-    for i in range(w.shape[-1]):
-        mask &= allowed[:, i, table.counts[:, i]]
+    mask = _rows_allowed(_eigen_allowed(w, n, tau), table.counts)
     p = _class_products(_power_table(w, n), table.counts)
     # a sequential running sum adds the admissible classes in table order
     capture = np.cumsum(np.where(mask, table.weights * p, 0.0), axis=-1)[:, -1]
@@ -751,7 +708,7 @@ def _letter_count_masses(q: np.ndarray, classes, allowed: np.ndarray) -> np.ndar
     instances that share their classes ((letter index, size) pairs).  Each
     class's count distribution lives on its count table; classes are
     combined one at a time as an outer sum of tables, merged onto the table
-    of the combined length.  allowed is _count_allowed of the projector
+    of the combined length.  allowed is _eigen_allowed of the projector
     spectra.
     """
     s_count, d = q.shape[0], q.shape[-1]
@@ -779,10 +736,7 @@ def _letter_count_masses(q: np.ndarray, classes, allowed: np.ndarray) -> np.ndar
         pair_mass = (probs[:, :, None] * mass[:, None, :]).reshape(s_count, -1)
         probs = np.bincount(flat, weights=pair_mass.ravel(), minlength=s_count * rows).reshape(s_count, rows)
         keys = merged.counts
-    inside = np.ones(probs.shape, dtype=bool)
-    for i in range(d):
-        inside &= allowed[:, i, keys[:, i]]
-    return np.where(inside, probs, 0.0).sum(axis=-1)
+    return np.where(_rows_allowed(allowed, keys), probs, 0.0).sum(axis=-1)
 
 
 def _cross_stats(batch: _WordBatch, dist: ProbabilityDistribution, alpha: float, preset: str):
@@ -803,7 +757,7 @@ def _cross_stats(batch: _WordBatch, dist: ProbabilityDistribution, alpha: float,
         n = sum(na for _, na in cls)
         w, q = w_all[idx], diag[idx]
         tau = threshold_for(alpha * math.sqrt(a_size), n, preset)
-        capture = _letter_count_masses(q, cls, _count_allowed(w, n, tau))
+        capture = _letter_count_masses(q, cls, _eigen_allowed(w, n, tau))
         mean = np.zeros(w.shape)
         var = np.zeros(len(idx))
         for j, na in cls:

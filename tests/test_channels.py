@@ -15,7 +15,6 @@ from cqrelay.channels import (
     depolarized_channel,
     holevo_chi,
     load_channel,
-    marginal_channel,
     matrix_from_literal,
     matrix_to_literal,
     orthogonal_pure_channel,
@@ -139,7 +138,6 @@ def test_broadcast_marginals_of_product_channel():
     for a in bc.alphabet:
         assert np.allclose(m1.state(a), ch1.state(a), atol=1e-12)
         assert np.allclose(m2.state(a), ch2.state(a), atol=1e-12)
-    assert marginal_channel(bc, 1).alphabet == bc.alphabet
 
 
 def test_broadcast_marginal_consistency_general():

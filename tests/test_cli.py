@@ -332,13 +332,20 @@ def test_count_table_beyond_byte_limit_exits_three(capsys):
 
 
 def test_region_grid_beyond_byte_limit_exits_three(tmp_path, capsys):
-    # the adder MAC's (G1, G2, 3, 3) stack at grid 100000 would take 1.3 TiB;
-    # the guard refuses it before any grid array is built
+    # the adder MAC's (G1, G2, 3, 3) stack at grid 100000 would take 1.3 TiB
+    # and the broadcast (G, 2, 2) stack at grid 10^7 640 MB; the guard
+    # refuses each before any grid array is built
     mac = write_channel(tmp_path, "adder-mac", "mac.json")
     bc = write_channel(tmp_path, "product-broadcast", "bc.json")
-    for kind in ("mac", "bidirectional"):
-        argv = ["region", kind, "--mac-channel", mac, "--bc-channel", bc, "--grid-k", "100000"]
-        assert main(argv) == 3
+    for kind, k in (("mac", 100000), ("bidirectional", 100000), ("broadcast", 10**7)):
+        argv = ["region", kind, "--mac-channel", mac, "--bc-channel", bc, "--grid-k", str(k)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
         assert_one_error_line(capsys)
 
 
@@ -408,6 +415,16 @@ def test_simulate_accepts_integral_floats(tmp_path, capsys):
         assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_simulate_accepts_a_huge_delta_code(tmp_path, capsys):
+    # delta_code = 1e308 admits every word: the typical set's windows come
+    # from the window predicate, with no float-to-int step that overflows
+    bc = write_channel(tmp_path, "product-broadcast", "bc.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "M1": 2, "M2": 2, "alpha": 0.5, "seed": 1, "delta_code": 1e308}))
+    assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 4
 
 
 def test_simulate_resource_limit_exits_three(tmp_path, capsys):

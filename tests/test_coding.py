@@ -242,7 +242,8 @@ def test_second_kind_exact_orthogonal_is_tight():
     )
     assert out["within_budget"]
     assert out["estimate"] == pytest.approx(out["budget"], abs=1e-12)
-    assert out["trials"] == len(list(typical_sequences(uniform_binary(), 4, 0.5).members())) ** 2
+    # counts of "0" in {1, 2, 3}: 4 + 6 + 4 typical words
+    assert out["trials"] == 14**2
 
 
 def test_second_kind_exact_within_budget_noisy():

@@ -15,7 +15,6 @@ from cqrelay.operators import (
     spectrum_entropy_bits,
     support_projector,
     tensor_all,
-    tensor_product,
     trace_norm,
     trace_pair,
     validate_density,
@@ -124,7 +123,7 @@ def test_partial_trace_of_product_state():
     rng = np.random.default_rng(23)
     a = random_density(rng, 2)
     b = random_density(rng, 3)
-    joint = tensor_product(a, b)
+    joint = np.kron(a, b)
     assert np.allclose(partial_trace(joint, (2, 3), 1), a, atol=1e-12)
     assert np.allclose(partial_trace(joint, (2, 3), 2), b, atol=1e-12)
 

@@ -8,6 +8,8 @@ construction those replace: Pi = proj.matrix(), F = Pi @ V and
 tr(F† word_state F).  Every figure must agree within 1e-12.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from cqrelay.channels import (
 from cqrelay.coding import (
     Codebook,
     _factor_trace,
-    _sample_typical_word,
     _word_factors,
     average_errors,
     build_detection_operators,
@@ -181,6 +182,11 @@ def test_decoding_dense_and_factored_states_agree(channel, n):
             assert draws[0] == draws[1]
 
 
+def typical_words(tset):
+    """Every member word of the set, in product order."""
+    return [w for w in itertools.product(tset.dist.labels, repeat=tset.n) if w in tset]
+
+
 def dense_second_kind(dist, bc, n, alpha, exact, trials=0, seed=0):
     """(estimate, mean conditional rank) from dense Pi, word states and rho_mix."""
     channel = bc.marginal(2)
@@ -193,7 +199,7 @@ def dense_second_kind(dist, bc, n, alpha, exact, trials=0, seed=0):
         return pi @ cond.included_vectors(), cond.rank
 
     if exact:
-        words = list(tset.members())
+        words = typical_words(tset)
         weights = [np.prod([dist.weight(a) for a in w]) / mass for w in words]
         rho_mix = sum(p * channel.word_state(w) for p, w in zip(weights, words))
         total = rank = 0.0
@@ -205,8 +211,8 @@ def dense_second_kind(dist, bc, n, alpha, exact, trials=0, seed=0):
     rng = np.random.default_rng(seed)
     total = rank = 0.0
     for _ in range(trials):
-        x = _sample_typical_word(rng, dist, tset, n, 100_000)
-        f, r = factor(_sample_typical_word(rng, dist, tset, n, 100_000))
+        x = tset.sample(rng, 100_000)
+        f, r = factor(tset.sample(rng, 100_000))
         total += max(0.0, trace_pair(f @ f.conj().T, channel.word_state(x)))
         rank += r
     return total / trials, rank / trials
@@ -238,7 +244,7 @@ def test_second_kind_collision_matches_dense_oracle(channel, n):
     assert estimate > 0.0
     assert exact["estimate"] == pytest.approx(estimate, abs=TOL)
     assert exact["mean_conditional_rank"] == pytest.approx(rank, abs=1e-9)
-    assert exact["trials"] == len(list(typical_sequences(dist, n, 0.5).members())) ** 2
+    assert exact["trials"] == len(typical_words(typical_sequences(dist, n, 0.5))) ** 2
     sampled = second_kind_collision_check(dist, bc, n, alpha, trials=6, seed=2)
     estimate, rank = dense_second_kind(dist, bc, n, alpha, False, 6, 2)
     assert sampled["estimate"] == pytest.approx(estimate, abs=TOL)

@@ -13,7 +13,7 @@ from cqrelay.channels import (
     overlap_pair_channel,
     product_broadcast_channel,
 )
-from cqrelay.errors import InvalidInputError
+from cqrelay.errors import InvalidInputError, ResourceLimitError
 from cqrelay.operators import ProbabilityDistribution
 from cqrelay.regions import (
     DistributionGrid,
@@ -24,7 +24,6 @@ from cqrelay.regions import (
     intersect_regions,
     mac_region,
     optimize_chi,
-    simplex_lattice,
     weighted_boundary_point,
 )
 
@@ -184,10 +183,12 @@ def test_intersection_disjoint_interiors_gives_origin():
 
 
 def test_simplex_lattice_count_and_sums():
-    pts = list(simplex_lattice(4, 3))
-    assert len(pts) == math.comb(4 + 2, 2)
+    grid = DistributionGrid(("a", "b", "c"), 4)
+    pts = [tuple(p) for p in (grid.weight_matrix() * 4).tolist()]
+    assert len(pts) == len(grid) == math.comb(4 + 2, 2)
     assert all(sum(p) == 4 for p in pts)
     assert len(set(pts)) == len(pts)
+    assert pts == sorted(pts)
 
 
 def test_distribution_grid():
@@ -354,6 +355,16 @@ def test_optimize_chi_beats_dense_grid():
         for k in range(1001)
     )
     assert value >= dense_best - 1e-6
+
+
+def test_grid_searches_refuse_oversized_state_stacks():
+    # a binary grid of 10^7 points holds a 640 MB (G, 2, 2) stack
+    ch = orthogonal_pure_channel()
+    with pytest.raises(ResourceLimitError):
+        optimize_chi(ch, DistributionGrid(ch.alphabet, 10**7))
+    bc = product_broadcast_channel(ch, ch)
+    with pytest.raises(ResourceLimitError):
+        broadcast_region(bc, DistributionGrid(bc.alphabet, 10**7))
 
 
 def test_weighted_boundary_point():

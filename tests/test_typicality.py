@@ -88,8 +88,8 @@ def test_typical_set_matches_brute_force_enumeration():
     for dist, n, delta in cases:
         tset = TypicalSet(dist, n, delta)
         expected = brute_force_members(dist, n, delta)
-        got = sorted(tset.members())
-        assert got == sorted(expected)
+        got = [word for word in itertools.product(dist.labels, repeat=n) if word in tset]
+        assert got == expected
         assert tset.size() == len(expected)
         mass = sum(
             math.prod(dist.weight(a) for a in word) for word in expected
@@ -116,7 +116,8 @@ def test_typical_set_can_be_empty():
     tset = TypicalSet(dist, 1, 0.4)
     assert tset.is_empty()
     assert tset.size() == 0
-    assert list(tset.members()) == []
+    assert tset.probability() == 0.0
+    assert not any(word in tset for word in itertools.product(dist.labels, repeat=1))
 
 
 def test_typical_set_probability_grows_with_n():
@@ -125,19 +126,31 @@ def test_typical_set_probability_grows_with_n():
     assert probs[0] < probs[1] < probs[2] <= 1.0
 
 
-def test_typical_set_enumeration_cap():
-    dist = ProbabilityDistribution.uniform(("0", "1"))
-    tset = TypicalSet(dist, 24, 0.5)
-    with pytest.raises(ResourceLimitError):
-        list(tset.members(cap=1000))
-
-
 def test_typical_set_validates_parameters():
     dist = ProbabilityDistribution.uniform(("0", "1"))
     with pytest.raises(InvalidInputError):
         TypicalSet(dist, 0, 0.5)
-    with pytest.raises(InvalidInputError):
-        TypicalSet(dist, 4, 0.0)
+    for delta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError):
+            TypicalSet(dist, 4, delta)
+
+
+def test_typical_set_huge_delta_admits_every_word():
+    dist = ProbabilityDistribution(("0", "1", "2"), np.array([0.5, 0.5, 0.0]))
+    tset = TypicalSet(dist, 5, 1e308)
+    assert tset.count_windows() == [(0, 5)] * 3
+    assert tset.size() == 3**5
+    assert ("2",) * 5 in tset
+
+
+def test_typical_set_sample_draws_members():
+    dist = ProbabilityDistribution(("0", "1"), np.array([0.3, 0.7]))
+    tset = TypicalSet(dist, 8, 0.2)
+    rng = np.random.default_rng(4)
+    words = [tset.sample(rng, 1000) for _ in range(20)]
+    assert all(word in tset for word in words)
+    with pytest.raises(ResourceLimitError):
+        TypicalSet(dist, 1, 0.1).sample(rng, 50)  # empty set: every try misses
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +480,7 @@ def test_conditional_bound_report_on_typical_words():
     for _ in range(10):
         ch = random_qubit_channel(rng)
         n = int(rng.integers(3, 8))
-        tset = TypicalSet(dist, n, 0.5)
-        words = list(tset.members())
+        words = brute_force_members(dist, n, 0.5)
         word = words[int(rng.integers(0, len(words)))]
         report = verify_conditional_projector_bounds(ch, word, dist, 1.0, PRESET_FIXED)
         assert report.all_provable_hold(), report.as_dict()

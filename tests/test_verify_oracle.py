@@ -6,11 +6,17 @@ The oracle is the one-instance code they generalize: the lemma checks and
 generators on one matrix at a time, the count-class loop over admissible
 count vectors, the dictionary convolution of letter-class counts and the
 per-instance report arithmetic, all kept below.
+
+Typical sets, projector index sets and distribution grids share one
+enumeration of count vectors (operators.compositions) and one window
+predicate (typicality._count_allowed).  Their oracles are the recursive
+enumerators and the scalar ceil/floor count windows those replace.
 Every per-trial slack and every report field must equal the oracle exactly;
 only the cross capture, which now merges letter classes in count-table order
 instead of dictionary insertion order, may differ, by at most 1e-12.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -36,6 +42,8 @@ from cqrelay.lemmas import (
 from cqrelay.operators import (
     ProbabilityDistribution,
     as_square_matrix,
+    compositions,
+    hermitian_eigendecomposition,
     matrix_sqrt,
     multinomial_coefficient,
     pseudo_sqrt_inverse,
@@ -46,16 +54,18 @@ from cqrelay.operators import (
     validate_density,
     validate_positive,
 )
+from cqrelay.regions import DistributionGrid
 from cqrelay.typicality import (
     PRESET_FIXED,
     PRESET_SQRT,
-    _admissible_count_vectors,
+    TypicalSet,
     _clean_eigenvalues,
-    _eigen_windows,
-    _weight_power,
+    _count_table,
+    conditional_typical_projector,
     cross_capture_stats,
     spectrum_projector_stats,
     threshold_for,
+    typical_projector,
     verify_conditional_projector_bounds,
     verify_state_projector_bounds,
 )
@@ -197,6 +207,128 @@ def o_summary(name, rows):
 
 
 # ---------------------------------------------------------------------------
+# Oracle: count windows, the recursive enumerators and the word sampler.
+# ---------------------------------------------------------------------------
+
+
+def o_count_window(length, target, tau):
+    """Largest integer interval [lo, hi] with |k/length - target| <= tau."""
+
+    def pred(k):
+        return abs(k / length - target) <= tau
+
+    lo = max(0, math.ceil(length * (target - tau)) - 1)
+    hi = min(length, math.floor(length * (target + tau)) + 1)
+    while lo > 0 and pred(lo - 1):
+        lo -= 1
+    while hi < length and pred(hi + 1):
+        hi += 1
+    while lo <= hi and not pred(lo):
+        lo += 1
+    while lo <= hi and not pred(hi):
+        hi -= 1
+    return lo, hi
+
+
+def o_eigen_windows(eigenvalues, n, tau):
+    # zero eigenvalues are excluded outright: their index may not appear
+    return [(0, 0) if lam == 0.0 else o_count_window(n, float(lam), tau) for lam in eigenvalues]
+
+
+def o_admissible_count_vectors(total, windows):
+    """All integer vectors within the per-coordinate windows summing to total."""
+    d = len(windows)
+    suffix_lo = [0] * (d + 1)
+    suffix_hi = [0] * (d + 1)
+    for i in range(d - 1, -1, -1):
+        lo, hi = windows[i]
+        if lo > hi:
+            return
+        suffix_lo[i] = suffix_lo[i + 1] + lo
+        suffix_hi[i] = suffix_hi[i + 1] + hi
+
+    def rec(i, remaining, prefix):
+        if i == d - 1:
+            lo, hi = windows[i]
+            if lo <= remaining <= hi:
+                yield prefix + (remaining,)
+            return
+        lo, hi = windows[i]
+        for k in range(max(lo, remaining - suffix_hi[i + 1]), min(hi, remaining - suffix_lo[i + 1]) + 1):
+            yield from rec(i + 1, remaining - k, prefix + (k,))
+
+    yield from rec(0, total, ())
+
+
+def o_weight_power(weights, counts):
+    out = 1.0
+    for w, k in zip(weights, counts):
+        if k:
+            if w <= 0.0:
+                return 0.0
+            out *= w**k
+    return out
+
+
+def o_simplex_lattice(resolution, d):
+    def rec(i, remaining, prefix):
+        if i == d - 1:
+            yield prefix + (remaining,)
+            return
+        for k in range(remaining + 1):
+            yield from rec(i + 1, remaining - k, prefix + (k,))
+
+    yield from rec(0, resolution, ())
+
+
+def o_typical_set(dist, n, delta):
+    """(windows, count vectors, size, probability, is_empty) of a typical set."""
+    windows = [o_count_window(n, float(w), delta / len(dist.labels)) for w in dist.weights]
+    vectors = list(o_admissible_count_vectors(n, windows))
+    size = sum(multinomial_coefficient(n, c) for c in vectors)
+    probability = sum(multinomial_coefficient(n, c) * o_weight_power(dist.weights, c) for c in vectors)
+    return windows, vectors, size, probability, not vectors
+
+
+def o_typical_member(dist, n, delta, word):
+    counts = Counter(word)
+    return all(abs(counts.get(a, 0) / n - float(w)) <= delta / len(dist.labels) for a, w in zip(dist.labels, dist.weights))
+
+
+def o_sample_typical_word(rng, dist, n, delta, max_tries):
+    d = len(dist.labels)
+    for _ in range(max_tries):
+        word = tuple(dist.labels[i] for i in rng.choice(d, size=n, p=dist.weights))
+        if o_typical_member(dist, n, delta, word):
+            return word
+    raise AssertionError("no typical word drawn")
+
+
+def o_within(index_word, d, windows):
+    counts = Counter(index_word)
+    return all(lo <= counts.get(i, 0) <= hi for i, (lo, hi) in enumerate(windows))
+
+
+def o_state_included(rho, n, alpha, preset):
+    w = _clean_eigenvalues(hermitian_eigendecomposition(rho)[0])
+    windows = o_eigen_windows(w, n, threshold_for(alpha, n, preset))
+    return frozenset(x for x in itertools.product(range(len(w)), repeat=n) if o_within(x, len(w), windows))
+
+
+def o_conditional_included(channel, word, alpha, preset):
+    d = channel.output_dim
+    windows = {}
+    for a, na in Counter(word).items():
+        w = _clean_eigenvalues(hermitian_eigendecomposition(channel.state(a))[0])
+        windows[a] = o_eigen_windows(w, na, threshold_for(alpha, na, preset))
+    return frozenset(
+        x
+        for x in itertools.product(range(d), repeat=len(word))
+        if all(o_within([i for i, b in zip(x, word) if b == a], d, win) for a, win in windows.items())
+    )
+
+
+# ---------------------------------------------------------------------------
 # Oracle: count-class loops and the per-instance report builders.
 # ---------------------------------------------------------------------------
 
@@ -204,9 +336,9 @@ def o_summary(name, rows):
 def o_spectrum_stats(eigenvalues, n, tau):
     w = _clean_eigenvalues(np.asarray(eigenvalues, dtype=float))
     capture, rank, lam_max = 0.0, 0, 0.0
-    for counts in _admissible_count_vectors(n, _eigen_windows(w, n, tau)):
+    for counts in o_admissible_count_vectors(n, o_eigen_windows(w, n, tau)):
         m = multinomial_coefficient(n, counts)
-        p = _weight_power(w, counts)
+        p = o_weight_power(w, counts)
         capture += m * p
         rank += m
         if p > lam_max:
@@ -260,7 +392,7 @@ def o_cross(channel, word, dist, alpha, preset):
     w = _clean_eigenvalues(w)
     d = len(w)
     tau = threshold_for(alpha * math.sqrt(len(channel.alphabet)), n, preset)
-    windows = _eigen_windows(w, n, tau)
+    windows = o_eigen_windows(w, n, tau)
     class_counts = Counter(word)
     diag = {
         a: np.clip(np.real(np.einsum("ij,jk,ki->i", u.conj().T, channel.state(a), u)), 0.0, None)
@@ -269,8 +401,8 @@ def o_cross(channel, word, dist, alpha, preset):
     dist_map = {(0,) * d: 1.0}
     for a, na in class_counts.items():
         terms = []
-        for counts in _admissible_count_vectors(na, [(0, na)] * d):
-            p = _weight_power(diag[a], counts)
+        for counts in o_admissible_count_vectors(na, [(0, na)] * d):
+            p = o_weight_power(diag[a], counts)
             if p > 0.0:
                 terms.append((counts, multinomial_coefficient(na, counts) * p))
         new_map = {}
@@ -674,8 +806,6 @@ def test_projector_reports_see_the_one_instance_draws(monkeypatch):
     # each report call gets one dimension's instances of an (n, alpha)
     # group: the states and words a one-instance loop draws, in its order
     from cqrelay import cli
-    from cqrelay.coding import _sample_typical_word
-    from cqrelay.typicality import typical_sequences
 
     ns, alphas, instances, seed = (2, 4), (0.5, 1.0), 5, 3
     calls = []
@@ -704,15 +834,119 @@ def test_projector_reports_see_the_one_instance_draws(monkeypatch):
     rng = np.random.default_rng(cond_stream)
     dist = ProbabilityDistribution(("0", "1"), np.array([0.5, 0.5]))
     for n in ns:
-        tset = typical_sequences(dist, n, 0.5)
         for _ in alphas:
             drawn = []
             for dim in dims:
                 letters = [o_density(o_gaussian(rng, dim)) for _ in range(2)]
-                drawn.append((letters, _sample_typical_word(rng, dist, tset, n, 10_000)))
+                drawn.append((letters, o_sample_typical_word(rng, dist, n, 0.5, 10_000)))
             for part in (drawn[0::2], drawn[1::2]):
                 want.append(("cond", np.array([letters for letters, _ in part]), [word for _, word in part]))
     assert len(calls) == len(want)
     for got, exp in zip(calls, want):
         assert got[0] == exp[0] and np.array_equal(got[1], exp[1])
         assert got[2:] == exp[2:]
+
+
+# ---------------------------------------------------------------------------
+# Count-class enumeration and the window predicate.
+# ---------------------------------------------------------------------------
+
+
+def random_typical_case(rng):
+    """(dist, n, delta) with zero weights, d = 1, empty windows and
+    thresholds that sit exactly on a count in real arithmetic."""
+    d = int(rng.integers(1, 5))
+    n = int(rng.integers(1, 30))
+    kind = rng.integers(4)
+    if kind == 0:
+        weights = rng.dirichlet(np.ones(d))
+    elif kind == 1:
+        weights = rng.dirichlet(np.ones(d))
+        weights[rng.integers(d)] = 0.0
+        weights = weights / weights.sum() if weights.sum() > 0 else np.eye(d)[0]
+    else:
+        # weights k/m and thresholds j/n: window edges fall on counts
+        m = int(rng.integers(1, 2 * n + 1))
+        weights = rng.multinomial(m, np.ones(d) / d) / m
+    delta = d * (int(rng.integers(1, n + 1)) / n if kind == 3 else float(rng.choice([0.01, 0.05, 0.1, 0.3, 0.7, 2.0])))
+    labels = tuple("abcd"[:d])
+    return ProbabilityDistribution(labels, weights), n, delta
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_typical_sets_match_the_recursive_enumeration(seed):
+    rng = np.random.default_rng(seed)
+    empty = 0
+    for _ in range(600):
+        dist, n, delta = random_typical_case(rng)
+        tset = TypicalSet(dist, n, delta)
+        windows, vectors, size, probability, is_empty = o_typical_set(dist, n, delta)
+        assert tset.count_windows() == windows
+        assert tset.count_vectors() == vectors
+        assert tset.size() == size
+        assert tset.probability() == probability
+        assert tset.is_empty() == is_empty
+        empty += is_empty
+        if len(dist.labels) ** n <= 300:
+            for word in itertools.product(dist.labels, repeat=n):
+                assert (word in tset) == o_typical_member(dist, n, delta, word)
+    assert empty > 0
+
+
+def test_typical_set_sample_makes_the_choice_draws():
+    dists = [
+        np.array([0.5, 0.5]),
+        np.array([0.3, 0.7]),
+        np.array([1.0]),
+        np.array([0.2, 0.0, 0.8]),
+        np.array([0.1, 0.2, 0.3, 0.4]),
+        np.array([0.25, 0.25, 0.5, 0.0]),
+    ]
+    for weights in dists:
+        dist = ProbabilityDistribution(tuple(range(len(weights))), weights)
+        for seed in range(50):
+            tset = TypicalSet(dist, 7, 0.5)
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = [tset.sample(got_rng, 10_000) for _ in range(3)]
+            want = [o_sample_typical_word(want_rng, dist, 7, 0.5, 10_000) for _ in range(3)]
+            assert got == want
+            assert got_rng.random() == want_rng.random()
+
+
+def test_compositions_match_the_recursive_lattice_and_the_multinomials():
+    for d in range(1, 6):
+        for n in (0, 1, 2, 5, 9):
+            rows = compositions(n, d)
+            assert [tuple(r) for r in rows.tolist()] == list(o_simplex_lattice(n, d))
+            if n:
+                table = _count_table(n, d)
+                assert np.array_equal(table.counts, rows)
+                assert table.multinomials.tolist() == [multinomial_coefficient(n, r) for r in rows.tolist()]
+    for bad in ((-1, 2), (3, 0)):
+        with pytest.raises(InvalidInputError):
+            compositions(*bad)
+
+
+def test_grid_weight_matrices_match_the_recursive_lattice():
+    for d in range(1, 6):
+        for resolution in (1, 2, 3, 7, 12):
+            got = DistributionGrid(tuple(range(d)), resolution).weight_matrix()
+            want = np.array(list(o_simplex_lattice(resolution, d)), dtype=float) / resolution
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_projector_index_sets_match_the_count_windows(seed):
+    rng = np.random.default_rng(seed)
+    labels = ("0", "1")
+    for case in range(40):
+        dim = 2 if case % 2 else 3
+        n = int(rng.integers(1, 6 if dim == 2 else 5))
+        preset = PRESET_FIXED if case % 3 else PRESET_SQRT
+        alpha = float(rng.choice([0.05, 0.2, 0.5, 1.0, 2.0]))
+        rho = rank_deficient_state(rng, dim) if case % 4 == 0 else o_density(o_gaussian(rng, dim))
+        assert typical_projector(rho, n, alpha, preset).included == o_state_included(rho, n, alpha, preset)
+        ch = random_channel(rng, labels, dim, degenerate=case % 5 == 0)
+        word = tuple(rng.choice(labels, size=n).tolist())
+        got = conditional_typical_projector(ch, word, alpha, preset).included
+        assert got == o_conditional_included(ch, word, alpha, preset)
