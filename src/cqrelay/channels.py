@@ -13,10 +13,11 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
 from .operators import (
     DEFAULT_DIM_CAP,
     ProbabilityDistribution,
+    _require_within_cap,
     hermitian_part,
     partial_trace,
     tensor_all,
@@ -102,10 +103,7 @@ def product_extension(channel: CQChannel, n: int, dim_cap: int = DEFAULT_DIM_CAP
     """The n-letter memoryless extension; states are materialized on demand."""
     if n < 1:
         raise InvalidInputError(f"extension length must be >= 1, got {n}")
-    if channel.output_dim**n > dim_cap:
-        raise ResourceLimitError(
-            f"extension dimension {channel.output_dim}^{n} exceeds cap {dim_cap}"
-        )
+    _require_within_cap(channel.output_dim, n, dim_cap, "extension")
     alphabet = tuple(itertools.product(channel.alphabet, repeat=n))
     return CQChannel(alphabet, _ProductStateMap(channel, n), validate=False)
 

@@ -36,9 +36,9 @@ from .lemmas import densities, gaussian_draws, sweep_lemma_checks
 from .operators import ProbabilityDistribution, von_neumann_entropy
 from .regions import DistributionGrid, broadcast_region, intersect_regions, mac_region
 from .typicality import (
+    TypicalSet,
     resolve_preset,
     threshold_for,
-    typical_sequences,
     verify_conditional_projector_bounds,
     verify_state_projector_bounds,
 )
@@ -304,7 +304,7 @@ def _verify_projectors(ns, alphas, preset, seed, instances=_PROJECTOR_INSTANCES)
     rng = np.random.default_rng(cond_stream)
     dist = ProbabilityDistribution(("0", "1"), np.array([0.5, 0.5]))
     for n in ns:
-        tset = typical_sequences(dist, n, 0.5)
+        tset = TypicalSet(dist, n, 0.5)
         for alpha in alphas:
             draws, words = [], []
             for dim in dims:

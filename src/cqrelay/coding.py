@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import BroadcastCQChannel, CQChannel, holevo_chi, output_state
-from .errors import ExpurgationError, InvalidInputError, ResourceLimitError
+from .channels import BroadcastCQChannel, CQChannel, holevo_chi
+from .errors import ExpurgationError, InvalidInputError
 from .operators import (
     DEFAULT_DIM_CAP,
     ProbabilityDistribution,
+    _require_within_cap,
     hermitian_part,
     kron_apply,
     multinomial_coefficient,
@@ -29,11 +30,11 @@ from .operators import (
 )
 from .typicality import (
     PRESET_FIXED,
+    TypicalSet,
+    averaged_state_projector,
     conditional_typical_projector,
     resolve_preset,
     spectrum_projector_stats,
-    typical_projector,
-    typical_sequences,
 )
 
 
@@ -76,7 +77,7 @@ def sample_codebook(
     """Draw words i.i.d. from the input distribution, kept only when typical."""
     if m1_size < 1 or m2_size < 1:
         raise InvalidInputError("message set sizes must be >= 1")
-    tset = typical_sequences(dist, n, delta_code)
+    tset = TypicalSet(dist, n, delta_code)
     if tset.is_empty():
         raise InvalidInputError(
             f"typical set is empty for n={n}, delta={delta_code}; no words to sample"
@@ -100,13 +101,6 @@ def sample_codebook(
 # ---------------------------------------------------------------------------
 # Detection operators and square-root normalization.
 # ---------------------------------------------------------------------------
-
-
-def _require_within_cap(d: int, n: int, dim_cap: int, what: str) -> None:
-    # 2^n > dim_cap as soon as n reaches the cap's bit length; testing that
-    # first keeps d**n from being formed for absurd n
-    if (d > 1 and n >= int(dim_cap).bit_length()) or d**n > dim_cap:
-        raise ResourceLimitError(f"{what} dimension {d}^{n} exceeds cap {dim_cap}")
 
 
 def _word_factors(channel: CQChannel, word) -> list:
@@ -134,12 +128,7 @@ def _sandwiched_detection(channel: CQChannel, words, dist, alpha, preset, dim_ca
     F = Pi V, with V the conditional projector's included vectors, is N x rank
     and satisfies D' = Pi P_w Pi = F F†; Pi itself is never formed.
     """
-    n = len(words[0])
-    _require_within_cap(channel.output_dim, n, dim_cap, "detection space")
-    a_size = len(channel.alphabet)
-    proj = typical_projector(
-        output_state(channel, dist), n, alpha * math.sqrt(a_size), preset, dim_cap
-    )
+    proj = averaged_state_projector(channel, dist, len(words[0]), alpha, preset, dim_cap)
     factors, ranks = {}, {}
     for w in words:
         if w not in factors:
@@ -439,15 +428,12 @@ def second_kind_collision_check(
     """
     preset = resolve_preset(preset)
     channel = bc.marginal(2)
-    _require_within_cap(channel.output_dim, n, dim_cap, "collision check")
-    a_size = len(channel.alphabet)
-    avg = output_state(channel, dist)
-    proj = typical_projector(avg, n, alpha * math.sqrt(a_size), preset, dim_cap)
-    tset = typical_sequences(dist, n, delta_code)
+    proj = averaged_state_projector(channel, dist, n, alpha, preset, dim_cap)
+    tset = TypicalSet(dist, n, delta_code)
     typical_mass = tset.probability()
     if typical_mass <= 0.0:
         raise InvalidInputError("typical set has zero mass; cannot sample words")
-    lam_max = spectrum_projector_stats(proj.eigenvalues, n, proj.tau).lambda_max
+    lam_max = spectrum_projector_stats(proj.eigenvalues[0], n, proj.taus[0]).lambda_max
     chi2 = holevo_chi(channel, dist)
 
     def factor_of(word):

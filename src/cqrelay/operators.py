@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 
 # Absolute tolerances for operator-level invariants.
 HERMITIAN_ATOL = 1e-10
@@ -25,6 +25,13 @@ SUBUNITAL_ATOL = 1e-10
 # Dense realizations (tensor powers, projectors, decoders) refuse to build
 # matrices beyond this total dimension.
 DEFAULT_DIM_CAP = 4096
+
+
+def _require_within_cap(d: int, n: int, dim_cap: int, what: str) -> None:
+    # 2^n > dim_cap as soon as n reaches the cap's bit length; testing that
+    # first keeps d**n from being formed for absurd n
+    if (d > 1 and n >= int(dim_cap).bit_length()) or d**n > dim_cap:
+        raise ResourceLimitError(f"{what} dimension {d}^{n} exceeds cap {dim_cap}")
 
 # Eigenvalues at or below this are treated as exact zeros of a state.
 ZERO_EIGENVALUE_TOL = 1e-12

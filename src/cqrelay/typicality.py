@@ -19,12 +19,13 @@ from collections import Counter
 
 import numpy as np
 
-from .channels import CQChannel, _require_matching_alphabet
+from .channels import CQChannel, _require_matching_alphabet, output_state
 from .errors import InvalidInputError, ResourceLimitError
 from .operators import (
     DEFAULT_DIM_CAP,
     _checked_density,
     _kept_row_sums,
+    _require_within_cap,
     ZERO_EIGENVALUE_TOL,
     ProbabilityDistribution,
     compositions,
@@ -161,10 +162,6 @@ class TypicalSet:
         )
 
 
-def typical_sequences(dist: ProbabilityDistribution, n: int, delta: float) -> TypicalSet:
-    return TypicalSet(dist, n, delta)
-
-
 def _clean_eigenvalues(values: np.ndarray) -> np.ndarray:
     w = np.asarray(values, dtype=float).copy()
     w[w <= ZERO_EIGENVALUE_TOL] = 0.0
@@ -182,75 +179,115 @@ def _word_allowed(words: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     return _rows_allowed(allowed, counts)
 
 
-def _word_set(words: np.ndarray, keep: np.ndarray) -> frozenset:
-    return frozenset(map(tuple, words[keep].tolist()))
-
-
-def _sorted_words(included: frozenset, n: int) -> np.ndarray:
-    """Included index words in product-basis (lexicographic) order, as an (R, n) array."""
-    return np.array(sorted(included), dtype=np.intp).reshape(-1, n)
-
-
-def _included_mask(included: frozenset, d: int, n: int) -> np.ndarray:
-    """Flags of the included index words over all d^n product-basis positions."""
-    mask = np.zeros(d**n, dtype=bool)
-    mask[_sorted_words(included, n) @ d ** np.arange(n - 1, -1, -1)] = True
-    return mask
-
-
-def _product_projector(factors: list, included: frozenset) -> np.ndarray:
-    """Dense sum of |v><v| over the product columns v of the included words.
-
-    factors[k] is the orthonormal basis at position k.  Low rank or low
-    corank sums outer products instead of forming full basis-change products.
-    """
-    n = len(factors)
-    d = factors[0].shape[0]
-    total = d**n
-    r = len(included)
-    if r == 0:
-        return np.zeros((total, total), dtype=complex)
-    if r * 4 <= total:
-        cols = product_columns(factors, _sorted_words(included, n))
-        return hermitian_part(cols @ cols.conj().T)
-    mask = _included_mask(included, d, n)
-    if (total - r) * 4 <= total:
-        cols = product_columns(factors, _index_words(d, n)[~mask])
-        return hermitian_part(np.eye(total, dtype=complex) - cols @ cols.conj().T)
-    big = tensor_all(factors)
-    return hermitian_part((big * mask) @ big.conj().T)
-
-
 @dataclass(frozen=True, eq=False)
 class TypicalProjector:
-    """Projector onto typical eigen-index sequences of an n-fold product state."""
+    """Projector onto jointly typical eigen-index sequences given an input word.
 
-    eigenvalues: np.ndarray  # descending
-    basis: np.ndarray  # eigenvector columns matching eigenvalues
-    n: int
+    For each letter class the eigen-index sub-word must be typical for that
+    letter's output spectrum, with the class size as the effective block
+    length.  The projector of an n-fold product state is the case of a
+    constant word (letter 0).  mask flags the included index words over all
+    d^n product-basis positions.
+    """
+
+    word: tuple
+    eigenvalues: dict  # letter -> descending spectrum
+    bases: dict  # letter -> eigenvector columns
+    taus: dict  # letter -> per-class threshold
     alpha: float
-    tau: float
     preset: str
-    included: frozenset
+    mask: np.ndarray  # (d^n,) bool, product-basis order
 
     @property
     def dim(self) -> int:
-        return int(self.basis.shape[0])
+        return int(self.bases[self.word[0]].shape[0])
+
+    @property
+    def n(self) -> int:
+        return len(self.word)
 
     @property
     def rank(self) -> int:
-        return len(self.included)
+        return int(np.count_nonzero(self.mask))
 
-    def includes(self, index_word) -> bool:
-        return tuple(index_word) in self.included
+    def index_words(self) -> np.ndarray:
+        """Included index words in product-basis (lexicographic) order, as an (R, n) array."""
+        return _index_words(self.dim, self.n)[self.mask]
+
+    def factors(self) -> list:
+        """The eigenbasis at each position of the word."""
+        return [self.bases[a] for a in self.word]
 
     def included_vectors(self) -> np.ndarray:
         """Orthonormal columns spanning the projector's range."""
-        return product_columns([self.basis] * self.n, _sorted_words(self.included, self.n))
+        return product_columns(self.factors(), self.index_words())
 
     def matrix(self) -> np.ndarray:
-        """Dense realization in the computational product basis."""
-        return _product_projector([self.basis] * self.n, self.included)
+        """Dense realization in the computational product basis.
+
+        Low rank or low corank sums outer products of product columns instead
+        of forming full basis-change products.
+        """
+        factors = self.factors()
+        total = self.mask.size
+        r = self.rank
+        if r == 0:
+            return np.zeros((total, total), dtype=complex)
+        if r * 4 <= total:
+            cols = product_columns(factors, self.index_words())
+            return hermitian_part(cols @ cols.conj().T)
+        if (total - r) * 4 <= total:
+            cols = product_columns(factors, _index_words(self.dim, self.n)[~self.mask])
+            return hermitian_part(np.eye(total, dtype=complex) - cols @ cols.conj().T)
+        big = tensor_all(factors)
+        return hermitian_part((big * self.mask) @ big.conj().T)
+
+    def sandwiched_factor(self, outer: TypicalProjector) -> np.ndarray:
+        """Pi V for Pi = outer.matrix() and V = self.included_vectors(), never
+        forming Pi.
+
+        Pi is diagonal in the outer product eigenbasis U = U_1 (x) ... (x) U_n,
+        so Pi V = U (mask * U† V), and U† V is itself the product columns of
+        the rotated bases U_k† B_k.
+        """
+        if (outer.dim, outer.n) != (self.dim, self.n):
+            raise InvalidInputError(
+                f"outer projector on {outer.dim}^{outer.n} does not match {self.dim}^{self.n}"
+            )
+        pairs = list(zip(outer.word, self.word))
+        rotated = {(b, a): outer.bases[b].conj().T @ self.bases[a] for b, a in set(pairs)}
+        cols = product_columns([rotated[pair] for pair in pairs], self.index_words())
+        cols[~outer.mask] = 0.0
+        return kron_apply(outer.factors(), cols)
+
+
+# perfbench/layers.py traces the projector methods under both class names;
+# the alias can go once those METHODS entries are folded into one.
+ConditionalTypicalProjector = TypicalProjector
+
+
+def _projector(states: dict, word: tuple, alpha: float, preset: str) -> TypicalProjector:
+    """Typical projector of the product state states[x_1] (x) ... (x) states[x_n].
+
+    Each caller checks d^n against its dimension cap before it forms
+    anything of size n, typical_projector's constant word included.
+    """
+    n = len(word)
+    d = next(iter(states.values())).shape[0]
+    preset = resolve_preset(preset)
+    words = _index_words(d, n)
+    mask = np.ones(len(words), dtype=bool)
+    eigs, bases, taus = {}, {}, {}
+    for a, na in Counter(word).items():
+        w, u = hermitian_eigendecomposition(states[a])
+        w = _clean_eigenvalues(w)
+        tau_a = threshold_for(alpha, na, preset)
+        eigs[a], bases[a], taus[a] = w, u, tau_a
+        positions = [k for k, b in enumerate(word) if b == a]
+        mask &= _word_allowed(words[:, positions], _eigen_allowed(w, na, tau_a))
+    return TypicalProjector(
+        word=word, eigenvalues=eigs, bases=bases, taus=taus, alpha=float(alpha), preset=preset, mask=mask
+    )
 
 
 def typical_projector(
@@ -260,80 +297,12 @@ def typical_projector(
     preset: str = PRESET_FIXED,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> TypicalProjector:
-    """Typical projector of the n-fold product of a state."""
+    """Typical projector of the n-fold product of a state: the constant word of letter 0."""
     rho = validate_density(rho)
     if n < 1:
         raise InvalidInputError(f"block length must be >= 1, got {n}")
-    d = rho.shape[0]
-    if d**n > dim_cap:
-        raise ResourceLimitError(f"projector dimension {d}^{n} exceeds cap {dim_cap}")
-    preset = resolve_preset(preset)
-    tau = threshold_for(alpha, n, preset)
-    w, u = hermitian_eigendecomposition(rho)
-    w = _clean_eigenvalues(w)
-    words = _index_words(d, n)
-    included = _word_set(words, _word_allowed(words, _eigen_allowed(w, n, tau)))
-    return TypicalProjector(
-        eigenvalues=w, basis=u, n=n, alpha=float(alpha), tau=tau, preset=preset, included=included
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalTypicalProjector:
-    """Projector onto jointly typical eigen-index sequences given an input word.
-
-    For each letter class the eigen-index sub-word must be typical for that
-    letter's output spectrum, with the class size as the effective block
-    length.
-    """
-
-    word: tuple
-    eigenvalues: dict  # letter -> descending spectrum
-    bases: dict  # letter -> eigenvector columns
-    taus: dict  # letter -> per-class threshold
-    alpha: float
-    preset: str
-    included: frozenset
-
-    @property
-    def dim(self) -> int:
-        first = self.word[0]
-        return int(self.bases[first].shape[0])
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
-    @property
-    def rank(self) -> int:
-        return len(self.included)
-
-    def includes(self, index_word) -> bool:
-        return tuple(index_word) in self.included
-
-    def included_vectors(self) -> np.ndarray:
-        return product_columns([self.bases[a] for a in self.word], _sorted_words(self.included, self.n))
-
-    def matrix(self) -> np.ndarray:
-        return _product_projector([self.bases[a] for a in self.word], self.included)
-
-    def sandwiched_factor(self, outer: TypicalProjector) -> np.ndarray:
-        """Pi V for Pi = outer.matrix() and V = self.included_vectors(), never
-        forming Pi.
-
-        Pi is diagonal in the product eigenbasis U^(x)n of the outer state, so
-        Pi V = U^(x)n (mask * (U†)^(x)n V), and (U†)^(x)n V is itself the
-        product columns of the rotated bases U† B_x.
-        """
-        if (outer.dim, outer.n) != (self.dim, self.n):
-            raise InvalidInputError(
-                f"outer projector on {outer.dim}^{outer.n} does not match {self.dim}^{self.n}"
-            )
-        u = outer.basis
-        rotated = {a: u.conj().T @ b for a, b in self.bases.items()}
-        cols = product_columns([rotated[a] for a in self.word], _sorted_words(self.included, self.n))
-        cols[~_included_mask(outer.included, self.dim, self.n)] = 0.0
-        return kron_apply([u] * self.n, cols)
+    _require_within_cap(rho.shape[0], n, dim_cap, "projector")
+    return _projector({0: rho}, (0,) * n, alpha, preset)
 
 
 def conditional_typical_projector(
@@ -342,34 +311,32 @@ def conditional_typical_projector(
     alpha: float,
     preset: str = PRESET_FIXED,
     dim_cap: int = DEFAULT_DIM_CAP,
-) -> ConditionalTypicalProjector:
+) -> TypicalProjector:
     """Typical projector of the product state selected by an input word."""
     word = tuple(word)
     if not word:
         raise InvalidInputError("conditioning word is empty")
-    n = len(word)
-    d = channel.output_dim
-    if d**n > dim_cap:
-        raise ResourceLimitError(f"projector dimension {d}^{n} exceeds cap {dim_cap}")
-    preset = resolve_preset(preset)
-    words = _index_words(d, n)
-    admitted = np.ones(len(words), dtype=bool)
-    eigs, bases, taus = {}, {}, {}
-    for a, na in Counter(word).items():
-        w, u = hermitian_eigendecomposition(channel.state(a))
-        w = _clean_eigenvalues(w)
-        tau_a = threshold_for(alpha, na, preset)
-        eigs[a], bases[a], taus[a] = w, u, tau_a
-        positions = [k for k, b in enumerate(word) if b == a]
-        admitted &= _word_allowed(words[:, positions], _eigen_allowed(w, na, tau_a))
-    return ConditionalTypicalProjector(
-        word=word,
-        eigenvalues=eigs,
-        bases=bases,
-        taus=taus,
-        alpha=float(alpha),
-        preset=preset,
-        included=_word_set(words, admitted),
+    _require_within_cap(channel.output_dim, len(word), dim_cap, "projector")
+    return _projector({a: channel.state(a) for a in dict.fromkeys(word)}, word, alpha, preset)
+
+
+def _averaged_state_alpha(alpha: float, a_size: int) -> float:
+    """Threshold parameter of the averaged-state projector: alpha*sqrt(|alphabet|)."""
+    return alpha * math.sqrt(a_size)
+
+
+def averaged_state_projector(
+    channel: CQChannel,
+    dist: ProbabilityDistribution,
+    n: int,
+    alpha: float,
+    preset: str = PRESET_FIXED,
+    dim_cap: int = DEFAULT_DIM_CAP,
+) -> TypicalProjector:
+    """Typical projector of the n-fold averaged output state, at threshold
+    parameter alpha*sqrt(|alphabet|)."""
+    return typical_projector(
+        output_state(channel, dist), n, _averaged_state_alpha(alpha, len(channel.alphabet)), preset, dim_cap
     )
 
 
@@ -756,7 +723,7 @@ def _cross_stats(batch: _WordBatch, dist: ProbabilityDistribution, alpha: float,
     for cls, idx in groups.items():
         n = sum(na for _, na in cls)
         w, q = w_all[idx], diag[idx]
-        tau = threshold_for(alpha * math.sqrt(a_size), n, preset)
+        tau = threshold_for(_averaged_state_alpha(alpha, a_size), n, preset)
         capture = _letter_count_masses(q, cls, _eigen_allowed(w, n, tau))
         mean = np.zeros(w.shape)
         var = np.zeros(len(idx))
@@ -1063,21 +1030,3 @@ def verify_conditional_projector_bounds(
     ]
     return reports[0] if single else reports
 
-
-def verify_projector_bounds(
-    target,
-    *,
-    n: int | None = None,
-    alpha: float = 1.0,
-    preset: str = PRESET_FIXED,
-    word=None,
-    dist: ProbabilityDistribution | None = None,
-) -> ProjectorBoundReport:
-    """Dispatch to the state or conditional verifier."""
-    if isinstance(target, CQChannel):
-        if word is None or dist is None:
-            raise InvalidInputError("conditional verification needs word= and dist=")
-        return verify_conditional_projector_bounds(target, word, dist, alpha, preset)
-    if n is None:
-        raise InvalidInputError("state verification needs n=")
-    return verify_state_projector_bounds(target, n, alpha, preset)

@@ -34,7 +34,7 @@ from cqrelay.lemmas import sweep_lemma_checks
 from cqrelay.operators import ProbabilityDistribution
 from cqrelay.regions import DistributionGrid, broadcast_region, intersect_regions, mac_region
 from cqrelay.typicality import (
-    typical_sequences,
+    TypicalSet,
     verify_conditional_projector_bounds,
     verify_state_projector_bounds,
 )
@@ -65,7 +65,7 @@ def random_binary_channel(rng, dim):
 
 
 def sample_typical_word(rng, dist, n, delta):
-    tset = typical_sequences(dist, n, delta)
+    tset = TypicalSet(dist, n, delta)
     labels = list(dist.labels)
     while True:
         word = tuple(labels[i] for i in rng.choice(len(labels), size=n, p=dist.weights))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,17 @@ def test_product_extension_dim_cap():
     ch = orthogonal_pure_channel()
     with pytest.raises(ResourceLimitError):
         product_extension(ch, 15, dim_cap=4096)
+
+
+def test_product_extension_dim_cap_rejects_absurd_n_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            product_extension(depolarized_channel(0.1), 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_broadcast_marginals_of_product_channel():

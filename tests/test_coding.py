@@ -27,9 +27,9 @@ from cqrelay.coding import (
 from cqrelay.errors import ExpurgationError, InvalidInputError, ResourceLimitError
 from cqrelay.operators import ProbabilityDistribution, trace_pair
 from cqrelay.typicality import (
+    TypicalSet,
     conditional_projector_stats,
     cross_capture_stats,
-    typical_sequences,
 )
 
 
@@ -53,7 +53,7 @@ def noisy_broadcast(p=0.1):
 def test_sample_codebook_words_are_typical():
     dist = uniform_binary()
     cb = sample_codebook(dist, 6, 3, 2, delta_code=0.5, seed=7)
-    tset = typical_sequences(dist, 6, 0.5)
+    tset = TypicalSet(dist, 6, 0.5)
     assert len(cb.words) == 6
     for (m1, m2), w in cb.words.items():
         assert len(w) == 6

@@ -2,7 +2,7 @@
 
 The pipeline never forms the averaged-state projector Pi, a word state
 W(x_1) (x) ... (x) W(x_n) or any other N x N product operator: detection
-factors come from ConditionalTypicalProjector.sandwiched_factor and traces
+factors come from TypicalProjector.sandwiched_factor and traces
 from kron_apply on the single-letter factors.  The oracle is the dense
 construction those replace: Pi = proj.matrix(), F = Pi @ V and
 tr(F† word_state F).  Every figure must agree within 1e-12.
@@ -41,11 +41,10 @@ from cqrelay.operators import (
     trace_pair,
 )
 from cqrelay.typicality import (
-    ConditionalTypicalProjector,
     TypicalProjector,
+    TypicalSet,
     conditional_typical_projector,
     typical_projector,
-    typical_sequences,
 )
 
 TOL = 1e-12
@@ -191,7 +190,7 @@ def dense_second_kind(dist, bc, n, alpha, exact, trials=0, seed=0):
     """(estimate, mean conditional rank) from dense Pi, word states and rho_mix."""
     channel = bc.marginal(2)
     pi = typical_projector(output_state(channel, dist), n, alpha * np.sqrt(len(dist))).matrix()
-    tset = typical_sequences(dist, n, 0.5)
+    tset = TypicalSet(dist, n, 0.5)
     mass = tset.probability()
 
     def factor(w):
@@ -244,7 +243,7 @@ def test_second_kind_collision_matches_dense_oracle(channel, n):
     assert estimate > 0.0
     assert exact["estimate"] == pytest.approx(estimate, abs=TOL)
     assert exact["mean_conditional_rank"] == pytest.approx(rank, abs=1e-9)
-    assert exact["trials"] == len(typical_words(typical_sequences(dist, n, 0.5))) ** 2
+    assert exact["trials"] == len(typical_words(TypicalSet(dist, n, 0.5))) ** 2
     sampled = second_kind_collision_check(dist, bc, n, alpha, trials=6, seed=2)
     estimate, rank = dense_second_kind(dist, bc, n, alpha, False, 6, 2)
     assert sampled["estimate"] == pytest.approx(estimate, abs=TOL)
@@ -258,14 +257,26 @@ def test_dense_projector_branches_match_included_vectors(rank_share):
     rng = np.random.default_rng(int(rank_share * 10))
     d, n = 3, 4
     bases = {a: np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0] for a in "01"}
-    words = [tuple(w) for w in np.indices((d,) * n).reshape(n, -1).T.tolist()]
-    picked = rng.permutation(len(words))[: round(rank_share * len(words))]
-    cond = ConditionalTypicalProjector(
-        word=("0", "1", "1", "0"), eigenvalues={}, bases=bases, taus={}, alpha=1.0, preset="fixed",
-        included=frozenset(words[k] for k in picked),
+    picked = rng.permutation(d**n)[: round(rank_share * d**n)]
+    mask = np.zeros(d**n, dtype=bool)
+    mask[picked] = True
+    cond = TypicalProjector(
+        word=("0", "1", "1", "0"), eigenvalues={}, bases=bases, taus={}, alpha=1.0, preset="fixed", mask=mask,
     )
     cols = cond.included_vectors()
     assert np.abs(cond.matrix() - cols @ cols.conj().T).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_sandwiched_factor_under_a_non_constant_outer_projector(n):
+    # the outer projector rotates each position into its own letter's
+    # eigenbasis; random qubit states keep every letter pair non-commuting
+    rng = np.random.default_rng(40 + n)
+    outer = conditional_typical_projector(random_channel(rng, 2), ("0", "1") * (n // 2), 0.5)
+    own = conditional_typical_projector(random_channel(rng, 2), ("0", "0", "1", "1", "1", "0")[:n], 0.5)
+    assert 0 < outer.rank < 2**n and 0 < own.rank < 2**n
+    dense = outer.matrix() @ own.included_vectors()
+    assert np.abs(own.sandwiched_factor(outer) - dense).max() <= TOL
 
 
 def _refuse(*args, **kwargs):
@@ -276,7 +287,6 @@ def _refuse(*args, **kwargs):
 def test_simulate_never_forms_dense_product_operators(monkeypatch, scheme):
     monkeypatch.setattr(CQChannel, "word_state", _refuse)
     monkeypatch.setattr(TypicalProjector, "matrix", _refuse)
-    monkeypatch.setattr(ConditionalTypicalProjector, "matrix", _refuse)
     monkeypatch.setattr("cqrelay.typicality.tensor_all", _refuse)
     config = {"n": 8, "M1": 2, "M2": 2, "alpha": ALPHA, "seed": 11, "scheme": scheme, "delta": 1.0}
     report = end_to_end_broadcast_sim(canonical_broadcast(), config)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -26,9 +27,7 @@ from cqrelay.typicality import (
     state_projector_stats,
     threshold_for,
     typical_projector,
-    typical_sequences,
     verify_conditional_projector_bounds,
-    verify_projector_bounds,
     verify_state_projector_bounds,
 )
 
@@ -99,7 +98,7 @@ def test_typical_set_matches_brute_force_enumeration():
 
 def test_typical_set_membership_predicate():
     dist = ProbabilityDistribution.uniform(("0", "1"))
-    tset = typical_sequences(dist, 4, 0.5)
+    tset = TypicalSet(dist, 4, 0.5)
     # threshold is delta/|A| = 0.25, so counts of "0" in {1, 2, 3} qualify
     assert ("0", "1", "0", "1") in tset
     assert ("0", "0", "0", "1") in tset
@@ -226,7 +225,7 @@ def test_typical_projector_pure_state_is_rank_one():
     rho = np.array([[1.0, 0.0], [0.0, 0.0]])
     proj = typical_projector(rho, 5, 0.5, PRESET_FIXED)
     assert proj.rank == 1
-    assert proj.includes((0, 0, 0, 0, 0))
+    assert proj.index_words().tolist() == [[0, 0, 0, 0, 0]]
     cap = trace_pair(proj.matrix(), np.kron(np.kron(np.kron(np.kron(rho, rho), rho), rho), rho))
     assert cap == pytest.approx(1.0, abs=1e-12)
 
@@ -235,7 +234,7 @@ def test_typical_projector_zero_eigenvalue_exclusion():
     # rank-2 qutrit state: index 2 carries eigenvalue 0 and is never admitted
     rho = np.diag([0.7, 0.3, 0.0])
     proj = typical_projector(rho, 3, 1.0, PRESET_FIXED)
-    assert all(2 not in word for word in proj.included)
+    assert all(2 not in word for word in proj.index_words().tolist())
     reduced = typical_projector(np.diag([0.7, 0.3]), 3, 1.0, PRESET_FIXED)
     assert proj.rank == reduced.rank
 
@@ -263,6 +262,17 @@ def test_typical_projector_dim_cap():
     rho = np.eye(2) / 2
     with pytest.raises(ResourceLimitError):
         typical_projector(rho, 5, 1.0, PRESET_FIXED, dim_cap=16)
+
+
+def test_typical_projector_dim_cap_rejects_absurd_n_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            typical_projector(np.eye(2) / 2, 10**12, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_spectrum_stats_match_dense_projector():
@@ -399,7 +409,7 @@ def test_cross_capture_matches_dense_oracle():
         stats = cross_capture_stats(ch, word, dist, alpha, PRESET_FIXED)
         avg = output_state(ch, dist)
         proj = typical_projector(avg, len(word), alpha * math.sqrt(2), PRESET_FIXED)
-        assert stats.tau == pytest.approx(proj.tau)
+        assert stats.tau == pytest.approx(proj.taus[0])
         expected = trace_pair(proj.matrix(), ch.word_state(word))
         assert stats.capture == pytest.approx(expected, abs=1e-10)
 
@@ -511,20 +521,6 @@ def test_conditional_report_empirical_type_is_always_exact():
     report = verify_conditional_projector_bounds(ch, word, dist, 1.0)
     assert report.params["exact_type"]
     assert report.flags["provable_cross_capture"]
-
-
-def test_verify_projector_bounds_dispatch():
-    rho = np.eye(2) / 2
-    rep = verify_projector_bounds(rho, n=3, alpha=1.0)
-    assert rep.kind == "state"
-    ch = depolarized_channel(0.2)
-    dist = ProbabilityDistribution.uniform(("0", "1"))
-    rep = verify_projector_bounds(ch, word=("0", "1"), dist=dist, alpha=1.0)
-    assert rep.kind == "conditional"
-    with pytest.raises(InvalidInputError):
-        verify_projector_bounds(rho)  # missing n
-    with pytest.raises(InvalidInputError):
-        verify_projector_bounds(ch, word=("0", "1"))  # missing dist
 
 
 def test_bound_report_is_json_safe():
