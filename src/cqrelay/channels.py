@@ -13,7 +13,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, RelayError
 from .operators import (
     DEFAULT_DIM_CAP,
     ProbabilityDistribution,
@@ -104,6 +104,7 @@ def product_extension(channel: CQChannel, n: int, dim_cap: int = DEFAULT_DIM_CAP
     if n < 1:
         raise InvalidInputError(f"extension length must be >= 1, got {n}")
     _require_within_cap(channel.output_dim, n, dim_cap, "extension")
+    _require_within_cap(len(channel.alphabet), n, dim_cap, "extension alphabet")
     alphabet = tuple(itertools.product(channel.alphabet, repeat=n))
     return CQChannel(alphabet, _ProductStateMap(channel, n), validate=False)
 
@@ -397,10 +398,22 @@ def channel_to_jsonable(channel) -> dict:
     raise InvalidInputError(f"cannot serialize object of type {type(channel).__name__}")
 
 
+def dump_json(obj) -> str:
+    """obj as indented, key-sorted strict JSON.
+
+    NaN and the infinities have no JSON encoding; they raise RelayError
+    instead of being written as the NaN / Infinity extensions.
+    """
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise RelayError(f"cannot encode output as strict JSON: {exc}") from None
+
+
 def save_channel(channel, path: str):
+    text = dump_json(channel_to_jsonable(channel))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_jsonable(channel), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

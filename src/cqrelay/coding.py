@@ -226,18 +226,33 @@ class SquareRootDecoder:
         return _factor_op(self.factor(receiver, m1, m2))
 
 
+def _side_info_group(receiver: int, known: int, m1_size: int, m2_size: int) -> list:
+    """The message pairs that share the index the receiver already knows.
+
+    Receiver 1 knows m2 and resolves m1; receiver 2 the reverse.  Pairs are
+    ordered by the resolved index.
+    """
+    if receiver == 1:
+        return [(m1, known) for m1 in range(m1_size)]
+    return [(known, m2) for m2 in range(m2_size)]
+
+
+def _side_info_groups(receiver: int, m1_size: int, m2_size: int) -> dict:
+    """Every side-information group of the receiver, keyed by its known index."""
+    known_size = m2_size if receiver == 1 else m1_size
+    return {known: _side_info_group(receiver, known, m1_size, m2_size) for known in range(known_size)}
+
+
 def build_square_root_decoder(detection: DetectionOperators) -> SquareRootDecoder:
     cb = detection.codebook
     factors = {1: {}, 2: {}}
     margins = {1: {}, 2: {}}
-    for m2 in range(cb.m2_size):
-        pairs = [(m1, m2) for m1 in range(cb.m1_size)]
-        group, margins[1][m2] = _normalize_group([detection.factors[1][p] for p in pairs])
-        factors[1].update(zip(pairs, group))
-    for m1 in range(cb.m1_size):
-        pairs = [(m1, m2) for m2 in range(cb.m2_size)]
-        group, margins[2][m1] = _normalize_group([detection.factors[2][p] for p in pairs])
-        factors[2].update(zip(pairs, group))
+    for receiver in (1, 2):
+        for known, pairs in _side_info_groups(receiver, cb.m1_size, cb.m2_size).items():
+            group, margins[receiver][known] = _normalize_group(
+                [detection.factors[receiver][p] for p in pairs]
+            )
+            factors[receiver].update(zip(pairs, group))
     return SquareRootDecoder(
         m1_size=cb.m1_size, m2_size=cb.m2_size, factors=factors, subpovm_margins=margins
     )
@@ -253,25 +268,10 @@ def _clamp_nonnegative(x: float) -> float:
     return 0.0 if x < 0.0 else float(x)
 
 
-def first_kind_error(
-    codebook: Codebook,
-    bc: BroadcastCQChannel,
-    decoder: SquareRootDecoder,
-    m1: int,
-    m2: int,
-) -> tuple[float, float]:
-    """Exact missed-detection probabilities of both receivers for one pair."""
-    w = codebook.word(m1, m2)
-    out = []
-    for receiver in (1, 2):
-        state = _word_factors(bc.marginal(receiver), w)
-        out.append(_clamp_nonnegative(1.0 - _factor_trace(decoder.factor(receiver, m1, m2), state)))
-    return out[0], out[1]
-
-
 @dataclass(frozen=True)
 class ErrorReport:
-    """Exact per-pair errors, their side-information averages, and decomposition bounds."""
+    """Exact per-pair errors and decomposition bounds; the side-information
+    averages are derived from the error tables."""
 
     n: int
     m1_size: int
@@ -279,15 +279,39 @@ class ErrorReport:
     first_kind: dict  # receiver -> {(m1, m2): error}
     collisions: dict  # receiver -> {(m1, m2): summed cross-word detection mass}
     decomposition_bounds: dict  # receiver -> {(m1, m2): 2 * miss + 4 * collision}
-    avg_by_m2: dict  # receiver-1 error averaged over m1, per m2
-    avg_by_m1: dict  # receiver-2 error averaged over m2, per m1
-    overall: dict  # receiver -> average over all pairs
     decomposition_ok: bool
+
+    def _group_averages(self, receiver: int, kept=None) -> dict:
+        """The receiver's error averaged over each side-information group, keyed
+        by the known index.  With a set of kept pairs, only those enter, and
+        groups without one are left out."""
+        out = {}
+        for known, pairs in _side_info_groups(receiver, self.m1_size, self.m2_size).items():
+            errs = [self.first_kind[receiver][p] for p in pairs if kept is None or p in kept]
+            if errs:
+                out[known] = float(np.mean(errs))
+        return out
+
+    @property
+    def avg_by_m2(self) -> dict:
+        """Receiver-1 error averaged over m1, per m2."""
+        return self._group_averages(1)
+
+    @property
+    def avg_by_m1(self) -> dict:
+        """Receiver-2 error averaged over m2, per m1."""
+        return self._group_averages(2)
+
+    @property
+    def overall(self) -> dict:
+        """receiver -> error averaged over all pairs."""
+        return {r: float(np.mean([e for _, e in sorted(self.first_kind[r].items())])) for r in (1, 2)}
 
     def as_dict(self) -> dict:
         def table(d):
             return {f"{m1},{m2}": v for (m1, m2), v in sorted(d.items())}
 
+        overall = self.overall
         return {
             "n": self.n,
             "m1_size": self.m1_size,
@@ -300,8 +324,8 @@ class ErrorReport:
             "decomposition_bound_2": table(self.decomposition_bounds[2]),
             "avg_by_m2": {str(k): v for k, v in sorted(self.avg_by_m2.items())},
             "avg_by_m1": {str(k): v for k, v in sorted(self.avg_by_m1.items())},
-            "overall_1": self.overall[1],
-            "overall_2": self.overall[2],
+            "overall_1": overall[1],
+            "overall_2": overall[2],
             "decomposition_ok": self.decomposition_ok,
         }
 
@@ -317,39 +341,21 @@ def average_errors(
     first = {1: {}, 2: {}}
     coll = {1: {}, 2: {}}
     bounds = {1: {}, 2: {}}
-    for m1 in range(codebook.m1_size):
-        for m2 in range(codebook.m2_size):
-            w = codebook.words[(m1, m2)]
-            for receiver in (1, 2):
-                state = _word_factors(bc.marginal(receiver), w)
-                err = _clamp_nonnegative(1.0 - _factor_trace(decoder.factor(receiver, m1, m2), state))
-                first[receiver][(m1, m2)] = err
-                if detection is not None:
-                    own = detection.factors[receiver]
-                    if receiver == 1:
-                        others = [own[(k, m2)] for k in range(codebook.m1_size) if k != m1]
-                    else:
-                        others = [own[(m1, k)] for k in range(codebook.m2_size) if k != m2]
-                    mass = sum(_clamp_nonnegative(_factor_trace(f, state)) for f in others)
-                    coll[receiver][(m1, m2)] = mass
-                    miss = _clamp_nonnegative(1.0 - _factor_trace(own[(m1, m2)], state))
-                    bounds[receiver][(m1, m2)] = 2.0 * miss + 4.0 * mass
-    avg_by_m2 = {
-        m2: float(np.mean([first[1][(m1, m2)] for m1 in range(codebook.m1_size)]))
-        for m2 in range(codebook.m2_size)
-    }
-    avg_by_m1 = {
-        m1: float(np.mean([first[2][(m1, m2)] for m2 in range(codebook.m2_size)]))
-        for m1 in range(codebook.m1_size)
-    }
-    overall = {
-        1: float(np.mean(list(first[1].values()))),
-        2: float(np.mean(list(first[2].values()))),
-    }
     ok = True
-    if detection is not None:
-        for receiver in (1, 2):
-            for pair, err in first[receiver].items():
+    for receiver in (1, 2):
+        channel = bc.marginal(receiver)
+        for pairs in _side_info_groups(receiver, codebook.m1_size, codebook.m2_size).values():
+            for pair in pairs:
+                state = _word_factors(channel, codebook.words[pair])
+                err = _clamp_nonnegative(1.0 - _factor_trace(decoder.factor(receiver, *pair), state))
+                first[receiver][pair] = err
+                if detection is None:
+                    continue
+                own = detection.factors[receiver]
+                mass = sum(_clamp_nonnegative(_factor_trace(own[p], state)) for p in pairs if p != pair)
+                coll[receiver][pair] = mass
+                miss = _clamp_nonnegative(1.0 - _factor_trace(own[pair], state))
+                bounds[receiver][pair] = 2.0 * miss + 4.0 * mass
                 if err > bounds[receiver][pair] + 1e-9:
                     ok = False
     return ErrorReport(
@@ -359,9 +365,6 @@ def average_errors(
         first_kind=first,
         collisions=coll,
         decomposition_bounds=bounds,
-        avg_by_m2=avg_by_m2,
-        avg_by_m1=avg_by_m1,
-        overall=overall,
         decomposition_ok=ok,
     )
 
@@ -422,7 +425,8 @@ def second_kind_collision_check(
     Estimates E[tr(W2(X) D'(X'))] over independent typical words X, X' and
     compares it against the rigorous equipartition-times-rank budget, reported
     both directly and as the exponent offset eps_slack with
-    budget = 2^(-n (chi2 - eps_slack)).  With exact=True the expectation over
+    budget = 2^(-n (chi2 - eps_slack)); a zero budget has no such offset and
+    reports eps_slack as None.  With exact=True the expectation over
     all pairs of typical words is evaluated exactly, one type class at a time;
     "trials" then reports the number of pairs it covers.
     """
@@ -473,7 +477,7 @@ def second_kind_collision_check(
         trials_used = trials
 
     budget = lam_max * mean_rank / typical_mass
-    eps_slack = chi2 + (math.log2(budget) / n if budget > 0.0 else -math.inf)
+    eps_slack = float(chi2 + math.log2(budget) / n) if budget > 0.0 else None
     return {
         "n": n,
         "alpha": float(alpha),
@@ -484,7 +488,7 @@ def second_kind_collision_check(
         "budget": float(budget),
         "within_budget": bool(estimate <= budget + 1e-12),
         "chi2_bits": float(chi2),
-        "eps_slack": float(eps_slack),
+        "eps_slack": eps_slack,
         "mean_conditional_rank": float(mean_rank),
         "lambda_max": float(lam_max),
         "typical_mass": float(typical_mass),
@@ -533,37 +537,31 @@ def expurgate(errors: ErrorReport, delta: float) -> ExpurgationResult:
     """
     if delta <= 0.0:
         raise InvalidInputError(f"delta must be positive, got {delta}")
-    if errors.overall[1] > delta or errors.overall[2] > delta:
+    overall = errors.overall
+    if overall[1] > delta or overall[2] > delta:
         raise ExpurgationError(
-            f"average errors ({errors.overall[1]:.4g}, {errors.overall[2]:.4g}) exceed delta={delta}"
+            f"average errors ({overall[1]:.4g}, {overall[2]:.4g}) exceed delta={delta}"
         )
-    keep2 = math.ceil(errors.m2_size / 2)
-    order2 = sorted(range(errors.m2_size), key=lambda m2: (errors.avg_by_m2[m2], m2))
-    m2_kept = tuple(sorted(order2[:keep2]))
-    keep1 = math.ceil(errors.m1_size / 2)
-    order1 = sorted(range(errors.m1_size), key=lambda m1: (errors.avg_by_m1[m1], m1))
-    m1_kept = tuple(sorted(order1[:keep1]))
-
-    sel2 = {m2: errors.avg_by_m2[m2] for m2 in m2_kept}
-    sel1 = {m1: errors.avg_by_m1[m1] for m1 in m1_kept}
-    fin2 = {
-        m2: float(np.mean([errors.first_kind[1][(m1, m2)] for m1 in m1_kept]))
-        for m2 in m2_kept
-    }
-    fin1 = {
-        m1: float(np.mean([errors.first_kind[2][(m1, m2)] for m2 in m2_kept]))
-        for m1 in m1_kept
-    }
+    # receiver 1's group averages rank the m2 it knows, receiver 2's the m1
+    selection, kept = {}, {}
+    for receiver in (1, 2):
+        averages = errors._group_averages(receiver)
+        order = sorted(averages, key=lambda known: (averages[known], known))
+        kept[receiver] = tuple(sorted(order[: math.ceil(len(order) / 2)]))
+        selection[receiver] = {known: averages[known] for known in kept[receiver]}
+    m1_kept, m2_kept = kept[2], kept[1]
+    kept_pairs = {(m1, m2) for m1 in m1_kept for m2 in m2_kept}
+    final = {receiver: errors._group_averages(receiver, kept_pairs) for receiver in (1, 2)}
     return ExpurgationResult(
         m1_kept=m1_kept,
         m2_kept=m2_kept,
         delta=float(delta),
-        selection_error_by_m2=sel2,
-        selection_error_by_m1=sel1,
-        final_error_by_m2=fin2,
-        final_error_by_m1=fin1,
-        within_two_delta=all(v <= 2.0 * delta + 1e-12 for v in list(sel2.values()) + list(sel1.values())),
-        within_four_delta=all(v <= 4.0 * delta + 1e-12 for v in list(fin2.values()) + list(fin1.values())),
+        selection_error_by_m2=selection[1],
+        selection_error_by_m1=selection[2],
+        final_error_by_m2=final[1],
+        final_error_by_m1=final[2],
+        within_two_delta=all(v <= 2.0 * delta + 1e-12 for s in selection.values() for v in s.values()),
+        within_four_delta=all(v <= 4.0 * delta + 1e-12 for f in final.values() for v in f.values()),
     )
 
 
@@ -587,14 +585,10 @@ def decode_with_side_info(
         raise InvalidInputError(f"receiver must be 1 or 2, got {receiver!r}")
     if mode not in ("argmax", "sampled"):
         raise InvalidInputError(f"unknown decode mode {mode!r}")
-    own_size = decoder.m1_size if receiver == 1 else decoder.m2_size
-    other_size = decoder.m2_size if receiver == 1 else decoder.m1_size
-    if not 0 <= known_message < other_size:
+    pairs = _side_info_group(receiver, known_message, decoder.m1_size, decoder.m2_size)
+    if any(p not in decoder.factors[receiver] for p in pairs):
         raise InvalidInputError(f"known message {known_message} outside its set")
-    if receiver == 1:
-        group = [decoder.factor(1, m, known_message) for m in range(own_size)]
-    else:
-        group = [decoder.factor(2, known_message, m) for m in range(own_size)]
+    group = [decoder.factors[receiver][p] for p in pairs]
     if isinstance(state, np.ndarray) and state.ndim == 2:
         state = [state]
     probs = np.array([_clamp_nonnegative(_factor_trace(h, state)) for h in group])
@@ -605,7 +599,7 @@ def decode_with_side_info(
     full = np.append(probs, fail)
     full = full / full.sum()
     outcome = int(rng.choice(len(full), p=full))
-    return None if outcome == own_size else outcome
+    return None if outcome == len(group) else outcome
 
 
 def modular_sum_encode(m1: int, m2: int, size: int) -> int:
@@ -666,20 +660,21 @@ def _config_string(value, key: str) -> str:
     return value
 
 
-_CONFIG_CHECKS = {
-    "n": _config_integer,
-    "alpha": _config_real,
-    "preset": _config_string,
-    "delta_code": _config_real,
-    "epsilon": _config_real,
-    "m1_size": _config_integer,
-    "m2_size": _config_integer,
-    "seed": _config_integer,
-    "scheme": _config_string,
-    "max_seed_attempts": _config_integer,
-    "delta": _config_real,
-    "dist": _config_reals,
-    "dim_cap": _config_integer,
+# config key -> (SimConfig field, check); a field whose default is None may stay None
+_CONFIG_KEYS = {
+    "n": ("n", _config_integer),
+    "alpha": ("alpha", _config_real),
+    "preset": ("preset", _config_string),
+    "delta_code": ("delta_code", _config_real),
+    "epsilon": ("epsilon", _config_real),
+    "M1": ("m1_size", _config_integer),
+    "M2": ("m2_size", _config_integer),
+    "seed": ("seed", _config_integer),
+    "scheme": ("scheme", _config_string),
+    "max_seed_attempts": ("max_seed_attempts", _config_integer),
+    "delta": ("delta", _config_real),
+    "dist": ("dist", _config_reals),
+    "dim_cap": ("dim_cap", _config_integer),
 }
 
 
@@ -702,10 +697,10 @@ class SimConfig:
     dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
-        for key, field in self._KEY_MAP.items():
+        for key, (field, check) in _CONFIG_KEYS.items():
             value = getattr(self, field)
-            if value is not None or field not in self._OPTIONAL:
-                setattr(self, field, _CONFIG_CHECKS[field](value, key))
+            if value is not None or self.__dataclass_fields__[field].default is not None:
+                setattr(self, field, check(value, key))
         if self.n < 1:
             raise InvalidInputError(f"block length must be >= 1, got {self.n}")
         if self.seed < 0:
@@ -718,33 +713,16 @@ class SimConfig:
         if self.delta <= 0.0:
             raise InvalidInputError("delta must be positive")
 
-    _KEY_MAP = {
-        "n": "n",
-        "alpha": "alpha",
-        "preset": "preset",
-        "delta_code": "delta_code",
-        "epsilon": "epsilon",
-        "M1": "m1_size",
-        "M2": "m2_size",
-        "seed": "seed",
-        "scheme": "scheme",
-        "max_seed_attempts": "max_seed_attempts",
-        "delta": "delta",
-        "dist": "dist",
-        "dim_cap": "dim_cap",
-    }
-    _OPTIONAL = ("epsilon", "m1_size", "m2_size", "dist")
-
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
         if not isinstance(raw, dict):
             raise InvalidInputError("simulation config must be a JSON object")
-        unknown = set(raw) - set(cls._KEY_MAP)
+        unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         if "n" not in raw:
             raise InvalidInputError("config requires 'n'")
-        return cls(**{cls._KEY_MAP[k]: v for k, v in raw.items()})
+        return cls(**{_CONFIG_KEYS[k][0]: v for k, v in raw.items()})
 
 
 def _input_distribution(bc: BroadcastCQChannel, config: SimConfig) -> ProbabilityDistribution:
@@ -753,6 +731,24 @@ def _input_distribution(bc: BroadcastCQChannel, config: SimConfig) -> Probabilit
     if len(config.dist) != len(bc.alphabet):
         raise InvalidInputError("config dist length does not match the channel alphabet")
     return ProbabilityDistribution(bc.alphabet, np.asarray(config.dist))
+
+
+def _default_epsilon(n: int, chis) -> float:
+    """The epsilon at which the weakest receiver's message set has size 2."""
+    return min((n * chi - 1.0) / (2.0 * n) for chi in chis)
+
+
+def _message_size(n: int, chi: float, eps: float) -> int:
+    """floor(2^(n (chi - 2 eps))).
+
+    An exponent within 1e-9 of an integer counts as that integer, so that
+    roundoff in the default epsilon cannot take a message set below the
+    size 2 it was chosen for.
+    """
+    exponent = n * (chi - 2.0 * eps)
+    if abs(exponent - round(exponent)) <= 1e-9:
+        exponent = round(exponent)
+    return int(math.floor(2.0**exponent))
 
 
 def _sized_message_sets(config: SimConfig, chi1: float, chi2: float, notices: list):
@@ -764,13 +760,11 @@ def _sized_message_sets(config: SimConfig, chi1: float, chi2: float, notices: li
         return config.m1_size, config.m2_size
     eps = config.epsilon
     if eps is None:
-        candidates = [(n * chi - 1.0) / (2.0 * n) for chi in (chi1, chi2)]
-        eps = min(candidates)
+        eps = _default_epsilon(n, (chi1, chi2))
         if eps <= 0.0:
             return 0, 0
         notices.append(f"epsilon defaulted to {eps:.6g} so both message sets reach size 2")
-    sizes = [int(math.floor(2.0 ** (n * (chi - 2.0 * eps)))) for chi in (chi1, chi2)]
-    return sizes[0], sizes[1]
+    return _message_size(n, chi1, eps), _message_size(n, chi2, eps)
 
 
 def end_to_end_broadcast_sim(bc: BroadcastCQChannel, config: SimConfig | dict) -> dict:
@@ -840,7 +834,7 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, report):
         detection = build_detection_operators(cb, bc, config.alpha, config.preset, config.dim_cap)
         decoder = build_square_root_decoder(detection)
         errs = average_errors(cb, bc, decoder, detection)
-        return max(errs.overall[1], errs.overall[2]), (cb, decoder, errs)
+        return max(errs.overall.values()), (cb, decoder, errs)
 
     seed_used, (cb, decoder, errs) = _first_passing_seed(bc, config, realize, report)
     if seed_used is None:
@@ -883,11 +877,6 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, report):
     return report
 
 
-def _common_message_povm(channel, words, dist, alpha, preset, dim_cap):
-    _, factor_by_word, _ = _sandwiched_detection(channel, words, dist, alpha, preset, dim_cap)
-    return _normalize_group([factor_by_word[w] for w in words])
-
-
 def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
     if config.m1_size is not None and config.m2_size is not None:
         if config.m1_size != config.m2_size:
@@ -896,14 +885,11 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
     elif config.m1_size is not None or config.m2_size is not None:
         size = config.m1_size if config.m1_size is not None else config.m2_size
     else:
-        weak_chi = min(chi1, chi2)
-        eps = config.epsilon if config.epsilon is not None else (config.n * weak_chi - 1.0) / (
-            2.0 * config.n
-        )
+        eps = config.epsilon if config.epsilon is not None else _default_epsilon(config.n, (chi1, chi2))
         if eps <= 0.0:
             report.update(status="infeasible", reason="weaker channel cannot fit 2 messages")
             return report
-        size = int(math.floor(2.0 ** (config.n * (weak_chi - 2.0 * eps))))
+        size = _message_size(config.n, min(chi1, chi2), eps)
     if size < 2:
         report.update(status="infeasible", reason=f"common message size {size} below 2")
         return report
@@ -915,29 +901,25 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
     report["weaker_receiver"] = weaker
     report["sizes"] = {"common": size}
 
-    marg1, marg2 = bc.marginal(1), bc.marginal(2)
-
     def realize(seed):
         cb = sample_codebook(dist, config.n, size, 1, config.delta_code, seed)
         words = [cb.word(m, 0) for m in range(size)]
-        povm1, margin1 = _common_message_povm(
-            marg1, words, dist, config.alpha, config.preset, config.dim_cap
-        )
-        povm2, margin2 = _common_message_povm(
-            marg2, words, dist, config.alpha, config.preset, config.dim_cap
-        )
-        # outcome probabilities of every common message on every word's state
-        probs1 = [[_factor_trace(h, _word_factors(marg1, w)) for h in povm1] for w in words]
-        probs2 = [[_factor_trace(h, _word_factors(marg2, w)) for h in povm2] for w in words]
-        errors1 = [_clamp_nonnegative(1.0 - probs1[c][c]) for c in range(size)]
-        errors2 = [_clamp_nonnegative(1.0 - probs2[c][c]) for c in range(size)]
-        worst = max(float(np.mean(errors1)), float(np.mean(errors2)))
-        return worst, (probs1, probs2, errors1, errors2, margin1, margin2)
+        probs, errors, margins = {}, {}, {}
+        for receiver in (1, 2):
+            channel = bc.marginal(receiver)
+            _, factor_by_word, _ = _sandwiched_detection(
+                channel, words, dist, config.alpha, config.preset, config.dim_cap
+            )
+            povm, margins[receiver] = _normalize_group([factor_by_word[w] for w in words])
+            # outcome probabilities of every common message on every word's state
+            probs[receiver] = [[_factor_trace(h, _word_factors(channel, w)) for h in povm] for w in words]
+            errors[receiver] = [_clamp_nonnegative(1.0 - probs[receiver][c][c]) for c in range(size)]
+        worst = max(float(np.mean(errors[1])), float(np.mean(errors[2])))
+        return worst, (probs, errors, margins)
 
-    seed_used, realization = _first_passing_seed(bc, config, realize, report)
-    probs1, probs2, errors1, errors2, margin1, margin2 = realization
+    seed_used, (probs, errors, margins) = _first_passing_seed(bc, config, realize, report)
     if seed_used is None:
-        report["common_errors"] = {"receiver1": errors1, "receiver2": errors2}
+        report["common_errors"] = {"receiver1": errors[1], "receiver2": errors[2]}
         return report
 
     decode_table = {}
@@ -945,10 +927,9 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
     for m1 in range(size):
         for m2 in range(size):
             common = modular_sum_encode(m1, m2, size)
-            got_common1 = int(np.argmax([_clamp_nonnegative(t) for t in probs1[common]]))
-            got_common2 = int(np.argmax([_clamp_nonnegative(t) for t in probs2[common]]))
-            ok1 = modular_sum_decode(got_common1, m2, size) == m1
-            ok2 = modular_sum_decode(got_common2, m1, size) == m2
+            got = {r: int(np.argmax([_clamp_nonnegative(t) for t in probs[r][common]])) for r in (1, 2)}
+            ok1 = modular_sum_decode(got[1], m2, size) == m1
+            ok2 = modular_sum_decode(got[2], m1, size) == m2
             all_correct = all_correct and ok1 and ok2
             decode_table[f"{m1},{m2}"] = {"receiver1": ok1, "receiver2": ok2}
     rate = math.log2(size) / config.n
@@ -957,12 +938,12 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
         seed_used=seed_used,
         rates={"sampled": [rate, rate], "final": [rate, rate]},
         common_errors={
-            "receiver1": errors1,
-            "receiver2": errors2,
-            "avg_receiver1": float(np.mean(errors1)),
-            "avg_receiver2": float(np.mean(errors2)),
+            "receiver1": errors[1],
+            "receiver2": errors[2],
+            "avg_receiver1": float(np.mean(errors[1])),
+            "avg_receiver2": float(np.mean(errors[2])),
         },
-        subpovm_margins={"receiver1": margin1, "receiver2": margin2},
+        subpovm_margins={"receiver1": margins[1], "receiver2": margins[2]},
         decode={"all_correct": all_correct, "table": decode_table},
     )
     return report

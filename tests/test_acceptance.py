@@ -248,12 +248,6 @@ def test_criterion_5_coding_pipeline(capsys):
 
 
 def synthetic_report(first1, first2, m1_size, m2_size):
-    avg_by_m2 = {
-        m2: float(np.mean([first1[(m1, m2)] for m1 in range(m1_size)])) for m2 in range(m2_size)
-    }
-    avg_by_m1 = {
-        m1: float(np.mean([first2[(m1, m2)] for m2 in range(m2_size)])) for m1 in range(m1_size)
-    }
     return ErrorReport(
         n=1,
         m1_size=m1_size,
@@ -261,12 +255,6 @@ def synthetic_report(first1, first2, m1_size, m2_size):
         first_kind={1: dict(first1), 2: dict(first2)},
         collisions={1: {}, 2: {}},
         decomposition_bounds={1: {}, 2: {}},
-        avg_by_m2=avg_by_m2,
-        avg_by_m1=avg_by_m1,
-        overall={
-            1: float(np.mean(list(first1.values()))),
-            2: float(np.mean(list(first2.values()))),
-        },
         decomposition_ok=True,
     )
 

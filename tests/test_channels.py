@@ -141,6 +141,19 @@ def test_product_extension_dim_cap_rejects_absurd_n_without_allocating():
     assert peak < 2**20
 
 
+def test_product_extension_caps_the_alphabet_of_one_dimensional_outputs():
+    # 1-dimensional outputs pass the output cap at every n; the 2^40 alphabet
+    # tuples must still be refused before any is formed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            product_extension(constant_channel(2, dim=1), 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_broadcast_marginals_of_product_channel():
     ch1 = orthogonal_pure_channel()
     ch2 = depolarized_channel(0.2)

@@ -4,15 +4,17 @@ import tracemalloc
 
 import pytest
 
+from cqrelay import cli
 from cqrelay.channels import (
     BroadcastCQChannel,
     CQChannel,
     MACCQChannel,
+    dump_json,
     holevo_chi,
     load_channel,
 )
 from cqrelay.cli import main
-from cqrelay.errors import InvalidInputError
+from cqrelay.errors import InvalidInputError, RelayError
 from cqrelay.operators import ProbabilityDistribution
 
 
@@ -363,6 +365,28 @@ def test_simulate_noiseless_ok(tmp_path, capsys):
     got = json.loads(capsys.readouterr().out)
     assert got["status"] == "ok"
     assert got["decode"]["all_correct"] is True
+
+
+def test_simulate_default_epsilon_reaches_two_messages(tmp_path, capsys):
+    # the defaulted epsilon puts n (chi2 - 2 eps) at 1 up to roundoff
+    bc = write_channel(tmp_path, "product-broadcast", "bc.json", ["--p", "0.1"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5, "alpha": 0.3, "seed": 2, "delta_code": 0.3, "dist": [0.6, 0.4]}))
+    assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["status"] == "ok"
+    assert (got["sizes"]["sampled_m1"], got["sizes"]["sampled_m2"]) == (5, 2)
+
+
+def test_non_finite_output_is_an_error_not_infinity(tmp_path, capsys, monkeypatch):
+    with pytest.raises(RelayError):
+        dump_json({"x": float("nan")})
+    bc = write_channel(tmp_path, "product-broadcast", "bc.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "M1": 2, "M2": 2}))
+    monkeypatch.setattr(cli, "end_to_end_broadcast_sim", lambda bc, config: {"eps": -math.inf})
+    assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 1
+    assert_one_error_line(capsys)
 
 
 def test_simulate_input_errors(tmp_path, capsys):

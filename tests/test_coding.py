@@ -6,19 +6,20 @@ import pytest
 
 from cqrelay.channels import (
     depolarized_channel,
+    holevo_chi,
     orthogonal_pure_channel,
     product_broadcast_channel,
 )
 from cqrelay.coding import (
     ErrorReport,
     SimConfig,
+    _sized_message_sets,
     average_errors,
     build_detection_operators,
     build_square_root_decoder,
     decode_with_side_info,
     end_to_end_broadcast_sim,
     expurgate,
-    first_kind_error,
     modular_sum_decode,
     modular_sum_encode,
     sample_codebook,
@@ -174,6 +175,31 @@ def test_decoder_groups_sum_to_projector():
         assert np.all((w < 1e-6) | (w > 1 - 1e-6))
 
 
+def test_side_info_groups_on_an_asymmetric_codebook():
+    # receiver 1 knows m2 and resolves m1 among three; receiver 2 knows m1
+    # and resolves m2 among two
+    groups = {
+        1: {0: [(0, 0), (1, 0), (2, 0)], 1: [(0, 1), (1, 1), (2, 1)]},
+        2: {0: [(0, 0), (0, 1)], 1: [(1, 0), (1, 1)], 2: [(2, 0), (2, 1)]},
+    }
+    bc = noisy_broadcast()
+    cb = sample_codebook(uniform_binary(), 4, 3, 2, seed=1)
+    dec = build_square_root_decoder(build_detection_operators(cb, bc, alpha=0.5))
+    for r, by_known in groups.items():
+        assert sorted(dec.subpovm_margins[r]) == sorted(by_known)
+        for known, pairs in by_known.items():
+            # the decoder normalized exactly this group: its operators sum to a projector
+            w = np.linalg.eigvalsh(sum(dec.op(r, *p) for p in pairs))
+            assert np.all((w < 1e-6) | (w > 1 - 1e-6))
+            for index, pair in enumerate(pairs):
+                state = bc.marginal(r).word_state(cb.word(*pair))
+                probs = [trace_pair(dec.op(r, *p), state) for p in pairs]
+                assert decode_with_side_info(dec, r, known, state) == int(np.argmax(probs)) == index
+    state = bc.marginal(1).word_state(cb.word(2, 0))
+    with pytest.raises(InvalidInputError):
+        decode_with_side_info(dec, 1, 2, state)  # m2 takes two values only
+
+
 def test_decoder_missing_pair_raises():
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
@@ -195,12 +221,10 @@ def test_average_errors_consistency():
     report = average_errors(cb, bc, dec, det)
     # per-pair errors match the direct evaluation
     for pair, w in cb.words.items():
-        e1, e2 = first_kind_error(cb, bc, dec, *pair)
-        assert report.first_kind[1][pair] == pytest.approx(e1, abs=1e-12)
-        assert report.first_kind[2][pair] == pytest.approx(e2, abs=1e-12)
-        state1 = bc.marginal(1).word_state(w)
-        direct = max(0.0, 1.0 - trace_pair(dec.op(1, *pair), state1))
-        assert report.first_kind[1][pair] == pytest.approx(direct, abs=1e-12)
+        for r in (1, 2):
+            state = bc.marginal(r).word_state(w)
+            direct = max(0.0, 1.0 - trace_pair(dec.op(r, *pair), state))
+            assert report.first_kind[r][pair] == pytest.approx(direct, abs=1e-12)
     # averages recompute from the tables
     for m2 in range(cb.m2_size):
         vals = [report.first_kind[1][(m1, m2)] for m1 in range(cb.m1_size)]
@@ -258,6 +282,14 @@ def test_second_kind_exact_within_budget_noisy():
     )
 
 
+def test_second_kind_zero_budget_reports_no_slack():
+    # at alpha 0.01 no conditional projector keeps a vector, so the budget is 0
+    out = second_kind_collision_check(uniform_binary(), noisy_broadcast(), n=4, alpha=0.01, exact=True)
+    assert out["budget"] == 0.0
+    assert out["eps_slack"] is None
+    json.dumps(out, allow_nan=False)
+
+
 def test_second_kind_sampled_deterministic():
     bc = noisy_broadcast(0.2)
     a = second_kind_collision_check(uniform_binary(), bc, n=5, alpha=0.5, trials=20, seed=9)
@@ -281,14 +313,6 @@ def test_second_kind_dim_cap():
 def synthetic_report(first1, first2):
     m1_size = 1 + max(k[0] for k in first1)
     m2_size = 1 + max(k[1] for k in first1)
-    avg_by_m2 = {
-        m2: float(np.mean([first1[(m1, m2)] for m1 in range(m1_size)]))
-        for m2 in range(m2_size)
-    }
-    avg_by_m1 = {
-        m1: float(np.mean([first2[(m1, m2)] for m2 in range(m2_size)]))
-        for m1 in range(m1_size)
-    }
     return ErrorReport(
         n=1,
         m1_size=m1_size,
@@ -296,12 +320,6 @@ def synthetic_report(first1, first2):
         first_kind={1: dict(first1), 2: dict(first2)},
         collisions={1: {}, 2: {}},
         decomposition_bounds={1: {}, 2: {}},
-        avg_by_m2=avg_by_m2,
-        avg_by_m1=avg_by_m1,
-        overall={
-            1: float(np.mean(list(first1.values()))),
-            2: float(np.mean(list(first2.values()))),
-        },
         decomposition_ok=True,
     )
 
@@ -471,6 +489,28 @@ def test_end_to_end_noiseless_proof_construction():
         for margin in group.values():
             assert margin <= 1e-9
     json.dumps(report)
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.6, 0.4)])
+def test_default_epsilon_gives_the_weaker_receiver_two_messages(weights):
+    # n (chi - 2 eps) = 1 for the weaker receiver; roundoff in that exponent
+    # must not floor its message set to 1
+    dist = ProbabilityDistribution(("0", "1"), np.array(weights))
+    for p in np.arange(1, 20) / 20:
+        bc = noisy_broadcast(float(p))
+        chi1, chi2 = (holevo_chi(bc.marginal(r), dist) for r in (1, 2))
+        for n in range(1, 13):
+            sizes = _sized_message_sets(SimConfig(n=n), chi1, chi2, [])
+            if sizes != (0, 0):  # default epsilon > 0
+                assert min(sizes) == 2, (p, n, sizes)
+
+
+def test_end_to_end_modular_sum_default_size_reaches_two():
+    report = end_to_end_broadcast_sim(
+        noisy_broadcast(), {"n": 6, "alpha": 0.3, "seed": 4, "scheme": "modular-sum"}
+    )
+    assert report["sizes"] == {"common": 2}
+    assert report["status"] == "ok"
 
 
 def test_end_to_end_deterministic():
