@@ -738,25 +738,42 @@ def _default_epsilon(n: int, chis) -> float:
     return min((n * chi - 1.0) / (2.0 * n) for chi in chis)
 
 
-def _message_size(n: int, chi: float, eps: float) -> int:
-    """floor(2^(n (chi - 2 eps))).
+def _too_many_messages(what: str, size, dim: int) -> InvalidInputError:
+    """The refusal of a message set larger than its receiver's detection
+    dimension d_r^n: a group of operators on that space distinguishes at
+    most d_r^n messages."""
+    return InvalidInputError(
+        f"{what} of {size} messages exceeds its {dim}-dimensional detection space, "
+        f"which distinguishes at most {dim}"
+    )
+
+
+def _message_size(n: int, chi: float, eps: float, dim: int, what: str) -> int:
+    """floor(2^(n (chi - 2 eps))), refused above the detection dimension dim.
 
     An exponent within 1e-9 of an integer counts as that integer, so that
     roundoff in the default epsilon cannot take a message set below the
-    size 2 it was chosen for.
+    size 2 it was chosen for.  The bound is checked on the exponent, so a
+    size beyond float range is never formed.
     """
     exponent = n * (chi - 2.0 * eps)
-    if abs(exponent - round(exponent)) <= 1e-9:
+    if math.isfinite(exponent) and abs(exponent - round(exponent)) <= 1e-9:
         exponent = round(exponent)
+    if exponent >= math.log2(dim + 1):
+        raise _too_many_messages(what, f"2^{exponent:.6g}", dim)
     return int(math.floor(2.0**exponent))
 
 
-def _sized_message_sets(config: SimConfig, chi1: float, chi2: float, notices: list):
-    """Explicit sizes win; otherwise size from 2^(n (chi - 2 eps))."""
+def _sized_message_sets(config: SimConfig, chi1: float, chi2: float, dims, notices: list):
+    """Explicit sizes win; otherwise size from 2^(n (chi - 2 eps)).  Either
+    way, each set fits its receiver's detection dimension."""
     n = config.n
     if config.m1_size is not None or config.m2_size is not None:
         if config.m1_size is None or config.m2_size is None:
             raise InvalidInputError("give both message sizes or neither")
+        for what, size, dim in zip(("message set M1", "message set M2"), (config.m1_size, config.m2_size), dims):
+            if size > dim:
+                raise _too_many_messages(what, size, dim)
         return config.m1_size, config.m2_size
     eps = config.epsilon
     if eps is None:
@@ -764,7 +781,21 @@ def _sized_message_sets(config: SimConfig, chi1: float, chi2: float, notices: li
         if eps <= 0.0:
             return 0, 0
         notices.append(f"epsilon defaulted to {eps:.6g} so both message sets reach size 2")
-    return _message_size(n, chi1, eps), _message_size(n, chi2, eps)
+    return (
+        _message_size(n, chi1, eps, dims[0], "message set M1"),
+        _message_size(n, chi2, eps, dims[1], "message set M2"),
+    )
+
+
+def _detection_dims(bc: BroadcastCQChannel, config: SimConfig) -> tuple[int, int]:
+    """Each receiver's detection dimension d_r^n, checked against the cap
+    before anything is sized or sampled."""
+    dims = []
+    for receiver in (1, 2):
+        d = bc.marginal(receiver).output_dim
+        _require_within_cap(d, config.n, config.dim_cap, "detection space")
+        dims.append(d**config.n)
+    return dims[0], dims[1]
 
 
 def end_to_end_broadcast_sim(bc: BroadcastCQChannel, config: SimConfig | dict) -> dict:
@@ -772,6 +803,7 @@ def end_to_end_broadcast_sim(bc: BroadcastCQChannel, config: SimConfig | dict) -
     if isinstance(config, dict):
         config = SimConfig.from_dict(config)
     dist = _input_distribution(bc, config)
+    dims = _detection_dims(bc, config)
     chi1 = holevo_chi(bc.marginal(1), dist)
     chi2 = holevo_chi(bc.marginal(2), dist)
     notices: list[str] = []
@@ -788,21 +820,18 @@ def end_to_end_broadcast_sim(bc: BroadcastCQChannel, config: SimConfig | dict) -
         "notices": notices,
     }
     if config.scheme == "modular-sum":
-        return _modular_sum_sim(bc, config, dist, chi1, chi2, report)
-    return _proof_construction_sim(bc, config, dist, chi1, chi2, report)
+        return _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report)
+    return _proof_construction_sim(bc, config, dist, chi1, chi2, dims, report)
 
 
-def _first_passing_seed(bc: BroadcastCQChannel, config: SimConfig, realize, report: dict):
+def _first_passing_seed(config: SimConfig, realize, report: dict):
     """Realize codes for seeds config.seed, config.seed + 1, ... in turn.
 
     realize(seed) returns (worst average error, realization).  Returns the
     first seed whose worst average error is <= config.delta with its
     realization, or (None, last realization) after marking the report
-    threshold-not-met.  Both receivers' detection spaces are checked against
-    the dimension cap before any codebook is sampled.
+    threshold-not-met.
     """
-    for receiver in (1, 2):
-        _require_within_cap(bc.marginal(receiver).output_dim, config.n, config.dim_cap, "detection space")
     for attempt in range(config.max_seed_attempts):
         seed = config.seed + attempt
         worst, realization = realize(seed)
@@ -819,8 +848,8 @@ def _first_passing_seed(bc: BroadcastCQChannel, config: SimConfig, realize, repo
     return None, realization
 
 
-def _proof_construction_sim(bc, config, dist, chi1, chi2, report):
-    m1_size, m2_size = _sized_message_sets(config, chi1, chi2, report["notices"])
+def _proof_construction_sim(bc, config, dist, chi1, chi2, dims, report):
+    m1_size, m2_size = _sized_message_sets(config, chi1, chi2, dims, report["notices"])
     if m1_size < 2 or m2_size < 2:
         report.update(
             status="infeasible",
@@ -836,7 +865,7 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, report):
         errs = average_errors(cb, bc, decoder, detection)
         return max(errs.overall.values()), (cb, decoder, errs)
 
-    seed_used, (cb, decoder, errs) = _first_passing_seed(bc, config, realize, report)
+    seed_used, (cb, decoder, errs) = _first_passing_seed(config, realize, report)
     if seed_used is None:
         report["errors"] = errs.as_dict()
         return report
@@ -877,7 +906,7 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, report):
     return report
 
 
-def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
+def _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report):
     if config.m1_size is not None and config.m2_size is not None:
         if config.m1_size != config.m2_size:
             raise InvalidInputError("the sum-forwarding scheme uses one common message size")
@@ -889,7 +918,9 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
         if eps <= 0.0:
             report.update(status="infeasible", reason="weaker channel cannot fit 2 messages")
             return report
-        size = _message_size(config.n, min(chi1, chi2), eps)
+        size = _message_size(config.n, min(chi1, chi2), eps, min(dims), "common message set")
+    if size > min(dims):
+        raise _too_many_messages("common message set", size, min(dims))
     if size < 2:
         report.update(status="infeasible", reason=f"common message size {size} below 2")
         return report
@@ -917,7 +948,7 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, report):
         worst = max(float(np.mean(errors[1])), float(np.mean(errors[2])))
         return worst, (probs, errors, margins)
 
-    seed_used, (probs, errors, margins) = _first_passing_seed(bc, config, realize, report)
+    seed_used, (probs, errors, margins) = _first_passing_seed(config, realize, report)
     if seed_used is None:
         report["common_errors"] = {"receiver1": errors[1], "receiver2": errors[2]}
         return report

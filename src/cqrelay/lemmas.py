@@ -2,7 +2,8 @@
 
 Each check evaluates both sides of one inequality exactly (up to floating
 point) and reports the slack; a check "holds" when the slack is no worse
-than -1e-10.
+than -1e-10.  Operands are matrices or CheckedOperators: a check validates
+each operand unless it was already checked for the property the check needs.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .operators import (
+    _checked_spectrum,
     _spectral_apply,
     hermitian_part,
     matrix_sqrt,
     pseudo_sqrt_inverse,
     trace_norm,
     trace_pair,
-    validate_density,
-    validate_positive,
 )
 
 SLACK_TOL = 1e-10
@@ -38,9 +38,9 @@ class LemmaCheckResult:
 
 def check_measurement_on_close_states(sigma, rho, effect, instance: str = "") -> LemmaCheckResult:
     """tr(Pi sigma) >= tr(Pi rho) - ||sigma - rho||_1 for 0 <= Pi <= id."""
-    sigma = validate_density(sigma, name="sigma")
-    rho = validate_density(rho, name="rho")
-    effect = validate_positive(effect, sub_unital=True, name="effect")
+    sigma = _checked_spectrum(sigma, "sigma", density=True).matrix
+    rho = _checked_spectrum(rho, "rho", density=True).matrix
+    effect = _checked_spectrum(effect, "effect", sub_unital=True).matrix
     lhs = trace_pair(effect, rho) - trace_norm(sigma - rho)
     rhs = trace_pair(effect, sigma)
     slack = rhs - lhs
@@ -49,9 +49,10 @@ def check_measurement_on_close_states(sigma, rho, effect, instance: str = "") ->
 
 def check_tender_operator(rho, effect, instance: str = "") -> LemmaCheckResult:
     """||rho - sqrt(X) rho sqrt(X)||_1 <= sqrt(8 lambda) with lambda = 1 - tr(rho X)."""
-    rho = validate_density(rho, name="rho")
-    effect = validate_positive(effect, sub_unital=True, name="effect")
-    lam = 1.0 - trace_pair(rho, effect)
+    rho = _checked_spectrum(rho, "rho", density=True).matrix
+    # the square root reuses the eigendecomposition the check read
+    effect = _checked_spectrum(effect, "effect", sub_unital=True, vectors=True)
+    lam = 1.0 - trace_pair(rho, effect.matrix)
     lam = min(max(lam, 0.0), 1.0)
     root = matrix_sqrt(effect)
     lhs = trace_norm(rho - root @ rho @ root)
@@ -71,8 +72,8 @@ def check_hayashi_nagaoka(s_op, t_op, instance: str = "") -> LemmaCheckResult:
     v = (cos 0.01, sin 0.01), T = 0.05|0><0| gives an operator gap of
     about +0.117 on the wrong side.
     """
-    s_op = validate_positive(s_op, sub_unital=True, name="S")
-    t_op = validate_positive(t_op, name="T")
+    s_op = _checked_spectrum(s_op, "S", sub_unital=True).matrix
+    t_op = _checked_spectrum(t_op, "T").matrix
     if s_op.shape != t_op.shape:
         raise InvalidInputError("S and T must share a dimension")
     eye = np.eye(s_op.shape[0])
@@ -163,8 +164,21 @@ def _build_operands(name: str, draws: np.ndarray, scales: np.ndarray) -> tuple:
     return subunital_effects(draws[:, 0]), scaled_positives(draws[:, 1], scales)
 
 
+# each check's operands in call order, as (name, density, sub_unital, vectors):
+# the properties that check asks of them
+_OPERANDS = {
+    "close-states": (("sigma", True, False, False), ("rho", True, False, False), ("effect", False, True, False)),
+    "tender": (("rho", True, False, False), ("effect", False, True, True)),
+    "hayashi-nagaoka": (("S", False, True, False), ("T", False, False, False)),
+}
+
+
 def _block_operands(name: str, block: list) -> list:
-    """Each (dim, draws, scale) trial's operands, built one stack per dimension."""
+    """Each (dim, draws, scale) trial's operands as CheckedOperators.
+
+    A block builds one stack per dimension and operand, and checks each
+    stack in one call for the properties its check needs.
+    """
     by_dim: dict[int, list] = {}
     for i, (dim, _, _) in enumerate(block):
         by_dim.setdefault(dim, []).append(i)
@@ -172,8 +186,12 @@ def _block_operands(name: str, block: list) -> list:
     for idx in by_dim.values():
         draws = np.array([block[i][1] for i in idx])
         built = _build_operands(name, draws, np.array([block[i][2] for i in idx]))
+        checked = [
+            _checked_spectrum(stack, label, density, sub_unital, vectors)
+            for stack, (label, density, sub_unital, vectors) in zip(built, _OPERANDS[name])
+        ]
         for j, i in enumerate(idx):
-            operands[i] = tuple(stack[j] for stack in built)
+            operands[i] = tuple(op[j] for op in checked)
     return operands
 
 

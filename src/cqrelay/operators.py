@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -86,10 +86,68 @@ def require_hermitian(mat, atol: float = HERMITIAN_ATOL, name: str = "matrix") -
     return m
 
 
-def _checked_spectrum(mat, name: str, sub_unital: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian, positive (optionally <= id) operators and their ascending spectra."""
+@dataclass(frozen=True, eq=False)
+class CheckedOperator:
+    """An operator, or a (..., d, d) stack, that passed validation.
+
+    Made only by the validators.  matrix is Hermitian and positive; density
+    records that its unit trace was checked and sub_unital its bound <= id.
+    spectrum holds the ascending eigenvalues the check read, and vectors the
+    matching eigenvector columns when they were asked for, so a routine
+    handed the operator decomposes nothing again.  Every array is read-only,
+    and indexing a stack gives the checked operator at that index.
+    """
+
+    matrix: np.ndarray
+    spectrum: np.ndarray
+    vectors: np.ndarray | None
+    density: bool
+    sub_unital: bool
+    _made_by: object = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self._made_by is not _VALIDATOR:
+            raise InvalidInputError("a CheckedOperator is made by the operator validators only")
+        for name in ("matrix", "spectrum", "vectors"):
+            arr = getattr(self, name)
+            if arr is not None and arr.flags.writeable:
+                arr = arr.view()
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
+
+    def __getitem__(self, index) -> "CheckedOperator":
+        vectors = None if self.vectors is None else self.vectors[index]
+        return CheckedOperator(
+            self.matrix[index], self.spectrum[index], vectors, self.density, self.sub_unital, _VALIDATOR
+        )
+
+
+_VALIDATOR = object()
+
+
+def _checked_spectrum(
+    mat, name: str, density: bool = False, sub_unital: bool = False, vectors: bool = False
+) -> CheckedOperator:
+    """Hermitian, positive operators (optionally of unit trace, optionally <= id).
+
+    With vectors, the check reads the spectrum of one eigh and keeps its
+    eigenvectors; otherwise of one eigvalsh.  A CheckedOperator that already
+    has the asked properties (and vectors) comes back as it is; one that
+    lacks any is checked again from its matrix.
+    """
+    if isinstance(mat, CheckedOperator):
+        if (
+            (mat.density or not density)
+            and (mat.sub_unital or not sub_unital)
+            and (mat.vectors is not None or not vectors)
+        ):
+            return mat
+        mat = mat.matrix
     m = require_hermitian(mat, name=name)
-    w = np.linalg.eigvalsh(hermitian_part(m))
+    if vectors:
+        w, u = np.linalg.eigh(hermitian_part(m))
+    else:
+        w, u = np.linalg.eigvalsh(hermitian_part(m)), None
     if w.shape[-1]:
         bad = _batch_label(name, w[..., 0] < -PSD_ATOL)
         if bad is not None:
@@ -100,17 +158,12 @@ def _checked_spectrum(mat, name: str, sub_unital: bool = False) -> tuple[np.ndar
                 raise InvalidInputError(
                     f"{bad[0]} exceeds the identity (max eigenvalue {float(w[bad[1]][-1])!r})"
                 )
-    return m, w
-
-
-def _checked_density(rho, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """_checked_spectrum plus the unit-trace check."""
-    m, w = _checked_spectrum(rho, name)
-    tr = np.trace(m, axis1=-2, axis2=-1).real
-    bad = _batch_label(name, np.abs(tr - 1.0) > TRACE_ATOL)
-    if bad is not None:
-        raise InvalidInputError(f"{bad[0]} has trace {float(tr[bad[1]])!r}, expected 1")
-    return m, w
+    if density:
+        tr = np.trace(m, axis1=-2, axis2=-1).real
+        bad = _batch_label(name, np.abs(tr - 1.0) > TRACE_ATOL)
+        if bad is not None:
+            raise InvalidInputError(f"{bad[0]} has trace {float(tr[bad[1]])!r}, expected 1")
+    return CheckedOperator(m, w, u, density, sub_unital, _VALIDATOR)
 
 
 def validate_density(rho, name: str = "state") -> np.ndarray:
@@ -119,7 +172,9 @@ def validate_density(rho, name: str = "state") -> np.ndarray:
     Accepts one matrix or a (..., d, d) stack; a failure names the first
     failing matrix of a stack by its index.
     """
-    return _checked_density(rho, name)[0]
+    m = as_square_matrix(rho, name)
+    _checked_spectrum(m, name, density=True)
+    return m
 
 
 def validate_positive(mat, sub_unital: bool = False, name: str = "operator") -> np.ndarray:
@@ -127,7 +182,9 @@ def validate_positive(mat, sub_unital: bool = False, name: str = "operator") -> 
 
     Accepts one matrix or a (..., d, d) stack, like validate_density.
     """
-    return _checked_spectrum(mat, name, sub_unital)[0]
+    m = as_square_matrix(mat, name)
+    _checked_spectrum(m, name, sub_unital=sub_unital)
+    return m
 
 
 def hermitian_eigendecomposition(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -224,9 +281,8 @@ def _spectral_apply(u: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def matrix_sqrt(mat) -> np.ndarray:
     """Positive square root, per matrix of a stack."""
-    m = validate_positive(mat, name="matrix_sqrt argument")
-    w, u = np.linalg.eigh(hermitian_part(m))
-    return _spectral_apply(u, np.sqrt(np.clip(w, 0.0, None)))
+    op = _checked_spectrum(mat, "matrix_sqrt argument", vectors=True)
+    return _spectral_apply(op.vectors, np.sqrt(np.clip(op.spectrum, 0.0, None)))
 
 
 def pseudo_sqrt_inverse(mat, rel_tol: float = 1e-10) -> np.ndarray:
@@ -235,21 +291,21 @@ def pseudo_sqrt_inverse(mat, rel_tol: float = 1e-10) -> np.ndarray:
     Eigenvalues <= rel_tol * max are dropped; a matrix with no positive
     eigenvalue maps to zero.
     """
-    m = validate_positive(mat, name="pseudo_sqrt_inverse argument")
-    w, u = np.linalg.eigh(hermitian_part(m))
+    op = _checked_spectrum(mat, "pseudo_sqrt_inverse argument", vectors=True)
+    w = op.spectrum
     cut = rel_tol * w.max(axis=-1, keepdims=True, initial=0.0)
     floor = np.where(cut > 0.0, cut, 1.0)
-    out = _spectral_apply(u, np.where(w > cut, 1.0 / np.sqrt(np.clip(w, floor, None)), 0.0))
+    out = _spectral_apply(op.vectors, np.where(w > cut, 1.0 / np.sqrt(np.clip(w, floor, None)), 0.0))
     out[cut[..., 0] <= 0.0] = 0.0
     return out
 
 
 def support_projector(mat, rel_tol: float = 1e-10) -> np.ndarray:
-    m = validate_positive(mat, name="support_projector argument")
-    w, u = np.linalg.eigh(hermitian_part(m))
+    op = _checked_spectrum(mat, "support_projector argument", vectors=True)
+    w, u = op.spectrum, op.vectors
     wmax = float(w[-1]) if w.size else 0.0
     if wmax <= 0.0:
-        return np.zeros_like(m)
+        return np.zeros_like(op.matrix)
     keep = np.where(w > rel_tol * wmax, 1.0, 0.0)
     return hermitian_part((u * keep) @ u.conj().T)
 
@@ -288,8 +344,7 @@ def spectrum_entropy_bits(eigenvalues: np.ndarray):
 
 def von_neumann_entropy(rho) -> float:
     """Entropy in bits of a density operator."""
-    m = validate_density(rho)
-    return spectrum_entropy_bits(np.linalg.eigvalsh(hermitian_part(m)))
+    return spectrum_entropy_bits(_checked_spectrum(rho, "state", density=True).spectrum)
 
 
 @dataclass(frozen=True, eq=False)

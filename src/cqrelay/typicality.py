@@ -23,7 +23,7 @@ from .channels import CQChannel, _require_matching_alphabet, output_state
 from .errors import InvalidInputError, ResourceLimitError
 from .operators import (
     DEFAULT_DIM_CAP,
-    _checked_density,
+    _checked_spectrum,
     _kept_row_sums,
     _require_within_cap,
     ZERO_EIGENVALUE_TOL,
@@ -530,10 +530,10 @@ def spectrum_projector_stats(eigenvalues, n, tau) -> SpectrumProjectorStats:
 def state_projector_stats(
     rho, n: int, alpha: float, preset: str = PRESET_FIXED
 ) -> SpectrumProjectorStats:
-    rho = validate_density(rho)
+    # validated from the eigh whose spectrum the stats read
+    op = _checked_spectrum(rho, "state", density=True, vectors=True)
     tau = threshold_for(alpha, n, resolve_preset(preset))
-    w, _ = hermitian_eigendecomposition(rho)
-    return spectrum_projector_stats(w, n, tau)
+    return spectrum_projector_stats(op.spectrum[..., ::-1], n, tau)
 
 
 @dataclass(frozen=True)
@@ -868,12 +868,12 @@ def verify_state_projector_bounds(rho, n: int, alpha: float, preset: str = PRESE
     back as a list, with every spectral quantity computed for the whole stack
     at once.
     """
-    rho = validate_density(rho)
+    # validated from the eigh whose spectrum the reports read
+    op = _checked_spectrum(rho, "state", density=True, vectors=True)
     preset = resolve_preset(preset)
-    d = rho.shape[-1]
+    d = op.matrix.shape[-1]
     tau = threshold_for(alpha, n, preset)
-    w, _ = hermitian_eigendecomposition(rho.reshape(-1, d, d))
-    w = _clean_eigenvalues(w)
+    w = _clean_eigenvalues(op.spectrum.reshape(-1, d)[:, ::-1])
     stats = spectrum_projector_stats(w, n, tau)
     columns = zip(
         stats.capture.tolist(),
@@ -884,7 +884,7 @@ def verify_state_projector_bounds(rho, n: int, alpha: float, preset: str = PRESE
         (w * (1.0 - w)).sum(axis=-1).tolist(),
     )
     reports = [_state_report(d, n, alpha, tau, preset, *col) for col in columns]
-    return reports[0] if rho.ndim == 2 else reports
+    return reports[0] if op.matrix.ndim == 2 else reports
 
 
 def _conditional_report(word, dist, alpha, preset, d, a_size, cond, cross, cond_entropy_true, per_class):
@@ -1000,14 +1000,14 @@ def verify_conditional_projector_bounds(
     for ch in channels:
         _require_matching_alphabet(ch.alphabet, dist)
     batch = _word_batch(channels, words, dist.labels, "conditioning word is empty")
-    states, spectra = _checked_density(batch.states, "channel state")
-    d = states.shape[-1]
+    states = _checked_spectrum(batch.states, "channel state", density=True)
+    d = states.matrix.shape[-1]
     a_size = len(dist.labels)
     conds = _class_stats(batch, alpha, preset)
     crosses = _cross_stats(batch, dist, alpha, preset)
 
     # the conditional entropy under dist, as conditional_entropy sums it
-    letter_entropy = spectrum_entropy_bits(spectra)
+    letter_entropy = spectrum_entropy_bits(states.spectrum)
     cond_entropy = np.zeros(len(channels))
     for j, wgt in enumerate(dist.weights):
         if wgt > 0.0:

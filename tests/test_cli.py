@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from cqrelay import cli
+from cqrelay import cli, coding
 from cqrelay.channels import (
     BroadcastCQChannel,
     CQChannel,
@@ -468,6 +468,39 @@ def test_simulate_checks_the_cap_before_sampling(tmp_path, capsys):
     cfg.write_text(json.dumps({"n": 10**12, "M1": 2, "M2": 2}))
     assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 3
     assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "config, code",
+    [
+        ({"n": 2000, "epsilon": -1}, 3),  # the dimension cap, before any size is formed
+        ({"n": 4, "epsilon": -10}, 1),  # derived sizes of about 2^80 each
+        ({"n": 4, "epsilon": -1e300}, 1),  # an exponent beyond float range
+        ({"n": 4, "M1": 1_000_000_000, "M2": 2}, 1),
+        ({"n": 4, "M1": 2, "M2": 17}, 1),  # one past receiver 2's 2^4 dimensions
+        ({"n": 4, "M1": 17, "M2": 17, "scheme": "modular-sum"}, 1),
+    ],
+)
+def test_simulate_refuses_message_sets_beyond_the_detection_dimension(tmp_path, capsys, monkeypatch, config, code):
+    # a group on a d^n-dimensional space distinguishes at most d^n messages;
+    # the refusal comes before any codebook is sampled
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a codebook")
+
+    monkeypatch.setattr(coding, "sample_codebook", no_sampling)
+    bc = write_channel(tmp_path, "product-broadcast", "bc.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == code
+    assert_one_error_line(capsys)
+
+
+def test_simulate_accepts_message_sets_that_fill_the_detection_dimension(tmp_path, capsys):
+    bc = write_channel(tmp_path, "product-broadcast", "bc.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "M1": 4, "M2": 4, "alpha": 0.5, "max_seed_attempts": 1}))
+    assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 0
+    assert json.loads(capsys.readouterr().out)["sizes"]["sampled_m1"] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -500,7 +500,7 @@ def test_default_epsilon_gives_the_weaker_receiver_two_messages(weights):
         bc = noisy_broadcast(float(p))
         chi1, chi2 = (holevo_chi(bc.marginal(r), dist) for r in (1, 2))
         for n in range(1, 13):
-            sizes = _sized_message_sets(SimConfig(n=n), chi1, chi2, [])
+            sizes = _sized_message_sets(SimConfig(n=n), chi1, chi2, (2**n, 2**n), [])
             if sizes != (0, 0):  # default epsilon > 0
                 assert min(sizes) == 2, (p, n, sizes)
 

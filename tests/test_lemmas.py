@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cqrelay import lemmas
 from cqrelay.errors import InvalidInputError
 from cqrelay.lemmas import (
     check_hayashi_nagaoka,
@@ -13,7 +14,7 @@ from cqrelay.lemmas import (
     random_subunital_positive,
     sweep_lemma_checks,
 )
-from cqrelay.operators import pseudo_sqrt_inverse
+from cqrelay.operators import CheckedOperator, _checked_spectrum, pseudo_sqrt_inverse
 
 
 def test_close_states_equal_inputs():
@@ -164,3 +165,89 @@ def test_sweep_is_json_safe():
     import json
 
     json.dumps(sweep_lemma_checks(trials=5, seed=2))
+
+
+# ---------------------------------------------------------------------------
+# checked operands: a sweep checks each operand stack once
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["close-states", "tender", "hayashi-nagaoka"])
+def test_sweep_block_checks_each_operand_stack_in_one_call(name, monkeypatch):
+    calls = []
+
+    def recorded(mat, label, *args, **kwargs):
+        out = _checked_spectrum(mat, label, *args, **kwargs)
+        calls.append((label, mat, out))
+        return out
+
+    monkeypatch.setattr(lemmas, "_checked_spectrum", recorded)
+    trials = 9
+    summary = lemmas.sweep_lemma_checks(trials=trials, seed=3, dims=(2, 3), which=(name,))
+    assert summary[name]["all_hold"]
+    operands = len(lemmas._OPERANDS[name])
+    raw = [(label, mat) for label, mat, _ in calls if not isinstance(mat, CheckedOperator)]
+    passed = [(mat, out) for _, mat, out in calls if isinstance(mat, CheckedOperator)]
+    # one call per operand and dimension, each on a (k, d, d) stack ...
+    by_label = {}
+    for label, mat in raw:
+        assert mat.ndim == 3
+        by_label.setdefault(label, []).append(mat.shape)
+    assert len(by_label) == operands
+    for shapes in by_label.values():
+        assert sum(shape[0] for shape in shapes) == trials
+        assert len({shape[-1] for shape in shapes}) == len(shapes)
+    # ... and each trial's check gets checked slices it does not check again
+    assert len(passed) == trials * operands
+    assert all(out is mat for mat, out in passed)
+
+
+def test_sweep_calls_each_check_once_per_trial(monkeypatch):
+    calls = []
+    original = lemmas.check_tender_operator
+    monkeypatch.setattr(lemmas, "check_tender_operator", lambda *a, **k: calls.append(1) or original(*a, **k))
+    lemmas.sweep_lemma_checks(trials=11, seed=4, which=("tender",))
+    assert len(calls) == 11
+
+
+def test_checked_operands_give_the_raw_operands_results():
+    rng = np.random.default_rng(23)
+    sigma, rho = random_density(rng, 3), random_density(rng, 3)
+    effect, s, t = random_subunital_positive(rng, 3), random_subunital_positive(rng, 3), random_positive(rng, 3)
+    density = lambda m: _checked_spectrum(m, "state", density=True)  # noqa: E731
+    sub_unital = lambda m: _checked_spectrum(m, "effect", sub_unital=True, vectors=True)  # noqa: E731
+    assert check_measurement_on_close_states(density(sigma), density(rho), sub_unital(effect)) == (
+        check_measurement_on_close_states(sigma, rho, effect)
+    )
+    assert check_tender_operator(density(rho), sub_unital(effect)) == check_tender_operator(rho, effect)
+    assert check_hayashi_nagaoka(sub_unital(s), _checked_spectrum(t, "T")) == check_hayashi_nagaoka(s, t)
+
+
+def test_checks_skip_only_the_rechecks_of_checked_operands(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *r, _f=original, **k: calls.append(1) or _f(a, *r, **k))
+    rng = np.random.default_rng(29)
+    rho, effect = random_density(rng, 3), random_subunital_positive(rng, 3)
+    checked_rho = _checked_spectrum(rho, "rho", density=True)
+    checked_effect = _checked_spectrum(effect, "effect", sub_unital=True, vectors=True)
+    calls.clear()
+    check_tender_operator(rho, effect)
+    assert len(calls) == 3  # rho, the effect (whose eigh the square root reuses), the trace norm
+    calls.clear()
+    check_tender_operator(checked_rho, checked_effect)
+    assert len(calls) == 1  # the trace norm only
+
+
+def test_checked_operand_lacking_the_needed_property_is_rejected():
+    rho = np.eye(2) / 2
+    positive = _checked_spectrum(np.diag([0.3, 1.2]), "operator", vectors=True)
+    with pytest.raises(InvalidInputError, match=r"^effect exceeds the identity"):
+        check_tender_operator(rho, positive)
+    with pytest.raises(InvalidInputError, match=r"^effect exceeds the identity"):
+        check_measurement_on_close_states(rho, rho, positive)
+    with pytest.raises(InvalidInputError, match=r"^S exceeds the identity"):
+        check_hayashi_nagaoka(positive, np.zeros((2, 2)))
+    with pytest.raises(InvalidInputError, match=r"^sigma has trace 1.5"):
+        check_measurement_on_close_states(positive, rho, np.eye(2))

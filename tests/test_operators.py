@@ -5,7 +5,9 @@ import pytest
 
 from cqrelay.errors import InvalidInputError
 from cqrelay.operators import (
+    CheckedOperator,
     ProbabilityDistribution,
+    _checked_spectrum,
     hermitian_eigendecomposition,
     hermitian_part,
     matrix_sqrt,
@@ -226,3 +228,80 @@ def test_multinomial_coefficient_factorial_oracle():
         assert multinomial_coefficient(n, counts) == expect
     with pytest.raises(InvalidInputError):
         multinomial_coefficient(4, (2, 1))  # counts do not add up
+
+
+# ---------------------------------------------------------------------------
+# checked operators: each validated operator is decomposed once
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def eig_count(monkeypatch):
+    """Counts np.linalg.eigh and eigvalsh calls (a stack counts once)."""
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "routine",
+    [matrix_sqrt, pseudo_sqrt_inverse, support_projector, von_neumann_entropy],
+    ids=lambda f: f.__name__,
+)
+def test_each_spectral_routine_decomposes_its_argument_once(routine, eig_count):
+    rho = random_density(np.random.default_rng(43), 4)
+    routine(rho)
+    assert eig_count["eigh"] + eig_count["eigvalsh"] == 1
+
+
+def test_spectral_routines_reuse_a_checked_decomposition(eig_count):
+    rho = random_density(np.random.default_rng(47), 3)
+    op = _checked_spectrum(rho, "state", vectors=True)
+    assert eig_count == {"eigh": 1, "eigvalsh": 0}
+    assert np.array_equal(matrix_sqrt(op), matrix_sqrt(rho))
+    assert np.array_equal(pseudo_sqrt_inverse(op), pseudo_sqrt_inverse(rho))
+    assert np.array_equal(support_projector(op), support_projector(rho))
+    assert eig_count == {"eigh": 4, "eigvalsh": 0}  # the three raw calls only
+
+
+def test_checked_operator_arrays_are_read_only():
+    rng = np.random.default_rng(53)
+    stack = np.array([random_density(rng, 3) for _ in range(4)])
+    op = _checked_spectrum(stack, "state", density=True, vectors=True)
+    assert stack.flags.writeable  # the caller's array is left as it was
+    for checked in (op, op[2]):
+        for arr in (checked.matrix, checked.spectrum, checked.vectors):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[..., 0] = 0.0
+    assert op[2].density and not op[2].sub_unital
+    assert np.array_equal(op[2].matrix, stack[2])
+    assert np.array_equal(op[2].spectrum, np.linalg.eigh(hermitian_part(stack[2]))[0])
+
+
+def test_checked_operator_is_made_by_the_validators_only():
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    with pytest.raises(InvalidInputError, match="validators"):
+        CheckedOperator(rho, np.array([0.5, 0.5]), None, True, True)
+
+
+def test_checked_operator_lacking_a_property_is_checked_again():
+    positive = _checked_spectrum(np.diag([0.3, 1.2]), "operator")
+    with pytest.raises(InvalidInputError, match=r"^X exceeds the identity"):
+        _checked_spectrum(positive, "X", sub_unital=True)
+    with pytest.raises(InvalidInputError, match=r"^X has trace 1.5"):
+        _checked_spectrum(positive, "X", density=True)
+    assert _checked_spectrum(positive, "X") is positive
+
+
+def test_raw_stack_failures_name_the_matrix():
+    stack = np.array([np.diag([0.5, 0.5]), np.diag([1.2, -0.2])])
+    with pytest.raises(InvalidInputError, match=r"^state\[1\] has negative eigenvalue"):
+        _checked_spectrum(stack, "state", density=True, vectors=True)

@@ -533,3 +533,20 @@ def test_bound_report_is_json_safe():
     dist = ProbabilityDistribution.uniform(("0", "1"))
     rep = verify_conditional_projector_bounds(ch, ("0", "1", "0", "1"), dist, 0.5)
     json.dumps(rep.as_dict())
+
+
+def test_state_reports_decompose_each_state_once(monkeypatch):
+    # the density check reads the same eigh whose spectrum the reports use
+    rng = np.random.default_rng(59)
+    stack = np.array([random_density(rng, 3) for _ in range(4)])
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *r, _f=original, **k: calls.append(a.shape) or _f(a, *r, **k))
+    reports = verify_state_projector_bounds(stack, 5, 1.0)
+    assert calls == [(4, 3, 3)]
+    stats = state_projector_stats(stack[1], 5, 1.0)
+    assert calls == [(4, 3, 3), (3, 3)]
+    assert reports[1].measured["capture"] == stats.capture
+    with pytest.raises(InvalidInputError, match=r"^state\[2\] has trace"):
+        verify_state_projector_bounds(stack * np.array([1.0, 1.0, 1.1, 1.0])[:, None, None], 5, 1.0)
