@@ -334,10 +334,10 @@ def average_errors(
     codebook: Codebook,
     bc: BroadcastCQChannel,
     decoder: SquareRootDecoder,
-    detection: DetectionOperators | None = None,
+    detection: DetectionOperators,
 ) -> ErrorReport:
-    """Exact error tables; with detection operators the normalization-removal
-    bound (miss + 4x collision mass) is checked per pair."""
+    """Exact error tables, with the normalization-removal bound (2x miss +
+    4x collision mass of the detection operators) checked per pair."""
     first = {1: {}, 2: {}}
     coll = {1: {}, 2: {}}
     bounds = {1: {}, 2: {}}
@@ -349,8 +349,6 @@ def average_errors(
                 state = _word_factors(channel, codebook.words[pair])
                 err = _clamp_nonnegative(1.0 - _factor_trace(decoder.factor(receiver, *pair), state))
                 first[receiver][pair] = err
-                if detection is None:
-                    continue
                 own = detection.factors[receiver]
                 mass = sum(_clamp_nonnegative(_factor_trace(own[p], state)) for p in pairs if p != pair)
                 coll[receiver][pair] = mass
@@ -767,7 +765,6 @@ def _message_size(n: int, chi: float, eps: float, dim: int, what: str) -> int:
 def _sized_message_sets(config: SimConfig, chi1: float, chi2: float, dims, notices: list):
     """Explicit sizes win; otherwise size from 2^(n (chi - 2 eps)).  Either
     way, each set fits its receiver's detection dimension."""
-    n = config.n
     if config.m1_size is not None or config.m2_size is not None:
         if config.m1_size is None or config.m2_size is None:
             raise InvalidInputError("give both message sizes or neither")
@@ -775,16 +772,23 @@ def _sized_message_sets(config: SimConfig, chi1: float, chi2: float, dims, notic
             if size > dim:
                 raise _too_many_messages(what, size, dim)
         return config.m1_size, config.m2_size
+    sizes = _epsilon_sizes(config, [("message set M1", chi1, dims[0]), ("message set M2", chi2, dims[1])], notices)
+    return (0, 0) if sizes is None else tuple(sizes)
+
+
+def _epsilon_sizes(config: SimConfig, sets, notices: list):
+    """_message_size of each (what, chi, dim) message set at config.epsilon.
+
+    A missing epsilon defaults to the one at which the weakest set has size
+    2; None when that default is <= 0, so the weakest set cannot reach 2.
+    """
     eps = config.epsilon
     if eps is None:
-        eps = _default_epsilon(n, (chi1, chi2))
+        eps = _default_epsilon(config.n, [chi for _, chi, _ in sets])
         if eps <= 0.0:
-            return 0, 0
+            return None
         notices.append(f"epsilon defaulted to {eps:.6g} so both message sets reach size 2")
-    return (
-        _message_size(n, chi1, eps, dims[0], "message set M1"),
-        _message_size(n, chi2, eps, dims[1], "message set M2"),
-    )
+    return [_message_size(config.n, chi, eps, dim, what) for what, chi, dim in sets]
 
 
 def _detection_dims(bc: BroadcastCQChannel, config: SimConfig) -> tuple[int, int]:
@@ -914,11 +918,11 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report):
     elif config.m1_size is not None or config.m2_size is not None:
         size = config.m1_size if config.m1_size is not None else config.m2_size
     else:
-        eps = config.epsilon if config.epsilon is not None else _default_epsilon(config.n, (chi1, chi2))
-        if eps <= 0.0:
+        sizes = _epsilon_sizes(config, [("common message set", min(chi1, chi2), min(dims))], report["notices"])
+        if sizes is None:
             report.update(status="infeasible", reason="weaker channel cannot fit 2 messages")
             return report
-        size = _message_size(config.n, min(chi1, chi2), eps, min(dims), "common message set")
+        (size,) = sizes
     if size > min(dims):
         raise _too_many_messages("common message set", size, min(dims))
     if size < 2:

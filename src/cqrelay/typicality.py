@@ -12,6 +12,7 @@ works far beyond the dimension cap that limits dense realizations.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ from .operators import (
     product_columns,
     spectrum_entropy_bits,
     tensor_all,
-    validate_density,
 )
 
 PRESET_FIXED = "fixed"
@@ -266,20 +266,22 @@ class TypicalProjector:
 ConditionalTypicalProjector = TypicalProjector
 
 
-def _projector(states: dict, word: tuple, alpha: float, preset: str) -> TypicalProjector:
-    """Typical projector of the product state states[x_1] (x) ... (x) states[x_n].
+def _projector(decompositions: dict, word: tuple, alpha: float, preset: str) -> TypicalProjector:
+    """Typical projector of the product state of the word's letters.
 
-    Each caller checks d^n against its dimension cap before it forms
-    anything of size n, typical_projector's constant word included.
+    decompositions maps each letter of the word to its state's descending
+    spectrum and eigenvector columns.  Each caller checks d^n against its
+    dimension cap before it forms anything of size n, typical_projector's
+    constant word included.
     """
     n = len(word)
-    d = next(iter(states.values())).shape[0]
+    d = len(next(iter(decompositions.values()))[0])
     preset = resolve_preset(preset)
     words = _index_words(d, n)
     mask = np.ones(len(words), dtype=bool)
     eigs, bases, taus = {}, {}, {}
     for a, na in Counter(word).items():
-        w, u = hermitian_eigendecomposition(states[a])
+        w, u = decompositions[a]
         w = _clean_eigenvalues(w)
         tau_a = threshold_for(alpha, na, preset)
         eigs[a], bases[a], taus[a] = w, u, tau_a
@@ -298,11 +300,12 @@ def typical_projector(
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> TypicalProjector:
     """Typical projector of the n-fold product of a state: the constant word of letter 0."""
-    rho = validate_density(rho)
+    # validated from the one eigh whose decomposition the projector reads
+    op = _checked_spectrum(rho, "state", density=True, vectors=True)
     if n < 1:
         raise InvalidInputError(f"block length must be >= 1, got {n}")
-    _require_within_cap(rho.shape[0], n, dim_cap, "projector")
-    return _projector({0: rho}, (0,) * n, alpha, preset)
+    _require_within_cap(op.matrix.shape[0], n, dim_cap, "projector")
+    return _projector({0: (op.spectrum[::-1], op.vectors[:, ::-1].copy())}, (0,) * n, alpha, preset)
 
 
 def conditional_typical_projector(
@@ -317,7 +320,9 @@ def conditional_typical_projector(
     if not word:
         raise InvalidInputError("conditioning word is empty")
     _require_within_cap(channel.output_dim, len(word), dim_cap, "projector")
-    return _projector({a: channel.state(a) for a in dict.fromkeys(word)}, word, alpha, preset)
+    return _projector(
+        {a: hermitian_eigendecomposition(channel.state(a)) for a in dict.fromkeys(word)}, word, alpha, preset
+    )
 
 
 def _averaged_state_alpha(alpha: float, a_size: int) -> float:
@@ -799,64 +804,59 @@ class ProjectorBoundReport:
         return all(v for k, v in self.flags.items() if k.startswith("provable_"))
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": dict(self.params),
-            "measured": dict(self.measured),
-            "reference_bounds": dict(self.reference_bounds),
-            "provable_bounds": dict(self.provable_bounds),
-            "flags": dict(self.flags),
-            "empirical_K": self.empirical_K,
-        }
+        return dataclasses.asdict(self)
 
 
-def _state_report(d, n, alpha, tau, preset, capture, rank, lam_max, entropy, c, spread):
-    """One state report from its spectrum's precomputed functionals."""
-    capture_ref = 1.0 - d / (4.0 * n * alpha**2)
-    chebyshev = 1.0 - spread / (n * tau**2)
-    quarter = 1.0 - d / (4.0 * n * tau**2)
-    counting_exp = n * (entropy + tau * c)
-    equip_exp = -n * (entropy - tau * c)
+def _spectrum_functionals(w: np.ndarray):
+    """(entropy, log-inverse sum, spread) of each cleaned spectrum of an (S, d) stack."""
+    return zip(
+        spectrum_entropy_bits(w).tolist(),
+        _log_inverse_sum(w).tolist(),
+        (w * (1.0 - w)).sum(axis=-1).tolist(),
+    )
+
+
+def _bound_report(kind, params, d, alpha, a_size, capture, rank, lam_max, classes, entropy, equipartition):
+    """The capture, counting and equipartition checks of one projector.
+
+    classes lists (size, tau, entropy, log-inverse sum, spread) per letter
+    class of the word; a state is one class of size n with a_size 1.  The
+    empirical constant measures log-rank and log-lambda_max against n times
+    entropy, over the scale a_size d alpha sqrt(n).  equipartition maps the
+    counting exponent to the kind's equipartition exponent.
+    """
+    n = sum(size for size, *_ in classes)
+    cheb_sum = quarter_sum = counting_exp = 0.0
+    for size, tau, h, c, spread in classes:
+        cheb_sum += spread / (size * tau**2)
+        quarter_sum += d / (4.0 * size * tau**2)
+        counting_exp += size * (h + tau * c)
+    equip_exp = equipartition(counting_exp)
+    capture_ref = 1.0 - a_size * d / (4.0 * n * alpha**2)
 
     log_rank = math.log2(rank) if rank > 0 else None
     log_lmax = math.log2(lam_max) if lam_max > 0.0 else None
-    denom = d * alpha * math.sqrt(n)
+    denom = a_size * d * alpha * math.sqrt(n)
     k_count = max(0.0, (log_rank - n * entropy) / denom) if log_rank is not None else 0.0
     k_equip = max(0.0, (log_lmax + n * entropy) / denom) if log_lmax is not None else 0.0
-
-    flags = {
-        "reference_capture": bool(capture >= capture_ref - _CAPTURE_GRACE),
-        "provable_capture_chebyshev": bool(capture >= chebyshev - _CAPTURE_GRACE),
-        "provable_capture_quarter": bool(capture >= quarter - _CAPTURE_GRACE),
-        "provable_counting": bool(log_rank is None or log_rank <= counting_exp + _EXPONENT_GRACE),
-        "provable_equipartition": bool(
-            log_lmax is None or log_lmax <= equip_exp + _EXPONENT_GRACE
-        ),
-    }
     return ProjectorBoundReport(
-        kind="state",
-        params={
-            "d": d,
-            "n": n,
-            "alpha": float(alpha),
-            "tau": tau,
-            "preset": preset,
-            "entropy_bits": entropy,
-            "log_inverse_sum": c,
-        },
-        measured={
-            "capture": capture,
-            "rank": rank,
-            "lambda_max": lam_max,
-        },
+        kind=kind,
+        params=params,
+        measured={"capture": capture, "rank": rank, "lambda_max": lam_max},
         reference_bounds={"capture": capture_ref},
         provable_bounds={
-            "capture_chebyshev": chebyshev,
-            "capture_quarter": quarter,
+            "capture_chebyshev": 1.0 - cheb_sum,
+            "capture_quarter": 1.0 - quarter_sum,
             "counting_log2": counting_exp,
             "equipartition_log2": equip_exp,
         },
-        flags=flags,
+        flags={
+            "reference_capture": bool(capture >= capture_ref - _CAPTURE_GRACE),
+            "provable_capture_chebyshev": bool(capture >= 1.0 - cheb_sum - _CAPTURE_GRACE),
+            "provable_capture_quarter": bool(capture >= 1.0 - quarter_sum - _CAPTURE_GRACE),
+            "provable_counting": bool(log_rank is None or log_rank <= counting_exp + _EXPONENT_GRACE),
+            "provable_equipartition": bool(log_lmax is None or log_lmax <= equip_exp + _EXPONENT_GRACE),
+        },
         empirical_K=max(k_count, k_equip),
     )
 
@@ -873,106 +873,65 @@ def verify_state_projector_bounds(rho, n: int, alpha: float, preset: str = PRESE
     preset = resolve_preset(preset)
     d = op.matrix.shape[-1]
     tau = threshold_for(alpha, n, preset)
-    w = _clean_eigenvalues(op.spectrum.reshape(-1, d)[:, ::-1])
-    stats = spectrum_projector_stats(w, n, tau)
-    columns = zip(
-        stats.capture.tolist(),
-        stats.rank,
-        stats.lambda_max.tolist(),
-        spectrum_entropy_bits(w).tolist(),
-        _log_inverse_sum(w).tolist(),
-        (w * (1.0 - w)).sum(axis=-1).tolist(),
-    )
-    reports = [_state_report(d, n, alpha, tau, preset, *col) for col in columns]
+    stats = spectrum_projector_stats(op.spectrum.reshape(-1, d)[:, ::-1], n, tau)
+    reports = []
+    for capture, rank, lam_max, (entropy, c, spread) in zip(
+        stats.capture.tolist(), stats.rank, stats.lambda_max.tolist(), _spectrum_functionals(stats.eigenvalues)
+    ):
+        params = {
+            "d": d,
+            "n": n,
+            "alpha": float(alpha),
+            "tau": tau,
+            "preset": preset,
+            "entropy_bits": entropy,
+            "log_inverse_sum": c,
+        }
+        reports.append(
+            _bound_report(
+                "state", params, d, alpha, 1, capture, rank, lam_max,
+                [(n, tau, entropy, c, spread)], entropy, lambda _: -n * (entropy - tau * c),
+            )
+        )
     return reports[0] if op.matrix.ndim == 2 else reports
 
 
-def _conditional_report(word, dist, alpha, preset, d, a_size, cond, cross, cond_entropy_true, per_class):
-    """One conditional report from its word's precomputed class functionals.
-
-    per_class maps each letter to (entropy, log-inverse sum, spread) of its
-    class spectrum.
-    """
+def _conditional_report(word, dist, alpha, preset, d, cond, cross, cond_entropy_true, classes):
+    """One conditional report from its word's class functionals (as _bound_report
+    takes them) and its cross capture."""
     n = len(word)
-    cheb_sum = 0.0
-    quarter_sum = 0.0
-    counting_exp = 0.0
-    for a, stats in cond.class_stats.items():
-        na = cond.class_sizes[a]
-        entropy, c, spread = per_class[a]
-        cheb_sum += spread / (na * stats.tau**2)
-        quarter_sum += d / (4.0 * na * stats.tau**2)
-        counting_exp += na * (entropy + stats.tau * c)
-    emp_cond_entropy = sum(cond.class_sizes[a] * per_class[a][0] for a in cond.class_stats) / n
-    equip_exp = counting_exp - 2.0 * n * emp_cond_entropy
-
-    capture_ref = 1.0 - a_size * d / (4.0 * n * alpha**2)
-
+    a_size = len(dist.labels)
+    emp_cond_entropy = sum(size * h for size, _, h, _, _ in classes) / n
     type_counts = Counter(word)
     exact_type = all(
         abs(type_counts.get(a, 0) - n * wgt) <= 1e-9
         for a, wgt in zip(dist.labels, dist.weights)
     )
-    cross_provable = (
-        1.0 - cross.variance_sum / (n * cross.tau) ** 2 if exact_type else None
-    )
-
-    log_rank = math.log2(cond.rank) if cond.rank > 0 else None
-    log_lmax = math.log2(cond.lambda_max) if cond.lambda_max > 0.0 else None
-    denom = a_size * d * alpha * math.sqrt(n)
-    k_count = (
-        max(0.0, (log_rank - n * cond_entropy_true) / denom) if log_rank is not None else 0.0
-    )
-    k_equip = (
-        max(0.0, (log_lmax + n * cond_entropy_true) / denom) if log_lmax is not None else 0.0
-    )
-
-    flags = {
-        "reference_capture": bool(cond.capture >= capture_ref - _CAPTURE_GRACE),
-        "provable_capture_chebyshev": bool(cond.capture >= 1.0 - cheb_sum - _CAPTURE_GRACE),
-        "provable_capture_quarter": bool(cond.capture >= 1.0 - quarter_sum - _CAPTURE_GRACE),
-        "provable_counting": bool(
-            log_rank is None or log_rank <= counting_exp + _EXPONENT_GRACE
-        ),
-        "provable_equipartition": bool(
-            log_lmax is None or log_lmax <= equip_exp + _EXPONENT_GRACE
-        ),
-        "reference_cross_capture": bool(cross.capture >= capture_ref - _CAPTURE_GRACE),
+    params = {
+        "d": d,
+        "a": a_size,
+        "n": n,
+        "alpha": float(alpha),
+        "preset": preset,
+        "word_type": {str(k): v for k, v in sorted(type_counts.items(), key=lambda kv: str(kv[0]))},
+        "exact_type": exact_type,
+        "conditional_entropy_bits": cond_entropy_true,
+        "empirical_conditional_entropy_bits": emp_cond_entropy,
+        "cross_tau": cross.tau,
     }
-    if cross_provable is not None:
-        flags["provable_cross_capture"] = bool(cross.capture >= cross_provable - _CAPTURE_GRACE)
-    return ProjectorBoundReport(
-        kind="conditional",
-        params={
-            "d": d,
-            "a": a_size,
-            "n": n,
-            "alpha": float(alpha),
-            "preset": preset,
-            "word_type": {str(k): v for k, v in sorted(type_counts.items(), key=lambda kv: str(kv[0]))},
-            "exact_type": exact_type,
-            "conditional_entropy_bits": cond_entropy_true,
-            "empirical_conditional_entropy_bits": emp_cond_entropy,
-            "cross_tau": cross.tau,
-        },
-        measured={
-            "capture": cond.capture,
-            "rank": cond.rank,
-            "lambda_max": cond.lambda_max,
-            "cross_capture": cross.capture,
-            "cross_mean_shift": cross.mean_shift,
-        },
-        reference_bounds={"capture": capture_ref, "cross_capture": capture_ref},
-        provable_bounds={
-            "capture_chebyshev": 1.0 - cheb_sum,
-            "capture_quarter": 1.0 - quarter_sum,
-            "counting_log2": counting_exp,
-            "equipartition_log2": equip_exp,
-            "cross_capture": cross_provable,
-        },
-        flags=flags,
-        empirical_K=max(k_count, k_equip),
+    report = _bound_report(
+        "conditional", params, d, alpha, a_size, cond.capture, cond.rank, cond.lambda_max,
+        classes, cond_entropy_true, lambda counting: counting - 2.0 * n * emp_cond_entropy,
     )
+    capture_ref = report.reference_bounds["capture"]
+    cross_provable = 1.0 - cross.variance_sum / (n * cross.tau) ** 2 if exact_type else None
+    report.measured.update(cross_capture=cross.capture, cross_mean_shift=cross.mean_shift)
+    report.reference_bounds["cross_capture"] = capture_ref
+    report.provable_bounds["cross_capture"] = cross_provable
+    report.flags["reference_cross_capture"] = bool(cross.capture >= capture_ref - _CAPTURE_GRACE)
+    if cross_provable is not None:
+        report.flags["provable_cross_capture"] = bool(cross.capture >= cross_provable - _CAPTURE_GRACE)
+    return report
 
 
 def verify_conditional_projector_bounds(
@@ -1002,7 +961,6 @@ def verify_conditional_projector_bounds(
     batch = _word_batch(channels, words, dist.labels, "conditioning word is empty")
     states = _checked_spectrum(batch.states, "channel state", density=True)
     d = states.matrix.shape[-1]
-    a_size = len(dist.labels)
     conds = _class_stats(batch, alpha, preset)
     crosses = _cross_stats(batch, dist, alpha, preset)
 
@@ -1014,19 +972,12 @@ def verify_conditional_projector_bounds(
             cond_entropy = cond_entropy + wgt * letter_entropy[:, j]
 
     class_w = np.array([stats.eigenvalues for cond in conds for stats in cond.class_stats.values()])
-    per_class = iter(
-        zip(
-            spectrum_entropy_bits(class_w).tolist(),
-            _log_inverse_sum(class_w).tolist(),
-            (class_w * (1.0 - class_w)).sum(axis=-1).tolist(),
-        )
-    )
+    functionals = _spectrum_functionals(class_w)
     reports = [
         _conditional_report(
-            batch.words[s], dist, alpha, preset, d, a_size, cond, cross, float(cond_entropy[s]),
-            {a: next(per_class) for a in cond.class_stats},
+            batch.words[s], dist, alpha, preset, d, cond, cross, float(cond_entropy[s]),
+            [(stats.n, stats.tau, *next(functionals)) for stats in cond.class_stats.values()],
         )
         for s, (cond, cross) in enumerate(zip(conds, crosses))
     ]
     return reports[0] if single else reports
-

@@ -479,6 +479,7 @@ def test_simulate_checks_the_cap_before_sampling(tmp_path, capsys):
         ({"n": 4, "M1": 1_000_000_000, "M2": 2}, 1),
         ({"n": 4, "M1": 2, "M2": 17}, 1),  # one past receiver 2's 2^4 dimensions
         ({"n": 4, "M1": 17, "M2": 17, "scheme": "modular-sum"}, 1),
+        ({"n": 4, "epsilon": -0.5, "scheme": "modular-sum"}, 1),  # a common set of 2^6.85
     ],
 )
 def test_simulate_refuses_message_sets_beyond_the_detection_dimension(tmp_path, capsys, monkeypatch, config, code):
@@ -493,6 +494,17 @@ def test_simulate_refuses_message_sets_beyond_the_detection_dimension(tmp_path, 
     cfg.write_text(json.dumps(config))
     assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == code
     assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("epsilon, size", [(0.0, 7), (-0.05, 9)])
+def test_modular_sum_sizes_an_explicit_nonpositive_epsilon(tmp_path, capsys, epsilon, size):
+    # only a defaulted epsilon <= 0 leaves the weaker receiver without 2
+    # messages; an explicit one sizes the common set by the shared rule
+    bc = write_channel(tmp_path, "product-broadcast", "bc.json", ("--p", "0.1"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "epsilon": epsilon, "scheme": "modular-sum", "max_seed_attempts": 1}))
+    assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 0
+    assert json.loads(capsys.readouterr().out)["sizes"] == {"common": size}
 
 
 def test_simulate_accepts_message_sets_that_fill_the_detection_dimension(tmp_path, capsys):

@@ -550,3 +550,28 @@ def test_state_reports_decompose_each_state_once(monkeypatch):
     assert reports[1].measured["capture"] == stats.capture
     with pytest.raises(InvalidInputError, match=r"^state\[2\] has trace"):
         verify_state_projector_bounds(stack * np.array([1.0, 1.0, 1.1, 1.0])[:, None, None], 5, 1.0)
+
+
+def test_typical_projector_decomposes_the_state_once(monkeypatch):
+    # the density check reads the one eigh whose decomposition the projector uses
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, *r, _f=original, _n=name, **k: calls.append(_n) or _f(a, *r, **k)
+        )
+    proj = typical_projector(np.diag([0.7, 0.3]), 3, 1.0)
+    assert calls == ["eigh"]
+    assert proj.rank == 8
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.diag([1.2, -0.2]), r"^state has negative eigenvalue -2\.000e-01$"),
+        (np.diag([0.7, 0.4]), r"^state has trace 1\.1, expected 1$"),
+    ],
+)
+def test_typical_projector_rejects_invalid_states(rho, message):
+    with pytest.raises(InvalidInputError, match=message):
+        typical_projector(rho, 3, 1.0)

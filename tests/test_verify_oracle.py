@@ -739,6 +739,32 @@ def test_conditional_reports_match_the_scalar_builder(seed):
                         assert_reports_equal(report.as_dict(), o_conditional_report(ch, word, dist, alpha, preset))
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reports_match_the_scalar_builder_where_only_the_grace_holds(seed):
+    # at alpha = 1e8 every count class is admitted and the capture references
+    # round to 1, while the captures sum to just under 1: the capture flags
+    # then hold only through their grace
+    rng = np.random.default_rng(seed)
+    binary = ProbabilityDistribution(("0", "1"), np.array([0.5, 0.5]))
+    below = {"state": 0, "conditional": 0, "cross": 0}
+    for dim in (2, 3, 4):
+        for _ in range(4):
+            rho = o_density(o_gaussian(rng, dim))
+            for n in (3, 5):
+                report = verify_state_projector_bounds(rho, n, 1e8).as_dict()
+                assert report == o_state_report(rho, n, 1e8, PRESET_FIXED)
+                below["state"] += report["measured"]["capture"] < report["provable_bounds"]["capture_quarter"]
+        channels = [random_channel(rng, binary.labels, dim) for _ in range(4)]
+        words = [tuple(rng.choice(binary.labels, size=4)) for _ in channels]
+        reports = verify_conditional_projector_bounds(channels, words, binary, 1e8, PRESET_FIXED)
+        for ch, word, report in zip(channels, words, reports):
+            report = report.as_dict()
+            assert_reports_equal(report, o_conditional_report(ch, word, binary, 1e8, PRESET_FIXED))
+            below["conditional"] += report["measured"]["capture"] < report["reference_bounds"]["capture"]
+            below["cross"] += report["measured"]["cross_capture"] < report["reference_bounds"]["cross_capture"]
+    assert min(below.values()) > 0
+
+
 def test_cross_capture_merges_letter_classes_like_the_convolution():
     rng = np.random.default_rng(2)
     dist = ProbabilityDistribution(("a", "b", "c"), np.array([0.2, 0.3, 0.5]))
