@@ -26,36 +26,52 @@ from .operators import (
 )
 
 
+def _state_table(alphabets, states, name: str, dim: int | None = None, validate: bool = True):
+    """A channel's table of letter states, and their dimension.
+
+    alphabets lists (labels, what) pairs; each must be nonempty with
+    distinct labels.  The keys are the letters of one alphabet, or the
+    sender-letter pairs of two.  Each key's state is looked up in states
+    and checked as a density operator, and all must share one dimension:
+    dim when given, else the first state's.  name prefixes the key in
+    messages.  With validate=False, states is returned as given and only
+    the first key's state is read, for the dimension.
+    """
+    for labels, what in alphabets:
+        if not labels:
+            raise InvalidInputError(f"{what} is empty")
+        if len(set(labels)) != len(labels):
+            raise InvalidInputError(f"{what} labels must be distinct")
+    keys = alphabets[0][0] if len(alphabets) == 1 else list(itertools.product(*(a for a, _ in alphabets)))
+    if not validate:
+        keys = keys[:1]
+    table = {}
+    for key in keys:
+        try:
+            raw = states[key]
+        except KeyError:
+            raise InvalidInputError(f"missing {name} {key!r}") from None
+        st = validate_density(raw, name=f"{name} {key!r}") if validate else np.asarray(raw)
+        if dim is None:
+            dim = st.shape[0]
+        elif st.shape[0] != dim:
+            raise InvalidInputError(f"{name} {key!r} has dimension {st.shape[0]}, expected {dim}")
+        table[key] = st
+    return (table if validate else states), int(dim)
+
+
 class CQChannel:
-    """Map from a finite classical alphabet into density operators."""
+    """Map from a finite classical alphabet into density operators.
+
+    With validate=False the states mapping is kept as given, unchecked; a
+    product extension passes its lazy word-state table this way.
+    """
 
     def __init__(self, alphabet, states, *, validate: bool = True):
         self._alphabet = tuple(alphabet)
-        if not self._alphabet:
-            raise InvalidInputError("channel alphabet is empty")
-        if len(set(self._alphabet)) != len(self._alphabet):
-            raise InvalidInputError("channel alphabet labels must be distinct")
-        if validate:
-            table = {}
-            dim = None
-            for a in self._alphabet:
-                try:
-                    raw = states[a]
-                except KeyError:
-                    raise InvalidInputError(f"missing state for input {a!r}") from None
-                st = validate_density(raw, name=f"state for input {a!r}")
-                if dim is None:
-                    dim = st.shape[0]
-                elif st.shape[0] != dim:
-                    raise InvalidInputError(
-                        f"state for input {a!r} has dimension {st.shape[0]}, expected {dim}"
-                    )
-                table[a] = st
-            self._states = table
-            self._dim = dim
-        else:
-            self._states = states
-            self._dim = int(np.asarray(states[self._alphabet[0]]).shape[0])
+        self._states, self._dim = _state_table(
+            [(self._alphabet, "channel alphabet")], states, "state for input", validate=validate
+        )
 
     @property
     def alphabet(self) -> tuple:
@@ -114,29 +130,55 @@ def _require_matching_alphabet(channel_alphabet: tuple, dist: ProbabilityDistrib
         raise InvalidInputError("distribution alphabet does not match channel alphabet")
 
 
+def _letter_sum(weights, letter):
+    """The sum of w_j * letter(j) over the letter indices j, in alphabet order.
+
+    weights is one weight vector or a (..., |A|) stack of weight rows, and
+    letter(j) is letter j's state or its entropy, or a stack of either.
+    Letters are read one at a time, so a product extension's |A|^n states
+    are never held together, and a letter whose weight is 0 in every row is
+    not read.  A row's zero weights add exact zeros, so each row's sum is
+    the one-vector sum of that row, bit for bit.
+    """
+    weights = np.asarray(weights, dtype=float)
+    total = 0.0
+    for j in np.flatnonzero((weights > 0.0).reshape(-1, weights.shape[-1]).any(axis=0)).tolist():
+        value = np.asarray(letter(j))
+        total = total + weights[..., j].reshape(weights.shape[:-1] + (1,) * value.ndim) * value
+    return total
+
+
+def _averaged_states(channel: CQChannel, weights) -> np.ndarray:
+    """Hermitian part of the average output state, per weight row."""
+    return hermitian_part(_letter_sum(weights, lambda j: channel.state(channel.alphabet[j])))
+
+
+def _letter_entropy(channel: CQChannel, weights):
+    """Weighted average of the letter-state entropies in bits, per weight row."""
+    return _letter_sum(weights, lambda j: von_neumann_entropy(channel.state(channel.alphabet[j])))
+
+
+def _chi(channel: CQChannel, weights):
+    """Holevo information in bits, per weight row."""
+    return von_neumann_entropy(_averaged_states(channel, weights)) - _letter_entropy(channel, weights)
+
+
 def output_state(channel: CQChannel, dist: ProbabilityDistribution) -> np.ndarray:
     """Average output state under the given input distribution."""
     _require_matching_alphabet(channel.alphabet, dist)
-    out = np.zeros((channel.output_dim, channel.output_dim), dtype=complex)
-    for a, w in zip(dist.labels, dist.weights):
-        if w > 0.0:
-            out += w * channel.state(a)
-    return hermitian_part(out)
+    return _averaged_states(channel, dist.weights)
 
 
 def conditional_entropy(channel: CQChannel, dist: ProbabilityDistribution) -> float:
     """Input-weighted average of the output-state entropies, in bits."""
     _require_matching_alphabet(channel.alphabet, dist)
-    total = 0.0
-    for a, w in zip(dist.labels, dist.weights):
-        if w > 0.0:
-            total += w * von_neumann_entropy(channel.state(a))
-    return total
+    return float(_letter_entropy(channel, dist.weights))
 
 
 def holevo_chi(channel: CQChannel, dist: ProbabilityDistribution) -> float:
     """Entropy of the average output minus the average output entropy, in bits."""
-    return von_neumann_entropy(output_state(channel, dist)) - conditional_entropy(channel, dist)
+    _require_matching_alphabet(channel.alphabet, dist)
+    return float(_chi(channel, dist.weights))
 
 
 class BroadcastCQChannel:
@@ -144,25 +186,13 @@ class BroadcastCQChannel:
 
     def __init__(self, alphabet, dims: tuple[int, int], joint_states, *, validate: bool = True):
         self._alphabet = tuple(alphabet)
-        if not self._alphabet:
-            raise InvalidInputError("broadcast alphabet is empty")
         d1, d2 = int(dims[0]), int(dims[1])
         if d1 < 1 or d2 < 1:
             raise InvalidInputError(f"receiver dimensions must be positive, got {dims}")
         self._dims = (d1, d2)
-        table = {}
-        for a in self._alphabet:
-            try:
-                raw = joint_states[a]
-            except KeyError:
-                raise InvalidInputError(f"missing joint state for input {a!r}") from None
-            st = validate_density(raw, name=f"joint state for input {a!r}") if validate else raw
-            if st.shape[0] != d1 * d2:
-                raise InvalidInputError(
-                    f"joint state for input {a!r} has dimension {st.shape[0]}, expected {d1 * d2}"
-                )
-            table[a] = st
-        self._states = table
+        self._states, _ = _state_table(
+            [(self._alphabet, "broadcast alphabet")], joint_states, "joint state for input", d1 * d2, validate
+        )
         self._marginals: dict[int, CQChannel] = {}
 
     @property
@@ -196,28 +226,13 @@ class MACCQChannel:
 
     def __init__(self, alphabets, states, *, validate: bool = True):
         a1, a2 = tuple(alphabets[0]), tuple(alphabets[1])
-        if not a1 or not a2:
-            raise InvalidInputError("sender alphabets must be nonempty")
         self._alphabets = (a1, a2)
-        table = {}
-        dim = None
-        for y1 in a1:
-            for y2 in a2:
-                try:
-                    raw = states[(y1, y2)]
-                except KeyError:
-                    raise InvalidInputError(f"missing state for input pair ({y1!r}, {y2!r})") from None
-                st = validate_density(raw, name=f"state for input pair ({y1!r}, {y2!r})") if validate else raw
-                if dim is None:
-                    dim = st.shape[0]
-                elif st.shape[0] != dim:
-                    raise InvalidInputError(
-                        f"state for input pair ({y1!r}, {y2!r}) has dimension "
-                        f"{st.shape[0]}, expected {dim}"
-                    )
-                table[(y1, y2)] = st
-        self._states = table
-        self._dim = dim
+        self._states, self._dim = _state_table(
+            [(a1, "first sender alphabet"), (a2, "second sender alphabet")],
+            states,
+            "state for input pair",
+            validate=validate,
+        )
 
     @property
     def alphabets(self) -> tuple[tuple, tuple]:
@@ -310,25 +325,33 @@ def load_channel(path: str):
     raise InvalidInputError(f"unknown channel kind {kind!r}")
 
 
-def _get_states(data) -> dict:
-    states = data.get("states")
-    if not isinstance(states, dict):
+def _file_states(data, keys, what: str, literal_what: str | None = None) -> dict:
+    """The matrix literals of data['states'] as a table, read in key order.
+
+    keys lists (file key, table key) pairs; a missing file key is
+    "missing <what> <key>", a bad literal is named "<literal_what> <key>".
+    """
+    states_raw = data.get("states")
+    if not isinstance(states_raw, dict):
         raise InvalidInputError("'states' must be an object keyed by input label")
+    states = {}
+    for file_key, key in keys:
+        if file_key not in states_raw:
+            raise InvalidInputError(f"missing {what} {file_key!r}")
+        states[key] = matrix_from_literal(states_raw[file_key], name=f"{literal_what or what} {file_key!r}")
     return states
+
+
+def _check_declared_dims(data, dim: int) -> None:
+    dims = data.get("dims")
+    if dims is not None and dims != dim:
+        raise InvalidInputError(f"declared dims {dims!r} but states have dimension {dim}")
 
 
 def _parse_cq(data) -> CQChannel:
     alphabet = _parse_labels(data.get("alphabet"), "'alphabet'")
-    states_raw = _get_states(data)
-    states = {}
-    for a in alphabet:
-        if a not in states_raw:
-            raise InvalidInputError(f"missing state for input {a!r}")
-        states[a] = matrix_from_literal(states_raw[a], name=f"state for input {a!r}")
-    ch = CQChannel(alphabet, states)
-    dims = data.get("dims")
-    if dims is not None and dims != ch.output_dim:
-        raise InvalidInputError(f"declared dims {dims!r} but states have dimension {ch.output_dim}")
+    ch = CQChannel(alphabet, _file_states(data, [(a, a) for a in alphabet], "state for input"))
+    _check_declared_dims(data, ch.output_dim)
     return ch
 
 
@@ -341,12 +364,7 @@ def _parse_broadcast(data) -> BroadcastCQChannel:
         d1, d2 = int(dims["y1"]), int(dims["y2"])
     except (TypeError, ValueError):
         raise InvalidInputError("broadcast 'dims' entries must be integers") from None
-    states_raw = _get_states(data)
-    states = {}
-    for a in alphabet:
-        if a not in states_raw:
-            raise InvalidInputError(f"missing joint state for input {a!r}")
-        states[a] = matrix_from_literal(states_raw[a], name=f"joint state for input {a!r}")
+    states = _file_states(data, [(a, a) for a in alphabet], "joint state for input")
     return BroadcastCQChannel(alphabet, (d1, d2), states)
 
 
@@ -356,18 +374,9 @@ def _parse_mac(data) -> MACCQChannel:
         raise InvalidInputError("'alphabets' must be a two-element list of label lists")
     a1 = _parse_labels(alphabets[0], "first sender alphabet")
     a2 = _parse_labels(alphabets[1], "second sender alphabet")
-    states_raw = _get_states(data)
-    states = {}
-    for y1 in a1:
-        for y2 in a2:
-            key = f"{y1},{y2}"
-            if key not in states_raw:
-                raise InvalidInputError(f"missing state for input pair {key!r}")
-            states[(y1, y2)] = matrix_from_literal(states_raw[key], name=f"state for pair {key!r}")
-    mac = MACCQChannel((a1, a2), states)
-    dims = data.get("dims")
-    if dims is not None and dims != mac.output_dim:
-        raise InvalidInputError(f"declared dims {dims!r} but states have dimension {mac.output_dim}")
+    pairs = [(f"{y1},{y2}", (y1, y2)) for y1 in a1 for y2 in a2]
+    mac = MACCQChannel((a1, a2), _file_states(data, pairs, "state for input pair", "state for pair"))
+    _check_declared_dims(data, mac.output_dim)
     return mac
 
 

@@ -24,7 +24,6 @@ from .channels import (
     constant_channel,
     depolarized_channel,
     dump_json,
-    holevo_chi,
     load_channel,
     orthogonal_pure_channel,
     output_state,
@@ -141,9 +140,9 @@ def cmd_chi(args) -> int:
         dist = _parse_dist(args.dist, channel.alphabet)
     else:
         dist = ProbabilityDistribution.uniform(channel.alphabet)
-    chi = holevo_chi(channel, dist)
     s_out = von_neumann_entropy(output_state(channel, dist))
     s_cond = conditional_entropy(channel, dist)
+    chi = s_out - s_cond
     if args.format == "json":
         _emit_json(
             {

@@ -13,9 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import BroadcastCQChannel, CQChannel, MACCQChannel, holevo_chi
+from .channels import BroadcastCQChannel, CQChannel, MACCQChannel, _chi
 from .errors import InvalidInputError, ResourceLimitError
-from .operators import ZERO_EIGENVALUE_TOL, ProbabilityDistribution, compositions
+from .operators import ProbabilityDistribution, compositions, von_neumann_entropy
 
 _VERTEX_DEDUP_TOL = 1e-8
 _COLLINEAR_TOL = 1e-12
@@ -53,6 +53,8 @@ class DistributionGrid:
     def __post_init__(self):
         if not self.labels:
             raise InvalidInputError("grid needs a nonempty label alphabet")
+        if isinstance(self.resolution, bool) or not isinstance(self.resolution, (int, np.integer)):
+            raise InvalidInputError(f"grid resolution must be an integer, got {self.resolution!r}")
         if self.resolution < 1:
             raise InvalidInputError("grid resolution must be >= 1")
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -246,39 +248,6 @@ def intersect_regions(first: RateRegion, second: RateRegion) -> RateRegion:
     return RateRegion.from_points(poly)
 
 
-# ---------------------------------------------------------------------------
-# Batched entropy helpers for grid sweeps.
-# ---------------------------------------------------------------------------
-
-
-def _batched_entropy_bits(mats: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(mats)
-    w = np.clip(w, 0.0, None)
-    logs = np.zeros_like(w)
-    mask = w > ZERO_EIGENVALUE_TOL
-    logs[mask] = np.log2(w[mask])
-    return np.maximum(0.0, -(w * logs).sum(axis=-1))
-
-
-def _chi_evaluator(channel: CQChannel):
-    """Fast closure weights -> Holevo information, reusing state entropies.
-
-    A (G, d) stack of weight rows gives the G values in one batched
-    eigensolve.  The mean entropy is a (1, d) @ (d, 1) product per row,
-    which runs the same dot kernel as a single row's ``weights @ ent``, so
-    each value equals a one-row call bit for bit.
-    """
-    states = np.stack([channel.state(a) for a in channel.alphabet])
-    ent = _batched_entropy_bits(states)
-
-    def chi(weights: np.ndarray):
-        avg = np.einsum("...i,ijk->...jk", weights, states)
-        mean_ent = (weights[..., None, :] @ ent[:, None])[..., 0, 0]
-        return _batched_entropy_bits(avg) - mean_ent
-
-    return chi
-
-
 def _with_origin(corners: np.ndarray) -> np.ndarray:
     """The origin once, then the corners as (x, y) rows in grid order."""
     return np.concatenate([np.zeros((1, 2)), corners.reshape(-1, 2)])
@@ -304,7 +273,7 @@ def _pentagon_bounds(
     states = np.stack([np.stack([mac.state(y1, y2) for y2 in a2]) for y1 in a1])
     dim = states.shape[-1]
     _require_stack_bytes(len(grid) * len(grid2), dim, "MAC region")
-    ent = _batched_entropy_bits(states.reshape(d1 * d2, dim, dim)).reshape(d1, d2)
+    ent = von_neumann_entropy(states.reshape(d1 * d2, dim, dim)).reshape(d1, d2)
 
     q1 = grid.weight_matrix()  # (G1, d1)
     q2 = grid2.weight_matrix()  # (G2, d2)
@@ -313,12 +282,12 @@ def _pentagon_bounds(
     # Slice averages reused by both variants: over sender 1 per y2, and the
     # mirror image.
     slice2 = np.einsum("gi,ijkl->gjkl", q1, states)
-    h_slice2 = _batched_entropy_bits(slice2.reshape(-1, dim, dim)).reshape(g1, d2)
+    h_slice2 = von_neumann_entropy(slice2.reshape(-1, dim, dim)).reshape(g1, d2)
     slice1 = np.einsum("hj,ijkl->hikl", q2, states)
-    h_slice1 = _batched_entropy_bits(slice1.reshape(-1, dim, dim)).reshape(g2, d1)
+    h_slice1 = von_neumann_entropy(slice1.reshape(-1, dim, dim)).reshape(g2, d1)
 
     sigma = np.einsum("hj,gjkl->ghkl", q2, slice2)  # (G1, G2, dim, dim)
-    h_sigma = _batched_entropy_bits(sigma.reshape(-1, dim, dim)).reshape(g1, g2)
+    h_sigma = von_neumann_entropy(sigma.reshape(-1, dim, dim)).reshape(g1, g2)
     mean_ent = q1 @ ent @ q2.T  # (G1, G2)
     c_bound = h_sigma - mean_ent
 
@@ -362,8 +331,8 @@ def broadcast_region(bc: BroadcastCQChannel, grid: DistributionGrid) -> RateRegi
         raise InvalidInputError("grid labels must match the broadcast alphabet")
     _require_stack_bytes(len(grid), max(bc.dims), "broadcast region")
     weights = grid.weight_matrix()
-    x1 = np.maximum(_chi_evaluator(bc.marginal(1))(weights), 0.0)
-    x2 = np.maximum(_chi_evaluator(bc.marginal(2))(weights), 0.0)
+    x1 = np.maximum(_chi(bc.marginal(1), weights), 0.0)
+    x2 = np.maximum(_chi(bc.marginal(2), weights), 0.0)
     zero = np.zeros_like(x1)
     return RateRegion.from_points(_with_origin(np.stack([x1, zero, zero, x2, x1, x2], axis=-1)))
 
@@ -383,24 +352,20 @@ def _refine_simplex_ascent(chi, weights: np.ndarray, steps: int):
     """Projected coordinate-ascent refinement; accepts only improvements."""
     w = weights.copy()
     best = chi(w)
-    history = [best]
     step = 0.5 / max(len(w), 2)
     h = 1e-6
     for _ in range(steps):
-        grad = np.zeros_like(w)
-        for i in range(len(w)):
-            probe = w.copy()
-            probe[i] += h
-            probe = _project_to_simplex(probe)
-            grad[i] = (chi(probe) - best) / h
+        # one chi call for all coordinate probes: a row of a weight stack
+        # scores as that row alone, bit for bit
+        probes = np.array([_project_to_simplex(w + h * e) for e in np.eye(len(w))])
+        grad = (chi(probes) - best) / h
         cand = _project_to_simplex(w + step * grad)
         cand_val = chi(cand)
         if cand_val > best:
             w, best = cand, cand_val
         else:
             step /= 2.0
-        history.append(best)
-    return w, best, history
+    return w, best
 
 
 def optimize_chi(
@@ -410,10 +375,9 @@ def optimize_chi(
     if grid.labels != channel.alphabet:
         raise InvalidInputError("grid labels must match the channel alphabet")
     _require_stack_bytes(len(grid), channel.output_dim, "chi search")
-    chi = _chi_evaluator(channel)
     mat = grid.weight_matrix()
-    best_idx = int(np.argmax(chi(mat)))
-    w, best, _ = _refine_simplex_ascent(chi, mat[best_idx], refine_steps)
+    best_idx = int(np.argmax(_chi(channel, mat)))
+    w, best = _refine_simplex_ascent(lambda weights: _chi(channel, weights), mat[best_idx], refine_steps)
     w = w / w.sum()
     return ProbabilityDistribution(channel.alphabet, w), float(best)
 
@@ -424,7 +388,7 @@ def weighted_boundary_point(region, mu: float) -> RatePair:
         region = region()
     if not isinstance(region, RateRegion):
         raise InvalidInputError("expected a RateRegion or a callable producing one")
-    if mu < 0.0:
-        raise InvalidInputError(f"weight must be nonnegative, got {mu}")
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise InvalidInputError(f"weight must be finite and nonnegative, got {mu}")
     best = max(region.vertices, key=lambda v: v.r1 + mu * v.r2)
     return best

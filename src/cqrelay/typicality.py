@@ -20,7 +20,7 @@ from collections import Counter
 
 import numpy as np
 
-from .channels import CQChannel, _require_matching_alphabet, output_state
+from .channels import CQChannel, _letter_sum, _require_matching_alphabet, output_state
 from .errors import InvalidInputError, ResourceLimitError
 from .operators import (
     DEFAULT_DIM_CAP,
@@ -300,6 +300,8 @@ def typical_projector(
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> TypicalProjector:
     """Typical projector of the n-fold product of a state: the constant word of letter 0."""
+    if np.ndim(rho) != 2:
+        raise InvalidInputError(f"state must be one d x d matrix, got shape {np.shape(rho)}")
     # validated from the one eigh whose decomposition the projector reads
     op = _checked_spectrum(rho, "state", density=True, vectors=True)
     if n < 1:
@@ -647,15 +649,6 @@ class CrossCaptureStats:
     mean_shift: float  # max index-wise |mean count/n - projector eigenvalue|
 
 
-def _mixture_states(states: np.ndarray, dist: ProbabilityDistribution) -> np.ndarray:
-    """Averaged output states of a (S, |A|, d, d) stack, summed letter by letter."""
-    out = np.zeros(states.shape[:1] + states.shape[2:], dtype=complex)
-    for j, w in enumerate(dist.weights):
-        if w > 0.0:
-            out += w * states[:, j]
-    return hermitian_part(out)
-
-
 def _composition_ranks(counts: np.ndarray, binom: np.ndarray) -> np.ndarray:
     """Row index of each count vector in its lexicographic count-class table.
 
@@ -715,7 +708,8 @@ def _cross_stats(batch: _WordBatch, dist: ProbabilityDistribution, alpha: float,
     """Cross-capture stats of every word; instances that share their letter
     classes are scored together."""
     a_size = len(batch.labels)
-    w_all, u_all = hermitian_eigendecomposition(_mixture_states(batch.states, dist))
+    mixtures = hermitian_part(_letter_sum(dist.weights, lambda j: batch.states[:, j]))
+    w_all, u_all = hermitian_eigendecomposition(mixtures)
     w_all = _clean_eigenvalues(w_all)
     ut = u_all.conj().swapaxes(-1, -2)
     diag = np.clip(
@@ -964,12 +958,9 @@ def verify_conditional_projector_bounds(
     conds = _class_stats(batch, alpha, preset)
     crosses = _cross_stats(batch, dist, alpha, preset)
 
-    # the conditional entropy under dist, as conditional_entropy sums it
+    # conditional_entropy's sum, on the letter spectra the check above read
     letter_entropy = spectrum_entropy_bits(states.spectrum)
-    cond_entropy = np.zeros(len(channels))
-    for j, wgt in enumerate(dist.weights):
-        if wgt > 0.0:
-            cond_entropy = cond_entropy + wgt * letter_entropy[:, j]
+    cond_entropy = _letter_sum(dist.weights, lambda j: letter_entropy[:, j])
 
     class_w = np.array([stats.eigenvalues for cond in conds for stats in cond.class_stats.values()])
     functionals = _spectrum_functionals(class_w)

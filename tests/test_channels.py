@@ -9,6 +9,10 @@ from cqrelay.channels import (
     BroadcastCQChannel,
     CQChannel,
     MACCQChannel,
+    _averaged_states,
+    _chi,
+    _letter_entropy,
+    _letter_sum,
     adder_mac_channel,
     basis_state,
     conditional_entropy,
@@ -27,6 +31,7 @@ from cqrelay.channels import (
 )
 from cqrelay.errors import InvalidInputError, ResourceLimitError
 from cqrelay.operators import ProbabilityDistribution, partial_trace
+from cqrelay.regions import DistributionGrid, broadcast_region
 
 
 def h2(x):
@@ -271,3 +276,105 @@ def test_depolarized_channel_validates_p():
         depolarized_channel(-0.1)
     with pytest.raises(InvalidInputError):
         depolarized_channel(1.5)
+
+
+# ---------------------------------------------------------------------------
+# One state table, and one letter-order entropic core.
+# ---------------------------------------------------------------------------
+
+
+def random_channel(rng, a_size, dim):
+    labels = tuple(str(k) for k in range(a_size))
+    states = {}
+    for a in labels:
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = g @ g.conj().T
+        states[a] = m / np.trace(m).real
+    return CQChannel(labels, states)
+
+
+def weight_rows(rng, a_size, rows=12):
+    """Random rows on the simplex, a third of their entries zeroed; the last
+    letter is zero in every row but the first, and one row is a vertex."""
+    w = rng.random((rows, a_size)) * (rng.random((rows, a_size)) > 0.33)
+    w[1:, -1] = 0.0
+    w[w.sum(axis=1) == 0.0, 0] = 1.0
+    w[-1] = np.eye(a_size)[rng.integers(a_size)]
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("a_size", [2, 3, 5])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_weight_rows_equal_the_one_distribution_path(a_size, dim):
+    rng = np.random.default_rng(100 * a_size + dim)
+    ch = random_channel(rng, a_size, dim)
+    rows = weight_rows(rng, a_size)
+    stacked = rows.reshape(3, 4, a_size)
+    chi, cond, avg = _chi(ch, stacked), _letter_entropy(ch, stacked), _averaged_states(ch, stacked)
+    assert chi.shape == cond.shape == (3, 4) and avg.shape == (3, 4, dim, dim)
+    for g, row in enumerate(rows):
+        dist = ProbabilityDistribution(ch.alphabet, row)
+        at = np.unravel_index(g, (3, 4))
+        assert chi[at] == holevo_chi(ch, dist)
+        assert cond[at] == conditional_entropy(ch, dist)
+        assert np.array_equal(avg[at], output_state(ch, dist))
+
+
+def test_core_skips_a_letter_of_zero_weight_in_every_row():
+    read = []
+    rows = np.array([[0.5, 0.0, 0.5], [0.25, 0.0, 0.75]])
+    total = _letter_sum(rows, lambda j: read.append(j) or float(j + 1))
+    assert read == [0, 2]
+    assert total.tolist() == [0.5 * 1 + 0.5 * 3, 0.25 * 1 + 0.75 * 3]
+
+
+@pytest.mark.parametrize("a_size, dims", [(2, (2, 2)), (3, (2, 3)), (5, (2, 2))])
+def test_broadcast_region_corners_are_one_distribution_chi(a_size, dims):
+    rng = np.random.default_rng(a_size)
+    joint = random_channel(rng, a_size, dims[0] * dims[1])
+    bc = BroadcastCQChannel(joint.alphabet, dims, {a: joint.state(a) for a in joint.alphabet})
+    grid = DistributionGrid(bc.alphabet, 6)
+    corners = {(0.0, 0.0)}
+    for row in grid.weight_matrix():
+        dist = ProbabilityDistribution(bc.alphabet, row)
+        x1, x2 = (max(0.0, holevo_chi(bc.marginal(r), dist)) for r in (1, 2))
+        corners |= {(x1, 0.0), (0.0, x2), (x1, x2)}
+    rounded = {(round(x, 12), round(y, 12)) for x, y in corners}
+    vertices = broadcast_region(bc, grid).vertices
+    assert len(vertices) > 2
+    assert all(tuple(v) in rounded for v in vertices)
+
+
+def test_chi_of_a_product_extension_streams_its_letters():
+    # one word state at a time: a core that stacked the 64 letters of
+    # n = 6 (64 x 64 each) would peak near 12 MiB
+    n = 6
+    ch = product_extension(depolarized_channel(0.1), n)
+    dist = ProbabilityDistribution.uniform(("0", "1")).power(n)
+    tracemalloc.start()
+    try:
+        value = holevo_chi(ch, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(n * holevo_chi(depolarized_channel(0.1), ProbabilityDistribution.uniform(("0", "1"))))
+    assert peak < 4 * 2**20
+
+
+def test_every_channel_kind_refuses_repeated_labels():
+    rho = np.eye(2) / 2
+    with pytest.raises(InvalidInputError, match="channel alphabet labels must be distinct"):
+        CQChannel(("0", "0"), {"0": rho})
+    with pytest.raises(InvalidInputError, match="broadcast alphabet labels must be distinct"):
+        BroadcastCQChannel(("0", "0"), (2, 1), {"0": rho})
+    with pytest.raises(InvalidInputError, match="first sender alphabet labels must be distinct"):
+        MACCQChannel((("0", "0"), ("0", "1")), {("0", "0"): rho, ("0", "1"): rho})
+    with pytest.raises(InvalidInputError, match="second sender alphabet labels must be distinct"):
+        MACCQChannel((("0",), ("1", "1")), {("0", "1"): rho})
+
+
+def test_unvalidated_channel_keeps_its_mapping():
+    states = {"0": np.eye(2) / 2, "1": np.diag([1.0, 0.0])}
+    ch = CQChannel(("0", "1"), states, validate=False)
+    assert ch.output_dim == 2
+    assert ch.state("1") is states["1"]

@@ -206,6 +206,113 @@ def test_region_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _diag_literal(values):
+    return [[[float(v) if i == j else 0.0, 0.0] for j in range(len(values))] for i, v in enumerate(values)]
+
+
+# A valid file of each kind, the key of its second state, the command that
+# loads it, and its state dimension.
+_CHANNEL_FILES = {
+    "cq": (
+        {"kind": "cq", "alphabet": ["0", "1"], "dims": 2,
+         "states": {"0": _diag_literal([0.5, 0.5]), "1": _diag_literal([1.0, 0.0])}},
+        "1", ["chi", "--channel"], 2,
+    ),
+    "mac": (
+        {"kind": "mac", "alphabets": [["0", "1"], ["0", "1"]], "dims": 2,
+         "states": {f"{y1},{y2}": _diag_literal([0.5, 0.5]) for y1 in "01" for y2 in "01"}},
+        "1,1", ["region", "mac", "--mac-channel"], 2,
+    ),
+    "broadcast": (
+        {"kind": "broadcast", "alphabet": ["0", "1"], "dims": {"y1": 2, "y2": 2},
+         "states": {"0": _diag_literal([0.25] * 4), "1": _diag_literal([1.0, 0.0, 0.0, 0.0])}},
+        "1", ["region", "broadcast", "--bc-channel"], 4,
+    ),
+}
+
+
+def _break(data, kind, key, dim, mutation):
+    """Make one malformation of a valid channel file; key names its second state."""
+    states = data["states"]
+    if mutation == "missing":
+        del states[key]
+    elif mutation == "wrong-dim":
+        states[key] = _diag_literal([1 / 3] * 3)
+    elif mutation == "bad-literal":
+        states[key][0][0] = [1.0]
+    elif mutation == "declared-dims":
+        data["dims"] = {"y1": 2, "y2": 3} if kind == "broadcast" else 3
+    elif mutation == "negative":
+        states[key] = _diag_literal([1.2, -0.2] + [0.0] * (dim - 2))
+    else:
+        states[key] = _diag_literal([1.1 / dim] * dim)  # trace 1.1
+
+
+# The error line of each malformed file, as the per-kind parsers gave it
+# before they shared one state-table routine.
+_ERRORS = {
+    ("cq", "missing"): "missing state for input '1'",
+    ("cq", "wrong-dim"): "state for input '1' has dimension 3, expected 2",
+    ("cq", "bad-literal"): "state for input '1': entry (0,0) is not a [re, im] pair",
+    ("cq", "declared-dims"): "declared dims 3 but states have dimension 2",
+    ("cq", "negative"): "state for input '1' has negative eigenvalue -2.000e-01",
+    ("cq", "trace"): "state for input '1' has trace 1.1, expected 1",
+    ("mac", "missing"): "missing state for input pair '1,1'",
+    ("mac", "wrong-dim"): "state for input pair ('1', '1') has dimension 3, expected 2",
+    ("mac", "bad-literal"): "state for pair '1,1': entry (0,0) is not a [re, im] pair",
+    ("mac", "declared-dims"): "declared dims 3 but states have dimension 2",
+    ("mac", "negative"): "state for input pair ('1', '1') has negative eigenvalue -2.000e-01",
+    ("mac", "trace"): "state for input pair ('1', '1') has trace 1.1, expected 1",
+    ("broadcast", "missing"): "missing joint state for input '1'",
+    ("broadcast", "wrong-dim"): "joint state for input '1' has dimension 3, expected 4",
+    ("broadcast", "bad-literal"): "joint state for input '1': entry (0,0) is not a [re, im] pair",
+    ("broadcast", "declared-dims"): "joint state for input '0' has dimension 4, expected 6",
+    ("broadcast", "negative"): "joint state for input '1' has negative eigenvalue -2.000e-01",
+    ("broadcast", "trace"): "joint state for input '1' has trace 1.1, expected 1",
+}
+
+
+def _write_json(tmp_path, data):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, mutation", sorted(_ERRORS))
+def test_malformed_channel_file_error_lines(tmp_path, capsys, kind, mutation):
+    data, key, argv, dim = _CHANNEL_FILES[kind]
+    data = json.loads(json.dumps(data))
+    _break(data, kind, key, dim, mutation)
+    assert main([*argv, _write_json(tmp_path, data)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {_ERRORS[kind, mutation]}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, labels, message",
+    [
+        ("mac", [["0", "0"], ["0", "1"]], "first sender alphabet labels must be distinct"),
+        ("mac", [["0", "1"], ["1", "1"]], "second sender alphabet labels must be distinct"),
+        ("broadcast", ["0", "0"], "broadcast alphabet labels must be distinct"),
+        ("cq", ["1", "1"], "channel alphabet labels must be distinct"),
+    ],
+)
+def test_repeated_labels_in_a_channel_file_exit_one(tmp_path, capsys, kind, labels, message):
+    data, _, argv, _ = _CHANNEL_FILES[kind]
+    data = json.loads(json.dumps(data))
+    data["alphabets" if kind == "mac" else "alphabet"] = labels
+    path = _write_json(tmp_path, data)
+    assert main([*argv, path]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+    if kind == "broadcast":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "M1": 2, "M2": 2}))
+        assert main(["simulate", "--config", str(cfg), "--bc-channel", path]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_region_bidirectional_checks_both_files_first(tmp_path, capsys, monkeypatch):
     import cqrelay.cli as cli
     import cqrelay.regions as regions

@@ -21,18 +21,19 @@ from cqrelay.channels import (
     MACCQChannel,
     adder_mac_channel,
     depolarized_channel,
+    holevo_chi,
     orthogonal_pure_channel,
     product_broadcast_channel,
 )
 from cqrelay.errors import InvalidInputError
 from cqrelay.lemmas import random_density
+from cqrelay.operators import ProbabilityDistribution
 from cqrelay.regions import (
     _COLLINEAR_TOL,
     _VERTEX_DEDUP_TOL,
     DistributionGrid,
     RatePair,
     RateRegion,
-    _batched_entropy_bits,
     _dedup_points,
     _pentagon_bounds,
     broadcast_region,
@@ -110,12 +111,8 @@ def oracle_mac_points(mac, grid, variant, grid2=None):
 
 
 def oracle_chi_evaluator(channel):
-    states = np.stack([channel.state(a) for a in channel.alphabet])
-    ent = _batched_entropy_bits(states)
-
     def chi(weights):
-        avg = np.einsum("i,ijk->jk", weights, states)
-        return float(_batched_entropy_bits(avg[None])[0] - weights @ ent)
+        return holevo_chi(channel, ProbabilityDistribution(channel.alphabet, weights))
 
     return chi
 

@@ -383,3 +383,22 @@ def test_weighted_boundary_point():
         weighted_boundary_point(square, -0.5)
     with pytest.raises(InvalidInputError):
         weighted_boundary_point("nope", 1.0)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_weighted_boundary_point_refuses_a_weight_that_is_not_finite(mu):
+    square = RateRegion.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
+    with pytest.raises(InvalidInputError, match="finite and nonnegative"):
+        weighted_boundary_point(square, mu)
+
+
+@pytest.mark.parametrize("resolution", [2.5, True, 3.0, "3", None])
+def test_grid_resolution_must_be_an_integer(resolution):
+    with pytest.raises(InvalidInputError, match="grid resolution must be an integer"):
+        DistributionGrid(("0", "1"), resolution)
+
+
+def test_grid_resolution_accepts_numpy_integers():
+    grid = DistributionGrid(("0", "1", "2"), np.int64(4))
+    assert len(grid) == 15
+    assert grid.weight_matrix().shape == (15, 3)

@@ -575,3 +575,18 @@ def test_typical_projector_decomposes_the_state_once(monkeypatch):
 def test_typical_projector_rejects_invalid_states(rho, message):
     with pytest.raises(InvalidInputError, match=message):
         typical_projector(rho, 3, 1.0)
+
+
+def test_typical_projector_refuses_a_stack_before_decomposing(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, *r, _f=original, _n=name, **k: calls.append(_n) or _f(a, *r, **k)
+        )
+    stack = np.array([np.diag([0.7, 0.3]), np.diag([0.5, 0.5])])
+    with pytest.raises(InvalidInputError, match=r"^state must be one d x d matrix, got shape \(2, 2, 2\)$"):
+        typical_projector(stack, 3, 1.0)
+    with pytest.raises(InvalidInputError, match="one d x d matrix"):
+        typical_projector(np.array([0.7, 0.3]), 3, 1.0)
+    assert calls == []
