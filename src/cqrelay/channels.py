@@ -17,6 +17,7 @@ from .errors import InvalidInputError, RelayError
 from .operators import (
     DEFAULT_DIM_CAP,
     ProbabilityDistribution,
+    _integral,
     _require_within_cap,
     hermitian_part,
     partial_trace,
@@ -360,10 +361,9 @@ def _parse_broadcast(data) -> BroadcastCQChannel:
     dims = data.get("dims")
     if not isinstance(dims, dict) or set(dims) != {"y1", "y2"}:
         raise InvalidInputError("broadcast 'dims' must be an object with keys 'y1' and 'y2'")
-    try:
-        d1, d2 = int(dims["y1"]), int(dims["y2"])
-    except (TypeError, ValueError):
-        raise InvalidInputError("broadcast 'dims' entries must be integers") from None
+    d1, d2 = _integral(dims["y1"]), _integral(dims["y2"])
+    if d1 is None or d2 is None:
+        raise InvalidInputError(f"broadcast 'dims' entries must be integers, got {dims!r}")
     states = _file_states(data, [(a, a) for a in alphabet], "joint state for input")
     return BroadcastCQChannel(alphabet, (d1, d2), states)
 

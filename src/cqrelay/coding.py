@@ -3,15 +3,20 @@
 The decoder construction sandwiches each word's conditional typical projector
 between averaged-state projectors and square-root normalizes the resulting
 detection operators over the messages that share a side-information index.
-Detection and decoding operators are held only as N x K factors; the
-normalization runs on the K x K Gram matrix of each group.  Product operators
-(the averaged-state projector, word states) are held as their n single-letter
-factors and applied as mode products, so no N x N array is formed.  All error
-figures are exact traces; sampling enters only through codebook generation.
+Detection operators are held only as their N x K factors F.  The
+normalization runs on the K x K Gram matrix G = F†F of each group, and the
+decoder keeps G^{+1/2} per group, not the normalized factors H = F G^{+1/2}:
+an H block is formed when something reads it (an error trace, a decoding,
+the modular-sum outcome table) and freed after use.  Product operators (the
+averaged-state projector, word states) are held as their n single-letter
+factors and applied as fused mode products, one column chunk at a time, so
+no N x N array is formed and no temporary grows with K.  All error figures
+are exact traces; sampling enters only through codebook generation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,9 +27,10 @@ from .errors import ExpurgationError, InvalidInputError
 from .operators import (
     DEFAULT_DIM_CAP,
     ProbabilityDistribution,
+    _integral,
     _require_within_cap,
     hermitian_part,
-    kron_apply,
+    kron_column_chunks,
     multinomial_coefficient,
     pseudo_sqrt_inverse,
 )
@@ -112,30 +118,40 @@ def _factor_trace(factor: np.ndarray, state) -> float:
     """Real part of tr(F† rho F) = tr(rho F F†) for an N x K factor F.
 
     state lists the tensor factors of rho; a dense N x N state is the
-    one-factor list.
+    one-factor list.  rho is applied to one column chunk of F at a time and
+    the chunks' traces are summed.
     """
-    return float(np.vdot(factor, kron_apply(state, factor)).real)
+    chunks = kron_column_chunks(state, factor)
+    return float(sum(np.vdot(factor[:, cols], product).real for cols, product in chunks))
 
 
 def _factor_op(factor: np.ndarray) -> np.ndarray:
     return hermitian_part(factor @ factor.conj().T)
 
 
-def _sandwiched_detection(channel: CQChannel, words, dist, alpha, preset, dim_cap):
-    """Averaged-state projector plus, per word, the sandwiched detection factor.
+def _averaged_projectors(bc: BroadcastCQChannel, dist, n: int, alpha, preset, dim_cap) -> dict:
+    """receiver -> typical projector of its n-fold averaged output state.
 
-    Returns (projector, {word: factor}, {word: rank}).  The factor
-    F = Pi V, with V the conditional projector's included vectors, is N x rank
-    and satisfies D' = Pi P_w Pi = F F†; Pi itself is never formed.
+    They depend on the input distribution and not on the codebook, so a run
+    builds them once for all its seeds.
     """
-    proj = averaged_state_projector(channel, dist, len(words[0]), alpha, preset, dim_cap)
+    return {r: averaged_state_projector(bc.marginal(r), dist, n, alpha, preset, dim_cap) for r in (1, 2)}
+
+
+def _sandwiched_detection(channel: CQChannel, proj, words, alpha, preset, dim_cap):
+    """Per word, the detection factor sandwiched by the averaged-state projector.
+
+    Returns ({word: factor}, {word: rank}).  The factor F = Pi V, with V the
+    conditional projector's included vectors, is N x rank and satisfies
+    D' = Pi P_w Pi = F F†; Pi itself is never formed.
+    """
     factors, ranks = {}, {}
     for w in words:
         if w not in factors:
             cond = conditional_typical_projector(channel, w, alpha, preset, dim_cap)
             ranks[w] = cond.rank
             factors[w] = cond.sandwiched_factor(proj)
-    return proj, factors, ranks
+    return factors, ranks
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,15 +177,23 @@ def build_detection_operators(
     alpha: float = 1.0,
     preset: str = PRESET_FIXED,
     dim_cap: int = DEFAULT_DIM_CAP,
+    projectors: dict | None = None,
 ) -> DetectionOperators:
+    """Both receivers' detection factors for the codebook's words.
+
+    projectors maps each receiver to the averaged-state projector of
+    codebook.dist at the same n, alpha and preset; it is built here when not
+    given, and a caller that realizes several codebooks passes it in.
+    """
     preset = resolve_preset(preset)
+    if projectors is None:
+        projectors = _averaged_projectors(bc, codebook.dist, codebook.n, alpha, preset, dim_cap)
     words = [codebook.words[pair] for pair in sorted(codebook.words)]
-    projectors, factors, ranks = {}, {}, {}
+    factors, ranks = {}, {}
     for receiver in (1, 2):
-        proj, factor_by_word, rank_by_word = _sandwiched_detection(
-            bc.marginal(receiver), words, codebook.dist, alpha, preset, dim_cap
+        factor_by_word, rank_by_word = _sandwiched_detection(
+            bc.marginal(receiver), projectors[receiver], words, alpha, preset, dim_cap
         )
-        projectors[receiver] = proj
         factors[receiver] = {pair: factor_by_word[w] for pair, w in sorted(codebook.words.items())}
         ranks[receiver] = {pair: rank_by_word[w] for pair, w in sorted(codebook.words.items())}
     return DetectionOperators(
@@ -182,80 +206,127 @@ def build_detection_operators(
     )
 
 
-def _normalize_group(factors):
+# The Gram matrix and the normalized factors are built from row panels of the
+# detection factors, so their temporaries have PANEL_ROWS rows whatever N is.
+PANEL_ROWS = 1024
+
+
+def _row_panels(rows: int):
+    return (slice(start, start + PANEL_ROWS) for start in range(0, rows, PANEL_ROWS))
+
+
+@dataclass(frozen=True, eq=False)
+class _NormalizedGroup:
     """Square-root normalization of one detection-operator group.
 
-    With F = [F_1 ... F_M] stacked and its Gram matrix G = F†F (K x K), the
+    With F = [F_1 ... F_M] and its Gram matrix G = F†F (K x K), the
     normalized factors are H = F G^{+1/2}, so that H_i H_i† = S^{-1/2} D_i S^{-1/2}
     for S = sum_i D_i: FF† and G share their nonzero spectrum, so the pseudo
-    inverse keeps the same eigenvalues.  Returns (normalized factors, margin)
-    where margin is the largest eigenvalue of (sum of normalized ops -
-    identity); a sub-POVM keeps it <= ~0 and an all-zero group gives -1.
+    inverse keeps the same eigenvalues.  The group holds the F_i (the
+    detection factors themselves, not a copy), inv_root = G^{+1/2} and the
+    column offsets of the F_i in F; factor(i) forms H_i when it is read.
+    margin is the largest eigenvalue of (sum of normalized ops - identity);
+    a sub-POVM keeps it <= ~0 and an all-zero group gives -1.
     """
-    stacked = np.concatenate(factors, axis=1)
-    if stacked.shape[1] == 0:
-        return list(factors), -1.0
-    gram = hermitian_part(stacked.conj().T @ stacked)
+
+    factors: tuple
+    inv_root: np.ndarray
+    offsets: tuple  # F_i is columns offsets[i]:offsets[i + 1] of F
+    margin: float
+
+    def factor(self, i: int) -> np.ndarray:
+        """H_i = sum_k F_k G^{+1/2}[block k, block i], formed one row panel at a time."""
+        cols = slice(self.offsets[i], self.offsets[i + 1])
+        weights = [self.inv_root[lo:hi, cols] for lo, hi in zip(self.offsets, self.offsets[1:])]
+        out = np.zeros((self.factors[i].shape[0], cols.stop - cols.start), dtype=complex)
+        for panel in _row_panels(out.shape[0]):
+            for f, w in zip(self.factors, weights):
+                out[panel] += f[panel] @ w
+        return out
+
+
+def _gram(factors, offsets) -> np.ndarray:
+    """G = F†F for F = [F_1 ... F_M], block by block and one row panel at a
+    time: G_ij = F_i† F_j for i <= j, summed over the panels, and G_ji = G_ij†."""
+    gram = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    spans = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    for panel in _row_panels(factors[0].shape[0]):
+        for i, left in enumerate(factors):
+            left = left[panel].conj().T
+            for j in range(i, len(factors)):
+                gram[spans[i], spans[j]] += left @ factors[j][panel]
+    for i, j in itertools.combinations(range(len(spans)), 2):
+        gram[spans[j], spans[i]] = gram[spans[i], spans[j]].conj().T
+    return hermitian_part(gram)
+
+
+def _normalize_group(factors) -> _NormalizedGroup:
+    """Square-root normalization of one detection-operator group; see _NormalizedGroup."""
+    factors = tuple(factors)
+    offsets = (0, *np.cumsum([f.shape[1] for f in factors]).tolist())
+    if offsets[-1] == 0:
+        return _NormalizedGroup(factors, np.zeros((0, 0), dtype=complex), offsets, -1.0)
+    gram = _gram(factors, offsets)
     inv_root = pseudo_sqrt_inverse(gram)
     margin = float(np.linalg.eigvalsh(hermitian_part(inv_root @ gram @ inv_root))[-1]) - 1.0
-    ends = np.cumsum([f.shape[1] for f in factors])
-    return [stacked @ inv_root[:, end - f.shape[1] : end] for f, end in zip(factors, ends)], margin
+    return _NormalizedGroup(factors, inv_root, offsets, margin)
 
 
 @dataclass(frozen=True, eq=False)
 class SquareRootDecoder:
-    """Normalized decoding operators Λ = H H†, held as their factors H;
+    """Square-root decoding operators Λ = H H† of each side-information group;
     receiver r resolves its own message index given the other index as side
-    information."""
+    information.
+
+    Per group the decoder holds the detection factors F, R = G^{+1/2} of
+    their Gram matrix and the block offsets, not the normalized factors: H
+    is formed from F and R when it is read (factor, op, the error tables,
+    decode_with_side_info) and is not kept.
+    """
 
     m1_size: int
     m2_size: int
-    factors: dict  # receiver -> {(m1, m2): factor H}
-    subpovm_margins: dict  # receiver 1: {m2: margin}; receiver 2: {m1: margin}
+    groups: dict  # receiver -> {known index: _NormalizedGroup}; receiver 1 knows m2
+
+    @property
+    def subpovm_margins(self) -> dict:
+        """Receiver 1: {m2: margin}; receiver 2: {m1: margin}."""
+        return {r: {known: g.margin for known, g in by_known.items()} for r, by_known in self.groups.items()}
 
     def factor(self, receiver: int, m1: int, m2: int) -> np.ndarray:
-        try:
-            return self.factors[receiver][(m1, m2)]
-        except KeyError:
-            raise InvalidInputError(
-                f"decoder has no operator for receiver {receiver}, pair ({m1}, {m2})"
-            ) from None
+        """The normalized factor H of the pair's operator, formed on request."""
+        known, index = (m2, m1) if receiver == 1 else (m1, m2)
+        group = self.groups.get(receiver, {}).get(known)
+        if group is None or index not in range(len(group.factors)):
+            raise InvalidInputError(f"decoder has no operator for receiver {receiver}, pair ({m1}, {m2})")
+        return group.factor(int(index))
 
     def op(self, receiver: int, m1: int, m2: int) -> np.ndarray:
         """Dense Λ = H H†, formed on request."""
         return _factor_op(self.factor(receiver, m1, m2))
 
 
-def _side_info_group(receiver: int, known: int, m1_size: int, m2_size: int) -> list:
-    """The message pairs that share the index the receiver already knows.
+def _side_info_groups(receiver: int, m1_size: int, m2_size: int) -> dict:
+    """Every side-information group of the receiver: its known index -> the
+    message pairs that share it, ordered by the resolved index.
 
-    Receiver 1 knows m2 and resolves m1; receiver 2 the reverse.  Pairs are
-    ordered by the resolved index.
+    Receiver 1 knows m2 and resolves m1; receiver 2 the reverse.
     """
     if receiver == 1:
-        return [(m1, known) for m1 in range(m1_size)]
-    return [(known, m2) for m2 in range(m2_size)]
-
-
-def _side_info_groups(receiver: int, m1_size: int, m2_size: int) -> dict:
-    """Every side-information group of the receiver, keyed by its known index."""
-    known_size = m2_size if receiver == 1 else m1_size
-    return {known: _side_info_group(receiver, known, m1_size, m2_size) for known in range(known_size)}
+        return {m2: [(m1, m2) for m1 in range(m1_size)] for m2 in range(m2_size)}
+    return {m1: [(m1, m2) for m2 in range(m2_size)] for m1 in range(m1_size)}
 
 
 def build_square_root_decoder(detection: DetectionOperators) -> SquareRootDecoder:
     cb = detection.codebook
-    factors = {1: {}, 2: {}}
-    margins = {1: {}, 2: {}}
-    for receiver in (1, 2):
-        for known, pairs in _side_info_groups(receiver, cb.m1_size, cb.m2_size).items():
-            group, margins[receiver][known] = _normalize_group(
-                [detection.factors[receiver][p] for p in pairs]
-            )
-            factors[receiver].update(zip(pairs, group))
-    return SquareRootDecoder(
-        m1_size=cb.m1_size, m2_size=cb.m2_size, factors=factors, subpovm_margins=margins
-    )
+    groups = {
+        receiver: {
+            known: _normalize_group([detection.factors[receiver][p] for p in pairs])
+            for known, pairs in _side_info_groups(receiver, cb.m1_size, cb.m2_size).items()
+        }
+        for receiver in (1, 2)
+    }
+    return SquareRootDecoder(m1_size=cb.m1_size, m2_size=cb.m2_size, groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +415,13 @@ def average_errors(
     ok = True
     for receiver in (1, 2):
         channel = bc.marginal(receiver)
-        for pairs in _side_info_groups(receiver, codebook.m1_size, codebook.m2_size).values():
-            for pair in pairs:
+        own = detection.factors[receiver]
+        for known, pairs in _side_info_groups(receiver, codebook.m1_size, codebook.m2_size).items():
+            group = decoder.groups[receiver][known]
+            for index, pair in enumerate(pairs):
                 state = _word_factors(channel, codebook.words[pair])
-                err = _clamp_nonnegative(1.0 - _factor_trace(decoder.factor(receiver, *pair), state))
+                err = _clamp_nonnegative(1.0 - _factor_trace(group.factor(index), state))
                 first[receiver][pair] = err
-                own = detection.factors[receiver]
                 mass = sum(_clamp_nonnegative(_factor_trace(own[p], state)) for p in pairs if p != pair)
                 coll[receiver][pair] = mass
                 miss = _clamp_nonnegative(1.0 - _factor_trace(own[pair], state))
@@ -583,13 +655,13 @@ def decode_with_side_info(
         raise InvalidInputError(f"receiver must be 1 or 2, got {receiver!r}")
     if mode not in ("argmax", "sampled"):
         raise InvalidInputError(f"unknown decode mode {mode!r}")
-    pairs = _side_info_group(receiver, known_message, decoder.m1_size, decoder.m2_size)
-    if any(p not in decoder.factors[receiver] for p in pairs):
+    group = decoder.groups[receiver].get(known_message)
+    if group is None:
         raise InvalidInputError(f"known message {known_message} outside its set")
-    group = [decoder.factors[receiver][p] for p in pairs]
     if isinstance(state, np.ndarray) and state.ndim == 2:
         state = [state]
-    probs = np.array([_clamp_nonnegative(_factor_trace(h, state)) for h in group])
+    outcomes = range(len(group.factors))
+    probs = np.array([_clamp_nonnegative(_factor_trace(group.factor(i), state)) for i in outcomes])
     if mode == "argmax":
         return int(np.argmax(probs))
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -597,7 +669,7 @@ def decode_with_side_info(
     full = np.append(probs, fail)
     full = full / full.sum()
     outcome = int(rng.choice(len(full), p=full))
-    return None if outcome == len(group) else outcome
+    return None if outcome == len(probs) else outcome
 
 
 def modular_sum_encode(m1: int, m2: int, size: int) -> int:
@@ -627,11 +699,10 @@ _SCHEMES = ("proof-construction", "modular-sum")
 
 def _config_integer(value, key: str) -> int:
     """An integral number (not a bool) as an int."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise InvalidInputError(f"config {key!r} must be an integer, got {value!r}")
+    out = _integral(value)
+    if out is None:
+        raise InvalidInputError(f"config {key!r} must be an integer, got {value!r}")
+    return out
 
 
 def _config_real(value, key: str) -> float:
@@ -861,10 +932,11 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, dims, report):
         )
         return report
     report["sizes"] = {"sampled_m1": m1_size, "sampled_m2": m2_size}
+    projectors = _averaged_projectors(bc, dist, config.n, config.alpha, config.preset, config.dim_cap)
 
     def realize(seed):
         cb = sample_codebook(dist, config.n, m1_size, m2_size, config.delta_code, seed)
-        detection = build_detection_operators(cb, bc, config.alpha, config.preset, config.dim_cap)
+        detection = build_detection_operators(cb, bc, config.alpha, config.preset, config.dim_cap, projectors)
         decoder = build_square_root_decoder(detection)
         errs = average_errors(cb, bc, decoder, detection)
         return max(errs.overall.values()), (cb, decoder, errs)
@@ -935,6 +1007,7 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report):
         )
     report["weaker_receiver"] = weaker
     report["sizes"] = {"common": size}
+    projectors = _averaged_projectors(bc, dist, config.n, config.alpha, config.preset, config.dim_cap)
 
     def realize(seed):
         cb = sample_codebook(dist, config.n, size, 1, config.delta_code, seed)
@@ -942,12 +1015,21 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report):
         probs, errors, margins = {}, {}, {}
         for receiver in (1, 2):
             channel = bc.marginal(receiver)
-            _, factor_by_word, _ = _sandwiched_detection(
-                channel, words, dist, config.alpha, config.preset, config.dim_cap
+            factor_by_word, _ = _sandwiched_detection(
+                channel, projectors[receiver], words, config.alpha, config.preset, config.dim_cap
             )
-            povm, margins[receiver] = _normalize_group([factor_by_word[w] for w in words])
-            # outcome probabilities of every common message on every word's state
-            probs[receiver] = [[_factor_trace(h, _word_factors(channel, w)) for h in povm] for w in words]
+            povm = _normalize_group([factor_by_word[w] for w in words])
+            margins[receiver] = povm.margin
+            # outcome probabilities of every common message on every word's
+            # state, probs[c][k] for word c and outcome k; each H_k is formed
+            # once, and freed before the next one
+            states = [_word_factors(channel, w) for w in words]
+            by_outcome = []
+            for k in range(size):
+                h = povm.factor(k)
+                by_outcome.append([_factor_trace(h, s) for s in states])
+                del h
+            probs[receiver] = [list(row) for row in zip(*by_outcome)]
             errors[receiver] = [_clamp_nonnegative(1.0 - probs[receiver][c][c]) for c in range(size)]
         worst = max(float(np.mean(errors[1])), float(np.mean(errors[2])))
         return worst, (probs, errors, margins)

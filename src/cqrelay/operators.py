@@ -33,6 +33,18 @@ def _require_within_cap(d: int, n: int, dim_cap: int, what: str) -> None:
     if (d > 1 and n >= int(dim_cap).bit_length()) or d**n > dim_cap:
         raise ResourceLimitError(f"{what} dimension {d}^{n} exceeds cap {dim_cap}")
 
+
+def _integral(value) -> int | None:
+    """value as an int when it is an integer or an integral float, and not a
+    bool; None otherwise.  Config files and channel files read integers by
+    this rule."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    return None
+
+
 # Eigenvalues at or below this are treated as exact zeros of a state.
 ZERO_EIGENVALUE_TOL = 1e-12
 
@@ -202,13 +214,57 @@ def tensor_all(mats) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def kron_apply(mats, block) -> np.ndarray:
-    """(mats[0] ⊗ ... ⊗ mats[-1]) @ block without forming the Kronecker product.
+# kron_apply merges runs of consecutive factors into one factor of at most
+# this many rows and columns, so that each mode product is a real GEMM rather
+# than a batch of d x d products.
+FUSED_FACTOR_WIDTH = 32
 
-    Each factor acts as one mode product on the block reshaped to
-    (q_1, ..., q_n, K), so a product of n d x d factors costs O(n d N K) time
-    and O(N K) memory on an N x K block instead of N^2 K.  A single factor is
-    an ordinary matrix product.
+# Column chunk of the streamed mode products: every temporary of
+# kron_column_chunks is N x KRON_CHUNK_COLUMNS, whatever the block's width.
+KRON_CHUNK_COLUMNS = 32
+
+
+def _fused_factors(mats) -> list:
+    """mats with each run of consecutive factors merged into its Kronecker
+    product, while the merged factor stays within FUSED_FACTOR_WIDTH.
+
+    The merged entries are the products np.kron forms, built by one
+    broadcast multiply per merge.
+    """
+    fused = []
+    for m in mats:
+        m = np.asarray(m)
+        if fused:
+            last = fused[-1]
+            p, q = last.shape[0] * m.shape[0], last.shape[1] * m.shape[1]
+            if max(p, q) <= FUSED_FACTOR_WIDTH:
+                fused[-1] = (last[:, None, :, None] * m[None, :, None, :]).reshape(p, q)
+                continue
+        fused.append(m)
+    return fused
+
+
+def _mode_products(fused: list, block: np.ndarray) -> np.ndarray:
+    """Each fused factor as one mode product on block reshaped to (q_1, ..., q_g, K)."""
+    cols = block.shape[1]
+    done, rest = 1, block.shape[0] * cols
+    out = block
+    for m in fused:
+        p, q = m.shape
+        rest //= q
+        # modes before this one are already applied (done rows), the rest wait
+        out = np.matmul(m, out.reshape(done, q, rest))
+        done *= p
+    return out.reshape(done, cols)
+
+
+def kron_column_chunks(mats, block):
+    """Iterator of (columns, (mats[0] ⊗ ... ⊗ mats[-1]) @ block[:, columns])
+    over consecutive chunks of KRON_CHUNK_COLUMNS columns of block.
+
+    Each product is a new array, so a caller may write it back into the
+    columns of block it came from.  The operands are checked and the factors
+    fused once, on the call, for all chunks.
     """
     mats = list(mats)
     block = np.asarray(block)
@@ -217,16 +273,26 @@ def kron_apply(mats, block) -> np.ndarray:
     rows = math.prod(m.shape[1] for m in mats)
     if block.ndim != 2 or block.shape[0] != rows:
         raise InvalidInputError(f"block of shape {block.shape} does not match {rows} factor columns")
-    cols = block.shape[1]
-    done, rest = 1, rows * cols
-    out = block
-    for m in mats:
-        p, q = m.shape
-        rest //= q
-        # modes before this one are already applied (done rows), the rest wait
-        out = np.matmul(m, out.reshape(done, q, rest))
-        done *= p
-    return out.reshape(done, cols)
+    fused = _fused_factors(mats)
+    chunks = (slice(start, start + KRON_CHUNK_COLUMNS) for start in range(0, block.shape[1], KRON_CHUNK_COLUMNS))
+    return ((cols, _mode_products(fused, np.ascontiguousarray(block[:, cols]))) for cols in chunks)
+
+
+def kron_apply(mats, block) -> np.ndarray:
+    """(mats[0] ⊗ ... ⊗ mats[-1]) @ block without forming the Kronecker product.
+
+    Consecutive factors are fused up to FUSED_FACTOR_WIDTH, and each fused
+    factor acts as one mode product on the block reshaped to (q_1, ..., q_g, K),
+    so a product of n d x d factors costs O(n d N K) time on an N x K block
+    instead of N^2 K.  The block is processed in column chunks
+    (kron_column_chunks), so no temporary but the result grows with K.
+    """
+    mats, block = [np.asarray(m) for m in mats], np.asarray(block)
+    chunks = kron_column_chunks(mats, block)
+    out = np.empty((math.prod(m.shape[0] for m in mats), block.shape[1]), dtype=np.result_type(block, *mats))
+    for cols, chunk in chunks:
+        out[:, cols] = chunk
+    return out
 
 
 def product_columns(factors, index_words) -> np.ndarray:

@@ -32,7 +32,7 @@ from .operators import (
     compositions,
     hermitian_eigendecomposition,
     hermitian_part,
-    kron_apply,
+    kron_column_chunks,
     product_columns,
     spectrum_entropy_bits,
     tensor_all,
@@ -248,7 +248,9 @@ class TypicalProjector:
 
         Pi is diagonal in the outer product eigenbasis U = U_1 (x) ... (x) U_n,
         so Pi V = U (mask * U† V), and U† V is itself the product columns of
-        the rotated bases U_k† B_k.
+        the rotated bases U_k† B_k.  U is applied one column chunk at a time,
+        each chunk written back into the columns it came from, so no
+        temporary grows with the rank.
         """
         if (outer.dim, outer.n) != (self.dim, self.n):
             raise InvalidInputError(
@@ -258,7 +260,9 @@ class TypicalProjector:
         rotated = {(b, a): outer.bases[b].conj().T @ self.bases[a] for b, a in set(pairs)}
         cols = product_columns([rotated[pair] for pair in pairs], self.index_words())
         cols[~outer.mask] = 0.0
-        return kron_apply(outer.factors(), cols)
+        for chunk, product in kron_column_chunks(outer.factors(), cols):
+            cols[:, chunk] = product
+        return cols
 
 
 # perfbench/layers.py traces the projector methods under both class names;

@@ -289,6 +289,22 @@ def test_malformed_channel_file_error_lines(tmp_path, capsys, kind, mutation):
     assert err == f"error: {_ERRORS[kind, mutation]}\n"
 
 
+@pytest.mark.parametrize("value", [2.5, True, "2"])
+def test_broadcast_dims_follow_the_config_integer_rule(tmp_path, capsys, value):
+    # a fractional, boolean or string receiver dimension is refused, not
+    # truncated to an int; an integral float reads as its integer
+    data, _, argv, _ = _CHANNEL_FILES["broadcast"]
+    data = json.loads(json.dumps(data))
+    data["dims"]["y1"] = value
+    assert main([*argv, _write_json(tmp_path, data)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: broadcast 'dims' entries must be integers, got {{'y1': {value!r}, 'y2': 2}}\n"
+    data["dims"]["y1"] = 2.0
+    assert main([*argv, _write_json(tmp_path, data)]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "kind, labels, message",
     [

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cqrelay import coding
 from cqrelay.channels import (
     depolarized_channel,
     holevo_chi,
@@ -575,3 +577,41 @@ def test_end_to_end_dist_override():
     assert report["input_weights"] == [0.5, 0.5]
     with pytest.raises(InvalidInputError):
         end_to_end_broadcast_sim(bc, {"n": 4, "M1": 2, "M2": 2, "dist": [0.2, 0.3, 0.5]})
+
+
+@pytest.mark.parametrize("scheme", ["proof-construction", "modular-sum"])
+def test_averaged_state_projectors_are_built_once_per_run(monkeypatch, scheme):
+    # the projectors do not depend on the seed, so three failed attempts
+    # build one per receiver, not one per receiver and attempt
+    calls = []
+    build = coding.averaged_state_projector
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(coding, "averaged_state_projector", counted)
+    config = {
+        "n": 4, "M1": 2, "M2": 2, "alpha": 0.5, "seed": 0, "scheme": scheme,
+        "max_seed_attempts": 3, "delta": 1e-6,
+    }
+    report = end_to_end_broadcast_sim(noisy_broadcast(0.9), config)
+    assert (report["status"], report["attempts_used"]) == ("threshold-not-met", 3)
+    assert len(calls) == 2
+
+
+def test_simulate_n10_allocations_stay_bounded():
+    # the benchmark's sim-n10 run (generate product-broadcast --p 0.1): the
+    # decoder keeps G^{+1/2} per group and one normalized block at a time, and
+    # mode products stream in column chunks, so numpy's allocations peak near
+    # the detection factors (about 11.7 MiB; 16.3 MiB with every normalized
+    # factor kept beside a stacked copy of its group)
+    config = {"n": 10, "M1": 2, "M2": 2, "alpha": 0.3, "seed": 11}
+    tracemalloc.start()
+    try:
+        report = end_to_end_broadcast_sim(noisy_broadcast(0.1), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["status"] == "ok"
+    assert peak <= 13 * 2**20

@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cqrelay import coding
 from cqrelay.channels import (
     CQChannel,
     depolarized_channel,
@@ -34,7 +35,9 @@ from cqrelay.coding import (
 )
 from cqrelay.lemmas import random_density
 from cqrelay.operators import (
+    KRON_CHUNK_COLUMNS,
     ProbabilityDistribution,
+    _fused_factors,
     kron_apply,
     product_columns,
     tensor_all,
@@ -291,3 +294,98 @@ def test_simulate_never_forms_dense_product_operators(monkeypatch, scheme):
     config = {"n": 8, "M1": 2, "M2": 2, "alpha": ALPHA, "seed": 11, "scheme": scheme, "delta": 1.0}
     report = end_to_end_broadcast_sim(canonical_broadcast(), config)
     assert report["status"] == "ok"
+
+
+# ---------------------------------------------------------------------------
+# fused and streamed mode products, and the lazily formed normalized factors
+# ---------------------------------------------------------------------------
+
+
+def contraction(rng, p, q):
+    """A random complex p x q matrix of operator norm 1, so that products of
+    many factors keep entries of order 1 and an absolute tolerance means
+    something."""
+    m = rng.normal(size=(p, q)) + 1j * rng.normal(size=(p, q))
+    return m / np.linalg.norm(m, 2)
+
+
+def unit_columns(rng, rows, cols):
+    block = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    return block / np.linalg.norm(block, axis=0)
+
+
+@pytest.mark.parametrize(
+    "shapes, fused",
+    [
+        ([(2, 2)] * 11, [(32, 32), (32, 32), (2, 2)]),
+        ([(3, 3)] * 5, [(27, 27), (9, 9)]),
+        ([(5, 5)] * 3, [(25, 25), (5, 5)]),
+        ([(2, 3), (4, 2), (3, 3)], [(24, 18)]),
+    ],
+)
+def test_kron_apply_at_fusion_boundaries(shapes, fused):
+    rng = np.random.default_rng(len(shapes))
+    mats = [contraction(rng, p, q) for p, q in shapes]
+    assert [f.shape for f in _fused_factors(mats)] == fused
+    dense = tensor_all(mats)
+    block = unit_columns(rng, dense.shape[1], 2 * KRON_CHUNK_COLUMNS + 6)
+    assert np.abs(kron_apply(mats, block) - dense @ block).max() <= TOL
+    assert kron_apply(mats, block[:, :0]).shape == (dense.shape[0], 0)
+
+
+STREAM_WIDTHS = [5, KRON_CHUNK_COLUMNS, 2 * KRON_CHUNK_COLUMNS + 6]
+
+
+@pytest.mark.parametrize("width", STREAM_WIDTHS)
+def test_streamed_factor_trace_matches_dense(width):
+    # fewer columns than one chunk, exactly one chunk, and a ragged last chunk
+    rng = np.random.default_rng(width)
+    state = [random_density(rng, 2) for _ in range(7)]
+    factor = unit_columns(rng, 2**7, width) / np.sqrt(width)
+    dense = trace_pair(factor @ factor.conj().T, tensor_all(state))
+    assert _factor_trace(factor, state) == pytest.approx(dense, abs=TOL)
+
+
+def random_projector(rng, word, rank):
+    bases = {a: np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for a in set(word)}
+    mask = np.zeros(2 ** len(word), dtype=bool)
+    mask[rng.permutation(mask.size)[:rank]] = True
+    return TypicalProjector(
+        word=tuple(word), eigenvalues={}, bases=bases, taus={}, alpha=1.0, preset="fixed", mask=mask,
+    )
+
+
+@pytest.mark.parametrize("width", STREAM_WIDTHS)
+def test_streamed_sandwiched_factor_matches_dense(width):
+    rng = np.random.default_rng(100 + width)
+    outer = random_projector(rng, "0110100", 90)
+    own = random_projector(rng, "0011101", width)
+    dense = outer.matrix() @ own.included_vectors()
+    assert np.abs(own.sandwiched_factor(outer) - dense).max() <= TOL
+
+
+@pytest.mark.parametrize("panel_rows", [coding.PANEL_ROWS, 24])
+@pytest.mark.parametrize("channel,n", [(name, n) for name in ("canonical", "random") for n in NS])
+def test_lazily_formed_normalized_factors_match_dense_oracle(monkeypatch, channel, n, panel_rows):
+    from test_srm_oracle import dense_srm
+
+    # 24-row panels split every N here into several, the last one ragged
+    monkeypatch.setattr(coding, "PANEL_ROWS", panel_rows)
+    cb = sample_codebook(uniform_binary(), n, 3, 2, seed=4)
+    det = build_detection_operators(cb, CHANNELS[channel](), alpha=ALPHA)
+    dec = build_square_root_decoder(det)
+    for r in (1, 2):
+        for known, group in dec.groups[r].items():
+            pairs = [(m1, known) for m1 in range(3)] if r == 1 else [(known, m2) for m2 in range(2)]
+            # the group keeps the detection factors themselves and G^{+1/2},
+            # not a copy of the factors or any normalized factor
+            assert all(f is det.factors[r][p] for f, p in zip(group.factors, pairs))
+            k = sum(f.shape[1] for f in group.factors)
+            assert group.inv_root.shape == (k, k)
+            lams, margin = dense_srm([det.op(r, *p) for p in pairs])
+            assert group.margin == pytest.approx(margin, abs=TOL)
+            for i, (pair, lam) in enumerate(zip(pairs, lams)):
+                h = group.factor(i)
+                assert h.shape == det.factors[r][pair].shape
+                assert np.abs(h @ h.conj().T - lam).max() <= TOL
+                assert (dec.factor(r, *pair) == h).all()
