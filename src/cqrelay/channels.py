@@ -159,9 +159,15 @@ def _letter_entropy(channel: CQChannel, weights):
     return _letter_sum(weights, lambda j: von_neumann_entropy(channel.state(channel.alphabet[j])))
 
 
-def _chi(channel: CQChannel, weights):
-    """Holevo information in bits, per weight row."""
-    return von_neumann_entropy(_averaged_states(channel, weights)) - _letter_entropy(channel, weights)
+def _chi(channel: CQChannel, weights, letter_entropies=None):
+    """Holevo information in bits, per weight row.  letter_entropies, when
+    given, lists the letter-state entropies in alphabet order, so that a
+    caller scoring many weight vectors decomposes each letter state once."""
+    if letter_entropies is None:
+        held = _letter_entropy(channel, weights)
+    else:
+        held = _letter_sum(weights, letter_entropies.__getitem__)
+    return von_neumann_entropy(_averaged_states(channel, weights)) - held
 
 
 def output_state(channel: CQChannel, dist: ProbabilityDistribution) -> np.ndarray:

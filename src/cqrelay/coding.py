@@ -6,8 +6,9 @@ detection operators over the messages that share a side-information index.
 Detection operators are held only as their N x K factors F.  The
 normalization runs on the K x K Gram matrix G = F†F of each group, and the
 decoder keeps G^{+1/2} per group, not the normalized factors H = F G^{+1/2}:
-an H block is formed when something reads it (an error trace, a decoding,
-the modular-sum outcome table) and freed after use.  Product operators (the
+an H block is formed when the group's outcome table reads it and freed after
+use; the error tables, the decoding and the modular-sum scheme read that one
+table, so a run forms each H block once.  Product operators (the
 averaged-state projector, word states) are held as their n single-letter
 factors and applied as fused mode products, one column chunk at a time, so
 no N x N array is formed and no temporary grows with K.  All error figures
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,6 +124,14 @@ def _factor_trace(factor: np.ndarray, state) -> float:
     """
     chunks = kron_column_chunks(state, factor)
     return float(sum(np.vdot(factor[:, cols], product).real for cols, product in chunks))
+
+
+def _trace_table(blocks, states) -> np.ndarray:
+    """The table of tr(B_k† rho_c B_k), row c for state c (its list of tensor
+    factors) and column k for block k.  Each block is read once, so a lazy
+    map(group.factor, ...) forms each H_k once; map frees it before the next."""
+    columns = list(map(lambda block: [_factor_trace(block, state) for state in states], blocks))
+    return np.array(columns, dtype=float).reshape(len(columns), len(states)).T
 
 
 def _factor_op(factor: np.ndarray) -> np.ndarray:
@@ -280,8 +289,8 @@ class SquareRootDecoder:
 
     Per group the decoder holds the detection factors F, R = G^{+1/2} of
     their Gram matrix and the block offsets, not the normalized factors: H
-    is formed from F and R when it is read (factor, op, the error tables,
-    decode_with_side_info) and is not kept.
+    is formed from F and R when it is read (factor, op, a group's outcome
+    table) and is not kept.
     """
 
     m1_size: int
@@ -334,6 +343,11 @@ def build_square_root_decoder(detection: DetectionOperators) -> SquareRootDecode
 # ---------------------------------------------------------------------------
 
 
+def _keyed(table: dict) -> dict:
+    """An index-keyed table as a JSON object: string keys in index order."""
+    return {str(k): v for k, v in sorted(table.items())}
+
+
 def _clamp_nonnegative(x: float) -> float:
     """x with negative roundoff clamped to 0; values above 1 pass unchanged."""
     return 0.0 if x < 0.0 else float(x)
@@ -351,6 +365,8 @@ class ErrorReport:
     collisions: dict  # receiver -> {(m1, m2): summed cross-word detection mass}
     decomposition_bounds: dict  # receiver -> {(m1, m2): 2 * miss + 4 * collision}
     decomposition_ok: bool
+    # receiver -> {(m1, m2): its group's outcome row, tr(Λ_k W(word)) per k}; not in as_dict
+    outcomes: dict = field(default_factory=dict)
 
     def _group_averages(self, receiver: int, kept=None) -> dict:
         """The receiver's error averaged over each side-information group, keyed
@@ -393,8 +409,8 @@ class ErrorReport:
             "collision_2": table(self.collisions[2]),
             "decomposition_bound_1": table(self.decomposition_bounds[1]),
             "decomposition_bound_2": table(self.decomposition_bounds[2]),
-            "avg_by_m2": {str(k): v for k, v in sorted(self.avg_by_m2.items())},
-            "avg_by_m1": {str(k): v for k, v in sorted(self.avg_by_m1.items())},
+            "avg_by_m2": _keyed(self.avg_by_m2),
+            "avg_by_m1": _keyed(self.avg_by_m1),
             "overall_1": overall[1],
             "overall_2": overall[2],
             "decomposition_ok": self.decomposition_ok,
@@ -408,23 +424,24 @@ def average_errors(
     detection: DetectionOperators,
 ) -> ErrorReport:
     """Exact error tables, with the normalization-removal bound (2x miss +
-    4x collision mass of the detection operators) checked per pair."""
-    first = {1: {}, 2: {}}
-    coll = {1: {}, 2: {}}
-    bounds = {1: {}, 2: {}}
+    4x collision mass of the detection operators) checked per pair, all read
+    from two tables per group: tr(Λ_k W(word)) and tr(D'_k W(word))."""
+    first, coll, bounds, outcomes = {1: {}, 2: {}}, {1: {}, 2: {}}, {1: {}, 2: {}}, {1: {}, 2: {}}
     ok = True
     for receiver in (1, 2):
         channel = bc.marginal(receiver)
         own = detection.factors[receiver]
         for known, pairs in _side_info_groups(receiver, codebook.m1_size, codebook.m2_size).items():
             group = decoder.groups[receiver][known]
+            states = [_word_factors(channel, codebook.words[p]) for p in pairs]
+            decided = _trace_table(map(group.factor, range(len(pairs))), states)
+            detected = _trace_table((own[p] for p in pairs), states)
             for index, pair in enumerate(pairs):
-                state = _word_factors(channel, codebook.words[pair])
-                err = _clamp_nonnegative(1.0 - _factor_trace(group.factor(index), state))
-                first[receiver][pair] = err
-                mass = sum(_clamp_nonnegative(_factor_trace(own[p], state)) for p in pairs if p != pair)
-                coll[receiver][pair] = mass
-                miss = _clamp_nonnegative(1.0 - _factor_trace(own[pair], state))
+                outcomes[receiver][pair] = tuple(decided[index].tolist())
+                first[receiver][pair] = err = _clamp_nonnegative(1.0 - decided[index, index])
+                row = detected[index].tolist()
+                coll[receiver][pair] = mass = sum(_clamp_nonnegative(t) for k, t in enumerate(row) if k != index)
+                miss = _clamp_nonnegative(1.0 - row[index])
                 bounds[receiver][pair] = 2.0 * miss + 4.0 * mass
                 if err > bounds[receiver][pair] + 1e-9:
                     ok = False
@@ -436,6 +453,7 @@ def average_errors(
         collisions=coll,
         decomposition_bounds=bounds,
         decomposition_ok=ok,
+        outcomes=outcomes,
     )
 
 
@@ -585,25 +603,28 @@ class ExpurgationResult:
     within_four_delta: bool
 
     def as_dict(self) -> dict:
-        return {
-            "m1_kept": list(self.m1_kept),
-            "m2_kept": list(self.m2_kept),
-            "delta": self.delta,
-            "selection_error_by_m2": {str(k): v for k, v in sorted(self.selection_error_by_m2.items())},
-            "selection_error_by_m1": {str(k): v for k, v in sorted(self.selection_error_by_m1.items())},
-            "final_error_by_m2": {str(k): v for k, v in sorted(self.final_error_by_m2.items())},
-            "final_error_by_m1": {str(k): v for k, v in sorted(self.final_error_by_m1.items())},
-            "within_two_delta": self.within_two_delta,
-            "within_four_delta": self.within_four_delta,
-        }
+        out = {name: _keyed(v) if isinstance(v, dict) else v for name, v in vars(self).items()}
+        return {**out, "m1_kept": list(self.m1_kept), "m2_kept": list(self.m2_kept)}
+
+
+def _better_half(averages: dict) -> tuple:
+    """The sorted ceil(size/2) keys with the smallest averages.  Averages
+    within 1e-12 of the cutoff, the ceil(size/2)-th smallest, are tied, and
+    ties go to the lower key, so roundoff cannot order equal averages."""
+    keep = math.ceil(len(averages) / 2)
+    cutoff = sorted(averages.values())[keep - 1]
+    below = [k for k, v in averages.items() if v < cutoff - 1e-12]
+    tied = sorted(k for k, v in averages.items() if abs(v - cutoff) <= 1e-12)
+    return tuple(sorted(below + tied[: keep - len(below)]))
 
 
 def expurgate(errors: ErrorReport, delta: float) -> ExpurgationResult:
     """Keep the better half of each message set when the global averages allow it.
 
     Selection keeps the ceil(size/2) indices with the smallest averaged error
-    (ties to the lower index); a global average <= delta pins each selected
-    average at <= 2*delta and each restricted average at <= 4*delta.
+    (averages within 1e-12 of the cutoff tie, and ties go to the lower
+    index); a global average <= delta pins each selected average at
+    <= 2*delta and each restricted average at <= 4*delta.
     """
     if delta <= 0.0:
         raise InvalidInputError(f"delta must be positive, got {delta}")
@@ -616,8 +637,7 @@ def expurgate(errors: ErrorReport, delta: float) -> ExpurgationResult:
     selection, kept = {}, {}
     for receiver in (1, 2):
         averages = errors._group_averages(receiver)
-        order = sorted(averages, key=lambda known: (averages[known], known))
-        kept[receiver] = tuple(sorted(order[: math.ceil(len(order) / 2)]))
+        kept[receiver] = _better_half(averages)
         selection[receiver] = {known: averages[known] for known in kept[receiver]}
     m1_kept, m2_kept = kept[2], kept[1]
     kept_pairs = {(m1, m2) for m1 in m1_kept for m2 in m2_kept}
@@ -647,9 +667,9 @@ def decode_with_side_info(
 
     Receiver 1 knows m2 and resolves m1; receiver 2 the reverse.  The state
     is a dense N x N array or the list of its tensor factors.  Outcome
-    probabilities are exact traces; "argmax" returns the most likely message,
-    "sampled" draws from the full outcome distribution and returns None on
-    the complement outcome.
+    probabilities are exact traces, clamped at 0; "argmax" returns the most
+    likely message, "sampled" draws from the full outcome distribution and
+    returns None on the complement outcome.
     """
     if receiver not in (1, 2):
         raise InvalidInputError(f"receiver must be 1 or 2, got {receiver!r}")
@@ -660,8 +680,13 @@ def decode_with_side_info(
         raise InvalidInputError(f"known message {known_message} outside its set")
     if isinstance(state, np.ndarray) and state.ndim == 2:
         state = [state]
-    outcomes = range(len(group.factors))
-    probs = np.array([_clamp_nonnegative(_factor_trace(group.factor(i), state)) for i in outcomes])
+    (probs,) = _trace_table(map(group.factor, range(len(group.factors))), [state])
+    return _decide(probs, mode, rng)
+
+
+def _decide(probs, mode: str = "argmax", rng: np.random.Generator | None = None):
+    """decode_with_side_info's decision on one row of outcome probabilities."""
+    probs = np.array([_clamp_nonnegative(p) for p in probs])
     if mode == "argmax":
         return int(np.argmax(probs))
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -899,6 +924,13 @@ def end_to_end_broadcast_sim(bc: BroadcastCQChannel, config: SimConfig | dict) -
     return _proof_construction_sim(bc, config, dist, chi1, chi2, dims, report)
 
 
+def _decode_report(pairs, recovered) -> dict:
+    """The decode section: per message pair (m1, m2), whether receiver r
+    recovers its partner's message, recovered(r, m1, m2)."""
+    table = {f"{m1},{m2}": {f"receiver{r}": recovered(r, m1, m2) for r in (1, 2)} for m1, m2 in pairs}
+    return {"all_correct": all(ok for row in table.values() for ok in row.values()), "table": table}
+
+
 def _first_passing_seed(config: SimConfig, realize, report: dict):
     """Realize codes for seeds config.seed, config.seed + 1, ... in turn.
 
@@ -926,10 +958,7 @@ def _first_passing_seed(config: SimConfig, realize, report: dict):
 def _proof_construction_sim(bc, config, dist, chi1, chi2, dims, report):
     m1_size, m2_size = _sized_message_sets(config, chi1, chi2, dims, report["notices"])
     if m1_size < 2 or m2_size < 2:
-        report.update(
-            status="infeasible",
-            reason=f"message sizes ({m1_size}, {m2_size}) below 2 at n={config.n}",
-        )
+        report.update(status="infeasible", reason=f"message sizes ({m1_size}, {m2_size}) below 2 at n={config.n}")
         return report
     report["sizes"] = {"sampled_m1": m1_size, "sampled_m2": m2_size}
     projectors = _averaged_projectors(bc, dist, config.n, config.alpha, config.preset, config.dim_cap)
@@ -939,56 +968,41 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, dims, report):
         detection = build_detection_operators(cb, bc, config.alpha, config.preset, config.dim_cap, projectors)
         decoder = build_square_root_decoder(detection)
         errs = average_errors(cb, bc, decoder, detection)
-        return max(errs.overall.values()), (cb, decoder, errs)
+        return max(errs.overall.values()), (decoder, errs)
 
-    seed_used, (cb, decoder, errs) = _first_passing_seed(config, realize, report)
+    seed_used, (decoder, errs) = _first_passing_seed(config, realize, report)
     if seed_used is None:
         report["errors"] = errs.as_dict()
         return report
     exp = expurgate(errs, config.delta)
-    decode_table = {}
-    all_correct = True
-    marg1, marg2 = bc.marginal(1), bc.marginal(2)
-    for m1 in exp.m1_kept:
-        for m2 in exp.m2_kept:
-            w = cb.word(m1, m2)
-            got1 = decode_with_side_info(decoder, 1, m2, _word_factors(marg1, w))
-            got2 = decode_with_side_info(decoder, 2, m1, _word_factors(marg2, w))
-            ok = got1 == m1 and got2 == m2
-            all_correct = all_correct and ok
-            decode_table[f"{m1},{m2}"] = {"receiver1": got1 == m1, "receiver2": got2 == m2}
+    # each kept pair's word, decoded from the outcome rows of the error pass
+    decode = _decode_report(
+        itertools.product(exp.m1_kept, exp.m2_kept),
+        lambda r, m1, m2: _decide(errs.outcomes[r][(m1, m2)]) == (m1, m2)[r - 1],
+    )
     final1, final2 = len(exp.m1_kept), len(exp.m2_kept)
     report.update(
         status="ok",
         seed_used=seed_used,
-        sizes={
-            "sampled_m1": m1_size,
-            "sampled_m2": m2_size,
-            "final_m1": final1,
-            "final_m2": final2,
-        },
+        sizes={"sampled_m1": m1_size, "sampled_m2": m2_size, "final_m1": final1, "final_m2": final2},
         rates={
             "sampled": [math.log2(m1_size) / config.n, math.log2(m2_size) / config.n],
             "final": [math.log2(final1) / config.n, math.log2(final2) / config.n],
         },
         errors=errs.as_dict(),
         expurgation=exp.as_dict(),
-        subpovm_margins={
-            "receiver1": {str(k): v for k, v in sorted(decoder.subpovm_margins[1].items())},
-            "receiver2": {str(k): v for k, v in sorted(decoder.subpovm_margins[2].items())},
-        },
-        decode={"all_correct": all_correct, "table": decode_table},
+        subpovm_margins={f"receiver{r}": _keyed(m) for r, m in decoder.subpovm_margins.items()},
+        decode=decode,
     )
     return report
 
 
 def _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report):
-    if config.m1_size is not None and config.m2_size is not None:
-        if config.m1_size != config.m2_size:
-            raise InvalidInputError("the sum-forwarding scheme uses one common message size")
-        size = config.m1_size
-    elif config.m1_size is not None or config.m2_size is not None:
-        size = config.m1_size if config.m1_size is not None else config.m2_size
+    given = {s for s in (config.m1_size, config.m2_size) if s is not None}
+    if len(given) > 1:
+        raise InvalidInputError("the sum-forwarding scheme uses one common message size")
+    if given:
+        (size,) = given
     else:
         sizes = _epsilon_sizes(config, [("common message set", min(chi1, chi2), min(dims))], report["notices"])
         if sizes is None:
@@ -1000,12 +1014,9 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report):
     if size < 2:
         report.update(status="infeasible", reason=f"common message size {size} below 2")
         return report
-    weaker = 1 if chi1 < chi2 else 2
+    report["weaker_receiver"] = 1 if chi1 < chi2 else 2
     if chi1 < chi2:
-        report["notices"].append(
-            "receiver 1 is the weaker marginal; roles swapped relative to the usual order"
-        )
-    report["weaker_receiver"] = weaker
+        report["notices"].append("receiver 1 is the weaker marginal; roles swapped relative to the usual order")
     report["sizes"] = {"common": size}
     projectors = _averaged_projectors(bc, dist, config.n, config.alpha, config.preset, config.dim_cap)
 
@@ -1020,17 +1031,10 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report):
             )
             povm = _normalize_group([factor_by_word[w] for w in words])
             margins[receiver] = povm.margin
-            # outcome probabilities of every common message on every word's
-            # state, probs[c][k] for word c and outcome k; each H_k is formed
-            # once, and freed before the next one
+            # probs[c, k]: the probability of outcome k on word c's state
             states = [_word_factors(channel, w) for w in words]
-            by_outcome = []
-            for k in range(size):
-                h = povm.factor(k)
-                by_outcome.append([_factor_trace(h, s) for s in states])
-                del h
-            probs[receiver] = [list(row) for row in zip(*by_outcome)]
-            errors[receiver] = [_clamp_nonnegative(1.0 - probs[receiver][c][c]) for c in range(size)]
+            probs[receiver] = _trace_table(map(povm.factor, range(size)), states)
+            errors[receiver] = [_clamp_nonnegative(1.0 - probs[receiver][c, c]) for c in range(size)]
         worst = max(float(np.mean(errors[1])), float(np.mean(errors[2])))
         return worst, (probs, errors, margins)
 
@@ -1039,16 +1043,11 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report):
         report["common_errors"] = {"receiver1": errors[1], "receiver2": errors[2]}
         return report
 
-    decode_table = {}
-    all_correct = True
-    for m1 in range(size):
-        for m2 in range(size):
-            common = modular_sum_encode(m1, m2, size)
-            got = {r: int(np.argmax([_clamp_nonnegative(t) for t in probs[r][common]])) for r in (1, 2)}
-            ok1 = modular_sum_decode(got[1], m2, size) == m1
-            ok2 = modular_sum_decode(got[2], m1, size) == m2
-            all_correct = all_correct and ok1 and ok2
-            decode_table[f"{m1},{m2}"] = {"receiver1": ok1, "receiver2": ok2}
+    def recovered(r, m1, m2):
+        # receiver r decodes the common message and subtracts its own
+        got = _decide(probs[r][modular_sum_encode(m1, m2, size)])
+        return modular_sum_decode(got, (m2, m1)[r - 1], size) == (m1, m2)[r - 1]
+
     rate = math.log2(size) / config.n
     report.update(
         status="ok",
@@ -1061,6 +1060,6 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report):
             "avg_receiver2": float(np.mean(errors[2])),
         },
         subpovm_margins={"receiver1": margins[1], "receiver2": margins[2]},
-        decode={"all_correct": all_correct, "table": decode_table},
+        decode=_decode_report(itertools.product(range(size), repeat=2), recovered),
     )
     return report

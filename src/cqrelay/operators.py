@@ -84,8 +84,10 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
 
 
 def hermitian_deviation(mat: np.ndarray):
-    """Largest entry of |A - A†|, per matrix of a stack."""
-    dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    """Largest entry of |A - A†|, per matrix of a stack; inf where a finite
+    difference overflows, which fails any tolerance without a warning."""
+    with np.errstate(over="ignore"):
+        dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     return _per_matrix(dev)
 
 
@@ -156,25 +158,30 @@ def _checked_spectrum(
             return mat
         mat = mat.matrix
     m = require_hermitian(mat, name=name)
-    if vectors:
-        w, u = np.linalg.eigh(hermitian_part(m))
-    else:
-        w, u = np.linalg.eigvalsh(hermitian_part(m)), None
-    if w.shape[-1]:
-        bad = _batch_label(name, w[..., 0] < -PSD_ATOL)
-        if bad is not None:
-            raise InvalidInputError(f"{bad[0]} has negative eigenvalue {w[bad[1]][0]:.3e}")
-        if sub_unital:
-            bad = _batch_label(name, w[..., -1] > 1.0 + SUBUNITAL_ATOL)
+    # finite entries near the float limit overflow the Hermitian part and
+    # the trace; a spectrum holding nan then fails the positivity check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if vectors:
+            w, u = np.linalg.eigh(hermitian_part(m))
+        else:
+            w, u = np.linalg.eigvalsh(hermitian_part(m)), None
+        if w.shape[-1]:
+            bad = _batch_label(name, ~(w[..., 0] >= -PSD_ATOL))
             if bad is not None:
-                raise InvalidInputError(
-                    f"{bad[0]} exceeds the identity (max eigenvalue {float(w[bad[1]][-1])!r})"
-                )
-    if density:
-        tr = np.trace(m, axis1=-2, axis2=-1).real
-        bad = _batch_label(name, np.abs(tr - 1.0) > TRACE_ATOL)
-        if bad is not None:
-            raise InvalidInputError(f"{bad[0]} has trace {float(tr[bad[1]])!r}, expected 1")
+                low = w[bad[1]][0]
+                what = f"negative eigenvalue {low:.3e}" if np.isfinite(low) else "no finite spectrum"
+                raise InvalidInputError(f"{bad[0]} has {what}")
+            if sub_unital:
+                bad = _batch_label(name, w[..., -1] > 1.0 + SUBUNITAL_ATOL)
+                if bad is not None:
+                    raise InvalidInputError(
+                        f"{bad[0]} exceeds the identity (max eigenvalue {float(w[bad[1]][-1])!r})"
+                    )
+        if density:
+            tr = np.trace(m, axis1=-2, axis2=-1).real
+            bad = _batch_label(name, np.abs(tr - 1.0) > TRACE_ATOL)
+            if bad is not None:
+                raise InvalidInputError(f"{bad[0]} has trace {float(tr[bad[1]])!r}, expected 1")
     return CheckedOperator(m, w, u, density, sub_unital, _VALIDATOR)
 
 

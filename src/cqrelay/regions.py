@@ -57,11 +57,18 @@ class DistributionGrid:
             raise InvalidInputError(f"grid resolution must be an integer, got {self.resolution!r}")
         if self.resolution < 1:
             raise InvalidInputError("grid resolution must be >= 1")
+        if self.resolution > np.iinfo(np.intp).max:
+            raise InvalidInputError(f"grid resolution {self.resolution} exceeds {np.iinfo(np.intp).max}")
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
+        """The number of lattice points, exact however large (len() stops at sys.maxsize)."""
         d = len(self.labels)
         return math.comb(self.resolution + d - 1, d - 1)
+
+    def __len__(self) -> int:
+        return self.size
 
     def weight_matrix(self) -> np.ndarray:
         """All lattice weights as a (grid size, |labels|) array."""
@@ -272,7 +279,7 @@ def _pentagon_bounds(
         raise InvalidInputError("grid2 labels must match the second sender alphabet")
     states = np.stack([np.stack([mac.state(y1, y2) for y2 in a2]) for y1 in a1])
     dim = states.shape[-1]
-    _require_stack_bytes(len(grid) * len(grid2), dim, "MAC region")
+    _require_stack_bytes(grid.size * grid2.size, dim, "MAC region")
     ent = von_neumann_entropy(states.reshape(d1 * d2, dim, dim)).reshape(d1, d2)
 
     q1 = grid.weight_matrix()  # (G1, d1)
@@ -329,7 +336,7 @@ def broadcast_region(bc: BroadcastCQChannel, grid: DistributionGrid) -> RateRegi
     """Union of per-distribution rectangles (chi to each receiver), then hull."""
     if grid.labels != bc.alphabet:
         raise InvalidInputError("grid labels must match the broadcast alphabet")
-    _require_stack_bytes(len(grid), max(bc.dims), "broadcast region")
+    _require_stack_bytes(grid.size, max(bc.dims), "broadcast region")
     weights = grid.weight_matrix()
     x1 = np.maximum(_chi(bc.marginal(1), weights), 0.0)
     x2 = np.maximum(_chi(bc.marginal(2), weights), 0.0)
@@ -374,10 +381,17 @@ def optimize_chi(
     """Grid search for the Holevo information, then local simplex ascent."""
     if grid.labels != channel.alphabet:
         raise InvalidInputError("grid labels must match the channel alphabet")
-    _require_stack_bytes(len(grid), channel.output_dim, "chi search")
+    _require_stack_bytes(grid.size, channel.output_dim, "chi search")
+    # the letter-state entropies do not depend on the weights: one eigvalsh
+    # per letter for the whole search
+    entropies = [von_neumann_entropy(channel.state(a)) for a in channel.alphabet]
+
+    def chi(weights):
+        return _chi(channel, weights, entropies)
+
     mat = grid.weight_matrix()
-    best_idx = int(np.argmax(_chi(channel, mat)))
-    w, best = _refine_simplex_ascent(lambda weights: _chi(channel, weights), mat[best_idx], refine_steps)
+    best_idx = int(np.argmax(chi(mat)))
+    w, best = _refine_simplex_ascent(chi, mat[best_idx], refine_steps)
     w = w / w.sum()
     return ProbabilityDistribution(channel.alphabet, w), float(best)
 

@@ -361,6 +361,24 @@ def test_expurgation_tie_break_prefers_lower_index():
     assert result.m2_kept == (0, 1)
 
 
+def test_expurgation_near_tie_goes_to_lower_index():
+    # m2 = 0 and m2 = 2 average 0.2 up to a 1e-15 roundoff, which must not
+    # decide which of them is kept: within 1e-12 of the cutoff they tie
+    first1 = {(0, 0): 0.2, (0, 1): 0.1, (0, 2): 0.2 - 1e-15, (0, 3): 0.3}
+    report = synthetic_report(first1, dict(first1))
+    assert report.avg_by_m2[2] < report.avg_by_m2[0]
+    result = expurgate(report, 0.25)
+    assert result.m2_kept == (0, 1)
+    assert result.selection_error_by_m2 == {0: 0.2, 1: 0.1}
+    # two groups: the lower index wins a near tie whichever side it is on
+    for gap in (1e-15, -1e-15):
+        pair = synthetic_report({(0, 0): 0.005 + gap, (0, 1): 0.005}, {(0, 0): 0.0, (0, 1): 0.0})
+        assert expurgate(pair, 0.25).m2_kept == (0,)
+    # a gap above the tolerance still orders the averages
+    first1[(0, 2)] = 0.2 - 1e-11
+    assert expurgate(synthetic_report(first1, dict(first1)), 0.25).m2_kept == (1, 2)
+
+
 def test_expurgation_rejects_large_average():
     first1 = {(i, j): 0.6 for i in range(2) for j in range(2)}
     report = synthetic_report(first1, dict(first1))
@@ -432,6 +450,35 @@ def test_decode_with_side_info_validation():
         decode_with_side_info(dec, 1, 9, state)
     with pytest.raises(InvalidInputError):
         decode_with_side_info(dec, 1, 0, state, mode="wishful")
+
+
+@pytest.mark.parametrize("scheme", ["proof-construction", "modular-sum"])
+@pytest.mark.parametrize("delta,attempts", [(1.0, 1), (1e-12, 2)])
+def test_each_attempt_forms_each_normalized_factor_once(monkeypatch, scheme, delta, attempts):
+    # the error tables, the decoding and the modular-sum outcome table read
+    # one outcome table per group, so each H block is formed once
+    reads = []
+    form = coding._NormalizedGroup.factor
+
+    def factor(group, i):
+        reads.append((group, i))
+        return form(group, i)
+
+    monkeypatch.setattr(coding._NormalizedGroup, "factor", factor)
+    config = {
+        "n": 6, "M1": 3, "M2": 3 if scheme == "modular-sum" else 2, "alpha": 0.3, "seed": 2,
+        "scheme": scheme, "delta": delta, "max_seed_attempts": 2,
+    }
+    report = end_to_end_broadcast_sim(noisy_broadcast(), config)
+    assert report["attempts_used"] == attempts
+    assert report["status"] == ("ok" if attempts == 1 else "threshold-not-met")
+    groups = {id(group): group for group, _ in reads}
+    # every group is kept alive by reads, so ids do not repeat
+    per_attempt = 2 if scheme == "modular-sum" else config["M1"] + config["M2"]
+    assert len(groups) == attempts * per_attempt
+    assert sorted((id(g), i) for g, i in reads) == sorted(
+        (key, i) for key, g in groups.items() for i in range(len(g.factors))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,22 @@ def test_validate_density_rejects_bad_inputs():
         validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
 
 
+@pytest.mark.filterwarnings("error")
+def test_validators_refuse_entries_that_overflow_the_spectrum():
+    # finite entries near the float limit overflow the Hermitian part: the
+    # spectrum is nan, which must fail the check and warn nothing; this
+    # matrix, far from positive, has unit trace
+    big = np.finfo(float).max
+    with pytest.raises(InvalidInputError, match="no finite spectrum"):
+        validate_density(np.array([[0.5, big], [big, 0.5]]))
+    with pytest.raises(InvalidInputError, match="no finite spectrum"):
+        validate_positive(np.array([[0.5, big], [big, 0.5]]))
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        validate_density(np.array([[0.5, 1j * big], [0.0, 0.5]]))
+    with pytest.raises(InvalidInputError, match="trace"):
+        validate_density(np.array([[big]]))
+
+
 def test_validate_positive_subunital_flag():
     ok = np.diag([0.3, 0.9])
     validate_positive(ok, sub_unital=True)

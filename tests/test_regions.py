@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cqrelay import channels, regions
 from cqrelay.channels import (
     CQChannel,
     MACCQChannel,
@@ -14,6 +15,7 @@ from cqrelay.channels import (
     product_broadcast_channel,
 )
 from cqrelay.errors import InvalidInputError, ResourceLimitError
+from cqrelay.lemmas import random_density
 from cqrelay.operators import ProbabilityDistribution
 from cqrelay.regions import (
     DistributionGrid,
@@ -357,6 +359,36 @@ def test_optimize_chi_beats_dense_grid():
     assert value >= dense_best - 1e-6
 
 
+def test_optimize_chi_decomposes_each_letter_state_once(monkeypatch):
+    # the letter-state entropies do not depend on the weights, so a search
+    # reads them once per call: one entropy call per chi evaluation (its
+    # averaged states) plus one per letter; each evaluation equals the
+    # plain chi bit for bit
+    rng = np.random.default_rng(3)
+    ch = CQChannel(("a", "b", "c"), {k: random_density(rng, 3) for k in "abc"})
+    entropy_calls, evaluations = [], []
+    real_entropy, real_chi = channels.von_neumann_entropy, regions._chi
+
+    def entropy(states):
+        entropy_calls.append(states)
+        return real_entropy(states)
+
+    def chi(channel, weights, *letter_entropies):
+        value = real_chi(channel, weights, *letter_entropies)
+        evaluations.append((np.array(weights), value))
+        return value
+
+    monkeypatch.setattr(channels, "von_neumann_entropy", entropy)
+    monkeypatch.setattr(regions, "von_neumann_entropy", entropy)
+    monkeypatch.setattr(regions, "_chi", chi)
+    optimize_chi(ch, DistributionGrid(ch.alphabet, 16), refine_steps=50)
+    assert len(evaluations) == 2 + 2 * 50
+    assert len(entropy_calls) == len(evaluations) + len(ch.alphabet)
+    monkeypatch.undo()
+    for weights, value in evaluations:
+        assert np.array_equal(value, channels._chi(ch, weights))
+
+
 def test_grid_searches_refuse_oversized_state_stacks():
     # a binary grid of 10^7 points holds a 640 MB (G, 2, 2) stack
     ch = orthogonal_pure_channel()
@@ -396,6 +428,15 @@ def test_weighted_boundary_point_refuses_a_weight_that_is_not_finite(mu):
 def test_grid_resolution_must_be_an_integer(resolution):
     with pytest.raises(InvalidInputError, match="grid resolution must be an integer"):
         DistributionGrid(("0", "1"), resolution)
+
+
+def test_grid_resolution_beyond_an_index_is_refused():
+    # one letter has a one-point grid however fine, but its count still
+    # has to fit an index-sized integer
+    with pytest.raises(InvalidInputError, match="exceeds"):
+        DistributionGrid(("0",), 10**20)
+    assert DistributionGrid(("0",), 2**62).weight_matrix().tolist() == [[1.0]]
+    assert DistributionGrid(("0", "1"), 2**63 - 1).size == 2**63  # beyond len()
 
 
 def test_grid_resolution_accepts_numpy_integers():

@@ -8,8 +8,12 @@ eigvalsh of sum_i Lambda_i - I.  Every figure the pipeline reports must agree
 with it within 1e-12.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqrelay.channels import (
     CQChannel,
@@ -17,11 +21,15 @@ from cqrelay.channels import (
     orthogonal_pure_channel,
     product_broadcast_channel,
 )
+from cqrelay import coding
 from cqrelay.coding import (
     Codebook,
+    _side_info_groups,
+    _word_factors,
     average_errors,
     build_detection_operators,
     build_square_root_decoder,
+    decode_with_side_info,
     end_to_end_broadcast_sim,
     sample_codebook,
 )
@@ -178,3 +186,41 @@ def test_modular_sum_errors_match_dense_oracle(channel, n):
         ]
         assert report["common_errors"][f"receiver{r}"] == pytest.approx(errors, abs=TOL)
         assert report["subpovm_margins"][f"receiver{r}"] == pytest.approx(margin, abs=TOL)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    sizes=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    alpha=st.sampled_from([0.3, 0.6, 1.0]),
+)
+def test_outcome_tables_match_decoding_and_dense_oracle(seed, n, sizes, alpha):
+    # on a random non-commuting qubit channel, every pair's row of its
+    # group's outcome table is a sub-probability vector whose diagonal entry
+    # gives the first-kind error, and it is what the decoder reads for that
+    # word and what the dense square-root measurement gives
+    rng = np.random.default_rng(seed)
+    bc = product_broadcast_channel(
+        *(CQChannel(("0", "1"), {"0": random_density(rng, 2), "1": random_density(rng, 2)}) for _ in range(2))
+    )
+    cb = sample_codebook(uniform_binary(), n, *sizes, seed=seed % 1000)
+    det = build_detection_operators(cb, bc, alpha=alpha)
+    dec = build_square_root_decoder(det)
+    report = average_errors(cb, bc, dec, det)
+    ops, _ = dense_decoder(det)
+    for r in (1, 2):
+        marg = bc.marginal(r)
+        for known, pairs in _side_info_groups(r, *sizes).items():
+            for index, pair in enumerate(pairs):
+                row = np.array(report.outcomes[r][pair])
+                assert row.shape == (len(pairs),)
+                assert row.min() >= -TOL
+                assert row.sum() <= 1.0 + 1e-9
+                assert report.first_kind[r][pair] == max(0.0, 1.0 - row[index])
+                word = cb.word(*pair)
+                with mock.patch.object(coding, "_decide", wraps=coding._decide) as decide:
+                    decode_with_side_info(dec, r, known, _word_factors(marg, word))
+                assert np.abs(np.asarray(decide.call_args.args[0]) - row).max() <= TOL
+                dense = [trace_pair(ops[r][p], marg.word_state(word)) for p in pairs]
+                assert np.abs(row - dense).max() <= TOL
