@@ -191,14 +191,14 @@ def holevo_chi(channel: CQChannel, dist: ProbabilityDistribution) -> float:
 class BroadcastCQChannel:
     """Classical input, joint output state shared by two receivers."""
 
-    def __init__(self, alphabet, dims: tuple[int, int], joint_states, *, validate: bool = True):
+    def __init__(self, alphabet, dims: tuple[int, int], joint_states):
         self._alphabet = tuple(alphabet)
         d1, d2 = int(dims[0]), int(dims[1])
         if d1 < 1 or d2 < 1:
             raise InvalidInputError(f"receiver dimensions must be positive, got {dims}")
         self._dims = (d1, d2)
         self._states, _ = _state_table(
-            [(self._alphabet, "broadcast alphabet")], joint_states, "joint state for input", d1 * d2, validate
+            [(self._alphabet, "broadcast alphabet")], joint_states, "joint state for input", d1 * d2
         )
         self._marginals: dict[int, CQChannel] = {}
 
@@ -231,14 +231,11 @@ class BroadcastCQChannel:
 class MACCQChannel:
     """Two classical senders, one quantum output."""
 
-    def __init__(self, alphabets, states, *, validate: bool = True):
+    def __init__(self, alphabets, states):
         a1, a2 = tuple(alphabets[0]), tuple(alphabets[1])
         self._alphabets = (a1, a2)
         self._states, self._dim = _state_table(
-            [(a1, "first sender alphabet"), (a2, "second sender alphabet")],
-            states,
-            "state for input pair",
-            validate=validate,
+            [(a1, "first sender alphabet"), (a2, "second sender alphabet")], states, "state for input pair"
         )
 
     @property
@@ -374,14 +371,28 @@ def _parse_broadcast(data) -> BroadcastCQChannel:
     return BroadcastCQChannel(alphabet, (d1, d2), states)
 
 
+def _mac_file_keys(a1, a2) -> list:
+    """(file key "y1,y2", letter pair) for every pair of the two alphabets.
+
+    Labels holding commas can spell one key for two distinct pairs; such
+    alphabets have no file form and are refused.  (A repeated label repeats
+    a pair; the channel's label rule refuses that.)
+    """
+    keys = [(f"{y1},{y2}", (y1, y2)) for y1 in a1 for y2 in a2]
+    first = {}
+    for key, pair in keys:
+        if first.setdefault(key, pair) != pair:
+            raise InvalidInputError(f"input pairs {first[key]!r} and {pair!r} share the state key {key!r}")
+    return keys
+
+
 def _parse_mac(data) -> MACCQChannel:
     alphabets = data.get("alphabets")
     if not isinstance(alphabets, list) or len(alphabets) != 2:
         raise InvalidInputError("'alphabets' must be a two-element list of label lists")
     a1 = _parse_labels(alphabets[0], "first sender alphabet")
     a2 = _parse_labels(alphabets[1], "second sender alphabet")
-    pairs = [(f"{y1},{y2}", (y1, y2)) for y1 in a1 for y2 in a2]
-    mac = MACCQChannel((a1, a2), _file_states(data, pairs, "state for input pair", "state for pair"))
+    mac = MACCQChannel((a1, a2), _file_states(data, _mac_file_keys(a1, a2), "state for input pair", "state for pair"))
     _check_declared_dims(data, mac.output_dim)
     return mac
 
@@ -408,7 +419,7 @@ def channel_to_jsonable(channel) -> dict:
             "kind": "mac",
             "alphabets": [list(a1), list(a2)],
             "dims": channel.output_dim,
-            "states": {f"{y1},{y2}": matrix_to_literal(channel.state(y1, y2)) for y1 in a1 for y2 in a2},
+            "states": {key: matrix_to_literal(channel.state(*pair)) for key, pair in _mac_file_keys(a1, a2)},
         }
     raise InvalidInputError(f"cannot serialize object of type {type(channel).__name__}")
 

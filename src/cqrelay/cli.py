@@ -32,7 +32,7 @@ from .channels import (
 )
 from .coding import SimConfig, end_to_end_broadcast_sim
 from .errors import InvalidInputError, RelayError, ResourceLimitError
-from .lemmas import densities, gaussian_draws, sweep_lemma_checks
+from .lemmas import _by_dim, densities, gaussian_draws, sweep_lemma_checks
 from .operators import ProbabilityDistribution, von_neumann_entropy
 from .regions import DistributionGrid, broadcast_region, intersect_regions, mac_region
 from .typicality import (
@@ -71,26 +71,29 @@ def _emit_json(obj, out_path: str | None) -> None:
     _emit(dump_json(obj), out_path)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts and resolutions: an integer >= 1."""
+def _integer(text: str, least: int) -> int:
+    """The one rule for integer flag tokens: int(text), refused below least.
+
+    int reads decimal integer text exactly, however long; a float token
+    such as 2.0, 1e3 or inf is not an integer token.
+    """
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts, resolutions and dimensions."""
+    return _integer(text, 1)
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type for seeds: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+    """argparse type for seeds."""
+    return _integer(text, 0)
 
 
 def _parse_dist(text: str, labels) -> ProbabilityDistribution:
@@ -105,24 +108,15 @@ def _parse_dist(text: str, labels) -> ProbabilityDistribution:
     return ProbabilityDistribution(tuple(labels), np.asarray(weights, dtype=float))
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, parse) -> list:
+    """The comma-separated entries of a list flag, each read by parse."""
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise InvalidInputError(f"cannot parse {flag} value {text!r}") from None
+        values = [parse(part) for part in text.split(",") if part.strip() != ""]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise InvalidInputError(f"cannot parse {flag} value {text!r}: {exc}") from None
     if not values:
         raise InvalidInputError(f"{flag} needs at least one value")
     return values
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    values = _parse_float_list(text, flag)
-    out = []
-    for v in values:
-        if abs(v - round(v)) > 0:
-            raise InvalidInputError(f"{flag} entries must be integers, got {v}")
-        out.append(int(round(v)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +225,9 @@ def cmd_region(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _score_by_dim(groups, draws, score) -> list:
-    """Build each dimension's states as one stack and score it in one call.
-
-    draws[i] holds instance i's gaussian_draws, one per state;
-    score(indices, states) gets the (k, states, d, d) stack and
-    returns the reports of those instances, put back in instance order.
-    """
-    reports = [None] * len(draws)
-    for idx in groups.values():
-        states = densities(np.array([draws[i] for i in idx]))
-        for i, report in zip(idx, score(idx, states)):
-            reports[i] = report
-    return reports
+def _drawn_states(draws, idx) -> np.ndarray:
+    """Instances idx as one (k, states, d, d) stack; draws[i] holds instance i's gaussian_draws."""
+    return densities(np.array([draws[i] for i in idx]))
 
 
 def _verify_projectors(ns, alphas, preset, seed, instances=_PROJECTOR_INSTANCES) -> dict:
@@ -264,16 +248,13 @@ def _verify_projectors(ns, alphas, preset, seed, instances=_PROJECTOR_INSTANCES)
     base = np.random.SeedSequence(seed)
     state_stream, cond_stream = base.spawn(2)
     dims = [2 if i % 2 == 0 else 3 for i in range(instances)]
-    groups = {dim: [i for i, d in enumerate(dims) if d == dim] for dim in dict.fromkeys(dims)}
     def state_reports():
         rng = np.random.default_rng(state_stream)
         for n in ns:
             for alpha in alphas:
                 draws = [gaussian_draws(rng, dim) for dim in dims]
-                yield from _score_by_dim(
-                    groups,
-                    draws,
-                    lambda idx, states: verify_state_projector_bounds(states[:, 0], n, alpha, preset),
+                yield from _by_dim(
+                    dims, lambda idx: verify_state_projector_bounds(_drawn_states(draws, idx)[:, 0], n, alpha, preset)
                 )
 
     def conditional_reports():
@@ -286,17 +267,13 @@ def _verify_projectors(ns, alphas, preset, seed, instances=_PROJECTOR_INSTANCES)
                 for dim in dims:
                     draws.append(gaussian_draws(rng, dim, count=2))  # both letter states
                     words.append(tset.sample(rng, 10_000))
-
-                def score(idx, states):
-                    # letter states are checked once, inside the report call
-                    channels = [
-                        CQChannel(dist.labels, dict(zip(dist.labels, st)), validate=False) for st in states
-                    ]
-                    return verify_conditional_projector_bounds(
-                        channels, [words[i] for i in idx], dist, alpha, preset
-                    )
-
-                yield from _score_by_dim(groups, draws, score)
+                # letter states are checked once, inside the report call
+                yield from _by_dim(
+                    dims,
+                    lambda idx: verify_conditional_projector_bounds(
+                        _drawn_states(draws, idx), [words[i] for i in idx], dist, alpha, preset
+                    ),
+                )
 
     state, _ = _projector_summary(state_reports(), reference_flag=preset == "fixed")
     conditional, cross_checked = _projector_summary(conditional_reports(), reference_flag=False)
@@ -340,8 +317,8 @@ def cmd_verify(args) -> int:
         summary["lemmas"] = lemmas
         ok = ok and all(entry["all_hold"] for entry in lemmas.values())
     if args.targets in ("projectors", "all"):
-        ns = _parse_int_list(args.n, "--n")
-        alphas = _parse_float_list(args.alpha, "--alpha")
+        ns = _parse_list(args.n, "--n", _positive_int)
+        alphas = _parse_list(args.alpha, "--alpha", float)
         projectors = _verify_projectors(ns, alphas, args.preset, args.seed)
         summary["projectors"] = projectors
         ok = ok and all(entry["all_hold"] for entry in projectors.values())
@@ -381,8 +358,19 @@ def cmd_simulate(args) -> int:
 
 _FAMILIES = ("orthogonal", "overlap-pair", "depolarized", "constant", "adder-mac", "product-broadcast")
 
+# generate refuses a channel whose letter states hold more matrix entries than
+# this, before building it: building and writing cost about D^3 for D letters
+# of dimension D, so D = 256 would need about 7.5 GB.
+_GENERATE_ENTRY_LIMIT = 2**20
+
 
 def cmd_generate(args) -> int:
+    letters = {"orthogonal": args.dim, "depolarized": args.dim, "constant": 2}.get(args.family, 0)
+    if letters * args.dim**2 > _GENERATE_ENTRY_LIMIT:
+        raise ResourceLimitError(
+            f"the {args.family} channel at --dim {args.dim} holds {letters * args.dim**2} state entries, "
+            f"above the {_GENERATE_ENTRY_LIMIT}-entry limit"
+        )
     if args.family == "orthogonal":
         channel = orthogonal_pure_channel(args.dim)
     elif args.family == "overlap-pair":

@@ -79,7 +79,6 @@ def sample_codebook(
     m2_size: int,
     delta_code: float = 0.5,
     seed: int = 0,
-    max_tries: int = 100_000,
 ) -> Codebook:
     """Draw words i.i.d. from the input distribution, kept only when typical."""
     if m1_size < 1 or m2_size < 1:
@@ -93,7 +92,7 @@ def sample_codebook(
     words = {}
     for m1 in range(m1_size):
         for m2 in range(m2_size):
-            words[(m1, m2)] = tset.sample(rng, max_tries)
+            words[(m1, m2)] = tset.sample(rng, 100_000)
     return Codebook(
         n=n,
         m1_size=m1_size,
@@ -417,25 +416,20 @@ class ErrorReport:
         }
 
 
-def average_errors(
-    codebook: Codebook,
-    bc: BroadcastCQChannel,
-    decoder: SquareRootDecoder,
-    detection: DetectionOperators,
-) -> ErrorReport:
+def average_errors(codebook: Codebook, bc: BroadcastCQChannel, decoder: SquareRootDecoder) -> ErrorReport:
     """Exact error tables, with the normalization-removal bound (2x miss +
     4x collision mass of the detection operators) checked per pair, all read
-    from two tables per group: tr(Λ_k W(word)) and tr(D'_k W(word))."""
+    from two tables per group: tr(Λ_k W(word)) and tr(D'_k W(word)).  The
+    detection factors D'_k = F_k F_k† are the ones the decoder's groups hold."""
     first, coll, bounds, outcomes = {1: {}, 2: {}}, {1: {}, 2: {}}, {1: {}, 2: {}}, {1: {}, 2: {}}
     ok = True
     for receiver in (1, 2):
         channel = bc.marginal(receiver)
-        own = detection.factors[receiver]
         for known, pairs in _side_info_groups(receiver, codebook.m1_size, codebook.m2_size).items():
             group = decoder.groups[receiver][known]
             states = [_word_factors(channel, codebook.words[p]) for p in pairs]
             decided = _trace_table(map(group.factor, range(len(pairs))), states)
-            detected = _trace_table((own[p] for p in pairs), states)
+            detected = _trace_table(group.factors, states)
             for index, pair in enumerate(pairs):
                 outcomes[receiver][pair] = tuple(decided[index].tolist())
                 first[receiver][pair] = err = _clamp_nonnegative(1.0 - decided[index, index])
@@ -967,7 +961,7 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, dims, report):
         cb = sample_codebook(dist, config.n, m1_size, m2_size, config.delta_code, seed)
         detection = build_detection_operators(cb, bc, config.alpha, config.preset, config.dim_cap, projectors)
         decoder = build_square_root_decoder(detection)
-        errs = average_errors(cb, bc, decoder, detection)
+        errs = average_errors(cb, bc, decoder)
         return max(errs.overall.values()), (decoder, errs)
 
     seed_used, (decoder, errs) = _first_passing_seed(config, realize, report)

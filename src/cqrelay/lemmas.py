@@ -173,26 +173,35 @@ _OPERANDS = {
 }
 
 
+def _by_dim(dims, score) -> list:
+    """score(idx) for the instance indices idx of each dimension, taken in
+    order of first appearance; score returns one result per index, and the
+    results come back in instance order."""
+    groups: dict[int, list] = {}
+    for i, dim in enumerate(dims):
+        groups.setdefault(dim, []).append(i)
+    out = [None] * len(dims)
+    for idx in groups.values():
+        for i, result in zip(idx, score(idx)):
+            out[i] = result
+    return out
+
+
 def _block_operands(name: str, block: list) -> list:
     """Each (dim, draws, scale) trial's operands as CheckedOperators.
 
     A block builds one stack per dimension and operand, and checks each
     stack in one call for the properties its check needs.
     """
-    by_dim: dict[int, list] = {}
-    for i, (dim, _, _) in enumerate(block):
-        by_dim.setdefault(dim, []).append(i)
-    operands = [None] * len(block)
-    for idx in by_dim.values():
-        draws = np.array([block[i][1] for i in idx])
-        built = _build_operands(name, draws, np.array([block[i][2] for i in idx]))
-        checked = [
+    def checked(idx):
+        built = _build_operands(name, np.array([block[i][1] for i in idx]), np.array([block[i][2] for i in idx]))
+        stacks = [
             _checked_spectrum(stack, label, density, sub_unital, vectors)
             for stack, (label, density, sub_unital, vectors) in zip(built, _OPERANDS[name])
         ]
-        for j, i in enumerate(idx):
-            operands[i] = tuple(op[j] for op in checked)
-    return operands
+        return [tuple(op[j] for op in stacks) for j in range(len(idx))]
+
+    return _by_dim([dim for dim, _, _ in block], checked)
 
 
 def sweep_lemma_checks(
@@ -222,13 +231,14 @@ def sweep_lemma_checks(
     base = np.random.SeedSequence(seed)
     streams = dict(zip(_LEMMA_NAMES, base.spawn(len(_LEMMA_NAMES))))
     for name in which:
-        children = streams[name].spawn(trials)
         min_slack = math.inf
         worst = ""
         failures = 0
         for start in range(0, trials, SWEEP_BLOCK):
             block = []
-            for child in children[start : start + SWEEP_BLOCK]:
+            # spawn continues the stream's child counter: children spawned a
+            # block at a time are those of one spawn(trials)
+            for child in streams[name].spawn(min(SWEEP_BLOCK, trials - start)):
                 rng = np.random.default_rng(child)
                 dim = dims[int(rng.integers(0, len(dims)))]  # the same draw as rng.choice(dims)
                 block.append((dim, *_draw_trial(name, rng, dim)))

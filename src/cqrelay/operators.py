@@ -436,6 +436,9 @@ class ProbabilityDistribution:
         w = np.asarray(self.weights, dtype=float).copy()
         if w.ndim != 1 or w.size != len(labels):
             raise InvalidInputError("alphabet and weights must have matching length")
+        # NaN passes both the sign and the sum test, so finiteness comes first
+        if not np.isfinite(w).all():
+            raise InvalidInputError(f"probability weights must be finite, got {w.tolist()}")
         if np.any(w < 0.0):
             raise InvalidInputError("negative probability weight")
         total = float(w.sum())

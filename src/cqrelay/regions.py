@@ -132,7 +132,8 @@ def _point_array(points) -> np.ndarray:
 
 
 def convex_hull(points) -> list[tuple[float, float]]:
-    """Monotone-chain hull, counterclockwise; degenerate inputs give 1-2 points.
+    """Monotone-chain hull, counterclockwise from the lexicographically
+    smallest point; degenerate inputs give 1-2 points.
 
     Coordinates are rounded to 12 decimals first: float jitter far below the
     rate scale can otherwise reorder sort ties along a near-vertical edge,
@@ -158,10 +159,7 @@ def convex_hull(points) -> list[tuple[float, float]]:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= _COLLINEAR_TOL:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if not hull:
-        hull = [pts[0], pts[-1]]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +179,8 @@ class RateRegion:
         if negative.any():
             x, y = pts[np.argmax(negative)].tolist()
             raise InvalidInputError(f"rate point ({x}, {y}) is negative")
-        hull = convex_hull(pts)
-        start = min(range(len(hull)), key=lambda i: hull[i])
-        ordered = tuple(RatePair(*hull[(start + i) % len(hull)]) for i in range(len(hull)))
+        # the hull starts at the lexicographically smallest point
+        ordered = tuple(RatePair(*p) for p in convex_hull(pts))
         return cls(vertices=ordered, halfplanes=cls._halfplanes_of(ordered))
 
     @staticmethod
@@ -396,12 +393,10 @@ def optimize_chi(
     return ProbabilityDistribution(channel.alphabet, w), float(best)
 
 
-def weighted_boundary_point(region, mu: float) -> RatePair:
-    """Vertex maximizing R1 + mu*R2; accepts a region or a region factory."""
-    if callable(region):
-        region = region()
+def weighted_boundary_point(region: RateRegion, mu: float) -> RatePair:
+    """Vertex maximizing R1 + mu*R2."""
     if not isinstance(region, RateRegion):
-        raise InvalidInputError("expected a RateRegion or a callable producing one")
+        raise InvalidInputError("expected a RateRegion")
     if not (math.isfinite(mu) and mu >= 0.0):
         raise InvalidInputError(f"weight must be finite and nonnegative, got {mu}")
     best = max(region.vertices, key=lambda v: v.r1 + mu * v.r2)

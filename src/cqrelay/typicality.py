@@ -223,23 +223,9 @@ class TypicalProjector:
         return product_columns(self.factors(), self.index_words())
 
     def matrix(self) -> np.ndarray:
-        """Dense realization in the computational product basis.
-
-        Low rank or low corank sums outer products of product columns instead
-        of forming full basis-change products.
-        """
-        factors = self.factors()
-        total = self.mask.size
-        r = self.rank
-        if r == 0:
-            return np.zeros((total, total), dtype=complex)
-        if r * 4 <= total:
-            cols = product_columns(factors, self.index_words())
-            return hermitian_part(cols @ cols.conj().T)
-        if (total - r) * 4 <= total:
-            cols = product_columns(factors, _index_words(self.dim, self.n)[~self.mask])
-            return hermitian_part(np.eye(total, dtype=complex) - cols @ cols.conj().T)
-        big = tensor_all(factors)
+        """Dense realization in the computational product basis: (U mask) U†
+        for the product eigenbasis U."""
+        big = tensor_all(self.factors())
         return hermitian_part((big * self.mask) @ big.conj().T)
 
     def sandwiched_factor(self, outer: TypicalProjector) -> np.ndarray:
@@ -561,9 +547,9 @@ class ConditionalProjectorStats:
 
 @dataclass(frozen=True, eq=False)
 class _WordBatch:
-    """Words paired with their channels' letter states, checked once.
+    """Words paired with their instances' letter states.
 
-    states[s, j] is the state of letter dist.labels[j] in instance s;
+    states[s, j] is the state of letter labels[j] in instance s;
     classes[s] lists (letter index, class size) in order of first appearance.
     """
 
@@ -573,13 +559,18 @@ class _WordBatch:
     labels: tuple
 
 
-def _word_batch(channels, words, labels, empty_message: str) -> _WordBatch:
+def _letter_states(channel: CQChannel, labels) -> np.ndarray:
+    """A channel's letter states in label order, as a one-instance (1, |A|, d, d) stack."""
+    return np.array([[channel.state(a) for a in labels]], dtype=complex)
+
+
+def _word_batch(states, words, labels, empty_message: str) -> _WordBatch:
     words = [tuple(word) for word in words]
-    if len(words) != len(channels):
-        raise InvalidInputError(f"{len(channels)} channels but {len(words)} words")
-    dims = {ch.output_dim for ch in channels}
-    if len(dims) > 1:
-        raise InvalidInputError(f"channels of one batch must share an output dimension, got {sorted(dims)}")
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 4 or states.shape[:2] != (len(words), len(labels)) or states.shape[2] != states.shape[3]:
+        raise InvalidInputError(
+            f"letter states must form an ({len(words)}, {len(labels)}, d, d) stack, got shape {states.shape}"
+        )
     position = {a: j for j, a in enumerate(labels)}
     classes = []
     for word in words:
@@ -589,7 +580,6 @@ def _word_batch(channels, words, labels, empty_message: str) -> _WordBatch:
             if a not in position:
                 raise InvalidInputError(f"input {a!r} not in channel alphabet")
         classes.append([(position[a], na) for a, na in Counter(word).items()])
-    states = np.array([[ch.state(a) for a in labels] for ch in channels], dtype=complex)
     return _WordBatch(words=words, states=states, classes=classes, labels=tuple(labels))
 
 
@@ -638,7 +628,9 @@ def _class_stats(batch: _WordBatch, alpha: float, preset: str) -> list[Condition
 def conditional_projector_stats(
     channel: CQChannel, word, alpha: float, preset: str = PRESET_FIXED
 ) -> ConditionalProjectorStats:
-    batch = _word_batch([channel], [word], channel.alphabet, "conditioning word is empty")
+    batch = _word_batch(
+        _letter_states(channel, channel.alphabet), [word], channel.alphabet, "conditioning word is empty"
+    )
     return _class_stats(batch, alpha, resolve_preset(preset))[0]
 
 
@@ -759,7 +751,7 @@ def cross_capture_stats(
     under the word's product state convolve exactly over letter classes.
     """
     _require_matching_alphabet(channel.alphabet, dist)
-    batch = _word_batch([channel], [word], dist.labels, "word is empty")
+    batch = _word_batch(_letter_states(channel, dist.labels), [word], dist.labels, "word is empty")
     return _cross_stats(batch, dist, alpha, resolve_preset(preset))[0]
 
 
@@ -946,17 +938,18 @@ def verify_conditional_projector_bounds(
     the word's product state with the averaged-state projector at threshold
     parameter alpha*sqrt(|alphabet|).
 
-    channel may also be a list of S channels on one output dimension, with
-    word a list of S words; then the S reports come back as a list, with
-    every spectral quantity computed for the whole batch at once.  Every
-    letter state is checked as a density operator.
+    channel may also be an (S, |A|, d, d) stack of letter states, row s
+    holding instance s's states in dist's label order, with word a list of
+    S words; then the S reports come back as a list, with every spectral
+    quantity computed for the whole batch at once.  Every letter state is
+    checked as a density operator.
     """
     single = isinstance(channel, CQChannel)
-    channels, words = ([channel], [word]) if single else (list(channel), list(word))
+    if single:
+        _require_matching_alphabet(channel.alphabet, dist)
+    stack, words = (_letter_states(channel, dist.labels), [word]) if single else (channel, list(word))
     preset = resolve_preset(preset)
-    for ch in channels:
-        _require_matching_alphabet(ch.alphabet, dist)
-    batch = _word_batch(channels, words, dist.labels, "conditioning word is empty")
+    batch = _word_batch(stack, words, dist.labels, "conditioning word is empty")
     states = _checked_spectrum(batch.states, "channel state", density=True)
     d = states.matrix.shape[-1]
     conds = _class_stats(batch, alpha, preset)

@@ -225,7 +225,7 @@ def test_criterion_5_coding_pipeline(capsys):
         cb = sample_codebook(dist, n, 2, 2, delta_code=0.5, seed=seed)
         det = build_detection_operators(cb, bc, alpha=0.3)
         dec = build_square_root_decoder(det)
-        report = average_errors(cb, bc, dec, det)
+        report = average_errors(cb, bc, dec)
         errs1.append(report.overall[1])
         errs2.append(report.overall[2])
         checks.append((report.decomposition_ok, f"n={n}: miss/collision decomposition violated"))

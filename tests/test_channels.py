@@ -257,6 +257,29 @@ def test_mac_json_roundtrip(tmp_path):
     assert np.allclose(loaded.state("1", "0"), adder_mac_channel().state("1", "0"))
 
 
+def _comma_mac(a2):
+    """A MAC on ("0,1", "0") x a2 with a distinct basis state for each pair."""
+    a1 = ("0,1", "0")
+    pairs = [(y1, y2) for y1 in a1 for y2 in a2]
+    return MACCQChannel((a1, a2), {pair: basis_state(i, len(pairs)) for i, pair in enumerate(pairs)})
+
+
+def test_mac_comma_labels_round_trip_unless_their_keys_collide(tmp_path):
+    # labels with commas round-trip while every "y1,y2" key is distinct
+    path = str(tmp_path / "mac.json")
+    mac = _comma_mac(("2", "1"))
+    save_channel(mac, path)
+    loaded = load_channel(path)
+    assert loaded.alphabets == mac.alphabets
+    for y1 in mac.alphabets[0]:
+        for y2 in mac.alphabets[1]:
+            assert np.array_equal(loaded.state(y1, y2), mac.state(y1, y2))
+    # ("0,1", "2") and ("0", "1,2") both spell "0,1,2": a file would hold
+    # one state for two pairs
+    with pytest.raises(InvalidInputError, match="share the state key '0,1,2'"):
+        save_channel(_comma_mac(("2", "1,2")), path)
+
+
 def test_load_channel_errors(tmp_path):
     missing = str(tmp_path / "missing.json")
     with pytest.raises(InvalidInputError):

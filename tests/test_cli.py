@@ -9,9 +9,11 @@ from cqrelay.channels import (
     BroadcastCQChannel,
     CQChannel,
     MACCQChannel,
+    basis_state,
     dump_json,
     holevo_chi,
     load_channel,
+    matrix_to_literal,
 )
 from cqrelay.cli import main
 from cqrelay.errors import InvalidInputError, RelayError
@@ -289,6 +291,19 @@ def test_malformed_channel_file_error_lines(tmp_path, capsys, kind, mutation):
     assert err == f"error: {_ERRORS[kind, mutation]}\n"
 
 
+def test_mac_file_whose_pair_keys_collide_exits_one(tmp_path, capsys):
+    # four pairs, but ("0,1", "2") and ("0", "1,2") share the key "0,1,2":
+    # the file's three keys cannot say which state belongs to which pair
+    keys = ["0,1,2", "0,1,1,2", "0,2"]
+    states = {key: matrix_to_literal(basis_state(i, 4)) for i, key in enumerate(keys)}
+    path = tmp_path / "mac.json"
+    path.write_text(json.dumps({"kind": "mac", "alphabets": [["0,1", "0"], ["2", "1,2"]], "states": states}))
+    assert main(["region", "mac", "--mac-channel", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: input pairs ('0,1', '2') and ('0', '1,2') share the state key '0,1,2'\n"
+    )
+
+
 @pytest.mark.parametrize("value", [2.5, True, "2"])
 def test_broadcast_dims_follow_the_config_integer_rule(tmp_path, capsys, value):
     # a fractional, boolean or string receiver dimension is refused, not
@@ -388,6 +403,44 @@ def test_verify_flag_parse_errors(capsys):
     assert main(["verify", "projectors", "--n", "2.5"]) == 1
     assert main(["verify", "projectors", "--alpha", "zebra"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400", "2,inf", "3.0", "0"])
+def test_block_lengths_follow_the_integer_flag_rule(capsys, value):
+    # inf, nan and 1e400 used to die in round() with a traceback
+    assert main(["verify", "projectors", "--n", value]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_block_lengths_are_read_exactly(capsys):
+    # 2^53 + 1 has no float: a float round trip would read 2^53
+    assert main(["verify", "projectors", "--n", "9007199254740993", "--alpha", "0.5"]) == 3
+    err = capsys.readouterr().err
+    assert "n=9007199254740993," in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("dist", ["nan,nan", "nan,1", "inf,0"])
+def test_chi_refuses_weights_that_are_not_finite(tmp_path, capsys, dist):
+    # nan,nan used to pass the distribution checks and die in the entropy
+    channel = write_channel(tmp_path, "depolarized", "c.json")
+    assert main(["chi", "--channel", channel, "--dist", dist]) == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("family, dim", [("orthogonal", 102), ("depolarized", 102), ("constant", 725)])
+def test_generate_refuses_channels_beyond_the_entry_limit(tmp_path, capsys, family, dim):
+    # the letter states would hold more than 2^20 entries; the refusal comes
+    # before any of them is built, and no file is written
+    out = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        assert main(["generate", family, "--dim", str(dim), "--out", str(out)]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not out.exists()
+    assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])

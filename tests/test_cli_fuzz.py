@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cqrelay.channels import (
+    adder_mac_channel,
     channel_to_jsonable,
     depolarized_channel,
     orthogonal_pure_channel,
@@ -188,6 +189,8 @@ _FUZZ = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCh
 )
 # an entry near the float limit overflows the Hermiticity check
 @example(broken=(_set_state, [[[0.0, 1.7976931348623157e308]]]), truncate=None, dist=None, fmt="json")
+# the text alphabet above cannot spell nan, which no distribution check caught
+@example(broken=None, truncate=None, dist="nan,nan", fmt="json")
 def test_chi_channel_file_and_flag_fuzz(tmp_path, broken, truncate, dist, fmt):
     path = _channel_file(tmp_path, depolarized_channel(0.1, 2), broken, truncate)
     argv = ["chi", "--channel", path, "--format", fmt]
@@ -222,3 +225,68 @@ def test_simulate_channel_file_fuzz(tmp_path, broken, truncate):
     cfg.write_text(json.dumps({"n": 3, "M1": 2, "M2": 2, "alpha": 0.5, "max_seed_attempts": 1}))
     path = _channel_file(tmp_path, bc, broken, truncate)
     _assert_clean_exit(["simulate", "--config", str(cfg), "--bc-channel", path])
+
+
+# MAC files: sender alphabets whose labels hold commas, so that two pairs can
+# spell one "y1,y2" state key, and files that lack a pair's state
+_MAC_LABELS = st.one_of(
+    st.lists(st.sampled_from(["0", "1", "2", "0,1", "1,", ",", ""]), max_size=3),
+    st.sampled_from([None, "01", [0, 1], ["0", "0"]]),
+)
+_MAC_BREAKS = st.one_of(
+    _set("dims", _DIMS),
+    _set("alphabets", st.one_of(st.lists(_MAC_LABELS, max_size=3), st.sampled_from([None, "ab", [["0"]]]))),
+    _set("alphabets", st.sampled_from([[["0,1", "0"], ["2", "1,2"]], [["0", "0,"], [",1", "1"]], [["0,1"], ["1"]]])),
+    _set("kind", st.sampled_from(["cq", "broadcast", "mac", None])),
+    _set("states", st.sampled_from([None, [], {}, "x"])),
+    st.tuples(st.just(_set_state), _LITERAL),
+    st.tuples(st.just(_drop_state), st.sampled_from(["0,0", "0,1", "1,1"])),
+)
+_GRID_K = st.one_of(st.none(), st.integers(-1, 6).map(str), st.sampled_from(["1.5", "x", "1e3", "99999999999999999999"]))
+
+
+@_FUZZ
+@given(broken=st.one_of(st.none(), _MAC_BREAKS, _MAC_BREAKS), truncate=_TRUNCATE, grid_k=_GRID_K)
+@example(broken=(_put, ("alphabets", [["0,1", "0"], ["2", "1,2"]])), truncate=None, grid_k="4")
+def test_region_mac_channel_file_and_flag_fuzz(tmp_path, broken, truncate, grid_k):
+    argv = ["region", "mac", "--mac-channel", _channel_file(tmp_path, adder_mac_channel(), broken, truncate)]
+    _assert_clean_exit(argv + ["--format", "json", "--grid-k", grid_k or "8"])
+
+
+@_FUZZ
+@given(
+    mac_broken=st.one_of(st.none(), _MAC_BREAKS),
+    bc_broken=st.one_of(st.none(), _BROADCAST_BREAKS),
+    grid_k=_GRID_K,
+)
+def test_region_bidirectional_channel_file_fuzz(tmp_path, mac_broken, bc_broken, grid_k):
+    bc = product_broadcast_channel(orthogonal_pure_channel(2), depolarized_channel(0.1, 2))
+    (tmp_path / "mac").mkdir(exist_ok=True)
+    (tmp_path / "bc").mkdir(exist_ok=True)
+    argv = [
+        "region", "bidirectional",
+        "--mac-channel", _channel_file(tmp_path / "mac", adder_mac_channel(), mac_broken, None),
+        "--bc-channel", _channel_file(tmp_path / "bc", bc, bc_broken, None),
+    ]
+    _assert_clean_exit(argv + ["--format", "json", "--grid-k", grid_k or "8"])
+
+
+# verify flags: block lengths and counts stay small, so a valid run is quick
+_INT_TOKENS = st.sampled_from(["", ",", "1.5", "2.0", "inf", "nan", "1e400", "-1", "0", "0x10", "abc", " 2"])
+
+
+@_FUZZ
+@given(
+    target=st.sampled_from(["lemmas", "projectors", "all"]),
+    trials=_mostly(st.integers(1, 4).map(str), _INT_TOKENS),
+    seed=_mostly(st.integers(0, 10**20).map(str), _INT_TOKENS),
+    n=_mostly(st.lists(st.integers(1, 4), min_size=1, max_size=2).map(lambda v: ",".join(map(str, v))), _INT_TOKENS),
+    alpha=_mostly(st.floats(0.1, 3.0).map(repr), st.sampled_from(["nan", "inf", "1e-300", "1e300", "zebra", ""])),
+    preset=st.sampled_from(["fixed", "sqrt", "cubic"]),
+)
+@example(target="projectors", trials="1", seed="0", n="inf", alpha="1.0", preset="fixed")
+@example(target="projectors", trials="1", seed="0", n="9007199254740993", alpha="1.0", preset="fixed")
+def test_verify_flag_fuzz(target, trials, seed, n, alpha, preset):
+    _assert_clean_exit(
+        ["verify", target, "--trials", trials, "--seed", seed, "--n", n, "--alpha", alpha, "--preset", preset]
+    )

@@ -220,7 +220,7 @@ def test_average_errors_consistency():
     cb = sample_codebook(uniform_binary(), 6, 2, 2, seed=4)
     det = build_detection_operators(cb, bc, alpha=0.3)
     dec = build_square_root_decoder(det)
-    report = average_errors(cb, bc, dec, det)
+    report = average_errors(cb, bc, dec)
     # per-pair errors match the direct evaluation
     for pair, w in cb.words.items():
         for r in (1, 2):
@@ -247,7 +247,7 @@ def test_noiseless_channel_decodes_perfectly():
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
     det = build_detection_operators(cb, bc, alpha=0.5)
     dec = build_square_root_decoder(det)
-    report = average_errors(cb, bc, dec, det)
+    report = average_errors(cb, bc, dec)
     # distinct orthogonal words: all detection masses are 0/1 exactly
     if len(cb.distinct_words()) == len(cb.words):
         assert report.overall[1] == pytest.approx(0.0, abs=1e-10)
@@ -393,7 +393,7 @@ def test_expurgation_on_real_pipeline():
     cb = sample_codebook(uniform_binary(), 6, 2, 2, seed=4)
     det = build_detection_operators(cb, bc, alpha=0.3)
     dec = build_square_root_decoder(det)
-    report = average_errors(cb, bc, dec, det)
+    report = average_errors(cb, bc, dec)
     result = expurgate(report, 0.25)
     assert result.within_two_delta
     assert result.within_four_delta

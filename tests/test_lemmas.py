@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,28 @@ def test_sweep_calls_each_check_once_per_trial(monkeypatch):
     monkeypatch.setattr(lemmas, "check_tender_operator", lambda *a, **k: calls.append(1) or original(*a, **k))
     lemmas.sweep_lemma_checks(trials=11, seed=4, which=("tender",))
     assert len(calls) == 11
+
+
+class _StopSweep(Exception):
+    pass
+
+
+def test_sweep_spawns_its_trial_streams_one_block_at_a_time(monkeypatch):
+    # a child stream takes about 370 bytes: spawning every trial's child up
+    # front held about 74 MB for 200,000 trials before the first check
+    def stop(name, block):
+        raise _StopSweep(len(block))
+
+    monkeypatch.setattr(lemmas, "_block_operands", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_StopSweep) as stopped:
+            sweep_lemma_checks(trials=200_000, which=("tender",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stopped.value.args == (lemmas.SWEEP_BLOCK,)
+    assert peak < 4 * 2**20
 
 
 def test_checked_operands_give_the_raw_operands_results():

@@ -220,6 +220,13 @@ def test_probability_distribution_validation():
     assert dist.support() == ("a", "b")
 
 
+@pytest.mark.parametrize("weights", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0], [0.5, -math.inf]])
+def test_probability_distribution_refuses_weights_that_are_not_finite(weights):
+    # a NaN weight fails neither the sign test nor the sum test
+    with pytest.raises(InvalidInputError, match="finite"):
+        ProbabilityDistribution(("a", "b"), np.array(weights))
+
+
 def test_probability_distribution_uniform_and_power():
     dist = ProbabilityDistribution.uniform(("x", "y"))
     assert dist.weight("x") == pytest.approx(0.5)

@@ -131,7 +131,7 @@ def dense_detection_factor(det, bc, receiver, word):
 def assert_product_path_matches_dense(cb, bc, alpha=ALPHA):
     det = build_detection_operators(cb, bc, alpha=alpha, dim_cap=10**6)
     dec = build_square_root_decoder(det)
-    report = average_errors(cb, bc, dec, det)
+    report = average_errors(cb, bc, dec)
     for r in (1, 2):
         marg = bc.marginal(r)
         for pair, w in cb.words.items():

@@ -406,11 +406,9 @@ def test_weighted_boundary_point():
     adder = mac_region(adder_mac_channel(), DistributionGrid(("0", "1"), 16))
     pt = weighted_boundary_point(adder, 1.0)
     assert pt.r1 + pt.r2 == pytest.approx(1.5, abs=1e-9)
-    # accepts a factory callable as well
-    lazy = weighted_boundary_point(
-        lambda: RateRegion.from_points([(0, 0), (0.5, 0)]), 0.0
-    )
-    assert lazy == RatePair(0.5, 0.0)
+    # a region factory is not a region
+    with pytest.raises(InvalidInputError):
+        weighted_boundary_point(lambda: square, 0.0)
     with pytest.raises(InvalidInputError):
         weighted_boundary_point(square, -0.5)
     with pytest.raises(InvalidInputError):

@@ -122,7 +122,7 @@ def assert_matches_oracle(cb, bc, alpha):
             assert np.abs(dec.op(r, *pair) - ops[r][pair]).max() <= TOL
         for key, margin in margins[r].items():
             assert dec.subpovm_margins[r][key] == pytest.approx(margin, abs=TOL)
-    report = average_errors(cb, bc, dec, det)
+    report = average_errors(cb, bc, dec)
     first, coll, bounds = dense_error_tables(cb, bc, det, ops)
     for r in (1, 2):
         for pair in cb.words:
@@ -207,7 +207,7 @@ def test_outcome_tables_match_decoding_and_dense_oracle(seed, n, sizes, alpha):
     cb = sample_codebook(uniform_binary(), n, *sizes, seed=seed % 1000)
     det = build_detection_operators(cb, bc, alpha=alpha)
     dec = build_square_root_decoder(det)
-    report = average_errors(cb, bc, dec, det)
+    report = average_errors(cb, bc, dec)
     ops, _ = dense_decoder(det)
     for r in (1, 2):
         marg = bc.marginal(r)

@@ -716,6 +716,11 @@ def random_channel(rng, labels, dim, degenerate=False):
     return CQChannel(labels, {a: make(rng, dim) for a in labels})
 
 
+def letter_stack(channels, labels):
+    """The (S, |A|, d, d) stack of the channels' letter states, in label order."""
+    return np.array([[ch.state(a) for a in labels] for ch in channels])
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_conditional_reports_match_the_scalar_builder(seed):
     rng = np.random.default_rng(seed)
@@ -734,7 +739,8 @@ def test_conditional_reports_match_the_scalar_builder(seed):
                     words[0] = tuple(exact)
                 for alpha in (0.5, 1.0):
                     preset = PRESET_SQRT if alpha == 1.0 else PRESET_FIXED
-                    reports = verify_conditional_projector_bounds(channels, words, dist, alpha, preset)
+                    states = letter_stack(channels, dist.labels)
+                    reports = verify_conditional_projector_bounds(states, words, dist, alpha, preset)
                     for ch, word, report in zip(channels, words, reports):
                         assert_reports_equal(report.as_dict(), o_conditional_report(ch, word, dist, alpha, preset))
 
@@ -756,7 +762,8 @@ def test_reports_match_the_scalar_builder_where_only_the_grace_holds(seed):
                 below["state"] += report["measured"]["capture"] < report["provable_bounds"]["capture_quarter"]
         channels = [random_channel(rng, binary.labels, dim) for _ in range(4)]
         words = [tuple(rng.choice(binary.labels, size=4)) for _ in channels]
-        reports = verify_conditional_projector_bounds(channels, words, binary, 1e8, PRESET_FIXED)
+        states = letter_stack(channels, binary.labels)
+        reports = verify_conditional_projector_bounds(states, words, binary, 1e8, PRESET_FIXED)
         for ch, word, report in zip(channels, words, reports):
             report = report.as_dict()
             assert_reports_equal(report, o_conditional_report(ch, word, binary, 1e8, PRESET_FIXED))
@@ -792,11 +799,12 @@ def test_cross_capture_in_instance_chunks_matches_one_pass(monkeypatch):
     dist = ProbabilityDistribution(("0", "1"), np.array([0.5, 0.5]))
     channels = [random_channel(rng, dist.labels, 3) for _ in range(5)]
     words = [("0", "1", "1", "0", "0", "1")] * 5
-    whole = verify_conditional_projector_bounds(channels, words, dist, 0.5)
+    states = letter_stack(channels, dist.labels)
+    whole = verify_conditional_projector_bounds(states, words, dist, 0.5)
     monkeypatch.setattr(typicality, "COUNT_TABLE_BYTE_LIMIT", 4096)
     typicality._count_table.cache_clear()
     try:
-        chunked = verify_conditional_projector_bounds(channels, words, dist, 0.5)
+        chunked = verify_conditional_projector_bounds(states, words, dist, 0.5)
     finally:
         typicality._count_table.cache_clear()
     assert [r.as_dict() for r in chunked] == [r.as_dict() for r in whole]
@@ -841,9 +849,9 @@ def test_projector_reports_see_the_one_instance_draws(monkeypatch):
         calls.append(("state", np.array(states)))
         return real_state(states, n, alpha, preset)
 
-    def cond(channels, words, dist, alpha, preset):
-        calls.append(("cond", np.array([[ch.state(a) for a in dist.labels] for ch in channels]), list(words)))
-        return real_cond(channels, words, dist, alpha, preset)
+    def cond(states, words, dist, alpha, preset):
+        calls.append(("cond", np.array(states), list(words)))
+        return real_cond(states, words, dist, alpha, preset)
 
     monkeypatch.setattr(cli, "verify_state_projector_bounds", state)
     monkeypatch.setattr(cli, "verify_conditional_projector_bounds", cond)
