@@ -35,8 +35,10 @@ def _state_table(alphabets, states, name: str, dim: int | None = None, validate:
     sender-letter pairs of two.  Each key's state is looked up in states
     and checked as a density operator, and all must share one dimension:
     dim when given, else the first state's.  name prefixes the key in
-    messages.  With validate=False, states is returned as given and only
-    the first key's state is read, for the dimension.
+    messages.  A validated table is float64 when no state has an imaginary
+    part other than exactly 0, and complex128 throughout otherwise.  With
+    validate=False, states is returned as given and only the first key's
+    state is read, for the dimension.
     """
     for labels, what in alphabets:
         if not labels:
@@ -58,7 +60,13 @@ def _state_table(alphabets, states, name: str, dim: int | None = None, validate:
         elif st.shape[0] != dim:
             raise InvalidInputError(f"{name} {key!r} has dimension {st.shape[0]}, expected {dim}")
         table[key] = st
-    return (table if validate else states), int(dim)
+    if not validate:
+        return states, int(dim)
+    # real states keep every operator built from them real, down to the
+    # decoder; the table holds its own copies, never a caller's arrays
+    if any(np.iscomplexobj(st) and np.any(st.imag) for st in table.values()):
+        return {key: np.array(st, dtype=complex) for key, st in table.items()}, int(dim)
+    return {key: np.array(st.real) for key, st in table.items()}, int(dim)
 
 
 class CQChannel:

@@ -246,7 +246,8 @@ class _NormalizedGroup:
         """H_i = sum_k F_k G^{+1/2}[block k, block i], formed one row panel at a time."""
         cols = slice(self.offsets[i], self.offsets[i + 1])
         weights = [self.inv_root[lo:hi, cols] for lo, hi in zip(self.offsets, self.offsets[1:])]
-        out = np.zeros((self.factors[i].shape[0], cols.stop - cols.start), dtype=complex)
+        shape = (self.factors[i].shape[0], cols.stop - cols.start)
+        out = np.zeros(shape, dtype=np.result_type(self.inv_root, *self.factors))
         for panel in _row_panels(out.shape[0]):
             for f, w in zip(self.factors, weights):
                 out[panel] += f[panel] @ w
@@ -256,7 +257,7 @@ class _NormalizedGroup:
 def _gram(factors, offsets) -> np.ndarray:
     """G = F†F for F = [F_1 ... F_M], block by block and one row panel at a
     time: G_ij = F_i† F_j for i <= j, summed over the panels, and G_ji = G_ij†."""
-    gram = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    gram = np.zeros((offsets[-1], offsets[-1]), dtype=np.result_type(*factors))
     spans = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
     for panel in _row_panels(factors[0].shape[0]):
         for i, left in enumerate(factors):
@@ -273,7 +274,7 @@ def _normalize_group(factors) -> _NormalizedGroup:
     factors = tuple(factors)
     offsets = (0, *np.cumsum([f.shape[1] for f in factors]).tolist())
     if offsets[-1] == 0:
-        return _NormalizedGroup(factors, np.zeros((0, 0), dtype=complex), offsets, -1.0)
+        return _NormalizedGroup(factors, np.zeros((0, 0), dtype=np.result_type(float, *factors)), offsets, -1.0)
     gram = _gram(factors, offsets)
     inv_root = pseudo_sqrt_inverse(gram)
     margin = float(np.linalg.eigvalsh(hermitian_part(inv_root @ gram @ inv_root))[-1]) - 1.0
@@ -483,7 +484,7 @@ def _typical_mixture_apply(channel: CQChannel, tset, block: np.ndarray) -> np.nd
                 else:
                     step[grown] = term
         partial = step
-    out = np.zeros(block.shape, dtype=complex)
+    out = np.zeros(block.shape, dtype=np.result_type(block, *(state for _, state in letters)))
     for blk in partial.values():
         out += blk.reshape(block.shape)
     return out

@@ -1,7 +1,9 @@
 """Dense linear algebra for finite-dimensional states and measurements.
 
-Operators are plain complex numpy arrays.  Entropic quantities are in bits
-(base-2 logarithms) with the convention 0*log(0) = 0.
+Operators are plain numpy arrays: float64 when the input has no imaginary
+part (a real channel keeps real arithmetic from its letter states to its
+decoder), complex128 otherwise.  Entropic quantities are in bits (base-2
+logarithms) with the convention 0*log(0) = 0.
 """
 
 from __future__ import annotations
@@ -68,8 +70,10 @@ def _per_matrix(values: np.ndarray):
 
 
 def as_square_matrix(mat, name: str = "matrix") -> np.ndarray:
-    """Complex array of shape (..., d, d) with finite entries."""
-    m = np.asarray(mat, dtype=complex)
+    """Array of shape (..., d, d) with finite entries: float64 for real,
+    integer or bool input, complex128 otherwise."""
+    m = np.asarray(mat)
+    m = m.astype(float if m.dtype.kind in "biuf" else complex, copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
     bad = _batch_label(name, ~np.isfinite(m).all(axis=(-2, -1)))
@@ -309,11 +313,12 @@ def product_columns(factors, index_words) -> np.ndarray:
     Entries are the same products, taken in the same order, as the
     left-to-right np.kron of the selected columns, so they agree bit for bit.
     """
+    factors = [np.asarray(f) for f in factors]
     index_words = np.asarray(index_words, dtype=np.intp).reshape(-1, len(factors))
     r = index_words.shape[0]
-    out = np.ones((1, r), dtype=complex)
+    out = np.ones((1, r), dtype=np.result_type(float, *factors))
     for k, f in enumerate(factors):
-        picked = np.asarray(f)[:, index_words[:, k]]
+        picked = f[:, index_words[:, k]]
         out = (out[:, None, :] * picked[None, :, :]).reshape(out.shape[0] * picked.shape[0], r)
     return out
 

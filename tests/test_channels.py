@@ -61,6 +61,39 @@ def test_cq_channel_validates_inputs():
         CQChannel(("0", "1"), {"0": np.eye(2) / 2, "1": np.eye(3) / 3})  # dim mismatch
 
 
+def test_a_state_table_is_real_only_when_no_state_has_an_imaginary_part():
+    real = np.diag([0.75, 0.25])
+    twisted = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+    tiny = np.array([[0.5, 1e-300j], [-1e-300j, 0.5]])
+    # one state with a nonzero imaginary entry keeps every state complex, in
+    # every channel kind, however small that entry is
+    for odd in (twisted, tiny):
+        cq = CQChannel(("0", "1"), {"0": real, "1": odd})
+        bc = BroadcastCQChannel(("0", "1"), (2, 1), {"0": real, "1": odd})
+        mac = MACCQChannel((("0", "1"), ("0",)), {("0", "0"): real, ("1", "0"): odd})
+        states = [cq.state("0"), bc.joint_state("0"), mac.state("0", "0")]
+        assert [st.dtype for st in states] == [np.dtype(complex)] * 3
+        assert all(st[0, 0] == 0.75 for st in states)
+    # a complex table whose imaginary parts are all exactly 0 (-0.0 too) is
+    # held as float64, and so are the broadcast marginals and extensions
+    zero = np.array([[0.5, complex(0.25, -0.0)], [0.25, 0.5]])
+    ch = CQChannel(("0", "1"), {"0": real.astype(complex), "1": zero})
+    assert {ch.state(a).dtype for a in ch.alphabet} == {np.dtype(float)}
+    assert ch.state("1")[0, 1] == 0.25
+    assert product_extension(ch, 2).state(("0", "1")).dtype == np.dtype(float)
+    bc = product_broadcast_channel(orthogonal_pure_channel(), depolarized_channel(0.1))
+    assert {bc.marginal(r).state("1").dtype for r in (1, 2)} == {np.dtype(float)}
+    # the integer states of a file-free MAC become float64
+    mac = MACCQChannel((("0",), ("0",)), {("0", "0"): np.array([[1, 0], [0, 0]])})
+    assert mac.state("0", "0").dtype == np.dtype(float)
+    # the table holds copies: changing a caller's array later changes no state
+    for given in (real.copy(), twisted.copy()):
+        ch = CQChannel(("0",), {"0": given})
+        kept = ch.state("0").copy()
+        given[0, 0] = 0.0
+        assert np.array_equal(ch.state("0"), kept)
+
+
 def test_word_state_is_tensor_of_letters():
     ch = overlap_pair_channel()
     w = ch.word_state(("0", "+", "0"))

@@ -484,6 +484,16 @@ def test_verify_alpha_must_have_a_representable_square(capsys, alpha):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("ns", ["1", "2,1"])
+def test_verify_projectors_refuses_an_empty_typical_set(capsys, ns):
+    # at n = 1 no count k has |k - 0.5| <= 0.25, so no conditional word can
+    # be drawn: refused with exit 1 instead of 10,000 rejection tries per
+    # instance and a resource-limit exit
+    assert main(["verify", "projectors", "--n", ns, "--alpha", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: typical set is empty for n=1, delta=0.5; no words to draw\n")
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [{"ns": [], "alphas": [0.5]}, {"ns": [2], "alphas": []}, {"ns": [2], "alphas": [0.5], "instances": 0}],

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqrelay import coding
 from cqrelay.channels import (
@@ -350,6 +352,45 @@ def test_expurgation_keeps_better_half_and_respects_bounds():
         for m2 in result.m2_kept:
             vals = [first1[(m1, m2)] for m1 in result.m1_kept]
             assert result.final_error_by_m2[m2] == pytest.approx(np.mean(vals), abs=1e-12)
+
+
+@st.composite
+def error_tables(draw):
+    """Both receivers' first-kind error tables over an M1 x M2 codebook."""
+    m1_size, m2_size = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pairs = [(m1, m2) for m1 in range(m1_size) for m2 in range(m2_size)]
+    value = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-13, 0.5, 1.0]))
+    return [dict(zip(pairs, draw(st.lists(value, min_size=len(pairs), max_size=len(pairs))))) for _ in (1, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(error_tables(), st.floats(1.0, 4.0))
+def test_expurgation_bounds_hold_on_any_error_table(tables, slack):
+    # for any delta at or above both global averages: each message set keeps
+    # its better half, every kept group average is <= 2 delta and every
+    # average over the kept pairs <= 4 delta (Markov, then halving)
+    report = synthetic_report(*tables)
+    worst = max(report.overall.values())
+    delta = worst * slack if worst > 0.0 else slack
+    result = expurgate(report, delta)
+    assert result.within_two_delta and result.within_four_delta
+    for kept, averages, size in (
+        (result.m2_kept, report.avg_by_m2, report.m2_size),
+        (result.m1_kept, report.avg_by_m1, report.m1_size),
+    ):
+        assert len(kept) == math.ceil(size / 2) and kept == tuple(sorted(set(kept)))
+        dropped = [v for k, v in averages.items() if k not in kept]
+        assert max(averages[k] for k in kept) <= min(dropped, default=math.inf) + 1e-12
+        assert all(averages[k] <= 2.0 * delta + 1e-12 for k in kept)
+    for m2 in result.m2_kept:
+        final = float(np.mean([tables[0][(m1, m2)] for m1 in result.m1_kept]))
+        assert result.final_error_by_m2[m2] == final <= 4.0 * delta + 1e-12
+    for m1 in result.m1_kept:
+        final = float(np.mean([tables[1][(m1, m2)] for m2 in result.m2_kept]))
+        assert result.final_error_by_m1[m1] == final <= 4.0 * delta + 1e-12
+    if worst > 0.0:
+        with pytest.raises(ExpurgationError):
+            expurgate(report, worst / 2)
 
 
 def test_expurgation_tie_break_prefers_lower_index():

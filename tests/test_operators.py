@@ -8,6 +8,7 @@ from cqrelay.operators import (
     CheckedOperator,
     ProbabilityDistribution,
     _checked_spectrum,
+    as_square_matrix,
     hermitian_eigendecomposition,
     hermitian_part,
     matrix_sqrt,
@@ -328,3 +329,29 @@ def test_raw_stack_failures_name_the_matrix():
     stack = np.array([np.diag([0.5, 0.5]), np.diag([1.2, -0.2])])
     with pytest.raises(InvalidInputError, match=r"^state\[1\] has negative eigenvalue"):
         _checked_spectrum(stack, "state", density=True, vectors=True)
+
+
+@pytest.mark.parametrize(
+    "mat, dtype",
+    [
+        ([[1, 0], [0, 0]], np.float64),
+        ([[True, False], [False, True]], np.float64),
+        (np.eye(2, dtype=np.float32), np.float64),
+        (np.eye(2), np.float64),
+        (np.eye(2, dtype=np.complex64), np.complex128),
+        ([[0.5, 0.5j], [-0.5j, 0.5]], np.complex128),
+    ],
+)
+def test_square_matrices_stay_real_unless_the_input_is_complex(mat, dtype):
+    assert as_square_matrix(mat).dtype == dtype
+    assert validate_positive(mat).dtype == dtype
+
+
+def test_real_input_gives_real_spectral_results():
+    rho = np.array([[0.7, 0.2], [0.2, 0.3]])
+    w, u = hermitian_eigendecomposition(rho)
+    assert u.dtype == np.float64
+    root = pseudo_sqrt_inverse(rho)
+    assert root.dtype == np.float64
+    complex_root = pseudo_sqrt_inverse(rho.astype(complex))
+    assert np.abs(root - complex_root).max() <= 1e-14

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqrelay import channels, regions
 from cqrelay.channels import (
@@ -18,6 +20,7 @@ from cqrelay.errors import InvalidInputError, ResourceLimitError
 from cqrelay.lemmas import random_density
 from cqrelay.operators import ProbabilityDistribution
 from cqrelay.regions import (
+    _VERTEX_DEDUP_TOL,
     DistributionGrid,
     RatePair,
     RateRegion,
@@ -170,6 +173,28 @@ def test_intersection_is_commutative_and_contained():
         assert ba.contains(v.r1, v.r2, tol=1e-8)
     for v in ba.vertices:
         assert ab.contains(v.r1, v.r2, tol=1e-8)
+
+
+# regions through the origin, from up to six rate points with coordinates in
+# [0, 4]; repeats, zeros and shared coordinates are frequent
+rate = st.one_of(st.floats(0.0, 4.0), st.sampled_from([0.0, 0.5, 1.0, 1e-9]))
+origin_regions = st.lists(st.tuples(rate, rate), min_size=1, max_size=6).map(
+    lambda points: RateRegion.from_points([(0.0, 0.0), *points])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(origin_regions, origin_regions)
+def test_an_intersection_lies_inside_both_regions(a, b):
+    # from_points snaps coordinates below _VERTEX_DEDUP_TOL to 0, so a vertex
+    # may move by that much in each coordinate: the property holds at that
+    # resolution, not at contains' default 1e-9 (a = hull{(0, 0), (1, 1e-8)}
+    # and the unit triangle give a vertex 1e-8 outside a)
+    tol = 2.0 * _VERTEX_DEDUP_TOL
+    both = intersect_regions(a, b)
+    assert both.contains(0.0, 0.0)
+    for v in both.vertices:
+        assert a.contains(v.r1, v.r2, tol=tol) and b.contains(v.r1, v.r2, tol=tol)
 
 
 def test_intersection_disjoint_interiors_gives_origin():

@@ -6,6 +6,11 @@ construction: S = sum_i D_i, S^{-1/2} from pseudo_sqrt_inverse,
 Lambda_i = S^{-1/2} D_i S^{-1/2}, and the sub-POVM margin from an N x N
 eigvalsh of sum_i Lambda_i - I.  Every figure the pipeline reports must agree
 with it within 1e-12.
+
+A channel whose letter states have no imaginary part runs in float64 from its
+state table to its decoder; its phase twin, the same states conjugated by a
+diagonal phase unitary, runs the same problem in complex128 and must give the
+same figures within 1e-12.
 """
 
 from unittest import mock
@@ -16,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqrelay.channels import (
+    BroadcastCQChannel,
     CQChannel,
     depolarized_channel,
+    holevo_chi,
     orthogonal_pure_channel,
     product_broadcast_channel,
 )
@@ -37,6 +44,7 @@ from cqrelay.lemmas import random_density
 from cqrelay.operators import (
     ProbabilityDistribution,
     hermitian_part,
+    product_columns,
     pseudo_sqrt_inverse,
     trace_pair,
 )
@@ -224,3 +232,110 @@ def test_outcome_tables_match_decoding_and_dense_oracle(seed, n, sizes, alpha):
                 assert np.abs(np.asarray(decide.call_args.args[0]) - row).max() <= TOL
                 dense = [trace_pair(ops[r][p], marg.word_state(word)) for p in pairs]
                 assert np.abs(row - dense).max() <= TOL
+
+
+# ---------------------------------------------------------------------------
+# Real arithmetic for real channels.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("channel, dtype", [("canonical", np.float64), ("random", np.complex128)])
+def test_letter_states_set_the_dtype_of_every_decoder_operator(channel, dtype):
+    bc = CHANNELS[channel]()
+    cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=4)
+    det = build_detection_operators(cb, bc, alpha=0.3)
+    dec = build_square_root_decoder(det)
+    assert {bc.joint_state(a).dtype for a in bc.alphabet} == {np.dtype(dtype)}
+    for r in (1, 2):
+        marg = bc.marginal(r)
+        assert {marg.state(a).dtype for a in marg.alphabet} == {np.dtype(dtype)}
+        assert {f.dtype for f in det.factors[r].values()} == {np.dtype(dtype)}
+        group = dec.groups[r][0]
+        assert group.inv_root.dtype == dtype
+        assert group.factor(0).dtype == dtype
+        proj = det.projectors[r]
+        assert product_columns(proj.factors(), proj.index_words()).dtype == dtype
+
+
+def hadamard_frame(a, b):
+    # diag(a, b) in the Hadamard basis; the letter with the swapped diagonal
+    # gets exactly the opposite off-diagonal entry, so a uniform mixture of
+    # the two is exactly diagonal
+    s, d = (a + b) / 2, (a - b) / 2
+    return np.array([[s, d], [d, s]])
+
+
+def real_frame_broadcast():
+    # the canonical channel in the Hadamard basis: real letter states that
+    # are not diagonal, whose uniform averages are exactly scalar
+    comps = []
+    for ch in (orthogonal_pure_channel(2), depolarized_channel(0.1, 2)):
+        a, b = np.diag(ch.state("0")).real
+        comps.append(CQChannel(("0", "1"), {"0": hadamard_frame(a, b), "1": hadamard_frame(b, a)}))
+    return product_broadcast_channel(*comps)
+
+
+def phase_twin(bc, phi=0.7):
+    # D rho D† for D = diag(1, e^{i phi}) on each qubit of the joint state,
+    # applied entrywise so that the diagonal is kept exactly
+    d1, d2 = bc.dims
+    phases = np.kron(*(np.exp(1j * phi * np.arange(d)) for d in (d1, d2)))
+    twist = np.outer(phases, phases.conj())
+    np.fill_diagonal(twist, 1.0)
+    return BroadcastCQChannel(bc.alphabet, bc.dims, {a: bc.joint_state(a) * twist for a in bc.alphabet})
+
+
+def assert_same_report(got, want, path=""):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            assert_same_report(got[key], want[key], f"{path}/{key}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_report(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= TOL, (path, got, want)
+    else:
+        assert got == want, path
+
+
+def pipeline_figures(cb, bc):
+    dec = build_square_root_decoder(build_detection_operators(cb, bc, alpha=0.3))
+    errors = average_errors(cb, bc, dec)
+    decoded = {
+        (r, pair): decode_with_side_info(
+            dec, r, pair[1] if r == 1 else pair[0], _word_factors(bc.marginal(r), cb.word(*pair))
+        )
+        for r in (1, 2)
+        for pair in cb.words
+    }
+    return {
+        "errors": errors.as_dict(),
+        "outcomes": errors.outcomes,
+        "margins": dec.subpovm_margins,
+        "chi": [holevo_chi(bc.marginal(r), cb.dist) for r in (1, 2)],
+        "decoded": decoded,
+    }
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.6, 0.4)])
+def test_phase_twin_matches_the_real_run(weights, n):
+    # the twin is unitarily equivalent on each receiver, and D keeps every
+    # eigenbasis a phase twist of the real one, so the complex128 run must
+    # reproduce the float64 run's error tables, collisions, margins, chi and
+    # decode table.  Uniform inputs make both averaged states exactly scalar;
+    # the skewed ones give them eigenbases that are complex in the twin.
+    real = real_frame_broadcast()
+    twin = phase_twin(real)
+    for r in (1, 2):
+        assert {real.marginal(r).state(a).dtype for a in real.alphabet} == {np.dtype(np.float64)}
+        assert {twin.marginal(r).state(a).dtype for a in twin.alphabet} == {np.dtype(np.complex128)}
+        assert max(np.abs(twin.marginal(r).state(a).imag).max() for a in twin.alphabet) > 0.1
+    cb = sample_codebook(ProbabilityDistribution(("0", "1"), weights), n, 2, 3, seed=4)
+    want = pipeline_figures(cb, real)
+    assert max(want["errors"]["first_kind_2"].values()) > 0.01
+    assert_same_report(pipeline_figures(cb, twin), want)
+    config = {"n": n, "M1": 2, "M2": 3, "alpha": 0.3, "seed": 11, "max_seed_attempts": 1, "dist": list(weights)}
+    assert_same_report(end_to_end_broadcast_sim(twin, config), end_to_end_broadcast_sim(real, config))
