@@ -21,16 +21,22 @@ _VERTEX_DEDUP_TOL = 1e-8
 _COLLINEAR_TOL = 1e-12
 _CONTAIN_TOL = 1e-9
 
-# Region grids whose complex stack of averaged states, (G1, G2, dim, dim) for
-# mac_region and (G, dim, dim) for broadcast_region, would exceed this many
-# bytes are refused.  The hull's per-point work on the same grid takes several
-# times the stack (about 7x for qutrit outputs), so this keeps a whole run
-# under about 1 GB.
+# Region grids whose stack of averaged states, (G1, G2, dim, dim) for
+# mac_region and (G, dim, dim) per receiver for broadcast_region, would
+# exceed this many bytes are refused.  A stack is priced at its own dtype:
+# float64 for a channel whose letter states are real, complex128 otherwise.
+# At the limit a whole CLI run peaks at 5-7x the stack (measured with one
+# BLAS thread: 633 MB for `region mac` on the adder MAC at grid 1364, 977 MB
+# for `region broadcast` on the product channel at grid 4,194,303), so a
+# run stays under about 1 GB.
 _PENTAGON_STACK_BYTE_LIMIT = 128 * 2**20
 
 
-def _require_stack_bytes(points: int, dim: int, what: str) -> None:
-    stack_bytes = points * dim * dim * np.dtype(complex).itemsize
+def _require_stack_bytes(points: int, state: np.ndarray, what: str) -> None:
+    """Refuse a grid of points states shaped and typed like state, averaged
+    against float64 weights, that would exceed the stack limit."""
+    itemsize = np.result_type(float, state.dtype).itemsize
+    stack_bytes = points * state.shape[-1] ** 2 * itemsize
     if stack_bytes > _PENTAGON_STACK_BYTE_LIMIT:
         raise ResourceLimitError(
             f"{what} grid needs a {stack_bytes / 2**30:.3g} GiB state stack, "
@@ -131,6 +137,18 @@ def _point_array(points) -> np.ndarray:
     return pts
 
 
+def _rate_points(points) -> np.ndarray:
+    """Rate points as a finite (P, 2) array, coordinates below the dedup
+    tolerance in magnitude snapped to 0; a negative point is refused."""
+    pts = _point_array(points)
+    pts = np.where(np.abs(pts) < _VERTEX_DEDUP_TOL, 0.0, pts)
+    negative = (pts < 0.0).any(axis=1)
+    if negative.any():
+        x, y = pts[np.argmax(negative)].tolist()
+        raise InvalidInputError(f"rate point ({x}, {y}) is negative")
+    return pts
+
+
 def convex_hull(points) -> list[tuple[float, float]]:
     """Monotone-chain hull, counterclockwise from the lexicographically
     smallest point; degenerate inputs give 1-2 points.
@@ -171,14 +189,9 @@ class RateRegion:
 
     @classmethod
     def from_points(cls, points) -> "RateRegion":
-        pts = _point_array(points)
+        pts = _rate_points(points)
         if len(pts) == 0:
             raise InvalidInputError("a region needs at least one point")
-        pts = np.where(np.abs(pts) < _VERTEX_DEDUP_TOL, 0.0, pts)
-        negative = (pts < 0.0).any(axis=1)
-        if negative.any():
-            x, y = pts[np.argmax(negative)].tolist()
-            raise InvalidInputError(f"rate point ({x}, {y}) is negative")
         # the hull starts at the lexicographically smallest point
         ordered = tuple(RatePair(*p) for p in convex_hull(pts))
         return cls(vertices=ordered, halfplanes=cls._halfplanes_of(ordered))
@@ -257,6 +270,42 @@ def _with_origin(corners: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros((1, 2)), corners.reshape(-1, 2)])
 
 
+def _union_candidates(points) -> np.ndarray:
+    """The points of a union of downward-closed sets that its hull can need.
+
+    points holds the corners of pentagons or rectangles in the nonnegative
+    quadrant, each with its axis corners, and the origin.  They are checked
+    and snapped as ``RateRegion.from_points`` does; then only these stay, in
+    input order: the origin, the x-axis point (y == 0) with the largest x,
+    the y-axis point (x == 0) with the largest y, and every point that no
+    other point dominates (>= in both coordinates).  Of exact repeats the
+    first stays.
+
+    The survivors span the same hull.  Each set is downward closed and
+    contributes its axis corners, so a point dominated by q lies in the box
+    [0, q.x] x [0, q.y], and that box lies in the hull of the origin, the
+    two axis extremes and q.  Under ``convex_hull``'s tolerances, which of
+    two points within the dedup tolerance survives can change, and a
+    dominated point can no longer take part in a collinear pop.
+
+    The front is one sort, x descending then y descending (stable, so
+    repeats keep their input order), and one running maximum of y: a point
+    is on it iff its y exceeds every y before it.
+    """
+    pts = _rate_points(points)
+    x, y = pts[:, 0], pts[:, 1]
+    order = np.lexsort((-y, -x))
+    ys = y[order]
+    keep = np.empty(len(pts), dtype=bool)
+    keep[order] = ys > np.concatenate(([-np.inf], np.maximum.accumulate(ys)[:-1]))
+    for on_axis, along in ((y == 0.0, x), (x == 0.0, y)):
+        idx = np.flatnonzero(on_axis)
+        if len(idx):
+            keep[idx[np.argmax(along[idx])]] = True
+    keep[np.flatnonzero((x == 0.0) & (y == 0.0))[:1]] = True
+    return pts[keep]
+
+
 def _pentagon_bounds(
     mac: MACCQChannel,
     grid: DistributionGrid,
@@ -276,7 +325,7 @@ def _pentagon_bounds(
         raise InvalidInputError("grid2 labels must match the second sender alphabet")
     states = np.stack([np.stack([mac.state(y1, y2) for y2 in a2]) for y1 in a1])
     dim = states.shape[-1]
-    _require_stack_bytes(grid.size * grid2.size, dim, "MAC region")
+    _require_stack_bytes(grid.size * grid2.size, states, "MAC region")
     ent = von_neumann_entropy(states.reshape(d1 * d2, dim, dim)).reshape(d1, d2)
 
     q1 = grid.weight_matrix()  # (G1, d1)
@@ -324,21 +373,24 @@ def mac_region(
     a, b, c = (np.maximum(bound, 0.0) for bound in _pentagon_bounds(mac, grid, variant, grid2))
     aa, bb = np.minimum(a, c), np.minimum(b, c)
     zero = np.zeros_like(c)
-    # Corners (B, 0), (0, A), (B, min(A, C - B)) and (min(B, C - A), A).
-    corners = np.stack([bb, zero, zero, aa, bb, np.minimum(aa, c - bb), np.minimum(bb, c - aa), aa], axis=-1)
-    return RateRegion.from_points(_with_origin(corners))
+    # Corners (B, 0), (0, A), (B, min(A, C - B)) and (min(B, C - A), A); their
+    # stack is freed once the origin is prepended, before the candidates step.
+    corners = [bb, zero, zero, aa, bb, np.minimum(aa, c - bb), np.minimum(bb, c - aa), aa]
+    return RateRegion.from_points(_union_candidates(_with_origin(np.stack(corners, axis=-1))))
 
 
 def broadcast_region(bc: BroadcastCQChannel, grid: DistributionGrid) -> RateRegion:
     """Union of per-distribution rectangles (chi to each receiver), then hull."""
     if grid.labels != bc.alphabet:
         raise InvalidInputError("grid labels must match the broadcast alphabet")
-    _require_stack_bytes(grid.size, max(bc.dims), "broadcast region")
+    marginals = (bc.marginal(1), bc.marginal(2))
+    for marginal in marginals:
+        _require_stack_bytes(grid.size, marginal.state(bc.alphabet[0]), "broadcast region")
     weights = grid.weight_matrix()
-    x1 = np.maximum(_chi(bc.marginal(1), weights), 0.0)
-    x2 = np.maximum(_chi(bc.marginal(2), weights), 0.0)
+    x1, x2 = (np.maximum(_chi(marginal, weights), 0.0) for marginal in marginals)
     zero = np.zeros_like(x1)
-    return RateRegion.from_points(_with_origin(np.stack([x1, zero, zero, x2, x1, x2], axis=-1)))
+    corners = [x1, zero, zero, x2, x1, x2]
+    return RateRegion.from_points(_union_candidates(_with_origin(np.stack(corners, axis=-1))))
 
 
 def _project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -378,7 +430,7 @@ def optimize_chi(
     """Grid search for the Holevo information, then local simplex ascent."""
     if grid.labels != channel.alphabet:
         raise InvalidInputError("grid labels must match the channel alphabet")
-    _require_stack_bytes(grid.size, channel.output_dim, "chi search")
+    _require_stack_bytes(grid.size, channel.state(channel.alphabet[0]), "chi search")
     # the letter-state entropies do not depend on the weights: one eigvalsh
     # per letter for the whole search
     entropies = [von_neumann_entropy(channel.state(a)) for a in channel.alphabet]

@@ -29,6 +29,7 @@ from .operators import (
     _require_within_cap,
     ZERO_EIGENVALUE_TOL,
     ProbabilityDistribution,
+    as_square_matrix,
     compositions,
     hermitian_eigendecomposition,
     hermitian_part,
@@ -561,12 +562,12 @@ class _WordBatch:
 
 def _letter_states(channel: CQChannel, labels) -> np.ndarray:
     """A channel's letter states in label order, as a one-instance (1, |A|, d, d) stack."""
-    return np.array([[channel.state(a) for a in labels]], dtype=complex)
+    return np.array([[channel.state(a) for a in labels]])
 
 
 def _word_batch(states, words, labels, empty_message: str) -> _WordBatch:
     words = [tuple(word) for word in words]
-    states = np.asarray(states, dtype=complex)
+    states = np.asarray(states)
     if states.ndim != 4 or states.shape[:2] != (len(words), len(labels)) or states.shape[2] != states.shape[3]:
         raise InvalidInputError(
             f"letter states must form an ({len(words)}, {len(labels)}, d, d) stack, got shape {states.shape}"
@@ -580,6 +581,8 @@ def _word_batch(states, words, labels, empty_message: str) -> _WordBatch:
             if a not in position:
                 raise InvalidInputError(f"input {a!r} not in channel alphabet")
         classes.append([(position[a], na) for a, na in Counter(word).items()])
+    # real states stay float64, so a real channel's eigensolves are real
+    states = as_square_matrix(states, "channel state")
     return _WordBatch(words=words, states=states, classes=classes, labels=tuple(labels))
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cqrelay import channels, regions
 from cqrelay.channels import (
+    BroadcastCQChannel,
     CQChannel,
     MACCQChannel,
     adder_mac_channel,
@@ -20,10 +21,12 @@ from cqrelay.errors import InvalidInputError, ResourceLimitError
 from cqrelay.lemmas import random_density
 from cqrelay.operators import ProbabilityDistribution
 from cqrelay.regions import (
+    _COLLINEAR_TOL,
     _VERTEX_DEDUP_TOL,
     DistributionGrid,
     RatePair,
     RateRegion,
+    _union_candidates,
     broadcast_region,
     convex_hull,
     intersect_regions,
@@ -202,6 +205,118 @@ def test_intersection_disjoint_interiors_gives_origin():
     vertical = RateRegion.from_points([(0, 0), (0, 1)])
     got = intersect_regions(horizontal, vertical)
     assert got.vertices == (RatePair(0.0, 0.0),)
+
+
+# ---------------------------------------------------------------------------
+# unions of downward-closed sets: the hull reads only the Pareto candidates
+# ---------------------------------------------------------------------------
+
+
+def pentagon_corners(a, b, c):
+    aa, bb = min(a, c), min(b, c)
+    return [(bb, 0.0), (0.0, aa), (bb, min(aa, c - bb)), (min(bb, c - aa), aa)]
+
+
+def rectangle_corners(x, y):
+    return [(x, 0.0), (0.0, y), (x, y)]
+
+
+# pentagons and rectangles with sides in [0, 4]; shared sides, zeros, near
+# repeats (half the dedup tolerance apart) and exact repeats are frequent
+side = st.one_of(st.floats(0.0, 4.0), st.sampled_from([0.0, 0.5, 1.0, 1.0 + 0.5 * _VERTEX_DEDUP_TOL]))
+shape_corners = st.one_of(
+    st.tuples(side, side, side).map(lambda abc: pentagon_corners(*abc)),
+    st.tuples(side, side).map(lambda xy: rectangle_corners(*xy)),
+)
+
+
+@st.composite
+def downward_unions(draw):
+    # the origin comes first, as mac_region and broadcast_region put it: a
+    # point within the dedup tolerance above it that came earlier would
+    # absorb it, with or without the step
+    points = [(0.0, 0.0)]
+    for corners in draw(st.lists(shape_corners, min_size=1, max_size=12)):
+        points.extend(corners)
+    for k in draw(st.lists(st.integers(0, len(points) - 1), max_size=6)):
+        points.insert(draw(st.integers(1, len(points))), points[k])
+    return points[:1] + draw(st.permutations(points[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(downward_unions())
+def test_union_candidates_keep_the_hull(points):
+    full = RateRegion.from_points(points)
+    kept = RateRegion.from_points(_union_candidates(points))
+    # the dedup can pick a different survivor among points within its
+    # tolerance, and a survivor moved by that much can bend an edge: the
+    # x-axis point (1, 0) absorbing (1 + 5e-9, 0) leaves (1 + 5e-9, 1) a
+    # vertex of the hull of every point.  So the step loses nothing of that
+    # hull at the dedup resolution ...
+    tol = 2.0 * _VERTEX_DEDUP_TOL
+    assert all(kept.contains(v.r1, v.r2, tol=tol) for v in full.vertices)
+    # ... and where neither tolerance decides anything, the vertex lists are
+    # the same
+    if no_tolerance_decides(points):
+        assert kept.vertices == full.vertices
+
+
+def no_tolerance_decides(points):
+    """No two points within 2 dedup tolerances of each other in both
+    coordinates, and no three whose turn (the hull's cross product) is
+    nonzero but within 2 collinear tolerances.  Regions of area about 1e-12
+    fail the second test: their hull is decided by the tolerance."""
+    pts = np.unique(np.round(np.array(points), 12), axis=0)
+    gaps = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=-1)
+    np.fill_diagonal(gaps, np.inf)
+    d = pts[None, :, :] - pts[:, None, :]  # d[o, a] = a - o
+    turns = np.abs(d[:, :, None, 0] * d[:, None, :, 1] - d[:, :, None, 1] * d[:, None, :, 0])
+    return gaps.min() > 2.0 * _VERTEX_DEDUP_TOL and not ((turns > 0.0) & (turns <= 2.0 * _COLLINEAR_TOL)).any()
+
+
+def test_union_candidates_keep_a_corner_the_hull_of_every_point_cuts():
+    # rectangles [0, 1] x [0, 1e-5] and [0, 1 + 5e-9] x [0, 1e-7]: in the
+    # hull of every corner, (1, 0) absorbs (1 + 5e-9, 0), and the collinear
+    # tolerance (on cross products, 1e-12) then pops the true corner
+    # (1, 1e-5) against (1, 0); without the dominated (1, 0) it stays
+    points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1e-5), (1.0, 1e-5), (1.000000005, 0.0), (0.0, 1e-7), (1.000000005, 1e-7)]
+    assert (1.0, 1e-5) not in RateRegion.from_points(points).vertices
+    assert RateRegion.from_points(_union_candidates(points)).vertices == (
+        (0.0, 0.0), (1.000000005, 0.0), (1.000000005, 1e-7), (1.0, 1e-5), (0.0, 1e-5)
+    )
+
+
+def test_union_candidates_are_the_origin_axis_extremes_and_front_in_input_order():
+    points = [(1.0, 0.0), (0.0, 0.0), (2.0, 1.0), (0.0, 3.0), (2.0, 0.0), (1.0, 3.0), (0.5, 0.5), (2.0, 1.0), (0.0, 0.0)]
+    assert _union_candidates(points).tolist() == [[0.0, 0.0], [2.0, 1.0], [0.0, 3.0], [2.0, 0.0], [1.0, 3.0]]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(0.5, math.nan), (math.inf, 0.0), (0.5, -1.0), (-1e-3, 0.5)],
+)
+def test_union_candidates_check_every_corner(bad):
+    # each bad corner is dominated by (2, 2), so only a check made before the
+    # front is taken can see it
+    with pytest.raises(InvalidInputError):
+        _union_candidates([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 2.0), bad])
+
+
+def test_union_candidates_snap_as_from_points_does():
+    tiny = 0.5 * _VERTEX_DEDUP_TOL
+    got = _union_candidates([(0.0, 0.0), (1.0, -tiny), (1.0, 0.5), (tiny, 0.5)])
+    assert got.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.0, 0.5]]
+
+
+def test_a_fine_broadcast_grid_keeps_the_dominating_corner():
+    # at grid 65,536 several grid points give chi1 within the dedup tolerance
+    # of its maximum 1; a hull of every corner kept the first of them, about
+    # 6e-9 short, and its top edge tilted by 3e-9
+    bc = product_broadcast_channel(orthogonal_pure_channel(), depolarized_channel(0.1))
+    region = broadcast_region(bc, DistributionGrid(bc.alphabet, 65536))
+    origin, right, top_right, top_left = region.vertices
+    assert right == (1.0, 0.0)
+    assert top_right.r1 == 1.0 and top_right.r2 == top_left.r2 and top_left.r1 == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +537,41 @@ def test_grid_searches_refuse_oversized_state_stacks():
     bc = product_broadcast_channel(ch, ch)
     with pytest.raises(ResourceLimitError):
         broadcast_region(bc, DistributionGrid(bc.alphabet, 10**7))
+
+
+def _real_and_complex_twins(kind):
+    # the same shape twice: random complex densities, and their real parts
+    # (also densities); only the second is stored as float64
+    rng = np.random.default_rng(29)
+    alphabet = ("0", "1")
+    if kind == "mac":
+        states = {(a, b): random_density(rng, 3) for a in alphabet for b in alphabet}
+        return [MACCQChannel((alphabet, alphabet), {k: f(v) for k, v in states.items()}) for f in (np.real, np.asarray)]
+    if kind == "broadcast":
+        states = {a: random_density(rng, 4) for a in alphabet}
+        return [BroadcastCQChannel(alphabet, (2, 2), {k: f(v) for k, v in states.items()}) for f in (np.real, np.asarray)]
+    states = {a: random_density(rng, 3) for a in alphabet}
+    return [CQChannel(alphabet, {k: f(v) for k, v in states.items()}) for f in (np.real, np.asarray)]
+
+
+def _grid_search(kind, channel, k):
+    if kind == "mac":
+        return mac_region(channel, DistributionGrid(channel.alphabets[0], k))
+    if kind == "broadcast":
+        return broadcast_region(channel, DistributionGrid(channel.alphabet, k))
+    return optimize_chi(channel, DistributionGrid(channel.alphabet, k), refine_steps=2)
+
+
+@pytest.mark.parametrize("kind", ["mac", "broadcast", "chi"])
+def test_grid_stacks_are_priced_at_their_dtype(monkeypatch, kind):
+    real, cplx = _real_and_complex_twins(kind)
+    # grid 7 is 64 MAC points or 8 simplex points of 3x3 (or 2x2) states;
+    # the limit admits the float64 stack and not the complex128 one
+    points, dim = (64, 3) if kind == "mac" else (8, 3 if kind == "chi" else 2)
+    monkeypatch.setattr(regions, "_PENTAGON_STACK_BYTE_LIMIT", points * dim * dim * 12)
+    _grid_search(kind, real, 7)
+    with pytest.raises(ResourceLimitError):
+        _grid_search(kind, cplx, 7)
 
 
 def test_weighted_boundary_point():

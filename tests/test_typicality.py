@@ -590,3 +590,39 @@ def test_typical_projector_refuses_a_stack_before_decomposing(monkeypatch):
     with pytest.raises(InvalidInputError, match="one d x d matrix"):
         typical_projector(np.array([0.7, 0.3]), 3, 1.0)
     assert calls == []
+
+
+@pytest.mark.parametrize("make", [lambda: depolarized_channel(0.1), overlap_pair_channel])
+def test_real_letter_states_are_decomposed_as_real(monkeypatch, make):
+    # a channel whose letter states are real keeps them float64 through every
+    # conditional and cross report; the same states passed in as complex
+    # give the same numbers
+    ch = make()
+    dist = ProbabilityDistribution(ch.alphabet, [0.6, 0.4])
+    word = tuple(ch.alphabet[i] for i in (0, 1, 0, 0, 1, 0))
+    as_complex = CQChannel(ch.alphabet, {a: ch.state(a).astype(complex) for a in ch.alphabet}, validate=False)
+    dtypes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *r, _f=original, **k: dtypes.append(a.dtype) or _f(a, *r, **k))
+    real = (
+        conditional_projector_stats(ch, word, 0.5),
+        cross_capture_stats(ch, word, dist, 0.5),
+        verify_conditional_projector_bounds(ch, word, dist, 0.5),
+    )
+    assert dtypes and set(dtypes) == {np.dtype(float)}
+    stack = np.array([[ch.state(a) for a in dist.labels]], dtype=complex)
+    cplx = (
+        conditional_projector_stats(as_complex, word, 0.5),
+        cross_capture_stats(as_complex, word, dist, 0.5),
+        verify_conditional_projector_bounds(stack, [word], dist, 0.5)[0],
+    )
+    assert np.dtype(complex) in dtypes
+    for field in ("capture", "rank", "lambda_max"):
+        assert getattr(real[0], field) == pytest.approx(getattr(cplx[0], field), abs=1e-12)
+    for field in ("capture", "variance_sum", "mean_shift"):
+        assert getattr(real[1], field) == pytest.approx(getattr(cplx[1], field), abs=1e-12)
+    assert real[2].measured.keys() == cplx[2].measured.keys()
+    for key, value in real[2].measured.items():
+        assert value == pytest.approx(cplx[2].measured[key], abs=1e-12)
+    assert real[2].flags == cplx[2].flags
