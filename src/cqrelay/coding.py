@@ -3,12 +3,14 @@
 The decoder construction sandwiches each word's conditional typical projector
 between averaged-state projectors and square-root normalizes the resulting
 detection operators over the messages that share a side-information index.
-Detection operators are held only as their N x K factors F.  The
-normalization runs on the K x K Gram matrix G = F†F of each group, and the
-decoder keeps G^{+1/2} per group, not the normalized factors H = F G^{+1/2}:
-an H block is formed when the group's outcome table reads it and freed after
-use; the error tables, the decoding and the modular-sum scheme read that one
-table, so a run forms each H block once.  Product operators (the
+A normalized group is read through what it answers: its outcome table
+tr(Λ_k rho_c) and detection table tr(D'_k rho_c) over word states, its size
+and its sub-POVM margin.  Detection operators are held only as their N x K
+factors F.  The normalization runs on the K x K Gram matrix G = F†F of each
+group, and the group keeps G^{+1/2}, not the normalized factors
+H = F G^{+1/2}: its outcome table forms each H block once and frees it
+before the next; the error tables, the decoding and the modular-sum scheme
+read that one table, so a run forms each H block once.  Product operators (the
 averaged-state projector, word states) are held as their n single-letter
 factors and applied as fused mode products, one column chunk at a time, so
 no N x N array is formed and no temporary grows with K.  All error figures
@@ -127,8 +129,8 @@ def _factor_trace(factor: np.ndarray, state) -> float:
 
 def _trace_table(blocks, states) -> np.ndarray:
     """The table of tr(B_k† rho_c B_k), row c for state c (its list of tensor
-    factors) and column k for block k.  Each block is read once, so a lazy
-    map(group.factor, ...) forms each H_k once; map frees it before the next."""
+    factors) and column k for block k.  Each block is read once, so blocks
+    from a lazy map are formed one at a time and freed before the next."""
     columns = list(map(lambda block: [_factor_trace(block, state) for state in states], blocks))
     return np.array(columns, dtype=float).reshape(len(columns), len(states)).T
 
@@ -225,22 +227,40 @@ def _row_panels(rows: int):
 
 @dataclass(frozen=True, eq=False)
 class _NormalizedGroup:
-    """Square-root normalization of one detection-operator group.
+    """Square-root normalization of one detection-operator group, read
+    through its tables.
+
+    A group of M operators answers outcomes(states), the (C, M) table
+    tr(Λ_k rho_c), and detections(states), the table tr(D'_k rho_c), for word
+    states given as their lists of tensor factors; len(group) is M, factor(i)
+    is the normalized factor H_i with Λ_i = H_i H_i†, and margin is the
+    largest eigenvalue of (sum of normalized ops - identity): a sub-POVM
+    keeps it <= ~0 and an all-zero group gives -1.
 
     With F = [F_1 ... F_M] and its Gram matrix G = F†F (K x K), the
     normalized factors are H = F G^{+1/2}, so that H_i H_i† = S^{-1/2} D_i S^{-1/2}
     for S = sum_i D_i: FF† and G share their nonzero spectrum, so the pseudo
     inverse keeps the same eigenvalues.  The group holds the F_i (the
     detection factors themselves, not a copy), inv_root = G^{+1/2} and the
-    column offsets of the F_i in F; factor(i) forms H_i when it is read.
-    margin is the largest eigenvalue of (sum of normalized ops - identity);
-    a sub-POVM keeps it <= ~0 and an all-zero group gives -1.
+    column offsets of the F_i in F, and forms H_i only when it is read.
     """
 
     factors: tuple
     inv_root: np.ndarray
     offsets: tuple  # F_i is columns offsets[i]:offsets[i + 1] of F
     margin: float
+
+    def __len__(self) -> int:
+        return len(self.factors)
+
+    def outcomes(self, states) -> np.ndarray:
+        """The (C, M) table tr(Λ_k rho_c); each H_k is formed once and freed
+        before the next is formed."""
+        return _trace_table(map(self.factor, range(len(self))), states)
+
+    def detections(self, states) -> np.ndarray:
+        """The (C, M) table tr(D'_k rho_c), read from the held F_k."""
+        return _trace_table(self.factors, states)
 
     def factor(self, i: int) -> np.ndarray:
         """H_i = sum_k F_k G^{+1/2}[block k, block i], formed one row panel at a time."""
@@ -287,10 +307,9 @@ class SquareRootDecoder:
     receiver r resolves its own message index given the other index as side
     information.
 
-    Per group the decoder holds the detection factors F, R = G^{+1/2} of
-    their Gram matrix and the block offsets, not the normalized factors: H
-    is formed from F and R when it is read (factor, op, a group's outcome
-    table) and is not kept.
+    Every caller reads a group through its outcome and detection tables,
+    its length and its margin; only factor and op read a single normalized
+    factor, and no normalized factor is kept.
     """
 
     m1_size: int
@@ -306,7 +325,7 @@ class SquareRootDecoder:
         """The normalized factor H of the pair's operator, formed on request."""
         known, index = (m2, m1) if receiver == 1 else (m1, m2)
         group = self.groups.get(receiver, {}).get(known)
-        if group is None or index not in range(len(group.factors)):
+        if group is None or index not in range(len(group)):
             raise InvalidInputError(f"decoder has no operator for receiver {receiver}, pair ({m1}, {m2})")
         return group.factor(int(index))
 
@@ -420,8 +439,12 @@ class ErrorReport:
 def average_errors(codebook: Codebook, bc: BroadcastCQChannel, decoder: SquareRootDecoder) -> ErrorReport:
     """Exact error tables, with the normalization-removal bound (2x miss +
     4x collision mass of the detection operators) checked per pair, all read
-    from two tables per group: tr(Λ_k W(word)) and tr(D'_k W(word)).  The
-    detection factors D'_k = F_k F_k† are the ones the decoder's groups hold."""
+    from two tables per group: its outcomes tr(Λ_k W(word)) and its
+    detections tr(D'_k W(word)).  A decoder built for other message set
+    sizes than the codebook's is refused."""
+    sizes, built = (codebook.m1_size, codebook.m2_size), (decoder.m1_size, decoder.m2_size)
+    if sizes != built:
+        raise InvalidInputError(f"decoder built for M={built} does not match the codebook's M={sizes}")
     first, coll, bounds, outcomes = {1: {}, 2: {}}, {1: {}, 2: {}}, {1: {}, 2: {}}, {1: {}, 2: {}}
     ok = True
     for receiver in (1, 2):
@@ -429,8 +452,8 @@ def average_errors(codebook: Codebook, bc: BroadcastCQChannel, decoder: SquareRo
         for known, pairs in _side_info_groups(receiver, codebook.m1_size, codebook.m2_size).items():
             group = decoder.groups[receiver][known]
             states = [_word_factors(channel, codebook.words[p]) for p in pairs]
-            decided = _trace_table(map(group.factor, range(len(pairs))), states)
-            detected = _trace_table(group.factors, states)
+            decided = group.outcomes(states)
+            detected = group.detections(states)
             for index, pair in enumerate(pairs):
                 outcomes[receiver][pair] = tuple(decided[index].tolist())
                 first[receiver][pair] = err = _clamp_nonnegative(1.0 - decided[index, index])
@@ -675,8 +698,7 @@ def decode_with_side_info(
         raise InvalidInputError(f"known message {known_message} outside its set")
     if isinstance(state, np.ndarray) and state.ndim == 2:
         state = [state]
-    (probs,) = _trace_table(map(group.factor, range(len(group.factors))), [state])
-    return _decide(probs, mode, rng)
+    return _decide(group.outcomes([state])[0], mode, rng)
 
 
 def _decide(probs, mode: str = "argmax", rng: np.random.Generator | None = None):
@@ -1027,8 +1049,7 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report):
             povm = _normalize_group([factor_by_word[w] for w in words])
             margins[receiver] = povm.margin
             # probs[c, k]: the probability of outcome k on word c's state
-            states = [_word_factors(channel, w) for w in words]
-            probs[receiver] = _trace_table(map(povm.factor, range(size)), states)
+            probs[receiver] = povm.outcomes([_word_factors(channel, w) for w in words])
             errors[receiver] = [_clamp_nonnegative(1.0 - probs[receiver][c, c]) for c in range(size)]
         worst = max(float(np.mean(errors[1])), float(np.mean(errors[2])))
         return worst, (probs, errors, margins)

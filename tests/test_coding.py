@@ -244,6 +244,19 @@ def test_average_errors_consistency():
     json.dumps(report.as_dict())
 
 
+@pytest.mark.parametrize("sizes", [(3, 2), (2, 3)])
+def test_average_errors_refuses_a_decoder_built_for_other_sizes(sizes):
+    # without the check, (3, 2) ran off the end of a group's factors and
+    # (2, 3) asked receiver 1 for a group it does not have
+    bc = noisy_broadcast()
+    dec = build_square_root_decoder(
+        build_detection_operators(sample_codebook(uniform_binary(), 4, 2, 2, seed=1), bc, alpha=0.5)
+    )
+    cb = sample_codebook(uniform_binary(), 4, *sizes, seed=1)
+    with pytest.raises(InvalidInputError, match=rf"M=\(2, 2\).*M=\({sizes[0]}, {sizes[1]}\)"):
+        average_errors(cb, bc, dec)
+
+
 def test_noiseless_channel_decodes_perfectly():
     bc = noiseless_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
@@ -521,7 +534,7 @@ def test_each_attempt_forms_each_normalized_factor_once(monkeypatch, scheme, del
     per_attempt = 2 if scheme == "modular-sum" else config["M1"] + config["M2"]
     assert len(groups) == attempts * per_attempt
     assert sorted((id(g), i) for g, i in reads) == sorted(
-        (key, i) for key, g in groups.items() for i in range(len(g.factors))
+        (key, i) for key, g in groups.items() for i in range(len(g))
     )
 
 

@@ -31,6 +31,7 @@ from cqrelay.channels import (
 from cqrelay import coding
 from cqrelay.coding import (
     Codebook,
+    SquareRootDecoder,
     _side_info_groups,
     _word_factors,
     average_errors,
@@ -46,6 +47,7 @@ from cqrelay.operators import (
     hermitian_part,
     product_columns,
     pseudo_sqrt_inverse,
+    tensor_all,
     trace_pair,
 )
 
@@ -160,15 +162,18 @@ def test_repeated_word_group_matches_dense_oracle(channel, n):
     assert 0 < np.linalg.matrix_rank(stacked) < stacked.shape[1]
 
 
-@pytest.mark.parametrize("n", NS)
-def test_rank_zero_word_matches_dense_oracle(n):
+def rank_zero_codebook(n):
     # at alpha = 0.1 the word with n - 1 ones has an empty conditional
     # projector on receiver 2 of the random channel; receiver 2's group m1 = 0
     # is all rank 0 (K = 0), group m1 = 1 mixes rank 0 with positive rank
     z, a = tuple("1" * (n - 1) + "0"), tuple("0" * n)
     words = {(0, 0): z, (0, 1): z, (1, 0): z, (1, 1): a}
-    cb = Codebook(n, 2, 2, words, uniform_binary(), 0.5, 0)
-    det, dec = assert_matches_oracle(cb, random_broadcast(), alpha=0.1)
+    return Codebook(n, 2, 2, words, uniform_binary(), 0.5, 0)
+
+
+@pytest.mark.parametrize("n", NS)
+def test_rank_zero_word_matches_dense_oracle(n):
+    det, dec = assert_matches_oracle(rank_zero_codebook(n), random_broadcast(), alpha=0.1)
     assert det.cond_ranks[2][(0, 0)] == 0
     assert det.cond_ranks[2][(1, 1)] > 0
     assert dec.subpovm_margins[2][0] == -1.0
@@ -232,6 +237,85 @@ def test_outcome_tables_match_decoding_and_dense_oracle(seed, n, sizes, alpha):
                 assert np.abs(np.asarray(decide.call_args.args[0]) - row).max() <= TOL
                 dense = [trace_pair(ops[r][p], marg.word_state(word)) for p in pairs]
                 assert np.abs(row - dense).max() <= TOL
+
+
+# ---------------------------------------------------------------------------
+# The decoding-group contract.
+# ---------------------------------------------------------------------------
+
+
+class DenseGroup:
+    """A decoding group from the dense oracle that offers only the group
+    contract: outcome and detection tables, margin, length and factor."""
+
+    def __init__(self, detection_factors):
+        self._detection = [hermitian_part(f @ f.conj().T) for f in detection_factors]
+        self._lams, self.margin = dense_srm(self._detection)
+        inv_root = pseudo_sqrt_inverse(sum(self._detection))
+        self._normalized = [inv_root @ f for f in detection_factors]
+
+    def __len__(self):
+        return len(self._lams)
+
+    def factor(self, i):
+        return self._normalized[i]
+
+    def outcomes(self, states):
+        return self._table(self._lams, states)
+
+    def detections(self, states):
+        return self._table(self._detection, states)
+
+    @staticmethod
+    def _table(ops, states):
+        rhos = [tensor_all(state) for state in states]
+        return np.array([[trace_pair(op, rho) for op in ops] for rho in rhos], dtype=float)
+
+
+@pytest.mark.parametrize(
+    "channel, codebook, alpha",
+    [
+        ("canonical", lambda n: sample_codebook(uniform_binary(), n, 3, 2, seed=4), 0.3),
+        ("random", lambda n: sample_codebook(uniform_binary(), n, 3, 2, seed=4), 0.3),
+        ("random", rank_zero_codebook, 0.1),
+    ],
+    ids=["real", "complex", "rank-zero"],
+)
+def test_a_dense_group_behind_the_contract_matches_the_factor_path(channel, codebook, alpha):
+    # a decoder whose groups are dense oracle groups, read only through the
+    # contract, gives every figure the factor path gives
+    bc, cb = CHANNELS[channel](), codebook(6)
+    det = build_detection_operators(cb, bc, alpha=alpha)
+    dec = build_square_root_decoder(det)
+    dense = SquareRootDecoder(
+        cb.m1_size,
+        cb.m2_size,
+        {
+            r: {
+                known: DenseGroup([det.factors[r][p] for p in pairs])
+                for known, pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).items()
+            }
+            for r in (1, 2)
+        },
+    )
+    assert_same_report(dense.subpovm_margins, dec.subpovm_margins)
+    want = average_errors(cb, bc, dec)
+    got = average_errors(cb, bc, dense)
+    assert_same_report(got.as_dict(), want.as_dict())
+    assert_same_report(got.outcomes, want.outcomes)
+    for r in (1, 2):
+        for pair in cb.words:
+            assert np.abs(dense.factor(r, *pair) - dec.factor(r, *pair)).max(initial=0.0) <= TOL
+            assert np.abs(dense.op(r, *pair) - dec.op(r, *pair)).max() <= TOL
+            state = _word_factors(bc.marginal(r), cb.word(*pair))
+            known = pair[1] if r == 1 else pair[0]
+            for mode in ("argmax", "sampled"):
+                assert decode_with_side_info(
+                    dense, r, known, state, mode, np.random.default_rng(1)
+                ) == decode_with_side_info(dec, r, known, state, mode, np.random.default_rng(1))
+    if codebook is rank_zero_codebook:
+        assert sum(det.cond_ranks[2][(0, m2)] for m2 in range(2)) == 0
+        assert dense.subpovm_margins[2][0] == -1.0
 
 
 # ---------------------------------------------------------------------------
