@@ -15,6 +15,13 @@ averaged-state projector, word states) are held as their n single-letter
 factors and applied as fused mode products, one column chunk at a time, so
 no N x N array is formed and no temporary grows with K.  All error figures
 are exact traces; sampling enters only through codebook generation.
+
+When a receiver's letter states are all diagonal in the eigenbasis of its
+averaged-state projector (up to order and phases), every operator of the
+construction is diagonal in that one product basis, and `simulate` runs the
+receiver's groups as _DiagonalGroup: length-N diagonals in place of N x K
+factors and K x K Gram matrices.  The path is chosen per receiver
+(_diagonal_orders); the factor path stays the public API and the oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -32,13 +40,17 @@ from .operators import (
     ProbabilityDistribution,
     _integral,
     _require_within_cap,
+    hermitian_eigendecomposition,
     hermitian_part,
     kron_column_chunks,
     multinomial_coefficient,
+    product_columns,
     pseudo_sqrt_inverse,
+    tensor_all,
 )
 from .typicality import (
     PRESET_FIXED,
+    TypicalProjector,
     TypicalSet,
     averaged_state_projector,
     conditional_typical_projector,
@@ -301,6 +313,132 @@ def _normalize_group(factors) -> _NormalizedGroup:
     return _NormalizedGroup(factors, inv_root, offsets, margin)
 
 
+# ---------------------------------------------------------------------------
+# The exact commuting reduction: groups of jointly diagonal operators.
+# ---------------------------------------------------------------------------
+
+# Largest distance of an entry of |u† u_a| from a permutation's 0/1 pattern
+# at which a letter's eigenbasis u_a counts as the averaged projector's basis
+# u, reordered and rephased (see _diagonal_orders).
+DIAGONAL_BASIS_TOL = 1e-10
+
+
+def _diagonal_orders(channel: CQChannel, proj: TypicalProjector) -> dict | None:
+    """letter -> the letter's eigen-index at each index of u, the single-letter
+    basis of the averaged-state projector proj; None unless every letter's
+    eigenbasis u_a is u reordered and rephased.
+
+    u_a is the eigenbasis hermitian_eigendecomposition returns, the one the
+    conditional projectors read.  It qualifies when u† u_a is a signed or
+    phased permutation: every entry of |u† u_a| within DIAGONAL_BASIS_TOL of
+    the permutation's 0/1 pattern.  Then Pi, every P_w and every word state
+    are diagonal in U = u^(x)n.  Commuting letter states are not enough: for
+    a degenerate averaged state, eigh may return a u that is not the
+    letters' basis.  The off-pattern entries the diagonal path drops are of
+    first order in that tolerance, and each enters a trace between diagonal
+    operators, where its first-order term vanishes; the tables move at
+    second order.
+    """
+    u = proj.bases[0]
+    d = u.shape[0]
+    orders = {}
+    for a in channel.alphabet:
+        overlap = np.abs(u.conj().T @ hermitian_eigendecomposition(channel.state(a))[1])
+        position = overlap.argmax(axis=0)  # the index of u that eigenvector j sits at
+        pattern = np.zeros((d, d))
+        pattern[position, np.arange(d)] = 1.0
+        # u is unitary, so a pattern with two 1s in one row fails this too
+        if np.abs(overlap - pattern).max() > DIAGONAL_BASIS_TOL:
+            return None
+        orders[a] = np.argsort(position)
+    return orders
+
+
+def _diagonal_detection(channel: CQChannel, proj: TypicalProjector, orders: dict, words, alpha, preset, dim_cap):
+    """{word: the 0/1 diagonal of D' = Pi P_w Pi in proj's product basis}.
+
+    P_w's mask flags eigen-index words of the word's letters; index x of U
+    holds, at position k, the eigen-index orders[w_k][x_k], so the mask is
+    reindexed along each position and then cut by Pi's own mask.
+    """
+    shape = (proj.dim,) * proj.n
+    out = {}
+    for w in words:
+        if w not in out:
+            cond = conditional_typical_projector(channel, w, alpha, preset, dim_cap)
+            p_w = cond.mask.reshape(shape)[np.ix_(*(orders[a] for a in w))]
+            out[w] = proj.mask & p_w.reshape(-1)
+    return out
+
+
+def _basis_diagonal(basis: np.ndarray, factor) -> np.ndarray:
+    """diag(V† rho V) for a tensor factor rho on m positions and V = basis^(x)m."""
+    d, size = basis.shape[0], factor.shape[0]
+    m = max(1, round(math.log(size) / math.log(d))) if d > 1 else 1
+    if d**m != size:
+        raise InvalidInputError(f"a {size}-dimensional state factor is no tensor power of {d} dimensions")
+    v = tensor_all([basis] * m)
+    return np.einsum("ix,ix->x", v.conj(), factor @ v).real
+
+
+@dataclass(frozen=True, eq=False)
+class _DiagonalGroup:
+    """A decoding group whose operators are diagonal in one product basis
+    U = basis^(x)n, answering _NormalizedGroup's contract from length-N
+    vectors.
+
+    Row k of dprime is D'_k = pi * p_w, the 0/1 diagonal of Pi P_w Pi; with
+    s = sum_k D'_k, row k of lams is lambda_k = D'_k / s on supp(s) and 0 off
+    it, the diagonal of Lambda_k = S^{-1/2} D'_k S^{-1/2}.  A state enters the
+    traces only through the diagonal of U† rho U, so each table is one
+    (C x N)(N x M) product.  margin is the largest sum_k lambda_k - 1 over
+    supp(s), and -1 when s is 0.
+    """
+
+    basis: np.ndarray  # d x d, the averaged projector's single-letter eigenbasis
+    n: int
+    dprime: np.ndarray  # (M, N) bool
+    lams: np.ndarray  # (M, N) float
+    margin: float
+
+    def __len__(self) -> int:
+        return self.dprime.shape[0]
+
+    def outcomes(self, states) -> np.ndarray:
+        """The (C, M) table tr(Lambda_k rho_c)."""
+        return self._diagonals(states) @ self.lams.T
+
+    def detections(self, states) -> np.ndarray:
+        """The (C, M) table tr(D'_k rho_c)."""
+        return self._diagonals(states) @ self.dprime.T.astype(float)
+
+    def factor(self, i: int) -> np.ndarray:
+        """H_i = U[:, supp] diag(sqrt lambda_i[supp]) over the support of
+        lambda_i, so that Lambda_i = H_i H_i†."""
+        support = np.flatnonzero(self.lams[i])
+        words = np.stack(np.unravel_index(support, (self.basis.shape[0],) * self.n), axis=1)
+        return product_columns([self.basis] * self.n, words) * np.sqrt(self.lams[i, support])
+
+    def _diagonals(self, states) -> np.ndarray:
+        """(C, N): the diagonal of U† rho_c U for each state's list of tensor factors."""
+        size = self.dprime.shape[1]
+        rows = [reduce(np.kron, [_basis_diagonal(self.basis, f) for f in state]) for state in states]
+        if any(row.shape != (size,) for row in rows):
+            raise InvalidInputError(f"a state does not match the group's {size}-dimensional space")
+        return np.array(rows, dtype=float).reshape(len(rows), size)
+
+
+def _diagonal_group(proj: TypicalProjector, dprimes) -> _DiagonalGroup:
+    """Square-root normalization of one group of diagonal detection operators;
+    see _DiagonalGroup."""
+    dprime = np.array(dprimes, dtype=bool).reshape(len(dprimes), -1)
+    s = dprime.sum(axis=0)
+    support = s > 0
+    lams = np.divide(dprime, s, out=np.zeros(dprime.shape), where=support)
+    margin = float(lams.sum(axis=0)[support].max()) - 1.0 if support.any() else -1.0
+    return _DiagonalGroup(proj.bases[0], proj.n, dprime, lams, margin)
+
+
 @dataclass(frozen=True, eq=False)
 class SquareRootDecoder:
     """Square-root decoding operators Λ = H H† of each side-information group;
@@ -345,6 +483,12 @@ def _side_info_groups(receiver: int, m1_size: int, m2_size: int) -> dict:
     return {m1: [(m1, m2) for m2 in range(m2_size)] for m1 in range(m1_size)}
 
 
+def _group_words(codebook: Codebook, receiver: int) -> dict:
+    """known index -> the words of the receiver's side-information group."""
+    groups = _side_info_groups(receiver, codebook.m1_size, codebook.m2_size)
+    return {known: [codebook.words[p] for p in pairs] for known, pairs in groups.items()}
+
+
 def build_square_root_decoder(detection: DetectionOperators) -> SquareRootDecoder:
     cb = detection.codebook
     groups = {
@@ -355,6 +499,31 @@ def build_square_root_decoder(detection: DetectionOperators) -> SquareRootDecode
         for receiver in (1, 2)
     }
     return SquareRootDecoder(m1_size=cb.m1_size, m2_size=cb.m2_size, groups=groups)
+
+
+def _run_groups(bc: BroadcastCQChannel, dist, config: SimConfig):
+    """groups(receiver, {known: words}) -> {known: decoding group}, for one run.
+
+    The averaged projectors and each receiver's path are settled once, for
+    all seed attempts: _DiagonalGroup where _diagonal_orders finds the
+    receiver's letters diagonal in its projector's basis, else
+    _normalize_group's groups, as build_square_root_decoder builds them.
+    Each distinct word's detection operator is built once per call.
+    """
+    alpha, preset, dim_cap = config.alpha, config.preset, config.dim_cap
+    projectors = _averaged_projectors(bc, dist, config.n, alpha, preset, dim_cap)
+    orders = {r: _diagonal_orders(bc.marginal(r), projectors[r]) for r in (1, 2)}
+
+    def groups(receiver: int, words_by_known: dict) -> dict:
+        channel, proj = bc.marginal(receiver), projectors[receiver]
+        words = [w for group in words_by_known.values() for w in group]
+        if orders[receiver] is None:
+            factors, _ = _sandwiched_detection(channel, proj, words, alpha, preset, dim_cap)
+            return {known: _normalize_group([factors[w] for w in group]) for known, group in words_by_known.items()}
+        diagonals = _diagonal_detection(channel, proj, orders[receiver], words, alpha, preset, dim_cap)
+        return {known: _diagonal_group(proj, [diagonals[w] for w in group]) for known, group in words_by_known.items()}
+
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +865,20 @@ def decode_with_side_info(
     group = decoder.groups[receiver].get(known_message)
     if group is None:
         raise InvalidInputError(f"known message {known_message} outside its set")
+    return _decide(group.outcomes([_state_factors(state)])[0], mode, rng)
+
+
+def _state_factors(state) -> list:
+    """A dense state or a list of tensor factors, as a list of square 2-D arrays."""
     if isinstance(state, np.ndarray) and state.ndim == 2:
-        state = [state]
-    return _decide(group.outcomes([state])[0], mode, rng)
+        return [state]
+    try:
+        factors = [np.asarray(f) for f in state]
+    except TypeError:
+        factors = []
+    if not factors or any(f.ndim != 2 or f.shape[0] != f.shape[1] for f in factors):
+        raise InvalidInputError("state must be a square matrix or a list of square tensor factors")
+    return factors
 
 
 def _decide(probs, mode: str = "argmax", rng: np.random.Generator | None = None):
@@ -978,12 +1158,11 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, dims, report):
         report.update(status="infeasible", reason=f"message sizes ({m1_size}, {m2_size}) below 2 at n={config.n}")
         return report
     report["sizes"] = {"sampled_m1": m1_size, "sampled_m2": m2_size}
-    projectors = _averaged_projectors(bc, dist, config.n, config.alpha, config.preset, config.dim_cap)
+    groups = _run_groups(bc, dist, config)
 
     def realize(seed):
         cb = sample_codebook(dist, config.n, m1_size, m2_size, config.delta_code, seed)
-        detection = build_detection_operators(cb, bc, config.alpha, config.preset, config.dim_cap, projectors)
-        decoder = build_square_root_decoder(detection)
+        decoder = SquareRootDecoder(m1_size, m2_size, {r: groups(r, _group_words(cb, r)) for r in (1, 2)})
         errs = average_errors(cb, bc, decoder)
         return max(errs.overall.values()), (decoder, errs)
 
@@ -1035,21 +1214,17 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report):
     if chi1 < chi2:
         report["notices"].append("receiver 1 is the weaker marginal; roles swapped relative to the usual order")
     report["sizes"] = {"common": size}
-    projectors = _averaged_projectors(bc, dist, config.n, config.alpha, config.preset, config.dim_cap)
+    groups = _run_groups(bc, dist, config)
 
     def realize(seed):
         cb = sample_codebook(dist, config.n, size, 1, config.delta_code, seed)
         words = [cb.word(m, 0) for m in range(size)]
         probs, errors, margins = {}, {}, {}
         for receiver in (1, 2):
-            channel = bc.marginal(receiver)
-            factor_by_word, _ = _sandwiched_detection(
-                channel, projectors[receiver], words, config.alpha, config.preset, config.dim_cap
-            )
-            povm = _normalize_group([factor_by_word[w] for w in words])
+            povm = groups(receiver, {0: words})[0]
             margins[receiver] = povm.margin
             # probs[c, k]: the probability of outcome k on word c's state
-            probs[receiver] = povm.outcomes([_word_factors(channel, w) for w in words])
+            probs[receiver] = povm.outcomes([_word_factors(bc.marginal(receiver), w) for w in words])
             errors[receiver] = [_clamp_nonnegative(1.0 - probs[receiver][c, c]) for c in range(size)]
         worst = max(float(np.mean(errors[1])), float(np.mean(errors[2])))
         return worst, (probs, errors, margins)

@@ -160,7 +160,11 @@ def convex_hull(points) -> list[tuple[float, float]]:
     cost is one sort of the distinct points.
     """
     distinct = dict.fromkeys(map(tuple, _point_array(points).tolist()))
-    pts = sorted(_dedup_points([(round(x, 12), round(y, 12)) for x, y in distinct]))
+    rounded = [(round(x, 12), round(y, 12)) for x, y in distinct]
+    # the origin first, so that the keep-first dedup drops a point within
+    # tol of it, never the origin itself
+    rounded.sort(key=lambda p: p != (0.0, 0.0))
+    pts = sorted(_dedup_points(rounded))
     if len(pts) <= 2:
         return pts
 

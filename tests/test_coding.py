@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from cqrelay import coding
 from cqrelay.channels import (
+    CQChannel,
     depolarized_channel,
     holevo_chi,
     orthogonal_pure_channel,
+    overlap_pair_channel,
     product_broadcast_channel,
 )
 from cqrelay.coding import (
@@ -48,6 +50,14 @@ def noiseless_broadcast():
 
 def noisy_broadcast(p=0.1):
     return product_broadcast_channel(orthogonal_pure_channel(), depolarized_channel(p))
+
+
+def overlap_broadcast(p=0.1):
+    # receiver 1 sees |0> and |+>, receiver 2 the same pair p-depolarized:
+    # neither receiver's letter states commute
+    pair = overlap_pair_channel()
+    noisy = {a: (1.0 - p) * pair.state(a) + p * np.eye(2) / 2 for a in pair.alphabet}
+    return product_broadcast_channel(pair, CQChannel(pair.alphabet, noisy))
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +517,21 @@ def test_decode_with_side_info_validation():
         decode_with_side_info(dec, 1, 9, state)
     with pytest.raises(InvalidInputError):
         decode_with_side_info(dec, 1, 0, state, mode="wishful")
+    # neither a square matrix nor a list of square tensor factors
+    for bad in (np.ones(16), [np.ones(2)] * 4, [], 1.0, [np.ones((2, 3))] * 4):
+        with pytest.raises(InvalidInputError):
+            decode_with_side_info(dec, 1, 0, bad)
+    # square factors whose dimensions do not multiply to the group's
+    with pytest.raises(InvalidInputError):
+        decode_with_side_info(dec, 1, 0, [np.eye(2) / 2] * 3)
 
 
 @pytest.mark.parametrize("scheme", ["proof-construction", "modular-sum"])
 @pytest.mark.parametrize("delta,attempts", [(1.0, 1), (1e-12, 2)])
 def test_each_attempt_forms_each_normalized_factor_once(monkeypatch, scheme, delta, attempts):
     # the error tables, the decoding and the modular-sum outcome table read
-    # one outcome table per group, so each H block is formed once
+    # one outcome table per group, so each H block is formed once; neither
+    # receiver's letter states commute, so every group is on the factor path
     reads = []
     form = coding._NormalizedGroup.factor
 
@@ -526,7 +544,7 @@ def test_each_attempt_forms_each_normalized_factor_once(monkeypatch, scheme, del
         "n": 6, "M1": 3, "M2": 3 if scheme == "modular-sum" else 2, "alpha": 0.3, "seed": 2,
         "scheme": scheme, "delta": delta, "max_seed_attempts": 2,
     }
-    report = end_to_end_broadcast_sim(noisy_broadcast(), config)
+    report = end_to_end_broadcast_sim(overlap_broadcast(), config)
     assert report["attempts_used"] == attempts
     assert report["status"] == ("ok" if attempts == 1 else "threshold-not-met")
     groups = {id(group): group for group, _ in reads}
@@ -536,6 +554,19 @@ def test_each_attempt_forms_each_normalized_factor_once(monkeypatch, scheme, del
     assert sorted((id(g), i) for g, i in reads) == sorted(
         (key, i) for key, g in groups.items() for i in range(len(g))
     )
+
+
+@pytest.mark.parametrize("scheme", ["proof-construction", "modular-sum"])
+def test_commuting_letters_take_the_diagonal_path(monkeypatch, scheme):
+    # both receivers' letter states are diagonal in their averaged
+    # projectors' basis, so no detection factor and no Gram matrix is formed
+    def refuse(*args):
+        raise AssertionError("factor path taken")
+
+    monkeypatch.setattr(coding.TypicalProjector, "sandwiched_factor", refuse)
+    monkeypatch.setattr(coding, "_normalize_group", refuse)
+    config = {"n": 6, "M1": 3, "M2": 3 if scheme == "modular-sum" else 2, "alpha": 0.3, "seed": 2, "scheme": scheme}
+    assert end_to_end_broadcast_sim(noisy_broadcast(), config)["status"] == "ok"
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,10 @@ def oracle_dedup(points, tol=TOL):
 
 
 def oracle_hull(points):
-    pts = sorted(oracle_dedup([(round(float(p[0]), 12), round(float(p[1]), 12)) for p in points]))
+    rounded = [(round(float(p[0]), 12), round(float(p[1]), 12)) for p in points]
+    # the origin is kept over any point within TOL of it, wherever it stands
+    origin = [p for p in rounded if p == (0.0, 0.0)][:1]
+    pts = sorted(oracle_dedup(origin + rounded))
     if len(pts) <= 2:
         return pts
 

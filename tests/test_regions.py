@@ -81,6 +81,13 @@ def test_convex_hull_degenerate_inputs():
     assert convex_hull([(0, 0), (1, 1), (2, 2), (0.5, 0.5)]) == [(0.0, 0.0), (2.0, 2.0)]
 
 
+def test_rate_region_keeps_the_origin_behind_a_point_within_tolerance():
+    # (0, 1e-8) is within the dedup tolerance of the origin and comes first
+    region = RateRegion.from_points([(0, 1e-8), (0, 0), (1, 0), (2, 0)])
+    assert region.vertices == (RatePair(0.0, 0.0), RatePair(2.0, 0.0))
+    assert region.contains(0.0, 0.0)
+
+
 def test_rate_region_from_points_orders_vertices():
     region = RateRegion.from_points([(1, 1), (0, 0), (1, 0), (0, 1)])
     assert region.vertices[0] == RatePair(0.0, 0.0)

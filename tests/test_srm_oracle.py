@@ -423,3 +423,171 @@ def test_phase_twin_matches_the_real_run(weights, n):
     assert_same_report(pipeline_figures(cb, twin), want)
     config = {"n": n, "M1": 2, "M2": 3, "alpha": 0.3, "seed": 11, "max_seed_attempts": 1, "dist": list(weights)}
     assert_same_report(end_to_end_broadcast_sim(twin, config), end_to_end_broadcast_sim(real, config))
+
+
+# ---------------------------------------------------------------------------
+# The exact commuting reduction: diagonal groups against the factor path.
+# ---------------------------------------------------------------------------
+
+
+def factor_path():
+    # every receiver on the factor path, whatever its letters
+    return mock.patch.object(coding, "_diagonal_orders", return_value=None)
+
+
+def diagonal_decoder(cb, bc, alpha):
+    groups = coding._run_groups(bc, cb.dist, coding.SimConfig(n=cb.n, alpha=alpha))
+    return SquareRootDecoder(cb.m1_size, cb.m2_size, {r: groups(r, coding._group_words(cb, r)) for r in (1, 2)})
+
+
+def assert_diagonal_matches_factor_path(cb, bc, alpha):
+    want = build_square_root_decoder(build_detection_operators(cb, bc, alpha=alpha))
+    got = diagonal_decoder(cb, bc, alpha)
+    assert all(isinstance(g, coding._DiagonalGroup) for r in (1, 2) for g in got.groups[r].values())
+    assert_same_report(got.subpovm_margins, want.subpovm_margins)
+    report, oracle = average_errors(cb, bc, got), average_errors(cb, bc, want)
+    assert_same_report(report.as_dict(), oracle.as_dict())
+    assert_same_report(report.outcomes, oracle.outcomes)
+    for r in (1, 2):
+        states = [_word_factors(bc.marginal(r), w) for w in cb.distinct_words()]
+        for known, group in got.groups[r].items():
+            assert np.abs(group.detections(states) - want.groups[r][known].detections(states)).max() <= TOL
+        for pair in cb.words:
+            # factor() spans the support of Lambda, so factors compare as H H†
+            assert np.abs(got.op(r, *pair) - want.op(r, *pair)).max() <= TOL
+            # a dense word state gives the outcome row of its tensor factors
+            dense = bc.marginal(r).word_state(cb.word(*pair))
+            with mock.patch.object(coding, "_decide", wraps=coding._decide) as decide:
+                decode_with_side_info(got, r, pair[1] if r == 1 else pair[0], dense)
+            assert np.abs(np.asarray(decide.call_args.args[0]) - report.outcomes[r][pair]).max() <= TOL
+    return got, report
+
+
+@pytest.mark.parametrize(
+    "scheme, n, weights",
+    [
+        ("proof-construction", 4, (0.5, 0.5)),
+        ("proof-construction", 9, (0.6, 0.4)),
+        ("proof-construction", 12, (0.5, 0.5)),
+        ("modular-sum", 5, (0.6, 0.4)),
+        ("modular-sum", 10, (0.5, 0.5)),
+    ],
+)
+def test_diagonal_simulate_matches_the_factor_path(scheme, n, weights):
+    # the canonical channel's letters are diagonal in its averaged
+    # projectors' basis; delta = 1 keeps every run off the acceptance edge
+    config = {
+        "n": n, "M1": 3, "M2": 3 if scheme == "modular-sum" else 2, "alpha": 0.3, "seed": 11,
+        "scheme": scheme, "delta": 1.0, "max_seed_attempts": 1, "dist": list(weights),
+    }
+    bc = canonical_broadcast()
+    with factor_path():
+        want = end_to_end_broadcast_sim(bc, config)
+    with mock.patch.object(coding, "_normalize_group", side_effect=AssertionError("factor path taken")):
+        got = end_to_end_broadcast_sim(bc, config)
+    assert got["status"] == "ok"
+    assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.6, 0.4)])
+def test_diagonal_groups_match_on_the_canonical_channel(weights):
+    cb = sample_codebook(ProbabilityDistribution(("0", "1"), weights), 6, 3, 2, seed=4)
+    _, report = assert_diagonal_matches_factor_path(cb, canonical_broadcast(), alpha=0.3)
+    assert max(report.first_kind[2].values()) > 0.01
+
+
+def commuting_qutrit_broadcast(seed, kind):
+    # each receiver's three letter states share one eigenbasis V, real
+    # orthogonal ("signed") or complex unitary ("phased"), and each letter
+    # orders its spectrum on V differently, so eigh returns each letter's
+    # basis as V permuted, and signed or phased
+    rng = np.random.default_rng(seed)
+    comps = []
+    for _ in range(2):
+        z = rng.normal(size=(3, 3)) + (1j * rng.normal(size=(3, 3)) if kind == "phased" else 0.0)
+        v = np.linalg.qr(z)[0]
+        states = {a: hermitian_part(v @ np.diag(rng.dirichlet(np.ones(3))) @ v.conj().T) for a in "012"}
+        comps.append(CQChannel(("0", "1", "2"), states))
+    return product_broadcast_channel(*comps)
+
+
+@pytest.mark.parametrize("kind", ["signed", "phased"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_diagonal_groups_match_on_random_commuting_qutrit_channels(kind, seed):
+    bc = commuting_qutrit_broadcast(seed, kind)
+    dist = ProbabilityDistribution.uniform(("0", "1", "2"))
+    cb = sample_codebook(dist, 5, 3, 2, seed=seed)
+    got, report = assert_diagonal_matches_factor_path(cb, bc, alpha=0.5)
+    projectors = coding._averaged_projectors(bc, dist, 5, 0.5, "fixed", 4096)
+    orders = [coding._diagonal_orders(bc.marginal(r), projectors[r]) for r in (1, 2)]
+    assert any(not np.array_equal(o, np.arange(3)) for by_letter in orders for o in by_letter.values())
+    assert max(max(row) for r in (1, 2) for row in report.outcomes[r].values()) > 0.1
+
+
+def test_diagonal_groups_match_with_degenerate_spectra():
+    # qutrit letters with a doubly degenerate spectrum, and a uniform
+    # average that is I/3 on receiver 1 and degenerate on receiver 2
+    comps = [
+        CQChannel(("0", "1", "2"), {a: np.roll(np.diag([0.5, 0.25, 0.25]), k, axis=(0, 1)) for k, a in enumerate("012")}),
+        CQChannel(("0", "1", "2"), {a: np.diag(d) for a, d in zip("012", ([1.0, 0, 0], [0, 1.0, 0], [1.0, 0, 0]))}),
+    ]
+    bc = product_broadcast_channel(*comps)
+    cb = sample_codebook(ProbabilityDistribution.uniform(("0", "1", "2")), 5, 2, 3, seed=5)
+    assert_diagonal_matches_factor_path(cb, bc, alpha=0.5)
+
+
+def test_diagonal_rank_zero_group_matches_the_factor_path():
+    # receiver 2's letters have spectrum (0.7, 0.3): at alpha = 0.1 the word
+    # with one 0 has an empty conditional projector, so group m1 = 0 is all
+    # rank 0 and group m1 = 1 mixes rank 0 with positive rank
+    bc = product_broadcast_channel(orthogonal_pure_channel(2), depolarized_channel(0.6, 2))
+    cb = rank_zero_codebook(6)
+    det = build_detection_operators(cb, bc, alpha=0.1)
+    assert det.cond_ranks[2][(0, 0)] == 0 and det.cond_ranks[2][(1, 1)] > 0
+    got, _ = assert_diagonal_matches_factor_path(cb, bc, alpha=0.1)
+    assert got.subpovm_margins[2][0] == -1.0
+    assert got.factor(2, 0, 0).shape == (2**6, 0)
+
+
+def spy_paths():
+    # records the receivers' group constructions by path
+    diagonal = mock.patch.object(coding, "_diagonal_group", wraps=coding._diagonal_group)
+    factor = mock.patch.object(coding, "_normalize_group", wraps=coding._normalize_group)
+    return diagonal, factor
+
+
+def test_each_receiver_takes_its_own_path():
+    # receiver 1's letters commute, receiver 2's do not: receiver 1's two
+    # groups (one per m2) are diagonal and receiver 2's three are factor groups
+    mixed = product_broadcast_channel(orthogonal_pure_channel(2), random_broadcast().marginal(2))
+    config = {"n": 6, "M1": 3, "M2": 2, "alpha": 0.3, "seed": 2, "delta": 1.0, "max_seed_attempts": 1}
+    diagonal, factor = spy_paths()
+    with diagonal as diag, factor as norm:
+        report = end_to_end_broadcast_sim(mixed, config)
+    assert report["status"] == "ok"
+    assert [len(c.args[1]) for c in diag.call_args_list] == [3, 3]
+    assert [len(c.args[0]) for c in norm.call_args_list] == [2, 2, 2]
+    with factor_path():
+        assert_same_report(report, end_to_end_broadcast_sim(mixed, config))
+
+
+def test_non_commuting_letters_never_take_the_diagonal_path():
+    config = {"n": 6, "M1": 3, "M2": 2, "alpha": 0.3, "seed": 2, "delta": 1.0, "max_seed_attempts": 1}
+    diagonal, factor = spy_paths()
+    with diagonal as diag, factor as norm:
+        end_to_end_broadcast_sim(random_broadcast(), config)
+    assert diag.call_count == 0 and norm.call_count == 5
+
+
+@pytest.mark.parametrize("weights, diagonal", [((0.5, 0.5), False), ((0.6, 0.4), True)])
+def test_commuting_letters_need_the_projectors_basis(weights, diagonal):
+    # the Hadamard-frame letters commute on both receivers, but with uniform
+    # inputs each average is scalar and eigh returns the computational basis,
+    # which is not theirs: the factor path runs
+    bc = real_frame_broadcast()
+    dist = ProbabilityDistribution(("0", "1"), weights)
+    projectors = coding._averaged_projectors(bc, dist, 4, 0.3, "fixed", 4096)
+    for r in (1, 2):
+        a, b = (bc.marginal(r).state(x) for x in ("0", "1"))
+        assert np.abs(a @ b - b @ a).max() <= 1e-15
+        assert (coding._diagonal_orders(bc.marginal(r), projectors[r]) is not None) == diagonal
