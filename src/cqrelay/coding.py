@@ -52,6 +52,8 @@ from .typicality import (
     PRESET_FIXED,
     TypicalProjector,
     TypicalSet,
+    _mask_words,
+    _projector,
     averaged_state_projector,
     conditional_typical_projector,
     resolve_preset,
@@ -354,20 +356,21 @@ def _diagonal_orders(channel: CQChannel, proj: TypicalProjector) -> dict | None:
     return orders
 
 
-def _diagonal_detection(channel: CQChannel, proj: TypicalProjector, orders: dict, words, alpha, preset, dim_cap):
+def _diagonal_detection(channel: CQChannel, proj: TypicalProjector, orders: dict, words, alpha, preset):
     """{word: the 0/1 diagonal of D' = Pi P_w Pi in proj's product basis}.
 
-    P_w's mask flags eigen-index words of the word's letters; index x of U
-    holds, at position k, the eigen-index orders[w_k][x_k], so the mask is
-    reindexed along each position and then cut by Pi's own mask.
+    Index x of U holds, at position k, the eigen-index orders[w_k][x_k] of
+    letter w_k, so P_w built from the letters' eigenpairs taken in that
+    order has its mask in U's order; it is then cut by Pi's own mask.
     """
-    shape = (proj.dim,) * proj.n
+    letters = {}
+    for a, order in orders.items():
+        values, vectors = hermitian_eigendecomposition(channel.state(a))
+        letters[a] = (values[order], vectors[:, order])
     out = {}
     for w in words:
         if w not in out:
-            cond = conditional_typical_projector(channel, w, alpha, preset, dim_cap)
-            p_w = cond.mask.reshape(shape)[np.ix_(*(orders[a] for a in w))]
-            out[w] = proj.mask & p_w.reshape(-1)
+            out[w] = proj.mask & _projector(letters, w, alpha, preset).mask
     return out
 
 
@@ -387,18 +390,20 @@ class _DiagonalGroup:
     U = basis^(x)n, answering _NormalizedGroup's contract from length-N
     vectors.
 
-    Row k of dprime is D'_k = pi * p_w, the 0/1 diagonal of Pi P_w Pi; with
-    s = sum_k D'_k, row k of lams is lambda_k = D'_k / s on supp(s) and 0 off
-    it, the diagonal of Lambda_k = S^{-1/2} D'_k S^{-1/2}.  A state enters the
-    traces only through the diagonal of U† rho U, so each table is one
-    (C x N)(N x M) product.  margin is the largest sum_k lambda_k - 1 over
-    supp(s), and -1 when s is 0.
+    Row k of dprime is D'_k = pi * p_w, the 0/1 diagonal of Pi P_w Pi, and
+    s = sum_k D'_k counts the rows that flag each index, in the smallest
+    unsigned type that holds M.  The diagonal of
+    Lambda_k = S^{-1/2} D'_k S^{-1/2} is lambda_k = D'_k / s on supp(s) and
+    0 off it, read from those two when a table or a factor needs it.  A
+    state enters the traces only through the diagonal of U† rho U, so each
+    table is one (C x N)(N x M) product.  margin is the largest
+    sum_k lambda_k - 1 over supp(s), and -1 when s is 0.
     """
 
     basis: np.ndarray  # d x d, the averaged projector's single-letter eigenbasis
     n: int
     dprime: np.ndarray  # (M, N) bool
-    lams: np.ndarray  # (M, N) float
+    s: np.ndarray  # (N,) unsigned int
     margin: float
 
     def __len__(self) -> int:
@@ -406,37 +411,45 @@ class _DiagonalGroup:
 
     def outcomes(self, states) -> np.ndarray:
         """The (C, M) table tr(Lambda_k rho_c)."""
-        return self._diagonals(states) @ self.lams.T
+        return self._diagonals(states) @ _lambdas(self.dprime, self.s).T
 
     def detections(self, states) -> np.ndarray:
         """The (C, M) table tr(D'_k rho_c)."""
+        # one (C x N)(N x M) product: a product per row would sum in
+        # another order and move the table in its last bits
         return self._diagonals(states) @ self.dprime.T.astype(float)
 
     def factor(self, i: int) -> np.ndarray:
         """H_i = U[:, supp] diag(sqrt lambda_i[supp]) over the support of
-        lambda_i, so that Lambda_i = H_i H_i†."""
-        support = np.flatnonzero(self.lams[i])
-        words = np.stack(np.unravel_index(support, (self.basis.shape[0],) * self.n), axis=1)
-        return product_columns([self.basis] * self.n, words) * np.sqrt(self.lams[i, support])
+        lambda_i, which is that of D'_i, so that Lambda_i = H_i H_i†."""
+        keep = self.dprime[i]
+        words = _mask_words(keep, self.basis.shape[0], self.n)
+        return product_columns([self.basis] * self.n, words) * np.sqrt(1.0 / self.s[keep])
 
     def _diagonals(self, states) -> np.ndarray:
         """(C, N): the diagonal of U† rho_c U for each state's list of tensor factors."""
-        size = self.dprime.shape[1]
-        rows = [reduce(np.kron, [_basis_diagonal(self.basis, f) for f in state]) for state in states]
-        if any(row.shape != (size,) for row in rows):
-            raise InvalidInputError(f"a state does not match the group's {size}-dimensional space")
-        return np.array(rows, dtype=float).reshape(len(rows), size)
+        out = np.empty((len(states), self.dprime.shape[1]))
+        for row, state in zip(out, states):
+            diagonal = reduce(np.kron, [_basis_diagonal(self.basis, f) for f in state])
+            if diagonal.shape != row.shape:
+                raise InvalidInputError(f"a state does not match the group's {row.size}-dimensional space")
+            row[:] = diagonal
+        return out
+
+
+def _lambdas(dprime: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The (M, N) table of lambda_k = D'_k / s on supp(s), 0 off it."""
+    return np.divide(dprime, s, out=np.zeros(dprime.shape), where=s > 0)
 
 
 def _diagonal_group(proj: TypicalProjector, dprimes) -> _DiagonalGroup:
     """Square-root normalization of one group of diagonal detection operators;
     see _DiagonalGroup."""
     dprime = np.array(dprimes, dtype=bool).reshape(len(dprimes), -1)
-    s = dprime.sum(axis=0)
+    s = dprime.sum(axis=0, dtype=np.min_scalar_type(len(dprime)))
     support = s > 0
-    lams = np.divide(dprime, s, out=np.zeros(dprime.shape), where=support)
-    margin = float(lams.sum(axis=0)[support].max()) - 1.0 if support.any() else -1.0
-    return _DiagonalGroup(proj.bases[0], proj.n, dprime, lams, margin)
+    margin = float(_lambdas(dprime, s).sum(axis=0)[support].max()) - 1.0 if support.any() else -1.0
+    return _DiagonalGroup(proj.bases[0], proj.n, dprime, s, margin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -520,7 +533,7 @@ def _run_groups(bc: BroadcastCQChannel, dist, config: SimConfig):
         if orders[receiver] is None:
             factors, _ = _sandwiched_detection(channel, proj, words, alpha, preset, dim_cap)
             return {known: _normalize_group([factors[w] for w in group]) for known, group in words_by_known.items()}
-        diagonals = _diagonal_detection(channel, proj, orders[receiver], words, alpha, preset, dim_cap)
+        diagonals = _diagonal_detection(channel, proj, orders[receiver], words, alpha, preset)
         return {known: _diagonal_group(proj, [diagonals[w] for w in group]) for known, group in words_by_known.items()}
 
     return groups
@@ -794,14 +807,20 @@ class ExpurgationResult:
         return {**out, "m1_kept": list(self.m1_kept), "m2_kept": list(self.m2_kept)}
 
 
+# Error averages within this distance of each other, or of a threshold,
+# count as equal: roundoff must not decide a selection or an acceptance.
+ERROR_TIE_TOL = 1e-12
+
+
 def _better_half(averages: dict) -> tuple:
     """The sorted ceil(size/2) keys with the smallest averages.  Averages
-    within 1e-12 of the cutoff, the ceil(size/2)-th smallest, are tied, and
-    ties go to the lower key, so roundoff cannot order equal averages."""
+    within ERROR_TIE_TOL of the cutoff, the ceil(size/2)-th smallest, are
+    tied, and ties go to the lower key, so roundoff cannot order equal
+    averages."""
     keep = math.ceil(len(averages) / 2)
     cutoff = sorted(averages.values())[keep - 1]
-    below = [k for k, v in averages.items() if v < cutoff - 1e-12]
-    tied = sorted(k for k, v in averages.items() if abs(v - cutoff) <= 1e-12)
+    below = [k for k, v in averages.items() if v < cutoff - ERROR_TIE_TOL]
+    tied = sorted(k for k, v in averages.items() if abs(v - cutoff) <= ERROR_TIE_TOL)
     return tuple(sorted(below + tied[: keep - len(below)]))
 
 
@@ -809,14 +828,16 @@ def expurgate(errors: ErrorReport, delta: float) -> ExpurgationResult:
     """Keep the better half of each message set when the global averages allow it.
 
     Selection keeps the ceil(size/2) indices with the smallest averaged error
-    (averages within 1e-12 of the cutoff tie, and ties go to the lower
-    index); a global average <= delta pins each selected average at
-    <= 2*delta and each restricted average at <= 4*delta.
+    (averages within ERROR_TIE_TOL of the cutoff tie, and ties go to the
+    lower index); a global average <= delta pins each selected average at
+    <= 2*delta and each restricted average at <= 4*delta.  Every comparison
+    with delta allows ERROR_TIE_TOL, so an average equal to delta in exact
+    arithmetic passes whichever way it rounds.
     """
     if delta <= 0.0:
         raise InvalidInputError(f"delta must be positive, got {delta}")
     overall = errors.overall
-    if overall[1] > delta or overall[2] > delta:
+    if overall[1] > delta + ERROR_TIE_TOL or overall[2] > delta + ERROR_TIE_TOL:
         raise ExpurgationError(
             f"average errors ({overall[1]:.4g}, {overall[2]:.4g}) exceed delta={delta}"
         )
@@ -837,8 +858,8 @@ def expurgate(errors: ErrorReport, delta: float) -> ExpurgationResult:
         selection_error_by_m1=selection[2],
         final_error_by_m2=final[1],
         final_error_by_m1=final[2],
-        within_two_delta=all(v <= 2.0 * delta + 1e-12 for s in selection.values() for v in s.values()),
-        within_four_delta=all(v <= 4.0 * delta + 1e-12 for f in final.values() for v in f.values()),
+        within_two_delta=all(v <= 2.0 * delta + ERROR_TIE_TOL for s in selection.values() for v in s.values()),
+        within_four_delta=all(v <= 4.0 * delta + ERROR_TIE_TOL for f in final.values() for v in f.values()),
     )
 
 
@@ -1132,14 +1153,14 @@ def _first_passing_seed(config: SimConfig, realize, report: dict):
     """Realize codes for seeds config.seed, config.seed + 1, ... in turn.
 
     realize(seed) returns (worst average error, realization).  Returns the
-    first seed whose worst average error is <= config.delta with its
-    realization, or (None, last realization) after marking the report
-    threshold-not-met.
+    first seed whose worst average error is <= config.delta, up to
+    ERROR_TIE_TOL as expurgate allows it, with its realization, or (None,
+    last realization) after marking the report threshold-not-met.
     """
     for attempt in range(config.max_seed_attempts):
         seed = config.seed + attempt
         worst, realization = realize(seed)
-        if worst <= config.delta:
+        if worst <= config.delta + ERROR_TIE_TOL:
             report["attempts_used"] = attempt + 1
             return seed, realization
     report.update(

@@ -5,6 +5,10 @@ Typicality is frequency-based throughout: a word is typical when every letter
 presets are supported for projectors: "fixed" uses the raw parameter alpha as
 the per-index threshold, "sqrt" scales it as alpha/sqrt(block length).
 
+A projector's included eigen-index words are held once, as a bool mask over
+the d^n product-basis words, built from eigen-index counts and read back
+into words on request; no table of all d^n words is formed.
+
 Scalar projector functionals (captured trace, rank, largest compressed
 eigenvalue) are evaluated exactly by summing over letter-count classes, which
 works far beyond the dimension cap that limits dense realizations.
@@ -169,15 +173,32 @@ def _clean_eigenvalues(values: np.ndarray) -> np.ndarray:
     return w
 
 
-def _index_words(d: int, n: int) -> np.ndarray:
-    """All d^n index words as the rows of a (d^n, n) array, in product-basis order."""
-    return np.indices((d,) * n).reshape(n, -1).T
+def _index_counts(positions, n: int, d: int, index: int) -> np.ndarray:
+    """How often eigen-index `index` sits at the given positions, for each of
+    the d^n index words in product-basis order.
+
+    Built from the last position to the first: the counts over positions
+    k..n-1 are d contiguous blocks, one per index at k, each the counts over
+    k+1..n-1 plus that index's own count; no array has n axes.
+    """
+    dtype = np.min_scalar_type(len(positions))
+    step = (np.arange(d) == index).astype(dtype)
+    still = np.zeros(d, dtype=dtype)
+    counts = np.zeros(1, dtype=dtype)
+    for k in reversed(range(n)):
+        counts = np.add.outer(step if k in positions else still, counts).ravel()
+    return counts
 
 
-def _word_allowed(words: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Row flags: every index count of the word is allowed (allowed[i, k])."""
-    counts = (words[:, :, None] == np.arange(allowed.shape[0])).sum(axis=1)
-    return _rows_allowed(allowed, counts)
+def _mask_words(mask: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The (R, n) index words a mask over the d^n product-basis words flags,
+    in product-basis (lexicographic) order: the flagged flat indices split
+    into base-d digits."""
+    rest = np.flatnonzero(mask)
+    words = np.empty((len(rest), n), dtype=np.intp)
+    for k in range(n - 1, -1, -1):
+        rest, words[:, k] = np.divmod(rest, d)
+    return words
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +209,8 @@ class TypicalProjector:
     letter's output spectrum, with the class size as the effective block
     length.  The projector of an n-fold product state is the case of a
     constant word (letter 0).  mask flags the included index words over all
-    d^n product-basis positions.
+    d^n product-basis positions; it is the one record of them, and
+    index_words() lists the words it flags.
     """
 
     word: tuple
@@ -213,7 +235,7 @@ class TypicalProjector:
 
     def index_words(self) -> np.ndarray:
         """Included index words in product-basis (lexicographic) order, as an (R, n) array."""
-        return _index_words(self.dim, self.n)[self.mask]
+        return _mask_words(self.mask, self.dim, self.n)
 
     def factors(self) -> list:
         """The eigenbasis at each position of the word."""
@@ -260,24 +282,25 @@ ConditionalTypicalProjector = TypicalProjector
 def _projector(decompositions: dict, word: tuple, alpha: float, preset: str) -> TypicalProjector:
     """Typical projector of the product state of the word's letters.
 
-    decompositions maps each letter of the word to its state's descending
-    spectrum and eigenvector columns.  Each caller checks d^n against its
-    dimension cap before it forms anything of size n, typical_projector's
-    constant word included.
+    decompositions maps each letter of the word, and possibly others, to its
+    state's descending spectrum and eigenvector columns.  Each caller checks
+    d^n against its dimension cap before it forms anything of size n,
+    typical_projector's constant word included.
     """
     n = len(word)
     d = len(next(iter(decompositions.values()))[0])
     preset = resolve_preset(preset)
-    words = _index_words(d, n)
-    mask = np.ones(len(words), dtype=bool)
+    mask = np.ones(d**n, dtype=bool)
     eigs, bases, taus = {}, {}, {}
     for a, na in Counter(word).items():
         w, u = decompositions[a]
         w = _clean_eigenvalues(w)
         tau_a = threshold_for(alpha, na, preset)
         eigs[a], bases[a], taus[a] = w, u, tau_a
-        positions = [k for k, b in enumerate(word) if b == a]
-        mask &= _word_allowed(words[:, positions], _eigen_allowed(w, na, tau_a))
+        positions = {k for k, b in enumerate(word) if b == a}
+        allowed = _eigen_allowed(w, na, tau_a)
+        for i in range(d):
+            mask &= allowed[i, _index_counts(positions, n, d, i)]
     return TypicalProjector(
         word=word, eigenvalues=eigs, bases=bases, taus=taus, alpha=float(alpha), preset=preset, mask=mask
     )

@@ -389,6 +389,8 @@ def error_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(error_tables(), st.floats(1.0, 4.0))
 @example([{(0, 0): 0.0}, {(0, 0): 5e-324}], 1.0)
+@example([{(0, 0): 0.0}, {(0, 0): 1e-100}], 1.0)
+@example([{(0, 0): 0.0}, {(0, 0): 0.5}], 1.0)
 def test_expurgation_bounds_hold_on_any_error_table(tables, slack):
     # for any delta at or above both global averages: each message set keeps
     # its better half, every kept group average is <= 2 delta and every
@@ -413,10 +415,19 @@ def test_expurgation_bounds_hold_on_any_error_table(tables, slack):
         final = float(np.mean([tables[1][(m1, m2)] for m2 in result.m2_kept]))
         assert result.final_error_by_m1[m1] == final <= 4.0 * delta + 1e-12
     if worst > 0.0:
+        # a delta below the worst average by more than the error tie
+        # tolerance must not expurgate, and one within it counts as equal;
         # halving the smallest subnormal average rounds to 0.0, which is no
-        # valid delta; any positive delta below the averages must not expurgate
-        with pytest.raises(ExpurgationError if worst / 2 > 0.0 else InvalidInputError):
-            expurgate(report, worst / 2)
+        # valid delta
+        below = worst / 2
+        if below == 0.0:
+            with pytest.raises(InvalidInputError):
+                expurgate(report, below)
+        elif worst - below > coding.ERROR_TIE_TOL:
+            with pytest.raises(ExpurgationError):
+                expurgate(report, below)
+        else:
+            assert expurgate(report, below).within_two_delta
 
 
 def test_expurgation_tie_break_prefers_lower_index():

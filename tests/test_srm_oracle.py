@@ -489,6 +489,21 @@ def test_diagonal_simulate_matches_the_factor_path(scheme, n, weights):
     assert_same_report(got, want)
 
 
+def test_an_average_error_equal_to_delta_passes_on_both_paths():
+    # at seed 11 receiver 1's overall error is 0.25 = delta in exact
+    # arithmetic; one path may read it a rounding above delta, so both seed
+    # acceptance and expurgation compare with the error tie tolerance
+    config = {"n": 5, "M1": 2, "M2": 2, "alpha": 0.3, "seed": 11, "dist": [0.6, 0.4]}
+    bc = canonical_broadcast()
+    with factor_path():
+        want = end_to_end_broadcast_sim(bc, config)
+    got = end_to_end_broadcast_sim(bc, config)
+    for report in (got, want):
+        assert report["status"] == "ok" and report["seed_used"] == 11
+        assert abs(report["errors"]["overall_1"] - 0.25) <= coding.ERROR_TIE_TOL
+    assert_same_report(got, want)
+
+
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.6, 0.4)])
 def test_diagonal_groups_match_on_the_canonical_channel(weights):
     cb = sample_codebook(ProbabilityDistribution(("0", "1"), weights), 6, 3, 2, seed=4)

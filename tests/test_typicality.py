@@ -12,6 +12,7 @@ from cqrelay.channels import (
     orthogonal_pure_channel,
     output_state,
     overlap_pair_channel,
+    product_broadcast_channel,
 )
 from cqrelay.errors import InvalidInputError, ResourceLimitError
 from cqrelay.operators import ProbabilityDistribution, trace_pair
@@ -19,6 +20,7 @@ from cqrelay.typicality import (
     PRESET_FIXED,
     PRESET_SQRT,
     TypicalSet,
+    averaged_state_projector,
     conditional_projector_stats,
     conditional_typical_projector,
     cross_capture_stats,
@@ -273,6 +275,36 @@ def test_typical_projector_dim_cap_rejects_absurd_n_without_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_one_dimensional_projectors_take_any_block_length(n):
+    # 1^n passes every dimension cap, so neither building nor reading a
+    # mask may need an array with n axes
+    channel = CQChannel(("0", "1"), {"0": np.eye(1), "1": np.eye(1)})
+    word = ("0", "1") * (n // 2) + ("0",) * (n % 2)
+    for proj in (typical_projector(np.eye(1), n, 0.5), conditional_typical_projector(channel, word, 0.5)):
+        assert proj.rank == 1
+        assert proj.index_words().tolist() == [[0] * n]
+
+
+def test_projector_masks_are_built_in_about_their_own_size():
+    # the product-broadcast receiver-2 marginal at n = 18: each mask is
+    # 256 KiB, while a table of all 2^18 index words would take 36 MiB
+    channel = product_broadcast_channel(orthogonal_pure_channel(2), depolarized_channel(0.1, 2)).marginal(2)
+    dist = ProbabilityDistribution.uniform(channel.alphabet)
+    builds = (
+        lambda: averaged_state_projector(channel, dist, 18, 0.3, dim_cap=2**18),
+        lambda: conditional_typical_projector(channel, ("0", "1") * 9, 0.3, dim_cap=2**18),
+    )
+    for build in builds:
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 def test_spectrum_stats_match_dense_projector():
