@@ -3,6 +3,10 @@
 The decoder construction sandwiches each word's conditional typical projector
 between averaged-state projectors and square-root normalizes the resulting
 detection operators over the messages that share a side-information index.
+build_square_root_decoder is the one route from a codebook to those groups,
+for the library and for both schemes of simulate: it settles each
+receiver's path once, and its decoder builds a group only when one is read
+and holds none, so the error pass keeps one group alive at a time.
 A normalized group is read through what it answers: its outcome table
 tr(Λ_k rho_c) and detection table tr(D'_k rho_c) over word states, its size
 and its sub-POVM margin.  Detection operators are held only as their N x K
@@ -18,10 +22,11 @@ are exact traces; sampling enters only through codebook generation.
 
 When a receiver's letter states are all diagonal in the eigenbasis of its
 averaged-state projector (up to order and phases), every operator of the
-construction is diagonal in that one product basis, and `simulate` runs the
-receiver's groups as _DiagonalGroup: length-N diagonals in place of N x K
-factors and K x K Gram matrices.  The path is chosen per receiver
-(_diagonal_orders); the factor path stays the public API and the oracle.
+construction is diagonal in that one product basis, and the receiver's
+groups are _DiagonalGroup: length-N diagonals in place of N x K factors and
+K x K Gram matrices.  The path is chosen per receiver (_diagonal_orders);
+the factor path stays the oracle, which tests reach by patching
+_diagonal_orders to find no diagonal basis.
 """
 
 from __future__ import annotations
@@ -162,72 +167,14 @@ def _averaged_projectors(bc: BroadcastCQChannel, dist, n: int, alpha, preset, di
     return {r: averaged_state_projector(bc.marginal(r), dist, n, alpha, preset, dim_cap) for r in (1, 2)}
 
 
-def _sandwiched_detection(channel: CQChannel, proj, words, alpha, preset, dim_cap):
-    """Per word, the detection factor sandwiched by the averaged-state projector.
-
-    Returns ({word: factor}, {word: rank}).  The factor F = Pi V, with V the
-    conditional projector's included vectors, is N x rank and satisfies
-    D' = Pi P_w Pi = F F†; Pi itself is never formed.
-    """
-    factors, ranks = {}, {}
+def _word_projectors(letters: dict, words, alpha, preset, read) -> list:
+    """Per word, read(P_w) of its conditional typical projector P_w, built
+    from the letters' eigenpairs; a repeated word shares its result."""
+    out = {}
     for w in words:
-        if w not in factors:
-            cond = conditional_typical_projector(channel, w, alpha, preset, dim_cap)
-            ranks[w] = cond.rank
-            factors[w] = cond.sandwiched_factor(proj)
-    return factors, ranks
-
-
-@dataclass(frozen=True, eq=False)
-class DetectionOperators:
-    """Per-word sandwiched detection operators D' = F F† for both receivers,
-    held as their N x rank factors F."""
-
-    codebook: Codebook
-    alpha: float
-    preset: str
-    projectors: dict  # receiver -> TypicalProjector of the averaged state
-    factors: dict  # receiver -> {(m1, m2): factor F}
-    cond_ranks: dict  # receiver -> {(m1, m2): conditional projector rank}
-
-    def op(self, receiver: int, m1: int, m2: int) -> np.ndarray:
-        """Dense D' = F F†, formed on request."""
-        return _factor_op(self.factors[receiver][(m1, m2)])
-
-
-def build_detection_operators(
-    codebook: Codebook,
-    bc: BroadcastCQChannel,
-    alpha: float = 1.0,
-    preset: str = PRESET_FIXED,
-    dim_cap: int = DEFAULT_DIM_CAP,
-    projectors: dict | None = None,
-) -> DetectionOperators:
-    """Both receivers' detection factors for the codebook's words.
-
-    projectors maps each receiver to the averaged-state projector of
-    codebook.dist at the same n, alpha and preset; it is built here when not
-    given, and a caller that realizes several codebooks passes it in.
-    """
-    preset = resolve_preset(preset)
-    if projectors is None:
-        projectors = _averaged_projectors(bc, codebook.dist, codebook.n, alpha, preset, dim_cap)
-    words = [codebook.words[pair] for pair in sorted(codebook.words)]
-    factors, ranks = {}, {}
-    for receiver in (1, 2):
-        factor_by_word, rank_by_word = _sandwiched_detection(
-            bc.marginal(receiver), projectors[receiver], words, alpha, preset, dim_cap
-        )
-        factors[receiver] = {pair: factor_by_word[w] for pair, w in sorted(codebook.words.items())}
-        ranks[receiver] = {pair: rank_by_word[w] for pair, w in sorted(codebook.words.items())}
-    return DetectionOperators(
-        codebook=codebook,
-        alpha=float(alpha),
-        preset=preset,
-        projectors=projectors,
-        factors=factors,
-        cond_ranks=ranks,
-    )
+        if w not in out:
+            out[w] = read(_projector(letters, w, alpha, preset))
+    return [out[w] for w in words]
 
 
 # The Gram matrix and the normalized factors are built from row panels of the
@@ -245,8 +192,9 @@ class _NormalizedGroup:
     through its tables.
 
     A group of M operators answers outcomes(states), the (C, M) table
-    tr(Λ_k rho_c), and detections(states), the table tr(D'_k rho_c), for word
-    states given as their lists of tensor factors; len(group) is M, factor(i)
+    tr(Λ_k rho_c), and tables(states), that table with the table
+    tr(D'_k rho_c) next to it, for word states given as their lists of
+    tensor factors; len(group) is M, factor(i)
     is the normalized factor H_i with Λ_i = H_i H_i†, and margin is the
     largest eigenvalue of (sum of normalized ops - identity): a sub-POVM
     keeps it <= ~0 and an all-zero group gives -1.
@@ -272,9 +220,9 @@ class _NormalizedGroup:
         before the next is formed."""
         return _trace_table(map(self.factor, range(len(self))), states)
 
-    def detections(self, states) -> np.ndarray:
-        """The (C, M) table tr(D'_k rho_c), read from the held F_k."""
-        return _trace_table(self.factors, states)
+    def tables(self, states) -> tuple:
+        """outcomes(states) and the (C, M) table tr(D'_k rho_c), read from the held F_k."""
+        return self.outcomes(states), _trace_table(self.factors, states)
 
     def factor(self, i: int) -> np.ndarray:
         """H_i = sum_k F_k G^{+1/2}[block k, block i], formed one row panel at a time."""
@@ -356,24 +304,6 @@ def _diagonal_orders(channel: CQChannel, proj: TypicalProjector) -> dict | None:
     return orders
 
 
-def _diagonal_detection(channel: CQChannel, proj: TypicalProjector, orders: dict, words, alpha, preset):
-    """{word: the 0/1 diagonal of D' = Pi P_w Pi in proj's product basis}.
-
-    Index x of U holds, at position k, the eigen-index orders[w_k][x_k] of
-    letter w_k, so P_w built from the letters' eigenpairs taken in that
-    order has its mask in U's order; it is then cut by Pi's own mask.
-    """
-    letters = {}
-    for a, order in orders.items():
-        values, vectors = hermitian_eigendecomposition(channel.state(a))
-        letters[a] = (values[order], vectors[:, order])
-    out = {}
-    for w in words:
-        if w not in out:
-            out[w] = proj.mask & _projector(letters, w, alpha, preset).mask
-    return out
-
-
 def _basis_diagonal(basis: np.ndarray, factor) -> np.ndarray:
     """diag(V† rho V) for a tensor factor rho on m positions and V = basis^(x)m."""
     d, size = basis.shape[0], factor.shape[0]
@@ -413,11 +343,13 @@ class _DiagonalGroup:
         """The (C, M) table tr(Lambda_k rho_c)."""
         return self._diagonals(states) @ _lambdas(self.dprime, self.s).T
 
-    def detections(self, states) -> np.ndarray:
-        """The (C, M) table tr(D'_k rho_c)."""
-        # one (C x N)(N x M) product: a product per row would sum in
-        # another order and move the table in its last bits
-        return self._diagonals(states) @ self.dprime.T.astype(float)
+    def tables(self, states) -> tuple:
+        """outcomes(states) and the (C, M) table tr(D'_k rho_c), both read
+        from one pass over the states' diagonals."""
+        diagonals = self._diagonals(states)
+        # one (C x N)(N x M) product per table: a product per row would sum
+        # in another order and move the table in its last bits
+        return diagonals @ _lambdas(self.dprime, self.s).T, diagonals @ self.dprime.T.astype(float)
 
     def factor(self, i: int) -> np.ndarray:
         """H_i = U[:, supp] diag(sqrt lambda_i[supp]) over the support of
@@ -458,27 +390,45 @@ class SquareRootDecoder:
     receiver r resolves its own message index given the other index as side
     information.
 
-    Every caller reads a group through its outcome and detection tables,
-    its length and its margin; only factor and op read a single normalized
-    factor, and no normalized factor is kept.
+    The decoder holds no group: builders maps each receiver to its
+    words -> decoding group, and group(receiver, known) builds that
+    side-information group anew on each call.  Every caller reads a group
+    through its tables, its length and its margin, and lets it go before it
+    asks for the next; only factor and op read a single normalized factor.
     """
 
-    m1_size: int
-    m2_size: int
-    groups: dict  # receiver -> {known index: _NormalizedGroup}; receiver 1 knows m2
+    codebook: Codebook
+    builders: dict  # receiver -> (words -> their decoding group)
+
+    @property
+    def m1_size(self) -> int:
+        return self.codebook.m1_size
+
+    @property
+    def m2_size(self) -> int:
+        return self.codebook.m2_size
+
+    def group(self, receiver: int, known: int):
+        """The decoding group of the receiver's side-information group whose
+        known index is known; receiver 1 knows m2, receiver 2 knows m1."""
+        pairs = _side_info_groups(receiver, self.m1_size, self.m2_size).get(known) if receiver in (1, 2) else None
+        if pairs is None:
+            raise InvalidInputError(f"receiver {receiver} has no side-information group for known index {known}")
+        return self.builders[receiver]([self.codebook.words[p] for p in pairs])
 
     @property
     def subpovm_margins(self) -> dict:
-        """Receiver 1: {m2: margin}; receiver 2: {m1: margin}."""
-        return {r: {known: g.margin for known, g in by_known.items()} for r, by_known in self.groups.items()}
+        """Receiver 1: {m2: margin}; receiver 2: {m1: margin}; each group is
+        built, read and dropped in turn."""
+        sizes = (self.m1_size, self.m2_size)
+        return {r: {known: self.group(r, known).margin for known in _side_info_groups(r, *sizes)} for r in (1, 2)}
 
     def factor(self, receiver: int, m1: int, m2: int) -> np.ndarray:
         """The normalized factor H of the pair's operator, formed on request."""
         known, index = (m2, m1) if receiver == 1 else (m1, m2)
-        group = self.groups.get(receiver, {}).get(known)
-        if group is None or index not in range(len(group)):
+        if receiver not in (1, 2) or (m1, m2) not in self.codebook.words:
             raise InvalidInputError(f"decoder has no operator for receiver {receiver}, pair ({m1}, {m2})")
-        return group.factor(int(index))
+        return self.group(receiver, known).factor(int(index))
 
     def op(self, receiver: int, m1: int, m2: int) -> np.ndarray:
         """Dense Λ = H H†, formed on request."""
@@ -496,47 +446,52 @@ def _side_info_groups(receiver: int, m1_size: int, m2_size: int) -> dict:
     return {m1: [(m1, m2) for m2 in range(m2_size)] for m1 in range(m1_size)}
 
 
-def _group_words(codebook: Codebook, receiver: int) -> dict:
-    """known index -> the words of the receiver's side-information group."""
-    groups = _side_info_groups(receiver, codebook.m1_size, codebook.m2_size)
-    return {known: [codebook.words[p] for p in pairs] for known, pairs in groups.items()}
+def _group_builder(channel: CQChannel, proj: TypicalProjector, alpha, preset):
+    """words -> their square-root normalized decoding group on the receiver's
+    channel.  The letters' eigenpairs and the path are settled here, once
+    per receiver.
 
-
-def build_square_root_decoder(detection: DetectionOperators) -> SquareRootDecoder:
-    cb = detection.codebook
-    groups = {
-        receiver: {
-            known: _normalize_group([detection.factors[receiver][p] for p in pairs])
-            for known, pairs in _side_info_groups(receiver, cb.m1_size, cb.m2_size).items()
-        }
-        for receiver in (1, 2)
-    }
-    return SquareRootDecoder(m1_size=cb.m1_size, m2_size=cb.m2_size, groups=groups)
-
-
-def _run_groups(bc: BroadcastCQChannel, dist, config: SimConfig):
-    """groups(receiver, {known: words}) -> {known: decoding group}, for one run.
-
-    The averaged projectors and each receiver's path are settled once, for
-    all seed attempts: _DiagonalGroup where _diagonal_orders finds the
-    receiver's letters diagonal in its projector's basis, else
-    _normalize_group's groups, as build_square_root_decoder builds them.
-    Each distinct word's detection operator is built once per call.
+    When _diagonal_orders finds the letters diagonal in proj's basis, the
+    eigenpairs are taken in its order, so that index x of U holds, at
+    position k, eigenpair x_k of letter w_k: P_w then has its mask in U's
+    order, and each D' = Pi P_w Pi of a _DiagonalGroup is that mask cut by
+    Pi's own.  Otherwise each word's detection factor F = Pi V, with V the
+    included vectors of P_w, is N x rank with D' = F F† (Pi itself is never
+    formed), and _normalize_group normalizes the group's factors.
     """
-    alpha, preset, dim_cap = config.alpha, config.preset, config.dim_cap
-    projectors = _averaged_projectors(bc, dist, config.n, alpha, preset, dim_cap)
-    orders = {r: _diagonal_orders(bc.marginal(r), projectors[r]) for r in (1, 2)}
+    letters = {a: hermitian_eigendecomposition(channel.state(a)) for a in channel.alphabet}
+    orders = _diagonal_orders(channel, proj)
+    if orders is None:
+        return lambda words: _normalize_group(
+            _word_projectors(letters, words, alpha, preset, lambda cond: cond.sandwiched_factor(proj))
+        )
+    letters = {a: (values[orders[a]], vectors[:, orders[a]]) for a, (values, vectors) in letters.items()}
+    return lambda words: _diagonal_group(
+        proj, _word_projectors(letters, words, alpha, preset, lambda cond: proj.mask & cond.mask)
+    )
 
-    def groups(receiver: int, words_by_known: dict) -> dict:
-        channel, proj = bc.marginal(receiver), projectors[receiver]
-        words = [w for group in words_by_known.values() for w in group]
-        if orders[receiver] is None:
-            factors, _ = _sandwiched_detection(channel, proj, words, alpha, preset, dim_cap)
-            return {known: _normalize_group([factors[w] for w in group]) for known, group in words_by_known.items()}
-        diagonals = _diagonal_detection(channel, proj, orders[receiver], words, alpha, preset)
-        return {known: _diagonal_group(proj, [diagonals[w] for w in group]) for known, group in words_by_known.items()}
 
-    return groups
+def build_square_root_decoder(
+    codebook: Codebook,
+    bc: BroadcastCQChannel,
+    alpha: float = 1.0,
+    preset: str = PRESET_FIXED,
+    dim_cap: int = DEFAULT_DIM_CAP,
+    projectors: dict | None = None,
+) -> SquareRootDecoder:
+    """The square-root decoder of the codebook on the broadcast channel; each
+    receiver's path is chosen here (see _group_builder), and no group is
+    built until it is read.
+
+    projectors maps each receiver to the averaged-state projector of
+    codebook.dist at the same n, alpha and preset; it is built here when not
+    given, and a caller that realizes several codebooks passes it in.
+    """
+    preset = resolve_preset(preset)
+    if projectors is None:
+        projectors = _averaged_projectors(bc, codebook.dist, codebook.n, alpha, preset, dim_cap)
+    builders = {r: _group_builder(bc.marginal(r), projectors[r], alpha, preset) for r in (1, 2)}
+    return SquareRootDecoder(codebook, builders)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +523,8 @@ class ErrorReport:
     decomposition_ok: bool
     # receiver -> {(m1, m2): its group's outcome row, tr(Λ_k W(word)) per k}; not in as_dict
     outcomes: dict = field(default_factory=dict)
+    # receiver -> {known index: its group's sub-POVM margin}; not in as_dict
+    margins: dict = field(default_factory=dict)
 
     def _group_averages(self, receiver: int, kept=None) -> dict:
         """The receiver's error averaged over each side-information group, keyed
@@ -622,20 +579,22 @@ def average_errors(codebook: Codebook, bc: BroadcastCQChannel, decoder: SquareRo
     """Exact error tables, with the normalization-removal bound (2x miss +
     4x collision mass of the detection operators) checked per pair, all read
     from two tables per group: its outcomes tr(Λ_k W(word)) and its
-    detections tr(D'_k W(word)).  A decoder built for other message set
-    sizes than the codebook's is refused."""
+    detections tr(D'_k W(word)).  Each group is built, read for its tables
+    and its margin, and dropped before the next is built.  A decoder built
+    for other message set sizes than the codebook's is refused."""
     sizes, built = (codebook.m1_size, codebook.m2_size), (decoder.m1_size, decoder.m2_size)
     if sizes != built:
         raise InvalidInputError(f"decoder built for M={built} does not match the codebook's M={sizes}")
-    first, coll, bounds, outcomes = {1: {}, 2: {}}, {1: {}, 2: {}}, {1: {}, 2: {}}, {1: {}, 2: {}}
+    first, coll, bounds, outcomes, margins = ({1: {}, 2: {}} for _ in range(5))
     ok = True
     for receiver in (1, 2):
         channel = bc.marginal(receiver)
-        for known, pairs in _side_info_groups(receiver, codebook.m1_size, codebook.m2_size).items():
-            group = decoder.groups[receiver][known]
+        for known, pairs in _side_info_groups(receiver, *sizes).items():
             states = [_word_factors(channel, codebook.words[p]) for p in pairs]
-            decided = group.outcomes(states)
-            detected = group.detections(states)
+            group = decoder.group(receiver, known)
+            (decided, detected), margins[receiver][known] = group.tables(states), group.margin
+            # freed here, so the next group is built with none other alive
+            del group
             for index, pair in enumerate(pairs):
                 outcomes[receiver][pair] = tuple(decided[index].tolist())
                 first[receiver][pair] = err = _clamp_nonnegative(1.0 - decided[index, index])
@@ -654,6 +613,7 @@ def average_errors(codebook: Codebook, bc: BroadcastCQChannel, decoder: SquareRo
         decomposition_bounds=bounds,
         decomposition_ok=ok,
         outcomes=outcomes,
+        margins=margins,
     )
 
 
@@ -883,10 +843,8 @@ def decode_with_side_info(
         raise InvalidInputError(f"receiver must be 1 or 2, got {receiver!r}")
     if mode not in ("argmax", "sampled"):
         raise InvalidInputError(f"unknown decode mode {mode!r}")
-    group = decoder.groups[receiver].get(known_message)
-    if group is None:
-        raise InvalidInputError(f"known message {known_message} outside its set")
-    return _decide(group.outcomes([_state_factors(state)])[0], mode, rng)
+    state = _state_factors(state)
+    return _decide(decoder.group(receiver, known_message).outcomes([state])[0], mode, rng)
 
 
 def _state_factors(state) -> list:
@@ -1179,15 +1137,15 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, dims, report):
         report.update(status="infeasible", reason=f"message sizes ({m1_size}, {m2_size}) below 2 at n={config.n}")
         return report
     report["sizes"] = {"sampled_m1": m1_size, "sampled_m2": m2_size}
-    groups = _run_groups(bc, dist, config)
+    projectors = _averaged_projectors(bc, dist, config.n, config.alpha, config.preset, config.dim_cap)
 
     def realize(seed):
         cb = sample_codebook(dist, config.n, m1_size, m2_size, config.delta_code, seed)
-        decoder = SquareRootDecoder(m1_size, m2_size, {r: groups(r, _group_words(cb, r)) for r in (1, 2)})
+        decoder = build_square_root_decoder(cb, bc, config.alpha, config.preset, config.dim_cap, projectors)
         errs = average_errors(cb, bc, decoder)
-        return max(errs.overall.values()), (decoder, errs)
+        return max(errs.overall.values()), errs
 
-    seed_used, (decoder, errs) = _first_passing_seed(config, realize, report)
+    seed_used, errs = _first_passing_seed(config, realize, report)
     if seed_used is None:
         report["errors"] = errs.as_dict()
         return report
@@ -1208,7 +1166,7 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, dims, report):
         },
         errors=errs.as_dict(),
         expurgation=exp.as_dict(),
-        subpovm_margins={f"receiver{r}": _keyed(m) for r, m in decoder.subpovm_margins.items()},
+        subpovm_margins={f"receiver{r}": _keyed(m) for r, m in errs.margins.items()},
         decode=decode,
     )
     return report
@@ -1235,17 +1193,20 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report):
     if chi1 < chi2:
         report["notices"].append("receiver 1 is the weaker marginal; roles swapped relative to the usual order")
     report["sizes"] = {"common": size}
-    groups = _run_groups(bc, dist, config)
+    projectors = _averaged_projectors(bc, dist, config.n, config.alpha, config.preset, config.dim_cap)
 
     def realize(seed):
         cb = sample_codebook(dist, config.n, size, 1, config.delta_code, seed)
+        decoder = build_square_root_decoder(cb, bc, config.alpha, config.preset, config.dim_cap, projectors)
         words = [cb.word(m, 0) for m in range(size)]
         probs, errors, margins = {}, {}, {}
         for receiver in (1, 2):
-            povm = groups(receiver, {0: words})[0]
+            # each receiver decodes the common message: one group of every word
+            povm = decoder.builders[receiver](words)
             margins[receiver] = povm.margin
             # probs[c, k]: the probability of outcome k on word c's state
             probs[receiver] = povm.outcomes([_word_factors(bc.marginal(receiver), w) for w in words])
+            del povm
             errors[receiver] = [_clamp_nonnegative(1.0 - probs[receiver][c, c]) for c in range(size)]
         worst = max(float(np.mean(errors[1])), float(np.mean(errors[2])))
         return worst, (probs, errors, margins)

@@ -22,7 +22,6 @@ from cqrelay.cli import main as cli_main
 from cqrelay.coding import (
     ErrorReport,
     average_errors,
-    build_detection_operators,
     build_square_root_decoder,
     end_to_end_broadcast_sim,
     expurgate,
@@ -223,8 +222,7 @@ def test_criterion_5_coding_pipeline(capsys):
     checks = []
     for n, seed in schedule.items():
         cb = sample_codebook(dist, n, 2, 2, delta_code=0.5, seed=seed)
-        det = build_detection_operators(cb, bc, alpha=0.3)
-        dec = build_square_root_decoder(det)
+        dec = build_square_root_decoder(cb, bc, alpha=0.3)
         report = average_errors(cb, bc, dec)
         errs1.append(report.overall[1])
         errs2.append(report.overall[2])

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from cqrelay.channels import (
 from cqrelay.coding import (
     ErrorReport,
     SimConfig,
+    SquareRootDecoder,
     _sized_message_sets,
     average_errors,
-    build_detection_operators,
     build_square_root_decoder,
     decode_with_side_info,
     end_to_end_broadcast_sim,
@@ -35,6 +36,7 @@ from cqrelay.errors import ExpurgationError, InvalidInputError, ResourceLimitErr
 from cqrelay.operators import ProbabilityDistribution, trace_pair
 from cqrelay.typicality import (
     TypicalSet,
+    averaged_state_projector,
     conditional_projector_stats,
     cross_capture_stats,
 )
@@ -58,6 +60,15 @@ def overlap_broadcast(p=0.1):
     pair = overlap_pair_channel()
     noisy = {a: (1.0 - p) * pair.state(a) + p * np.eye(2) / 2 for a in pair.alphabet}
     return product_broadcast_channel(pair, CQChannel(pair.alphabet, noisy))
+
+
+def detection_ops(cb, bc, **kwargs):
+    """receiver -> {(m1, m2): dense D' = F F†}, F read from the groups of the
+    public builder's decoder with every receiver on the factor path."""
+    from test_srm_oracle import detection_factors, factor_decoder
+
+    factors = detection_factors(factor_decoder(cb, bc, **kwargs))
+    return {r: {pair: coding._factor_op(f) for pair, f in by_pair.items()} for r, by_pair in factors.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +124,10 @@ def test_distinct_words_deduplicates():
 def test_detection_operators_are_positive_subunital():
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
-    det = build_detection_operators(cb, bc, alpha=0.5)
+    ops = detection_ops(cb, bc, alpha=0.5)
     for r in (1, 2):
         for pair in cb.words:
-            op = det.op(r, *pair)
+            op = ops[r][pair]
             w = np.linalg.eigvalsh(op)
             assert w.min() >= -1e-10
             assert w.max() <= 1.0 + 1e-10
@@ -125,11 +136,11 @@ def test_detection_operators_are_positive_subunital():
 def test_detection_operators_live_inside_averaged_projector():
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
-    det = build_detection_operators(cb, bc, alpha=0.5)
+    ops = detection_ops(cb, bc, alpha=0.5)
     for r in (1, 2):
-        pi = det.projectors[r].matrix()
+        pi = averaged_state_projector(bc.marginal(r), cb.dist, cb.n, 0.5).matrix()
         for pair in cb.words:
-            op = det.op(r, *pair)
+            op = ops[r][pair]
             assert np.allclose(pi @ op @ pi, op, atol=1e-9)
 
 
@@ -140,11 +151,11 @@ def test_detection_first_kind_lower_bound_chain():
     bc = noisy_broadcast()
     dist = uniform_binary()
     cb = sample_codebook(dist, 6, 2, 2, seed=4)
-    det = build_detection_operators(cb, bc, alpha=0.3)
+    ops = detection_ops(cb, bc, alpha=0.3)
     for r in (1, 2):
         marg = bc.marginal(r)
         for pair, w in sorted(cb.words.items()):
-            got = trace_pair(det.op(r, *pair), marg.word_state(w))
+            got = trace_pair(ops[r][pair], marg.word_state(w))
             cond = conditional_projector_stats(marg, w, 0.3)
             cross = cross_capture_stats(marg, w, dist, 0.3)
             lower = cond.capture - math.sqrt(8.0 * max(0.0, 1.0 - cross.capture))
@@ -155,7 +166,7 @@ def test_detection_dim_cap():
     bc = noiseless_broadcast()
     cb = sample_codebook(uniform_binary(), 6, 2, 2, seed=0)
     with pytest.raises(ResourceLimitError):
-        build_detection_operators(cb, bc, alpha=0.5, dim_cap=32)
+        build_square_root_decoder(cb, bc, alpha=0.5, dim_cap=32)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +177,7 @@ def test_detection_dim_cap():
 def test_decoder_subpovm_margins_nonpositive():
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 6, 2, 2, seed=4)
-    det = build_detection_operators(cb, bc, alpha=0.3)
-    dec = build_square_root_decoder(det)
+    dec = build_square_root_decoder(cb, bc, alpha=0.3)
     for r in (1, 2):
         for margin in dec.subpovm_margins[r].values():
             assert margin <= 1e-9
@@ -178,8 +188,7 @@ def test_decoder_groups_sum_to_projector():
     # detection-operator total, never exceeding the identity
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
-    det = build_detection_operators(cb, bc, alpha=0.5)
-    dec = build_square_root_decoder(det)
+    dec = build_square_root_decoder(cb, bc, alpha=0.5)
     for m2 in range(cb.m2_size):
         total = sum(dec.op(1, m1, m2) for m1 in range(cb.m1_size))
         w = np.linalg.eigvalsh(total)
@@ -198,7 +207,7 @@ def test_side_info_groups_on_an_asymmetric_codebook():
     }
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 3, 2, seed=1)
-    dec = build_square_root_decoder(build_detection_operators(cb, bc, alpha=0.5))
+    dec = build_square_root_decoder(cb, bc, alpha=0.5)
     for r, by_known in groups.items():
         assert sorted(dec.subpovm_margins[r]) == sorted(by_known)
         for known, pairs in by_known.items():
@@ -217,7 +226,7 @@ def test_side_info_groups_on_an_asymmetric_codebook():
 def test_decoder_missing_pair_raises():
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
-    dec = build_square_root_decoder(build_detection_operators(cb, bc, alpha=0.5))
+    dec = build_square_root_decoder(cb, bc, alpha=0.5)
     with pytest.raises(InvalidInputError):
         dec.op(1, 7, 7)
 
@@ -230,8 +239,7 @@ def test_decoder_missing_pair_raises():
 def test_average_errors_consistency():
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 6, 2, 2, seed=4)
-    det = build_detection_operators(cb, bc, alpha=0.3)
-    dec = build_square_root_decoder(det)
+    dec = build_square_root_decoder(cb, bc, alpha=0.3)
     report = average_errors(cb, bc, dec)
     # per-pair errors match the direct evaluation
     for pair, w in cb.words.items():
@@ -259,19 +267,43 @@ def test_average_errors_refuses_a_decoder_built_for_other_sizes(sizes):
     # without the check, (3, 2) ran off the end of a group's factors and
     # (2, 3) asked receiver 1 for a group it does not have
     bc = noisy_broadcast()
-    dec = build_square_root_decoder(
-        build_detection_operators(sample_codebook(uniform_binary(), 4, 2, 2, seed=1), bc, alpha=0.5)
-    )
+    dec = build_square_root_decoder(sample_codebook(uniform_binary(), 4, 2, 2, seed=1), bc, alpha=0.5)
     cb = sample_codebook(uniform_binary(), 4, *sizes, seed=1)
     with pytest.raises(InvalidInputError, match=rf"M=\(2, 2\).*M=\({sizes[0]}, {sizes[1]}\)"):
         average_errors(cb, bc, dec)
 
 
+@pytest.mark.parametrize("channel", [noisy_broadcast, overlap_broadcast], ids=["diagonal", "factor"])
+def test_the_error_pass_holds_one_group_at_a_time(monkeypatch, channel):
+    # the decoder holds no group: average_errors builds one, reads it and
+    # drops it before it builds the next, and none outlives the call
+    built = []
+
+    def spy(make):
+        def build(*args):
+            assert [ref for ref in built if ref() is not None] == [], "an earlier group is still reachable"
+            group = make(*args)
+            built.append(weakref.ref(group))
+            return group
+
+        return build
+
+    monkeypatch.setattr(coding, "_diagonal_group", spy(coding._diagonal_group))
+    monkeypatch.setattr(coding, "_normalize_group", spy(coding._normalize_group))
+    bc = channel()
+    cb = sample_codebook(ProbabilityDistribution.uniform(bc.alphabet), 6, 3, 2, seed=4)
+    dec = build_square_root_decoder(cb, bc, alpha=0.3)
+    assert built == []
+    report = average_errors(cb, bc, dec)
+    assert len(built) == cb.m1_size + cb.m2_size
+    assert all(ref() is None for ref in built)
+    assert report.margins == dec.subpovm_margins
+
+
 def test_noiseless_channel_decodes_perfectly():
     bc = noiseless_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
-    det = build_detection_operators(cb, bc, alpha=0.5)
-    dec = build_square_root_decoder(det)
+    dec = build_square_root_decoder(cb, bc, alpha=0.5)
     report = average_errors(cb, bc, dec)
     # distinct orthogonal words: all detection masses are 0/1 exactly
     if len(cb.distinct_words()) == len(cb.words):
@@ -469,8 +501,7 @@ def test_expurgation_rejects_large_average():
 def test_expurgation_on_real_pipeline():
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 6, 2, 2, seed=4)
-    det = build_detection_operators(cb, bc, alpha=0.3)
-    dec = build_square_root_decoder(det)
+    dec = build_square_root_decoder(cb, bc, alpha=0.3)
     report = average_errors(cb, bc, dec)
     result = expurgate(report, 0.25)
     assert result.within_two_delta
@@ -486,8 +517,7 @@ def test_expurgation_on_real_pipeline():
 def test_decode_with_side_info_argmax_noiseless():
     bc = noiseless_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
-    det = build_detection_operators(cb, bc, alpha=0.5)
-    dec = build_square_root_decoder(det)
+    dec = build_square_root_decoder(cb, bc, alpha=0.5)
     for (m1, m2), w in cb.words.items():
         got1 = decode_with_side_info(dec, 1, m2, bc.marginal(1).word_state(w))
         got2 = decode_with_side_info(dec, 2, m1, bc.marginal(2).word_state(w))
@@ -498,8 +528,18 @@ def test_decode_with_side_info_argmax_noiseless():
 def test_decode_with_side_info_sampled_statistics():
     bc = noisy_broadcast(0.3)
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
-    det = build_detection_operators(cb, bc, alpha=0.5)
-    dec = build_square_root_decoder(det)
+    built = build_square_root_decoder(cb, bc, alpha=0.5)
+    # the decoder builds a group on every call; this one keeps each group it
+    # built, so that the draws below do not rebuild the same group 4000 times
+    kept = {}
+
+    def keep(r, words):
+        key = (r, tuple(words))
+        if key not in kept:
+            kept[key] = built.builders[r](words)
+        return kept[key]
+
+    dec = SquareRootDecoder(cb, {r: lambda words, r=r: keep(r, words) for r in (1, 2)})
     m1, m2 = 0, 0
     state = bc.marginal(2).word_state(cb.word(m1, m2))
     exact = [
@@ -520,7 +560,7 @@ def test_decode_with_side_info_sampled_statistics():
 def test_decode_with_side_info_validation():
     bc = noiseless_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
-    dec = build_square_root_decoder(build_detection_operators(cb, bc, alpha=0.5))
+    dec = build_square_root_decoder(cb, bc, alpha=0.5)
     state = bc.marginal(1).word_state(cb.word(0, 0))
     with pytest.raises(InvalidInputError):
         decode_with_side_info(dec, 3, 0, state)

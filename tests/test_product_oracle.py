@@ -26,8 +26,6 @@ from cqrelay.coding import (
     _factor_trace,
     _word_factors,
     average_errors,
-    build_detection_operators,
-    build_square_root_decoder,
     decode_with_side_info,
     end_to_end_broadcast_sim,
     sample_codebook,
@@ -46,9 +44,11 @@ from cqrelay.operators import (
 from cqrelay.typicality import (
     TypicalProjector,
     TypicalSet,
+    averaged_state_projector,
     conditional_typical_projector,
     typical_projector,
 )
+from test_srm_oracle import detection_factors, factor_decoder
 
 TOL = 1e-12
 NS = (4, 6, 8)
@@ -123,29 +123,30 @@ def test_kron_apply_rectangular_factors():
     assert np.abs(kron_apply(mats, block) - np.kron(*mats) @ block).max() <= 1e-12
 
 
-def dense_detection_factor(det, bc, receiver, word):
-    cond = conditional_typical_projector(bc.marginal(receiver), word, det.alpha, det.preset, 10**6)
-    return det.projectors[receiver].matrix() @ cond.included_vectors()
+def dense_detection_factor(cb, bc, receiver, word, alpha):
+    marg = bc.marginal(receiver)
+    cond = conditional_typical_projector(marg, word, alpha, "fixed", 10**6)
+    return averaged_state_projector(marg, cb.dist, cb.n, alpha, "fixed", 10**6).matrix() @ cond.included_vectors()
 
 
 def assert_product_path_matches_dense(cb, bc, alpha=ALPHA):
-    det = build_detection_operators(cb, bc, alpha=alpha, dim_cap=10**6)
-    dec = build_square_root_decoder(det)
+    dec = factor_decoder(cb, bc, alpha=alpha, dim_cap=10**6)
+    factors = detection_factors(dec)
     report = average_errors(cb, bc, dec)
     for r in (1, 2):
         marg = bc.marginal(r)
         for pair, w in cb.words.items():
-            dense_f = dense_detection_factor(det, bc, r, w)
-            assert det.factors[r][pair].shape == dense_f.shape
-            assert np.abs(det.factors[r][pair] - dense_f).max(initial=0.0) <= TOL
+            dense_f = dense_detection_factor(cb, bc, r, w, alpha)
+            assert factors[r][pair].shape == dense_f.shape
+            assert np.abs(factors[r][pair] - dense_f).max(initial=0.0) <= TOL
             state = marg.word_state(w)
-            for f in (det.factors[r][pair], dec.factor(r, *pair)):
+            for f in (factors[r][pair], dec.factor(r, *pair)):
                 dense = trace_pair(f @ f.conj().T, state)
                 assert _factor_trace(f, _word_factors(marg, w)) == pytest.approx(dense, abs=TOL)
                 assert _factor_trace(f, [state]) == pytest.approx(dense, abs=TOL)
             miss = max(0.0, 1.0 - trace_pair(dec.op(r, *pair), state))
             assert report.first_kind[r][pair] == pytest.approx(miss, abs=TOL)
-    return det, dec
+    return factors, dec
 
 
 @pytest.mark.parametrize("channel,n", CASES)
@@ -161,16 +162,16 @@ def test_rank_zero_conditional_projector_matches_dense_oracle(n):
     z, a = tuple("1" * (n - 1) + "0"), tuple("0" * n)
     cb = Codebook(n, 2, 2, {(0, 0): z, (0, 1): z, (1, 0): z, (1, 1): a}, uniform_binary(), 0.5, 0)
     bc = random_broadcast()
-    det, _ = assert_product_path_matches_dense(cb, bc, alpha=0.1)
-    assert det.factors[2][(0, 0)].shape == (2**n, 0)
-    assert _factor_trace(det.factors[2][(0, 0)], _word_factors(bc.marginal(2), z)) == 0.0
+    factors, _ = assert_product_path_matches_dense(cb, bc, alpha=0.1)
+    assert factors[2][(0, 0)].shape == (2**n, 0)
+    assert _factor_trace(factors[2][(0, 0)], _word_factors(bc.marginal(2), z)) == 0.0
 
 
 @pytest.mark.parametrize("channel,n", CASES)
 def test_decoding_dense_and_factored_states_agree(channel, n):
     bc = CHANNELS[channel]()
     cb = sample_codebook(uniform_binary(), n, 2, 2, seed=6)
-    dec = build_square_root_decoder(build_detection_operators(cb, bc, alpha=ALPHA, dim_cap=10**6))
+    dec = factor_decoder(cb, bc, alpha=ALPHA, dim_cap=10**6)
     for (m1, m2), w in cb.words.items():
         for r, known in ((1, m2), (2, m1)):
             marg = bc.marginal(r)
@@ -372,20 +373,27 @@ def test_lazily_formed_normalized_factors_match_dense_oracle(monkeypatch, channe
     # 24-row panels split every N here into several, the last one ragged
     monkeypatch.setattr(coding, "PANEL_ROWS", panel_rows)
     cb = sample_codebook(uniform_binary(), n, 3, 2, seed=4)
-    det = build_detection_operators(cb, CHANNELS[channel](), alpha=ALPHA)
-    dec = build_square_root_decoder(det)
+    dec = factor_decoder(cb, CHANNELS[channel](), alpha=ALPHA)
+    factors = detection_factors(dec)
+    # the detection factors each group build starts from, one per word
+    made, detect = [], TypicalProjector.sandwiched_factor
+    monkeypatch.setattr(TypicalProjector, "sandwiched_factor", lambda *args: made.append(detect(*args)) or made[-1])
     for r in (1, 2):
-        for known, group in dec.groups[r].items():
+        for known in range(2 if r == 1 else 3):
+            made.clear()
+            group = dec.group(r, known)
             pairs = [(m1, known) for m1 in range(3)] if r == 1 else [(known, m2) for m2 in range(2)]
             # the group keeps the detection factors themselves and G^{+1/2},
             # not a copy of the factors or any normalized factor
-            assert all(f is det.factors[r][p] for f, p in zip(group.factors, pairs))
+            made_for = dict(zip(dict.fromkeys(cb.words[p] for p in pairs), made))
+            assert all(f is made_for[cb.words[p]] for f, p in zip(group.factors, pairs))
+            assert all(np.array_equal(made_for[cb.words[p]], factors[r][p]) for p in pairs)
             k = sum(f.shape[1] for f in group.factors)
             assert group.inv_root.shape == (k, k)
-            lams, margin = dense_srm([det.op(r, *p) for p in pairs])
+            lams, margin = dense_srm([coding._factor_op(factors[r][p]) for p in pairs])
             assert group.margin == pytest.approx(margin, abs=TOL)
             for i, (pair, lam) in enumerate(zip(pairs, lams)):
                 h = group.factor(i)
-                assert h.shape == det.factors[r][pair].shape
+                assert h.shape == factors[r][pair].shape
                 assert np.abs(h @ h.conj().T - lam).max() <= TOL
                 assert (dec.factor(r, *pair) == h).all()

@@ -13,6 +13,7 @@ diagonal phase unitary, runs the same problem in complex128 and must give the
 same figures within 1e-12.
 """
 
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from cqrelay.channels import (
     CQChannel,
     depolarized_channel,
     holevo_chi,
+    load_channel,
     orthogonal_pure_channel,
     product_broadcast_channel,
 )
@@ -35,7 +37,6 @@ from cqrelay.coding import (
     _side_info_groups,
     _word_factors,
     average_errors,
-    build_detection_operators,
     build_square_root_decoder,
     decode_with_side_info,
     end_to_end_broadcast_sim,
@@ -50,6 +51,7 @@ from cqrelay.operators import (
     tensor_all,
     trace_pair,
 )
+from cqrelay.typicality import averaged_state_projector
 
 TOL = 1e-12
 NS = (4, 6, 8)
@@ -92,21 +94,49 @@ def dense_srm(ops):
     return lams, float(np.linalg.eigvalsh(hermitian_part(acc))[-1])
 
 
-def dense_decoder(det):
-    cb = det.codebook
+def factor_path():
+    # every receiver on the factor path, whatever its letters
+    return mock.patch.object(coding, "_diagonal_orders", return_value=None)
+
+
+def factor_decoder(cb, bc, **kwargs):
+    """The public builder's decoder with every receiver on the factor path."""
+    with factor_path():
+        return build_square_root_decoder(cb, bc, **kwargs)
+
+
+def detection_factors(dec):
+    """receiver -> {(m1, m2): detection factor F}, read from the groups of a
+    factor-path decoder."""
+    return {
+        r: {
+            pair: f
+            for known, pairs in _side_info_groups(r, dec.m1_size, dec.m2_size).items()
+            for pair, f in zip(pairs, dec.group(r, known).factors)
+        }
+        for r in (1, 2)
+    }
+
+
+def detection_op(factors, r, pair):
+    """Dense D' = F F† of the pair's detection factor."""
+    return coding._factor_op(factors[r][pair])
+
+
+def dense_decoder(cb, factors):
     ops, margins = {1: {}, 2: {}}, {1: {}, 2: {}}
     for m2 in range(cb.m2_size):
         pairs = [(m1, m2) for m1 in range(cb.m1_size)]
-        lams, margins[1][m2] = dense_srm([det.op(1, *p) for p in pairs])
+        lams, margins[1][m2] = dense_srm([detection_op(factors, 1, p) for p in pairs])
         ops[1].update(zip(pairs, lams))
     for m1 in range(cb.m1_size):
         pairs = [(m1, m2) for m2 in range(cb.m2_size)]
-        lams, margins[2][m1] = dense_srm([det.op(2, *p) for p in pairs])
+        lams, margins[2][m1] = dense_srm([detection_op(factors, 2, p) for p in pairs])
         ops[2].update(zip(pairs, lams))
     return ops, margins
 
 
-def dense_error_tables(cb, bc, det, ops):
+def dense_error_tables(cb, bc, factors, ops):
     first, coll, bounds = {1: {}, 2: {}}, {1: {}, 2: {}}, {1: {}, 2: {}}
     for (m1, m2), w in cb.words.items():
         for r in (1, 2):
@@ -116,30 +146,35 @@ def dense_error_tables(cb, bc, det, ops):
                 others = [(k, m2) for k in range(cb.m1_size) if k != m1]
             else:
                 others = [(m1, k) for k in range(cb.m2_size) if k != m2]
-            mass = sum(max(0.0, trace_pair(det.op(r, *p), state)) for p in others)
-            miss = max(0.0, 1.0 - trace_pair(det.op(r, m1, m2), state))
+            mass = sum(max(0.0, trace_pair(detection_op(factors, r, p), state)) for p in others)
+            miss = max(0.0, 1.0 - trace_pair(detection_op(factors, r, (m1, m2)), state))
             coll[r][(m1, m2)] = mass
             bounds[r][(m1, m2)] = 2.0 * miss + 4.0 * mass
     return first, coll, bounds
 
 
 def assert_matches_oracle(cb, bc, alpha):
-    det = build_detection_operators(cb, bc, alpha=alpha)
-    dec = build_square_root_decoder(det)
-    ops, margins = dense_decoder(det)
+    dec = factor_decoder(cb, bc, alpha=alpha)
+    factors = detection_factors(dec)
+    ops, margins = dense_decoder(cb, factors)
+    # the decoder builds every group anew for its margins: read them once
+    got_margins = dec.subpovm_margins
     for r in (1, 2):
-        for pair in cb.words:
-            assert np.abs(dec.op(r, *pair) - ops[r][pair]).max() <= TOL
+        for known, pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).items():
+            # each group built once here: Λ = H H† is what dec.op forms
+            group = dec.group(r, known)
+            for index, pair in enumerate(pairs):
+                assert np.abs(coding._factor_op(group.factor(index)) - ops[r][pair]).max() <= TOL
         for key, margin in margins[r].items():
-            assert dec.subpovm_margins[r][key] == pytest.approx(margin, abs=TOL)
+            assert got_margins[r][key] == pytest.approx(margin, abs=TOL)
     report = average_errors(cb, bc, dec)
-    first, coll, bounds = dense_error_tables(cb, bc, det, ops)
+    first, coll, bounds = dense_error_tables(cb, bc, factors, ops)
     for r in (1, 2):
         for pair in cb.words:
             assert report.first_kind[r][pair] == pytest.approx(first[r][pair], abs=TOL)
             assert report.collisions[r][pair] == pytest.approx(coll[r][pair], abs=TOL)
             assert report.decomposition_bounds[r][pair] == pytest.approx(bounds[r][pair], abs=TOL)
-    return det, dec
+    return factors, dec
 
 
 @pytest.mark.parametrize("n", NS)
@@ -157,8 +192,8 @@ def test_repeated_word_group_matches_dense_oracle(channel, n):
     a, b = tuple("01" * (n // 2)), tuple("0" * (n // 2) + "1" * (n // 2))
     words = {(0, 0): a, (1, 0): a, (0, 1): a, (1, 1): b}
     cb = Codebook(n, 2, 2, words, uniform_binary(), 0.5, 0)
-    det, _ = assert_matches_oracle(cb, CHANNELS[channel](), alpha=0.3)
-    stacked = np.hstack([det.factors[1][(0, 0)], det.factors[1][(1, 0)]])
+    factors, _ = assert_matches_oracle(cb, CHANNELS[channel](), alpha=0.3)
+    stacked = np.hstack([factors[1][(0, 0)], factors[1][(1, 0)]])
     assert 0 < np.linalg.matrix_rank(stacked) < stacked.shape[1]
 
 
@@ -173,9 +208,9 @@ def rank_zero_codebook(n):
 
 @pytest.mark.parametrize("n", NS)
 def test_rank_zero_word_matches_dense_oracle(n):
-    det, dec = assert_matches_oracle(rank_zero_codebook(n), random_broadcast(), alpha=0.1)
-    assert det.cond_ranks[2][(0, 0)] == 0
-    assert det.cond_ranks[2][(1, 1)] > 0
+    factors, dec = assert_matches_oracle(rank_zero_codebook(n), random_broadcast(), alpha=0.1)
+    assert factors[2][(0, 0)].shape[1] == 0
+    assert factors[2][(1, 1)].shape[1] > 0
     assert dec.subpovm_margins[2][0] == -1.0
 
 
@@ -190,9 +225,9 @@ def test_modular_sum_errors_match_dense_oracle(channel, n):
     report = end_to_end_broadcast_sim(bc, config)
     assert report["status"] == "ok"
     cb = sample_codebook(uniform_binary(), n, 4, 1, 0.5, 2)
-    det = build_detection_operators(cb, bc, alpha=0.3)
+    factors = detection_factors(factor_decoder(cb, bc, alpha=0.3))
     for r in (1, 2):
-        lams, margin = dense_srm([det.op(r, c, 0) for c in range(4)])
+        lams, margin = dense_srm([detection_op(factors, r, (c, 0)) for c in range(4)])
         errors = [
             max(0.0, 1.0 - trace_pair(lam, bc.marginal(r).word_state(cb.word(c, 0))))
             for c, lam in enumerate(lams)
@@ -218,10 +253,9 @@ def test_outcome_tables_match_decoding_and_dense_oracle(seed, n, sizes, alpha):
         *(CQChannel(("0", "1"), {"0": random_density(rng, 2), "1": random_density(rng, 2)}) for _ in range(2))
     )
     cb = sample_codebook(uniform_binary(), n, *sizes, seed=seed % 1000)
-    det = build_detection_operators(cb, bc, alpha=alpha)
-    dec = build_square_root_decoder(det)
+    dec = build_square_root_decoder(cb, bc, alpha=alpha)
     report = average_errors(cb, bc, dec)
-    ops, _ = dense_decoder(det)
+    ops, _ = dense_decoder(cb, detection_factors(dec))
     for r in (1, 2):
         marg = bc.marginal(r)
         for known, pairs in _side_info_groups(r, *sizes).items():
@@ -263,8 +297,8 @@ class DenseGroup:
     def outcomes(self, states):
         return self._table(self._lams, states)
 
-    def detections(self, states):
-        return self._table(self._detection, states)
+    def tables(self, states):
+        return self.outcomes(states), self._table(self._detection, states)
 
     @staticmethod
     def _table(ops, states):
@@ -285,19 +319,16 @@ def test_a_dense_group_behind_the_contract_matches_the_factor_path(channel, code
     # a decoder whose groups are dense oracle groups, read only through the
     # contract, gives every figure the factor path gives
     bc, cb = CHANNELS[channel](), codebook(6)
-    det = build_detection_operators(cb, bc, alpha=alpha)
-    dec = build_square_root_decoder(det)
-    dense = SquareRootDecoder(
-        cb.m1_size,
-        cb.m2_size,
-        {
-            r: {
-                known: DenseGroup([det.factors[r][p] for p in pairs])
-                for known, pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).items()
-            }
-            for r in (1, 2)
-        },
-    )
+    dec = factor_decoder(cb, bc, alpha=alpha)
+    factors = detection_factors(dec)
+    # each side-information group's dense oracle, built once and handed out
+    # by the decoder for the group's words
+    dense_groups = {
+        (r, tuple(cb.words[p] for p in pairs)): DenseGroup([factors[r][p] for p in pairs])
+        for r in (1, 2)
+        for pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).values()
+    }
+    dense = SquareRootDecoder(cb, {r: lambda words, r=r: dense_groups[r, tuple(words)] for r in (1, 2)})
     assert_same_report(dense.subpovm_margins, dec.subpovm_margins)
     want = average_errors(cb, bc, dec)
     got = average_errors(cb, bc, dense)
@@ -314,7 +345,7 @@ def test_a_dense_group_behind_the_contract_matches_the_factor_path(channel, code
                     dense, r, known, state, mode, np.random.default_rng(1)
                 ) == decode_with_side_info(dec, r, known, state, mode, np.random.default_rng(1))
     if codebook is rank_zero_codebook:
-        assert sum(det.cond_ranks[2][(0, m2)] for m2 in range(2)) == 0
+        assert sum(factors[2][(0, m2)].shape[1] for m2 in range(2)) == 0
         assert dense.subpovm_margins[2][0] == -1.0
 
 
@@ -327,17 +358,17 @@ def test_a_dense_group_behind_the_contract_matches_the_factor_path(channel, code
 def test_letter_states_set_the_dtype_of_every_decoder_operator(channel, dtype):
     bc = CHANNELS[channel]()
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=4)
-    det = build_detection_operators(cb, bc, alpha=0.3)
-    dec = build_square_root_decoder(det)
+    dec = factor_decoder(cb, bc, alpha=0.3)
+    factors = detection_factors(dec)
     assert {bc.joint_state(a).dtype for a in bc.alphabet} == {np.dtype(dtype)}
     for r in (1, 2):
         marg = bc.marginal(r)
         assert {marg.state(a).dtype for a in marg.alphabet} == {np.dtype(dtype)}
-        assert {f.dtype for f in det.factors[r].values()} == {np.dtype(dtype)}
-        group = dec.groups[r][0]
+        assert {f.dtype for f in factors[r].values()} == {np.dtype(dtype)}
+        group = dec.group(r, 0)
         assert group.inv_root.dtype == dtype
         assert group.factor(0).dtype == dtype
-        proj = det.projectors[r]
+        proj = averaged_state_projector(marg, cb.dist, cb.n, 0.3)
         assert product_columns(proj.factors(), proj.index_words()).dtype == dtype
 
 
@@ -385,7 +416,7 @@ def assert_same_report(got, want, path=""):
 
 
 def pipeline_figures(cb, bc):
-    dec = build_square_root_decoder(build_detection_operators(cb, bc, alpha=0.3))
+    dec = factor_decoder(cb, bc, alpha=0.3)
     errors = average_errors(cb, bc, dec)
     decoded = {
         (r, pair): decode_with_side_info(
@@ -430,36 +461,34 @@ def test_phase_twin_matches_the_real_run(weights, n):
 # ---------------------------------------------------------------------------
 
 
-def factor_path():
-    # every receiver on the factor path, whatever its letters
-    return mock.patch.object(coding, "_diagonal_orders", return_value=None)
-
-
-def diagonal_decoder(cb, bc, alpha):
-    groups = coding._run_groups(bc, cb.dist, coding.SimConfig(n=cb.n, alpha=alpha))
-    return SquareRootDecoder(cb.m1_size, cb.m2_size, {r: groups(r, coding._group_words(cb, r)) for r in (1, 2)})
+def side_info_groups(dec, r):
+    """known index -> the receiver's decoding group, each built on request."""
+    return {known: dec.group(r, known) for known in _side_info_groups(r, dec.m1_size, dec.m2_size)}
 
 
 def assert_diagonal_matches_factor_path(cb, bc, alpha):
-    want = build_square_root_decoder(build_detection_operators(cb, bc, alpha=alpha))
-    got = diagonal_decoder(cb, bc, alpha)
-    assert all(isinstance(g, coding._DiagonalGroup) for r in (1, 2) for g in got.groups[r].values())
+    want = factor_decoder(cb, bc, alpha=alpha)
+    got = build_square_root_decoder(cb, bc, alpha=alpha)
+    assert all(isinstance(g, coding._DiagonalGroup) for r in (1, 2) for g in side_info_groups(got, r).values())
     assert_same_report(got.subpovm_margins, want.subpovm_margins)
     report, oracle = average_errors(cb, bc, got), average_errors(cb, bc, want)
     assert_same_report(report.as_dict(), oracle.as_dict())
     assert_same_report(report.outcomes, oracle.outcomes)
     for r in (1, 2):
         states = [_word_factors(bc.marginal(r), w) for w in cb.distinct_words()]
-        for known, group in got.groups[r].items():
-            assert np.abs(group.detections(states) - want.groups[r][known].detections(states)).max() <= TOL
-        for pair in cb.words:
-            # factor() spans the support of Lambda, so factors compare as H H†
-            assert np.abs(got.op(r, *pair) - want.op(r, *pair)).max() <= TOL
-            # a dense word state gives the outcome row of its tensor factors
-            dense = bc.marginal(r).word_state(cb.word(*pair))
-            with mock.patch.object(coding, "_decide", wraps=coding._decide) as decide:
-                decode_with_side_info(got, r, pair[1] if r == 1 else pair[0], dense)
-            assert np.abs(np.asarray(decide.call_args.args[0]) - report.outcomes[r][pair]).max() <= TOL
+        for known, pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).items():
+            # each group built once here: Λ = H H† is what got.op and want.op form
+            group, oracle_group = got.group(r, known), want.group(r, known)
+            assert np.abs(group.tables(states)[1] - oracle_group.tables(states)[1]).max() <= TOL
+            for index, pair in enumerate(pairs):
+                # factor() spans the support of Lambda, so factors compare as H H†
+                lam, oracle_lam = (coding._factor_op(g.factor(index)) for g in (group, oracle_group))
+                assert np.abs(lam - oracle_lam).max() <= TOL
+                # a dense word state gives the outcome row of its tensor factors
+                dense = bc.marginal(r).word_state(cb.word(*pair))
+                with mock.patch.object(coding, "_decide", wraps=coding._decide) as decide:
+                    decode_with_side_info(got, r, known, dense)
+                assert np.abs(np.asarray(decide.call_args.args[0]) - report.outcomes[r][pair]).max() <= TOL
     return got, report
 
 
@@ -557,8 +586,8 @@ def test_diagonal_rank_zero_group_matches_the_factor_path():
     # rank 0 and group m1 = 1 mixes rank 0 with positive rank
     bc = product_broadcast_channel(orthogonal_pure_channel(2), depolarized_channel(0.6, 2))
     cb = rank_zero_codebook(6)
-    det = build_detection_operators(cb, bc, alpha=0.1)
-    assert det.cond_ranks[2][(0, 0)] == 0 and det.cond_ranks[2][(1, 1)] > 0
+    factors = detection_factors(factor_decoder(cb, bc, alpha=0.1))
+    assert factors[2][(0, 0)].shape[1] == 0 and factors[2][(1, 1)].shape[1] > 0
     got, _ = assert_diagonal_matches_factor_path(cb, bc, alpha=0.1)
     assert got.subpovm_margins[2][0] == -1.0
     assert got.factor(2, 0, 0).shape == (2**6, 0)
@@ -571,10 +600,39 @@ def spy_paths():
     return diagonal, factor
 
 
+def mixed_broadcast():
+    # receiver 1's letters commute, receiver 2's do not
+    return product_broadcast_channel(orthogonal_pure_channel(2), random_broadcast().marginal(2))
+
+
+def overlap_bench_broadcast():
+    return load_channel(str(pathlib.Path(__file__).resolve().parents[1] / "bench" / "overlap-broadcast.json"))
+
+
+@pytest.mark.parametrize(
+    "channel, paths",
+    [
+        (canonical_broadcast, (coding._DiagonalGroup, coding._DiagonalGroup)),
+        (overlap_bench_broadcast, (coding._NormalizedGroup, coding._NormalizedGroup)),
+        (mixed_broadcast, (coding._DiagonalGroup, coding._NormalizedGroup)),
+    ],
+    ids=["product-broadcast", "overlap-broadcast", "mixed"],
+)
+def test_the_public_builder_picks_each_receivers_path(channel, paths):
+    # the canonical product-broadcast channel's letters are diagonal in both
+    # averaged projectors' bases; the overlap benchmark channel's are in
+    # neither; the mixed channel's only on receiver 1
+    bc = channel()
+    cb = sample_codebook(ProbabilityDistribution.uniform(bc.alphabet), 6, 3, 2, seed=2)
+    dec = build_square_root_decoder(cb, bc, alpha=0.3)
+    for r, path in zip((1, 2), paths):
+        assert {type(g) for g in side_info_groups(dec, r).values()} == {path}
+
+
 def test_each_receiver_takes_its_own_path():
     # receiver 1's letters commute, receiver 2's do not: receiver 1's two
     # groups (one per m2) are diagonal and receiver 2's three are factor groups
-    mixed = product_broadcast_channel(orthogonal_pure_channel(2), random_broadcast().marginal(2))
+    mixed = mixed_broadcast()
     config = {"n": 6, "M1": 3, "M2": 2, "alpha": 0.3, "seed": 2, "delta": 1.0, "max_seed_attempts": 1}
     diagonal, factor = spy_paths()
     with diagonal as diag, factor as norm:
