@@ -84,14 +84,6 @@ class Codebook:
         except KeyError:
             raise InvalidInputError(f"message pair ({m1}, {m2}) outside the codebook") from None
 
-    def distinct_words(self) -> list:
-        seen = []
-        for pair in sorted(self.words):
-            w = self.words[pair]
-            if w not in seen:
-                seen.append(w)
-        return seen
-
 
 def sample_codebook(
     dist: ProbabilityDistribution,
@@ -273,13 +265,14 @@ def _normalize_group(factors) -> _NormalizedGroup:
 DIAGONAL_BASIS_TOL = 1e-10
 
 
-def _diagonal_orders(channel: CQChannel, proj: TypicalProjector) -> dict | None:
+def _diagonal_orders(letters: dict, proj: TypicalProjector) -> dict | None:
     """letter -> the letter's eigen-index at each index of u, the single-letter
     basis of the averaged-state projector proj; None unless every letter's
     eigenbasis u_a is u reordered and rephased.
 
-    u_a is the eigenbasis hermitian_eigendecomposition returns, the one the
-    conditional projectors read.  It qualifies when u† u_a is a signed or
+    letters maps each letter to the eigenpairs hermitian_eigendecomposition
+    returns, the ones the conditional projectors read; u_a is their
+    eigenbasis.  It qualifies when u† u_a is a signed or
     phased permutation: every entry of |u† u_a| within DIAGONAL_BASIS_TOL of
     the permutation's 0/1 pattern.  Then Pi, every P_w and every word state
     are diagonal in U = u^(x)n.  Commuting letter states are not enough: for
@@ -292,8 +285,8 @@ def _diagonal_orders(channel: CQChannel, proj: TypicalProjector) -> dict | None:
     u = proj.bases[0]
     d = u.shape[0]
     orders = {}
-    for a in channel.alphabet:
-        overlap = np.abs(u.conj().T @ hermitian_eigendecomposition(channel.state(a))[1])
+    for a, (_, vectors) in letters.items():
+        overlap = np.abs(u.conj().T @ vectors)
         position = overlap.argmax(axis=0)  # the index of u that eigenvector j sits at
         pattern = np.zeros((d, d))
         pattern[position, np.arange(d)] = 1.0
@@ -460,7 +453,7 @@ def _group_builder(channel: CQChannel, proj: TypicalProjector, alpha, preset):
     formed), and _normalize_group normalizes the group's factors.
     """
     letters = {a: hermitian_eigendecomposition(channel.state(a)) for a in channel.alphabet}
-    orders = _diagonal_orders(channel, proj)
+    orders = _diagonal_orders(letters, proj)
     if orders is None:
         return lambda words: _normalize_group(
             _word_projectors(letters, words, alpha, preset, lambda cond: cond.sandwiched_factor(proj))

@@ -448,12 +448,3 @@ def optimize_chi(
     w = w / w.sum()
     return ProbabilityDistribution(channel.alphabet, w), float(best)
 
-
-def weighted_boundary_point(region: RateRegion, mu: float) -> RatePair:
-    """Vertex maximizing R1 + mu*R2."""
-    if not isinstance(region, RateRegion):
-        raise InvalidInputError("expected a RateRegion")
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise InvalidInputError(f"weight must be finite and nonnegative, got {mu}")
-    best = max(region.vertices, key=lambda v: v.r1 + mu * v.r2)
-    return best

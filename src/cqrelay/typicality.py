@@ -10,14 +10,17 @@ the d^n product-basis words, built from eigen-index counts and read back
 into words on request; no table of all d^n words is formed.
 
 Scalar projector functionals (captured trace, rank, largest compressed
-eigenvalue) are evaluated exactly by summing over letter-count classes, which
-works far beyond the dimension cap that limits dense realizations.
+eigenvalue, and a word state's capture by the averaged-state projector) are
+evaluated exactly by summing over letter-count classes, which works far
+beyond the dimension cap that limits dense realizations; the
+verify_*_projector_bounds reports read them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from collections import Counter
@@ -548,47 +551,10 @@ def spectrum_projector_stats(eigenvalues, n, tau) -> SpectrumProjectorStats:
     )
 
 
-def state_projector_stats(
-    rho, n: int, alpha: float, preset: str = PRESET_FIXED
-) -> SpectrumProjectorStats:
-    # validated from the eigh whose spectrum the stats read
-    op = _checked_spectrum(rho, "state", density=True, vectors=True)
-    tau = threshold_for(alpha, n, resolve_preset(preset))
-    return spectrum_projector_stats(op.spectrum[..., ::-1], n, tau)
-
-
-@dataclass(frozen=True)
-class ConditionalProjectorStats:
-    """Per-class and aggregate functionals of a conditional typical projector."""
-
-    word: tuple
-    class_sizes: dict
-    class_stats: dict  # letter -> SpectrumProjectorStats
-    capture: float
-    rank: int
-    lambda_max: float
-
-
-@dataclass(frozen=True, eq=False)
-class _WordBatch:
-    """Words paired with their instances' letter states.
-
-    states[s, j] is the state of letter labels[j] in instance s;
-    classes[s] lists (letter index, class size) in order of first appearance.
-    """
-
-    words: list
-    states: np.ndarray  # (S, |A|, d, d)
-    classes: list
-    labels: tuple
-
-
-def _letter_states(channel: CQChannel, labels) -> np.ndarray:
-    """A channel's letter states in label order, as a one-instance (1, |A|, d, d) stack."""
-    return np.array([[channel.state(a) for a in labels]])
-
-
-def _word_batch(states, words, labels, empty_message: str) -> _WordBatch:
+def _word_batch(states, words, labels) -> tuple:
+    """(words, states, classes) of a stack of instances: states[s, j] is the
+    state of letter labels[j] in instance s, and classes[s] lists (letter
+    index, class size) in order of first appearance in word s."""
     words = [tuple(word) for word in words]
     states = np.asarray(states)
     if states.ndim != 4 or states.shape[:2] != (len(words), len(labels)) or states.shape[2] != states.shape[3]:
@@ -599,76 +565,39 @@ def _word_batch(states, words, labels, empty_message: str) -> _WordBatch:
     classes = []
     for word in words:
         if not word:
-            raise InvalidInputError(empty_message)
+            raise InvalidInputError("conditioning word is empty")
         for a in word:
             if a not in position:
                 raise InvalidInputError(f"input {a!r} not in channel alphabet")
         classes.append([(position[a], na) for a, na in Counter(word).items()])
     # real states stay float64, so a real channel's eigensolves are real
-    states = as_square_matrix(states, "channel state")
-    return _WordBatch(words=words, states=states, classes=classes, labels=tuple(labels))
+    return words, as_square_matrix(states, "channel state"), classes
 
 
-def _class_stats(batch: _WordBatch, alpha: float, preset: str) -> list[ConditionalProjectorStats]:
-    """Conditional projector stats of every word, all classes scored in one stack."""
-    pairs = [(s, j, na) for s, cls in enumerate(batch.classes) for j, na in cls]
-    w, _ = hermitian_eigendecomposition(np.array([batch.states[s, j] for s, j, _ in pairs]))
+def _class_stats(classes, spectra: np.ndarray, alpha: float, preset: str) -> list:
+    """Per instance, its conditional projector's capture, rank and largest
+    compressed eigenvalue, and its classes as _bound_report takes them.
+
+    spectra[s, j] is the ascending spectrum of letter j in instance s; every
+    class is scored in one stack, from its letter's spectrum reversed.
+    """
+    pairs = [(s, j, na) for s, cls in enumerate(classes) for j, na in cls]
     sizes = [na for _, _, na in pairs]
     taus = [threshold_for(alpha, na, preset) for na in sizes]
+    w = np.array([spectra[s, j, ::-1] for s, j, _ in pairs])
     stats = spectrum_projector_stats(w, np.array(sizes), np.array(taus))
+    functionals = _spectrum_functionals(stats.eigenvalues)
+    rows = zip(sizes, taus, stats.capture.tolist(), stats.rank, stats.lambda_max.tolist(), functionals)
     out = []
-    row = 0
-    for word, cls in zip(batch.words, batch.classes):
-        capture, rank, lam_max = 1.0, 1, 1.0
-        class_stats = {}
-        for j, na in cls:
-            one = SpectrumProjectorStats(
-                eigenvalues=stats.eigenvalues[row],
-                n=na,
-                tau=taus[row],
-                capture=float(stats.capture[row]),
-                rank=int(stats.rank[row]),
-                lambda_max=float(stats.lambda_max[row]),
-            )
-            class_stats[batch.labels[j]] = one
-            capture *= one.capture
-            rank *= one.rank
-            lam_max *= one.lambda_max
-            row += 1
-        if rank == 0:
-            lam_max = 0.0
-            capture = 0.0
-        out.append(
-            ConditionalProjectorStats(
-                word=word,
-                class_sizes={batch.labels[j]: na for j, na in cls},
-                class_stats=class_stats,
-                capture=capture,
-                rank=rank,
-                lambda_max=lam_max,
-            )
-        )
+    for cls in classes:
+        capture, rank, lam_max, terms = 1.0, 1, 1.0, []
+        for size, tau, class_capture, class_rank, class_lam_max, spectral in itertools.islice(rows, len(cls)):
+            capture *= class_capture
+            rank *= class_rank
+            lam_max *= class_lam_max
+            terms.append((size, tau, *spectral))
+        out.append((capture, rank, lam_max, terms) if rank else (0.0, 0, 0.0, terms))
     return out
-
-
-def conditional_projector_stats(
-    channel: CQChannel, word, alpha: float, preset: str = PRESET_FIXED
-) -> ConditionalProjectorStats:
-    batch = _word_batch(
-        _letter_states(channel, channel.alphabet), [word], channel.alphabet, "conditioning word is empty"
-    )
-    return _class_stats(batch, alpha, resolve_preset(preset))[0]
-
-
-@dataclass(frozen=True)
-class CrossCaptureStats:
-    """Exact overlap of a word's product state with the averaged-state projector."""
-
-    word: tuple
-    tau: float
-    capture: float
-    variance_sum: float  # sum over indices of the count variance
-    mean_shift: float  # max index-wise |mean count/n - projector eigenvalue|
 
 
 def _composition_ranks(counts: np.ndarray, binom: np.ndarray) -> np.ndarray:
@@ -726,25 +655,29 @@ def _letter_count_masses(q: np.ndarray, classes, allowed: np.ndarray) -> np.ndar
     return np.where(_rows_allowed(allowed, keys), probs, 0.0).sum(axis=-1)
 
 
-def _cross_stats(batch: _WordBatch, dist: ProbabilityDistribution, alpha: float, preset: str):
-    """Cross-capture stats of every word; instances that share their letter
-    classes are scored together."""
-    a_size = len(batch.labels)
-    mixtures = hermitian_part(_letter_sum(dist.weights, lambda j: batch.states[:, j]))
+def _cross_stats(states: np.ndarray, classes, dist: ProbabilityDistribution, alpha: float, preset: str) -> list:
+    """Per instance, the overlap of its word's product state with the
+    averaged-state projector: (tau, capture, variance sum, mean shift), the
+    variance summed over indices and the shift the largest index-wise
+    |mean count/n - projector eigenvalue|.
+
+    Counts of each projector eigen-index under the word's product state
+    convolve exactly over letter classes; instances that share their letter
+    classes are scored together.
+    """
+    mixtures = hermitian_part(_letter_sum(dist.weights, lambda j: states[:, j]))
     w_all, u_all = hermitian_eigendecomposition(mixtures)
     w_all = _clean_eigenvalues(w_all)
     ut = u_all.conj().swapaxes(-1, -2)
-    diag = np.clip(
-        np.real(np.einsum("...ij,...ajk,...ki->...ai", ut, batch.states, u_all)), 0.0, None
-    )
+    diag = np.clip(np.real(np.einsum("...ij,...ajk,...ki->...ai", ut, states, u_all)), 0.0, None)
     groups: dict = {}
-    for s, cls in enumerate(batch.classes):
+    for s, cls in enumerate(classes):
         groups.setdefault(tuple(cls), []).append(s)
-    out = [None] * len(batch.words)
+    out = [None] * len(classes)
     for cls, idx in groups.items():
         n = sum(na for _, na in cls)
         w, q = w_all[idx], diag[idx]
-        tau = threshold_for(_averaged_state_alpha(alpha, a_size), n, preset)
+        tau = threshold_for(_averaged_state_alpha(alpha, len(dist.labels)), n, preset)
         capture = _letter_count_masses(q, cls, _eigen_allowed(w, n, tau))
         mean = np.zeros(w.shape)
         var = np.zeros(len(idx))
@@ -753,32 +686,8 @@ def _cross_stats(batch: _WordBatch, dist: ProbabilityDistribution, alpha: float,
             var = var + (na * q[:, j] * (1.0 - q[:, j])).sum(axis=-1)
         shift = np.abs(mean / n - w).max(axis=-1, initial=0.0)
         for t, s in enumerate(idx):
-            out[s] = CrossCaptureStats(
-                word=batch.words[s],
-                tau=tau,
-                capture=float(capture[t]),
-                variance_sum=float(var[t]),
-                mean_shift=float(shift[t]),
-            )
+            out[s] = (tau, float(capture[t]), float(var[t]), float(shift[t]))
     return out
-
-
-def cross_capture_stats(
-    channel: CQChannel,
-    word,
-    dist: ProbabilityDistribution,
-    alpha: float,
-    preset: str = PRESET_FIXED,
-) -> CrossCaptureStats:
-    """tr(V(word) * averaged-state projector) evaluated exactly.
-
-    The projector belongs to the averaged output state with threshold
-    parameter alpha*sqrt(|alphabet|).  Counts of each projector eigen-index
-    under the word's product state convolve exactly over letter classes.
-    """
-    _require_matching_alphabet(channel.alphabet, dist)
-    batch = _word_batch(_letter_states(channel, dist.labels), [word], dist.labels, "word is empty")
-    return _cross_stats(batch, dist, alpha, resolve_preset(preset))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -912,9 +821,10 @@ def verify_state_projector_bounds(rho, n: int, alpha: float, preset: str = PRESE
     return reports[0] if op.matrix.ndim == 2 else reports
 
 
-def _conditional_report(word, dist, alpha, preset, d, cond, cross, cond_entropy_true, classes):
-    """One conditional report from its word's class functionals (as _bound_report
-    takes them) and its cross capture."""
+def _conditional_report(word, dist, alpha, preset, d, cond, cross, cond_entropy_true):
+    """One conditional report from its word's _class_stats and _cross_stats rows."""
+    capture, rank, lam_max, classes = cond
+    cross_tau, cross_capture, variance_sum, mean_shift = cross
     n = len(word)
     a_size = len(dist.labels)
     emp_cond_entropy = sum(size * h for size, _, h, _, _ in classes) / n
@@ -933,20 +843,20 @@ def _conditional_report(word, dist, alpha, preset, d, cond, cross, cond_entropy_
         "exact_type": exact_type,
         "conditional_entropy_bits": cond_entropy_true,
         "empirical_conditional_entropy_bits": emp_cond_entropy,
-        "cross_tau": cross.tau,
+        "cross_tau": cross_tau,
     }
     report = _bound_report(
-        "conditional", params, d, alpha, a_size, cond.capture, cond.rank, cond.lambda_max,
+        "conditional", params, d, alpha, a_size, capture, rank, lam_max,
         classes, cond_entropy_true, lambda counting: counting - 2.0 * n * emp_cond_entropy,
     )
     capture_ref = report.reference_bounds["capture"]
-    cross_provable = 1.0 - cross.variance_sum / (n * cross.tau) ** 2 if exact_type else None
-    report.measured.update(cross_capture=cross.capture, cross_mean_shift=cross.mean_shift)
+    cross_provable = 1.0 - variance_sum / (n * cross_tau) ** 2 if exact_type else None
+    report.measured.update(cross_capture=cross_capture, cross_mean_shift=mean_shift)
     report.reference_bounds["cross_capture"] = capture_ref
     report.provable_bounds["cross_capture"] = cross_provable
-    report.flags["reference_cross_capture"] = bool(cross.capture >= capture_ref - _CAPTURE_GRACE)
+    report.flags["reference_cross_capture"] = bool(cross_capture >= capture_ref - _CAPTURE_GRACE)
     if cross_provable is not None:
-        report.flags["provable_cross_capture"] = bool(cross.capture >= cross_provable - _CAPTURE_GRACE)
+        report.flags["provable_cross_capture"] = bool(cross_capture >= cross_provable - _CAPTURE_GRACE)
     return report
 
 
@@ -968,30 +878,24 @@ def verify_conditional_projector_bounds(
     holding instance s's states in dist's label order, with word a list of
     S words; then the S reports come back as a list, with every spectral
     quantity computed for the whole batch at once.  Every letter state is
-    checked as a density operator.
+    checked as a density operator, and the check's one eigvalsh of the stack
+    gives every spectrum the conditional projectors read.
     """
     single = isinstance(channel, CQChannel)
     if single:
         _require_matching_alphabet(channel.alphabet, dist)
-    stack, words = (_letter_states(channel, dist.labels), [word]) if single else (channel, list(word))
+    stack, words = (np.array([[channel.state(a) for a in dist.labels]]), [word]) if single else (channel, list(word))
     preset = resolve_preset(preset)
-    batch = _word_batch(stack, words, dist.labels, "conditioning word is empty")
-    states = _checked_spectrum(batch.states, "channel state", density=True)
-    d = states.matrix.shape[-1]
-    conds = _class_stats(batch, alpha, preset)
-    crosses = _cross_stats(batch, dist, alpha, preset)
+    words, stack, classes = _word_batch(stack, words, dist.labels)
+    states = _checked_spectrum(stack, "channel state", density=True)
+    conds = _class_stats(classes, states.spectrum, alpha, preset)
+    crosses = _cross_stats(stack, classes, dist, alpha, preset)
 
     # conditional_entropy's sum, on the letter spectra the check above read
     letter_entropy = spectrum_entropy_bits(states.spectrum)
     cond_entropy = _letter_sum(dist.weights, lambda j: letter_entropy[:, j])
-
-    class_w = np.array([stats.eigenvalues for cond in conds for stats in cond.class_stats.values()])
-    functionals = _spectrum_functionals(class_w)
     reports = [
-        _conditional_report(
-            batch.words[s], dist, alpha, preset, d, cond, cross, float(cond_entropy[s]),
-            [(stats.n, stats.tau, *next(functionals)) for stats in cond.class_stats.values()],
-        )
-        for s, (cond, cross) in enumerate(zip(conds, crosses))
+        _conditional_report(word, dist, alpha, preset, stack.shape[-1], cond, cross, float(entropy))
+        for word, cond, cross, entropy in zip(words, conds, crosses, cond_entropy)
     ]
     return reports[0] if single else reports

@@ -34,12 +34,7 @@ from cqrelay.coding import (
 )
 from cqrelay.errors import ExpurgationError, InvalidInputError, ResourceLimitError
 from cqrelay.operators import ProbabilityDistribution, trace_pair
-from cqrelay.typicality import (
-    TypicalSet,
-    averaged_state_projector,
-    conditional_projector_stats,
-    cross_capture_stats,
-)
+from cqrelay.typicality import TypicalSet, averaged_state_projector, verify_conditional_projector_bounds
 
 
 def uniform_binary():
@@ -109,13 +104,6 @@ def test_sample_codebook_validates_sizes():
         sample_codebook(uniform_binary(), 4, 0, 2)
 
 
-def test_distinct_words_deduplicates():
-    cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=0)
-    distinct = cb.distinct_words()
-    assert len(distinct) == len(set(distinct))
-    assert set(distinct) == set(cb.words.values())
-
-
 # ---------------------------------------------------------------------------
 # detection operators
 # ---------------------------------------------------------------------------
@@ -156,9 +144,8 @@ def test_detection_first_kind_lower_bound_chain():
         marg = bc.marginal(r)
         for pair, w in sorted(cb.words.items()):
             got = trace_pair(ops[r][pair], marg.word_state(w))
-            cond = conditional_projector_stats(marg, w, 0.3)
-            cross = cross_capture_stats(marg, w, dist, 0.3)
-            lower = cond.capture - math.sqrt(8.0 * max(0.0, 1.0 - cross.capture))
+            stats = verify_conditional_projector_bounds(marg, w, dist, 0.3).measured
+            lower = stats["capture"] - math.sqrt(8.0 * max(0.0, 1.0 - stats["cross_capture"]))
             assert got >= lower - 1e-9
 
 
@@ -306,7 +293,7 @@ def test_noiseless_channel_decodes_perfectly():
     dec = build_square_root_decoder(cb, bc, alpha=0.5)
     report = average_errors(cb, bc, dec)
     # distinct orthogonal words: all detection masses are 0/1 exactly
-    if len(cb.distinct_words()) == len(cb.words):
+    if len(set(cb.words.values())) == len(cb.words):
         assert report.overall[1] == pytest.approx(0.0, abs=1e-10)
         assert report.overall[2] == pytest.approx(0.0, abs=1e-10)
 
@@ -618,6 +605,19 @@ def test_commuting_letters_take_the_diagonal_path(monkeypatch, scheme):
     monkeypatch.setattr(coding, "_normalize_group", refuse)
     config = {"n": 6, "M1": 3, "M2": 3 if scheme == "modular-sum" else 2, "alpha": 0.3, "seed": 2, "scheme": scheme}
     assert end_to_end_broadcast_sim(noisy_broadcast(), config)["status"] == "ok"
+
+
+def test_the_builder_decomposes_each_letter_once(monkeypatch):
+    # one eigh per averaged state and one per letter and receiver: the
+    # diagonal-basis check reads the eigenpairs the masks read
+    bc = noisy_broadcast()
+    cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
+    calls = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: calls.append(a.shape) or original(a, *r, **k))
+    dec = build_square_root_decoder(cb, bc, alpha=0.5)
+    assert calls == [(2, 2)] * 6
+    assert all(isinstance(dec.group(r, 0), coding._DiagonalGroup) for r in (1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from cqrelay.regions import (
     intersect_regions,
     mac_region,
     optimize_chi,
-    weighted_boundary_point,
 )
 
 
@@ -579,29 +578,6 @@ def test_grid_stacks_are_priced_at_their_dtype(monkeypatch, kind):
     _grid_search(kind, real, 7)
     with pytest.raises(ResourceLimitError):
         _grid_search(kind, cplx, 7)
-
-
-def test_weighted_boundary_point():
-    square = RateRegion.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
-    assert weighted_boundary_point(square, 0.0).r1 == pytest.approx(1.0)
-    assert weighted_boundary_point(square, 100.0).r2 == pytest.approx(1.0)
-    adder = mac_region(adder_mac_channel(), DistributionGrid(("0", "1"), 16))
-    pt = weighted_boundary_point(adder, 1.0)
-    assert pt.r1 + pt.r2 == pytest.approx(1.5, abs=1e-9)
-    # a region factory is not a region
-    with pytest.raises(InvalidInputError):
-        weighted_boundary_point(lambda: square, 0.0)
-    with pytest.raises(InvalidInputError):
-        weighted_boundary_point(square, -0.5)
-    with pytest.raises(InvalidInputError):
-        weighted_boundary_point("nope", 1.0)
-
-
-@pytest.mark.parametrize("mu", [math.nan, math.inf])
-def test_weighted_boundary_point_refuses_a_weight_that_is_not_finite(mu):
-    square = RateRegion.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
-    with pytest.raises(InvalidInputError, match="finite and nonnegative"):
-        weighted_boundary_point(square, mu)
 
 
 @pytest.mark.parametrize("resolution", [2.5, True, 3.0, "3", None])

@@ -45,6 +45,7 @@ from cqrelay.coding import (
 from cqrelay.lemmas import random_density
 from cqrelay.operators import (
     ProbabilityDistribution,
+    hermitian_eigendecomposition,
     hermitian_part,
     product_columns,
     pseudo_sqrt_inverse,
@@ -475,7 +476,7 @@ def assert_diagonal_matches_factor_path(cb, bc, alpha):
     assert_same_report(report.as_dict(), oracle.as_dict())
     assert_same_report(report.outcomes, oracle.outcomes)
     for r in (1, 2):
-        states = [_word_factors(bc.marginal(r), w) for w in cb.distinct_words()]
+        states = [_word_factors(bc.marginal(r), w) for w in dict.fromkeys(cb.words[p] for p in sorted(cb.words))]
         for known, pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).items():
             # each group built once here: Λ = H H† is what got.op and want.op form
             group, oracle_group = got.group(r, known), want.group(r, known)
@@ -540,6 +541,11 @@ def test_diagonal_groups_match_on_the_canonical_channel(weights):
     assert max(report.first_kind[2].values()) > 0.01
 
 
+def letter_eigenpairs(channel):
+    """letter -> its eigenpairs, as the public builder decomposes them."""
+    return {a: hermitian_eigendecomposition(channel.state(a)) for a in channel.alphabet}
+
+
 def commuting_qutrit_broadcast(seed, kind):
     # each receiver's three letter states share one eigenbasis V, real
     # orthogonal ("signed") or complex unitary ("phased"), and each letter
@@ -563,7 +569,7 @@ def test_diagonal_groups_match_on_random_commuting_qutrit_channels(kind, seed):
     cb = sample_codebook(dist, 5, 3, 2, seed=seed)
     got, report = assert_diagonal_matches_factor_path(cb, bc, alpha=0.5)
     projectors = coding._averaged_projectors(bc, dist, 5, 0.5, "fixed", 4096)
-    orders = [coding._diagonal_orders(bc.marginal(r), projectors[r]) for r in (1, 2)]
+    orders = [coding._diagonal_orders(letter_eigenpairs(bc.marginal(r)), projectors[r]) for r in (1, 2)]
     assert any(not np.array_equal(o, np.arange(3)) for by_letter in orders for o in by_letter.values())
     assert max(max(row) for r in (1, 2) for row in report.outcomes[r].values()) > 0.1
 
@@ -663,4 +669,4 @@ def test_commuting_letters_need_the_projectors_basis(weights, diagonal):
     for r in (1, 2):
         a, b = (bc.marginal(r).state(x) for x in ("0", "1"))
         assert np.abs(a @ b - b @ a).max() <= 1e-15
-        assert (coding._diagonal_orders(bc.marginal(r), projectors[r]) is not None) == diagonal
+        assert (coding._diagonal_orders(letter_eigenpairs(bc.marginal(r)), projectors[r]) is not None) == diagonal

@@ -21,12 +21,9 @@ from cqrelay.typicality import (
     PRESET_SQRT,
     TypicalSet,
     averaged_state_projector,
-    conditional_projector_stats,
     conditional_typical_projector,
-    cross_capture_stats,
     resolve_preset,
     spectrum_projector_stats,
-    state_projector_stats,
     threshold_for,
     typical_projector,
     verify_conditional_projector_bounds,
@@ -313,16 +310,16 @@ def test_spectrum_stats_match_dense_projector():
         rho = random_density(rng, dim)
         for alpha in (0.25, 0.6):
             proj = typical_projector(rho, n, alpha, PRESET_FIXED)
-            stats = state_projector_stats(rho, n, alpha, PRESET_FIXED)
+            stats = verify_state_projector_bounds(rho, n, alpha, PRESET_FIXED).measured
             mat = proj.matrix()
             block = rho
             for _ in range(n - 1):
                 block = np.kron(block, rho)
-            assert stats.rank == proj.rank
-            assert stats.capture == pytest.approx(trace_pair(mat, block), abs=1e-10)
+            assert stats["rank"] == proj.rank
+            assert stats["capture"] == pytest.approx(trace_pair(mat, block), abs=1e-10)
             compressed = mat @ block @ mat
             lam = np.linalg.eigvalsh(compressed).max() if proj.rank else 0.0
-            assert stats.lambda_max == pytest.approx(max(lam, 0.0), abs=1e-10)
+            assert stats["lambda_max"] == pytest.approx(max(lam, 0.0), abs=1e-10)
 
 
 def test_spectrum_stats_empty_projector():
@@ -388,48 +385,62 @@ def test_conditional_projector_matches_dense_oracle():
 def test_conditional_stats_match_dense_projector():
     rng = np.random.default_rng(59)
     ch = random_qubit_channel(rng)
+    dist = ProbabilityDistribution.uniform(ch.alphabet)
     word = ("0", "1", "1", "0")
     for alpha in (0.3, 0.7):
         proj = conditional_typical_projector(ch, word, alpha, PRESET_FIXED)
-        stats = conditional_projector_stats(ch, word, alpha, PRESET_FIXED)
+        stats = verify_conditional_projector_bounds(ch, word, dist, alpha, PRESET_FIXED).measured
         mat = proj.matrix()
         state = ch.word_state(word)
-        assert stats.rank == proj.rank
-        assert stats.capture == pytest.approx(trace_pair(mat, state), abs=1e-10)
+        assert stats["rank"] == proj.rank
+        assert stats["capture"] == pytest.approx(trace_pair(mat, state), abs=1e-10)
         lam = np.linalg.eigvalsh(mat @ state @ mat).max() if proj.rank else 0.0
-        assert stats.lambda_max == pytest.approx(max(lam, 0.0), abs=1e-10)
+        assert stats["lambda_max"] == pytest.approx(max(lam, 0.0), abs=1e-10)
 
 
 def test_conditional_projector_single_class_reduces_to_state_case():
     ch = depolarized_channel(0.2)
     word = ("0",) * 4
-    cond = conditional_projector_stats(ch, word, 0.3, PRESET_FIXED)
-    plain = state_projector_stats(ch.state("0"), 4, 0.3, PRESET_FIXED)
-    assert cond.rank == plain.rank
-    assert cond.capture == pytest.approx(plain.capture, abs=1e-12)
-    assert cond.lambda_max == pytest.approx(plain.lambda_max, abs=1e-12)
+    dist = ProbabilityDistribution.uniform(ch.alphabet)
+    cond = verify_conditional_projector_bounds(ch, word, dist, 0.3, PRESET_FIXED).measured
+    plain = verify_state_projector_bounds(ch.state("0"), 4, 0.3, PRESET_FIXED).measured
+    assert cond["rank"] == plain["rank"]
+    assert cond["capture"] == pytest.approx(plain["capture"], abs=1e-12)
+    assert cond["lambda_max"] == pytest.approx(plain["lambda_max"], abs=1e-12)
 
 
 def test_conditional_projector_class_length_is_per_letter():
     # with sqrt preset the per-class threshold uses the class size, so a
     # word with unbalanced classes differs from the balanced one in rank
     ch = depolarized_channel(0.3)
-    a = conditional_projector_stats(ch, ("0", "0", "0", "1"), 0.9, PRESET_SQRT)
-    assert a.class_stats["0"].tau == pytest.approx(0.9 / math.sqrt(3))
-    assert a.class_stats["1"].tau == pytest.approx(0.9)
+    word = ("0", "0", "0", "1")
+    a = conditional_typical_projector(ch, word, 0.9, PRESET_SQRT)
+    assert a.taus["0"] == pytest.approx(0.9 / math.sqrt(3))
+    assert a.taus["1"] == pytest.approx(0.9)
+    # the report's quarter bound sums d / (4 n_a tau_a^2) over the same classes
+    dist = ProbabilityDistribution.uniform(ch.alphabet)
+    report = verify_conditional_projector_bounds(ch, word, dist, 0.9, PRESET_SQRT)
+    quarter = 2 / (4 * 3 * a.taus["0"] ** 2) + 2 / (4 * 1 * a.taus["1"] ** 2)
+    assert report.provable_bounds["capture_quarter"] == pytest.approx(1.0 - quarter)
 
 
 def test_conditional_projector_rejects_empty_word():
     ch = depolarized_channel(0.2)
     with pytest.raises(InvalidInputError):
         conditional_typical_projector(ch, (), 0.5)
-    with pytest.raises(InvalidInputError):
-        conditional_projector_stats(ch, (), 0.5)
+    with pytest.raises(InvalidInputError, match="^conditioning word is empty$"):
+        verify_conditional_projector_bounds(ch, (), ProbabilityDistribution.uniform(ch.alphabet), 0.5)
 
 
 # ---------------------------------------------------------------------------
 # cross capture
 # ---------------------------------------------------------------------------
+
+
+def variance_sum(report):
+    # an exact-type word's provable cross bound is 1 - variance sum / (n tau)^2
+    scale = (report.params["n"] * report.params["cross_tau"]) ** 2
+    return (1.0 - report.provable_bounds["cross_capture"]) * scale
 
 
 def test_cross_capture_matches_dense_oracle():
@@ -438,12 +449,12 @@ def test_cross_capture_matches_dense_oracle():
     dist = ProbabilityDistribution.uniform(("0", "1"))
     word = ("0", "1", "1", "0")
     for alpha in (0.3, 0.8):
-        stats = cross_capture_stats(ch, word, dist, alpha, PRESET_FIXED)
+        report = verify_conditional_projector_bounds(ch, word, dist, alpha, PRESET_FIXED)
         avg = output_state(ch, dist)
         proj = typical_projector(avg, len(word), alpha * math.sqrt(2), PRESET_FIXED)
-        assert stats.tau == pytest.approx(proj.taus[0])
+        assert report.params["cross_tau"] == pytest.approx(proj.taus[0])
         expected = trace_pair(proj.matrix(), ch.word_state(word))
-        assert stats.capture == pytest.approx(expected, abs=1e-10)
+        assert report.measured["cross_capture"] == pytest.approx(expected, abs=1e-10)
 
 
 def test_cross_capture_orthogonal_channel_exact_type():
@@ -451,9 +462,9 @@ def test_cross_capture_orthogonal_channel_exact_type():
     # the balanced index words, and an exact-type word is one of them
     ch = orthogonal_pure_channel()
     dist = ProbabilityDistribution.uniform(("0", "1"))
-    stats = cross_capture_stats(ch, ("0", "1", "0", "1"), dist, 0.2, PRESET_FIXED)
-    assert stats.capture == pytest.approx(1.0, abs=1e-12)
-    assert stats.mean_shift == pytest.approx(0.0, abs=1e-12)
+    stats = verify_conditional_projector_bounds(ch, ("0", "1", "0", "1"), dist, 0.2, PRESET_FIXED).measured
+    assert stats["cross_capture"] == pytest.approx(1.0, abs=1e-12)
+    assert stats["cross_mean_shift"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cross_capture_variance_formula():
@@ -461,14 +472,15 @@ def test_cross_capture_variance_formula():
     ch = overlap_pair_channel()
     dist = ProbabilityDistribution.uniform(ch.alphabet)
     word = ("0", "+", "0", "+")
-    stats = cross_capture_stats(ch, word, dist, 0.5, PRESET_FIXED)
+    report = verify_conditional_projector_bounds(ch, word, dist, 0.5, PRESET_FIXED)
+    assert report.params["exact_type"]
     avg = output_state(ch, dist)
     w, u = np.linalg.eigh(avg)
     var = 0.0
     for a in word:
         q = np.real(np.diag(u.conj().T @ ch.state(a) @ u))
         var += float((q * (1 - q)).sum())
-    assert stats.variance_sum == pytest.approx(var, abs=1e-10)
+    assert variance_sum(report) == pytest.approx(var, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +589,29 @@ def test_state_reports_decompose_each_state_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, lambda a, *r, _f=original, **k: calls.append(a.shape) or _f(a, *r, **k))
     reports = verify_state_projector_bounds(stack, 5, 1.0)
     assert calls == [(4, 3, 3)]
-    stats = state_projector_stats(stack[1], 5, 1.0)
+    one = verify_state_projector_bounds(stack[1], 5, 1.0)
     assert calls == [(4, 3, 3), (3, 3)]
-    assert reports[1].measured["capture"] == stats.capture
+    assert reports[1].measured["capture"] == one.measured["capture"]
     with pytest.raises(InvalidInputError, match=r"^state\[2\] has trace"):
         verify_state_projector_bounds(stack * np.array([1.0, 1.0, 1.1, 1.0])[:, None, None], 5, 1.0)
+
+
+def test_conditional_reports_decompose_each_letter_state_once(monkeypatch):
+    # the density check's eigvalsh of the letter stack gives every class
+    # spectrum; the cross capture adds one eigh of the averaged states
+    rng = np.random.default_rng(61)
+    dist = ProbabilityDistribution(("0", "1", "2"), [0.5, 0.3, 0.2])
+    stack = np.array([[random_density(rng, 3) for _ in dist.labels] for _ in range(4)])
+    words = [("0", "1", "0", "2"), ("2", "2", "1"), ("0",) * 5, ("1", "0", "2", "0", "1")]
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, *r, _f=original, _n=name, **k: calls.append((_n, a.shape)) or _f(a, *r, **k)
+        )
+    reports = verify_conditional_projector_bounds(stack, words, dist, 0.5)
+    assert calls == [("eigvalsh", (4, 3, 3, 3)), ("eigh", (4, 3, 3))]
+    assert len(reports) == 4
 
 
 def test_typical_projector_decomposes_the_state_once(monkeypatch):
@@ -627,34 +657,31 @@ def test_typical_projector_refuses_a_stack_before_decomposing(monkeypatch):
 @pytest.mark.parametrize("make", [lambda: depolarized_channel(0.1), overlap_pair_channel])
 def test_real_letter_states_are_decomposed_as_real(monkeypatch, make):
     # a channel whose letter states are real keeps them float64 through every
-    # conditional and cross report; the same states passed in as complex
-    # give the same numbers
+    # conditional and cross report; the same states passed in as complex,
+    # as a channel or as a stack, give the same numbers
     ch = make()
     dist = ProbabilityDistribution(ch.alphabet, [0.6, 0.4])
     word = tuple(ch.alphabet[i] for i in (0, 1, 0, 0, 1, 0))
+    # the second word has dist's exact type, so its report carries the
+    # cross variance sum in its provable bound
+    words = [word, word[:5]]
     as_complex = CQChannel(ch.alphabet, {a: ch.state(a).astype(complex) for a in ch.alphabet}, validate=False)
     dtypes = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda a, *r, _f=original, **k: dtypes.append(a.dtype) or _f(a, *r, **k))
-    real = (
-        conditional_projector_stats(ch, word, 0.5),
-        cross_capture_stats(ch, word, dist, 0.5),
-        verify_conditional_projector_bounds(ch, word, dist, 0.5),
-    )
+    real = [verify_conditional_projector_bounds(ch, w, dist, 0.5) for w in words]
     assert dtypes and set(dtypes) == {np.dtype(float)}
-    stack = np.array([[ch.state(a) for a in dist.labels]], dtype=complex)
-    cplx = (
-        conditional_projector_stats(as_complex, word, 0.5),
-        cross_capture_stats(as_complex, word, dist, 0.5),
-        verify_conditional_projector_bounds(stack, [word], dist, 0.5)[0],
-    )
-    assert np.dtype(complex) in dtypes
-    for field in ("capture", "rank", "lambda_max"):
-        assert getattr(real[0], field) == pytest.approx(getattr(cplx[0], field), abs=1e-12)
-    for field in ("capture", "variance_sum", "mean_shift"):
-        assert getattr(real[1], field) == pytest.approx(getattr(cplx[1], field), abs=1e-12)
-    assert real[2].measured.keys() == cplx[2].measured.keys()
-    for key, value in real[2].measured.items():
-        assert value == pytest.approx(cplx[2].measured[key], abs=1e-12)
-    assert real[2].flags == cplx[2].flags
+    stack = np.array([[ch.state(a) for a in dist.labels]] * 2, dtype=complex)
+    for cplx in (
+        [verify_conditional_projector_bounds(as_complex, w, dist, 0.5) for w in words],
+        verify_conditional_projector_bounds(stack, words, dist, 0.5),
+    ):
+        assert np.dtype(complex) in dtypes
+        for want, got in zip(real, cplx):
+            assert want.measured.keys() == got.measured.keys()
+            for key, value in want.measured.items():
+                assert value == pytest.approx(got.measured[key], abs=1e-12)
+            assert want.flags == got.flags
+        assert real[1].params["exact_type"] and cplx[1].params["exact_type"]
+        assert variance_sum(real[1]) == pytest.approx(variance_sum(cplx[1]), abs=1e-12)

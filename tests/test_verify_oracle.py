@@ -62,7 +62,6 @@ from cqrelay.typicality import (
     _clean_eigenvalues,
     _count_table,
     conditional_typical_projector,
-    cross_capture_stats,
     spectrum_projector_stats,
     threshold_for,
     typical_projector,
@@ -434,7 +433,8 @@ def o_conditional_report(channel, word, dist, alpha, preset):
     emp_terms = []
     for a, na in class_counts.items():
         tau_a = threshold_for(alpha, na, preset)
-        wa, c_a, r_a, l_a = o_spectrum_stats(o_eig_desc(channel.state(a))[0], na, tau_a)
+        # the spectrum of the letter's density check, descending
+        wa, c_a, r_a, l_a = o_spectrum_stats(np.linalg.eigvalsh(o_herm(channel.state(a)))[::-1], na, tau_a)
         capture *= c_a
         rank *= r_a
         lam_max *= l_a
@@ -775,14 +775,20 @@ def test_reports_match_the_scalar_builder_where_only_the_grace_holds(seed):
 def test_cross_capture_merges_letter_classes_like_the_convolution():
     rng = np.random.default_rng(2)
     dist = ProbabilityDistribution(("a", "b", "c"), np.array([0.2, 0.3, 0.5]))
+    # the last word has dist's exact type, so its report carries the
+    # variance sum in its provable cross bound
+    words = (("a", "b", "c", "c", "b", "a", "c"), ("c",) * 5 + ("a",), ("b", "a", "b"), tuple("cbacbcacbc"))
     for dim in (2, 3, 4):
         ch = random_channel(rng, dist.labels, dim)
-        for word in (("a", "b", "c", "c", "b", "a", "c"), ("c",) * 5 + ("a",), ("b", "a", "b")):
+        for word in words:
             for alpha in (0.3, 1.0):
-                got = cross_capture_stats(ch, word, dist, alpha)
+                got = verify_conditional_projector_bounds(ch, word, dist, alpha)
                 tau, capture, var, shift = o_cross(ch, word, dist, alpha, PRESET_FIXED)
-                assert (got.tau, got.variance_sum, got.mean_shift) == (tau, var, shift)
-                assert abs(got.capture - capture) <= CROSS_TOL
+                assert (got.params["cross_tau"], got.measured["cross_mean_shift"]) == (tau, shift)
+                assert abs(got.measured["cross_capture"] - capture) <= CROSS_TOL
+                if got.params["exact_type"]:
+                    assert got.provable_bounds["cross_capture"] == 1.0 - var / (len(word) * tau) ** 2
+        assert got.params["exact_type"]
 
 
 def test_sweeps_need_at_least_one_trial():
