@@ -47,11 +47,10 @@ from .operators import (
     _require_within_cap,
     hermitian_eigendecomposition,
     hermitian_part,
+    kron_apply,
     kron_column_chunks,
-    multinomial_coefficient,
     product_columns,
     pseudo_sqrt_inverse,
-    tensor_all,
 )
 from .typicality import (
     PRESET_FIXED,
@@ -60,7 +59,6 @@ from .typicality import (
     _mask_words,
     _projector,
     averaged_state_projector,
-    conditional_typical_projector,
     resolve_preset,
     spectrum_projector_stats,
 )
@@ -97,10 +95,6 @@ def sample_codebook(
     if m1_size < 1 or m2_size < 1:
         raise InvalidInputError("message set sizes must be >= 1")
     tset = TypicalSet(dist, n, delta_code)
-    if tset.is_empty():
-        raise InvalidInputError(
-            f"typical set is empty for n={n}, delta={delta_code}; no words to sample"
-        )
     rng = np.random.default_rng(seed)
     words = {}
     for m1 in range(m1_size):
@@ -157,6 +151,11 @@ def _averaged_projectors(bc: BroadcastCQChannel, dist, n: int, alpha, preset, di
     builds them once for all its seeds.
     """
     return {r: averaged_state_projector(bc.marginal(r), dist, n, alpha, preset, dim_cap) for r in (1, 2)}
+
+
+def _letter_eigenpairs(channel: CQChannel) -> dict:
+    """letter -> its state's descending spectrum and eigenvector columns."""
+    return {a: hermitian_eigendecomposition(channel.state(a)) for a in channel.alphabet}
 
 
 def _word_projectors(letters: dict, words, alpha, preset, read) -> list:
@@ -298,13 +297,22 @@ def _diagonal_orders(letters: dict, proj: TypicalProjector) -> dict | None:
 
 
 def _basis_diagonal(basis: np.ndarray, factor) -> np.ndarray:
-    """diag(V† rho V) for a tensor factor rho on m positions and V = basis^(x)m."""
+    """diag(V† rho V) for a tensor factor rho on m positions and V = basis^(x)m;
+    for m > 1 by mode products, V† rho and then column chunks of
+    (V† rho V)^T = V^T (V† rho)^T, so V and V† rho V are never formed."""
     d, size = basis.shape[0], factor.shape[0]
-    m = max(1, round(math.log(size) / math.log(d))) if d > 1 else 1
+    m = 1
+    while d > 1 and d**m < size:
+        m += 1
     if d**m != size:
         raise InvalidInputError(f"a {size}-dimensional state factor is no tensor power of {d} dimensions")
-    v = tensor_all([basis] * m)
-    return np.einsum("ix,ix->x", v.conj(), factor @ v).real
+    if m == 1:
+        return np.einsum("ix,ix->x", basis.conj(), factor @ basis).real
+    rotated = kron_apply([basis.conj().T] * m, factor)
+    out = np.empty(size)
+    for cols, product in kron_column_chunks([basis.T] * m, rotated.T):
+        out[cols] = product[cols].diagonal().real
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,6 +396,9 @@ class SquareRootDecoder:
     side-information group anew on each call.  Every caller reads a group
     through its tables, its length and its margin, and lets it go before it
     asks for the next; only factor and op read a single normalized factor.
+    Each factor, op and decode_with_side_info call builds the whole group it
+    reads from, so a caller decoding many states against one group reads
+    group(receiver, known).outcomes(states) once instead.
     """
 
     codebook: Codebook
@@ -452,7 +463,7 @@ def _group_builder(channel: CQChannel, proj: TypicalProjector, alpha, preset):
     included vectors of P_w, is N x rank with D' = F F† (Pi itself is never
     formed), and _normalize_group normalizes the group's factors.
     """
-    letters = {a: hermitian_eigendecomposition(channel.state(a)) for a in channel.alphabet}
+    letters = _letter_eigenpairs(channel)
     orders = _diagonal_orders(letters, proj)
     if orders is None:
         return lambda words: _normalize_group(
@@ -610,44 +621,6 @@ def average_errors(codebook: Codebook, bc: BroadcastCQChannel, decoder: SquareRo
     )
 
 
-def _typical_mixture_apply(channel: CQChannel, tset, block: np.ndarray) -> np.ndarray:
-    """(sum over typical words w of p(w) W(w_1) (x) ... (x) W(w_n)) @ block.
-
-    p is the unnormalized product weight of tset's distribution.  Partial
-    sums are kept per letter-count vector of the positions applied so far,
-    so each position costs one mode product per count vector and letter
-    instead of one kron_apply per typical word.  Count vectors that can no
-    longer end inside the typical windows are dropped on the way.
-    """
-    dist, n = tset.dist, tset.n
-    windows = tset.count_windows()
-    d = channel.output_dim
-    cols = block.shape[1]
-    letters = [
-        (i, p * channel.state(a)) for i, (a, p) in enumerate(zip(dist.labels, dist.weights)) if p > 0.0
-    ]
-    partial = {(0,) * len(dist.labels): block}
-    for k in range(n):
-        left = n - k - 1
-        step = {}
-        for counts, blk in partial.items():
-            view = blk.reshape(d**k, d, d**left * cols)
-            for i, weighted_state in letters:
-                grown = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
-                if grown[i] > windows[i][1] or any(c + left < lo for c, (lo, _) in zip(grown, windows)):
-                    continue
-                term = np.matmul(weighted_state, view)
-                if grown in step:
-                    step[grown] += term
-                else:
-                    step[grown] = term
-        partial = step
-    out = np.zeros(block.shape, dtype=np.result_type(block, *(state for _, state in letters)))
-    for blk in partial.values():
-        out += blk.reshape(block.shape)
-    return out
-
-
 def second_kind_collision_check(
     dist: ProbabilityDistribution,
     bc: BroadcastCQChannel,
@@ -681,8 +654,11 @@ def second_kind_collision_check(
     lam_max = spectrum_projector_stats(proj.eigenvalues[0], n, proj.taus[0]).lambda_max
     chi2 = holevo_chi(channel, dist)
 
+    letters = _letter_eigenpairs(channel)
+    total = mean_rank = 0.0
+
     def factor_of(word):
-        cond = conditional_typical_projector(channel, word, alpha, preset, dim_cap)
+        cond = _projector(letters, word, alpha, preset)
         return cond.sandwiched_factor(proj), cond.rank
 
     if exact:
@@ -690,23 +666,18 @@ def second_kind_collision_check(
         # X, X'.  rho_mix and the averaged projector commute with permutations
         # of the positions and D'(pi w) = P_pi D'(w) P_pi†, so the trace only
         # depends on the type of w: one word per type class stands for all.
-        total = 0.0
-        mean_rank = 0.0
-        for counts in tset.count_vectors():
-            w = tuple(a for a, k in zip(dist.labels, counts) for _ in range(k))
-            p = multinomial_coefficient(n, counts) * math.prod(dist.weight(a) for a in w) / typical_mass
+        for counts, mass in tset.type_classes():
+            p = mass / typical_mass
             if p == 0.0:
                 continue
-            f, rank = factor_of(w)
-            mixed = _typical_mixture_apply(channel, tset, f) / typical_mass
+            f, rank = factor_of(tuple(a for a, k in zip(dist.labels, counts) for _ in range(k)))
+            mixed = tset.mixture_apply(channel, f) / typical_mass
             total += p * float(np.vdot(f, mixed).real)
             mean_rank += p * rank
         estimate = _clamp_nonnegative(total)
         trials_used = tset.size() ** 2
     else:
         rng = np.random.default_rng(seed)
-        total = 0.0
-        mean_rank = 0.0
         for _ in range(trials):
             x = tset.sample(rng, 100_000)
             x_prime = tset.sample(rng, 100_000)
@@ -830,7 +801,9 @@ def decode_with_side_info(
     is a dense N x N array or the list of its tensor factors.  Outcome
     probabilities are exact traces, clamped at 0; "argmax" returns the most
     likely message, "sampled" draws from the full outcome distribution and
-    returns None on the complement outcome.
+    returns None on the complement outcome.  Each call builds the whole
+    side-information group; to decode many states against one group, read
+    decoder.group(receiver, known_message).outcomes(states) once.
     """
     if receiver not in (1, 2):
         raise InvalidInputError(f"receiver must be 1 or 2, got {receiver!r}")

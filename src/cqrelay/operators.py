@@ -486,20 +486,6 @@ class ProbabilityDistribution:
         return ProbabilityDistribution(labels, weights)
 
 
-def multinomial_coefficient(n: int, counts) -> int:
-    """Exact number of words with the given letter counts."""
-    remaining = n
-    out = 1
-    for k in counts:
-        if k < 0 or k > remaining:
-            raise InvalidInputError(f"invalid count vector {tuple(counts)} for n={n}")
-        out *= math.comb(remaining, k)
-        remaining -= k
-    if remaining != 0:
-        raise InvalidInputError(f"count vector {tuple(counts)} does not sum to {n}")
-    return out
-
-
 def compositions(n: int, d: int) -> np.ndarray:
     """Every count vector of n over d letters, as the rows of an (R, d) array.
 

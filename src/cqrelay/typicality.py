@@ -98,6 +98,9 @@ class TypicalSet:
         self.delta = float(delta)
         self.threshold = self.delta / d
         self._allowed = _count_allowed(dist.weights, self.n, self.threshold)
+        # windows are intervals, so every total between the sums is reachable
+        lo, hi = np.array(self.count_windows()).T
+        self._empty = not ((lo <= hi).all() and lo.sum() <= self.n <= hi.sum())
 
     def counts(self, word) -> tuple[int, ...]:
         word = tuple(word)
@@ -129,18 +132,20 @@ class TypicalSet:
         return windows
 
     def is_empty(self) -> bool:
-        # windows are intervals, so every total between the sums is reachable
-        lo, hi = np.array(self.count_windows()).T
-        return not ((lo <= hi).all() and lo.sum() <= self.n <= hi.sum())
+        return self._empty
 
     def _member_classes(self):
         """The count-class table of (n, |alphabet|) and its member-row flags."""
         table = _count_table(self.n, len(self.dist.labels))
         return table, _rows_allowed(self._allowed, table.counts)
 
-    def count_vectors(self) -> list[tuple[int, ...]]:
+    def type_classes(self) -> list[tuple[tuple[int, ...], float]]:
+        """Each member count vector with its class's product-distribution
+        mass, the multinomial times prod_i w_i^(c_i), in table order."""
         table, keep = self._member_classes()
-        return [tuple(row) for row in table.counts[keep].tolist()]
+        counts = table.counts[keep]
+        masses = table.weights[keep] * _class_products(_power_table(self.dist.weights, self.n), counts)
+        return list(zip(map(tuple, counts.tolist()), masses.tolist()))
 
     def size(self) -> int:
         """Exact number of member words."""
@@ -148,16 +153,17 @@ class TypicalSet:
         return int(table.multinomials[keep].sum())
 
     def probability(self) -> float:
-        """Exact product-distribution mass of the set, summed in table order."""
-        table, keep = self._member_classes()
-        products = _class_products(_power_table(self.dist.weights, self.n), table.counts[keep])
-        return sum((table.weights[keep] * products).tolist())
+        """Exact product-distribution mass of the set: the class masses summed in table order."""
+        return sum(mass for _, mass in self.type_classes())
 
     def sample(self, rng, max_tries: int) -> tuple:
         """Draw i.i.d. words from the distribution until one is a member.
 
-        Each try makes the draws of rng.choice(d, size=n, p=weights).
+        Each try makes the draws of rng.choice(d, size=n, p=weights).  An
+        empty set is refused before the first draw.
         """
+        if self._empty:
+            raise InvalidInputError(f"typical set is empty for n={self.n}, delta={self.delta}; no words to draw")
         cdf = np.cumsum(self.dist.weights)
         cdf /= cdf[-1]
         labels = self.dist.labels
@@ -168,6 +174,42 @@ class TypicalSet:
         raise ResourceLimitError(
             f"rejection sampling failed to hit the typical set within {max_tries} tries"
         )
+
+    def mixture_apply(self, channel: CQChannel, block: np.ndarray) -> np.ndarray:
+        """(sum over member words w of p(w) W(w_1) (x) ... (x) W(w_n)) @ block.
+
+        p is the unnormalized product weight of the set's distribution and W
+        the channel's letter states.  Partial sums are kept per letter-count
+        vector of the positions applied so far, so each position costs one
+        mode product per count vector and letter instead of one kron_apply
+        per member word.  Count vectors that can no longer end inside the
+        count windows are dropped on the way.
+        """
+        dist, n = self.dist, self.n
+        windows = self.count_windows()
+        d = channel.output_dim
+        cols = block.shape[1]
+        letters = [(i, p * channel.state(a)) for i, (a, p) in enumerate(zip(dist.labels, dist.weights)) if p > 0.0]
+        partial = {(0,) * len(dist.labels): block}
+        for k in range(n):
+            left = n - k - 1
+            step = {}
+            for counts, blk in partial.items():
+                view = blk.reshape(d**k, d, d**left * cols)
+                for i, weighted_state in letters:
+                    grown = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+                    if grown[i] > windows[i][1] or any(c + left < lo for c, (lo, _) in zip(grown, windows)):
+                        continue
+                    term = np.matmul(weighted_state, view)
+                    if grown in step:
+                        step[grown] += term
+                    else:
+                        step[grown] = term
+            partial = step
+        out = np.zeros(block.shape, dtype=np.result_type(block, *(state for _, state in letters)))
+        for blk in partial.values():
+            out += blk.reshape(block.shape)
+        return out
 
 
 def _clean_eigenvalues(values: np.ndarray) -> np.ndarray:

@@ -99,6 +99,20 @@ def test_sample_codebook_empty_typical_set():
         sample_codebook(uniform_binary(), 1, 2, 2, delta_code=0.4)
 
 
+def test_an_empty_typical_set_is_refused_before_a_draw():
+    # the set refuses itself: sample raises before it reads the generator,
+    # and sample_codebook passes the same refusal on
+    dist = uniform_binary()
+    message = r"^typical set is empty for n=1, delta=0\.4; no words to draw$"
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidInputError, match=message):
+        TypicalSet(dist, 1, 0.4).sample(rng, 50)
+    assert rng.bit_generator.state == state
+    with pytest.raises(InvalidInputError, match=message):
+        sample_codebook(dist, 1, 2, 2, delta_code=0.4)
+
+
 def test_sample_codebook_validates_sizes():
     with pytest.raises(InvalidInputError):
         sample_codebook(uniform_binary(), 4, 0, 2)
@@ -343,6 +357,18 @@ def test_second_kind_sampled_deterministic():
     assert a == b
     assert a["trials"] == 20
     json.dumps(a)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_the_second_kind_check_decomposes_each_letter_once(monkeypatch, exact):
+    # one eigh for each letter of receiver 2 and one for its averaged state,
+    # however many type classes or sampled words the check reads
+    calls = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: calls.append(a.shape) or original(a, *r, **k))
+    out = second_kind_collision_check(uniform_binary(), noisy_broadcast(), n=6, alpha=0.5, trials=20, exact=exact)
+    assert out["mean_conditional_rank"] > 0.0
+    assert calls == [(2, 2)] * 3
 
 
 def test_second_kind_dim_cap():

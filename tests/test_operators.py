@@ -12,7 +12,6 @@ from cqrelay.operators import (
     hermitian_eigendecomposition,
     hermitian_part,
     matrix_sqrt,
-    multinomial_coefficient,
     partial_trace,
     pseudo_sqrt_inverse,
     spectrum_entropy_bits,
@@ -239,19 +238,6 @@ def test_probability_distribution_uniform_and_power():
     cube = skew.power(3)
     assert cube.weight(("y", "x", "y")) == pytest.approx(0.75 * 0.25 * 0.75, abs=1e-15)
     assert sum(cube.weights) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_multinomial_coefficient_factorial_oracle():
-    assert multinomial_coefficient(5, (5,)) == 1
-    assert multinomial_coefficient(4, (2, 2)) == math.factorial(4) // (2 * 2)
-    for counts in [(3, 2, 1), (0, 4, 2), (1, 1, 1, 3)]:
-        n = sum(counts)
-        expect = math.factorial(n)
-        for c in counts:
-            expect //= math.factorial(c)
-        assert multinomial_coefficient(n, counts) == expect
-    with pytest.raises(InvalidInputError):
-        multinomial_coefficient(4, (2, 1))  # counts do not add up
 
 
 # ---------------------------------------------------------------------------

@@ -599,6 +599,37 @@ def test_diagonal_rank_zero_group_matches_the_factor_path():
     assert got.factor(2, 0, 0).shape == (2**6, 0)
 
 
+@pytest.mark.parametrize(
+    "channel, n, alpha",
+    [(canonical_broadcast, 8, 0.3), (lambda: commuting_qutrit_broadcast(2, "phased"), 5, 0.5)],
+    ids=["real-qubit", "phased-qutrit"],
+)
+def test_a_dense_state_on_the_diagonal_path_forms_no_basis_power(monkeypatch, channel, n, alpha):
+    # a dense word state, or a factor on several positions, is rotated into
+    # the projector's basis by mode products; no power basis^(x)m is formed,
+    # and the outcome row is the one its single-letter factors give, on both
+    # paths
+    bc = channel()
+    cb = sample_codebook(ProbabilityDistribution.uniform(bc.alphabet), n, 2, 2, seed=3)
+    dec, oracle = build_square_root_decoder(cb, bc, alpha=alpha), factor_decoder(cb, bc, alpha=alpha)
+    powers = []
+    monkeypatch.setattr(coding, "tensor_all", lambda mats: powers.append(len(mats)) or tensor_all(mats), raising=False)
+    largest = 0.0
+    for r in (1, 2):
+        for known, pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).items():
+            group, oracle_group = dec.group(r, known), oracle.group(r, known)
+            assert isinstance(group, coding._DiagonalGroup)
+            for pair in pairs:
+                factors = _word_factors(bc.marginal(r), cb.word(*pair))
+                want = oracle_group.outcomes([factors])[0]
+                split = [tensor_all(factors[:2]), tensor_all(factors[2:])]
+                rows = group.outcomes([factors, [tensor_all(factors)], split])
+                assert np.abs(rows - want).max() <= TOL
+                largest = max(largest, want.max())
+    assert not [m for m in powers if m > 1]
+    assert largest > 0.5
+
+
 def spy_paths():
     # records the receivers' group constructions by path
     diagonal = mock.patch.object(coding, "_diagonal_group", wraps=coding._diagonal_group)

@@ -45,7 +45,6 @@ from cqrelay.operators import (
     compositions,
     hermitian_eigendecomposition,
     matrix_sqrt,
-    multinomial_coefficient,
     pseudo_sqrt_inverse,
     require_hermitian,
     spectrum_entropy_bits,
@@ -259,6 +258,14 @@ def o_admissible_count_vectors(total, windows):
     yield from rec(0, total, ())
 
 
+def o_multinomial(n, counts):
+    """n! / (c_1! ... c_d!), exact."""
+    out = math.factorial(n)
+    for c in counts:
+        out //= math.factorial(c)
+    return out
+
+
 def o_weight_power(weights, counts):
     out = 1.0
     for w, k in zip(weights, counts):
@@ -284,8 +291,8 @@ def o_typical_set(dist, n, delta):
     """(windows, count vectors, size, probability, is_empty) of a typical set."""
     windows = [o_count_window(n, float(w), delta / len(dist.labels)) for w in dist.weights]
     vectors = list(o_admissible_count_vectors(n, windows))
-    size = sum(multinomial_coefficient(n, c) for c in vectors)
-    probability = sum(multinomial_coefficient(n, c) * o_weight_power(dist.weights, c) for c in vectors)
+    size = sum(o_multinomial(n, c) for c in vectors)
+    probability = sum(o_multinomial(n, c) * o_weight_power(dist.weights, c) for c in vectors)
     return windows, vectors, size, probability, not vectors
 
 
@@ -336,7 +343,7 @@ def o_spectrum_stats(eigenvalues, n, tau):
     w = _clean_eigenvalues(np.asarray(eigenvalues, dtype=float))
     capture, rank, lam_max = 0.0, 0, 0.0
     for counts in o_admissible_count_vectors(n, o_eigen_windows(w, n, tau)):
-        m = multinomial_coefficient(n, counts)
+        m = o_multinomial(n, counts)
         p = o_weight_power(w, counts)
         capture += m * p
         rank += m
@@ -403,7 +410,7 @@ def o_cross(channel, word, dist, alpha, preset):
         for counts in o_admissible_count_vectors(na, [(0, na)] * d):
             p = o_weight_power(diag[a], counts)
             if p > 0.0:
-                terms.append((counts, multinomial_coefficient(na, counts) * p))
+                terms.append((counts, o_multinomial(na, counts) * p))
         new_map = {}
         for base, pb in dist_map.items():
             for counts, pc in terms:
@@ -921,8 +928,10 @@ def test_typical_sets_match_the_recursive_enumeration(seed):
         dist, n, delta = random_typical_case(rng)
         tset = TypicalSet(dist, n, delta)
         windows, vectors, size, probability, is_empty = o_typical_set(dist, n, delta)
+        classes = tset.type_classes()
         assert tset.count_windows() == windows
-        assert tset.count_vectors() == vectors
+        assert [counts for counts, _ in classes] == vectors
+        assert [mass for _, mass in classes] == [o_multinomial(n, c) * o_weight_power(dist.weights, c) for c in vectors]
         assert tset.size() == size
         assert tset.probability() == probability
         assert tset.is_empty() == is_empty
@@ -961,7 +970,7 @@ def test_compositions_match_the_recursive_lattice_and_the_multinomials():
             if n:
                 table = _count_table(n, d)
                 assert np.array_equal(table.counts, rows)
-                assert table.multinomials.tolist() == [multinomial_coefficient(n, r) for r in rows.tolist()]
+                assert table.multinomials.tolist() == [o_multinomial(n, r) for r in rows.tolist()]
     for bad in ((-1, 2), (3, 0)):
         with pytest.raises(InvalidInputError):
             compositions(*bad)
