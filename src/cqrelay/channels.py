@@ -260,12 +260,6 @@ class MACCQChannel:
         except KeyError:
             raise InvalidInputError(f"input pair ({y1!r}, {y2!r}) not in alphabets") from None
 
-    def word_state(self, word1, word2) -> np.ndarray:
-        word1, word2 = tuple(word1), tuple(word2)
-        if not word1 or len(word1) != len(word2):
-            raise InvalidInputError("sender words must be nonempty and equally long")
-        return tensor_all([self.state(y1, y2) for y1, y2 in zip(word1, word2)])
-
 
 # ---------------------------------------------------------------------------
 # File format: matrix literals are nested rows of [re, im] pairs.
@@ -311,22 +305,24 @@ def _parse_labels(raw, what: str) -> tuple:
     return tuple(raw)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, kind: str) -> dict:
+    """The JSON object in a file; kind ("channel", "config") names the file
+    in the InvalidInputError that any other content raises."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise InvalidInputError(f"cannot read channel file {path!r}: {exc}") from None
+        raise InvalidInputError(f"cannot read {kind} file {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"channel file {path!r} is not valid JSON: {exc}") from None
+        raise InvalidInputError(f"{kind} file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise InvalidInputError(f"channel file {path!r} must hold a JSON object")
+        raise InvalidInputError(f"{kind} file {path!r} must hold a JSON object")
     return data
 
 
 def load_channel(path: str):
     """Read a channel description file; returns the matching channel object."""
-    data = _load_json(path)
+    data = _load_json(path, "channel")
     kind = data.get("kind")
     if kind == "cq":
         return _parse_cq(data)

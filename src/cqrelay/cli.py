@@ -9,7 +9,6 @@ limit exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -18,6 +17,7 @@ from .channels import (
     BroadcastCQChannel,
     CQChannel,
     MACCQChannel,
+    _load_json,
     adder_mac_channel,
     channel_to_jsonable,
     conditional_entropy,
@@ -198,9 +198,7 @@ def cmd_region(args) -> int:
     named = []
     if mac is not None:
         k = args.grid_k or _default_grid_k(*mac.alphabets)
-        grid = DistributionGrid(tuple(mac.alphabets[0]), k)
-        grid2 = DistributionGrid(tuple(mac.alphabets[1]), k)
-        named.append(("mac", mac_region(mac, grid, args.variant, grid2)))
+        named.append(("mac", mac_region(mac, DistributionGrid(tuple(mac.alphabets[0]), k), args.variant)))
     if bc is not None:
         k = args.grid_k or _default_grid_k(bc.alphabet)
         named.append(("broadcast", broadcast_region(bc, DistributionGrid(tuple(bc.alphabet), k))))
@@ -336,14 +334,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read config file {args.config!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"config file {args.config!r} is not valid JSON: {exc}") from None
-    config = SimConfig.from_dict(raw)
+    config = SimConfig.from_dict(_load_json(args.config, "config"))
     bc = load_channel(args.bc_channel)
     if not isinstance(bc, BroadcastCQChannel):
         raise InvalidInputError(f"{args.bc_channel!r} does not hold a broadcast channel")

@@ -42,6 +42,7 @@ from .channels import BroadcastCQChannel, CQChannel, holevo_chi
 from .errors import ExpurgationError, InvalidInputError
 from .operators import (
     DEFAULT_DIM_CAP,
+    KRON_CHUNK_COLUMNS,
     ProbabilityDistribution,
     _integral,
     _require_within_cap,
@@ -73,8 +74,6 @@ class Codebook:
     m2_size: int
     words: dict  # (m1, m2) -> tuple of letters
     dist: ProbabilityDistribution
-    delta_code: float
-    seed: int
 
     def word(self, m1: int, m2: int) -> tuple:
         try:
@@ -100,15 +99,7 @@ def sample_codebook(
     for m1 in range(m1_size):
         for m2 in range(m2_size):
             words[(m1, m2)] = tset.sample(rng, 100_000)
-    return Codebook(
-        n=n,
-        m1_size=m1_size,
-        m2_size=m2_size,
-        words=words,
-        dist=dist,
-        delta_code=delta_code,
-        seed=seed,
-    )
+    return Codebook(n=n, m1_size=m1_size, m2_size=m2_size, words=words, dist=dist)
 
 
 # ---------------------------------------------------------------------------
@@ -666,13 +657,18 @@ def second_kind_collision_check(
         # X, X'.  rho_mix and the averaged projector commute with permutations
         # of the positions and D'(pi w) = P_pi D'(w) P_pi†, so the trace only
         # depends on the type of w: one word per type class stands for all.
+        # The mixture is applied to KRON_CHUNK_COLUMNS columns of F_w at a
+        # time, so its per-count partial sums never grow with the rank.
         for counts, mass in tset.type_classes():
             p = mass / typical_mass
             if p == 0.0:
                 continue
             f, rank = factor_of(tuple(a for a, k in zip(dist.labels, counts) for _ in range(k)))
-            mixed = tset.mixture_apply(channel, f) / typical_mass
-            total += p * float(np.vdot(f, mixed).real)
+            trace = 0.0
+            for start in range(0, f.shape[1], KRON_CHUNK_COLUMNS):
+                cols = np.ascontiguousarray(f[:, start : start + KRON_CHUNK_COLUMNS])
+                trace += np.vdot(cols, tset.mixture_apply(channel, cols) / typical_mass).real
+            total += p * float(trace)
             mean_rank += p * rank
         estimate = _clamp_nonnegative(total)
         trials_used = tset.size() ** 2

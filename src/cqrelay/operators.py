@@ -50,6 +50,10 @@ def _integral(value) -> int | None:
 # Eigenvalues at or below this are treated as exact zeros of a state.
 ZERO_EIGENVALUE_TOL = 1e-12
 
+# pseudo_sqrt_inverse and support_projector keep the eigenvalues above this
+# fraction of the largest.
+SUPPORT_REL_TOL = 1e-10
+
 
 def _batch_label(name: str, flags: np.ndarray) -> tuple[str, tuple] | None:
     """Label and batch index of the first flagged matrix, or None if none is.
@@ -95,10 +99,10 @@ def hermitian_deviation(mat: np.ndarray):
     return _per_matrix(dev)
 
 
-def require_hermitian(mat, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(mat, name: str = "matrix") -> np.ndarray:
     m = as_square_matrix(mat, name)
     dev = np.asarray(hermitian_deviation(m))
-    bad = _batch_label(name, dev > atol)
+    bad = _batch_label(name, dev > HERMITIAN_ATOL)
     if bad is not None:
         raise InvalidInputError(f"{bad[0]} is not Hermitian (max deviation {dev[bad[1]]:.3e})")
     return m
@@ -363,29 +367,29 @@ def matrix_sqrt(mat) -> np.ndarray:
     return _spectral_apply(op.vectors, np.sqrt(np.clip(op.spectrum, 0.0, None)))
 
 
-def pseudo_sqrt_inverse(mat, rel_tol: float = 1e-10) -> np.ndarray:
-    """Inverse square root on the support, per matrix of a stack.
+def _on_support(mat, name: str, fn) -> np.ndarray:
+    """U diag(f) U† per matrix of a stack, one eigh validating mat under name.
 
-    Eigenvalues <= rel_tol * max are dropped; a matrix with no positive
-    eigenvalue maps to zero.
+    f is fn of the eigenvalues above SUPPORT_REL_TOL times the largest and 0
+    on the rest; a matrix with no positive eigenvalue maps to zero.
     """
-    op = _checked_spectrum(mat, "pseudo_sqrt_inverse argument", vectors=True)
+    op = _checked_spectrum(mat, name, vectors=True)
     w = op.spectrum
-    cut = rel_tol * w.max(axis=-1, keepdims=True, initial=0.0)
+    cut = SUPPORT_REL_TOL * w.max(axis=-1, keepdims=True, initial=0.0)
     floor = np.where(cut > 0.0, cut, 1.0)
-    out = _spectral_apply(op.vectors, np.where(w > cut, 1.0 / np.sqrt(np.clip(w, floor, None)), 0.0))
+    out = _spectral_apply(op.vectors, np.where(w > cut, fn(np.clip(w, floor, None)), 0.0))
     out[cut[..., 0] <= 0.0] = 0.0
     return out
 
 
-def support_projector(mat, rel_tol: float = 1e-10) -> np.ndarray:
-    op = _checked_spectrum(mat, "support_projector argument", vectors=True)
-    w, u = op.spectrum, op.vectors
-    wmax = float(w[-1]) if w.size else 0.0
-    if wmax <= 0.0:
-        return np.zeros_like(op.matrix)
-    keep = np.where(w > rel_tol * wmax, 1.0, 0.0)
-    return hermitian_part((u * keep) @ u.conj().T)
+def pseudo_sqrt_inverse(mat) -> np.ndarray:
+    """Inverse square root on the support, per matrix of a stack."""
+    return _on_support(mat, "pseudo_sqrt_inverse argument", lambda w: 1.0 / np.sqrt(w))
+
+
+def support_projector(mat) -> np.ndarray:
+    """Projector onto the support, per matrix of a stack."""
+    return _on_support(mat, "support_projector argument", np.ones_like)
 
 
 def _plogp(w: np.ndarray) -> np.ndarray:

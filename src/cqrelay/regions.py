@@ -80,10 +80,6 @@ class DistributionGrid:
         """All lattice weights as a (grid size, |labels|) array."""
         return compositions(self.resolution, len(self.labels)) / self.resolution
 
-    def distributions(self):
-        for row in self.weight_matrix():
-            yield ProbabilityDistribution(self.labels, row)
-
 
 def _run_ids(values: np.ndarray, tol: float) -> np.ndarray:
     """Label runs of sorted values whose neighbours are at most tol apart.
@@ -311,22 +307,19 @@ def _union_candidates(points) -> np.ndarray:
 
 
 def _pentagon_bounds(
-    mac: MACCQChannel,
-    grid: DistributionGrid,
-    variant: str,
-    grid2: DistributionGrid | None,
+    mac: MACCQChannel, grid: DistributionGrid, variant: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (G1, G2) arrays A (caps R2), B (caps R1) and C (caps R1 + R2)."""
+    """The (G1, G2) arrays A (caps R2), B (caps R1) and C (caps R1 + R2).
+
+    The second sender's grid has the first one's resolution.
+    """
     if variant not in ("conditional", "as-written"):
         raise InvalidInputError(f"unknown region variant {variant!r}")
     a1, a2 = mac.alphabets
     d1, d2 = len(a1), len(a2)
     if grid.labels != tuple(a1):
         raise InvalidInputError("grid labels must match the first sender alphabet")
-    if grid2 is None:
-        grid2 = DistributionGrid(tuple(a2), grid.resolution)
-    elif grid2.labels != tuple(a2):
-        raise InvalidInputError("grid2 labels must match the second sender alphabet")
+    grid2 = DistributionGrid(tuple(a2), grid.resolution)
     states = np.stack([np.stack([mac.state(y1, y2) for y2 in a2]) for y1 in a1])
     dim = states.shape[-1]
     _require_stack_bytes(grid.size * grid2.size, states, "MAC region")
@@ -359,22 +352,17 @@ def _pentagon_bounds(
     return a_bound, b_bound, c_bound
 
 
-def mac_region(
-    mac: MACCQChannel,
-    grid: DistributionGrid,
-    variant: str = "conditional",
-    grid2: DistributionGrid | None = None,
-) -> RateRegion:
+def mac_region(mac: MACCQChannel, grid: DistributionGrid, variant: str = "conditional") -> RateRegion:
     """Union of pentagons over independent sender distributions, then hull.
 
     Each pair (Q1, Q2) from the two simplex grids yields the pentagon
     {R2 <= A, R1 <= B, R1 + R2 <= C}.  'conditional' averages the slice
     information over the other sender (the form whose classical
     specializations come out right); 'as-written' scores each sender
-    against the other-averaged channel.  grid2 defaults to the same
-    resolution over the second alphabet.
+    against the other-averaged channel.  The second sender's grid has the
+    same resolution over its own alphabet.
     """
-    a, b, c = (np.maximum(bound, 0.0) for bound in _pentagon_bounds(mac, grid, variant, grid2))
+    a, b, c = (np.maximum(bound, 0.0) for bound in _pentagon_bounds(mac, grid, variant))
     aa, bb = np.minimum(a, c), np.minimum(b, c)
     zero = np.zeros_like(c)
     # Corners (B, 0), (0, A), (B, min(A, C - B)) and (min(B, C - A), A); their
@@ -408,13 +396,17 @@ def _project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def _refine_simplex_ascent(chi, weights: np.ndarray, steps: int):
-    """Projected coordinate-ascent refinement; accepts only improvements."""
+# optimize_chi's projected coordinate-ascent steps after the grid search
+CHI_REFINE_STEPS = 50
+
+
+def _refine_simplex_ascent(chi, weights: np.ndarray):
+    """CHI_REFINE_STEPS of projected coordinate ascent; accepts only improvements."""
     w = weights.copy()
     best = chi(w)
     step = 0.5 / max(len(w), 2)
     h = 1e-6
-    for _ in range(steps):
+    for _ in range(CHI_REFINE_STEPS):
         # one chi call for all coordinate probes: a row of a weight stack
         # scores as that row alone, bit for bit
         probes = np.array([_project_to_simplex(w + h * e) for e in np.eye(len(w))])
@@ -428,9 +420,7 @@ def _refine_simplex_ascent(chi, weights: np.ndarray, steps: int):
     return w, best
 
 
-def optimize_chi(
-    channel: CQChannel, grid: DistributionGrid, refine_steps: int = 50
-) -> tuple[ProbabilityDistribution, float]:
+def optimize_chi(channel: CQChannel, grid: DistributionGrid) -> tuple[ProbabilityDistribution, float]:
     """Grid search for the Holevo information, then local simplex ascent."""
     if grid.labels != channel.alphabet:
         raise InvalidInputError("grid labels must match the channel alphabet")
@@ -444,7 +434,7 @@ def optimize_chi(
 
     mat = grid.weight_matrix()
     best_idx = int(np.argmax(chi(mat)))
-    w, best = _refine_simplex_ascent(chi, mat[best_idx], refine_steps)
+    w, best = _refine_simplex_ascent(chi, mat[best_idx])
     w = w / w.sum()
     return ProbabilityDistribution(channel.alphabet, w), float(best)
 

@@ -234,15 +234,6 @@ def test_adder_mac_states():
     assert np.allclose(mac.state("1", "1"), basis_state(2, 3))
 
 
-def test_mac_word_state():
-    mac = adder_mac_channel()
-    w = mac.word_state(("0", "1"), ("1", "1"))
-    expected = np.kron(mac.state("0", "1"), mac.state("1", "1"))
-    assert np.allclose(w, expected)
-    with pytest.raises(InvalidInputError):
-        mac.word_state(("0",), ("1", "1"))
-
-
 def test_constant_channel_zero_chi():
     ch = constant_channel(3, 2)
     dist = ProbabilityDistribution.uniform(ch.alphabet)

@@ -463,6 +463,7 @@ def assert_one_error_line(capsys):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    return err[0]
 
 
 @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
@@ -580,11 +581,17 @@ def test_simulate_input_errors(tmp_path, capsys):
     ortho = write_channel(tmp_path, "orthogonal", "ortho.json")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4, "M1": 2, "M2": 2}))
-    assert main(["simulate", "--config", str(tmp_path / "no.json"), "--bc-channel", bc]) == 1
     assert main(["simulate", "--config", str(cfg), "--bc-channel", ortho]) == 1
-    bad = tmp_path / "bad.json"
+    missing, bad, listed = tmp_path / "no.json", tmp_path / "bad.json", tmp_path / "listed.json"
     bad.write_text("{not json")
-    assert main(["simulate", "--config", str(bad), "--bc-channel", bc]) == 1
+    listed.write_text(json.dumps([{"n": 4}]))
+    capsys.readouterr()
+    errors = []
+    for config in (missing, bad, listed):
+        assert main(["simulate", "--config", str(config), "--bc-channel", bc]) == 1
+        errors.append(assert_one_error_line(capsys))
+    assert errors[0].startswith(f"error: cannot read config file {str(missing)!r}: ")
+    assert errors[1].startswith(f"error: config file {str(bad)!r} is not valid JSON: ")
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"n": 4, "mystery": 1}))
     assert main(["simulate", "--config", str(unknown), "--bc-channel", bc]) == 1

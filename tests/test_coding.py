@@ -33,7 +33,7 @@ from cqrelay.coding import (
     second_kind_collision_check,
 )
 from cqrelay.errors import ExpurgationError, InvalidInputError, ResourceLimitError
-from cqrelay.operators import ProbabilityDistribution, trace_pair
+from cqrelay.operators import KRON_CHUNK_COLUMNS, ProbabilityDistribution, trace_pair
 from cqrelay.typicality import TypicalSet, averaged_state_projector, verify_conditional_projector_bounds
 
 
@@ -369,6 +369,25 @@ def test_the_second_kind_check_decomposes_each_letter_once(monkeypatch, exact):
     out = second_kind_collision_check(uniform_binary(), noisy_broadcast(), n=6, alpha=0.5, trials=20, exact=exact)
     assert out["mean_conditional_rank"] > 0.0
     assert calls == [(2, 2)] * 3
+
+
+def test_the_exact_second_kind_check_streams_each_detection_factor(monkeypatch):
+    # at n = 10 the mean conditional rank is 91, so D' has more than
+    # KRON_CHUNK_COLUMNS columns; the mixture sees one column chunk at a time
+    widths = []
+    original = TypicalSet.mixture_apply
+
+    def spy(self, channel, block):
+        widths.append(block.shape[1])
+        return original(self, channel, block)
+
+    monkeypatch.setattr(TypicalSet, "mixture_apply", spy)
+    out = second_kind_collision_check(uniform_binary(), noisy_broadcast(), n=10, alpha=0.3, exact=True)
+    assert out["mean_conditional_rank"] > KRON_CHUNK_COLUMNS
+    assert max(widths) == KRON_CHUNK_COLUMNS
+    # the chunked traces reorder the sum, so the figure of the whole-block
+    # trace, 0.0979371174996605, is kept to roundoff
+    assert out["estimate"] == pytest.approx(0.0979371174996605, rel=1e-12, abs=0.0)
 
 
 def test_second_kind_dim_cap():

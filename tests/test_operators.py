@@ -201,6 +201,24 @@ def test_support_projector_rank():
     assert np.allclose(p, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_support_projector_acts_per_matrix_of_a_stack(complex_entries):
+    # full-rank, rank-deficient and zero matrices in one (S, d, d) stack
+    rng = np.random.default_rng(53)
+    mats = []
+    for rank in (4, 2, 1, 0, 3):
+        g = rng.standard_normal((4, rank))
+        if complex_entries:
+            g = g + 1j * rng.standard_normal((4, rank))
+        mats.append(g @ g.conj().T)
+    stack = np.array(mats)
+    got = support_projector(stack)
+    assert got.shape == stack.shape
+    for s, mat in enumerate(mats):
+        assert np.array_equal(got[s], support_projector(mat))
+    assert not got[3].any()
+
+
 def test_hermitian_part_symmetrizes():
     m = np.array([[1.0, 2.0], [0.0, 1.0]])
     hp = hermitian_part(m)

@@ -160,7 +160,7 @@ def test_rank_zero_conditional_projector_matches_dense_oracle(n):
     # at alpha = 0.1 the word with n - 1 ones has an empty conditional
     # projector on receiver 2 of the random channel
     z, a = tuple("1" * (n - 1) + "0"), tuple("0" * n)
-    cb = Codebook(n, 2, 2, {(0, 0): z, (0, 1): z, (1, 0): z, (1, 1): a}, uniform_binary(), 0.5, 0)
+    cb = Codebook(n, 2, 2, {(0, 0): z, (0, 1): z, (1, 0): z, (1, 1): a}, uniform_binary())
     bc = random_broadcast()
     factors, _ = assert_product_path_matches_dense(cb, bc, alpha=0.1)
     assert factors[2][(0, 0)].shape == (2**n, 0)

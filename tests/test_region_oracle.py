@@ -102,8 +102,8 @@ def oracle_pentagon_points(a, b, c):
     return [(0.0, 0.0), (bb, 0.0), (0.0, aa), (bb, min(aa, c - bb)), (min(bb, c - aa), aa)]
 
 
-def oracle_mac_points(mac, grid, variant, grid2=None):
-    a_bound, b_bound, c_bound = _pentagon_bounds(mac, grid, variant, grid2)
+def oracle_mac_points(mac, grid, variant):
+    a_bound, b_bound, c_bound = _pentagon_bounds(mac, grid, variant)
     points = []
     for i in range(a_bound.shape[0]):
         for j in range(a_bound.shape[1]):
@@ -233,14 +233,6 @@ def test_mac_region_matches_oracle(name, variant):
         grid = DistributionGrid(tuple(mac.alphabets[0]), k)
         got = mac_region(mac, grid, variant)
         assert got.vertices == oracle_vertices(oracle_mac_points(mac, grid, variant))
-
-
-def test_mac_region_asymmetric_grids_match_oracle():
-    mac = random_mac(3, 5)
-    grid = DistributionGrid(tuple(mac.alphabets[0]), 5)
-    grid2 = DistributionGrid(tuple(mac.alphabets[1]), 3)
-    got = mac_region(mac, grid, grid2=grid2)
-    assert got.vertices == oracle_vertices(oracle_mac_points(mac, grid, "conditional", grid2))
 
 
 BROADCASTS = {

@@ -345,8 +345,6 @@ def test_distribution_grid():
     mat = grid.weight_matrix()
     assert mat.shape == (11, 2)
     assert np.allclose(mat.sum(axis=1), 1.0)
-    dists = list(grid.distributions())
-    assert len(dists) == 11
     with pytest.raises(InvalidInputError):
         DistributionGrid(("a",), 0)
 
@@ -412,24 +410,12 @@ def test_mac_region_grid_refinement_is_monotone():
         assert fine.contains(v.r1, v.r2, tol=1e-9)
 
 
-def test_mac_region_asymmetric_grids():
-    mac = adder_mac_channel()
-    region = mac_region(
-        mac,
-        DistributionGrid(("0", "1"), 8),
-        grid2=DistributionGrid(("0", "1"), 6),
-    )
-    assert region.contains(1.0, 0.0)
-
-
 def test_mac_region_validation():
     mac = adder_mac_channel()
     with pytest.raises(InvalidInputError):
         mac_region(mac, DistributionGrid(("x", "y"), 8))
     with pytest.raises(InvalidInputError):
         mac_region(mac, DistributionGrid(("0", "1"), 8), variant="mystery")
-    with pytest.raises(InvalidInputError):
-        mac_region(mac, DistributionGrid(("0", "1"), 8), grid2=DistributionGrid(("x",), 4))
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +513,8 @@ def test_optimize_chi_decomposes_each_letter_state_once(monkeypatch):
     monkeypatch.setattr(channels, "von_neumann_entropy", entropy)
     monkeypatch.setattr(regions, "von_neumann_entropy", entropy)
     monkeypatch.setattr(regions, "_chi", chi)
-    optimize_chi(ch, DistributionGrid(ch.alphabet, 16), refine_steps=50)
-    assert len(evaluations) == 2 + 2 * 50
+    optimize_chi(ch, DistributionGrid(ch.alphabet, 16))
+    assert len(evaluations) == 2 + 2 * regions.CHI_REFINE_STEPS
     assert len(entropy_calls) == len(evaluations) + len(ch.alphabet)
     monkeypatch.undo()
     for weights, value in evaluations:
@@ -565,7 +551,7 @@ def _grid_search(kind, channel, k):
         return mac_region(channel, DistributionGrid(channel.alphabets[0], k))
     if kind == "broadcast":
         return broadcast_region(channel, DistributionGrid(channel.alphabet, k))
-    return optimize_chi(channel, DistributionGrid(channel.alphabet, k), refine_steps=2)
+    return optimize_chi(channel, DistributionGrid(channel.alphabet, k))
 
 
 @pytest.mark.parametrize("kind", ["mac", "broadcast", "chi"])

@@ -192,7 +192,7 @@ def test_repeated_word_group_matches_dense_oracle(channel, n):
     # rank-deficient
     a, b = tuple("01" * (n // 2)), tuple("0" * (n // 2) + "1" * (n // 2))
     words = {(0, 0): a, (1, 0): a, (0, 1): a, (1, 1): b}
-    cb = Codebook(n, 2, 2, words, uniform_binary(), 0.5, 0)
+    cb = Codebook(n, 2, 2, words, uniform_binary())
     factors, _ = assert_matches_oracle(cb, CHANNELS[channel](), alpha=0.3)
     stacked = np.hstack([factors[1][(0, 0)], factors[1][(1, 0)]])
     assert 0 < np.linalg.matrix_rank(stacked) < stacked.shape[1]
@@ -204,7 +204,7 @@ def rank_zero_codebook(n):
     # is all rank 0 (K = 0), group m1 = 1 mixes rank 0 with positive rank
     z, a = tuple("1" * (n - 1) + "0"), tuple("0" * n)
     words = {(0, 0): z, (0, 1): z, (1, 0): z, (1, 1): a}
-    return Codebook(n, 2, 2, words, uniform_binary(), 0.5, 0)
+    return Codebook(n, 2, 2, words, uniform_binary())
 
 
 @pytest.mark.parametrize("n", NS)
