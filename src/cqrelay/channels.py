@@ -15,10 +15,10 @@ import numpy as np
 
 from .errors import InvalidInputError, RelayError
 from .operators import (
-    DEFAULT_DIM_CAP,
     ProbabilityDistribution,
     _integral,
-    _require_within_cap,
+    _power,
+    _require_bytes,
     hermitian_part,
     partial_trace,
     tensor_all,
@@ -124,12 +124,15 @@ class _ProductStateMap(Mapping):
         return len(self._base.alphabet) ** self._n
 
 
-def product_extension(channel: CQChannel, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> CQChannel:
-    """The n-letter memoryless extension; states are materialized on demand."""
+def product_extension(channel: CQChannel, n: int) -> CQChannel:
+    """The n-letter memoryless extension; states are materialized on demand.
+    Priced first: its |A|^n letter tuples, and the first word state, read for
+    the dimension (two N x N Kronecker steps)."""
     if n < 1:
         raise InvalidInputError(f"extension length must be >= 1, got {n}")
-    _require_within_cap(channel.output_dim, n, dim_cap, "extension")
-    _require_within_cap(len(channel.alphabet), n, dim_cap, "extension alphabet")
+    itemsize = channel.state(channel.alphabet[0]).dtype.itemsize
+    words = _power(len(channel.alphabet), n) * (120 + 8 * n)
+    _require_bytes(words + 2 * _power(channel.output_dim, 2 * n) * itemsize, f"the {n}-letter extension")
     alphabet = tuple(itertools.product(channel.alphabet, repeat=n))
     return CQChannel(alphabet, _ProductStateMap(channel, n), validate=False)
 
@@ -266,29 +269,24 @@ class MACCQChannel:
 # ---------------------------------------------------------------------------
 
 
+def _is_pair(entry) -> bool:
+    """A [re, im] literal: two numbers, neither a bool."""
+    numbers = isinstance(entry, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
+    return numbers and len(entry) == 2
+
+
 def matrix_from_literal(literal, name: str = "matrix") -> np.ndarray:
     if not isinstance(literal, list) or not literal:
         raise InvalidInputError(f"{name}: matrix literal must be a nonempty list of rows")
-    rows = []
-    width = None
     for i, row in enumerate(literal):
         if not isinstance(row, list) or not row:
             raise InvalidInputError(f"{name}: row {i} is not a nonempty list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InvalidInputError(f"{name}: row {i} has length {len(row)}, expected {width}")
-        entries = []
+        if len(row) != len(literal[0]):
+            raise InvalidInputError(f"{name}: row {i} has length {len(row)}, expected {len(literal[0])}")
         for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-            ):
+            if not _is_pair(entry):
                 raise InvalidInputError(f"{name}: entry ({i},{j}) is not a [re, im] pair")
-            entries.append(complex(entry[0], entry[1]))
-        rows.append(entries)
-    m = np.array(rows, dtype=complex)
+    m = np.array([[complex(re, im) for re, im in row] for row in literal], dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"{name}: matrix literal is {m.shape[0]}x{m.shape[1]}, not square")
     return m

@@ -33,7 +33,7 @@ from .channels import (
 from .coding import SimConfig, end_to_end_broadcast_sim
 from .errors import InvalidInputError, RelayError, ResourceLimitError
 from .lemmas import _by_dim, densities, gaussian_draws, sweep_lemma_checks
-from .operators import ProbabilityDistribution, von_neumann_entropy
+from .operators import ProbabilityDistribution, _require_bytes, von_neumann_entropy
 from .regions import DistributionGrid, broadcast_region, intersect_regions, mac_region
 from .typicality import (
     TypicalSet,
@@ -136,23 +136,11 @@ def cmd_chi(args) -> int:
         dist = ProbabilityDistribution.uniform(channel.alphabet)
     s_out = von_neumann_entropy(output_state(channel, dist))
     s_cond = conditional_entropy(channel, dist)
-    chi = s_out - s_cond
+    values = {"chi_bits": s_out - s_cond, "output_entropy_bits": s_out, "conditional_entropy_bits": s_cond}
     if args.format == "json":
-        _emit_json(
-            {
-                "chi_bits": chi,
-                "output_entropy_bits": s_out,
-                "conditional_entropy_bits": s_cond,
-            },
-            args.out,
-        )
+        _emit_json(values, args.out)
     else:
-        lines = [
-            f"chi_bits {chi:.9f}",
-            f"output_entropy_bits {s_out:.9f}",
-            f"conditional_entropy_bits {s_cond:.9f}",
-        ]
-        _emit("\n".join(lines), args.out)
+        _emit("\n".join(f"{name} {value:.9f}" for name, value in values.items()), args.out)
     return 0
 
 
@@ -204,17 +192,13 @@ def cmd_region(args) -> int:
         named.append(("broadcast", broadcast_region(bc, DistributionGrid(tuple(bc.alphabet), k))))
     if len(named) == 2:
         named.append(("intersection", intersect_regions(named[0][1], named[1][1])))
+    # one region is written bare; several are keyed, or headed, by name
     if args.format == "json":
-        if len(named) == 1:
-            _emit_json(_region_jsonable(named[0][1]), args.out)
-        else:
-            _emit_json({name: _region_jsonable(r) for name, r in named}, args.out)
+        out = {name: _region_jsonable(r) for name, r in named}
+        _emit_json(out if len(named) > 1 else out[named[0][0]], args.out)
     else:
-        if len(named) == 1:
-            _emit(_region_csv(named[0][1]), args.out)
-        else:
-            blocks = [f"# {name}\n{_region_csv(r)}" for name, r in named]
-            _emit("\n".join(blocks), args.out)
+        blocks = [_region_csv(r) if len(named) == 1 else f"# {name}\n{_region_csv(r)}" for name, r in named]
+        _emit("\n".join(blocks), args.out)
     return 0
 
 
@@ -228,15 +212,13 @@ def _drawn_states(draws, idx) -> np.ndarray:
     return densities(np.array([draws[i] for i in idx]))
 
 
-def _verify_projectors(ns, alphas, preset, seed, instances=_PROJECTOR_INSTANCES) -> dict:
-    """Projector reports for every (n, alpha) pair, instances at a time.
+def _verify_projectors(ns, alphas, preset, seed) -> dict:
+    """Projector reports for every (n, alpha) pair, _PROJECTOR_INSTANCES at a time.
 
     Each (n, alpha) group draws its instances in order (for a conditional
     instance, both letter states and then its typical word), then scores
     them with one report call per output dimension.
     """
-    if instances < 1:
-        raise InvalidInputError(f"projector verification needs at least one instance, got {instances}")
     if not ns or not alphas:
         raise InvalidInputError("projector verification needs at least one block length and one alpha")
     preset = resolve_preset(preset)
@@ -245,7 +227,7 @@ def _verify_projectors(ns, alphas, preset, seed, instances=_PROJECTOR_INSTANCES)
             threshold_for(alpha, n, preset)
     base = np.random.SeedSequence(seed)
     state_stream, cond_stream = base.spawn(2)
-    dims = [2 if i % 2 == 0 else 3 for i in range(instances)]
+    dims = [2 if i % 2 == 0 else 3 for i in range(_PROJECTOR_INSTANCES)]
     def state_reports():
         rng = np.random.default_rng(state_stream)
         for n in ns:
@@ -347,38 +329,27 @@ def cmd_simulate(args) -> int:
 # generate
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("orthogonal", "overlap-pair", "depolarized", "constant", "adder-mac", "product-broadcast")
+# family -> its channel, built from the flags
+_FAMILIES = {
+    "orthogonal": lambda args: orthogonal_pure_channel(args.dim),
+    "overlap-pair": lambda args: overlap_pair_channel(),
+    "depolarized": lambda args: depolarized_channel(args.p, args.dim),
+    "constant": lambda args: constant_channel(dim=args.dim),
+    "adder-mac": lambda args: adder_mac_channel(),
+    "product-broadcast": lambda args: product_broadcast_channel(
+        orthogonal_pure_channel(2), depolarized_channel(args.p, 2)
+    ),
+}
 
-# generate refuses a channel whose letter states hold more matrix entries than
-# this, before building it: building and writing cost about D^3 for D letters
-# of dimension D, so D = 256 would need about 7.5 GB.
-_GENERATE_ENTRY_LIMIT = 2**20
+# generate holds about this many bytes per entry of the letter states while
+# it builds the channel and writes it as JSON (measured 414-480)
+_GENERATE_ENTRY_BYTES = 512
 
 
 def cmd_generate(args) -> int:
     letters = {"orthogonal": args.dim, "depolarized": args.dim, "constant": 2}.get(args.family, 0)
-    if letters * args.dim**2 > _GENERATE_ENTRY_LIMIT:
-        raise ResourceLimitError(
-            f"the {args.family} channel at --dim {args.dim} holds {letters * args.dim**2} state entries, "
-            f"above the {_GENERATE_ENTRY_LIMIT}-entry limit"
-        )
-    if args.family == "orthogonal":
-        channel = orthogonal_pure_channel(args.dim)
-    elif args.family == "overlap-pair":
-        channel = overlap_pair_channel()
-    elif args.family == "depolarized":
-        channel = depolarized_channel(args.p, args.dim)
-    elif args.family == "constant":
-        channel = constant_channel(dim=args.dim)
-    elif args.family == "adder-mac":
-        channel = adder_mac_channel()
-    elif args.family == "product-broadcast":
-        channel = product_broadcast_channel(
-            orthogonal_pure_channel(2), depolarized_channel(args.p, 2)
-        )
-    else:
-        raise InvalidInputError(f"unknown family {args.family!r}; pick from {_FAMILIES}")
-    _emit_json(channel_to_jsonable(channel), args.out)
+    _require_bytes(letters * args.dim**2 * _GENERATE_ENTRY_BYTES, f"the {args.family} channel at --dim {args.dim}")
+    _emit_json(channel_to_jsonable(_FAMILIES[args.family](args)), args.out)
     return 0
 
 
@@ -451,15 +422,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except RelayError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, ResourceLimitError) else 1
 
 
 if __name__ == "__main__":

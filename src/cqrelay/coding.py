@@ -41,11 +41,11 @@ import numpy as np
 from .channels import BroadcastCQChannel, CQChannel, holevo_chi
 from .errors import ExpurgationError, InvalidInputError
 from .operators import (
-    DEFAULT_DIM_CAP,
     KRON_CHUNK_COLUMNS,
     ProbabilityDistribution,
     _integral,
-    _require_within_cap,
+    _power,
+    _require_bytes,
     hermitian_eigendecomposition,
     hermitian_part,
     kron_apply,
@@ -59,6 +59,8 @@ from .typicality import (
     TypicalSet,
     _mask_words,
     _projector,
+    _projector_bytes,
+    _projector_rank,
     averaged_state_projector,
     resolve_preset,
     spectrum_projector_stats,
@@ -132,16 +134,17 @@ def _trace_table(blocks, states) -> np.ndarray:
 
 
 def _factor_op(factor: np.ndarray) -> np.ndarray:
+    _require_bytes(4 * factor.shape[0] ** 2 * factor.itemsize, f"dense operator on {factor.shape[0]} dimensions")
     return hermitian_part(factor @ factor.conj().T)
 
 
-def _averaged_projectors(bc: BroadcastCQChannel, dist, n: int, alpha, preset, dim_cap) -> dict:
+def _averaged_projectors(bc: BroadcastCQChannel, dist, n: int, alpha, preset) -> dict:
     """receiver -> typical projector of its n-fold averaged output state.
 
     They depend on the input distribution and not on the codebook, so a run
     builds them once for all its seeds.
     """
-    return {r: averaged_state_projector(bc.marginal(r), dist, n, alpha, preset, dim_cap) for r in (1, 2)}
+    return {r: averaged_state_projector(bc.marginal(r), dist, n, alpha, preset) for r in (1, 2)}
 
 
 def _letter_eigenpairs(channel: CQChannel) -> dict:
@@ -386,10 +389,9 @@ class SquareRootDecoder:
     words -> decoding group, and group(receiver, known) builds that
     side-information group anew on each call.  Every caller reads a group
     through its tables, its length and its margin, and lets it go before it
-    asks for the next; only factor and op read a single normalized factor.
-    Each factor, op and decode_with_side_info call builds the whole group it
-    reads from, so a caller decoding many states against one group reads
-    group(receiver, known).outcomes(states) once instead.
+    asks for the next; only factor and op read a single normalized factor,
+    and each of their calls builds the whole group (see
+    decode_with_side_info).
     """
 
     codebook: Codebook
@@ -456,14 +458,48 @@ def _group_builder(channel: CQChannel, proj: TypicalProjector, alpha, preset):
     """
     letters = _letter_eigenpairs(channel)
     orders = _diagonal_orders(letters, proj)
+    dim = proj.mask.size
     if orders is None:
-        return lambda words: _normalize_group(
+        itemsize = np.result_type(float, proj.bases[0], *(u for _, u in letters.values())).itemsize
+        price = lambda words: _factor_group_bytes(
+            dim, [_projector_rank(letters, w, alpha, preset) for w in words], itemsize
+        )
+        build = lambda words: _normalize_group(
             _word_projectors(letters, words, alpha, preset, lambda cond: cond.sandwiched_factor(proj))
         )
-    letters = {a: (values[orders[a]], vectors[:, orders[a]]) for a, (values, vectors) in letters.items()}
-    return lambda words: _diagonal_group(
-        proj, _word_projectors(letters, words, alpha, preset, lambda cond: proj.mask & cond.mask)
-    )
+    else:
+        letters = {a: (values[orders[a]], vectors[:, orders[a]]) for a, (values, vectors) in letters.items()}
+        price = lambda words: _diagonal_group_bytes(dim, len(words), len(words))
+        build = lambda words: _diagonal_group(
+            proj, _word_projectors(letters, words, alpha, preset, lambda cond: proj.mask & cond.mask)
+        )
+
+    def group(words):
+        _require_bytes(price(words), f"decoding group of {len(words)} words")
+        return build(words)
+
+    return group
+
+
+# Bytes of the Python objects and small arrays each word of a group adds.
+_WORD_OVERHEAD_BYTES = 2**16
+
+
+def _diagonal_group_bytes(dim: float, m: int, c: int) -> float:
+    """Peak of a diagonal group of m words on dim dimensions with its tables
+    over c states: the (m, dim) 0/1 rows twice and the float64 lambdas; s,
+    the (c, dim) state diagonals, their Kronecker steps and Pi's mask."""
+    return dim * (8 * c + 10 * m + 17 + np.min_scalar_type(m).itemsize) + m * _WORD_OVERHEAD_BYTES
+
+
+def _factor_group_bytes(dim: float, ranks, itemsize: int) -> float:
+    """Peak of a factor-path group whose words' conditional ranks are ranks:
+    the N x K factors, K the sum of the ranks, with 1.5 widest factors (its
+    last product step, or its H_i) and three mode-product chunks beside
+    them; and six K x K arrays while the Gram matrix is decomposed."""
+    k, widest = sum(ranks), max(ranks, default=0)
+    columns = k + 1.5 * widest + 3 * min(widest, KRON_CHUNK_COLUMNS)
+    return itemsize * (dim * columns + 6 * k * k) + len(ranks) * _WORD_OVERHEAD_BYTES
 
 
 def build_square_root_decoder(
@@ -471,12 +507,12 @@ def build_square_root_decoder(
     bc: BroadcastCQChannel,
     alpha: float = 1.0,
     preset: str = PRESET_FIXED,
-    dim_cap: int = DEFAULT_DIM_CAP,
     projectors: dict | None = None,
 ) -> SquareRootDecoder:
     """The square-root decoder of the codebook on the broadcast channel; each
     receiver's path is chosen here (see _group_builder), and no group is
-    built until it is read.
+    built until it is read.  A group is priced as it is built, with its
+    tables over its own words' states, and refused above the memory budget.
 
     projectors maps each receiver to the averaged-state projector of
     codebook.dist at the same n, alpha and preset; it is built here when not
@@ -484,7 +520,7 @@ def build_square_root_decoder(
     """
     preset = resolve_preset(preset)
     if projectors is None:
-        projectors = _averaged_projectors(bc, codebook.dist, codebook.n, alpha, preset, dim_cap)
+        projectors = _averaged_projectors(bc, codebook.dist, codebook.n, alpha, preset)
     builders = {r: _group_builder(bc.marginal(r), projectors[r], alpha, preset) for r in (1, 2)}
     return SquareRootDecoder(codebook, builders)
 
@@ -623,7 +659,6 @@ def second_kind_collision_check(
     *,
     delta_code: float = 0.5,
     exact: bool = False,
-    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> dict:
     """Collision mass of receiver 2's detection operators on wrong-word states.
 
@@ -633,19 +668,31 @@ def second_kind_collision_check(
     budget = 2^(-n (chi2 - eps_slack)); a zero budget has no such offset and
     reports eps_slack as None.  With exact=True the expectation over
     all pairs of typical words is evaluated exactly, one type class at a time;
-    "trials" then reports the number of pairs it covers.
+    "trials" then reports the number of pairs it covers.  It is priced first:
+    the averaged projector, three widest detection factors of a typical word
+    and the column chunks of its traces (the typical mixture's partial sums).
     """
     preset = resolve_preset(preset)
     channel = bc.marginal(2)
-    proj = averaged_state_projector(channel, dist, n, alpha, preset, dim_cap)
     tset = TypicalSet(dist, n, delta_code)
+    classes = tset.type_classes()
     typical_mass = tset.probability()
     if typical_mass <= 0.0:
         raise InvalidInputError("typical set has zero mass; cannot sample words")
+    letters = _letter_eigenpairs(channel)
+
+    def word_of(counts):
+        return tuple(a for a, k in zip(dist.labels, counts) for _ in range(k))
+
+    # a word's conditional rank depends on its type only
+    widest = max(_projector_rank(letters, word_of(counts), alpha, preset) for counts, _ in classes)
+    itemsize = np.result_type(float, *(channel.state(a) for a in channel.alphabet)).itemsize
+    columns = 3 * widest + KRON_CHUNK_COLUMNS * ((tset.mixture_sums() if exact else 0) + 4)
+    d = channel.output_dim
+    _require_bytes(_projector_bytes(d, n) + _power(d, n) * itemsize * columns, f"second-kind check for n={n}")
+    proj = averaged_state_projector(channel, dist, n, alpha, preset)
     lam_max = spectrum_projector_stats(proj.eigenvalues[0], n, proj.taus[0]).lambda_max
     chi2 = holevo_chi(channel, dist)
-
-    letters = _letter_eigenpairs(channel)
     total = mean_rank = 0.0
 
     def factor_of(word):
@@ -659,11 +706,11 @@ def second_kind_collision_check(
         # depends on the type of w: one word per type class stands for all.
         # The mixture is applied to KRON_CHUNK_COLUMNS columns of F_w at a
         # time, so its per-count partial sums never grow with the rank.
-        for counts, mass in tset.type_classes():
+        for counts, mass in classes:
             p = mass / typical_mass
             if p == 0.0:
                 continue
-            f, rank = factor_of(tuple(a for a, k in zip(dist.labels, counts) for _ in range(k)))
+            f, rank = factor_of(word_of(counts))
             trace = 0.0
             for start in range(0, f.shape[1], KRON_CHUNK_COLUMNS):
                 cols = np.ascontiguousarray(f[:, start : start + KRON_CHUNK_COLUMNS])
@@ -906,7 +953,6 @@ _CONFIG_KEYS = {
     "max_seed_attempts": ("max_seed_attempts", _config_integer),
     "delta": ("delta", _config_real),
     "dist": ("dist", _config_reals),
-    "dim_cap": ("dim_cap", _config_integer),
 }
 
 
@@ -926,7 +972,6 @@ class SimConfig:
     max_seed_attempts: int = 8
     delta: float = 0.25
     dist: tuple | None = None
-    dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
         for key, (field, check) in _CONFIG_KEYS.items():
@@ -1026,14 +1071,11 @@ def _epsilon_sizes(config: SimConfig, sets, notices: list):
 
 
 def _detection_dims(bc: BroadcastCQChannel, config: SimConfig) -> tuple[int, int]:
-    """Each receiver's detection dimension d_r^n, checked against the cap
-    before anything is sized or sampled."""
-    dims = []
-    for receiver in (1, 2):
-        d = bc.marginal(receiver).output_dim
-        _require_within_cap(d, config.n, config.dim_cap, "detection space")
-        dims.append(d**config.n)
-    return dims[0], dims[1]
+    """Each receiver's detection dimension d_r^n, formed only after both
+    averaged projectors are priced, before anything is sized or sampled."""
+    d = [bc.marginal(receiver).output_dim for receiver in (1, 2)]
+    _require_bytes(sum(_projector_bytes(dr, config.n) for dr in d), f"averaged projectors for n={config.n}")
+    return d[0] ** config.n, d[1] ** config.n
 
 
 def end_to_end_broadcast_sim(bc: BroadcastCQChannel, config: SimConfig | dict) -> dict:
@@ -1099,11 +1141,11 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, dims, report):
         report.update(status="infeasible", reason=f"message sizes ({m1_size}, {m2_size}) below 2 at n={config.n}")
         return report
     report["sizes"] = {"sampled_m1": m1_size, "sampled_m2": m2_size}
-    projectors = _averaged_projectors(bc, dist, config.n, config.alpha, config.preset, config.dim_cap)
+    projectors = _averaged_projectors(bc, dist, config.n, config.alpha, config.preset)
 
     def realize(seed):
         cb = sample_codebook(dist, config.n, m1_size, m2_size, config.delta_code, seed)
-        decoder = build_square_root_decoder(cb, bc, config.alpha, config.preset, config.dim_cap, projectors)
+        decoder = build_square_root_decoder(cb, bc, config.alpha, config.preset, projectors)
         errs = average_errors(cb, bc, decoder)
         return max(errs.overall.values()), errs
 
@@ -1155,11 +1197,11 @@ def _modular_sum_sim(bc, config, dist, chi1, chi2, dims, report):
     if chi1 < chi2:
         report["notices"].append("receiver 1 is the weaker marginal; roles swapped relative to the usual order")
     report["sizes"] = {"common": size}
-    projectors = _averaged_projectors(bc, dist, config.n, config.alpha, config.preset, config.dim_cap)
+    projectors = _averaged_projectors(bc, dist, config.n, config.alpha, config.preset)
 
     def realize(seed):
         cb = sample_codebook(dist, config.n, size, 1, config.delta_code, seed)
-        decoder = build_square_root_decoder(cb, bc, config.alpha, config.preset, config.dim_cap, projectors)
+        decoder = build_square_root_decoder(cb, bc, config.alpha, config.preset, projectors)
         words = [cb.word(m, 0) for m in range(size)]
         probs, errors, margins = {}, {}, {}
         for receiver in (1, 2):

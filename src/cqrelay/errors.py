@@ -10,7 +10,7 @@ class InvalidInputError(RelayError):
 
 
 class ResourceLimitError(RelayError):
-    """Request exceeds the configured dimension or enumeration caps (CLI exit code 3)."""
+    """Request past a resource limit, such as the memory budget (CLI exit code 3)."""
 
 
 class ExpurgationError(RelayError):

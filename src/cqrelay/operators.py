@@ -24,16 +24,21 @@ TRACE_ATOL = 1e-10
 PROB_ATOL = 1e-12
 SUBUNITAL_ATOL = 1e-10
 
-# Dense realizations (tensor powers, projectors, decoders) refuse to build
-# matrices beyond this total dimension.
-DEFAULT_DIM_CAP = 4096
+# The one memory budget: each path prices its peak from the sizes it knows
+# and, before it allocates, refuses a price above this many bytes.
+MEMORY_BUDGET = 2 * 2**30
 
 
-def _require_within_cap(d: int, n: int, dim_cap: int, what: str) -> None:
-    # 2^n > dim_cap as soon as n reaches the cap's bit length; testing that
-    # first keeps d**n from being formed for absurd n
-    if (d > 1 and n >= int(dim_cap).bit_length()) or d**n > dim_cap:
-        raise ResourceLimitError(f"{what} dimension {d}^{n} exceeds cap {dim_cap}")
+def _require_bytes(nbytes: float, what: str) -> None:
+    """Refuse what, priced at nbytes (an int, or a float: inf past its range)."""
+    if nbytes > MEMORY_BUDGET:
+        size = f"{nbytes / 2**30:.3g} GiB" if nbytes < 2**1000 else "more bytes than a float counts"
+        raise ResourceLimitError(f"{what} needs about {size}, above the {MEMORY_BUDGET / 2**30:.3g} GiB memory budget")
+
+
+def _power(d: int, n: int) -> float:
+    """d**n as a float, inf past its range; never formed as an int, so an absurd n prices at once."""
+    return math.inf if d > 1 and n * math.log2(d) > 1000 else float(d) ** n
 
 
 def _integral(value) -> int | None:
@@ -313,14 +318,16 @@ def kron_apply(mats, block) -> np.ndarray:
 def product_columns(factors, index_words) -> np.ndarray:
     """Columns ⊗_k factors[k][:, j_k], one per index word (j_1, ..., j_n).
 
-    index_words is an (R, n) integer array; the result is prod(d_k) x R.
-    Entries are the same products, taken in the same order, as the
-    left-to-right np.kron of the selected columns, so they agree bit for bit.
+    index_words is an (R, n) integer array; the result is prod(d_k) x R,
+    priced with the step before it.  Entries are the same products, taken in
+    the same order, as the left-to-right np.kron of the selected columns, so
+    they agree bit for bit.
     """
     factors = [np.asarray(f) for f in factors]
     index_words = np.asarray(index_words, dtype=np.intp).reshape(-1, len(factors))
-    r = index_words.shape[0]
+    r, rows = index_words.shape[0], math.prod(f.shape[0] for f in factors)
     out = np.ones((1, r), dtype=np.result_type(float, *factors))
+    _require_bytes(2 * rows * r * out.itemsize, f"{rows} x {r} product columns")
     for k, f in enumerate(factors):
         picked = f[:, index_words[:, k]]
         out = (out[:, None, :] * picked[None, :, :]).reshape(out.shape[0] * picked.shape[0], r)

@@ -14,34 +14,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import BroadcastCQChannel, CQChannel, MACCQChannel, _chi
-from .errors import InvalidInputError, ResourceLimitError
-from .operators import ProbabilityDistribution, compositions, von_neumann_entropy
+from .errors import InvalidInputError
+from .operators import ProbabilityDistribution, _require_bytes, compositions, von_neumann_entropy
 
 _VERTEX_DEDUP_TOL = 1e-8
 _COLLINEAR_TOL = 1e-12
 _CONTAIN_TOL = 1e-9
 
-# Region grids whose stack of averaged states, (G1, G2, dim, dim) for
-# mac_region and (G, dim, dim) per receiver for broadcast_region, would
-# exceed this many bytes are refused.  A stack is priced at its own dtype:
-# float64 for a channel whose letter states are real, complex128 otherwise.
-# At the limit a whole CLI run peaks at 5-7x the stack (measured with one
-# BLAS thread: 633 MB for `region mac` on the adder MAC at grid 1364, 977 MB
-# for `region broadcast` on the product channel at grid 4,194,303), so a
-# run stays under about 1 GB.
-_PENTAGON_STACK_BYTE_LIMIT = 128 * 2**20
-
-
 def _require_stack_bytes(points: int, state: np.ndarray, what: str) -> None:
-    """Refuse a grid of points states shaped and typed like state, averaged
-    against float64 weights, that would exceed the stack limit."""
+    """Price a grid of points states like state, averaged against float64
+    weights (so float64 for real letter states, complex128 otherwise): four
+    such stacks, for the entropies' eigensolves, and 256 bytes a point for
+    the bounds, corners and hull candidates."""
     itemsize = np.result_type(float, state.dtype).itemsize
-    stack_bytes = points * state.shape[-1] ** 2 * itemsize
-    if stack_bytes > _PENTAGON_STACK_BYTE_LIMIT:
-        raise ResourceLimitError(
-            f"{what} grid needs a {stack_bytes / 2**30:.3g} GiB state stack, "
-            f"above the {_PENTAGON_STACK_BYTE_LIMIT / 2**30:.3g} GiB limit; use a coarser grid"
-        )
+    _require_bytes(points * (4 * state.shape[-1] ** 2 * itemsize + 256), f"{what} grid of {points} points")
 
 
 class RatePair(NamedTuple):
@@ -167,17 +153,15 @@ def convex_hull(points) -> list[tuple[float, float]]:
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= _COLLINEAR_TOL:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= _COLLINEAR_TOL:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= _COLLINEAR_TOL:
+                out.pop()
+            out.append(p)
+        return out[:-1]  # the last point starts the other chain
+
+    return chain(pts) + chain(reversed(pts))
 
 
 @dataclass(frozen=True, eq=False)

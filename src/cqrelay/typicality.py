@@ -12,7 +12,7 @@ into words on request; no table of all d^n words is formed.
 Scalar projector functionals (captured trace, rank, largest compressed
 eigenvalue, and a word state's capture by the averaged-state projector) are
 evaluated exactly by summing over letter-count classes, which works far
-beyond the dimension cap that limits dense realizations; the
+beyond the block lengths whose masks fit the memory budget; the
 verify_*_projector_bounds reports read them.
 """
 
@@ -30,10 +30,10 @@ import numpy as np
 from .channels import CQChannel, _letter_sum, _require_matching_alphabet, output_state
 from .errors import InvalidInputError, ResourceLimitError
 from .operators import (
-    DEFAULT_DIM_CAP,
     _checked_spectrum,
     _kept_row_sums,
-    _require_within_cap,
+    _power,
+    _require_bytes,
     ZERO_EIGENVALUE_TOL,
     ProbabilityDistribution,
     as_square_matrix,
@@ -92,7 +92,8 @@ class TypicalSet:
         if not (math.isfinite(delta) and delta > 0.0):
             raise InvalidInputError(f"delta must be positive and finite, got {delta}")
         d = len(dist.labels)
-        _require_table_bytes(d * (n + 1), f"typical-set mask for n={n}, d={d}")
+        # the mask and the float window tests it is read from
+        _require_bytes(24 * d * (n + 1), f"typical-set mask for n={n}, d={d}")
         self.dist = dist
         self.n = int(n)
         self.delta = float(delta)
@@ -211,6 +212,14 @@ class TypicalSet:
             out += blk.reshape(block.shape)
         return out
 
+    def mixture_sums(self) -> int:
+        """The most partial sums mixture_apply holds at once: the count vectors
+        of k and of k + 1 letters that can still end inside the windows."""
+        lo, hi = np.array(self.count_windows()).T
+        prefixes = ((k, compositions(k, len(lo))) for k in range(self.n + 1))
+        alive = [((c <= hi) & (c + self.n - k >= lo)).all(axis=1).sum() for k, c in prefixes]
+        return int(max(np.add(alive[:-1], alive[1:])))
+
 
 def _clean_eigenvalues(values: np.ndarray) -> np.ndarray:
     w = np.asarray(values, dtype=float).copy()
@@ -239,6 +248,8 @@ def _mask_words(mask: np.ndarray, d: int, n: int) -> np.ndarray:
     """The (R, n) index words a mask over the d^n product-basis words flags,
     in product-basis (lexicographic) order: the flagged flat indices split
     into base-d digits."""
+    rank = int(np.count_nonzero(mask))
+    _require_bytes(8 * (n + 2) * rank, f"{rank} index words of length {n}")
     rest = np.flatnonzero(mask)
     words = np.empty((len(rest), n), dtype=np.intp)
     for k in range(n - 1, -1, -1):
@@ -292,7 +303,9 @@ class TypicalProjector:
 
     def matrix(self) -> np.ndarray:
         """Dense realization in the computational product basis: (U mask) U†
-        for the product eigenbasis U."""
+        for the product eigenbasis U, priced as four N x N arrays."""
+        itemsize = np.result_type(*self.bases.values()).itemsize
+        _require_bytes(4 * self.mask.size**2 * itemsize, f"dense projector for n={self.n}")
         big = tensor_all(self.factors())
         return hermitian_part((big * self.mask) @ big.conj().T)
 
@@ -328,9 +341,9 @@ def _projector(decompositions: dict, word: tuple, alpha: float, preset: str) -> 
     """Typical projector of the product state of the word's letters.
 
     decompositions maps each letter of the word, and possibly others, to its
-    state's descending spectrum and eigenvector columns.  Each caller checks
-    d^n against its dimension cap before it forms anything of size n,
-    typical_projector's constant word included.
+    state's descending spectrum and eigenvector columns.  The public
+    constructors price the mask (_projector_bytes) before they form
+    anything of size n, typical_projector's constant word included.
     """
     n = len(word)
     d = len(next(iter(decompositions.values()))[0])
@@ -351,13 +364,22 @@ def _projector(decompositions: dict, word: tuple, alpha: float, preset: str) -> 
     )
 
 
-def typical_projector(
-    rho,
-    n: int,
-    alpha: float,
-    preset: str = PRESET_FIXED,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> TypicalProjector:
+def _projector_bytes(d: int, n: int) -> float:
+    """Peak of building one projector's mask over d^n words: the mask, the
+    lookup it is cut by, and two generations of eigen-index counts."""
+    return _power(d, n) * (2 + 2 * np.min_scalar_type(n).itemsize)
+
+
+def _projector_rank(decompositions: dict, word: tuple, alpha: float, preset: str) -> int:
+    """The rank _projector's mask would have, read from the count windows
+    of the word's letter classes; no mask is built."""
+    return math.prod(
+        spectrum_projector_stats(decompositions[a][0], na, threshold_for(alpha, na, preset)).rank
+        for a, na in Counter(word).items()
+    )
+
+
+def typical_projector(rho, n: int, alpha: float, preset: str = PRESET_FIXED) -> TypicalProjector:
     """Typical projector of the n-fold product of a state: the constant word of letter 0."""
     if np.ndim(rho) != 2:
         raise InvalidInputError(f"state must be one d x d matrix, got shape {np.shape(rho)}")
@@ -365,22 +387,18 @@ def typical_projector(
     op = _checked_spectrum(rho, "state", density=True, vectors=True)
     if n < 1:
         raise InvalidInputError(f"block length must be >= 1, got {n}")
-    _require_within_cap(op.matrix.shape[0], n, dim_cap, "projector")
+    _require_bytes(_projector_bytes(op.matrix.shape[0], n), f"typical projector for n={n}")
     return _projector({0: (op.spectrum[::-1], op.vectors[:, ::-1].copy())}, (0,) * n, alpha, preset)
 
 
 def conditional_typical_projector(
-    channel: CQChannel,
-    word,
-    alpha: float,
-    preset: str = PRESET_FIXED,
-    dim_cap: int = DEFAULT_DIM_CAP,
+    channel: CQChannel, word, alpha: float, preset: str = PRESET_FIXED
 ) -> TypicalProjector:
     """Typical projector of the product state selected by an input word."""
     word = tuple(word)
     if not word:
         raise InvalidInputError("conditioning word is empty")
-    _require_within_cap(channel.output_dim, len(word), dim_cap, "projector")
+    _require_bytes(_projector_bytes(channel.output_dim, len(word)), f"typical projector for n={len(word)}")
     return _projector(
         {a: hermitian_eigendecomposition(channel.state(a)) for a in dict.fromkeys(word)}, word, alpha, preset
     )
@@ -397,25 +415,23 @@ def averaged_state_projector(
     n: int,
     alpha: float,
     preset: str = PRESET_FIXED,
-    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> TypicalProjector:
     """Typical projector of the n-fold averaged output state, at threshold
     parameter alpha*sqrt(|alphabet|)."""
-    return typical_projector(
-        output_state(channel, dist), n, _averaged_state_alpha(alpha, len(channel.alphabet)), preset, dim_cap
-    )
+    alpha = _averaged_state_alpha(alpha, len(channel.alphabet))
+    return typical_projector(output_state(channel, dist), n, alpha, preset)
 
 
 # ---------------------------------------------------------------------------
 # Exact scalar evaluation over letter-count classes.
 # ---------------------------------------------------------------------------
 
-# A count-class table, or an outer sum of class tables, whose estimated size
-# passes this many bytes raises ResourceLimitError before it is built.  The
-# limit bounds each table; up to 16 tables stay cached (_count_table).
+# Up to this many count-class tables stay cached, so each is priced this many times.
+COUNT_TABLE_CACHE = 16
+
 # Stacks of spectra and instances are scored in chunks that keep their
-# working arrays near the limit.
-COUNT_TABLE_BYTE_LIMIT = 32 * 2**20
+# working arrays near this many bytes.
+COUNT_WORKING_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,38 +444,27 @@ class _CountTable:
     binomials: np.ndarray  # binomials[a, p] = C(a, p) for a < n + d, p < d (capped)
 
 
-def _require_table_bytes(nbytes: int, what: str) -> None:
-    if nbytes > COUNT_TABLE_BYTE_LIMIT:
-        raise ResourceLimitError(
-            f"{what} needs about {nbytes} bytes, above the {COUNT_TABLE_BYTE_LIMIT}-byte limit"
-        )
-
-
-def _fits_int64(n: int, d: int) -> bool:
-    # every multinomial and every sum of them is at most d^n
-    return n * math.log2(d) < 63
-
-
 def _table_rows(n: int, d: int) -> int:
     return math.comb(n + d - 1, d - 1)
 
 
 def _count_table_bytes(n: int, d: int) -> int:
-    rows = _table_rows(n, d)
-    exact = 8 if _fits_int64(n, d) else 40 + math.ceil(n * math.log2(d) / 8)
-    return rows * (8 * d + 8 + exact)
+    """Peak of building the (n, d) table: per row, the counts with five
+    temporaries of their width and three object arrays of exact multinomials
+    (Python ints of up to n log2(d) bits); and the binomials."""
+    exact = 8 + 32 + math.ceil(n * math.log2(d) / 8)
+    return _table_rows(n, d) * (40 * d + 3 * exact + 16) + 64 * d * (n + d)
 
 
 _comb = np.frompyfunc(math.comb, 2, 1)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=COUNT_TABLE_CACHE)
 def _count_table(n: int, d: int) -> _CountTable:
-    """The (n, d) count-class table, built once; its size is checked first.
-
-    The cache holds at most 16 tables, so at most 16 times the byte limit.
-    """
-    _require_table_bytes(_count_table_bytes(n, d), f"count-class table for n={n}, d={d}")
+    """The (n, d) count-class table, built once; it is priced first, as
+    the COUNT_TABLE_CACHE tables the cache may hold."""
+    cached = f"count-class table for n={n}, d={d} (times the {COUNT_TABLE_CACHE} the cache holds)"
+    _require_bytes(COUNT_TABLE_CACHE * _count_table_bytes(n, d), cached)
     counts = compositions(n, d)
     # multinomial = prod_i C(n - c_0 - ... - c_(i-1), c_i)
     remaining = n - np.cumsum(counts, axis=1) + counts
@@ -469,10 +474,8 @@ def _count_table(n: int, d: int) -> _CountTable:
     try:
         weights = mult.astype(float)
     except OverflowError:
-        raise ResourceLimitError(
-            f"count classes for n={n}, d={d} have multinomials beyond the float range"
-        ) from None
-    if _fits_int64(n, d):
+        raise ResourceLimitError(f"count classes for n={n}, d={d} have multinomials beyond the float range") from None
+    if n * math.log2(d) < 63:  # every multinomial, and every sum of them, is at most d^n
         mult = mult.astype(np.int64)
     # table ranks are below the row count, so these binomials fit int64
     binomials = np.array(
@@ -532,7 +535,7 @@ def _score_spectra(w: np.ndarray, n: int, tau: np.ndarray):
     table = _count_table(n, w.shape[-1])
     # each spectrum holds a few rows of table length at once: take the
     # spectra in chunks
-    chunk = max(1, COUNT_TABLE_BYTE_LIMIT // (32 * len(table.counts)))
+    chunk = max(1, COUNT_WORKING_BYTES // (32 * len(table.counts)))
     if len(w) > chunk:
         parts = [_score_spectra(w[i : i + chunk], n, tau[i : i + chunk]) for i in range(0, len(w), chunk)]
         return (
@@ -672,9 +675,9 @@ def _letter_count_masses(q: np.ndarray, classes, allowed: np.ndarray) -> np.ndar
     s_count, d = q.shape[0], q.shape[-1]
     sizes = [na for _, na in classes]
     pairs = max(_table_rows(sum(sizes[:k]), d) * _table_rows(na, d) for k, na in enumerate(sizes))
-    _require_table_bytes(pairs * (d + 1) * 8, f"outer sum of count classes for n={sum(sizes)}, d={d}")
+    _require_bytes(pairs * (d + 1) * 8, f"outer sum of count classes for n={sum(sizes)}, d={d}")
     # each instance adds a mass and an index per pair: take instances in chunks
-    chunk = max(1, COUNT_TABLE_BYTE_LIMIT // (16 * pairs))
+    chunk = max(1, COUNT_WORKING_BYTES // (16 * pairs))
     if s_count > chunk:
         return np.concatenate(
             [_letter_count_masses(q[i : i + chunk], classes, allowed[i : i + chunk]) for i in range(0, s_count, chunk)]

@@ -163,15 +163,17 @@ def test_product_extension_alphabet_order_matches_power():
 
 
 def test_product_extension_dim_cap():
+    # at n = 15 the first word state alone is a 2^15 x 2^15 float64 matrix
+    # (8 GiB), built beside the one before it
     ch = orthogonal_pure_channel()
-    with pytest.raises(ResourceLimitError):
-        product_extension(ch, 15, dim_cap=4096)
+    with pytest.raises(ResourceLimitError, match=r"^the 15-letter extension needs about 16 GiB, above the 2 GiB memory budget$"):
+        product_extension(ch, 15)
 
 
 def test_product_extension_dim_cap_rejects_absurd_n_without_allocating():
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=r"^the 1000000000000-letter extension needs about more bytes than a float counts, above the 2 GiB memory budget$"):
             product_extension(depolarized_channel(0.1), 10**12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -184,7 +186,7 @@ def test_product_extension_caps_the_alphabet_of_one_dimensional_outputs():
     # tuples must still be refused before any is formed
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=r"^the 40-letter extension needs about 4\.51e\+05 GiB, above"):
             product_extension(constant_channel(2, dim=1), 40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -427,10 +428,12 @@ def test_chi_refuses_weights_that_are_not_finite(tmp_path, capsys, dist):
     assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("family, dim", [("orthogonal", 102), ("depolarized", 102), ("constant", 725)])
+@pytest.mark.parametrize("family, dim", [("orthogonal", 162), ("depolarized", 162), ("constant", 1449)])
 def test_generate_refuses_channels_beyond_the_entry_limit(tmp_path, capsys, family, dim):
-    # the letter states would hold more than 2^20 entries; the refusal comes
-    # before any of them is built, and no file is written
+    # the letter states would hold just over 2^22 entries, priced at 512
+    # bytes each as they are built and written: above the 2 GiB budget, one
+    # step past the largest --dim that fits; the refusal comes before any of
+    # them is built, and no file is written
     out = tmp_path / "big.json"
     tracemalloc.start()
     try:
@@ -440,7 +443,15 @@ def test_generate_refuses_channels_beyond_the_entry_limit(tmp_path, capsys, fami
         tracemalloc.stop()
     assert peak < 2**20
     assert not out.exists()
-    assert_one_error_line(capsys)
+    line = assert_one_error_line(capsys)
+    assert re.fullmatch(rf"error: the {family} channel at --dim {dim} needs about 2(\.0[0-9])? GiB, above the 2 GiB memory budget", line)
+
+
+def test_generate_accepts_the_largest_dimension_within_the_budget(tmp_path, monkeypatch):
+    # --dim 161 fits (1.99 GiB for 161^3 entries); checked under a patched
+    # generator so that nothing of that size is built
+    monkeypatch.setattr(cli, "orthogonal_pure_channel", lambda dim: cli.constant_channel(dim=1))
+    assert main(["generate", "orthogonal", "--dim", "161", "--out", str(tmp_path / "ok.json")]) == 0
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])
@@ -495,10 +506,7 @@ def test_verify_projectors_refuses_an_empty_typical_set(capsys, ns):
     assert (out, err) == ("", "error: typical set is empty for n=1, delta=0.5; no words to draw\n")
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"ns": [], "alphas": [0.5]}, {"ns": [2], "alphas": []}, {"ns": [2], "alphas": [0.5], "instances": 0}],
-)
+@pytest.mark.parametrize("kwargs", [{"ns": [], "alphas": [0.5]}, {"ns": [2], "alphas": []}])
 def test_projector_verification_is_never_vacuous(kwargs):
     from cqrelay.cli import _verify_projectors
 
@@ -508,8 +516,8 @@ def test_projector_verification_is_never_vacuous(kwargs):
 
 def test_count_table_beyond_byte_limit_exits_three(capsys):
     # a count-class table at n = 10^6 would hold 10^6 rows of exact
-    # multinomials with 10^5-byte integers; its size is refused before any
-    # table or per-class array is built
+    # multinomials with 10^5-byte integers; its price, times the tables the
+    # cache holds, is refused before any table or per-class array is built
     tracemalloc.start()
     try:
         assert main(["verify", "projectors", "--n", "1000000", "--alpha", "0.5"]) == 3
@@ -517,13 +525,17 @@ def test_count_table_beyond_byte_limit_exits_three(capsys):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
-    assert_one_error_line(capsys)
+    assert assert_one_error_line(capsys) == (
+        "error: count-class table for n=1000000, d=2 (times the 16 the cache holds) "
+        "needs about 5.59e+03 GiB, above the 2 GiB memory budget"
+    )
 
 
 def test_region_grid_beyond_byte_limit_exits_three(tmp_path, capsys):
-    # the adder MAC's (G1, G2, 3, 3) stack at grid 100000 would take 1.3 TiB
-    # and the broadcast (G, 2, 2) stack at grid 10^7 640 MB; the guard
-    # refuses each before any grid array is built
+    # the adder MAC's grid of 10^10 points at grid 100000 is priced at 5 TiB
+    # and the broadcast grid of 10^7 + 1 points at 3.6 GiB (four (G, 2, 2)
+    # stacks and 256 bytes a point); each is refused before any grid array
+    # is built
     mac = write_channel(tmp_path, "adder-mac", "mac.json")
     bc = write_channel(tmp_path, "product-broadcast", "bc.json")
     for kind, k in (("mac", 100000), ("bidirectional", 100000), ("broadcast", 10**7)):
@@ -535,7 +547,9 @@ def test_region_grid_beyond_byte_limit_exits_three(tmp_path, capsys):
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
-        assert_one_error_line(capsys)
+        line = assert_one_error_line(capsys)
+        what = "broadcast region grid of 10000001 points" if kind == "broadcast" else "MAC region grid of 10000200001 points"
+        assert re.fullmatch(rf"error: {what} needs about [0-9.e+]+ GiB, above the 2 GiB memory budget", line)
 
 
 # ---------------------------------------------------------------------------
@@ -645,28 +659,49 @@ def test_simulate_accepts_a_huge_delta_code(tmp_path, capsys):
 
 
 def test_simulate_resource_limit_exits_three(tmp_path, capsys):
+    # the two averaged projectors at n = 30 are priced at 4 GiB each, before
+    # anything is sampled or built
     bc = write_channel(tmp_path, "product-broadcast", "bc.json")
     cfg = tmp_path / "big.json"
-    cfg.write_text(json.dumps({"n": 13, "M1": 2, "M2": 2, "alpha": 0.5}))
-    rc = main(["simulate", "--config", str(cfg), "--bc-channel", bc])
+    cfg.write_text(json.dumps({"n": 30, "M1": 2, "M2": 2, "alpha": 0.5}))
+    tracemalloc.start()
+    try:
+        rc = main(["simulate", "--config", str(cfg), "--bc-channel", bc])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rc == 3
-    assert "error:" in capsys.readouterr().err
+    assert peak < 2 * 2**20
+    line = assert_one_error_line(capsys)
+    assert line == "error: averaged projectors for n=30 needs about 8 GiB, above the 2 GiB memory budget"
+
+
+def test_simulate_refuses_the_dimension_cap_key(tmp_path, capsys):
+    # the memory budget is a constant: a config naming the old cap is refused
+    bc = write_channel(tmp_path, "product-broadcast", "bc.json")
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps({"n": 4, "M1": 2, "M2": 2, "dim_cap": 4096}))
+    assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 1
+    assert assert_one_error_line(capsys) == "error: unknown config keys: ['dim_cap']"
 
 
 def test_simulate_checks_the_cap_before_sampling(tmp_path, capsys):
-    # a codebook word of length 10^12 would need a 7 TiB draw; the cap check
-    # refuses the block length before any word is sampled
+    # a codebook word of length 10^12 would need a 7 TiB draw; pricing the
+    # averaged projectors refuses the block length before any word is sampled
     bc = write_channel(tmp_path, "product-broadcast", "bc.json")
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps({"n": 10**12, "M1": 2, "M2": 2}))
     assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 3
-    assert_one_error_line(capsys)
+    assert assert_one_error_line(capsys) == (
+        "error: averaged projectors for n=1000000000000 needs about more bytes than a float counts, "
+        "above the 2 GiB memory budget"
+    )
 
 
 @pytest.mark.parametrize(
     "config, code",
     [
-        ({"n": 2000, "epsilon": -1}, 3),  # the dimension cap, before any size is formed
+        ({"n": 2000, "epsilon": -1}, 3),  # the memory budget, before any size is formed
         ({"n": 4, "epsilon": -10}, 1),  # derived sizes of about 2^80 each
         ({"n": 4, "epsilon": -1e300}, 1),  # an exponent beyond float range
         ({"n": 4, "M1": 1_000_000_000, "M2": 2}, 1),

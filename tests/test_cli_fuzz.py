@@ -52,7 +52,6 @@ CONFIGS = st.fixed_dictionaries(
         "scheme": st.sampled_from(["proof-construction"] * 3 + ["modular-sum"] * 3 + ["relay"]),
         "preset": st.sampled_from(["fixed", "sqrt", "sqrt-scaled", "cubic"]),
         "dist": _mostly(st.floats(0.0, 1.0).map(lambda p: [p, 1.0 - p]), st.lists(st.floats(), max_size=3)),
-        "dim_cap": _mostly(st.integers(16, 10**6), st.integers(-1, 15)),
     },
 )
 

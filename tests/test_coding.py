@@ -164,10 +164,12 @@ def test_detection_first_kind_lower_bound_chain():
 
 
 def test_detection_dim_cap():
+    # the averaged projectors are priced as the decoder is built: their
+    # masks over 2^30 index words take 4 GiB each
     bc = noiseless_broadcast()
-    cb = sample_codebook(uniform_binary(), 6, 2, 2, seed=0)
-    with pytest.raises(ResourceLimitError):
-        build_square_root_decoder(cb, bc, alpha=0.5, dim_cap=32)
+    cb = sample_codebook(uniform_binary(), 30, 2, 2, seed=0)
+    with pytest.raises(ResourceLimitError, match=r"^typical projector for n=30 needs about 4 GiB, above the 2 GiB memory budget$"):
+        build_square_root_decoder(cb, bc, alpha=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +393,18 @@ def test_the_exact_second_kind_check_streams_each_detection_factor(monkeypatch):
 
 
 def test_second_kind_dim_cap():
+    # at n = 20 the exact check's partial sums of the typical mixture alone
+    # take 2^20 x 32 x 8 bytes each; it is refused before the averaged
+    # projector or any detection factor is built
     bc = noiseless_broadcast()
-    with pytest.raises(ResourceLimitError):
-        second_kind_collision_check(uniform_binary(), bc, n=6, alpha=0.5, dim_cap=16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"^second-kind check for n=20 needs about [0-9.]+ GiB, above the 2 GiB memory budget$"):
+            second_kind_collision_check(uniform_binary(), bc, n=20, alpha=0.5, exact=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

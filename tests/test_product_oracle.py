@@ -125,12 +125,12 @@ def test_kron_apply_rectangular_factors():
 
 def dense_detection_factor(cb, bc, receiver, word, alpha):
     marg = bc.marginal(receiver)
-    cond = conditional_typical_projector(marg, word, alpha, "fixed", 10**6)
-    return averaged_state_projector(marg, cb.dist, cb.n, alpha, "fixed", 10**6).matrix() @ cond.included_vectors()
+    cond = conditional_typical_projector(marg, word, alpha, "fixed")
+    return averaged_state_projector(marg, cb.dist, cb.n, alpha, "fixed").matrix() @ cond.included_vectors()
 
 
 def assert_product_path_matches_dense(cb, bc, alpha=ALPHA):
-    dec = factor_decoder(cb, bc, alpha=alpha, dim_cap=10**6)
+    dec = factor_decoder(cb, bc, alpha=alpha)
     factors = detection_factors(dec)
     report = average_errors(cb, bc, dec)
     for r in (1, 2):
@@ -171,7 +171,7 @@ def test_rank_zero_conditional_projector_matches_dense_oracle(n):
 def test_decoding_dense_and_factored_states_agree(channel, n):
     bc = CHANNELS[channel]()
     cb = sample_codebook(uniform_binary(), n, 2, 2, seed=6)
-    dec = factor_decoder(cb, bc, alpha=ALPHA, dim_cap=10**6)
+    dec = factor_decoder(cb, bc, alpha=ALPHA)
     for (m1, m2), w in cb.words.items():
         for r, known in ((1, m2), (2, m1)):
             marg = bc.marginal(r)

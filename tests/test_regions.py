@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqrelay import channels, regions
+from cqrelay import channels, operators, regions
 from cqrelay.channels import (
     BroadcastCQChannel,
     CQChannel,
@@ -522,12 +522,13 @@ def test_optimize_chi_decomposes_each_letter_state_once(monkeypatch):
 
 
 def test_grid_searches_refuse_oversized_state_stacks():
-    # a binary grid of 10^7 points holds a 640 MB (G, 2, 2) stack
+    # a binary grid of 10^7 points is priced at 3.6 GiB: four (G, 2, 2)
+    # float64 stacks and 256 bytes a point
     ch = orthogonal_pure_channel()
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=r"^chi search grid of 10000001 points needs about 3\.58 GiB, above"):
         optimize_chi(ch, DistributionGrid(ch.alphabet, 10**7))
     bc = product_broadcast_channel(ch, ch)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=r"^broadcast region grid of 10000001 points needs about 3\.58 GiB"):
         broadcast_region(bc, DistributionGrid(bc.alphabet, 10**7))
 
 
@@ -558,9 +559,10 @@ def _grid_search(kind, channel, k):
 def test_grid_stacks_are_priced_at_their_dtype(monkeypatch, kind):
     real, cplx = _real_and_complex_twins(kind)
     # grid 7 is 64 MAC points or 8 simplex points of 3x3 (or 2x2) states;
-    # the limit admits the float64 stack and not the complex128 one
+    # a budget between the float64 and the complex128 prices (four stacks
+    # and 256 bytes a point) admits the first and not the second
     points, dim = (64, 3) if kind == "mac" else (8, 3 if kind == "chi" else 2)
-    monkeypatch.setattr(regions, "_PENTAGON_STACK_BYTE_LIMIT", points * dim * dim * 12)
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", points * (4 * dim * dim * 12 + 256))
     _grid_search(kind, real, 7)
     with pytest.raises(ResourceLimitError):
         _grid_search(kind, cplx, 7)

@@ -568,7 +568,7 @@ def test_diagonal_groups_match_on_random_commuting_qutrit_channels(kind, seed):
     dist = ProbabilityDistribution.uniform(("0", "1", "2"))
     cb = sample_codebook(dist, 5, 3, 2, seed=seed)
     got, report = assert_diagonal_matches_factor_path(cb, bc, alpha=0.5)
-    projectors = coding._averaged_projectors(bc, dist, 5, 0.5, "fixed", 4096)
+    projectors = coding._averaged_projectors(bc, dist, 5, 0.5, "fixed")
     orders = [coding._diagonal_orders(letter_eigenpairs(bc.marginal(r)), projectors[r]) for r in (1, 2)]
     assert any(not np.array_equal(o, np.arange(3)) for by_letter in orders for o in by_letter.values())
     assert max(max(row) for r in (1, 2) for row in report.outcomes[r].values()) > 0.1
@@ -696,7 +696,7 @@ def test_commuting_letters_need_the_projectors_basis(weights, diagonal):
     # which is not theirs: the factor path runs
     bc = real_frame_broadcast()
     dist = ProbabilityDistribution(("0", "1"), weights)
-    projectors = coding._averaged_projectors(bc, dist, 4, 0.3, "fixed", 4096)
+    projectors = coding._averaged_projectors(bc, dist, 4, 0.3, "fixed")
     for r in (1, 2):
         a, b = (bc.marginal(r).state(x) for x in ("0", "1"))
         assert np.abs(a @ b - b @ a).max() <= 1e-15

@@ -258,15 +258,17 @@ def test_typical_projector_included_vectors_orthonormal():
 
 
 def test_typical_projector_dim_cap():
+    # the mask and its lookups take 4 bytes per index word: 4 GiB at n = 30
     rho = np.eye(2) / 2
-    with pytest.raises(ResourceLimitError):
-        typical_projector(rho, 5, 1.0, PRESET_FIXED, dim_cap=16)
+    typical_projector(rho, 5, 1.0, PRESET_FIXED)
+    with pytest.raises(ResourceLimitError, match=r"^typical projector for n=30 needs about 4 GiB, above the 2 GiB memory budget$"):
+        typical_projector(rho, 30, 1.0, PRESET_FIXED)
 
 
 def test_typical_projector_dim_cap_rejects_absurd_n_without_allocating():
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=r"^typical projector for n=1000000000000 needs about more bytes than a float counts, above the 2 GiB memory budget$"):
             typical_projector(np.eye(2) / 2, 10**12, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -291,8 +293,8 @@ def test_projector_masks_are_built_in_about_their_own_size():
     channel = product_broadcast_channel(orthogonal_pure_channel(2), depolarized_channel(0.1, 2)).marginal(2)
     dist = ProbabilityDistribution.uniform(channel.alphabet)
     builds = (
-        lambda: averaged_state_projector(channel, dist, 18, 0.3, dim_cap=2**18),
-        lambda: conditional_typical_projector(channel, ("0", "1") * 9, 0.3, dim_cap=2**18),
+        lambda: averaged_state_projector(channel, dist, 18, 0.3),
+        lambda: conditional_typical_projector(channel, ("0", "1") * 9, 0.3),
     )
     for build in builds:
         tracemalloc.start()

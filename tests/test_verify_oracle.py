@@ -806,15 +806,15 @@ def test_sweeps_need_at_least_one_trial():
 
 
 def test_cross_capture_in_instance_chunks_matches_one_pass(monkeypatch):
-    # a byte limit this small still admits the tables but forces the outer
-    # sum of letter classes to take the instances two at a time
+    # a working set this small forces the outer sum of letter classes to
+    # take the instances two at a time
     rng = np.random.default_rng(4)
     dist = ProbabilityDistribution(("0", "1"), np.array([0.5, 0.5]))
     channels = [random_channel(rng, dist.labels, 3) for _ in range(5)]
     words = [("0", "1", "1", "0", "0", "1")] * 5
     states = letter_stack(channels, dist.labels)
     whole = verify_conditional_projector_bounds(states, words, dist, 0.5)
-    monkeypatch.setattr(typicality, "COUNT_TABLE_BYTE_LIMIT", 4096)
+    monkeypatch.setattr(typicality, "COUNT_WORKING_BYTES", 4096)
     typicality._count_table.cache_clear()
     try:
         chunked = verify_conditional_projector_bounds(states, words, dist, 0.5)
@@ -824,13 +824,13 @@ def test_cross_capture_in_instance_chunks_matches_one_pass(monkeypatch):
 
 
 def test_spectrum_stats_in_chunks_match_one_pass(monkeypatch):
-    # a byte limit this small still admits the (9, 3) table but forces the
-    # spectra to be scored two at a time
+    # a working set this small forces the spectra to be scored two at a
+    # time against the (9, 3) table
     rng = np.random.default_rng(5)
     spectra = np.sort(rng.dirichlet(np.ones(3), size=7), axis=1)[:, ::-1].copy()
     taus = rng.uniform(0.05, 0.5, size=7)
     whole = spectrum_projector_stats(spectra, 9, taus)
-    monkeypatch.setattr(typicality, "COUNT_TABLE_BYTE_LIMIT", 4096)
+    monkeypatch.setattr(typicality, "COUNT_WORKING_BYTES", 4096)
     typicality._count_table.cache_clear()
     try:
         chunked = spectrum_projector_stats(spectra, 9, taus)
@@ -855,6 +855,7 @@ def test_projector_reports_see_the_one_instance_draws(monkeypatch):
     from cqrelay import cli
 
     ns, alphas, instances, seed = (2, 4), (0.5, 1.0), 5, 3
+    monkeypatch.setattr(cli, "_PROJECTOR_INSTANCES", instances)
     calls = []
     real_state, real_cond = cli.verify_state_projector_bounds, cli.verify_conditional_projector_bounds
 
@@ -868,7 +869,7 @@ def test_projector_reports_see_the_one_instance_draws(monkeypatch):
 
     monkeypatch.setattr(cli, "verify_state_projector_bounds", state)
     monkeypatch.setattr(cli, "verify_conditional_projector_bounds", cond)
-    cli._verify_projectors(ns, alphas, "fixed", seed, instances=instances)
+    cli._verify_projectors(ns, alphas, "fixed", seed)
 
     state_stream, cond_stream = np.random.SeedSequence(seed).spawn(2)
     dims = [2 if i % 2 == 0 else 3 for i in range(instances)]
