@@ -4,141 +4,7 @@ Capacity regions for the two-sender and broadcast phases, frequency-typical
 sets and typical subspace projectors with exact quantitative bound checks,
 the operator inequalities behind square-root decoding, and a desk-scale
 random-coding simulator for the broadcast phase.
+
+The modules are the public surface (import from cqrelay.channels,
+cqrelay.coding and the others); the package root binds no name.
 """
-
-from .channels import (
-    BroadcastCQChannel,
-    CQChannel,
-    MACCQChannel,
-    adder_mac_channel,
-    channel_to_jsonable,
-    conditional_entropy,
-    constant_channel,
-    depolarized_channel,
-    holevo_chi,
-    load_channel,
-    orthogonal_pure_channel,
-    output_state,
-    overlap_pair_channel,
-    product_broadcast_channel,
-    product_extension,
-    save_channel,
-)
-from .coding import (
-    Codebook,
-    ErrorReport,
-    ExpurgationResult,
-    SimConfig,
-    SquareRootDecoder,
-    average_errors,
-    build_square_root_decoder,
-    decode_with_side_info,
-    end_to_end_broadcast_sim,
-    expurgate,
-    modular_sum_decode,
-    modular_sum_encode,
-    sample_codebook,
-    second_kind_collision_check,
-)
-from .errors import ExpurgationError, InvalidInputError, RelayError, ResourceLimitError
-from .lemmas import (
-    LemmaCheckResult,
-    check_hayashi_nagaoka,
-    check_measurement_on_close_states,
-    check_tender_operator,
-    sweep_lemma_checks,
-)
-from .operators import (
-    ProbabilityDistribution,
-    partial_trace,
-    pseudo_sqrt_inverse,
-    trace_norm,
-    trace_pair,
-    validate_density,
-    von_neumann_entropy,
-)
-from .regions import (
-    DistributionGrid,
-    RatePair,
-    RateRegion,
-    broadcast_region,
-    convex_hull,
-    intersect_regions,
-    mac_region,
-    optimize_chi,
-)
-from .typicality import (
-    ProjectorBoundReport,
-    TypicalProjector,
-    TypicalSet,
-    conditional_typical_projector,
-    typical_projector,
-    verify_conditional_projector_bounds,
-    verify_state_projector_bounds,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BroadcastCQChannel",
-    "CQChannel",
-    "Codebook",
-    "DistributionGrid",
-    "ErrorReport",
-    "ExpurgationError",
-    "ExpurgationResult",
-    "InvalidInputError",
-    "LemmaCheckResult",
-    "MACCQChannel",
-    "ProbabilityDistribution",
-    "ProjectorBoundReport",
-    "RatePair",
-    "RateRegion",
-    "RelayError",
-    "ResourceLimitError",
-    "SimConfig",
-    "SquareRootDecoder",
-    "TypicalProjector",
-    "TypicalSet",
-    "adder_mac_channel",
-    "average_errors",
-    "broadcast_region",
-    "build_square_root_decoder",
-    "channel_to_jsonable",
-    "check_hayashi_nagaoka",
-    "check_measurement_on_close_states",
-    "check_tender_operator",
-    "conditional_entropy",
-    "conditional_typical_projector",
-    "constant_channel",
-    "convex_hull",
-    "decode_with_side_info",
-    "depolarized_channel",
-    "end_to_end_broadcast_sim",
-    "expurgate",
-    "holevo_chi",
-    "intersect_regions",
-    "load_channel",
-    "mac_region",
-    "modular_sum_decode",
-    "modular_sum_encode",
-    "optimize_chi",
-    "orthogonal_pure_channel",
-    "output_state",
-    "overlap_pair_channel",
-    "partial_trace",
-    "product_broadcast_channel",
-    "product_extension",
-    "pseudo_sqrt_inverse",
-    "sample_codebook",
-    "save_channel",
-    "second_kind_collision_check",
-    "sweep_lemma_checks",
-    "trace_norm",
-    "trace_pair",
-    "typical_projector",
-    "validate_density",
-    "verify_conditional_projector_bounds",
-    "verify_state_projector_bounds",
-    "von_neumann_entropy",
-]

@@ -133,11 +133,6 @@ def _trace_table(blocks, states) -> np.ndarray:
     return np.array(columns, dtype=float).reshape(len(columns), len(states)).T
 
 
-def _factor_op(factor: np.ndarray) -> np.ndarray:
-    _require_bytes(4 * factor.shape[0] ** 2 * factor.itemsize, f"dense operator on {factor.shape[0]} dimensions")
-    return hermitian_part(factor @ factor.conj().T)
-
-
 def _averaged_projectors(bc: BroadcastCQChannel, dist, n: int, alpha, preset) -> dict:
     """receiver -> typical projector of its n-fold averaged output state.
 
@@ -389,9 +384,8 @@ class SquareRootDecoder:
     words -> decoding group, and group(receiver, known) builds that
     side-information group anew on each call.  Every caller reads a group
     through its tables, its length and its margin, and lets it go before it
-    asks for the next; only factor and op read a single normalized factor,
-    and each of their calls builds the whole group (see
-    decode_with_side_info).
+    asks for the next; a group's factor(i) is its one read of a single
+    normalized factor.
     """
 
     codebook: Codebook
@@ -419,17 +413,6 @@ class SquareRootDecoder:
         built, read and dropped in turn."""
         sizes = (self.m1_size, self.m2_size)
         return {r: {known: self.group(r, known).margin for known in _side_info_groups(r, *sizes)} for r in (1, 2)}
-
-    def factor(self, receiver: int, m1: int, m2: int) -> np.ndarray:
-        """The normalized factor H of the pair's operator, formed on request."""
-        known, index = (m2, m1) if receiver == 1 else (m1, m2)
-        if receiver not in (1, 2) or (m1, m2) not in self.codebook.words:
-            raise InvalidInputError(f"decoder has no operator for receiver {receiver}, pair ({m1}, {m2})")
-        return self.group(receiver, known).factor(int(index))
-
-    def op(self, receiver: int, m1: int, m2: int) -> np.ndarray:
-        """Dense Λ = H H†, formed on request."""
-        return _factor_op(self.factor(receiver, m1, m2))
 
 
 def _side_info_groups(receiver: int, m1_size: int, m2_size: int) -> dict:

@@ -79,8 +79,9 @@ def _run_ids(values: np.ndarray, tol: float) -> np.ndarray:
     return ids
 
 
-def _dedup_points(points, tol=_VERTEX_DEDUP_TOL):
-    """Drop each point within tol, in both coordinates, of an earlier kept point.
+def _dedup_points(points):
+    """Drop each point within _VERTEX_DEDUP_TOL (tol below), in both
+    coordinates, of an earlier kept point.
 
     Exact repeats go first, in order: a repeat is always within tol of the
     point that absorbed its twin.  A point alone in its pair of x and y runs
@@ -90,6 +91,7 @@ def _dedup_points(points, tol=_VERTEX_DEDUP_TOL):
     within tol of each other land in the same or adjacent cells even when
     x / cell is off by rounding.
     """
+    tol = _VERTEX_DEDUP_TOL
     pts = list(dict.fromkeys(points))
     xy = np.array(pts, dtype=float).reshape(-1, 2)
     runs = _run_ids(xy[:, 0], tol) * len(pts) + _run_ids(xy[:, 1], tol)
@@ -217,23 +219,23 @@ class RateRegion:
         return max(v.r1 + v.r2 for v in self.vertices)
 
 
-def _clip_by_halfplane(vertices, plane, tol=_COLLINEAR_TOL):
+def _clip_by_halfplane(vertices, plane):
     a, b, c = plane
     m = len(vertices)
     if m == 0:
         return []
     if m == 1:
         (x, y) = vertices[0]
-        return list(vertices) if a * x + b * y <= c + tol else []
+        return list(vertices) if a * x + b * y <= c + _COLLINEAR_TOL else []
     out = []
     for i in range(m):
         sx, sy = vertices[i]
         ex, ey = vertices[(i + 1) % m]
         ds = a * sx + b * sy - c
         de = a * ex + b * ey - c
-        if ds <= tol:
+        if ds <= _COLLINEAR_TOL:
             out.append((sx, sy))
-        if (ds <= tol) != (de <= tol) and ds != de:
+        if (ds <= _COLLINEAR_TOL) != (de <= _COLLINEAR_TOL) and ds != de:
             t = ds / (ds - de)
             out.append((sx + t * (ex - sx), sy + t * (ey - sy)))
     return _dedup_points(out)

@@ -132,9 +132,6 @@ class TypicalSet:
                 windows.append((under + 1, under))
         return windows
 
-    def is_empty(self) -> bool:
-        return self._empty
-
     def _member_classes(self):
         """The count-class table of (n, |alphabet|) and its member-row flags."""
         table = _count_table(self.n, len(self.dist.labels))
@@ -273,8 +270,6 @@ class TypicalProjector:
     eigenvalues: dict  # letter -> descending spectrum
     bases: dict  # letter -> eigenvector columns
     taus: dict  # letter -> per-class threshold
-    alpha: float
-    preset: str
     mask: np.ndarray  # (d^n,) bool, product-basis order
 
     @property
@@ -347,7 +342,6 @@ def _projector(decompositions: dict, word: tuple, alpha: float, preset: str) -> 
     """
     n = len(word)
     d = len(next(iter(decompositions.values()))[0])
-    preset = resolve_preset(preset)
     mask = np.ones(d**n, dtype=bool)
     eigs, bases, taus = {}, {}, {}
     for a, na in Counter(word).items():
@@ -359,9 +353,7 @@ def _projector(decompositions: dict, word: tuple, alpha: float, preset: str) -> 
         allowed = _eigen_allowed(w, na, tau_a)
         for i in range(d):
             mask &= allowed[i, _index_counts(positions, n, d, i)]
-    return TypicalProjector(
-        word=word, eigenvalues=eigs, bases=bases, taus=taus, alpha=float(alpha), preset=preset, mask=mask
-    )
+    return TypicalProjector(word=word, eigenvalues=eigs, bases=bases, taus=taus, mask=mask)
 
 
 def _projector_bytes(d: int, n: int) -> float:
@@ -474,7 +466,9 @@ def _count_table(n: int, d: int) -> _CountTable:
     try:
         weights = mult.astype(float)
     except OverflowError:
-        raise ResourceLimitError(f"count classes for n={n}, d={d} have multinomials beyond the float range") from None
+        raise InvalidInputError(
+            f"block length n={n} is out of range for d={d}: its count classes have multinomials beyond the float range"
+        ) from None
     if n * math.log2(d) < 63:  # every multinomial, and every sum of them, is at most d^n
         mult = mult.astype(np.int64)
     # table ranks are below the row count, so these binomials fit int64
@@ -561,8 +555,6 @@ class SpectrumProjectorStats:
     """
 
     eigenvalues: np.ndarray
-    n: int
-    tau: float
     capture: float  # tr(rho^(x) n * projector)
     rank: int  # tr(projector)
     lambda_max: float  # largest eigenvalue of the compressed state
@@ -591,9 +583,7 @@ def spectrum_projector_stats(eigenvalues, n, tau) -> SpectrumProjectorStats:
         capture, ranks, lam_max = float(capture[0]), int(ranks[0]), float(lam_max[0])
     else:
         capture, ranks, lam_max = (a.reshape(w.shape[:-1]) for a in (capture, ranks, lam_max))
-    return SpectrumProjectorStats(
-        eigenvalues=w, n=n, tau=tau, capture=capture, rank=ranks, lambda_max=lam_max
-    )
+    return SpectrumProjectorStats(eigenvalues=w, capture=capture, rank=ranks, lambda_max=lam_max)
 
 
 def _word_batch(states, words, labels) -> tuple:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -25,6 +29,16 @@ def h2(p):
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+def test_the_package_root_binds_no_public_name():
+    # the modules are the one public surface: a fresh interpreter's
+    # `import cqrelay` binds no name that does not start with an underscore
+    src = pathlib.Path(cli.__file__).parents[1]
+    code = "import cqrelay; print(sorted(k for k in vars(cqrelay) if not k.startswith('_')))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout == "[]\n"
 
 
 def write_channel(tmp_path, family, name, extra=()):
@@ -528,6 +542,17 @@ def test_count_table_beyond_byte_limit_exits_three(capsys):
     assert assert_one_error_line(capsys) == (
         "error: count-class table for n=1000000, d=2 (times the 16 the cache holds) "
         "needs about 5.59e+03 GiB, above the 2 GiB memory budget"
+    )
+
+
+def test_count_table_beyond_the_float_range_exits_one(capsys):
+    # at n = 1030 the largest d = 2 multinomial, C(1030, 515), passes the
+    # float range while the tables take about 1 MB: the block length is out
+    # of range, an invalid input, not a resource limit
+    assert main(["verify", "projectors", "--n", "1030", "--alpha", "0.5"]) == 1
+    assert assert_one_error_line(capsys) == (
+        "error: block length n=1030 is out of range for d=2: "
+        "its count classes have multinomials beyond the float range"
     )
 
 

@@ -21,6 +21,7 @@ from cqrelay.coding import (
     ErrorReport,
     SimConfig,
     SquareRootDecoder,
+    _side_info_groups,
     _sized_message_sets,
     average_errors,
     build_square_root_decoder,
@@ -35,6 +36,7 @@ from cqrelay.coding import (
 from cqrelay.errors import ExpurgationError, InvalidInputError, ResourceLimitError
 from cqrelay.operators import KRON_CHUNK_COLUMNS, ProbabilityDistribution, trace_pair
 from cqrelay.typicality import TypicalSet, averaged_state_projector, verify_conditional_projector_bounds
+from test_srm_oracle import dense_op, detection_factors, factor_decoder
 
 
 def uniform_binary():
@@ -60,10 +62,8 @@ def overlap_broadcast(p=0.1):
 def detection_ops(cb, bc, **kwargs):
     """receiver -> {(m1, m2): dense D' = F F†}, F read from the groups of the
     public builder's decoder with every receiver on the factor path."""
-    from test_srm_oracle import detection_factors, factor_decoder
-
     factors = detection_factors(factor_decoder(cb, bc, **kwargs))
-    return {r: {pair: coding._factor_op(f) for pair, f in by_pair.items()} for r, by_pair in factors.items()}
+    return {r: {pair: dense_op(f) for pair, f in by_pair.items()} for r, by_pair in factors.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,8 @@ def test_decoder_groups_sum_to_projector():
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
     dec = build_square_root_decoder(cb, bc, alpha=0.5)
     for m2 in range(cb.m2_size):
-        total = sum(dec.op(1, m1, m2) for m1 in range(cb.m1_size))
+        group = dec.group(1, m2)
+        total = sum(dense_op(group.factor(m1)) for m1 in range(cb.m1_size))
         w = np.linalg.eigvalsh(total)
         assert w.max() <= 1.0 + 1e-9
         assert w.min() >= -1e-10
@@ -215,11 +216,13 @@ def test_side_info_groups_on_an_asymmetric_codebook():
         assert sorted(dec.subpovm_margins[r]) == sorted(by_known)
         for known, pairs in by_known.items():
             # the decoder normalized exactly this group: its operators sum to a projector
-            w = np.linalg.eigvalsh(sum(dec.op(r, *p) for p in pairs))
+            group = dec.group(r, known)
+            ops = [dense_op(group.factor(i)) for i in range(len(pairs))]
+            w = np.linalg.eigvalsh(sum(ops))
             assert np.all((w < 1e-6) | (w > 1 - 1e-6))
             for index, pair in enumerate(pairs):
                 state = bc.marginal(r).word_state(cb.word(*pair))
-                probs = [trace_pair(dec.op(r, *p), state) for p in pairs]
+                probs = [trace_pair(op, state) for op in ops]
                 assert decode_with_side_info(dec, r, known, state) == int(np.argmax(probs)) == index
     state = bc.marginal(1).word_state(cb.word(2, 0))
     with pytest.raises(InvalidInputError):
@@ -231,7 +234,7 @@ def test_decoder_missing_pair_raises():
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
     dec = build_square_root_decoder(cb, bc, alpha=0.5)
     with pytest.raises(InvalidInputError):
-        dec.op(1, 7, 7)
+        dec.group(1, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +248,13 @@ def test_average_errors_consistency():
     dec = build_square_root_decoder(cb, bc, alpha=0.3)
     report = average_errors(cb, bc, dec)
     # per-pair errors match the direct evaluation
-    for pair, w in cb.words.items():
-        for r in (1, 2):
-            state = bc.marginal(r).word_state(w)
-            direct = max(0.0, 1.0 - trace_pair(dec.op(r, *pair), state))
-            assert report.first_kind[r][pair] == pytest.approx(direct, abs=1e-12)
+    for r in (1, 2):
+        for known, pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).items():
+            group = dec.group(r, known)
+            for index, pair in enumerate(pairs):
+                state = bc.marginal(r).word_state(cb.words[pair])
+                direct = max(0.0, 1.0 - trace_pair(dense_op(group.factor(index)), state))
+                assert report.first_kind[r][pair] == pytest.approx(direct, abs=1e-12)
     # averages recompute from the tables
     for m2 in range(cb.m2_size):
         vals = [report.first_kind[1][(m1, m2)] for m1 in range(cb.m1_size)]
@@ -585,9 +590,8 @@ def test_decode_with_side_info_sampled_statistics():
     dec = SquareRootDecoder(cb, {r: lambda words, r=r: keep(r, words) for r in (1, 2)})
     m1, m2 = 0, 0
     state = bc.marginal(2).word_state(cb.word(m1, m2))
-    exact = [
-        max(0.0, trace_pair(dec.op(2, m1, k), state)) for k in range(cb.m2_size)
-    ]
+    group = dec.group(2, m1)
+    exact = [max(0.0, trace_pair(dense_op(group.factor(k)), state)) for k in range(cb.m2_size)]
     rng = np.random.default_rng(11)
     draws = 4000
     counts = {k: 0 for k in list(range(cb.m2_size)) + [None]}

@@ -190,7 +190,6 @@ def test_one_budget_constant_is_read_at_every_check(monkeypatch):
         lambda: typicality.conditional_typical_projector(bc.marginal(2), ("0", "1") * 9, 0.3).matrix(),
         lambda: typicality.typical_projector(np.eye(2) / 2, 16, 10.0).index_words(),
         lambda: operators.product_columns([np.eye(2)] * 12, np.zeros((300, 12), dtype=int)),
-        lambda: coding._factor_op(np.zeros((1024, 1))),
     ]
     for check in checks:
         with pytest.raises(ResourceLimitError, match=r"above the 0\.000977 GiB memory budget$"):

@@ -24,6 +24,7 @@ from cqrelay.channels import (
 from cqrelay.coding import (
     Codebook,
     _factor_trace,
+    _side_info_groups,
     _word_factors,
     average_errors,
     decode_with_side_info,
@@ -48,7 +49,7 @@ from cqrelay.typicality import (
     conditional_typical_projector,
     typical_projector,
 )
-from test_srm_oracle import detection_factors, factor_decoder
+from test_srm_oracle import dense_op, dense_srm, detection_factors, factor_decoder
 
 TOL = 1e-12
 NS = (4, 6, 8)
@@ -135,17 +136,20 @@ def assert_product_path_matches_dense(cb, bc, alpha=ALPHA):
     report = average_errors(cb, bc, dec)
     for r in (1, 2):
         marg = bc.marginal(r)
-        for pair, w in cb.words.items():
-            dense_f = dense_detection_factor(cb, bc, r, w, alpha)
-            assert factors[r][pair].shape == dense_f.shape
-            assert np.abs(factors[r][pair] - dense_f).max(initial=0.0) <= TOL
-            state = marg.word_state(w)
-            for f in (factors[r][pair], dec.factor(r, *pair)):
-                dense = trace_pair(f @ f.conj().T, state)
-                assert _factor_trace(f, _word_factors(marg, w)) == pytest.approx(dense, abs=TOL)
-                assert _factor_trace(f, [state]) == pytest.approx(dense, abs=TOL)
-            miss = max(0.0, 1.0 - trace_pair(dec.op(r, *pair), state))
-            assert report.first_kind[r][pair] == pytest.approx(miss, abs=TOL)
+        for known, pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).items():
+            group = dec.group(r, known)
+            for index, pair in enumerate(pairs):
+                w, h = cb.words[pair], group.factor(index)
+                dense_f = dense_detection_factor(cb, bc, r, w, alpha)
+                assert factors[r][pair].shape == dense_f.shape
+                assert np.abs(factors[r][pair] - dense_f).max(initial=0.0) <= TOL
+                state = marg.word_state(w)
+                for f in (factors[r][pair], h):
+                    dense = trace_pair(f @ f.conj().T, state)
+                    assert _factor_trace(f, _word_factors(marg, w)) == pytest.approx(dense, abs=TOL)
+                    assert _factor_trace(f, [state]) == pytest.approx(dense, abs=TOL)
+                miss = max(0.0, 1.0 - trace_pair(dense_op(h), state))
+                assert report.first_kind[r][pair] == pytest.approx(miss, abs=TOL)
     return factors, dec
 
 
@@ -265,7 +269,7 @@ def test_dense_projector_branches_match_included_vectors(rank_share):
     mask = np.zeros(d**n, dtype=bool)
     mask[picked] = True
     cond = TypicalProjector(
-        word=("0", "1", "1", "0"), eigenvalues={}, bases=bases, taus={}, alpha=1.0, preset="fixed", mask=mask,
+        word=("0", "1", "1", "0"), eigenvalues={}, bases=bases, taus={}, mask=mask,
     )
     cols = cond.included_vectors()
     assert np.abs(cond.matrix() - cols @ cols.conj().T).max() <= 1e-12
@@ -352,7 +356,7 @@ def random_projector(rng, word, rank):
     mask = np.zeros(2 ** len(word), dtype=bool)
     mask[rng.permutation(mask.size)[:rank]] = True
     return TypicalProjector(
-        word=tuple(word), eigenvalues={}, bases=bases, taus={}, alpha=1.0, preset="fixed", mask=mask,
+        word=tuple(word), eigenvalues={}, bases=bases, taus={}, mask=mask,
     )
 
 
@@ -368,8 +372,6 @@ def test_streamed_sandwiched_factor_matches_dense(width):
 @pytest.mark.parametrize("panel_rows", [coding.PANEL_ROWS, 24])
 @pytest.mark.parametrize("channel,n", [(name, n) for name in ("canonical", "random") for n in NS])
 def test_lazily_formed_normalized_factors_match_dense_oracle(monkeypatch, channel, n, panel_rows):
-    from test_srm_oracle import dense_srm
-
     # 24-row panels split every N here into several, the last one ragged
     monkeypatch.setattr(coding, "PANEL_ROWS", panel_rows)
     cb = sample_codebook(uniform_binary(), n, 3, 2, seed=4)
@@ -390,10 +392,12 @@ def test_lazily_formed_normalized_factors_match_dense_oracle(monkeypatch, channe
             assert all(np.array_equal(made_for[cb.words[p]], factors[r][p]) for p in pairs)
             k = sum(f.shape[1] for f in group.factors)
             assert group.inv_root.shape == (k, k)
-            lams, margin = dense_srm([coding._factor_op(factors[r][p]) for p in pairs])
+            lams, margin = dense_srm([dense_op(factors[r][p]) for p in pairs])
             assert group.margin == pytest.approx(margin, abs=TOL)
+            # the same group built anew forms the same factors
+            again = dec.group(r, known)
             for i, (pair, lam) in enumerate(zip(pairs, lams)):
                 h = group.factor(i)
                 assert h.shape == factors[r][pair].shape
                 assert np.abs(h @ h.conj().T - lam).max() <= TOL
-                assert (dec.factor(r, *pair) == h).all()
+                assert (again.factor(i) == h).all()

@@ -119,9 +119,14 @@ def detection_factors(dec):
     }
 
 
+def dense_op(factor):
+    """Dense F F† of a factor F, as its Hermitian part."""
+    return hermitian_part(factor @ factor.conj().T)
+
+
 def detection_op(factors, r, pair):
     """Dense D' = F F† of the pair's detection factor."""
-    return coding._factor_op(factors[r][pair])
+    return dense_op(factors[r][pair])
 
 
 def dense_decoder(cb, factors):
@@ -162,10 +167,10 @@ def assert_matches_oracle(cb, bc, alpha):
     got_margins = dec.subpovm_margins
     for r in (1, 2):
         for known, pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).items():
-            # each group built once here: Λ = H H† is what dec.op forms
+            # each group built once here, and Λ = H H† formed from its factors
             group = dec.group(r, known)
             for index, pair in enumerate(pairs):
-                assert np.abs(coding._factor_op(group.factor(index)) - ops[r][pair]).max() <= TOL
+                assert np.abs(dense_op(group.factor(index)) - ops[r][pair]).max() <= TOL
         for key, margin in margins[r].items():
             assert got_margins[r][key] == pytest.approx(margin, abs=TOL)
     report = average_errors(cb, bc, dec)
@@ -336,15 +341,17 @@ def test_a_dense_group_behind_the_contract_matches_the_factor_path(channel, code
     assert_same_report(got.as_dict(), want.as_dict())
     assert_same_report(got.outcomes, want.outcomes)
     for r in (1, 2):
-        for pair in cb.words:
-            assert np.abs(dense.factor(r, *pair) - dec.factor(r, *pair)).max(initial=0.0) <= TOL
-            assert np.abs(dense.op(r, *pair) - dec.op(r, *pair)).max() <= TOL
-            state = _word_factors(bc.marginal(r), cb.word(*pair))
-            known = pair[1] if r == 1 else pair[0]
-            for mode in ("argmax", "sampled"):
-                assert decode_with_side_info(
-                    dense, r, known, state, mode, np.random.default_rng(1)
-                ) == decode_with_side_info(dec, r, known, state, mode, np.random.default_rng(1))
+        for known, pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).items():
+            dense_group, group = dense.group(r, known), dec.group(r, known)
+            for index, pair in enumerate(pairs):
+                dense_h, h = dense_group.factor(index), group.factor(index)
+                assert np.abs(dense_h - h).max(initial=0.0) <= TOL
+                assert np.abs(dense_op(dense_h) - dense_op(h)).max() <= TOL
+                state = _word_factors(bc.marginal(r), cb.word(*pair))
+                for mode in ("argmax", "sampled"):
+                    assert decode_with_side_info(
+                        dense, r, known, state, mode, np.random.default_rng(1)
+                    ) == decode_with_side_info(dec, r, known, state, mode, np.random.default_rng(1))
     if codebook is rank_zero_codebook:
         assert sum(factors[2][(0, m2)].shape[1] for m2 in range(2)) == 0
         assert dense.subpovm_margins[2][0] == -1.0
@@ -478,12 +485,12 @@ def assert_diagonal_matches_factor_path(cb, bc, alpha):
     for r in (1, 2):
         states = [_word_factors(bc.marginal(r), w) for w in dict.fromkeys(cb.words[p] for p in sorted(cb.words))]
         for known, pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).items():
-            # each group built once here: Λ = H H† is what got.op and want.op form
+            # each group built once here, and Λ = H H† formed from its factors
             group, oracle_group = got.group(r, known), want.group(r, known)
             assert np.abs(group.tables(states)[1] - oracle_group.tables(states)[1]).max() <= TOL
             for index, pair in enumerate(pairs):
                 # factor() spans the support of Lambda, so factors compare as H H†
-                lam, oracle_lam = (coding._factor_op(g.factor(index)) for g in (group, oracle_group))
+                lam, oracle_lam = (dense_op(g.factor(index)) for g in (group, oracle_group))
                 assert np.abs(lam - oracle_lam).max() <= TOL
                 # a dense word state gives the outcome row of its tensor factors
                 dense = bc.marginal(r).word_state(cb.word(*pair))
@@ -596,7 +603,7 @@ def test_diagonal_rank_zero_group_matches_the_factor_path():
     assert factors[2][(0, 0)].shape[1] == 0 and factors[2][(1, 1)].shape[1] > 0
     got, _ = assert_diagonal_matches_factor_path(cb, bc, alpha=0.1)
     assert got.subpovm_margins[2][0] == -1.0
-    assert got.factor(2, 0, 0).shape == (2**6, 0)
+    assert got.group(2, 0).factor(0).shape == (2**6, 0)
 
 
 @pytest.mark.parametrize(

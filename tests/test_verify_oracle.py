@@ -288,12 +288,13 @@ def o_simplex_lattice(resolution, d):
 
 
 def o_typical_set(dist, n, delta):
-    """(windows, count vectors, size, probability, is_empty) of a typical set."""
+    """(windows, count vectors, class masses, size, probability) of a typical
+    set; each class's multinomial and weight power are computed once."""
     windows = [o_count_window(n, float(w), delta / len(dist.labels)) for w in dist.weights]
     vectors = list(o_admissible_count_vectors(n, windows))
-    size = sum(o_multinomial(n, c) for c in vectors)
-    probability = sum(o_multinomial(n, c) * o_weight_power(dist.weights, c) for c in vectors)
-    return windows, vectors, size, probability, not vectors
+    multinomials = [o_multinomial(n, c) for c in vectors]
+    masses = [m * o_weight_power(dist.weights, c) for m, c in zip(multinomials, vectors)]
+    return windows, vectors, masses, sum(multinomials), sum(masses)
 
 
 def o_typical_member(dist, n, delta, word):
@@ -928,15 +929,15 @@ def test_typical_sets_match_the_recursive_enumeration(seed):
     for _ in range(600):
         dist, n, delta = random_typical_case(rng)
         tset = TypicalSet(dist, n, delta)
-        windows, vectors, size, probability, is_empty = o_typical_set(dist, n, delta)
+        windows, vectors, masses, size, probability = o_typical_set(dist, n, delta)
         classes = tset.type_classes()
         assert tset.count_windows() == windows
         assert [counts for counts, _ in classes] == vectors
-        assert [mass for _, mass in classes] == [o_multinomial(n, c) * o_weight_power(dist.weights, c) for c in vectors]
+        assert [mass for _, mass in classes] == masses
         assert tset.size() == size
         assert tset.probability() == probability
-        assert tset.is_empty() == is_empty
-        empty += is_empty
+        assert (tset.size() == 0) == (not vectors)
+        empty += not vectors
         if len(dist.labels) ** n <= 300:
             for word in itertools.product(dist.labels, repeat=n):
                 assert (word in tset) == o_typical_member(dist, n, delta, word)
