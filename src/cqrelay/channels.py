@@ -438,12 +438,6 @@ def dump_json(obj) -> str:
         raise RelayError(f"cannot encode output as strict JSON: {exc}") from None
 
 
-def save_channel(channel, path: str):
-    text = dump_json(channel_to_jsonable(channel))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Canonical test families.
 # ---------------------------------------------------------------------------

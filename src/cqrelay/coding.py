@@ -380,15 +380,16 @@ class SquareRootDecoder:
     receiver r resolves its own message index given the other index as side
     information.
 
-    The decoder holds no group: builders maps each receiver to its
-    words -> decoding group, and group(receiver, known) builds that
-    side-information group anew on each call.  Every caller reads a group
-    through its tables, its length and its margin, and lets it go before it
-    asks for the next; a group's factor(i) is its one read of a single
-    normalized factor.
+    The decoder holds the codebook and channel it was built from, and no
+    group: builders maps each receiver to its words -> decoding group, and
+    group(receiver, known) builds that side-information group anew on each
+    call.  Every caller reads a group through its tables, its length and its
+    margin, and lets it go before it asks for the next; a group's factor(i)
+    is its one read of a single normalized factor.
     """
 
     codebook: Codebook
+    bc: BroadcastCQChannel
     builders: dict  # receiver -> (words -> their decoding group)
 
     @property
@@ -406,13 +407,6 @@ class SquareRootDecoder:
         if pairs is None:
             raise InvalidInputError(f"receiver {receiver} has no side-information group for known index {known}")
         return self.builders[receiver]([self.codebook.words[p] for p in pairs])
-
-    @property
-    def subpovm_margins(self) -> dict:
-        """Receiver 1: {m2: margin}; receiver 2: {m1: margin}; each group is
-        built, read and dropped in turn."""
-        sizes = (self.m1_size, self.m2_size)
-        return {r: {known: self.group(r, known).margin for known in _side_info_groups(r, *sizes)} for r in (1, 2)}
 
 
 def _side_info_groups(receiver: int, m1_size: int, m2_size: int) -> dict:
@@ -452,7 +446,7 @@ def _group_builder(channel: CQChannel, proj: TypicalProjector, alpha, preset):
         )
     else:
         letters = {a: (values[orders[a]], vectors[:, orders[a]]) for a, (values, vectors) in letters.items()}
-        price = lambda words: _diagonal_group_bytes(dim, len(words), len(words))
+        price = lambda words: _diagonal_group_bytes(dim, len(words))
         build = lambda words: _diagonal_group(
             proj, _word_projectors(letters, words, alpha, preset, lambda cond: proj.mask & cond.mask)
         )
@@ -468,11 +462,12 @@ def _group_builder(channel: CQChannel, proj: TypicalProjector, alpha, preset):
 _WORD_OVERHEAD_BYTES = 2**16
 
 
-def _diagonal_group_bytes(dim: float, m: int, c: int) -> float:
+def _diagonal_group_bytes(dim: float, m: int) -> float:
     """Peak of a diagonal group of m words on dim dimensions with its tables
-    over c states: the (m, dim) 0/1 rows twice and the float64 lambdas; s,
-    the (c, dim) state diagonals, their Kronecker steps and Pi's mask."""
-    return dim * (8 * c + 10 * m + 17 + np.min_scalar_type(m).itemsize) + m * _WORD_OVERHEAD_BYTES
+    over its m words' states: the (m, dim) 0/1 rows twice and the float64
+    lambdas; s, the (m, dim) state diagonals, their Kronecker steps and Pi's
+    mask."""
+    return dim * (18 * m + 17 + np.min_scalar_type(m).itemsize) + m * _WORD_OVERHEAD_BYTES
 
 
 def _factor_group_bytes(dim: float, ranks, itemsize: int) -> float:
@@ -505,7 +500,7 @@ def build_square_root_decoder(
     if projectors is None:
         projectors = _averaged_projectors(bc, codebook.dist, codebook.n, alpha, preset)
     builders = {r: _group_builder(bc.marginal(r), projectors[r], alpha, preset) for r in (1, 2)}
-    return SquareRootDecoder(codebook, builders)
+    return SquareRootDecoder(codebook, bc, builders)
 
 
 # ---------------------------------------------------------------------------
@@ -589,21 +584,19 @@ class ErrorReport:
         }
 
 
-def average_errors(codebook: Codebook, bc: BroadcastCQChannel, decoder: SquareRootDecoder) -> ErrorReport:
-    """Exact error tables, with the normalization-removal bound (2x miss +
-    4x collision mass of the detection operators) checked per pair, all read
-    from two tables per group: its outcomes tr(Λ_k W(word)) and its
-    detections tr(D'_k W(word)).  Each group is built, read for its tables
-    and its margin, and dropped before the next is built.  A decoder built
-    for other message set sizes than the codebook's is refused."""
-    sizes, built = (codebook.m1_size, codebook.m2_size), (decoder.m1_size, decoder.m2_size)
-    if sizes != built:
-        raise InvalidInputError(f"decoder built for M={built} does not match the codebook's M={sizes}")
+def average_errors(decoder: SquareRootDecoder) -> ErrorReport:
+    """Exact error tables of the decoder's own codebook on its own channel,
+    with the normalization-removal bound (2x miss + 4x collision mass of the
+    detection operators) checked per pair, all read from two tables per
+    group: its outcomes tr(Λ_k W(word)) and its detections tr(D'_k W(word)).
+    Each group is built, read for its tables and its margin, and dropped
+    before the next is built."""
+    codebook = decoder.codebook
     first, coll, bounds, outcomes, margins = ({1: {}, 2: {}} for _ in range(5))
     ok = True
     for receiver in (1, 2):
-        channel = bc.marginal(receiver)
-        for known, pairs in _side_info_groups(receiver, *sizes).items():
+        channel = decoder.bc.marginal(receiver)
+        for known, pairs in _side_info_groups(receiver, codebook.m1_size, codebook.m2_size).items():
             states = [_word_factors(channel, codebook.words[p]) for p in pairs]
             group = decoder.group(receiver, known)
             (decided, detected), margins[receiver][known] = group.tables(states), group.margin
@@ -637,31 +630,26 @@ def second_kind_collision_check(
     n: int,
     alpha: float,
     preset: str = PRESET_FIXED,
-    trials: int = 200,
-    seed: int = 0,
-    *,
-    delta_code: float = 0.5,
-    exact: bool = False,
 ) -> dict:
     """Collision mass of receiver 2's detection operators on wrong-word states.
 
-    Estimates E[tr(W2(X) D'(X'))] over independent typical words X, X' and
+    Evaluates E[tr(W2(X) D'(X'))] exactly over independent words X, X' of the
+    typical set at sample_codebook's delta 0.5, one type class at a time, and
     compares it against the rigorous equipartition-times-rank budget, reported
     both directly and as the exponent offset eps_slack with
     budget = 2^(-n (chi2 - eps_slack)); a zero budget has no such offset and
-    reports eps_slack as None.  With exact=True the expectation over
-    all pairs of typical words is evaluated exactly, one type class at a time;
-    "trials" then reports the number of pairs it covers.  It is priced first:
-    the averaged projector, three widest detection factors of a typical word
-    and the column chunks of its traces (the typical mixture's partial sums).
+    reports eps_slack as None.  "trials" reports the number of word pairs
+    covered.  It is priced first: the averaged projector, three widest
+    detection factors of a typical word and the column chunks of its traces
+    (the typical mixture's partial sums).
     """
     preset = resolve_preset(preset)
     channel = bc.marginal(2)
-    tset = TypicalSet(dist, n, delta_code)
+    tset = TypicalSet(dist, n, 0.5)
     classes = tset.type_classes()
     typical_mass = tset.probability()
     if typical_mass <= 0.0:
-        raise InvalidInputError("typical set has zero mass; cannot sample words")
+        raise InvalidInputError("typical set has zero mass; no word pair to average over")
     letters = _letter_eigenpairs(channel)
 
     def word_of(counts):
@@ -670,58 +658,40 @@ def second_kind_collision_check(
     # a word's conditional rank depends on its type only
     widest = max(_projector_rank(letters, word_of(counts), alpha, preset) for counts, _ in classes)
     itemsize = np.result_type(float, *(channel.state(a) for a in channel.alphabet)).itemsize
-    columns = 3 * widest + KRON_CHUNK_COLUMNS * ((tset.mixture_sums() if exact else 0) + 4)
+    columns = 3 * widest + KRON_CHUNK_COLUMNS * (tset.mixture_sums() + 4)
     d = channel.output_dim
     _require_bytes(_projector_bytes(d, n) + _power(d, n) * itemsize * columns, f"second-kind check for n={n}")
     proj = averaged_state_projector(channel, dist, n, alpha, preset)
     lam_max = spectrum_projector_stats(proj.eigenvalues[0], n, proj.taus[0]).lambda_max
     chi2 = holevo_chi(channel, dist)
     total = mean_rank = 0.0
-
-    def factor_of(word):
-        cond = _projector(letters, word, alpha, preset)
-        return cond.sandwiched_factor(proj), cond.rank
-
-    if exact:
-        # E[tr(W(X) D'(X'))] = sum_w p(w) tr(F_w† rho_mix F_w) for independent
-        # X, X'.  rho_mix and the averaged projector commute with permutations
-        # of the positions and D'(pi w) = P_pi D'(w) P_pi†, so the trace only
-        # depends on the type of w: one word per type class stands for all.
-        # The mixture is applied to KRON_CHUNK_COLUMNS columns of F_w at a
-        # time, so its per-count partial sums never grow with the rank.
-        for counts, mass in classes:
-            p = mass / typical_mass
-            if p == 0.0:
-                continue
-            f, rank = factor_of(word_of(counts))
-            trace = 0.0
-            for start in range(0, f.shape[1], KRON_CHUNK_COLUMNS):
-                cols = np.ascontiguousarray(f[:, start : start + KRON_CHUNK_COLUMNS])
-                trace += np.vdot(cols, tset.mixture_apply(channel, cols) / typical_mass).real
-            total += p * float(trace)
-            mean_rank += p * rank
-        estimate = _clamp_nonnegative(total)
-        trials_used = tset.size() ** 2
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            x = tset.sample(rng, 100_000)
-            x_prime = tset.sample(rng, 100_000)
-            f, rank = factor_of(x_prime)
-            total += _clamp_nonnegative(_factor_trace(f, _word_factors(channel, x)))
-            mean_rank += rank
-        estimate = total / trials
-        mean_rank /= trials
-        trials_used = trials
-
+    # E[tr(W(X) D'(X'))] = sum_w p(w) tr(F_w† rho_mix F_w) for independent
+    # X, X'.  rho_mix and the averaged projector commute with permutations
+    # of the positions and D'(pi w) = P_pi D'(w) P_pi†, so the trace only
+    # depends on the type of w: one word per type class stands for all.
+    # The mixture is applied to KRON_CHUNK_COLUMNS columns of F_w at a
+    # time, so its per-count partial sums never grow with the rank.
+    for counts, mass in classes:
+        p = mass / typical_mass
+        if p == 0.0:
+            continue
+        cond = _projector(letters, word_of(counts), alpha, preset)
+        f = cond.sandwiched_factor(proj)
+        trace = 0.0
+        for start in range(0, f.shape[1], KRON_CHUNK_COLUMNS):
+            cols = np.ascontiguousarray(f[:, start : start + KRON_CHUNK_COLUMNS])
+            trace += np.vdot(cols, tset.mixture_apply(channel, cols) / typical_mass).real
+        total += p * float(trace)
+        mean_rank += p * cond.rank
+    estimate = _clamp_nonnegative(total)
     budget = lam_max * mean_rank / typical_mass
     eps_slack = float(chi2 + math.log2(budget) / n) if budget > 0.0 else None
     return {
         "n": n,
         "alpha": float(alpha),
         "preset": preset,
-        "exact": exact,
-        "trials": trials_used,
+        "exact": True,
+        "trials": tset.size() ** 2,
         "estimate": float(estimate),
         "budget": float(budget),
         "within_budget": bool(estimate <= budget + 1e-12),
@@ -813,30 +783,20 @@ def expurgate(errors: ErrorReport, delta: float) -> ExpurgationResult:
     )
 
 
-def decode_with_side_info(
-    decoder: SquareRootDecoder,
-    receiver: int,
-    known_message: int,
-    state,
-    mode: str = "argmax",
-    rng: np.random.Generator | None = None,
-):
+def decode_with_side_info(decoder: SquareRootDecoder, receiver: int, known_message: int, state) -> int:
     """Apply one side-information decoding group to an output state.
 
     Receiver 1 knows m2 and resolves m1; receiver 2 the reverse.  The state
     is a dense N x N array or the list of its tensor factors.  Outcome
-    probabilities are exact traces, clamped at 0; "argmax" returns the most
-    likely message, "sampled" draws from the full outcome distribution and
-    returns None on the complement outcome.  Each call builds the whole
-    side-information group; to decode many states against one group, read
+    probabilities are exact traces, clamped at 0, and the most likely
+    message is returned.  Each call builds the whole side-information group;
+    to decode many states against one group, read
     decoder.group(receiver, known_message).outcomes(states) once.
     """
     if receiver not in (1, 2):
         raise InvalidInputError(f"receiver must be 1 or 2, got {receiver!r}")
-    if mode not in ("argmax", "sampled"):
-        raise InvalidInputError(f"unknown decode mode {mode!r}")
     state = _state_factors(state)
-    return _decide(decoder.group(receiver, known_message).outcomes([state])[0], mode, rng)
+    return _decide(decoder.group(receiver, known_message).outcomes([state])[0])
 
 
 def _state_factors(state) -> list:
@@ -852,17 +812,10 @@ def _state_factors(state) -> list:
     return factors
 
 
-def _decide(probs, mode: str = "argmax", rng: np.random.Generator | None = None):
-    """decode_with_side_info's decision on one row of outcome probabilities."""
-    probs = np.array([_clamp_nonnegative(p) for p in probs])
-    if mode == "argmax":
-        return int(np.argmax(probs))
-    rng = rng if rng is not None else np.random.default_rng(0)
-    fail = _clamp_nonnegative(1.0 - float(probs.sum()))
-    full = np.append(probs, fail)
-    full = full / full.sum()
-    outcome = int(rng.choice(len(full), p=full))
-    return None if outcome == len(probs) else outcome
+def _decide(probs) -> int:
+    """decode_with_side_info's decision on one row of outcome probabilities:
+    the most likely message, after negative roundoff is clamped to 0."""
+    return int(np.argmax([_clamp_nonnegative(p) for p in probs]))
 
 
 def modular_sum_encode(m1: int, m2: int, size: int) -> int:
@@ -1129,7 +1082,7 @@ def _proof_construction_sim(bc, config, dist, chi1, chi2, dims, report):
     def realize(seed):
         cb = sample_codebook(dist, config.n, m1_size, m2_size, config.delta_code, seed)
         decoder = build_square_root_decoder(cb, bc, config.alpha, config.preset, projectors)
-        errs = average_errors(cb, bc, decoder)
+        errs = average_errors(decoder)
         return max(errs.overall.values()), errs
 
     seed_used, errs = _first_passing_seed(config, realize, report)

@@ -474,18 +474,6 @@ class ProbabilityDistribution:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def index(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InvalidInputError(f"label {label!r} not in alphabet") from None
-
-    def weight(self, label) -> float:
-        return float(self.weights[self.index(label)])
-
-    def support(self) -> tuple:
-        return tuple(a for a, w in zip(self.labels, self.weights) if w > 0.0)
-
     def power(self, n: int) -> "ProbabilityDistribution":
         """Product distribution over length-n words (tuples of labels)."""
         if n < 1:

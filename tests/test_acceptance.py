@@ -223,11 +223,11 @@ def test_criterion_5_coding_pipeline(capsys):
     for n, seed in schedule.items():
         cb = sample_codebook(dist, n, 2, 2, delta_code=0.5, seed=seed)
         dec = build_square_root_decoder(cb, bc, alpha=0.3)
-        report = average_errors(cb, bc, dec)
+        report = average_errors(dec)
         errs1.append(report.overall[1])
         errs2.append(report.overall[2])
         checks.append((report.decomposition_ok, f"n={n}: miss/collision decomposition violated"))
-        margins = [m for group in dec.subpovm_margins.values() for m in group.values()]
+        margins = [m for group in report.margins.values() for m in group.values()]
         checks.append(
             (max(margins) <= 1e-9, f"n={n}: sub-POVM margin {max(margins)} exceeds 1e-9")
         )

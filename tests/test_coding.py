@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import tracemalloc
@@ -20,7 +21,6 @@ from cqrelay.channels import (
 from cqrelay.coding import (
     ErrorReport,
     SimConfig,
-    SquareRootDecoder,
     _side_info_groups,
     _sized_message_sets,
     average_errors,
@@ -181,8 +181,9 @@ def test_decoder_subpovm_margins_nonpositive():
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 6, 2, 2, seed=4)
     dec = build_square_root_decoder(cb, bc, alpha=0.3)
+    margins = average_errors(dec).margins
     for r in (1, 2):
-        for margin in dec.subpovm_margins[r].values():
+        for margin in margins[r].values():
             assert margin <= 1e-9
 
 
@@ -212,8 +213,9 @@ def test_side_info_groups_on_an_asymmetric_codebook():
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 3, 2, seed=1)
     dec = build_square_root_decoder(cb, bc, alpha=0.5)
+    margins = average_errors(dec).margins
     for r, by_known in groups.items():
-        assert sorted(dec.subpovm_margins[r]) == sorted(by_known)
+        assert sorted(margins[r]) == sorted(by_known)
         for known, pairs in by_known.items():
             # the decoder normalized exactly this group: its operators sum to a projector
             group = dec.group(r, known)
@@ -246,7 +248,7 @@ def test_average_errors_consistency():
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 6, 2, 2, seed=4)
     dec = build_square_root_decoder(cb, bc, alpha=0.3)
-    report = average_errors(cb, bc, dec)
+    report = average_errors(dec)
     # per-pair errors match the direct evaluation
     for r in (1, 2):
         for known, pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).items():
@@ -270,17 +272,6 @@ def test_average_errors_consistency():
     json.dumps(report.as_dict())
 
 
-@pytest.mark.parametrize("sizes", [(3, 2), (2, 3)])
-def test_average_errors_refuses_a_decoder_built_for_other_sizes(sizes):
-    # without the check, (3, 2) ran off the end of a group's factors and
-    # (2, 3) asked receiver 1 for a group it does not have
-    bc = noisy_broadcast()
-    dec = build_square_root_decoder(sample_codebook(uniform_binary(), 4, 2, 2, seed=1), bc, alpha=0.5)
-    cb = sample_codebook(uniform_binary(), 4, *sizes, seed=1)
-    with pytest.raises(InvalidInputError, match=rf"M=\(2, 2\).*M=\({sizes[0]}, {sizes[1]}\)"):
-        average_errors(cb, bc, dec)
-
-
 @pytest.mark.parametrize("channel", [noisy_broadcast, overlap_broadcast], ids=["diagonal", "factor"])
 def test_the_error_pass_holds_one_group_at_a_time(monkeypatch, channel):
     # the decoder holds no group: average_errors builds one, reads it and
@@ -302,17 +293,18 @@ def test_the_error_pass_holds_one_group_at_a_time(monkeypatch, channel):
     cb = sample_codebook(ProbabilityDistribution.uniform(bc.alphabet), 6, 3, 2, seed=4)
     dec = build_square_root_decoder(cb, bc, alpha=0.3)
     assert built == []
-    report = average_errors(cb, bc, dec)
+    report = average_errors(dec)
     assert len(built) == cb.m1_size + cb.m2_size
     assert all(ref() is None for ref in built)
-    assert report.margins == dec.subpovm_margins
+    sizes = (cb.m1_size, cb.m2_size)
+    assert report.margins == {r: {k: dec.group(r, k).margin for k in _side_info_groups(r, *sizes)} for r in (1, 2)}
 
 
 def test_noiseless_channel_decodes_perfectly():
     bc = noiseless_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
     dec = build_square_root_decoder(cb, bc, alpha=0.5)
-    report = average_errors(cb, bc, dec)
+    report = average_errors(dec)
     # distinct orthogonal words: all detection masses are 0/1 exactly
     if len(set(cb.words.values())) == len(cb.words):
         assert report.overall[1] == pytest.approx(0.0, abs=1e-10)
@@ -328,9 +320,7 @@ def test_second_kind_exact_orthogonal_is_tight():
     # orthogonal outputs: collision mass equals the budget exactly since the
     # compressed state is flat on the typical subspace
     bc = noiseless_broadcast()
-    out = second_kind_collision_check(
-        uniform_binary(), bc, n=4, alpha=0.5, exact=True
-    )
+    out = second_kind_collision_check(uniform_binary(), bc, n=4, alpha=0.5)
     assert out["within_budget"]
     assert out["estimate"] == pytest.approx(out["budget"], abs=1e-12)
     # counts of "0" in {1, 2, 3}: 4 + 6 + 4 typical words
@@ -339,9 +329,7 @@ def test_second_kind_exact_orthogonal_is_tight():
 
 def test_second_kind_exact_within_budget_noisy():
     bc = noisy_broadcast(0.1)
-    out = second_kind_collision_check(
-        uniform_binary(), bc, n=6, alpha=0.5, exact=True
-    )
+    out = second_kind_collision_check(uniform_binary(), bc, n=6, alpha=0.5)
     assert out["within_budget"]
     assert out["estimate"] <= out["budget"] + 1e-12
     assert out["eps_slack"] == pytest.approx(
@@ -351,29 +339,19 @@ def test_second_kind_exact_within_budget_noisy():
 
 def test_second_kind_zero_budget_reports_no_slack():
     # at alpha 0.01 no conditional projector keeps a vector, so the budget is 0
-    out = second_kind_collision_check(uniform_binary(), noisy_broadcast(), n=4, alpha=0.01, exact=True)
+    out = second_kind_collision_check(uniform_binary(), noisy_broadcast(), n=4, alpha=0.01)
     assert out["budget"] == 0.0
     assert out["eps_slack"] is None
     json.dumps(out, allow_nan=False)
 
 
-def test_second_kind_sampled_deterministic():
-    bc = noisy_broadcast(0.2)
-    a = second_kind_collision_check(uniform_binary(), bc, n=5, alpha=0.5, trials=20, seed=9)
-    b = second_kind_collision_check(uniform_binary(), bc, n=5, alpha=0.5, trials=20, seed=9)
-    assert a == b
-    assert a["trials"] == 20
-    json.dumps(a)
-
-
-@pytest.mark.parametrize("exact", [True, False])
-def test_the_second_kind_check_decomposes_each_letter_once(monkeypatch, exact):
+def test_the_second_kind_check_decomposes_each_letter_once(monkeypatch):
     # one eigh for each letter of receiver 2 and one for its averaged state,
-    # however many type classes or sampled words the check reads
+    # however many type classes the check reads
     calls = []
     original = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: calls.append(a.shape) or original(a, *r, **k))
-    out = second_kind_collision_check(uniform_binary(), noisy_broadcast(), n=6, alpha=0.5, trials=20, exact=exact)
+    out = second_kind_collision_check(uniform_binary(), noisy_broadcast(), n=6, alpha=0.5)
     assert out["mean_conditional_rank"] > 0.0
     assert calls == [(2, 2)] * 3
 
@@ -389,7 +367,7 @@ def test_the_exact_second_kind_check_streams_each_detection_factor(monkeypatch):
         return original(self, channel, block)
 
     monkeypatch.setattr(TypicalSet, "mixture_apply", spy)
-    out = second_kind_collision_check(uniform_binary(), noisy_broadcast(), n=10, alpha=0.3, exact=True)
+    out = second_kind_collision_check(uniform_binary(), noisy_broadcast(), n=10, alpha=0.3)
     assert out["mean_conditional_rank"] > KRON_CHUNK_COLUMNS
     assert max(widths) == KRON_CHUNK_COLUMNS
     # the chunked traces reorder the sum, so the figure of the whole-block
@@ -405,11 +383,23 @@ def test_second_kind_dim_cap():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match=r"^second-kind check for n=20 needs about [0-9.]+ GiB, above the 2 GiB memory budget$"):
-            second_kind_collision_check(uniform_binary(), bc, n=20, alpha=0.5, exact=True)
+            second_kind_collision_check(uniform_binary(), bc, n=20, alpha=0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_the_entry_points_take_only_what_their_callers_pass():
+    # the README and CI call the second-kind check with (dist, bc, n, alpha),
+    # simulate reads its error pass from the decoder alone, and a decoded
+    # state is one argmax decision: no mode, sample size or second source
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert params(second_kind_collision_check) == ["dist", "bc", "n", "alpha", "preset"]
+    assert params(decode_with_side_info) == ["decoder", "receiver", "known_message", "state"]
+    assert params(average_errors) == ["decoder"]
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +540,7 @@ def test_expurgation_on_real_pipeline():
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 6, 2, 2, seed=4)
     dec = build_square_root_decoder(cb, bc, alpha=0.3)
-    report = average_errors(cb, bc, dec)
+    report = average_errors(dec)
     result = expurgate(report, 0.25)
     assert result.within_two_delta
     assert result.within_four_delta
@@ -573,37 +563,6 @@ def test_decode_with_side_info_argmax_noiseless():
         assert got2 == m2
 
 
-def test_decode_with_side_info_sampled_statistics():
-    bc = noisy_broadcast(0.3)
-    cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
-    built = build_square_root_decoder(cb, bc, alpha=0.5)
-    # the decoder builds a group on every call; this one keeps each group it
-    # built, so that the draws below do not rebuild the same group 4000 times
-    kept = {}
-
-    def keep(r, words):
-        key = (r, tuple(words))
-        if key not in kept:
-            kept[key] = built.builders[r](words)
-        return kept[key]
-
-    dec = SquareRootDecoder(cb, {r: lambda words, r=r: keep(r, words) for r in (1, 2)})
-    m1, m2 = 0, 0
-    state = bc.marginal(2).word_state(cb.word(m1, m2))
-    group = dec.group(2, m1)
-    exact = [max(0.0, trace_pair(dense_op(group.factor(k)), state)) for k in range(cb.m2_size)]
-    rng = np.random.default_rng(11)
-    draws = 4000
-    counts = {k: 0 for k in list(range(cb.m2_size)) + [None]}
-    for _ in range(draws):
-        out = decode_with_side_info(dec, 2, m1, state, mode="sampled", rng=rng)
-        counts[out] += 1
-    for k in range(cb.m2_size):
-        freq = counts[k] / draws
-        sigma = math.sqrt(max(exact[k] * (1 - exact[k]), 1e-9) / draws)
-        assert abs(freq - exact[k]) <= 5 * sigma + 1e-3
-
-
 def test_decode_with_side_info_validation():
     bc = noiseless_broadcast()
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
@@ -613,8 +572,6 @@ def test_decode_with_side_info_validation():
         decode_with_side_info(dec, 3, 0, state)
     with pytest.raises(InvalidInputError):
         decode_with_side_info(dec, 1, 9, state)
-    with pytest.raises(InvalidInputError):
-        decode_with_side_info(dec, 1, 0, state, mode="wishful")
     # neither a square matrix nor a list of square tensor factors
     for bad in (np.ones(16), [np.ones(2)] * 4, [], 1.0, [np.ones((2, 3))] * 4):
         with pytest.raises(InvalidInputError):

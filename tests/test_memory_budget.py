@@ -71,7 +71,7 @@ def error_pass(monkeypatch, bc, n, m, seed, factor):
             decoder = build_square_root_decoder(cb, bc, 0.3, projectors=projectors)
     else:
         decoder = build_square_root_decoder(cb, bc, 0.3, projectors=projectors)
-    peak, prices = priced_peak(monkeypatch, coding, lambda: average_errors(cb, bc, decoder))
+    peak, prices = priced_peak(monkeypatch, coding, lambda: average_errors(decoder))
     assert len(prices) == 2 * m  # one price per group, built as it is read
     return peak, max(prices)
 
@@ -94,7 +94,7 @@ def test_exact_second_kind_price_bounds_its_peak(monkeypatch):
     runs = []
     for n in (8, 9, 10):
         peak, prices = priced_peak(
-            monkeypatch, coding, lambda: second_kind_collision_check(dist, bc, n, 0.3, exact=True)
+            monkeypatch, coding, lambda: second_kind_collision_check(dist, bc, n, 0.3)
         )
         runs.append((peak, prices[0]))
     assert_tight_upper_bounds(runs)
@@ -149,7 +149,7 @@ def test_a_diagonal_group_above_the_budget_is_refused_before_it_is_built(monkeyp
     dist = ProbabilityDistribution.uniform(bc.alphabet)
     cb = sample_codebook(dist, 12, 2, 2, seed=11)
     decoder = build_square_root_decoder(cb, bc, 0.3)
-    price = coding._diagonal_group_bytes(2**12, 2, 2)
+    price = coding._diagonal_group_bytes(2**12, 2)
     monkeypatch.setattr(operators, "MEMORY_BUDGET", price - 1)
     with pytest.raises(ResourceLimitError, match=r"^decoding group of 2 words needs about [0-9.e-]+ GiB"):
         decoder.group(1, 0)
@@ -185,7 +185,7 @@ def test_one_budget_constant_is_read_at_every_check(monkeypatch):
     dist = ProbabilityDistribution.uniform(bc.alphabet)
     checks = [
         lambda: typicality.typical_projector(np.eye(2) / 2, 19, 0.5),
-        lambda: second_kind_collision_check(dist, bc, 12, 0.3, exact=True),
+        lambda: second_kind_collision_check(dist, bc, 12, 0.3),
         lambda: mac_region(adder_mac_channel(), DistributionGrid(("0", "1"), 64)),
         lambda: typicality.conditional_typical_projector(bc.marginal(2), ("0", "1") * 9, 0.3).matrix(),
         lambda: typicality.typical_projector(np.eye(2) / 2, 16, 10.0).index_words(),

@@ -469,7 +469,7 @@ def test_optimize_chi_orthogonal():
     ch = orthogonal_pure_channel()
     dist, value = optimize_chi(ch, DistributionGrid(ch.alphabet, 16))
     assert value == pytest.approx(1.0, abs=1e-9)
-    assert dist.weight("0") == pytest.approx(0.5, abs=1e-6)
+    assert dist.weights[dist.labels.index("0")] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_optimize_chi_constant_channel():

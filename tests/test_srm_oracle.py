@@ -163,8 +163,7 @@ def assert_matches_oracle(cb, bc, alpha):
     dec = factor_decoder(cb, bc, alpha=alpha)
     factors = detection_factors(dec)
     ops, margins = dense_decoder(cb, factors)
-    # the decoder builds every group anew for its margins: read them once
-    got_margins = dec.subpovm_margins
+    report = average_errors(dec)
     for r in (1, 2):
         for known, pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).items():
             # each group built once here, and Λ = H H† formed from its factors
@@ -172,8 +171,7 @@ def assert_matches_oracle(cb, bc, alpha):
             for index, pair in enumerate(pairs):
                 assert np.abs(dense_op(group.factor(index)) - ops[r][pair]).max() <= TOL
         for key, margin in margins[r].items():
-            assert got_margins[r][key] == pytest.approx(margin, abs=TOL)
-    report = average_errors(cb, bc, dec)
+            assert report.margins[r][key] == pytest.approx(margin, abs=TOL)
     first, coll, bounds = dense_error_tables(cb, bc, factors, ops)
     for r in (1, 2):
         for pair in cb.words:
@@ -217,7 +215,7 @@ def test_rank_zero_word_matches_dense_oracle(n):
     factors, dec = assert_matches_oracle(rank_zero_codebook(n), random_broadcast(), alpha=0.1)
     assert factors[2][(0, 0)].shape[1] == 0
     assert factors[2][(1, 1)].shape[1] > 0
-    assert dec.subpovm_margins[2][0] == -1.0
+    assert average_errors(dec).margins[2][0] == -1.0
 
 
 @pytest.mark.parametrize("n", NS)
@@ -260,7 +258,7 @@ def test_outcome_tables_match_decoding_and_dense_oracle(seed, n, sizes, alpha):
     )
     cb = sample_codebook(uniform_binary(), n, *sizes, seed=seed % 1000)
     dec = build_square_root_decoder(cb, bc, alpha=alpha)
-    report = average_errors(cb, bc, dec)
+    report = average_errors(dec)
     ops, _ = dense_decoder(cb, detection_factors(dec))
     for r in (1, 2):
         marg = bc.marginal(r)
@@ -334,10 +332,10 @@ def test_a_dense_group_behind_the_contract_matches_the_factor_path(channel, code
         for r in (1, 2)
         for pairs in _side_info_groups(r, cb.m1_size, cb.m2_size).values()
     }
-    dense = SquareRootDecoder(cb, {r: lambda words, r=r: dense_groups[r, tuple(words)] for r in (1, 2)})
-    assert_same_report(dense.subpovm_margins, dec.subpovm_margins)
-    want = average_errors(cb, bc, dec)
-    got = average_errors(cb, bc, dense)
+    dense = SquareRootDecoder(cb, bc, {r: lambda words, r=r: dense_groups[r, tuple(words)] for r in (1, 2)})
+    want = average_errors(dec)
+    got = average_errors(dense)
+    assert_same_report(got.margins, want.margins)
     assert_same_report(got.as_dict(), want.as_dict())
     assert_same_report(got.outcomes, want.outcomes)
     for r in (1, 2):
@@ -348,13 +346,10 @@ def test_a_dense_group_behind_the_contract_matches_the_factor_path(channel, code
                 assert np.abs(dense_h - h).max(initial=0.0) <= TOL
                 assert np.abs(dense_op(dense_h) - dense_op(h)).max() <= TOL
                 state = _word_factors(bc.marginal(r), cb.word(*pair))
-                for mode in ("argmax", "sampled"):
-                    assert decode_with_side_info(
-                        dense, r, known, state, mode, np.random.default_rng(1)
-                    ) == decode_with_side_info(dec, r, known, state, mode, np.random.default_rng(1))
+                assert decode_with_side_info(dense, r, known, state) == decode_with_side_info(dec, r, known, state)
     if codebook is rank_zero_codebook:
         assert sum(factors[2][(0, m2)].shape[1] for m2 in range(2)) == 0
-        assert dense.subpovm_margins[2][0] == -1.0
+        assert got.margins[2][0] == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +420,7 @@ def assert_same_report(got, want, path=""):
 
 def pipeline_figures(cb, bc):
     dec = factor_decoder(cb, bc, alpha=0.3)
-    errors = average_errors(cb, bc, dec)
+    errors = average_errors(dec)
     decoded = {
         (r, pair): decode_with_side_info(
             dec, r, pair[1] if r == 1 else pair[0], _word_factors(bc.marginal(r), cb.word(*pair))
@@ -436,7 +431,7 @@ def pipeline_figures(cb, bc):
     return {
         "errors": errors.as_dict(),
         "outcomes": errors.outcomes,
-        "margins": dec.subpovm_margins,
+        "margins": errors.margins,
         "chi": [holevo_chi(bc.marginal(r), cb.dist) for r in (1, 2)],
         "decoded": decoded,
     }
@@ -478,8 +473,8 @@ def assert_diagonal_matches_factor_path(cb, bc, alpha):
     want = factor_decoder(cb, bc, alpha=alpha)
     got = build_square_root_decoder(cb, bc, alpha=alpha)
     assert all(isinstance(g, coding._DiagonalGroup) for r in (1, 2) for g in side_info_groups(got, r).values())
-    assert_same_report(got.subpovm_margins, want.subpovm_margins)
-    report, oracle = average_errors(cb, bc, got), average_errors(cb, bc, want)
+    report, oracle = average_errors(got), average_errors(want)
+    assert_same_report(report.margins, oracle.margins)
     assert_same_report(report.as_dict(), oracle.as_dict())
     assert_same_report(report.outcomes, oracle.outcomes)
     for r in (1, 2):
@@ -601,8 +596,8 @@ def test_diagonal_rank_zero_group_matches_the_factor_path():
     cb = rank_zero_codebook(6)
     factors = detection_factors(factor_decoder(cb, bc, alpha=0.1))
     assert factors[2][(0, 0)].shape[1] == 0 and factors[2][(1, 1)].shape[1] > 0
-    got, _ = assert_diagonal_matches_factor_path(cb, bc, alpha=0.1)
-    assert got.subpovm_margins[2][0] == -1.0
+    got, report = assert_diagonal_matches_factor_path(cb, bc, alpha=0.1)
+    assert report.margins[2][0] == -1.0
     assert got.group(2, 0).factor(0).shape == (2**6, 0)
 
 

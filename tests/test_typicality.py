@@ -69,7 +69,7 @@ def brute_force_members(dist, n, delta):
     for word in itertools.product(dist.labels, repeat=n):
         counts = Counter(word)
         ok = all(
-            abs(counts.get(a, 0) / n - dist.weight(a)) <= delta / len(dist.labels)
+            abs(counts.get(a, 0) / n - dist.weights[dist.labels.index(a)]) <= delta / len(dist.labels)
             for a in dist.labels
         )
         if ok:
@@ -90,7 +90,7 @@ def test_typical_set_matches_brute_force_enumeration():
         assert got == expected
         assert tset.size() == len(expected)
         mass = sum(
-            math.prod(dist.weight(a) for a in word) for word in expected
+            math.prod(dist.weights[dist.labels.index(a)] for a in word) for word in expected
         )
         assert tset.probability() == pytest.approx(mass, abs=1e-12)
 
