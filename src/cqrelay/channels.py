@@ -19,10 +19,10 @@ from .operators import (
     _integral,
     _power,
     _require_bytes,
+    checked_operator,
     hermitian_part,
     partial_trace,
     tensor_all,
-    validate_density,
     von_neumann_entropy,
 )
 
@@ -54,7 +54,7 @@ def _state_table(alphabets, states, name: str, dim: int | None = None, validate:
             raw = states[key]
         except KeyError:
             raise InvalidInputError(f"missing {name} {key!r}") from None
-        st = validate_density(raw, name=f"{name} {key!r}") if validate else np.asarray(raw)
+        st = checked_operator(raw, f"{name} {key!r}", density=True).matrix if validate else np.asarray(raw)
         if dim is None:
             dim = st.shape[0]
         elif st.shape[0] != dim:

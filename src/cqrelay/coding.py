@@ -46,7 +46,6 @@ from .operators import (
     _integral,
     _power,
     _require_bytes,
-    hermitian_eigendecomposition,
     hermitian_part,
     kron_apply,
     kron_column_chunks,
@@ -57,6 +56,7 @@ from .typicality import (
     PRESET_FIXED,
     TypicalProjector,
     TypicalSet,
+    _eigenpairs,
     _mask_words,
     _projector,
     _projector_bytes,
@@ -144,7 +144,7 @@ def _averaged_projectors(bc: BroadcastCQChannel, dist, n: int, alpha, preset) ->
 
 def _letter_eigenpairs(channel: CQChannel) -> dict:
     """letter -> its state's descending spectrum and eigenvector columns."""
-    return {a: hermitian_eigendecomposition(channel.state(a)) for a in channel.alphabet}
+    return {a: _eigenpairs(channel.state(a), "channel state") for a in channel.alphabet}
 
 
 def _word_projectors(letters: dict, words, alpha, preset, read) -> list:
@@ -258,11 +258,10 @@ def _diagonal_orders(letters: dict, proj: TypicalProjector) -> dict | None:
     basis of the averaged-state projector proj; None unless every letter's
     eigenbasis u_a is u reordered and rephased.
 
-    letters maps each letter to the eigenpairs hermitian_eigendecomposition
-    returns, the ones the conditional projectors read; u_a is their
-    eigenbasis.  It qualifies when u† u_a is a signed or
-    phased permutation: every entry of |u† u_a| within DIAGONAL_BASIS_TOL of
-    the permutation's 0/1 pattern.  Then Pi, every P_w and every word state
+    letters maps each letter to the eigenpairs _letter_eigenpairs returns,
+    the ones the conditional projectors read; u_a is their eigenbasis.  It
+    qualifies when u† u_a is a signed or phased permutation: every entry of
+    |u† u_a| within DIAGONAL_BASIS_TOL of the permutation's 0/1 pattern.  Then Pi, every P_w and every word state
     are diagonal in U = u^(x)n.  Commuting letter states are not enough: for
     a degenerate averaged state, eigh may return a u that is not the
     letters' basis.  The off-pattern entries the diagonal path drops are of

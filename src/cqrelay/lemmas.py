@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .operators import (
-    _checked_spectrum,
     _spectral_apply,
+    checked_operator,
     hermitian_part,
     matrix_sqrt,
     pseudo_sqrt_inverse,
@@ -27,41 +27,55 @@ from .operators import (
 SLACK_TOL = 1e-10
 
 
+# each check's operands in call order, as (name, density, sub_unital, vectors):
+# the properties that check asks of them
+_OPERANDS = {
+    "close-states": (("sigma", True, False, False), ("rho", True, False, False), ("effect", False, True, False)),
+    "tender": (("rho", True, False, False), ("effect", False, True, True)),
+    "hayashi-nagaoka": (("S", False, True, False), ("T", False, False, False)),
+}
+
+
+def _checked_operands(name: str, *operands) -> tuple:
+    """The operands of check name, or their stacks, each checked as _OPERANDS asks."""
+    return tuple(
+        checked_operator(op, label, density, sub_unital, vectors)
+        for op, (label, density, sub_unital, vectors) in zip(operands, _OPERANDS[name])
+    )
+
+
 @dataclass(frozen=True)
 class LemmaCheckResult:
     lhs: float
     rhs: float
     slack: float
     holds: bool
-    instance: str = ""
 
 
-def check_measurement_on_close_states(sigma, rho, effect, instance: str = "") -> LemmaCheckResult:
+def check_measurement_on_close_states(sigma, rho, effect) -> LemmaCheckResult:
     """tr(Pi sigma) >= tr(Pi rho) - ||sigma - rho||_1 for 0 <= Pi <= id."""
-    sigma = _checked_spectrum(sigma, "sigma", density=True).matrix
-    rho = _checked_spectrum(rho, "rho", density=True).matrix
-    effect = _checked_spectrum(effect, "effect", sub_unital=True).matrix
+    sigma, rho, effect = (op.matrix for op in _checked_operands("close-states", sigma, rho, effect))
     lhs = trace_pair(effect, rho) - trace_norm(sigma - rho)
     rhs = trace_pair(effect, sigma)
     slack = rhs - lhs
-    return LemmaCheckResult(lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -SLACK_TOL, instance=instance)
+    return LemmaCheckResult(lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -SLACK_TOL)
 
 
-def check_tender_operator(rho, effect, instance: str = "") -> LemmaCheckResult:
+def check_tender_operator(rho, effect) -> LemmaCheckResult:
     """||rho - sqrt(X) rho sqrt(X)||_1 <= sqrt(8 lambda) with lambda = 1 - tr(rho X)."""
-    rho = _checked_spectrum(rho, "rho", density=True).matrix
     # the square root reuses the eigendecomposition the check read
-    effect = _checked_spectrum(effect, "effect", sub_unital=True, vectors=True)
+    rho, effect = _checked_operands("tender", rho, effect)
+    rho = rho.matrix
     lam = 1.0 - trace_pair(rho, effect.matrix)
     lam = min(max(lam, 0.0), 1.0)
     root = matrix_sqrt(effect)
     lhs = trace_norm(rho - root @ rho @ root)
     rhs = math.sqrt(8.0 * lam)
     slack = rhs - lhs
-    return LemmaCheckResult(lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -SLACK_TOL, instance=instance)
+    return LemmaCheckResult(lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -SLACK_TOL)
 
 
-def check_hayashi_nagaoka(s_op, t_op, instance: str = "") -> LemmaCheckResult:
+def check_hayashi_nagaoka(s_op, t_op) -> LemmaCheckResult:
     """id - (S+T)^(-1/2) S (S+T)^(-1/2) <= 2(id - S) + 4T in operator order.
 
     The inverse square root is taken on the support of S+T.  lhs is the
@@ -72,8 +86,7 @@ def check_hayashi_nagaoka(s_op, t_op, instance: str = "") -> LemmaCheckResult:
     v = (cos 0.01, sin 0.01), T = 0.05|0><0| gives an operator gap of
     about +0.117 on the wrong side.
     """
-    s_op = _checked_spectrum(s_op, "S", sub_unital=True).matrix
-    t_op = _checked_spectrum(t_op, "T").matrix
+    s_op, t_op = (op.matrix for op in _checked_operands("hayashi-nagaoka", s_op, t_op))
     if s_op.shape != t_op.shape:
         raise InvalidInputError("S and T must share a dimension")
     eye = np.eye(s_op.shape[0])
@@ -83,7 +96,7 @@ def check_hayashi_nagaoka(s_op, t_op, instance: str = "") -> LemmaCheckResult:
     gap = np.linalg.eigvalsh(hermitian_part(left - right))
     lhs = float(gap[-1])
     slack = -lhs
-    return LemmaCheckResult(lhs=lhs, rhs=0.0, slack=slack, holds=slack >= -SLACK_TOL, instance=instance)
+    return LemmaCheckResult(lhs=lhs, rhs=0.0, slack=slack, holds=slack >= -SLACK_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +177,6 @@ def _build_operands(name: str, draws: np.ndarray, scales: np.ndarray) -> tuple:
     return subunital_effects(draws[:, 0]), scaled_positives(draws[:, 1], scales)
 
 
-# each check's operands in call order, as (name, density, sub_unital, vectors):
-# the properties that check asks of them
-_OPERANDS = {
-    "close-states": (("sigma", True, False, False), ("rho", True, False, False), ("effect", False, True, False)),
-    "tender": (("rho", True, False, False), ("effect", False, True, True)),
-    "hayashi-nagaoka": (("S", False, True, False), ("T", False, False, False)),
-}
-
-
 def _by_dim(dims, score) -> list:
     """score(idx) for the instance indices idx of each dimension, taken in
     order of first appearance; score returns one result per index, and the
@@ -195,10 +199,7 @@ def _block_operands(name: str, block: list) -> list:
     """
     def checked(idx):
         built = _build_operands(name, np.array([block[i][1] for i in idx]), np.array([block[i][2] for i in idx]))
-        stacks = [
-            _checked_spectrum(stack, label, density, sub_unital, vectors)
-            for stack, (label, density, sub_unital, vectors) in zip(built, _OPERANDS[name])
-        ]
+        stacks = _checked_operands(name, *built)
         return [tuple(op[j] for op in stacks) for j in range(len(idx))]
 
     return _by_dim([dim for dim, _, _ in block], checked)
@@ -243,11 +244,10 @@ def sweep_lemma_checks(
                 dim = dims[int(rng.integers(0, len(dims)))]  # the same draw as rng.choice(dims)
                 block.append((dim, *_draw_trial(name, rng, dim)))
             for i, ((dim, _, _), operands) in enumerate(zip(block, _block_operands(name, block)), start):
-                tag = f"{name}[{i}] dim={dim}"
-                result = checks[name](*operands, instance=tag)
+                result = checks[name](*operands)
                 if result.slack < min_slack:
                     min_slack = result.slack
-                    worst = tag
+                    worst = f"{name}[{i}] dim={dim}"
                 if not result.holds:
                     failures += 1
         summary[name] = {

@@ -85,9 +85,9 @@ def as_square_matrix(mat, name: str = "matrix") -> np.ndarray:
     m = m.astype(float if m.dtype.kind in "biuf" else complex, copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
-    bad = _batch_label(name, ~np.isfinite(m).all(axis=(-2, -1)))
-    if bad is not None:
-        raise InvalidInputError(f"{bad[0]} has non-finite entries")
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        raise InvalidInputError(f"{_batch_label(name, ~finite)[0]} has non-finite entries")
     return m
 
 
@@ -96,28 +96,28 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().swapaxes(-1, -2)) / 2
 
 
-def hermitian_deviation(mat: np.ndarray):
-    """Largest entry of |A - A†|, per matrix of a stack; inf where a finite
-    difference overflows, which fails any tolerance without a warning."""
-    with np.errstate(over="ignore"):
-        dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    return _per_matrix(dev)
+def _hermitian(mat, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(A, A†) for a square, finite and Hermitian A, or a (..., d, d) stack.
 
-
-def require_hermitian(mat, name: str = "matrix") -> np.ndarray:
+    A fails when an entry of |A - A†| exceeds HERMITIAN_ATOL; a finite
+    difference that overflows is inf and fails without a warning.
+    """
     m = as_square_matrix(mat, name)
-    dev = np.asarray(hermitian_deviation(m))
-    bad = _batch_label(name, dev > HERMITIAN_ATOL)
-    if bad is not None:
+    mh = m.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore"):
+        dev = np.abs(m - mh)
+    if (dev > HERMITIAN_ATOL).any():
+        dev = dev.max(axis=(-2, -1))
+        bad = _batch_label(name, dev > HERMITIAN_ATOL)
         raise InvalidInputError(f"{bad[0]} is not Hermitian (max deviation {dev[bad[1]]:.3e})")
-    return m
+    return m, mh
 
 
 @dataclass(frozen=True, eq=False)
 class CheckedOperator:
     """An operator, or a (..., d, d) stack, that passed validation.
 
-    Made only by the validators.  matrix is Hermitian and positive; density
+    Made only by checked_operator.  matrix is Hermitian and positive; density
     records that its unit trace was checked and sub_unital its bound <= id.
     spectrum holds the ascending eigenvalues the check read, and vectors the
     matching eigenvector columns when they were asked for, so a routine
@@ -152,10 +152,13 @@ class CheckedOperator:
 _VALIDATOR = object()
 
 
-def _checked_spectrum(
+def checked_operator(
     mat, name: str, density: bool = False, sub_unital: bool = False, vectors: bool = False
 ) -> CheckedOperator:
-    """Hermitian, positive operators (optionally of unit trace, optionally <= id).
+    """The one operator check: mat, one matrix or a (..., d, d) stack, as a
+    CheckedOperator that is Hermitian and positive, of unit trace with
+    density and <= id with sub_unital.  A failure names the first failing
+    matrix of a stack by its index.
 
     With vectors, the check reads the spectrum of one eigh and keeps its
     eigenvectors; otherwise of one eigvalsh.  A CheckedOperator that already
@@ -170,14 +173,14 @@ def _checked_spectrum(
         ):
             return mat
         mat = mat.matrix
-    m = require_hermitian(mat, name=name)
+    m, mh = _hermitian(mat, name)
     # finite entries near the float limit overflow the Hermitian part and
     # the trace; a spectrum holding nan then fails the positivity check
     with np.errstate(over="ignore", invalid="ignore"):
         if vectors:
-            w, u = np.linalg.eigh(hermitian_part(m))
+            w, u = np.linalg.eigh((m + mh) / 2)
         else:
-            w, u = np.linalg.eigvalsh(hermitian_part(m)), None
+            w, u = np.linalg.eigvalsh((m + mh) / 2), None
         if w.shape[-1]:
             bad = _batch_label(name, ~(w[..., 0] >= -PSD_ATOL))
             if bad is not None:
@@ -196,35 +199,6 @@ def _checked_spectrum(
             if bad is not None:
                 raise InvalidInputError(f"{bad[0]} has trace {float(tr[bad[1]])!r}, expected 1")
     return CheckedOperator(m, w, u, density, sub_unital, _VALIDATOR)
-
-
-def validate_density(rho, name: str = "state") -> np.ndarray:
-    """Check Hermiticity, positivity and unit trace; returns the array.
-
-    Accepts one matrix or a (..., d, d) stack; a failure names the first
-    failing matrix of a stack by its index.
-    """
-    m = as_square_matrix(rho, name)
-    _checked_spectrum(m, name, density=True)
-    return m
-
-
-def validate_positive(mat, sub_unital: bool = False, name: str = "operator") -> np.ndarray:
-    """Check Hermiticity and positivity; optionally the operator-norm bound <= 1.
-
-    Accepts one matrix or a (..., d, d) stack, like validate_density.
-    """
-    m = as_square_matrix(mat, name)
-    _checked_spectrum(m, name, sub_unital=sub_unital)
-    return m
-
-
-def hermitian_eigendecomposition(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues in descending order and matching orthonormal eigenvector columns,
-    per matrix of a stack."""
-    m = require_hermitian(mat)
-    w, u = np.linalg.eigh(hermitian_part(m))
-    return w[..., ::-1].copy(), u[..., ::-1].copy()
 
 
 def tensor_all(mats) -> np.ndarray:
@@ -354,8 +328,8 @@ def partial_trace(mat, dims: tuple[int, int], keep: int) -> np.ndarray:
 
 def trace_norm(mat):
     """Sum of absolute eigenvalues of a Hermitian matrix, per matrix of a stack."""
-    m = require_hermitian(mat)
-    return _per_matrix(np.abs(np.linalg.eigvalsh(hermitian_part(m))).sum(axis=-1))
+    m, mh = _hermitian(mat, "matrix")
+    return _per_matrix(np.abs(np.linalg.eigvalsh((m + mh) / 2)).sum(axis=-1))
 
 
 def trace_pair(a: np.ndarray, b: np.ndarray):
@@ -370,7 +344,7 @@ def _spectral_apply(u: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def matrix_sqrt(mat) -> np.ndarray:
     """Positive square root, per matrix of a stack."""
-    op = _checked_spectrum(mat, "matrix_sqrt argument", vectors=True)
+    op = checked_operator(mat, "matrix_sqrt argument", vectors=True)
     return _spectral_apply(op.vectors, np.sqrt(np.clip(op.spectrum, 0.0, None)))
 
 
@@ -380,7 +354,7 @@ def _on_support(mat, name: str, fn) -> np.ndarray:
     f is fn of the eigenvalues above SUPPORT_REL_TOL times the largest and 0
     on the rest; a matrix with no positive eigenvalue maps to zero.
     """
-    op = _checked_spectrum(mat, name, vectors=True)
+    op = checked_operator(mat, name, vectors=True)
     w = op.spectrum
     cut = SUPPORT_REL_TOL * w.max(axis=-1, keepdims=True, initial=0.0)
     floor = np.where(cut > 0.0, cut, 1.0)
@@ -433,7 +407,7 @@ def spectrum_entropy_bits(eigenvalues: np.ndarray):
 
 def von_neumann_entropy(rho) -> float:
     """Entropy in bits of a density operator."""
-    return spectrum_entropy_bits(_checked_spectrum(rho, "state", density=True).spectrum)
+    return spectrum_entropy_bits(checked_operator(rho, "state", density=True).spectrum)
 
 
 @dataclass(frozen=True, eq=False)

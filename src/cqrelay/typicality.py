@@ -30,15 +30,13 @@ import numpy as np
 from .channels import CQChannel, _letter_sum, _require_matching_alphabet, output_state
 from .errors import InvalidInputError, ResourceLimitError
 from .operators import (
-    _checked_spectrum,
     _kept_row_sums,
     _power,
     _require_bytes,
     ZERO_EIGENVALUE_TOL,
     ProbabilityDistribution,
-    as_square_matrix,
+    checked_operator,
     compositions,
-    hermitian_eigendecomposition,
     hermitian_part,
     kron_column_chunks,
     product_columns,
@@ -48,7 +46,7 @@ from .operators import (
 
 PRESET_FIXED = "fixed"
 PRESET_SQRT = "sqrt"
-_PRESET_ALIASES = {"fixed": PRESET_FIXED, "sqrt": PRESET_SQRT, "sqrt-scaled": PRESET_SQRT}
+_PRESET_ALIASES = {"fixed": PRESET_FIXED, "sqrt": PRESET_SQRT}
 
 
 def resolve_preset(preset: str) -> str:
@@ -362,6 +360,13 @@ def _projector_bytes(d: int, n: int) -> float:
     return _power(d, n) * (2 + 2 * np.min_scalar_type(n).itemsize)
 
 
+def _eigenpairs(states, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Descending spectrum and matching eigenvector columns of a density
+    operator, or of each of a (..., d, d) stack, from the eigh of its check."""
+    op = checked_operator(states, name, density=True, vectors=True)
+    return op.spectrum[..., ::-1].copy(), op.vectors[..., ::-1].copy()
+
+
 def _projector_rank(decompositions: dict, word: tuple, alpha: float, preset: str) -> int:
     """The rank _projector's mask would have, read from the count windows
     of the word's letter classes; no mask is built."""
@@ -376,11 +381,11 @@ def typical_projector(rho, n: int, alpha: float, preset: str = PRESET_FIXED) -> 
     if np.ndim(rho) != 2:
         raise InvalidInputError(f"state must be one d x d matrix, got shape {np.shape(rho)}")
     # validated from the one eigh whose decomposition the projector reads
-    op = _checked_spectrum(rho, "state", density=True, vectors=True)
+    w, u = _eigenpairs(rho, "state")
     if n < 1:
         raise InvalidInputError(f"block length must be >= 1, got {n}")
-    _require_bytes(_projector_bytes(op.matrix.shape[0], n), f"typical projector for n={n}")
-    return _projector({0: (op.spectrum[::-1], op.vectors[:, ::-1].copy())}, (0,) * n, alpha, preset)
+    _require_bytes(_projector_bytes(u.shape[0], n), f"typical projector for n={n}")
+    return _projector({0: (w, u)}, (0,) * n, alpha, preset)
 
 
 def conditional_typical_projector(
@@ -392,7 +397,7 @@ def conditional_typical_projector(
         raise InvalidInputError("conditioning word is empty")
     _require_bytes(_projector_bytes(channel.output_dim, len(word)), f"typical projector for n={len(word)}")
     return _projector(
-        {a: hermitian_eigendecomposition(channel.state(a)) for a in dict.fromkeys(word)}, word, alpha, preset
+        {a: _eigenpairs(channel.state(a), "channel state") for a in dict.fromkeys(word)}, word, alpha, preset
     )
 
 
@@ -605,8 +610,7 @@ def _word_batch(states, words, labels) -> tuple:
             if a not in position:
                 raise InvalidInputError(f"input {a!r} not in channel alphabet")
         classes.append([(position[a], na) for a, na in Counter(word).items()])
-    # real states stay float64, so a real channel's eigensolves are real
-    return words, as_square_matrix(states, "channel state"), classes
+    return words, states, classes
 
 
 def _class_stats(classes, spectra: np.ndarray, alpha: float, preset: str) -> list:
@@ -701,7 +705,7 @@ def _cross_stats(states: np.ndarray, classes, dist: ProbabilityDistribution, alp
     classes are scored together.
     """
     mixtures = hermitian_part(_letter_sum(dist.weights, lambda j: states[:, j]))
-    w_all, u_all = hermitian_eigendecomposition(mixtures)
+    w_all, u_all = _eigenpairs(mixtures, "averaged state")
     w_all = _clean_eigenvalues(w_all)
     ut = u_all.conj().swapaxes(-1, -2)
     diag = np.clip(np.real(np.einsum("...ij,...ajk,...ki->...ai", ut, states, u_all)), 0.0, None)
@@ -829,7 +833,7 @@ def verify_state_projector_bounds(rho, n: int, alpha: float, preset: str = PRESE
     at once.
     """
     # validated from the eigh whose spectrum the reports read
-    op = _checked_spectrum(rho, "state", density=True, vectors=True)
+    op = checked_operator(rho, "state", density=True, vectors=True)
     preset = resolve_preset(preset)
     d = op.matrix.shape[-1]
     tau = threshold_for(alpha, n, preset)
@@ -922,9 +926,10 @@ def verify_conditional_projector_bounds(
     stack, words = (np.array([[channel.state(a) for a in dist.labels]]), [word]) if single else (channel, list(word))
     preset = resolve_preset(preset)
     words, stack, classes = _word_batch(stack, words, dist.labels)
-    states = _checked_spectrum(stack, "channel state", density=True)
+    # real states stay float64, so a real channel's eigensolves are real
+    states = checked_operator(stack, "channel state", density=True)
     conds = _class_stats(classes, states.spectrum, alpha, preset)
-    crosses = _cross_stats(stack, classes, dist, alpha, preset)
+    crosses = _cross_stats(states.matrix, classes, dist, alpha, preset)
 
     # conditional_entropy's sum, on the letter spectra the check above read
     letter_entropy = spectrum_entropy_bits(states.spectrum)

@@ -1,10 +1,11 @@
+import inspect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cqrelay import lemmas
+from cqrelay import lemmas, operators
 from cqrelay.errors import InvalidInputError
 from cqrelay.lemmas import (
     check_hayashi_nagaoka,
@@ -15,7 +16,7 @@ from cqrelay.lemmas import (
     random_subunital_positive,
     sweep_lemma_checks,
 )
-from cqrelay.operators import CheckedOperator, _checked_spectrum, pseudo_sqrt_inverse
+from cqrelay.operators import CheckedOperator, checked_operator, pseudo_sqrt_inverse
 
 
 def test_close_states_equal_inputs():
@@ -178,11 +179,11 @@ def test_sweep_block_checks_each_operand_stack_in_one_call(name, monkeypatch):
     calls = []
 
     def recorded(mat, label, *args, **kwargs):
-        out = _checked_spectrum(mat, label, *args, **kwargs)
+        out = checked_operator(mat, label, *args, **kwargs)
         calls.append((label, mat, out))
         return out
 
-    monkeypatch.setattr(lemmas, "_checked_spectrum", recorded)
+    monkeypatch.setattr(lemmas, "checked_operator", recorded)
     trials = 9
     summary = lemmas.sweep_lemma_checks(trials=trials, seed=3, dims=(2, 3), which=(name,))
     assert summary[name]["all_hold"]
@@ -237,13 +238,13 @@ def test_checked_operands_give_the_raw_operands_results():
     rng = np.random.default_rng(23)
     sigma, rho = random_density(rng, 3), random_density(rng, 3)
     effect, s, t = random_subunital_positive(rng, 3), random_subunital_positive(rng, 3), random_positive(rng, 3)
-    density = lambda m: _checked_spectrum(m, "state", density=True)  # noqa: E731
-    sub_unital = lambda m: _checked_spectrum(m, "effect", sub_unital=True, vectors=True)  # noqa: E731
+    density = lambda m: checked_operator(m, "state", density=True)  # noqa: E731
+    sub_unital = lambda m: checked_operator(m, "effect", sub_unital=True, vectors=True)  # noqa: E731
     assert check_measurement_on_close_states(density(sigma), density(rho), sub_unital(effect)) == (
         check_measurement_on_close_states(sigma, rho, effect)
     )
     assert check_tender_operator(density(rho), sub_unital(effect)) == check_tender_operator(rho, effect)
-    assert check_hayashi_nagaoka(sub_unital(s), _checked_spectrum(t, "T")) == check_hayashi_nagaoka(s, t)
+    assert check_hayashi_nagaoka(sub_unital(s), checked_operator(t, "T")) == check_hayashi_nagaoka(s, t)
 
 
 def test_checks_skip_only_the_rechecks_of_checked_operands(monkeypatch):
@@ -253,8 +254,8 @@ def test_checks_skip_only_the_rechecks_of_checked_operands(monkeypatch):
         monkeypatch.setattr(np.linalg, name, lambda a, *r, _f=original, **k: calls.append(1) or _f(a, *r, **k))
     rng = np.random.default_rng(29)
     rho, effect = random_density(rng, 3), random_subunital_positive(rng, 3)
-    checked_rho = _checked_spectrum(rho, "rho", density=True)
-    checked_effect = _checked_spectrum(effect, "effect", sub_unital=True, vectors=True)
+    checked_rho = checked_operator(rho, "rho", density=True)
+    checked_effect = checked_operator(effect, "effect", sub_unital=True, vectors=True)
     calls.clear()
     check_tender_operator(rho, effect)
     assert len(calls) == 3  # rho, the effect (whose eigh the square root reuses), the trace norm
@@ -265,7 +266,7 @@ def test_checks_skip_only_the_rechecks_of_checked_operands(monkeypatch):
 
 def test_checked_operand_lacking_the_needed_property_is_rejected():
     rho = np.eye(2) / 2
-    positive = _checked_spectrum(np.diag([0.3, 1.2]), "operator", vectors=True)
+    positive = checked_operator(np.diag([0.3, 1.2]), "operator", vectors=True)
     with pytest.raises(InvalidInputError, match=r"^effect exceeds the identity"):
         check_tender_operator(rho, positive)
     with pytest.raises(InvalidInputError, match=r"^effect exceeds the identity"):
@@ -274,3 +275,18 @@ def test_checked_operand_lacking_the_needed_property_is_rejected():
         check_hayashi_nagaoka(positive, np.zeros((2, 2)))
     with pytest.raises(InvalidInputError, match=r"^sigma has trace 1.5"):
         check_measurement_on_close_states(positive, rho, np.eye(2))
+
+
+def test_operators_bind_one_validator_and_checks_take_no_instance_tag():
+    removed = (
+        "validate_density",
+        "validate_positive",
+        "require_hermitian",
+        "hermitian_deviation",
+        "hermitian_eigendecomposition",
+        "_checked_spectrum",
+    )
+    assert [name for name in removed if hasattr(operators, name)] == []
+    assert callable(operators.checked_operator)
+    for check in (check_measurement_on_close_states, check_tender_operator, check_hayashi_nagaoka):
+        assert "instance" not in inspect.signature(check).parameters

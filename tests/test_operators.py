@@ -7,9 +7,9 @@ from cqrelay.errors import InvalidInputError
 from cqrelay.operators import (
     CheckedOperator,
     ProbabilityDistribution,
-    _checked_spectrum,
+    _hermitian,
     as_square_matrix,
-    hermitian_eigendecomposition,
+    checked_operator,
     hermitian_part,
     matrix_sqrt,
     partial_trace,
@@ -19,8 +19,6 @@ from cqrelay.operators import (
     tensor_all,
     trace_norm,
     trace_pair,
-    validate_density,
-    validate_positive,
     von_neumann_entropy,
 )
 
@@ -37,21 +35,21 @@ def random_density(rng, dim):
     return m / np.trace(m).real
 
 
-def test_validate_density_accepts_proper_states():
+def test_checked_density_accepts_proper_states():
     rho = np.array([[0.5, 0.0], [0.0, 0.5]])
-    out = validate_density(rho)
+    out = checked_operator(rho, "state", density=True).matrix
     assert np.allclose(out, rho)
 
 
-def test_validate_density_rejects_bad_inputs():
+def test_checked_density_rejects_bad_inputs():
+    with pytest.raises(InvalidInputError, match=r"^state must be square, got shape \(1, 2\)$"):
+        checked_operator(np.array([[0.5, 0.5]]), "state", density=True)
     with pytest.raises(InvalidInputError):
-        validate_density(np.array([[0.5, 0.5]]))  # not square
+        checked_operator(np.array([[0.9, 0.0], [0.0, 0.3]]), "state", density=True)  # trace 1.2
     with pytest.raises(InvalidInputError):
-        validate_density(np.array([[0.9, 0.0], [0.0, 0.3]]))  # trace 1.2
+        checked_operator(np.array([[1.2, 0.0], [0.0, -0.2]]), "state", density=True)  # negative eigenvalue
     with pytest.raises(InvalidInputError):
-        validate_density(np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative eigenvalue
-    with pytest.raises(InvalidInputError):
-        validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
+        checked_operator(np.array([[0.5, 0.5], [0.0, 0.5]]), "state", density=True)  # not hermitian
 
 
 @pytest.mark.filterwarnings("error")
@@ -61,29 +59,31 @@ def test_validators_refuse_entries_that_overflow_the_spectrum():
     # matrix, far from positive, has unit trace
     big = np.finfo(float).max
     with pytest.raises(InvalidInputError, match="no finite spectrum"):
-        validate_density(np.array([[0.5, big], [big, 0.5]]))
+        checked_operator(np.array([[0.5, big], [big, 0.5]]), "state", density=True)
     with pytest.raises(InvalidInputError, match="no finite spectrum"):
-        validate_positive(np.array([[0.5, big], [big, 0.5]]))
+        checked_operator(np.array([[0.5, big], [big, 0.5]]), "operator")
     with pytest.raises(InvalidInputError, match="not Hermitian"):
-        validate_density(np.array([[0.5, 1j * big], [0.0, 0.5]]))
+        checked_operator(np.array([[0.5, 1j * big], [0.0, 0.5]]), "state", density=True)
     with pytest.raises(InvalidInputError, match="trace"):
-        validate_density(np.array([[big]]))
+        checked_operator(np.array([[big]]), "state", density=True)
 
 
-def test_validate_positive_subunital_flag():
+def test_checked_operator_subunital_flag():
     ok = np.diag([0.3, 0.9])
-    validate_positive(ok, sub_unital=True)
+    checked_operator(ok, "operator", sub_unital=True)
     with pytest.raises(InvalidInputError):
-        validate_positive(np.diag([0.3, 1.2]), sub_unital=True)
-    validate_positive(np.diag([0.3, 1.2]))  # fine without the flag
+        checked_operator(np.diag([0.3, 1.2]), "operator", sub_unital=True)
+    checked_operator(np.diag([0.3, 1.2]), "operator")  # fine without the flag
 
 
-def test_hermitian_eigendecomposition_descending_and_consistent():
+def test_hermitian_returns_the_matrix_and_its_adjoint():
     rng = np.random.default_rng(5)
     rho = random_density(rng, 4)
-    w, u = hermitian_eigendecomposition(rho)
-    assert np.all(np.diff(w) <= 1e-12)
-    assert np.allclose(u @ np.diag(w) @ u.conj().T, rho)
+    m, mh = _hermitian(rho, "state")
+    assert np.array_equal(m, rho)
+    assert np.array_equal(mh, rho.conj().T)
+    with pytest.raises(InvalidInputError, match=r"^state is not Hermitian \(max deviation 5\.000e-01\)"):
+        _hermitian(np.array([[0.5, 0.5], [0.0, 0.5]]), "state")
 
 
 def test_von_neumann_entropy_known_values():
@@ -291,7 +291,7 @@ def test_each_spectral_routine_decomposes_its_argument_once(routine, eig_count):
 
 def test_spectral_routines_reuse_a_checked_decomposition(eig_count):
     rho = random_density(np.random.default_rng(47), 3)
-    op = _checked_spectrum(rho, "state", vectors=True)
+    op = checked_operator(rho, "state", vectors=True)
     assert eig_count == {"eigh": 1, "eigvalsh": 0}
     assert np.array_equal(matrix_sqrt(op), matrix_sqrt(rho))
     assert np.array_equal(pseudo_sqrt_inverse(op), pseudo_sqrt_inverse(rho))
@@ -302,7 +302,7 @@ def test_spectral_routines_reuse_a_checked_decomposition(eig_count):
 def test_checked_operator_arrays_are_read_only():
     rng = np.random.default_rng(53)
     stack = np.array([random_density(rng, 3) for _ in range(4)])
-    op = _checked_spectrum(stack, "state", density=True, vectors=True)
+    op = checked_operator(stack, "state", density=True, vectors=True)
     assert stack.flags.writeable  # the caller's array is left as it was
     for checked in (op, op[2]):
         for arr in (checked.matrix, checked.spectrum, checked.vectors):
@@ -321,18 +321,18 @@ def test_checked_operator_is_made_by_the_validators_only():
 
 
 def test_checked_operator_lacking_a_property_is_checked_again():
-    positive = _checked_spectrum(np.diag([0.3, 1.2]), "operator")
+    positive = checked_operator(np.diag([0.3, 1.2]), "operator")
     with pytest.raises(InvalidInputError, match=r"^X exceeds the identity"):
-        _checked_spectrum(positive, "X", sub_unital=True)
+        checked_operator(positive, "X", sub_unital=True)
     with pytest.raises(InvalidInputError, match=r"^X has trace 1.5"):
-        _checked_spectrum(positive, "X", density=True)
-    assert _checked_spectrum(positive, "X") is positive
+        checked_operator(positive, "X", density=True)
+    assert checked_operator(positive, "X") is positive
 
 
 def test_raw_stack_failures_name_the_matrix():
     stack = np.array([np.diag([0.5, 0.5]), np.diag([1.2, -0.2])])
     with pytest.raises(InvalidInputError, match=r"^state\[1\] has negative eigenvalue"):
-        _checked_spectrum(stack, "state", density=True, vectors=True)
+        checked_operator(stack, "state", density=True, vectors=True)
 
 
 @pytest.mark.parametrize(
@@ -348,12 +348,12 @@ def test_raw_stack_failures_name_the_matrix():
 )
 def test_square_matrices_stay_real_unless_the_input_is_complex(mat, dtype):
     assert as_square_matrix(mat).dtype == dtype
-    assert validate_positive(mat).dtype == dtype
+    assert checked_operator(mat, "operator").matrix.dtype == dtype
 
 
 def test_real_input_gives_real_spectral_results():
     rho = np.array([[0.7, 0.2], [0.2, 0.3]])
-    w, u = hermitian_eigendecomposition(rho)
+    u = checked_operator(rho, "state", vectors=True).vectors
     assert u.dtype == np.float64
     root = pseudo_sqrt_inverse(rho)
     assert root.dtype == np.float64

@@ -45,7 +45,6 @@ from cqrelay.coding import (
 from cqrelay.lemmas import random_density
 from cqrelay.operators import (
     ProbabilityDistribution,
-    hermitian_eigendecomposition,
     hermitian_part,
     product_columns,
     pseudo_sqrt_inverse,
@@ -545,7 +544,9 @@ def test_diagonal_groups_match_on_the_canonical_channel(weights):
 
 def letter_eigenpairs(channel):
     """letter -> its eigenpairs, as the public builder decomposes them."""
-    return {a: hermitian_eigendecomposition(channel.state(a)) for a in channel.alphabet}
+    states = {a: channel.state(a) for a in channel.alphabet}
+    pairs = {a: np.linalg.eigh((m + m.conj().T) / 2) for a, m in states.items()}
+    return {a: (w[::-1].copy(), u[:, ::-1].copy()) for a, (w, u) in pairs.items()}
 
 
 def commuting_qutrit_broadcast(seed, kind):

@@ -20,6 +20,7 @@ from cqrelay.typicality import (
     PRESET_FIXED,
     PRESET_SQRT,
     TypicalSet,
+    _eigenpairs,
     averaged_state_projector,
     conditional_typical_projector,
     resolve_preset,
@@ -46,10 +47,19 @@ def random_qubit_channel(rng):
 # ---------------------------------------------------------------------------
 
 
+def test_eigenpairs_descending_and_consistent():
+    rng = np.random.default_rng(5)
+    rho = random_density(rng, 4)
+    w, u = _eigenpairs(rho, "state")
+    assert np.all(np.diff(w) <= 1e-12)
+    assert np.allclose(u @ np.diag(w) @ u.conj().T, rho)
+
+
 def test_threshold_presets():
     assert threshold_for(0.7, 9, PRESET_FIXED) == pytest.approx(0.7)
     assert threshold_for(0.7, 9, PRESET_SQRT) == pytest.approx(0.7 / 3.0)
-    assert resolve_preset("sqrt-scaled") == PRESET_SQRT
+    with pytest.raises(InvalidInputError, match="unknown threshold preset"):
+        resolve_preset("sqrt-scaled")
     with pytest.raises(InvalidInputError):
         resolve_preset("cubic")
     with pytest.raises(InvalidInputError):

@@ -42,16 +42,14 @@ from cqrelay.lemmas import (
 from cqrelay.operators import (
     ProbabilityDistribution,
     as_square_matrix,
+    _hermitian,
+    checked_operator,
     compositions,
-    hermitian_eigendecomposition,
     matrix_sqrt,
     pseudo_sqrt_inverse,
-    require_hermitian,
     spectrum_entropy_bits,
     trace_norm,
     trace_pair,
-    validate_density,
-    validate_positive,
 )
 from cqrelay.regions import DistributionGrid
 from cqrelay.typicality import (
@@ -316,8 +314,12 @@ def o_within(index_word, d, windows):
     return all(lo <= counts.get(i, 0) <= hi for i, (lo, hi) in enumerate(windows))
 
 
+def o_descending_spectrum(rho):
+    return np.linalg.eigh((rho + rho.conj().T) / 2)[0][::-1]
+
+
 def o_state_included(rho, n, alpha, preset):
-    w = _clean_eigenvalues(hermitian_eigendecomposition(rho)[0])
+    w = _clean_eigenvalues(o_descending_spectrum(rho))
     windows = o_eigen_windows(w, n, threshold_for(alpha, n, preset))
     return frozenset(x for x in itertools.product(range(len(w)), repeat=n) if o_within(x, len(w), windows))
 
@@ -326,7 +328,7 @@ def o_conditional_included(channel, word, alpha, preset):
     d = channel.output_dim
     windows = {}
     for a, na in Counter(word).items():
-        w = _clean_eigenvalues(hermitian_eigendecomposition(channel.state(a))[0])
+        w = _clean_eigenvalues(o_descending_spectrum(channel.state(a)))
         windows[a] = o_eigen_windows(w, na, threshold_for(alpha, na, preset))
     return frozenset(
         x
@@ -659,15 +661,15 @@ def test_stack_failures_name_the_first_bad_matrix():
     bad[4] = np.diag([1.2, -0.1, -0.1])
     bad[5] = np.diag([1.2, -0.1, -0.1])
     with pytest.raises(InvalidInputError, match=r"state\[4\] has negative eigenvalue"):
-        validate_density(bad)
+        checked_operator(bad, "state", density=True)
     bad = good.copy()
     bad[2, 0, 0] = 0.5
     with pytest.raises(InvalidInputError, match=r"state\[2\] has trace"):
-        validate_density(bad)
+        checked_operator(bad, "state", density=True)
     bad = good.copy()
     bad[3, 0, 1] = 0.2
     with pytest.raises(InvalidInputError, match=r"matrix\[3\] is not Hermitian"):
-        require_hermitian(bad)
+        _hermitian(bad, "matrix")
     bad = good.copy()
     bad[1, 2, 2] = np.nan
     with pytest.raises(InvalidInputError, match=r"matrix\[1\] has non-finite entries"):
@@ -675,10 +677,10 @@ def test_stack_failures_name_the_first_bad_matrix():
     bad = good.reshape(2, 3, 3, 3).copy()
     bad[1, 0] = np.diag([1.5, 0.0, 0.0])
     with pytest.raises(InvalidInputError, match=r"effect\[1, 0\] exceeds the identity"):
-        validate_positive(bad, sub_unital=True, name="effect")
+        checked_operator(bad, "effect", sub_unital=True)
     # a plain matrix keeps its plain name
     with pytest.raises(InvalidInputError, match=r"^state has negative eigenvalue"):
-        validate_density(np.diag([1.2, -0.2]))
+        checked_operator(np.diag([1.2, -0.2]), "state", density=True)
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +847,7 @@ def test_spectrum_stats_in_chunks_match_one_pass(monkeypatch):
 def test_sweep_reports_the_first_trial_of_a_tie(monkeypatch):
     # every trial ties: a trial-ordered scan keeps the first
     tie = lemmas.LemmaCheckResult(lhs=0.0, rhs=0.5, slack=0.5, holds=True)
-    monkeypatch.setattr(lemmas, "check_tender_operator", lambda *args, instance="": tie)
+    monkeypatch.setattr(lemmas, "check_tender_operator", lambda *args: tie)
     summary = sweep_lemma_checks(trials=5, seed=7, which=("tender",))["tender"]
     assert summary["worst_instance"].startswith("tender[0] ")
 
