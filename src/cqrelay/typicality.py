@@ -9,10 +9,12 @@ A projector's included eigen-index words are held once, as a bool mask over
 the d^n product-basis words, built from eigen-index counts and read back
 into words on request; no table of all d^n words is formed.
 
-Scalar projector functionals (captured trace, rank, largest compressed
-eigenvalue, and a word state's capture by the averaged-state projector) are
-evaluated exactly by summing over letter-count classes, which works far
-beyond the block lengths whose masks fit the memory budget; the
+Scalar projector functionals (captured trace, rank and largest compressed
+eigenvalue) are evaluated exactly by summing over letter-count classes.  A
+word state's capture by the averaged-state projector is the mass of the
+projector's eigen-index counts inside their windows: that law grows one word
+position at a time on a dense grid of counts.  Both work far beyond the
+block lengths whose masks fit the memory budget; the
 verify_*_projector_bounds reports read them.
 """
 
@@ -438,7 +440,6 @@ class _CountTable:
     counts: np.ndarray  # (R, d) count vectors
     multinomials: np.ndarray  # (R,) exact: int64, or Python ints beyond int64
     weights: np.ndarray  # (R,) the multinomials as floats
-    binomials: np.ndarray  # binomials[a, p] = C(a, p) for a < n + d, p < d (capped)
 
 
 def _table_rows(n: int, d: int) -> int:
@@ -448,9 +449,9 @@ def _table_rows(n: int, d: int) -> int:
 def _count_table_bytes(n: int, d: int) -> int:
     """Peak of building the (n, d) table: per row, the counts with five
     temporaries of their width and three object arrays of exact multinomials
-    (Python ints of up to n log2(d) bits); and the binomials."""
+    (Python ints of up to n log2(d) bits)."""
     exact = 8 + 32 + math.ceil(n * math.log2(d) / 8)
-    return _table_rows(n, d) * (40 * d + 3 * exact + 16) + 64 * d * (n + d)
+    return _table_rows(n, d) * (40 * d + 3 * exact + 16)
 
 
 _comb = np.frompyfunc(math.comb, 2, 1)
@@ -476,14 +477,9 @@ def _count_table(n: int, d: int) -> _CountTable:
         ) from None
     if n * math.log2(d) < 63:  # every multinomial, and every sum of them, is at most d^n
         mult = mult.astype(np.int64)
-    # table ranks are below the row count, so these binomials fit int64
-    binomials = np.array(
-        [[min(math.comb(a, p), 2**63 - 1) for p in range(d)] for a in range(n + d)],
-        dtype=np.int64,
-    )
-    for arr in (counts, mult, weights, binomials):
+    for arr in (counts, mult, weights):
         arr.setflags(write=False)
-    return _CountTable(counts=counts, multinomials=mult, weights=weights, binomials=binomials)
+    return _CountTable(counts=counts, multinomials=mult, weights=weights)
 
 
 def _power_table(values: np.ndarray, n: int) -> np.ndarray:
@@ -639,59 +635,52 @@ def _class_stats(classes, spectra: np.ndarray, alpha: float, preset: str) -> lis
     return out
 
 
-def _composition_ranks(counts: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """Row index of each count vector in its lexicographic count-class table.
+def _count_law_bytes(s_count: int, n: int, d: int) -> float:
+    """Peak of _count_law_masses on s_count instances: per instance, three
+    float grids (the grid, its spare and one shifted product; later the grid
+    and its masked copy) and the window mask; once, the implied last count
+    and two temporaries of its size, and numpy's buffers for the three
+    operands of a broadcast product."""
+    return _power(n + 1, d - 1) * (25 * s_count + 24) + 24 * np.getbufsize()
 
-    A vector c of m over d letters is preceded by the vectors whose first
-    differing count is smaller: sum_i [C(r_i + p_i, p_i) - C(r_i - c_i + p_i, p_i)]
-    with r_i = m - c_0 - ... - c_(i-1) and p_i = d - 1 - i.
+
+def _count_law_masses(q: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Mass of the eigen-index counts inside the windows, per instance.
+
+    q[s, k] holds the eigen-index probabilities at position k of instance
+    s, and allowed is _eigen_allowed of the projector spectra.  The law of
+    the counts grows one position at a time on a dense grid over the first
+    d - 1 counts, the last implied by the total: each step scales the grid
+    by the last index's probability and adds it shifted by one along each
+    other index's axis, times that index's.  After k positions no count
+    passes k, so each step works on the grid's corner below k + 2.
     """
-    d = counts.shape[1]
-    rank = np.zeros(len(counts), dtype=np.int64)
-    remaining = counts.sum(axis=1)
-    for i in range(d - 1):
-        p = d - 1 - i
-        rank += binom[remaining + p, p] - binom[remaining - counts[:, i] + p, p]
-        remaining = remaining - counts[:, i]
-    return rank
-
-
-def _letter_count_masses(q: np.ndarray, classes, allowed: np.ndarray) -> np.ndarray:
-    """Mass of the summed letter counts inside the windows, per instance.
-
-    q[:, j] holds letter j's eigen-index probabilities for each of S
-    instances that share their classes ((letter index, size) pairs).  Each
-    class's count distribution lives on its count table; classes are
-    combined one at a time as an outer sum of tables, merged onto the table
-    of the combined length.  allowed is _eigen_allowed of the projector
-    spectra.
-    """
-    s_count, d = q.shape[0], q.shape[-1]
-    sizes = [na for _, na in classes]
-    pairs = max(_table_rows(sum(sizes[:k]), d) * _table_rows(na, d) for k, na in enumerate(sizes))
-    _require_bytes(pairs * (d + 1) * 8, f"outer sum of count classes for n={sum(sizes)}, d={d}")
-    # each instance adds a mass and an index per pair: take instances in chunks
-    chunk = max(1, COUNT_WORKING_BYTES // (16 * pairs))
+    s_count, n, d = q.shape
+    chunk = max(1, int(COUNT_WORKING_BYTES // _count_law_bytes(1, n, d)))
+    _require_bytes(_count_law_bytes(min(s_count, chunk), n, d), f"count law for n={n}, d={d}")
     if s_count > chunk:
         return np.concatenate(
-            [_letter_count_masses(q[i : i + chunk], classes, allowed[i : i + chunk]) for i in range(0, s_count, chunk)]
+            [_count_law_masses(q[i : i + chunk], allowed[i : i + chunk]) for i in range(0, s_count, chunk)]
         )
-    length = 0
-    probs = np.ones((s_count, 1))
-    keys = np.zeros((1, d), dtype=np.intp)
-    for j, na in classes:
-        table = _count_table(na, d)
-        mass = table.weights * _class_products(_power_table(q[:, j], na), table.counts)
-        length += na
-        merged = _count_table(length, d)
-        pair_keys = (keys[:, None, :] + table.counts[None, :, :]).reshape(-1, d)
-        slots = _composition_ranks(pair_keys, merged.binomials)
-        rows = len(merged.counts)
-        flat = (np.arange(s_count)[:, None] * rows + slots).ravel()
-        pair_mass = (probs[:, :, None] * mass[:, None, :]).reshape(s_count, -1)
-        probs = np.bincount(flat, weights=pair_mass.ravel(), minlength=s_count * rows).reshape(s_count, rows)
-        keys = merged.counts
-    return np.where(_rows_allowed(allowed, keys), probs, 0.0).sum(axis=-1)
+    shape = (s_count,) + (n + 1,) * (d - 1)
+    grid, spare = np.zeros(shape), np.zeros(shape)
+    grid[(slice(None),) + (0,) * (d - 1)] = 1.0
+    p = q.reshape((s_count, n, d) + (1,) * (d - 1))
+    for k in range(n):
+        corner = (slice(None),) + (slice(k + 2),) * (d - 1)
+        old, new = grid[corner], spare[corner]
+        np.multiply(old, p[:, k, d - 1], out=new)
+        for i in range(d - 1):
+            before = (slice(None),) * (i + 1)
+            new[before + (slice(1, None),)] += p[:, k, i] * old[before + (slice(None, -1),)]
+        grid, spare = spare, grid
+    del spare
+    counts = np.indices(shape[1:], sparse=True)
+    # where the first counts pass n the grid holds no mass, so any last count does
+    inside = allowed[:, d - 1, np.maximum(n - sum(counts), 0)]
+    for i, c in enumerate(counts):
+        inside &= allowed[:, i, c]
+    return np.where(inside, grid, 0.0).reshape(s_count, -1).sum(axis=-1)
 
 
 def _cross_stats(states: np.ndarray, classes, dist: ProbabilityDistribution, alpha: float, preset: str) -> list:
@@ -700,29 +689,35 @@ def _cross_stats(states: np.ndarray, classes, dist: ProbabilityDistribution, alp
     variance summed over indices and the shift the largest index-wise
     |mean count/n - projector eigenvalue|.
 
-    Counts of each projector eigen-index under the word's product state
-    convolve exactly over letter classes; instances that share their letter
-    classes are scored together.
+    The capture is the mass of the projector's eigen-index counts inside
+    their windows under the word's product state, whose positions are
+    independent: _count_law_masses grows that law position by position, for
+    all instances of one word length at once.  The mean and the variance
+    add up class by class, in each word's order of first appearance.
     """
     mixtures = hermitian_part(_letter_sum(dist.weights, lambda j: states[:, j]))
     w_all, u_all = _eigenpairs(mixtures, "averaged state")
     w_all = _clean_eigenvalues(w_all)
     ut = u_all.conj().swapaxes(-1, -2)
     diag = np.clip(np.real(np.einsum("...ij,...ajk,...ki->...ai", ut, states, u_all)), 0.0, None)
-    groups: dict = {}
-    for s, cls in enumerate(classes):
-        groups.setdefault(tuple(cls), []).append(s)
+    lengths = np.array([sum(na for _, na in cls) for cls in classes])
     out = [None] * len(classes)
-    for cls, idx in groups.items():
-        n = sum(na for _, na in cls)
+    for n in sorted(set(lengths.tolist())):
+        idx = np.flatnonzero(lengths == n)
+        rows = np.arange(len(idx))
         w, q = w_all[idx], diag[idx]
         tau = threshold_for(_averaged_state_alpha(alpha, len(dist.labels)), n, preset)
-        capture = _letter_count_masses(q, cls, _eigen_allowed(w, n, tau))
+        letters = np.array([[j for j, na in classes[s] for _ in range(na)] for s in idx])
+        capture = _count_law_masses(q[rows[:, None], letters], _eigen_allowed(w, n, tau))
+        # words with fewer classes are padded with empty ones, which add zeros
+        width = max(len(classes[s]) for s in idx)
+        padded = np.array([classes[s] + [(0, 0)] * (width - len(classes[s])) for s in idx])
         mean = np.zeros(w.shape)
         var = np.zeros(len(idx))
-        for j, na in cls:
-            mean += na * q[:, j]
-            var = var + (na * q[:, j] * (1.0 - q[:, j])).sum(axis=-1)
+        for j, na in padded.transpose(1, 2, 0):
+            qj, na = q[rows, j], na[:, None]
+            mean += na * qj
+            var = var + (na * qj * (1.0 - qj)).sum(axis=-1)
         shift = np.abs(mean / n - w).max(axis=-1, initial=0.0)
         for t, s in enumerate(idx):
             out[s] = (tau, float(capture[t]), float(var[t]), float(shift[t]))

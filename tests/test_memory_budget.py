@@ -123,6 +123,20 @@ def test_count_table_price_bounds_its_build(monkeypatch):
     assert_tight_upper_bounds(runs)
 
 
+def test_count_law_price_bounds_its_peak(monkeypatch):
+    # d = 3: one instance, then enough instances to be taken in chunks
+    rng = np.random.default_rng(12)
+    runs = []
+    for s_count, n in ((1, 120), (200, 60)):
+        q = rng.dirichlet(np.ones(3), size=(s_count, n))
+        w = np.sort(rng.dirichlet(np.ones(3), size=s_count))[:, ::-1]
+        allowed = typicality._eigen_allowed(w, n, 0.3)
+        peak, prices = priced_peak(monkeypatch, typicality, lambda: typicality._count_law_masses(q, allowed))
+        runs.append((peak, max(prices)))
+    assert len(prices) > 2  # the whole stack, then each chunk
+    assert_tight_upper_bounds(runs)
+
+
 def test_a_full_count_table_cache_fits_the_budget():
     # the largest table the check admits, cached COUNT_TABLE_CACHE times
     n = 1

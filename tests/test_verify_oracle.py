@@ -12,8 +12,9 @@ enumeration of count vectors (operators.compositions) and one window
 predicate (typicality._count_allowed).  Their oracles are the recursive
 enumerators and the scalar ceil/floor count windows those replace.
 Every per-trial slack and every report field must equal the oracle exactly;
-only the cross capture, which now merges letter classes in count-table order
-instead of dictionary insertion order, may differ, by at most 1e-12.
+only the cross capture, which now grows the count law one position at a
+time instead of merging letter classes in dictionary insertion order, may
+differ, by at most 1e-12; its own oracle also enumerates every index word.
 """
 
 import itertools
@@ -808,9 +809,52 @@ def test_sweeps_need_at_least_one_trial():
         sweep_lemma_checks(trials=-3)
 
 
+def o_count_law_mass(q, allowed):
+    """The windowed mass of the eigen-index counts, summed over all d^n
+    index words: q[k] is position k's index distribution."""
+    n, d = q.shape
+    words = np.indices((d,) * n).reshape(n, -1).T
+    probs = q[np.arange(n), words].prod(axis=1)
+    counts = (words[:, :, None] == np.arange(d)).sum(axis=1)
+    return math.fsum(probs[allowed[np.arange(d), counts].all(axis=1)].tolist())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_count_law_matches_the_index_word_enumeration(d):
+    # words of three letter classes, of sizes 3, 2 and 2, in mixed order;
+    # one spectrum has a zero eigenvalue, whose index must count 0
+    rng = np.random.default_rng(30 + d)
+    word = (0, 1, 2, 0, 1, 0, 2)
+    n = len(word)
+    letters = rng.dirichlet(np.ones(d), size=(4, 3))
+    q = letters[:, word]
+    w = np.sort(rng.dirichlet(np.ones(d), size=4))[:, ::-1]
+    w[1, -1] = 0.0
+    allowed = typicality._eigen_allowed(w, n, np.array([0.1, 0.2, 0.3, 1.0]))
+    got = typicality._count_law_masses(q, allowed)
+    for s in range(4):
+        assert got[s] == pytest.approx(o_count_law_mass(q[s], allowed[s]), rel=1e-12, abs=1e-15)
+
+
+def test_count_law_goes_past_the_float_range_of_the_multinomials():
+    # at n = 1100 with d = 2 the count-class multinomials pass 1e308, and the
+    # law is the binomial one: summed in log space from lgamma
+    n, p = 1100, 0.69
+    allowed = typicality._eigen_allowed(np.array([[0.7, 0.3]]), n, threshold_for(0.5, n, PRESET_SQRT))
+    got = typicality._count_law_masses(np.full((1, n, 2), [p, 1.0 - p]), allowed)
+    inside = [k for k in range(n + 1) if allowed[0, 0, k] and allowed[0, 1, n - k]]
+    log_terms = [
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * math.log(p) + (n - k) * math.log1p(-p)
+        for k in inside
+    ]
+    want = math.fsum(math.exp(t) for t in log_terms)
+    assert 0.1 < want < 1.0
+    assert got[0] == pytest.approx(want, rel=1e-12)
+
+
 def test_cross_capture_in_instance_chunks_matches_one_pass(monkeypatch):
-    # a working set this small forces the outer sum of letter classes to
-    # take the instances two at a time
+    # a working set this small forces the count law to take the instances
+    # one at a time
     rng = np.random.default_rng(4)
     dist = ProbabilityDistribution(("0", "1"), np.array([0.5, 0.5]))
     channels = [random_channel(rng, dist.labels, 3) for _ in range(5)]
