@@ -48,25 +48,27 @@ def _state_table(alphabets, states, name: str, dim: int | None = None, validate:
     keys = alphabets[0][0] if len(alphabets) == 1 else list(itertools.product(*(a for a, _ in alphabets)))
     if not validate:
         keys = keys[:1]
-    table = {}
+    raws = {}
     for key in keys:
         try:
-            raw = states[key]
+            raws[key] = np.asarray(states[key])
         except KeyError:
             raise InvalidInputError(f"missing {name} {key!r}") from None
-        st = checked_operator(raw, f"{name} {key!r}", density=True).matrix if validate else np.asarray(raw)
+    # real states keep every operator built from them real, down to the
+    # decoder, so the dtype is decided first and the check reads the copy the
+    # table holds (its own, never a caller's array) in that arithmetic
+    real = validate and not any(np.iscomplexobj(raw) and np.any(raw.imag) for raw in raws.values())
+    table = {}
+    for key, st in raws.items():
+        if validate:
+            st = np.array(st.real if real else st, dtype=float if real else complex)
+            checked_operator(st, f"{name} {key!r}", density=True)
         if dim is None:
             dim = st.shape[0]
         elif st.shape[0] != dim:
             raise InvalidInputError(f"{name} {key!r} has dimension {st.shape[0]}, expected {dim}")
         table[key] = st
-    if not validate:
-        return states, int(dim)
-    # real states keep every operator built from them real, down to the
-    # decoder; the table holds its own copies, never a caller's arrays
-    if any(np.iscomplexobj(st) and np.any(st.imag) for st in table.values()):
-        return {key: np.array(st, dtype=complex) for key, st in table.items()}, int(dim)
-    return {key: np.array(st.real) for key, st in table.items()}, int(dim)
+    return (table if validate else states), int(dim)
 
 
 class CQChannel:
@@ -170,14 +172,9 @@ def _letter_entropy(channel: CQChannel, weights):
     return _letter_sum(weights, lambda j: von_neumann_entropy(channel.state(channel.alphabet[j])))
 
 
-def _chi(channel: CQChannel, weights, letter_entropies=None):
-    """Holevo information in bits, per weight row.  letter_entropies, when
-    given, lists the letter-state entropies in alphabet order, so that a
-    caller scoring many weight vectors decomposes each letter state once."""
-    if letter_entropies is None:
-        held = _letter_entropy(channel, weights)
-    else:
-        held = _letter_sum(weights, letter_entropies.__getitem__)
+def _chi(channel: CQChannel, weights):
+    """Holevo information in bits, per weight row."""
+    held = _letter_entropy(channel, weights)
     return von_neumann_entropy(_averaged_states(channel, weights)) - held
 
 

@@ -42,10 +42,12 @@ from .channels import BroadcastCQChannel, CQChannel, holevo_chi
 from .errors import ExpurgationError, InvalidInputError
 from .operators import (
     KRON_CHUNK_COLUMNS,
+    SUPPORT_REL_TOL,
     ProbabilityDistribution,
     _integral,
     _power,
     _require_bytes,
+    _within,
     hermitian_part,
     kron_apply,
     kron_column_chunks,
@@ -247,12 +249,6 @@ def _normalize_group(factors) -> _NormalizedGroup:
 # The exact commuting reduction: groups of jointly diagonal operators.
 # ---------------------------------------------------------------------------
 
-# Largest distance of an entry of |u† u_a| from a permutation's 0/1 pattern
-# at which a letter's eigenbasis u_a counts as the averaged projector's basis
-# u, reordered and rephased (see _diagonal_orders).
-DIAGONAL_BASIS_TOL = 1e-10
-
-
 def _diagonal_orders(letters: dict, proj: TypicalProjector) -> dict | None:
     """letter -> the letter's eigen-index at each index of u, the single-letter
     basis of the averaged-state projector proj; None unless every letter's
@@ -261,8 +257,9 @@ def _diagonal_orders(letters: dict, proj: TypicalProjector) -> dict | None:
     letters maps each letter to the eigenpairs _letter_eigenpairs returns,
     the ones the conditional projectors read; u_a is their eigenbasis.  It
     qualifies when u† u_a is a signed or phased permutation: every entry of
-    |u† u_a| within DIAGONAL_BASIS_TOL of the permutation's 0/1 pattern.  Then Pi, every P_w and every word state
-    are diagonal in U = u^(x)n.  Commuting letter states are not enough: for
+    |u† u_a| within SUPPORT_REL_TOL of the permutation's 0/1 pattern (the
+    entries' largest possible value is 1).  Then Pi, every P_w and every
+    word state are diagonal in U = u^(x)n.  Commuting letter states are not enough: for
     a degenerate averaged state, eigh may return a u that is not the
     letters' basis.  The off-pattern entries the diagonal path drops are of
     first order in that tolerance, and each enters a trace between diagonal
@@ -278,7 +275,7 @@ def _diagonal_orders(letters: dict, proj: TypicalProjector) -> dict | None:
         pattern = np.zeros((d, d))
         pattern[position, np.arange(d)] = 1.0
         # u is unitary, so a pattern with two 1s in one row fails this too
-        if np.abs(overlap - pattern).max() > DIAGONAL_BASIS_TOL:
+        if np.abs(overlap - pattern).max() > SUPPORT_REL_TOL:
             return None
         orders[a] = np.argsort(position)
     return orders
@@ -608,7 +605,7 @@ def average_errors(decoder: SquareRootDecoder) -> ErrorReport:
                 coll[receiver][pair] = mass = sum(_clamp_nonnegative(t) for k, t in enumerate(row) if k != index)
                 miss = _clamp_nonnegative(1.0 - row[index])
                 bounds[receiver][pair] = 2.0 * miss + 4.0 * mass
-                if err > bounds[receiver][pair] + 1e-9:
+                if not _within(err, bounds[receiver][pair]):
                     ok = False
     return ErrorReport(
         n=codebook.n,
@@ -693,7 +690,7 @@ def second_kind_collision_check(
         "trials": tset.size() ** 2,
         "estimate": float(estimate),
         "budget": float(budget),
-        "within_budget": bool(estimate <= budget + 1e-12),
+        "within_budget": _within(estimate, budget),
         "chi2_bits": float(chi2),
         "eps_slack": eps_slack,
         "mean_conditional_rank": float(mean_rank),
@@ -726,20 +723,15 @@ class ExpurgationResult:
         return {**out, "m1_kept": list(self.m1_kept), "m2_kept": list(self.m2_kept)}
 
 
-# Error averages within this distance of each other, or of a threshold,
-# count as equal: roundoff must not decide a selection or an acceptance.
-ERROR_TIE_TOL = 1e-12
-
-
 def _better_half(averages: dict) -> tuple:
     """The sorted ceil(size/2) keys with the smallest averages.  Averages
-    within ERROR_TIE_TOL of the cutoff, the ceil(size/2)-th smallest, are
-    tied, and ties go to the lower key, so roundoff cannot order equal
-    averages."""
+    within operators.REPORT_RTOL of the cutoff, the ceil(size/2)-th
+    smallest, are tied (operators._within both ways), and ties go to the
+    lower key, so roundoff cannot order equal averages."""
     keep = math.ceil(len(averages) / 2)
     cutoff = sorted(averages.values())[keep - 1]
-    below = [k for k, v in averages.items() if v < cutoff - ERROR_TIE_TOL]
-    tied = sorted(k for k, v in averages.items() if abs(v - cutoff) <= ERROR_TIE_TOL)
+    below = [k for k, v in averages.items() if not _within(cutoff, v)]
+    tied = sorted(k for k, v in averages.items() if _within(cutoff, v) and _within(v, cutoff))
     return tuple(sorted(below + tied[: keep - len(below)]))
 
 
@@ -747,16 +739,16 @@ def expurgate(errors: ErrorReport, delta: float) -> ExpurgationResult:
     """Keep the better half of each message set when the global averages allow it.
 
     Selection keeps the ceil(size/2) indices with the smallest averaged error
-    (averages within ERROR_TIE_TOL of the cutoff tie, and ties go to the
-    lower index); a global average <= delta pins each selected average at
-    <= 2*delta and each restricted average at <= 4*delta.  Every comparison
-    with delta allows ERROR_TIE_TOL, so an average equal to delta in exact
-    arithmetic passes whichever way it rounds.
+    (averages within operators.REPORT_RTOL of the cutoff tie, and ties go to
+    the lower index); a global average <= delta pins each selected average
+    at <= 2*delta and each restricted average at <= 4*delta.  Every
+    comparison with delta is operators._within, so an average equal to
+    delta in exact arithmetic passes whichever way it rounds.
     """
     if delta <= 0.0:
         raise InvalidInputError(f"delta must be positive, got {delta}")
     overall = errors.overall
-    if overall[1] > delta + ERROR_TIE_TOL or overall[2] > delta + ERROR_TIE_TOL:
+    if not (_within(overall[1], delta) and _within(overall[2], delta)):
         raise ExpurgationError(
             f"average errors ({overall[1]:.4g}, {overall[2]:.4g}) exceed delta={delta}"
         )
@@ -777,8 +769,8 @@ def expurgate(errors: ErrorReport, delta: float) -> ExpurgationResult:
         selection_error_by_m1=selection[2],
         final_error_by_m2=final[1],
         final_error_by_m1=final[2],
-        within_two_delta=all(v <= 2.0 * delta + ERROR_TIE_TOL for s in selection.values() for v in s.values()),
-        within_four_delta=all(v <= 4.0 * delta + ERROR_TIE_TOL for f in final.values() for v in f.values()),
+        within_two_delta=all(_within(v, 2.0 * delta) for s in selection.values() for v in s.values()),
+        within_four_delta=all(_within(v, 4.0 * delta) for f in final.values() for v in f.values()),
     )
 
 
@@ -963,13 +955,14 @@ def _too_many_messages(what: str, size, dim: int) -> InvalidInputError:
 def _message_size(n: int, chi: float, eps: float, dim: int, what: str) -> int:
     """floor(2^(n (chi - 2 eps))), refused above the detection dimension dim.
 
-    An exponent within 1e-9 of an integer counts as that integer, so that
-    roundoff in the default epsilon cannot take a message set below the
-    size 2 it was chosen for.  The bound is checked on the exponent, so a
-    size beyond float range is never formed.
+    An exponent within operators.REPORT_RTOL of an integer (operators._within
+    both ways) counts as that integer, so that roundoff in the default
+    epsilon cannot take a message set below the size 2 it was chosen for.
+    The bound is checked on the exponent, so a size beyond float range is
+    never formed.
     """
     exponent = n * (chi - 2.0 * eps)
-    if math.isfinite(exponent) and abs(exponent - round(exponent)) <= 1e-9:
+    if math.isfinite(exponent) and _within(exponent, round(exponent)) and _within(round(exponent), exponent):
         exponent = round(exponent)
     if exponent >= math.log2(dim + 1):
         raise _too_many_messages(what, f"2^{exponent:.6g}", dim)
@@ -1051,13 +1044,13 @@ def _first_passing_seed(config: SimConfig, realize, report: dict):
 
     realize(seed) returns (worst average error, realization).  Returns the
     first seed whose worst average error is <= config.delta, up to
-    ERROR_TIE_TOL as expurgate allows it, with its realization, or (None,
+    operators._within as expurgate allows it, with its realization, or (None,
     last realization) after marking the report threshold-not-met.
     """
     for attempt in range(config.max_seed_attempts):
         seed = config.seed + attempt
         worst, realization = realize(seed)
-        if worst <= config.delta + ERROR_TIE_TOL:
+        if _within(worst, config.delta):
             report["attempts_used"] = attempt + 1
             return seed, realization
     report.update(

@@ -1,9 +1,10 @@
 """Numerical checks of the operator inequalities behind square-root decoding.
 
 Each check evaluates both sides of one inequality exactly (up to floating
-point) and reports the slack; a check "holds" when the slack is no worse
-than -1e-10.  Operands are matrices or CheckedOperators: a check validates
-each operand unless it was already checked for the property the check needs.
+point) and reports the slack; a check "holds" when lhs <= rhs up to
+operators.REPORT_RTOL relative to the larger side (operators._within).
+Operands are matrices or CheckedOperators: a check validates each operand
+unless it was already checked for the property the check needs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .operators import (
     _spectral_apply,
+    _within,
     checked_operator,
     hermitian_part,
     matrix_sqrt,
@@ -23,9 +25,6 @@ from .operators import (
     trace_norm,
     trace_pair,
 )
-
-SLACK_TOL = 1e-10
-
 
 # each check's operands in call order, as (name, density, sub_unital, vectors):
 # the properties that check asks of them
@@ -58,7 +57,7 @@ def check_measurement_on_close_states(sigma, rho, effect) -> LemmaCheckResult:
     lhs = trace_pair(effect, rho) - trace_norm(sigma - rho)
     rhs = trace_pair(effect, sigma)
     slack = rhs - lhs
-    return LemmaCheckResult(lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -SLACK_TOL)
+    return LemmaCheckResult(lhs=lhs, rhs=rhs, slack=slack, holds=_within(lhs, rhs))
 
 
 def check_tender_operator(rho, effect) -> LemmaCheckResult:
@@ -72,7 +71,7 @@ def check_tender_operator(rho, effect) -> LemmaCheckResult:
     lhs = trace_norm(rho - root @ rho @ root)
     rhs = math.sqrt(8.0 * lam)
     slack = rhs - lhs
-    return LemmaCheckResult(lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -SLACK_TOL)
+    return LemmaCheckResult(lhs=lhs, rhs=rhs, slack=slack, holds=_within(lhs, rhs))
 
 
 def check_hayashi_nagaoka(s_op, t_op) -> LemmaCheckResult:
@@ -96,7 +95,7 @@ def check_hayashi_nagaoka(s_op, t_op) -> LemmaCheckResult:
     gap = np.linalg.eigvalsh(hermitian_part(left - right))
     lhs = float(gap[-1])
     slack = -lhs
-    return LemmaCheckResult(lhs=lhs, rhs=0.0, slack=slack, holds=slack >= -SLACK_TOL)
+    return LemmaCheckResult(lhs=lhs, rhs=0.0, slack=slack, holds=_within(lhs, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,24 @@ import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
 
-# Absolute tolerances for operator-level invariants.
-HERMITIAN_ATOL = 1e-10
-PSD_ATOL = 1e-10
-TRACE_ATOL = 1e-10
-PROB_ATOL = 1e-12
-SUBUNITAL_ATOL = 1e-10
+# The three non-geometric tolerances; the two geometric ones live in regions.
+#
+# Input validation, absolute on entries and eigenvalues of operators whose
+# scale is 1 (states and effects) and on probability sums: a Hermitian
+# deviation, a negative eigenvalue, a trace or an eigenvalue above 1 that
+# misses by more than this fails the check.
+VALIDATION_ATOL = 1e-10
+
+# Support and zero cut, relative to the largest value: an eigenvalue at or
+# below this times the largest of its spectrum is an exact zero, and an
+# entry of a unitary's overlap with a 0/1 pattern (largest entry 1) is off
+# the pattern when it misses by more.
+SUPPORT_REL_TOL = 1e-10
+
+# Report comparison, relative: a reported value a counts as within a bound b
+# when a <= b + REPORT_RTOL * max(1, |a|, |b|) (see _within), so roundoff
+# never decides a report flag, a tie or an acceptance.
+REPORT_RTOL = 1e-12
 
 # The one memory budget: each path prices its peak from the sizes it knows
 # and, before it allocates, refuses a price above this many bytes.
@@ -52,12 +64,16 @@ def _integral(value) -> int | None:
     return None
 
 
-# Eigenvalues at or below this are treated as exact zeros of a state.
-ZERO_EIGENVALUE_TOL = 1e-12
+def _within(a: float, b: float) -> bool:
+    """a <= b up to REPORT_RTOL, relative to the larger magnitude and at
+    least 1: the one comparison of a reported value with its bound."""
+    return bool(a <= b + REPORT_RTOL * max(1.0, abs(a), abs(b)))
 
-# pseudo_sqrt_inverse and support_projector keep the eigenvalues above this
-# fraction of the largest.
-SUPPORT_REL_TOL = 1e-10
+
+def _support_cut(w: np.ndarray) -> np.ndarray:
+    """SUPPORT_REL_TOL times the largest value of each row of a (..., d)
+    array, kept as a (..., 1) column: the values above it are the support."""
+    return SUPPORT_REL_TOL * w.max(axis=-1, keepdims=True, initial=0.0)
 
 
 def _batch_label(name: str, flags: np.ndarray) -> tuple[str, tuple] | None:
@@ -99,16 +115,16 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
 def _hermitian(mat, name: str) -> tuple[np.ndarray, np.ndarray]:
     """(A, A†) for a square, finite and Hermitian A, or a (..., d, d) stack.
 
-    A fails when an entry of |A - A†| exceeds HERMITIAN_ATOL; a finite
+    A fails when an entry of |A - A†| exceeds VALIDATION_ATOL; a finite
     difference that overflows is inf and fails without a warning.
     """
     m = as_square_matrix(mat, name)
     mh = m.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore"):
         dev = np.abs(m - mh)
-    if (dev > HERMITIAN_ATOL).any():
+    if (dev > VALIDATION_ATOL).any():
         dev = dev.max(axis=(-2, -1))
-        bad = _batch_label(name, dev > HERMITIAN_ATOL)
+        bad = _batch_label(name, dev > VALIDATION_ATOL)
         raise InvalidInputError(f"{bad[0]} is not Hermitian (max deviation {dev[bad[1]]:.3e})")
     return m, mh
 
@@ -182,20 +198,20 @@ def checked_operator(
         else:
             w, u = np.linalg.eigvalsh((m + mh) / 2), None
         if w.shape[-1]:
-            bad = _batch_label(name, ~(w[..., 0] >= -PSD_ATOL))
+            bad = _batch_label(name, ~(w[..., 0] >= -VALIDATION_ATOL))
             if bad is not None:
                 low = w[bad[1]][0]
                 what = f"negative eigenvalue {low:.3e}" if np.isfinite(low) else "no finite spectrum"
                 raise InvalidInputError(f"{bad[0]} has {what}")
             if sub_unital:
-                bad = _batch_label(name, w[..., -1] > 1.0 + SUBUNITAL_ATOL)
+                bad = _batch_label(name, w[..., -1] > 1.0 + VALIDATION_ATOL)
                 if bad is not None:
                     raise InvalidInputError(
                         f"{bad[0]} exceeds the identity (max eigenvalue {float(w[bad[1]][-1])!r})"
                     )
         if density:
             tr = np.trace(m, axis1=-2, axis2=-1).real
-            bad = _batch_label(name, np.abs(tr - 1.0) > TRACE_ATOL)
+            bad = _batch_label(name, np.abs(tr - 1.0) > VALIDATION_ATOL)
             if bad is not None:
                 raise InvalidInputError(f"{bad[0]} has trace {float(tr[bad[1]])!r}, expected 1")
     return CheckedOperator(m, w, u, density, sub_unital, _VALIDATOR)
@@ -356,7 +372,7 @@ def _on_support(mat, name: str, fn) -> np.ndarray:
     """
     op = checked_operator(mat, name, vectors=True)
     w = op.spectrum
-    cut = SUPPORT_REL_TOL * w.max(axis=-1, keepdims=True, initial=0.0)
+    cut = _support_cut(w)
     floor = np.where(cut > 0.0, cut, 1.0)
     out = _spectral_apply(op.vectors, np.where(w > cut, fn(np.clip(w, floor, None)), 0.0))
     out[cut[..., 0] <= 0.0] = 0.0
@@ -401,7 +417,7 @@ def spectrum_entropy_bits(eigenvalues: np.ndarray):
     A (..., d) stack of spectra gives one entropy per row.
     """
     w = np.asarray(eigenvalues, dtype=float)
-    h = -np.asarray(_kept_row_sums(w, w > ZERO_EIGENVALUE_TOL, _plogp))
+    h = -np.asarray(_kept_row_sums(w, w > _support_cut(w), _plogp))
     return _per_matrix(np.where(h > 0.0, h, 0.0))
 
 
@@ -432,7 +448,7 @@ class ProbabilityDistribution:
         if np.any(w < 0.0):
             raise InvalidInputError("negative probability weight")
         total = float(w.sum())
-        if abs(total - 1.0) > PROB_ATOL:
+        if abs(total - 1.0) > VALIDATION_ATOL:
             raise InvalidInputError(f"weights sum to {total!r}, not 1")
         w.setflags(write=False)
         object.__setattr__(self, "labels", labels)

@@ -13,13 +13,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import BroadcastCQChannel, CQChannel, MACCQChannel, _chi
+from .channels import BroadcastCQChannel, MACCQChannel, _chi
 from .errors import InvalidInputError
-from .operators import ProbabilityDistribution, _require_bytes, compositions, von_neumann_entropy
+from .operators import _require_bytes, compositions, von_neumann_entropy
 
-_VERTEX_DEDUP_TOL = 1e-8
-_COLLINEAR_TOL = 1e-12
-_CONTAIN_TOL = 1e-9
+# The two geometric tolerances.
+#
+# Lengths, absolute on rates in bits, whose scale is 1: a coordinate below
+# this in magnitude snaps to 0, two points this close in both coordinates are
+# one point, and a point this far outside a halfplane is on its inside.  A
+# snapped vertex may move by this much in each coordinate, so containment
+# defaults to twice it (RateRegion.contains).
+_LENGTH_TOL = 1e-8
+
+# Turns, relative: the hull drops the middle point b of o, b, p when the
+# sine of the turn, cross(o, b, p) / (|b - o| |p - o|), is at most this, so
+# a short edge of a thin region keeps its corners whatever its length.
+_TURN_TOL = 1e-12
+
 
 def _require_stack_bytes(points: int, state: np.ndarray, what: str) -> None:
     """Price a grid of points states like state, averaged against float64
@@ -80,7 +91,7 @@ def _run_ids(values: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _dedup_points(points):
-    """Drop each point within _VERTEX_DEDUP_TOL (tol below), in both
+    """Drop each point within _LENGTH_TOL (tol below), in both
     coordinates, of an earlier kept point.
 
     Exact repeats go first, in order: a repeat is always within tol of the
@@ -91,7 +102,7 @@ def _dedup_points(points):
     within tol of each other land in the same or adjacent cells even when
     x / cell is off by rounding.
     """
-    tol = _VERTEX_DEDUP_TOL
+    tol = _LENGTH_TOL
     pts = list(dict.fromkeys(points))
     xy = np.array(pts, dtype=float).reshape(-1, 2)
     runs = _run_ids(xy[:, 0], tol) * len(pts) + _run_ids(xy[:, 1], tol)
@@ -122,10 +133,10 @@ def _point_array(points) -> np.ndarray:
 
 
 def _rate_points(points) -> np.ndarray:
-    """Rate points as a finite (P, 2) array, coordinates below the dedup
-    tolerance in magnitude snapped to 0; a negative point is refused."""
+    """Rate points as a finite (P, 2) array, coordinates below _LENGTH_TOL
+    in magnitude snapped to 0; a negative point is refused."""
     pts = _point_array(points)
-    pts = np.where(np.abs(pts) < _VERTEX_DEDUP_TOL, 0.0, pts)
+    pts = np.where(np.abs(pts) < _LENGTH_TOL, 0.0, pts)
     negative = (pts < 0.0).any(axis=1)
     if negative.any():
         x, y = pts[np.argmax(negative)].tolist()
@@ -139,7 +150,7 @@ def convex_hull(points) -> list[tuple[float, float]]:
 
     Coordinates are rounded to 12 decimals first: float jitter far below the
     rate scale can otherwise reorder sort ties along a near-vertical edge,
-    and the collinearity pops then erode a true corner point.  Exact repeats
+    and the turn pops then erode a true corner point.  Exact repeats
     are dropped before rounding and the tolerant dedup is linear, so the
     cost is one sort of the distinct points.
     """
@@ -152,13 +163,15 @@ def convex_hull(points) -> list[tuple[float, float]]:
     if len(pts) <= 2:
         return pts
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    def turn(o, a, b):
+        # distinct points after the dedup, so neither length is 0
+        (ax, ay), (bx, by) = (a[0] - o[0], a[1] - o[1]), (b[0] - o[0], b[1] - o[1])
+        return (ax * by - ay * bx) / (math.hypot(ax, ay) * math.hypot(bx, by))
 
     def chain(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= _COLLINEAR_TOL:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= _TURN_TOL:
                 out.pop()
             out.append(p)
         return out[:-1]  # the last point starts the other chain
@@ -212,7 +225,7 @@ class RateRegion:
                 add(y1 - y0, -(x1 - x0), (y1 - y0) * x0 - (x1 - x0) * y0)
         return tuple(planes)
 
-    def contains(self, r1: float, r2: float, tol: float = _CONTAIN_TOL) -> bool:
+    def contains(self, r1: float, r2: float, tol: float = 2 * _LENGTH_TOL) -> bool:
         return all(a * r1 + b * r2 <= c + tol for a, b, c in self.halfplanes)
 
     def max_sum_rate(self) -> float:
@@ -226,16 +239,16 @@ def _clip_by_halfplane(vertices, plane):
         return []
     if m == 1:
         (x, y) = vertices[0]
-        return list(vertices) if a * x + b * y <= c + _COLLINEAR_TOL else []
+        return list(vertices) if a * x + b * y <= c + _LENGTH_TOL else []
     out = []
     for i in range(m):
         sx, sy = vertices[i]
         ex, ey = vertices[(i + 1) % m]
         ds = a * sx + b * sy - c
         de = a * ex + b * ey - c
-        if ds <= _COLLINEAR_TOL:
+        if ds <= _LENGTH_TOL:
             out.append((sx, sy))
-        if (ds <= _COLLINEAR_TOL) != (de <= _COLLINEAR_TOL) and ds != de:
+        if (ds <= _LENGTH_TOL) != (de <= _LENGTH_TOL) and ds != de:
             t = ds / (ds - de)
             out.append((sx + t * (ex - sx), sy + t * (ey - sy)))
     return _dedup_points(out)
@@ -369,58 +382,3 @@ def broadcast_region(bc: BroadcastCQChannel, grid: DistributionGrid) -> RateRegi
     zero = np.zeros_like(x1)
     corners = [x1, zero, zero, x2, x1, x2]
     return RateRegion.from_points(_union_candidates(_with_origin(np.stack(corners, axis=-1))))
-
-
-def _project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = int(idx[cond][-1])
-    theta = css[rho - 1] / rho
-    return np.clip(v - theta, 0.0, None)
-
-
-# optimize_chi's projected coordinate-ascent steps after the grid search
-CHI_REFINE_STEPS = 50
-
-
-def _refine_simplex_ascent(chi, weights: np.ndarray):
-    """CHI_REFINE_STEPS of projected coordinate ascent; accepts only improvements."""
-    w = weights.copy()
-    best = chi(w)
-    step = 0.5 / max(len(w), 2)
-    h = 1e-6
-    for _ in range(CHI_REFINE_STEPS):
-        # one chi call for all coordinate probes: a row of a weight stack
-        # scores as that row alone, bit for bit
-        probes = np.array([_project_to_simplex(w + h * e) for e in np.eye(len(w))])
-        grad = (chi(probes) - best) / h
-        cand = _project_to_simplex(w + step * grad)
-        cand_val = chi(cand)
-        if cand_val > best:
-            w, best = cand, cand_val
-        else:
-            step /= 2.0
-    return w, best
-
-
-def optimize_chi(channel: CQChannel, grid: DistributionGrid) -> tuple[ProbabilityDistribution, float]:
-    """Grid search for the Holevo information, then local simplex ascent."""
-    if grid.labels != channel.alphabet:
-        raise InvalidInputError("grid labels must match the channel alphabet")
-    _require_stack_bytes(grid.size, channel.state(channel.alphabet[0]), "chi search")
-    # the letter-state entropies do not depend on the weights: one eigvalsh
-    # per letter for the whole search
-    entropies = [von_neumann_entropy(channel.state(a)) for a in channel.alphabet]
-
-    def chi(weights):
-        return _chi(channel, weights, entropies)
-
-    mat = grid.weight_matrix()
-    best_idx = int(np.argmax(chi(mat)))
-    w, best = _refine_simplex_ascent(chi, mat[best_idx])
-    w = w / w.sum()
-    return ProbabilityDistribution(channel.alphabet, w), float(best)
-

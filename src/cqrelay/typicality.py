@@ -35,7 +35,8 @@ from .operators import (
     _kept_row_sums,
     _power,
     _require_bytes,
-    ZERO_EIGENVALUE_TOL,
+    _support_cut,
+    _within,
     ProbabilityDistribution,
     checked_operator,
     compositions,
@@ -219,8 +220,10 @@ class TypicalSet:
 
 
 def _clean_eigenvalues(values: np.ndarray) -> np.ndarray:
+    """Each spectrum of a (..., d) array with its values off the support
+    (at or below SUPPORT_REL_TOL times its largest) set to exact zeros."""
     w = np.asarray(values, dtype=float).copy()
-    w[w <= ZERO_EIGENVALUE_TOL] = 0.0
+    w[w <= _support_cut(w)] = 0.0
     return w
 
 
@@ -728,10 +731,6 @@ def _cross_stats(states: np.ndarray, classes, dist: ProbabilityDistribution, alp
 # Bound verification reports.
 # ---------------------------------------------------------------------------
 
-_EXPONENT_GRACE = 1e-9
-_CAPTURE_GRACE = 1e-12
-
-
 def _log_inverse_sum(eigenvalues: np.ndarray):
     """sum log2(1/lambda) over the positive eigenvalues, per spectrum of a stack."""
     return _kept_row_sums(eigenvalues, eigenvalues > 0.0, _log2_inverse)
@@ -810,11 +809,11 @@ def _bound_report(kind, params, d, alpha, a_size, capture, rank, lam_max, classe
             "equipartition_log2": equip_exp,
         },
         flags={
-            "reference_capture": bool(capture >= capture_ref - _CAPTURE_GRACE),
-            "provable_capture_chebyshev": bool(capture >= 1.0 - cheb_sum - _CAPTURE_GRACE),
-            "provable_capture_quarter": bool(capture >= 1.0 - quarter_sum - _CAPTURE_GRACE),
-            "provable_counting": bool(log_rank is None or log_rank <= counting_exp + _EXPONENT_GRACE),
-            "provable_equipartition": bool(log_lmax is None or log_lmax <= equip_exp + _EXPONENT_GRACE),
+            "reference_capture": _within(capture_ref, capture),
+            "provable_capture_chebyshev": _within(1.0 - cheb_sum, capture),
+            "provable_capture_quarter": _within(1.0 - quarter_sum, capture),
+            "provable_counting": log_rank is None or _within(log_rank, counting_exp),
+            "provable_equipartition": log_lmax is None or _within(log_lmax, equip_exp),
         },
         empirical_K=max(k_count, k_equip),
     )
@@ -864,7 +863,7 @@ def _conditional_report(word, dist, alpha, preset, d, cond, cross, cond_entropy_
     emp_cond_entropy = sum(size * h for size, _, h, _, _ in classes) / n
     type_counts = Counter(word)
     exact_type = all(
-        abs(type_counts.get(a, 0) - n * wgt) <= 1e-9
+        _within(type_counts.get(a, 0), n * wgt) and _within(n * wgt, type_counts.get(a, 0))
         for a, wgt in zip(dist.labels, dist.weights)
     )
     params = {
@@ -888,9 +887,9 @@ def _conditional_report(word, dist, alpha, preset, d, cond, cross, cond_entropy_
     report.measured.update(cross_capture=cross_capture, cross_mean_shift=mean_shift)
     report.reference_bounds["cross_capture"] = capture_ref
     report.provable_bounds["cross_capture"] = cross_provable
-    report.flags["reference_cross_capture"] = bool(cross_capture >= capture_ref - _CAPTURE_GRACE)
+    report.flags["reference_cross_capture"] = _within(capture_ref, cross_capture)
     if cross_provable is not None:
-        report.flags["provable_cross_capture"] = bool(cross_capture >= cross_provable - _CAPTURE_GRACE)
+        report.flags["provable_cross_capture"] = _within(cross_provable, cross_capture)
     return report
 
 

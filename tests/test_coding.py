@@ -34,7 +34,7 @@ from cqrelay.coding import (
     second_kind_collision_check,
 )
 from cqrelay.errors import ExpurgationError, InvalidInputError, ResourceLimitError
-from cqrelay.operators import KRON_CHUNK_COLUMNS, ProbabilityDistribution, trace_pair
+from cqrelay.operators import KRON_CHUNK_COLUMNS, ProbabilityDistribution, _within, trace_pair
 from cqrelay.typicality import TypicalSet, averaged_state_projector, verify_conditional_projector_bounds
 from test_srm_oracle import dense_op, detection_factors, factor_decoder
 
@@ -485,7 +485,7 @@ def test_expurgation_bounds_hold_on_any_error_table(tables, slack):
         final = float(np.mean([tables[1][(m1, m2)] for m2 in result.m2_kept]))
         assert result.final_error_by_m1[m1] == final <= 4.0 * delta + 1e-12
     if worst > 0.0:
-        # a delta below the worst average by more than the error tie
+        # a delta below the worst average by more than the report
         # tolerance must not expurgate, and one within it counts as equal;
         # halving the smallest subnormal average rounds to 0.0, which is no
         # valid delta
@@ -493,7 +493,7 @@ def test_expurgation_bounds_hold_on_any_error_table(tables, slack):
         if below == 0.0:
             with pytest.raises(InvalidInputError):
                 expurgate(report, below)
-        elif worst - below > coding.ERROR_TIE_TOL:
+        elif not _within(worst, below):
             with pytest.raises(ExpurgationError):
                 expurgate(report, below)
         else:

@@ -29,8 +29,8 @@ from cqrelay.errors import InvalidInputError
 from cqrelay.lemmas import random_density
 from cqrelay.operators import ProbabilityDistribution
 from cqrelay.regions import (
-    _COLLINEAR_TOL,
-    _VERTEX_DEDUP_TOL,
+    _LENGTH_TOL,
+    _TURN_TOL,
     DistributionGrid,
     RatePair,
     RateRegion,
@@ -41,7 +41,7 @@ from cqrelay.regions import (
     mac_region,
 )
 
-TOL = _VERTEX_DEDUP_TOL
+TOL = _LENGTH_TOL
 CELL = 2.0 * TOL
 
 
@@ -66,17 +66,19 @@ def oracle_hull(points):
     if len(pts) <= 2:
         return pts
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    def turn(o, a, b):
+        # the sine of the turn at a
+        cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+        return cross / (math.dist(o, a) * math.dist(o, b))
 
     lower = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= _COLLINEAR_TOL:
+        while len(lower) >= 2 and turn(lower[-2], lower[-1], p) <= _TURN_TOL:
             lower.pop()
         lower.append(p)
     upper = []
     for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= _COLLINEAR_TOL:
+        while len(upper) >= 2 and turn(upper[-2], upper[-1], p) <= _TURN_TOL:
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]

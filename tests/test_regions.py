@@ -5,24 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqrelay import channels, operators, regions
+from cqrelay import operators
 from cqrelay.channels import (
     BroadcastCQChannel,
-    CQChannel,
     MACCQChannel,
     adder_mac_channel,
     constant_channel,
     depolarized_channel,
     orthogonal_pure_channel,
-    overlap_pair_channel,
     product_broadcast_channel,
 )
 from cqrelay.errors import InvalidInputError, ResourceLimitError
 from cqrelay.lemmas import random_density
-from cqrelay.operators import ProbabilityDistribution
 from cqrelay.regions import (
-    _COLLINEAR_TOL,
-    _VERTEX_DEDUP_TOL,
+    _LENGTH_TOL,
+    _TURN_TOL,
     DistributionGrid,
     RatePair,
     RateRegion,
@@ -31,7 +28,6 @@ from cqrelay.regions import (
     convex_hull,
     intersect_regions,
     mac_region,
-    optimize_chi,
 )
 
 
@@ -195,15 +191,14 @@ origin_regions = st.lists(st.tuples(rate, rate), min_size=1, max_size=6).map(
 @settings(max_examples=100, deadline=None)
 @given(origin_regions, origin_regions)
 def test_an_intersection_lies_inside_both_regions(a, b):
-    # from_points snaps coordinates below _VERTEX_DEDUP_TOL to 0, so a vertex
-    # may move by that much in each coordinate: the property holds at that
-    # resolution, not at contains' default 1e-9 (a = hull{(0, 0), (1, 1e-8)}
-    # and the unit triangle give a vertex 1e-8 outside a)
-    tol = 2.0 * _VERTEX_DEDUP_TOL
+    # from_points snaps coordinates below _LENGTH_TOL to 0, so a vertex may
+    # move by that much in each coordinate (a = hull{(0, 0), (1, 1e-8)} and
+    # the unit triangle give a vertex 1e-8 outside a); contains' default
+    # covers that move
     both = intersect_regions(a, b)
     assert both.contains(0.0, 0.0)
     for v in both.vertices:
-        assert a.contains(v.r1, v.r2, tol=tol) and b.contains(v.r1, v.r2, tol=tol)
+        assert a.contains(v.r1, v.r2) and b.contains(v.r1, v.r2)
 
 
 def test_intersection_disjoint_interiors_gives_origin():
@@ -229,7 +224,7 @@ def rectangle_corners(x, y):
 
 # pentagons and rectangles with sides in [0, 4]; shared sides, zeros, near
 # repeats (half the dedup tolerance apart) and exact repeats are frequent
-side = st.one_of(st.floats(0.0, 4.0), st.sampled_from([0.0, 0.5, 1.0, 1.0 + 0.5 * _VERTEX_DEDUP_TOL]))
+side = st.one_of(st.floats(0.0, 4.0), st.sampled_from([0.0, 0.5, 1.0, 1.0 + 0.5 * _LENGTH_TOL]))
 shape_corners = st.one_of(
     st.tuples(side, side, side).map(lambda abc: pentagon_corners(*abc)),
     st.tuples(side, side).map(lambda xy: rectangle_corners(*xy)),
@@ -258,9 +253,8 @@ def test_union_candidates_keep_the_hull(points):
     # tolerance, and a survivor moved by that much can bend an edge: the
     # x-axis point (1, 0) absorbing (1 + 5e-9, 0) leaves (1 + 5e-9, 1) a
     # vertex of the hull of every point.  So the step loses nothing of that
-    # hull at the dedup resolution ...
-    tol = 2.0 * _VERTEX_DEDUP_TOL
-    assert all(kept.contains(v.r1, v.r2, tol=tol) for v in full.vertices)
+    # hull at the dedup resolution, contains' default ...
+    assert all(kept.contains(v.r1, v.r2) for v in full.vertices)
     # ... and where neither tolerance decides anything, the vertex lists are
     # the same
     if no_tolerance_decides(points):
@@ -268,28 +262,39 @@ def test_union_candidates_keep_the_hull(points):
 
 
 def no_tolerance_decides(points):
-    """No two points within 2 dedup tolerances of each other in both
-    coordinates, and no three whose turn (the hull's cross product) is
-    nonzero but within 2 collinear tolerances.  Regions of area about 1e-12
-    fail the second test: their hull is decided by the tolerance."""
+    """No two points within 2 length tolerances of each other in both
+    coordinates, and no three whose turn (the hull's sine of the angle at
+    o between a - o and b - o) is nonzero but within 2 turn tolerances."""
     pts = np.unique(np.round(np.array(points), 12), axis=0)
     gaps = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=-1)
     np.fill_diagonal(gaps, np.inf)
     d = pts[None, :, :] - pts[:, None, :]  # d[o, a] = a - o
-    turns = np.abs(d[:, :, None, 0] * d[:, None, :, 1] - d[:, :, None, 1] * d[:, None, :, 0])
-    return gaps.min() > 2.0 * _VERTEX_DEDUP_TOL and not ((turns > 0.0) & (turns <= 2.0 * _COLLINEAR_TOL)).any()
+    cross = np.abs(d[:, :, None, 0] * d[:, None, :, 1] - d[:, :, None, 1] * d[:, None, :, 0])
+    lengths = np.hypot(d[..., 0], d[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turns = cross / (lengths[:, :, None] * lengths[:, None, :])
+    return gaps.min() > 2.0 * _LENGTH_TOL and not ((turns > 0.0) & (turns <= 2.0 * _TURN_TOL)).any()
 
 
-def test_union_candidates_keep_a_corner_the_hull_of_every_point_cuts():
+def test_the_hull_of_every_point_and_of_the_union_candidates_keep_a_thin_corner():
     # rectangles [0, 1] x [0, 1e-5] and [0, 1 + 5e-9] x [0, 1e-7]: in the
-    # hull of every corner, (1, 0) absorbs (1 + 5e-9, 0), and the collinear
-    # tolerance (on cross products, 1e-12) then pops the true corner
-    # (1, 1e-5) against (1, 0); without the dominated (1, 0) it stays
+    # hull of every corner, (1, 0) absorbs (1 + 5e-9, 0), and the turn at the
+    # true corner (1, 1e-5) before (1, 0) has a cross product of 5e-14 but a
+    # sine of 0.05, so the turn rule keeps it; a rule on raw cross products
+    # (<= 1e-12) popped it and cut the region by 1e-5
     points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1e-5), (1.0, 1e-5), (1.000000005, 0.0), (0.0, 1e-7), (1.000000005, 1e-7)]
-    assert (1.0, 1e-5) not in RateRegion.from_points(points).vertices
+    assert (1.0, 1e-5) in RateRegion.from_points(points).vertices
     assert RateRegion.from_points(_union_candidates(points)).vertices == (
         (0.0, 0.0), (1.000000005, 0.0), (1.000000005, 1e-7), (1.0, 1e-5), (0.0, 1e-5)
     )
+
+
+def test_a_union_of_area_1e_12_keeps_its_four_corners():
+    # the sines of its turns are far from the turn tolerance, though its
+    # cross products are below 1e-12: a rule on those collapsed the region
+    # to the segment (0, 0)-(1e-5, 5.96e-8)
+    points = [(0.0, 0.0), (1e-5, 0.0), (1e-5, 5.96e-8), (0.0, 5.96e-8), (0.0, 1.19e-7)]
+    assert RateRegion.from_points(points).vertices == ((0.0, 0.0), (1e-5, 0.0), (1e-5, 5.96e-8), (0.0, 1.19e-7))
 
 
 def test_union_candidates_are_the_origin_axis_extremes_and_front_in_input_order():
@@ -309,7 +314,7 @@ def test_union_candidates_check_every_corner(bad):
 
 
 def test_union_candidates_snap_as_from_points_does():
-    tiny = 0.5 * _VERTEX_DEDUP_TOL
+    tiny = 0.5 * _LENGTH_TOL
     got = _union_candidates([(0.0, 0.0), (1.0, -tiny), (1.0, 0.5), (tiny, 0.5)])
     assert got.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.0, 0.5]]
 
@@ -460,73 +465,10 @@ def test_broadcast_region_validation():
         broadcast_region(bc, DistributionGrid(("a", "b"), 8))
 
 
-# ---------------------------------------------------------------------------
-# single-channel optimization and boundary points
-# ---------------------------------------------------------------------------
-
-
-def test_optimize_chi_orthogonal():
-    ch = orthogonal_pure_channel()
-    dist, value = optimize_chi(ch, DistributionGrid(ch.alphabet, 16))
-    assert value == pytest.approx(1.0, abs=1e-9)
-    assert dist.weights[dist.labels.index("0")] == pytest.approx(0.5, abs=1e-6)
-
-
-def test_optimize_chi_constant_channel():
-    ch = constant_channel(2, 2)
-    _, value = optimize_chi(ch, DistributionGrid(ch.alphabet, 8))
-    assert value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_optimize_chi_beats_dense_grid():
-    from cqrelay.channels import holevo_chi
-
-    ch = overlap_pair_channel()
-    grid = DistributionGrid(ch.alphabet, 32)
-    _, value = optimize_chi(ch, grid)
-    dense_best = max(
-        holevo_chi(ch, ProbabilityDistribution(ch.alphabet, np.array([k / 1000, 1 - k / 1000])))
-        for k in range(1001)
-    )
-    assert value >= dense_best - 1e-6
-
-
-def test_optimize_chi_decomposes_each_letter_state_once(monkeypatch):
-    # the letter-state entropies do not depend on the weights, so a search
-    # reads them once per call: one entropy call per chi evaluation (its
-    # averaged states) plus one per letter; each evaluation equals the
-    # plain chi bit for bit
-    rng = np.random.default_rng(3)
-    ch = CQChannel(("a", "b", "c"), {k: random_density(rng, 3) for k in "abc"})
-    entropy_calls, evaluations = [], []
-    real_entropy, real_chi = channels.von_neumann_entropy, regions._chi
-
-    def entropy(states):
-        entropy_calls.append(states)
-        return real_entropy(states)
-
-    def chi(channel, weights, *letter_entropies):
-        value = real_chi(channel, weights, *letter_entropies)
-        evaluations.append((np.array(weights), value))
-        return value
-
-    monkeypatch.setattr(channels, "von_neumann_entropy", entropy)
-    monkeypatch.setattr(regions, "von_neumann_entropy", entropy)
-    monkeypatch.setattr(regions, "_chi", chi)
-    optimize_chi(ch, DistributionGrid(ch.alphabet, 16))
-    assert len(evaluations) == 2 + 2 * regions.CHI_REFINE_STEPS
-    assert len(entropy_calls) == len(evaluations) + len(ch.alphabet)
-    monkeypatch.undo()
-    for weights, value in evaluations:
-        assert np.array_equal(value, channels._chi(ch, weights))
-
-
 def test_grid_searches_refuse_oversized_state_stacks():
     # a binary grid of 10^7 points is priced at 3.6 GiB: four (G, 2, 2)
     # float64 stacks and 256 bytes a point
     ch = orthogonal_pure_channel()
-    with pytest.raises(ResourceLimitError, match=r"^chi search grid of 10000001 points needs about 3\.58 GiB, above"):
-        optimize_chi(ch, DistributionGrid(ch.alphabet, 10**7))
     bc = product_broadcast_channel(ch, ch)
     with pytest.raises(ResourceLimitError, match=r"^broadcast region grid of 10000001 points needs about 3\.58 GiB"):
         broadcast_region(bc, DistributionGrid(bc.alphabet, 10**7))
@@ -540,28 +482,24 @@ def _real_and_complex_twins(kind):
     if kind == "mac":
         states = {(a, b): random_density(rng, 3) for a in alphabet for b in alphabet}
         return [MACCQChannel((alphabet, alphabet), {k: f(v) for k, v in states.items()}) for f in (np.real, np.asarray)]
-    if kind == "broadcast":
-        states = {a: random_density(rng, 4) for a in alphabet}
-        return [BroadcastCQChannel(alphabet, (2, 2), {k: f(v) for k, v in states.items()}) for f in (np.real, np.asarray)]
-    states = {a: random_density(rng, 3) for a in alphabet}
-    return [CQChannel(alphabet, {k: f(v) for k, v in states.items()}) for f in (np.real, np.asarray)]
+    states = {a: random_density(rng, 4) for a in alphabet}
+    return [BroadcastCQChannel(alphabet, (2, 2), {k: f(v) for k, v in states.items()}) for f in (np.real, np.asarray)]
 
 
 def _grid_search(kind, channel, k):
     if kind == "mac":
         return mac_region(channel, DistributionGrid(channel.alphabets[0], k))
-    if kind == "broadcast":
-        return broadcast_region(channel, DistributionGrid(channel.alphabet, k))
-    return optimize_chi(channel, DistributionGrid(channel.alphabet, k))
+    return broadcast_region(channel, DistributionGrid(channel.alphabet, k))
 
 
-@pytest.mark.parametrize("kind", ["mac", "broadcast", "chi"])
+@pytest.mark.parametrize("kind", ["mac", "broadcast"])
 def test_grid_stacks_are_priced_at_their_dtype(monkeypatch, kind):
     real, cplx = _real_and_complex_twins(kind)
-    # grid 7 is 64 MAC points or 8 simplex points of 3x3 (or 2x2) states;
-    # a budget between the float64 and the complex128 prices (four stacks
-    # and 256 bytes a point) admits the first and not the second
-    points, dim = (64, 3) if kind == "mac" else (8, 3 if kind == "chi" else 2)
+    # grid 7 is 64 MAC points of 3x3 states or 8 simplex points of 2x2
+    # marginal states; a budget between the float64 and the complex128
+    # prices (four stacks and 256 bytes a point) admits the first and not
+    # the second
+    points, dim = (64, 3) if kind == "mac" else (8, 2)
     monkeypatch.setattr(operators, "MEMORY_BUDGET", points * (4 * dim * dim * 12 + 256))
     _grid_search(kind, real, 7)
     with pytest.raises(ResourceLimitError):

@@ -44,6 +44,7 @@ from cqrelay.coding import (
 )
 from cqrelay.lemmas import random_density
 from cqrelay.operators import (
+    REPORT_RTOL,
     ProbabilityDistribution,
     hermitian_part,
     product_columns,
@@ -523,7 +524,7 @@ def test_diagonal_simulate_matches_the_factor_path(scheme, n, weights):
 def test_an_average_error_equal_to_delta_passes_on_both_paths():
     # at seed 11 receiver 1's overall error is 0.25 = delta in exact
     # arithmetic; one path may read it a rounding above delta, so both seed
-    # acceptance and expurgation compare with the error tie tolerance
+    # acceptance and expurgation compare with the report tolerance
     config = {"n": 5, "M1": 2, "M2": 2, "alpha": 0.3, "seed": 11, "dist": [0.6, 0.4]}
     bc = canonical_broadcast()
     with factor_path():
@@ -531,7 +532,7 @@ def test_an_average_error_equal_to_delta_passes_on_both_paths():
     got = end_to_end_broadcast_sim(bc, config)
     for report in (got, want):
         assert report["status"] == "ok" and report["seed_used"] == 11
-        assert abs(report["errors"]["overall_1"] - 0.25) <= coding.ERROR_TIE_TOL
+        assert abs(report["errors"]["overall_1"] - 0.25) <= REPORT_RTOL
     assert_same_report(got, want)
 
 
