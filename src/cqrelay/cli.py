@@ -4,11 +4,19 @@ Every subcommand is deterministic for fixed flags, files, and seed, and the
 emitted bytes are stable across runs (sorted JSON keys, fixed float formats).
 Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 resource
 limit exceeded.
+
+A call compiles only the modules its command runs. Importing this module
+registers coding, lemmas, regions and typicality without running them; each
+runs on its first attribute access. main runs the named command's modules
+(_COMMAND_MODULES) before build_parser imports argparse. numpy, errors,
+operators and channels load eagerly, because every command runs them.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,34 +37,39 @@ from .channels import (
     overlap_pair_channel,
     product_broadcast_channel,
 )
-from .coding import SimConfig, end_to_end_broadcast_sim
 from .errors import InvalidInputError, RelayError, ResourceLimitError
-from .lemmas import _by_dim, densities, gaussian_draws, sweep_lemma_checks
 from .operators import ProbabilityDistribution, _require_bytes, von_neumann_entropy
-from .regions import DistributionGrid, broadcast_region, intersect_regions, mac_region
-from .typicality import (
-    TypicalSet,
-    resolve_preset,
-    threshold_for,
-    verify_conditional_projector_bounds,
-    verify_state_projector_bounds,
-)
 
-# argparse is imported after the package modules: with no bytecode cache each
-# module compiles on import, coding.py's compile sets the CLI's import peak,
-# and argparse's modules (about 0.3 MB) loaded ahead of it would add to it.
-import argparse
+if TYPE_CHECKING:
+    import argparse
+
+
+def _lazy(name: str):
+    """cqrelay.<name>, registered in sys.modules and bound on the package as
+    an import would, but not run until its first attribute access."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+coding, lemmas, regions, typicality = map(_lazy, ("coding", "lemmas", "regions", "typicality"))
+
+# command -> the lazy modules it runs.  main runs them before argparse is
+# imported: with no bytecode cache a module compiles when it runs, coding's
+# compile sets the CLI's peak, and argparse (about 0.3 MB) loaded ahead of it
+# would add to that peak.  simulate's coding runs typicality itself.
+_COMMAND_MODULES = {"region": (regions,), "verify": (lemmas, typicality), "simulate": (coding,)}
 
 _DEFAULT_PROJECTOR_NS = "2,3,4,5,6,7,8,9,10"
 _DEFAULT_PROJECTOR_ALPHAS = "0.5,1,2"
 _PROJECTOR_INSTANCES = 20
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors map to exit code 1."""
-
-    def error(self, message):
-        raise InvalidInputError(message)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -81,6 +94,8 @@ def _integer(text: str, least: int) -> int:
     int reads decimal integer text exactly, however long; a float token
     such as 2.0, 1e3 or inf is not an integer token.
     """
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -114,6 +129,8 @@ def _parse_dist(text: str, labels) -> ProbabilityDistribution:
 
 def _parse_list(text: str, flag: str, parse) -> list:
     """The comma-separated entries of a list flag, each read by parse."""
+    import argparse
+
     try:
         values = [parse(part) for part in text.split(",") if part.strip() != ""]
     except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -190,12 +207,13 @@ def cmd_region(args) -> int:
     named = []
     if mac is not None:
         k = args.grid_k or _default_grid_k(*mac.alphabets)
-        named.append(("mac", mac_region(mac, DistributionGrid(tuple(mac.alphabets[0]), k), args.variant)))
+        grid = regions.DistributionGrid(tuple(mac.alphabets[0]), k)
+        named.append(("mac", regions.mac_region(mac, grid, args.variant)))
     if bc is not None:
         k = args.grid_k or _default_grid_k(bc.alphabet)
-        named.append(("broadcast", broadcast_region(bc, DistributionGrid(tuple(bc.alphabet), k))))
+        named.append(("broadcast", regions.broadcast_region(bc, regions.DistributionGrid(tuple(bc.alphabet), k))))
     if len(named) == 2:
-        named.append(("intersection", intersect_regions(named[0][1], named[1][1])))
+        named.append(("intersection", regions.intersect_regions(named[0][1], named[1][1])))
     # one region is written bare; several are keyed, or headed, by name
     if args.format == "json":
         out = {name: _region_jsonable(r) for name, r in named}
@@ -213,7 +231,7 @@ def cmd_region(args) -> int:
 
 def _drawn_states(draws, idx) -> np.ndarray:
     """Instances idx as one (k, states, d, d) stack; draws[i] holds instance i's gaussian_draws."""
-    return densities(np.array([draws[i] for i in idx]))
+    return lemmas.densities(np.array([draws[i] for i in idx]))
 
 
 def _verify_projectors(ns, alphas, preset, seed) -> dict:
@@ -225,10 +243,10 @@ def _verify_projectors(ns, alphas, preset, seed) -> dict:
     """
     if not ns or not alphas:
         raise InvalidInputError("projector verification needs at least one block length and one alpha")
-    preset = resolve_preset(preset)
+    preset = typicality.resolve_preset(preset)
     for n in ns:
         for alpha in alphas:
-            threshold_for(alpha, n, preset)
+            typicality.threshold_for(alpha, n, preset)
     base = np.random.SeedSequence(seed)
     state_stream, cond_stream = base.spawn(2)
     dims = [2 if i % 2 == 0 else 3 for i in range(_PROJECTOR_INSTANCES)]
@@ -236,25 +254,28 @@ def _verify_projectors(ns, alphas, preset, seed) -> dict:
         rng = np.random.default_rng(state_stream)
         for n in ns:
             for alpha in alphas:
-                draws = [gaussian_draws(rng, dim) for dim in dims]
-                yield from _by_dim(
-                    dims, lambda idx: verify_state_projector_bounds(_drawn_states(draws, idx)[:, 0], n, alpha, preset)
+                draws = [lemmas.gaussian_draws(rng, dim) for dim in dims]
+                yield from lemmas._by_dim(
+                    dims,
+                    lambda idx: typicality.verify_state_projector_bounds(
+                        _drawn_states(draws, idx)[:, 0], n, alpha, preset
+                    ),
                 )
 
     def conditional_reports():
         rng = np.random.default_rng(cond_stream)
         dist = ProbabilityDistribution(("0", "1"), np.array([0.5, 0.5]))
         for n in ns:
-            tset = TypicalSet(dist, n, 0.5)
+            tset = typicality.TypicalSet(dist, n, 0.5)
             for alpha in alphas:
                 draws, words = [], []
                 for dim in dims:
-                    draws.append(gaussian_draws(rng, dim, count=2))  # both letter states
+                    draws.append(lemmas.gaussian_draws(rng, dim, count=2))  # both letter states
                     words.append(tset.sample(rng, 10_000))
                 # letter states are checked once, inside the report call
-                yield from _by_dim(
+                yield from lemmas._by_dim(
                     dims,
-                    lambda idx: verify_conditional_projector_bounds(
+                    lambda idx: typicality.verify_conditional_projector_bounds(
                         _drawn_states(draws, idx), [words[i] for i in idx], dist, alpha, preset
                     ),
                 )
@@ -297,9 +318,9 @@ def cmd_verify(args) -> int:
     summary = {}
     ok = True
     if args.targets in ("lemmas", "all"):
-        lemmas = sweep_lemma_checks(trials=args.trials, seed=args.seed)
-        summary["lemmas"] = lemmas
-        ok = ok and all(entry["all_hold"] for entry in lemmas.values())
+        sweeps = lemmas.sweep_lemma_checks(trials=args.trials, seed=args.seed)
+        summary["lemmas"] = sweeps
+        ok = ok and all(entry["all_hold"] for entry in sweeps.values())
     if args.targets in ("projectors", "all"):
         ns = _parse_list(args.n, "--n", _positive_int)
         alphas = _parse_list(args.alpha, "--alpha", float)
@@ -320,11 +341,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = SimConfig.from_dict(_load_json(args.config, "config"))
+    config = coding.SimConfig.from_dict(_load_json(args.config, "config"))
     bc = load_channel(args.bc_channel)
     if not isinstance(bc, BroadcastCQChannel):
         raise InvalidInputError(f"{args.bc_channel!r} does not hold a broadcast channel")
-    report = end_to_end_broadcast_sim(bc, config)
+    report = coding.end_to_end_broadcast_sim(bc, config)
     _emit_json(report, args.out)
     return 0
 
@@ -363,6 +384,14 @@ def cmd_generate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Argument parser whose usage errors map to exit code 1."""
+
+        def error(self, message):
+            raise InvalidInputError(message)
+
     parser = _Parser(prog="cqrelay", description="Two-phase relay channel toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -422,6 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    for module in _COMMAND_MODULES.get(argv[0] if argv else None, ()):
+        vars(module)  # a lazy module runs on its first attribute access
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

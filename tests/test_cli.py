@@ -360,14 +360,12 @@ def test_repeated_labels_in_a_channel_file_exit_one(tmp_path, capsys, kind, labe
 
 
 def test_region_bidirectional_checks_both_files_first(tmp_path, capsys, monkeypatch):
-    import cqrelay.cli as cli
     import cqrelay.regions as regions
 
     def boom(*args, **kwargs):
         raise RuntimeError("a region was computed before the inputs were checked")
 
     monkeypatch.setattr(regions, "mac_region", boom)
-    monkeypatch.setattr(cli, "mac_region", boom)
     mac = write_channel(tmp_path, "adder-mac", "mac.json")
     missing = str(tmp_path / "missing.json")
     for extra in ([], ["--bc-channel", mac], ["--bc-channel", missing]):
@@ -610,7 +608,7 @@ def test_non_finite_output_is_an_error_not_infinity(tmp_path, capsys, monkeypatc
     bc = write_channel(tmp_path, "product-broadcast", "bc.json")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4, "M1": 2, "M2": 2}))
-    monkeypatch.setattr(cli, "end_to_end_broadcast_sim", lambda bc, config: {"eps": -math.inf})
+    monkeypatch.setattr(coding, "end_to_end_broadcast_sim", lambda bc, config: {"eps": -math.inf})
     assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 1
     assert_one_error_line(capsys)
 

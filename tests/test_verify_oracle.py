@@ -904,7 +904,7 @@ def test_projector_reports_see_the_one_instance_draws(monkeypatch):
     ns, alphas, instances, seed = (2, 4), (0.5, 1.0), 5, 3
     monkeypatch.setattr(cli, "_PROJECTOR_INSTANCES", instances)
     calls = []
-    real_state, real_cond = cli.verify_state_projector_bounds, cli.verify_conditional_projector_bounds
+    real_state, real_cond = typicality.verify_state_projector_bounds, typicality.verify_conditional_projector_bounds
 
     def state(states, n, alpha, preset):
         calls.append(("state", np.array(states)))
@@ -914,8 +914,8 @@ def test_projector_reports_see_the_one_instance_draws(monkeypatch):
         calls.append(("cond", np.array(states), list(words)))
         return real_cond(states, words, dist, alpha, preset)
 
-    monkeypatch.setattr(cli, "verify_state_projector_bounds", state)
-    monkeypatch.setattr(cli, "verify_conditional_projector_bounds", cond)
+    monkeypatch.setattr(typicality, "verify_state_projector_bounds", state)
+    monkeypatch.setattr(typicality, "verify_conditional_projector_bounds", cond)
     cli._verify_projectors(ns, alphas, "fixed", seed)
 
     state_stream, cond_stream = np.random.SeedSequence(seed).spawn(2)
