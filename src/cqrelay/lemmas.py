@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .operators import (
+    _integral,
     _spectral_apply,
     _within,
     checked_operator,
@@ -218,9 +219,14 @@ def sweep_lemma_checks(
     unknown = set(which) - set(_LEMMA_NAMES)
     if unknown:
         raise InvalidInputError(f"unknown lemma names: {sorted(unknown)}")
+    if not which:
+        raise InvalidInputError("a sweep needs at least one lemma name")
     if trials < 1:
         raise InvalidInputError(f"a sweep needs at least one trial, got {trials!r}")
-    dims = tuple(int(d) for d in dims)
+    sizes = tuple(map(_integral, dims))
+    if not sizes or any(d is None or d < 1 for d in sizes):
+        raise InvalidInputError(f"a sweep needs dimensions, each an integer >= 1, got {tuple(dims)!r}")
+    dims = sizes
     # looked up per sweep, so a wrapped module-level check is the one called
     checks = {
         "close-states": check_measurement_on_close_states,

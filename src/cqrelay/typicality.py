@@ -21,9 +21,9 @@ verify_*_projector_bounds reports read them.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from collections import Counter
 
@@ -32,6 +32,7 @@ import numpy as np
 from .channels import CQChannel, _letter_sum, _require_matching_alphabet, output_state
 from .errors import InvalidInputError, ResourceLimitError
 from .operators import (
+    _integral,
     _kept_row_sums,
     _power,
     _require_bytes,
@@ -49,14 +50,20 @@ from .operators import (
 
 PRESET_FIXED = "fixed"
 PRESET_SQRT = "sqrt"
-_PRESET_ALIASES = {"fixed": PRESET_FIXED, "sqrt": PRESET_SQRT}
 
 
 def resolve_preset(preset: str) -> str:
-    try:
-        return _PRESET_ALIASES[preset]
-    except KeyError:
-        raise InvalidInputError(f"unknown threshold preset {preset!r}") from None
+    if preset not in (PRESET_FIXED, PRESET_SQRT):
+        raise InvalidInputError(f"unknown threshold preset {preset!r}")
+    return preset
+
+
+def _block_length(n, what: str = "block length") -> int:
+    """n as an int: an integer, or an integral float, of at least 1 and not a bool."""
+    length = _integral(n)
+    if length is None or length < 1:
+        raise InvalidInputError(f"{what} must be an integer >= 1, got {n!r}")
+    return length
 
 
 def threshold_for(alpha: float, length: int, preset: str) -> float:
@@ -67,8 +74,7 @@ def threshold_for(alpha: float, length: int, preset: str) -> float:
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise InvalidInputError(f"threshold parameter must be positive and finite, got {alpha}")
-    if length < 1:
-        raise InvalidInputError(f"block length must be >= 1, got {length}")
+    length = _block_length(length)
     tau = float(alpha) if resolve_preset(preset) == PRESET_FIXED else float(alpha) / math.sqrt(length)
     scaled = length * float(alpha)
     if tau * tau == 0.0 or not math.isfinite(scaled * scaled):
@@ -88,15 +94,14 @@ class TypicalSet:
     """
 
     def __init__(self, dist: ProbabilityDistribution, n: int, delta: float):
-        if n < 1:
-            raise InvalidInputError(f"word length must be >= 1, got {n}")
+        n = _block_length(n, "word length")
         if not (math.isfinite(delta) and delta > 0.0):
             raise InvalidInputError(f"delta must be positive and finite, got {delta}")
         d = len(dist.labels)
         # the mask and the float window tests it is read from
         _require_bytes(24 * d * (n + 1), f"typical-set mask for n={n}, d={d}")
         self.dist = dist
-        self.n = int(n)
+        self.n = n
         self.delta = float(delta)
         self.threshold = self.delta / d
         self._allowed = _count_allowed(dist.weights, self.n, self.threshold)
@@ -387,8 +392,7 @@ def typical_projector(rho, n: int, alpha: float, preset: str = PRESET_FIXED) -> 
         raise InvalidInputError(f"state must be one d x d matrix, got shape {np.shape(rho)}")
     # validated from the one eigh whose decomposition the projector reads
     w, u = _eigenpairs(rho, "state")
-    if n < 1:
-        raise InvalidInputError(f"block length must be >= 1, got {n}")
+    n = _block_length(n)
     _require_bytes(_projector_bytes(u.shape[0], n), f"typical projector for n={n}")
     return _projector({0: (w, u)}, (0,) * n, alpha, preset)
 
@@ -428,9 +432,6 @@ def averaged_state_projector(
 # Exact scalar evaluation over letter-count classes.
 # ---------------------------------------------------------------------------
 
-# Up to this many count-class tables stay cached, so each is priced this many times.
-COUNT_TABLE_CACHE = 16
-
 # Stacks of spectra and instances are scored in chunks that keep their
 # working arrays near this many bytes.
 COUNT_WORKING_BYTES = 32 * 2**20
@@ -445,44 +446,48 @@ class _CountTable:
     weights: np.ndarray  # (R,) the multinomials as floats
 
 
-def _table_rows(n: int, d: int) -> int:
-    return math.comb(n + d - 1, d - 1)
-
-
 def _count_table_bytes(n: int, d: int) -> int:
     """Peak of building the (n, d) table: per row, the counts with five
-    temporaries of their width and three object arrays of exact multinomials
-    (Python ints of up to n log2(d) bits)."""
+    temporaries of their width and three object arrays of exact integers
+    (the binomials read and the multinomials, of up to n log2(d) bits)."""
     exact = 8 + 32 + math.ceil(n * math.log2(d) / 8)
-    return _table_rows(n, d) * (40 * d + 3 * exact + 16)
+    return math.comb(n + d - 1, d - 1) * (40 * d + 3 * exact + 16)
 
 
-_comb = np.frompyfunc(math.comb, 2, 1)
+def _binomial_rows(n: int, d: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The exact binomial rows C(m, 0..m) the (n, d) table reads, flattened
+    as dtype, and where each row m starts: rows 0..n for d > 2, row n alone
+    for d = 2, none for d = 1.  Each row follows C(m, k + 1) = C(m, k) (m - k) / (k + 1)."""
+    start = np.zeros(n + 1, dtype=np.intp)
+    flat = []
+    for m in range(n + 1) if d > 2 else range(n, n + d - 1):
+        start[m] = len(flat)
+        flat.append(1)
+        for k in range(m):
+            flat.append(flat[-1] * (m - k) // (k + 1))
+    return np.array(flat, dtype=dtype), start
 
 
-@functools.lru_cache(maxsize=COUNT_TABLE_CACHE)
 def _count_table(n: int, d: int) -> _CountTable:
-    """The (n, d) count-class table, built once; it is priced first, as
-    the COUNT_TABLE_CACHE tables the cache may hold."""
-    cached = f"count-class table for n={n}, d={d} (times the {COUNT_TABLE_CACHE} the cache holds)"
-    _require_bytes(COUNT_TABLE_CACHE * _count_table_bytes(n, d), cached)
-    counts = compositions(n, d)
-    # multinomial = prod_i C(n - c_0 - ... - c_(i-1), c_i)
-    remaining = n - np.cumsum(counts, axis=1) + counts
-    mult = np.ones(len(counts), dtype=object)
-    for i in range(d - 1):
-        mult = mult * _comb(remaining[:, i], counts[:, i])
-    try:
-        weights = mult.astype(float)
-    except OverflowError:
+    """The (n, d) count-class table.  It is priced first; then its largest
+    multinomial, that of the most balanced counts, is checked against the
+    float range before any other is formed."""
+    _require_bytes(_count_table_bytes(n, d), f"count-class table for n={n}, d={d}")
+    q, r = divmod(n, d)
+    if math.factorial(n) // (math.factorial(q + 1) ** r * math.factorial(q) ** (d - r)) > sys.float_info.max:
         raise InvalidInputError(
             f"block length n={n} is out of range for d={d}: its count classes have multinomials beyond the float range"
-        ) from None
-    if n * math.log2(d) < 63:  # every multinomial, and every sum of them, is at most d^n
-        mult = mult.astype(np.int64)
-    for arr in (counts, mult, weights):
-        arr.setflags(write=False)
-    return _CountTable(counts=counts, multinomials=mult, weights=weights)
+        )
+    # every multinomial, and every sum of them, is at most d^n
+    exact = np.int64 if n * math.log2(d) < 63 else object
+    counts = compositions(n, d)
+    binomials, start = _binomial_rows(n, d, exact)
+    # multinomial = prod_i C(left_i, c_i), with left_i = n - c_0 - ... - c_(i-1)
+    mult, left = np.ones(len(counts), dtype=exact), n
+    for i in range(d - 1):
+        mult = mult * binomials[start[left] + counts[:, i]]
+        left = left - counts[:, i]
+    return _CountTable(counts=counts, multinomials=mult, weights=mult.astype(float))
 
 
 def _power_table(values: np.ndarray, n: int) -> np.ndarray:
@@ -528,26 +533,16 @@ def _rows_allowed(allowed: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _score_spectra(w: np.ndarray, n: int, tau: np.ndarray):
-    """Captures, exact ranks and largest products of an (S, d) stack of spectra."""
-    table = _count_table(n, w.shape[-1])
-    # each spectrum holds a few rows of table length at once: take the
-    # spectra in chunks
-    chunk = max(1, COUNT_WORKING_BYTES // (32 * len(table.counts)))
-    if len(w) > chunk:
-        parts = [_score_spectra(w[i : i + chunk], n, tau[i : i + chunk]) for i in range(0, len(w), chunk)]
-        return (
-            np.concatenate([capture for capture, _, _ in parts]),
-            [rank for _, ranks, _ in parts for rank in ranks],
-            np.concatenate([lam_max for _, _, lam_max in parts]),
-        )
+def _score_spectra(table: _CountTable, n: int, w: np.ndarray, tau: np.ndarray):
+    """Captures, exact ranks and largest products of an (S, d) stack of
+    spectra, scored against the table of their (n, d)."""
     mask = _rows_allowed(_eigen_allowed(w, n, tau), table.counts)
     p = _class_products(_power_table(w, n), table.counts)
     # a sequential running sum adds the admissible classes in table order
     capture = np.cumsum(np.where(mask, table.weights * p, 0.0), axis=-1)[:, -1]
     ranks = np.where(mask, table.multinomials, 0).sum(axis=-1)
     lam_max = np.where(mask, p, 0.0).max(axis=-1, initial=0.0)
-    return capture, [int(r) for r in ranks], lam_max
+    return capture, ranks, lam_max
 
 
 @dataclass(frozen=True)
@@ -567,22 +562,28 @@ class SpectrumProjectorStats:
 def spectrum_projector_stats(eigenvalues, n, tau) -> SpectrumProjectorStats:
     """Exact stats of one spectrum, or of an (S, d) stack of spectra.
 
-    For a stack, n and tau may be scalars or one value per spectrum.  Each
-    spectrum is scored against the cached count-class table of its (n, d):
-    the capture adds the admissible classes in table order, so it matches a
-    class-by-class loop bit for bit.
+    For a stack, n and tau may be scalars or one value per spectrum; each n
+    is an integer >= 1 and each tau finite and >= 0.  One count-class table
+    is built per block length, and its spectra are scored against it in
+    chunks: the capture adds the admissible classes in table order, so it
+    matches a class-by-class loop bit for bit.
     """
     w = _clean_eigenvalues(np.asarray(eigenvalues, dtype=float))
     flat = w.reshape(-1, w.shape[-1])
     lengths = np.broadcast_to(np.asarray(n), (len(flat),))
     taus = np.broadcast_to(np.asarray(tau, dtype=float), (len(flat),))
+    if not (np.isfinite(taus) & (taus >= 0.0)).all():
+        raise InvalidInputError(f"thresholds must be finite and >= 0, got {tau!r}")
     capture = np.zeros(len(flat))
     lam_max = np.zeros(len(flat))
     ranks = np.zeros(len(flat), dtype=object)
-    for length in sorted(set(lengths.tolist())):
-        rows = lengths == length
-        capture[rows], ranks_rows, lam_max[rows] = _score_spectra(flat[rows], length, taus[rows])
-        ranks[rows] = ranks_rows
+    for length in sorted({_block_length(k) for k in set(lengths.tolist())}):
+        table = _count_table(length, w.shape[-1])
+        # each spectrum holds a few rows of table length at once
+        chunk = max(1, COUNT_WORKING_BYTES // (32 * len(table.counts)))
+        rows = np.flatnonzero(lengths == length)
+        for part in (rows[i : i + chunk] for i in range(0, len(rows), chunk)):
+            capture[part], ranks[part], lam_max[part] = _score_spectra(table, length, flat[part], taus[part])
     if w.ndim == 1:
         capture, ranks, lam_max = float(capture[0]), int(ranks[0]), float(lam_max[0])
     else:
@@ -733,11 +734,7 @@ def _cross_stats(states: np.ndarray, classes, dist: ProbabilityDistribution, alp
 
 def _log_inverse_sum(eigenvalues: np.ndarray):
     """sum log2(1/lambda) over the positive eigenvalues, per spectrum of a stack."""
-    return _kept_row_sums(eigenvalues, eigenvalues > 0.0, _log2_inverse)
-
-
-def _log2_inverse(w: np.ndarray) -> np.ndarray:
-    return np.log2(1.0 / w)
+    return _kept_row_sums(eigenvalues, eigenvalues > 0.0, lambda w: np.log2(1.0 / w))
 
 
 @dataclass
@@ -829,7 +826,7 @@ def verify_state_projector_bounds(rho, n: int, alpha: float, preset: str = PRESE
     # validated from the eigh whose spectrum the reports read
     op = checked_operator(rho, "state", density=True, vectors=True)
     preset = resolve_preset(preset)
-    d = op.matrix.shape[-1]
+    d, n = op.matrix.shape[-1], _block_length(n)
     tau = threshold_for(alpha, n, preset)
     stats = spectrum_projector_stats(op.spectrum.reshape(-1, d)[:, ::-1], n, tau)
     reports = []

@@ -528,8 +528,8 @@ def test_projector_verification_is_never_vacuous(kwargs):
 
 def test_count_table_beyond_byte_limit_exits_three(capsys):
     # a count-class table at n = 10^6 would hold 10^6 rows of exact
-    # multinomials with 10^5-byte integers; its price, times the tables the
-    # cache holds, is refused before any table or per-class array is built
+    # multinomials with 10^5-byte integers; its price is refused before any
+    # table, per-class array or multinomial is built
     tracemalloc.start()
     try:
         assert main(["verify", "projectors", "--n", "1000000", "--alpha", "0.5"]) == 3
@@ -538,8 +538,7 @@ def test_count_table_beyond_byte_limit_exits_three(capsys):
         tracemalloc.stop()
     assert peak < 2 * 2**20
     assert assert_one_error_line(capsys) == (
-        "error: count-class table for n=1000000, d=2 (times the 16 the cache holds) "
-        "needs about 5.59e+03 GiB, above the 2 GiB memory budget"
+        "error: count-class table for n=1000000, d=2 needs about 349 GiB, above the 2 GiB memory budget"
     )
 
 
@@ -550,6 +549,25 @@ def test_count_table_beyond_the_float_range_exits_one(capsys):
     assert main(["verify", "projectors", "--n", "1030", "--alpha", "0.5"]) == 1
     assert assert_one_error_line(capsys) == (
         "error: block length n=1030 is out of range for d=2: "
+        "its count classes have multinomials beyond the float range"
+    )
+
+
+@pytest.mark.parametrize("n", [653, 1029])
+def test_count_tables_past_the_float_range_are_refused_before_they_are_built(n, capsys):
+    # the d = 3 tables at these lengths fit the memory budget, but their
+    # most balanced multinomial passes the float range; it is checked
+    # before the d = 3 table is built (the d = 2 tables of the state
+    # reports, at most 1030 rows, come first)
+    tracemalloc.start()
+    try:
+        assert main(["verify", "projectors", "--n", str(n), "--alpha", "0.5"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert assert_one_error_line(capsys) == (
+        f"error: block length n={n} is out of range for d=3: "
         "its count classes have multinomials beyond the float range"
     )
 

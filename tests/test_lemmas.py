@@ -163,6 +163,20 @@ def test_sweep_lemma_checks_subset_and_validation():
         sweep_lemma_checks(trials=5, which=("mystery",))
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"which": ()}, {"dims": ()}, {"dims": (-2,)}, {"dims": (0,)}, {"dims": (2.5,)}, {"dims": (True,)}]
+)
+def test_sweeps_refuse_an_empty_lemma_list_and_bad_dimensions(kwargs):
+    # none of these may pass vacuously or fail on an unrelated check
+    refusal = r"^a sweep needs (at least one lemma name|dimensions, each an integer >= 1)"
+    with pytest.raises(InvalidInputError, match=refusal):
+        sweep_lemma_checks(trials=3, **kwargs)
+
+
+def test_sweeps_take_integral_float_dimensions():
+    assert sweep_lemma_checks(trials=4, seed=2, dims=(2.0, 3)) == sweep_lemma_checks(trials=4, seed=2, dims=(2, 3))
+
+
 def test_sweep_is_json_safe():
     import json
 

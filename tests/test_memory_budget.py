@@ -113,13 +113,8 @@ def test_region_stack_price_bounds_its_peak(monkeypatch):
 def test_count_table_price_bounds_its_build(monkeypatch):
     runs = []
     for n in (20, 40, 60):
-        typicality._count_table.cache_clear()
-        try:
-            peak, prices = priced_peak(monkeypatch, typicality, lambda: typicality._count_table(n, 3))
-        finally:
-            typicality._count_table.cache_clear()
-        # the table is priced as the cache's worth of tables
-        runs.append((peak, prices[0] / typicality.COUNT_TABLE_CACHE))
+        peak, prices = priced_peak(monkeypatch, typicality, lambda: typicality._count_table(n, 3))
+        runs.append((peak, prices[0]))
     assert_tight_upper_bounds(runs)
 
 
@@ -137,14 +132,26 @@ def test_count_law_price_bounds_its_peak(monkeypatch):
     assert_tight_upper_bounds(runs)
 
 
-def test_a_full_count_table_cache_fits_the_budget():
-    # the largest table the check admits, cached COUNT_TABLE_CACHE times
+def test_the_largest_count_table_the_price_admits_builds(monkeypatch):
+    # at a 16 MiB budget the largest d = 3 table whose price fits builds
+    # within the budget, and the next block length is refused before it
+    # allocates
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", 16 * 2**20)
     n = 1
-    while typicality.COUNT_TABLE_CACHE * typicality._count_table_bytes(n + 1, 3) <= MEMORY_BUDGET:
+    while typicality._count_table_bytes(n + 1, 3) <= operators.MEMORY_BUDGET:
         n += 1
-    assert typicality.COUNT_TABLE_CACHE * typicality._count_table_bytes(n, 3) <= MEMORY_BUDGET
-    with pytest.raises(ResourceLimitError):
-        typicality._count_table(n + 1, 3)
+    tracemalloc.start()
+    try:
+        assert len(typicality._count_table(n, 3).counts) == math.comb(n + 2, 2)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(ResourceLimitError):
+            typicality._count_table(n + 1, 3)
+        refused = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built <= operators.MEMORY_BUDGET
+    assert refused < 2**20
 
 
 def test_prices_never_form_the_dimension():

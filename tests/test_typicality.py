@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -66,6 +67,51 @@ def test_threshold_presets():
         threshold_for(-1.0, 4, PRESET_FIXED)
     with pytest.raises(InvalidInputError):
         threshold_for(1.0, 0, PRESET_FIXED)
+
+
+@pytest.mark.parametrize("length", [2.5, True, 0, -3])
+def test_thresholds_refuse_lengths_that_are_not_positive_integers(length):
+    with pytest.raises(InvalidInputError, match=r"^block length must be an integer >= 1, got "):
+        threshold_for(0.5, length, PRESET_FIXED)
+
+
+@pytest.mark.parametrize("length", [2.5, True])
+def test_typical_sets_refuse_lengths_that_are_not_integers(length):
+    dist = ProbabilityDistribution(("0", "1"), np.array([0.5, 0.5]))
+    with pytest.raises(InvalidInputError, match=r"^word length must be an integer >= 1, got "):
+        TypicalSet(dist, length, 0.5)
+
+
+def test_typical_sets_take_integral_float_lengths():
+    dist = ProbabilityDistribution(("0", "1"), np.array([0.5, 0.5]))
+    assert TypicalSet(dist, 3.0, 0.5).n == 3
+    assert TypicalSet(dist, 3.0, 0.5).size() == TypicalSet(dist, 3, 0.5).size() == 6
+
+
+def test_state_projector_bounds_refuse_a_fractional_length():
+    with pytest.raises(InvalidInputError, match=r"^block length must be an integer >= 1, got 3.5$"):
+        verify_state_projector_bounds(np.diag([0.7, 0.3]), 3.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "n, tau, message",
+    [
+        (0, 0.3, "block length must be an integer >= 1, got 0"),
+        (2.5, 0.3, "block length must be an integer >= 1, got 2.5"),
+        (2, math.nan, "thresholds must be finite and >= 0, got nan"),
+        (2, math.inf, "thresholds must be finite and >= 0, got inf"),
+        (2, -0.1, "thresholds must be finite and >= 0, got -0.1"),
+    ],
+)
+def test_spectrum_stats_refuse_bad_lengths_and_thresholds(n, tau, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        spectrum_projector_stats([0.5, 0.5], n, tau)
+
+
+def test_spectrum_stats_refuse_a_bad_length_in_a_stack_before_any_table():
+    # the lengths are checked together, so the valid ones score nothing first
+    with pytest.raises(InvalidInputError, match="got 3.5$"):
+        spectrum_projector_stats([[0.5, 0.5]] * 3, [2, 3.5, 4], 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -862,11 +862,7 @@ def test_cross_capture_in_instance_chunks_matches_one_pass(monkeypatch):
     states = letter_stack(channels, dist.labels)
     whole = verify_conditional_projector_bounds(states, words, dist, 0.5)
     monkeypatch.setattr(typicality, "COUNT_WORKING_BYTES", 4096)
-    typicality._count_table.cache_clear()
-    try:
-        chunked = verify_conditional_projector_bounds(states, words, dist, 0.5)
-    finally:
-        typicality._count_table.cache_clear()
+    chunked = verify_conditional_projector_bounds(states, words, dist, 0.5)
     assert [r.as_dict() for r in chunked] == [r.as_dict() for r in whole]
 
 
@@ -878,11 +874,7 @@ def test_spectrum_stats_in_chunks_match_one_pass(monkeypatch):
     taus = rng.uniform(0.05, 0.5, size=7)
     whole = spectrum_projector_stats(spectra, 9, taus)
     monkeypatch.setattr(typicality, "COUNT_WORKING_BYTES", 4096)
-    typicality._count_table.cache_clear()
-    try:
-        chunked = spectrum_projector_stats(spectra, 9, taus)
-    finally:
-        typicality._count_table.cache_clear()
+    chunked = spectrum_projector_stats(spectra, 9, taus)
     assert chunked.capture.tolist() == whole.capture.tolist()
     assert chunked.rank.tolist() == whole.rank.tolist()
     assert chunked.lambda_max.tolist() == whole.lambda_max.tolist()
@@ -1019,6 +1011,12 @@ def test_compositions_match_the_recursive_lattice_and_the_multinomials():
                 table = _count_table(n, d)
                 assert np.array_equal(table.counts, rows)
                 assert table.multinomials.tolist() == [o_multinomial(n, r) for r in rows.tolist()]
+    # each side of the int64 / Python-int switch (n log2(d) < 63)
+    for n, d in ((62, 2), (63, 2), (39, 3), (40, 3)):
+        table = _count_table(n, d)
+        assert table.multinomials.dtype == (np.int64 if n * math.log2(d) < 63 else object)
+        assert table.multinomials.tolist() == [o_multinomial(n, r) for r in compositions(n, d).tolist()]
+        assert table.weights.tolist() == [float(o_multinomial(n, r)) for r in compositions(n, d).tolist()]
     for bad in ((-1, 2), (3, 0)):
         with pytest.raises(InvalidInputError):
             compositions(*bad)
