@@ -78,46 +78,26 @@ class DistributionGrid:
         return compositions(self.resolution, len(self.labels)) / self.resolution
 
 
-def _run_ids(values: np.ndarray, tol: float) -> np.ndarray:
-    """Label runs of sorted values whose neighbours are at most tol apart.
-
-    Float subtraction is monotone, so two values within tol of each other
-    always share a label.
-    """
-    order = np.argsort(values)
-    ids = np.empty(len(values), dtype=np.int64)
-    ids[order] = np.cumsum(np.diff(values[order], prepend=values[order[:1]]) > tol)
-    return ids
-
-
 def _dedup_points(points):
     """Drop each point within _LENGTH_TOL (tol below), in both
-    coordinates, of an earlier kept point.
+    coordinates, of an earlier kept point, so every exact repeat goes.
 
-    Exact repeats go first, in order: a repeat is always within tol of the
-    point that absorbed its twin.  A point alone in its pair of x and y runs
-    (``_run_ids``) has no other point within tol and is kept outright.
-    Each remaining point is compared only with the kept points in the
-    neighbouring cells of a hash grid.  Cells are 2*tol wide, so two points
-    within tol of each other land in the same or adjacent cells even when
-    x / cell is off by rounding.
+    Each point is compared only with the kept points in the neighbouring
+    cells of a hash grid.  Cells are 2*tol wide, so two points within tol
+    of each other land in the same or adjacent cells even when x / cell is
+    off by rounding.
     """
     tol = _LENGTH_TOL
-    pts = list(dict.fromkeys(points))
-    xy = np.array(pts, dtype=float).reshape(-1, 2)
-    runs = _run_ids(xy[:, 0], tol) * len(pts) + _run_ids(xy[:, 1], tol)
-    _, where, sizes = np.unique(runs, return_inverse=True, return_counts=True)
-    keep = sizes[where] == 1
     cell = 2.0 * tol
     buckets: dict[tuple[int, int], list] = {}
-    for k in np.flatnonzero(~keep).tolist():
-        p = pts[k]
+    kept = []
+    for p in points:
         i, j = math.floor(p[0] / cell), math.floor(p[1] / cell)
         near = (q for di in (-1, 0, 1) for dj in (-1, 0, 1) for q in buckets.get((i + di, j + dj), ()))
         if not any(abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol for q in near):
-            keep[k] = True
+            kept.append(p)
             buckets.setdefault((i, j), []).append(p)
-    return [p for p, kept in zip(pts, keep.tolist()) if kept]
+    return kept
 
 
 def _point_array(points) -> np.ndarray:
@@ -150,12 +130,10 @@ def convex_hull(points) -> list[tuple[float, float]]:
 
     Coordinates are rounded to 12 decimals first: float jitter far below the
     rate scale can otherwise reorder sort ties along a near-vertical edge,
-    and the turn pops then erode a true corner point.  Exact repeats
-    are dropped before rounding and the tolerant dedup is linear, so the
-    cost is one sort of the distinct points.
+    and the turn pops then erode a true corner point.  The tolerant dedup
+    is linear, so the cost is one sort of the distinct points.
     """
-    distinct = dict.fromkeys(map(tuple, _point_array(points).tolist()))
-    rounded = [(round(x, 12), round(y, 12)) for x, y in distinct]
+    rounded = [(round(x, 12), round(y, 12)) for x, y in _point_array(points).tolist()]
     # the origin first, so that the keep-first dedup drops a point within
     # tol of it, never the origin itself
     rounded.sort(key=lambda p: p != (0.0, 0.0))

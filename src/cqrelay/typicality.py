@@ -66,17 +66,23 @@ def _block_length(n, what: str = "block length") -> int:
     return length
 
 
+def _positive_finite(value, what: str) -> float:
+    """A positive finite number, not a bool, as a float."""
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0.0):
+        raise InvalidInputError(f"{what} must be positive and finite, got {value}")
+    return float(value)
+
+
 def threshold_for(alpha: float, length: int, preset: str) -> float:
     """Per-index frequency threshold for a block of the given length.
 
     alpha must be a positive finite number whose bounds stay representable:
     tau^2 may not underflow to 0 and (length * alpha)^2 may not overflow.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise InvalidInputError(f"threshold parameter must be positive and finite, got {alpha}")
+    alpha = _positive_finite(alpha, "threshold parameter")
     length = _block_length(length)
-    tau = float(alpha) if resolve_preset(preset) == PRESET_FIXED else float(alpha) / math.sqrt(length)
-    scaled = length * float(alpha)
+    tau = alpha if resolve_preset(preset) == PRESET_FIXED else alpha / math.sqrt(length)
+    scaled = length * alpha
     if tau * tau == 0.0 or not math.isfinite(scaled * scaled):
         raise InvalidInputError(
             f"threshold parameter {alpha!r} is out of range at block length {length}: "
@@ -95,14 +101,13 @@ class TypicalSet:
 
     def __init__(self, dist: ProbabilityDistribution, n: int, delta: float):
         n = _block_length(n, "word length")
-        if not (math.isfinite(delta) and delta > 0.0):
-            raise InvalidInputError(f"delta must be positive and finite, got {delta}")
+        delta = _positive_finite(delta, "delta")
         d = len(dist.labels)
         # the mask and the float window tests it is read from
         _require_bytes(24 * d * (n + 1), f"typical-set mask for n={n}, d={d}")
         self.dist = dist
         self.n = n
-        self.delta = float(delta)
+        self.delta = delta
         self.threshold = self.delta / d
         self._allowed = _count_allowed(dist.weights, self.n, self.threshold)
         # windows are intervals, so every total between the sums is reachable
@@ -410,9 +415,18 @@ def conditional_typical_projector(
     )
 
 
-def _averaged_state_alpha(alpha: float, a_size: int) -> float:
-    """Threshold parameter of the averaged-state projector: alpha*sqrt(|alphabet|)."""
-    return alpha * math.sqrt(a_size)
+def _averaged_state_alpha(alpha: float, a_size: int, n: int, preset: str) -> float:
+    """alpha*sqrt(|alphabet|), checked at block length n; a refusal names the given alpha."""
+    scaled = _positive_finite(alpha, "threshold parameter") * math.sqrt(a_size)
+    n, preset = _block_length(n), resolve_preset(preset)
+    try:
+        threshold_for(scaled, n, preset)
+    except InvalidInputError:
+        raise InvalidInputError(
+            f"threshold parameter {alpha} times sqrt(|A|) = sqrt({a_size}) for the averaged state"
+            f" is out of range at block length {n}"
+        ) from None
+    return scaled
 
 
 def averaged_state_projector(
@@ -424,8 +438,8 @@ def averaged_state_projector(
 ) -> TypicalProjector:
     """Typical projector of the n-fold averaged output state, at threshold
     parameter alpha*sqrt(|alphabet|)."""
-    alpha = _averaged_state_alpha(alpha, len(channel.alphabet))
-    return typical_projector(output_state(channel, dist), n, alpha, preset)
+    rho = output_state(channel, dist)
+    return typical_projector(rho, n, _averaged_state_alpha(alpha, len(channel.alphabet), n, preset), preset)
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +628,8 @@ def _word_batch(states, words, labels) -> tuple:
 
 
 def _class_stats(classes, spectra: np.ndarray, alpha: float, preset: str) -> list:
-    """Per instance, its conditional projector's capture, rank and largest
-    compressed eigenvalue, and its classes as _bound_report takes them.
+    """Per instance, its projector's capture, rank and largest compressed
+    eigenvalue, and its classes as _bound_report takes them.
 
     spectra[s, j] is the ascending spectrum of letter j in instance s; every
     class is scored in one stack, from its letter's spectrum reversed.
@@ -623,14 +637,16 @@ def _class_stats(classes, spectra: np.ndarray, alpha: float, preset: str) -> lis
     pairs = [(s, j, na) for s, cls in enumerate(classes) for j, na in cls]
     sizes = [na for _, _, na in pairs]
     taus = [threshold_for(alpha, na, preset) for na in sizes]
-    w = np.array([spectra[s, j, ::-1] for s, j, _ in pairs])
+    w = np.array([spectra[s, j, ::-1] for s, j, _ in pairs]).reshape(len(pairs), spectra.shape[-1])
     stats = spectrum_projector_stats(w, np.array(sizes), np.array(taus))
-    functionals = _spectrum_functionals(stats.eigenvalues)
-    rows = zip(sizes, taus, stats.capture.tolist(), stats.rank, stats.lambda_max.tolist(), functionals)
+    w = stats.eigenvalues
+    log_inverse = _kept_row_sums(w, w > 0.0, lambda v: np.log2(1.0 / v))
+    rows = zip(sizes, taus, stats.capture.tolist(), stats.rank, stats.lambda_max.tolist(),
+               spectrum_entropy_bits(w).tolist(), log_inverse.tolist(), (w * (1.0 - w)).sum(axis=-1).tolist())
     out = []
     for cls in classes:
         capture, rank, lam_max, terms = 1.0, 1, 1.0, []
-        for size, tau, class_capture, class_rank, class_lam_max, spectral in itertools.islice(rows, len(cls)):
+        for size, tau, class_capture, class_rank, class_lam_max, *spectral in itertools.islice(rows, len(cls)):
             capture *= class_capture
             rank *= class_rank
             lam_max *= class_lam_max
@@ -710,7 +726,7 @@ def _cross_stats(states: np.ndarray, classes, dist: ProbabilityDistribution, alp
         idx = np.flatnonzero(lengths == n)
         rows = np.arange(len(idx))
         w, q = w_all[idx], diag[idx]
-        tau = threshold_for(_averaged_state_alpha(alpha, len(dist.labels)), n, preset)
+        tau = threshold_for(_averaged_state_alpha(alpha, len(dist.labels), n, preset), n, preset)
         letters = np.array([[j for j, na in classes[s] for _ in range(na)] for s in idx])
         capture = _count_law_masses(q[rows[:, None], letters], _eigen_allowed(w, n, tau))
         # words with fewer classes are padded with empty ones, which add zeros
@@ -731,11 +747,6 @@ def _cross_stats(states: np.ndarray, classes, dist: ProbabilityDistribution, alp
 # ---------------------------------------------------------------------------
 # Bound verification reports.
 # ---------------------------------------------------------------------------
-
-def _log_inverse_sum(eigenvalues: np.ndarray):
-    """sum log2(1/lambda) over the positive eigenvalues, per spectrum of a stack."""
-    return _kept_row_sums(eigenvalues, eigenvalues > 0.0, lambda w: np.log2(1.0 / w))
-
 
 @dataclass
 class ProjectorBoundReport:
@@ -760,15 +771,6 @@ class ProjectorBoundReport:
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def _spectrum_functionals(w: np.ndarray):
-    """(entropy, log-inverse sum, spread) of each cleaned spectrum of an (S, d) stack."""
-    return zip(
-        spectrum_entropy_bits(w).tolist(),
-        _log_inverse_sum(w).tolist(),
-        (w * (1.0 - w)).sum(axis=-1).tolist(),
-    )
 
 
 def _bound_report(kind, params, d, alpha, a_size, capture, rank, lam_max, classes, entropy, equipartition):
@@ -827,27 +829,15 @@ def verify_state_projector_bounds(rho, n: int, alpha: float, preset: str = PRESE
     op = checked_operator(rho, "state", density=True, vectors=True)
     preset = resolve_preset(preset)
     d, n = op.matrix.shape[-1], _block_length(n)
-    tau = threshold_for(alpha, n, preset)
-    stats = spectrum_projector_stats(op.spectrum.reshape(-1, d)[:, ::-1], n, tau)
+    threshold_for(alpha, n, preset)  # refused for an empty stack too
+    spectra = op.spectrum.reshape(-1, 1, d)
     reports = []
-    for capture, rank, lam_max, (entropy, c, spread) in zip(
-        stats.capture.tolist(), stats.rank, stats.lambda_max.tolist(), _spectrum_functionals(stats.eigenvalues)
-    ):
-        params = {
-            "d": d,
-            "n": n,
-            "alpha": float(alpha),
-            "tau": tau,
-            "preset": preset,
-            "entropy_bits": entropy,
-            "log_inverse_sum": c,
-        }
-        reports.append(
-            _bound_report(
-                "state", params, d, alpha, 1, capture, rank, lam_max,
-                [(n, tau, entropy, c, spread)], entropy, lambda _: -n * (entropy - tau * c),
-            )
-        )
+    for capture, rank, lam_max, classes in _class_stats([[(0, n)]] * len(spectra), spectra, alpha, preset):
+        ((_, tau, entropy, c, _),) = classes
+        params = dict(d=d, n=n, alpha=float(alpha), tau=tau, preset=preset, entropy_bits=entropy, log_inverse_sum=c)
+        reports.append(_bound_report(
+            "state", params, d, alpha, 1, capture, rank, lam_max, classes, entropy, lambda _: -n * (entropy - tau * c)
+        ))
     return reports[0] if op.matrix.ndim == 2 else reports
 
 

@@ -508,6 +508,21 @@ def test_verify_alpha_must_have_a_representable_square(capsys, alpha):
     assert_one_error_line(capsys)
 
 
+def test_verify_refusals_name_the_given_alpha_not_its_averaged_state_scaling(capsys):
+    # 5e153 passes the state reports at n = 2; the averaged-state parameter
+    # 5e153 * sqrt(2) does not, and the refusal names 5e+153
+    assert main(["verify", "projectors", "--n", "2", "--alpha", "5e153"]) == 1
+    assert "threshold parameter 5e+153 times sqrt(|A|)" in assert_one_error_line(capsys)
+
+
+def test_simulate_refusals_name_the_given_alpha_not_its_averaged_state_scaling(tmp_path, capsys):
+    bc = write_channel(tmp_path, "product-broadcast", "bc.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "M1": 2, "M2": 2, "alpha": 3e153}))
+    assert main(["simulate", "--config", str(cfg), "--bc-channel", bc]) == 1
+    assert "threshold parameter 3e+153 times sqrt(|A|)" in assert_one_error_line(capsys)
+
+
 @pytest.mark.parametrize("ns", ["1", "2,1"])
 def test_verify_projectors_refuses_an_empty_typical_set(capsys, ns):
     # at n = 1 no count k has |k - 0.5| <= 0.25, so no conditional word can

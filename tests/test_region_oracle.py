@@ -1,9 +1,9 @@
 """Quadratic oracle for the region engine.
 
-``convex_hull`` drops exact repeats, keeps points that share no x and y run
-with another point, and checks the rest against a hash grid of 2*tol cells;
-``mac_region`` and ``broadcast_region`` build their corners as arrays with
-the origin once.  The oracle is the direct construction: a point-by-point
+``convex_hull``'s dedup checks each point against the kept points in the
+neighbouring cells of a hash grid of 2*tol cells; ``mac_region`` and
+``broadcast_region`` build their corners as arrays with the origin once.
+The oracle is the direct construction: a point-by-point
 dedup against every kept point, a hull of all rounded points, and point
 lists built one pentagon or rectangle at a time with the origin in each.
 Every result must be equal to the oracle's, not merely close.
@@ -185,6 +185,22 @@ def test_dedup_on_cell_boundaries():
     edge = 7 * CELL
     points = [(edge, 0.5), (edge - 0.9 * TOL, 0.5), (edge + 0.9 * TOL, 0.5), (edge + 2 * CELL, 0.5)]
     assert _dedup_points(points) == oracle_dedup(points) == [points[0], points[3]]
+
+
+def test_dedup_and_hull_match_oracle_on_a_large_cloud():
+    # 10^4 points: 100 clusters, half of them centred on cell corners, with
+    # points at 0.5, 1 and 1.5 tol from their centre in each coordinate,
+    # then 400 exact repeats, in random order
+    rng = np.random.default_rng(35)
+    centres = np.concatenate([rng.random((50, 2)) * 10.0, rng.integers(0, 10**8, (50, 2)) * CELL])
+    steps = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5]) * TOL
+    cloud = (centres[:, None, :] + steps[rng.integers(0, len(steps), (100, 96, 2))]).reshape(-1, 2)
+    points = [tuple(p) for p in cloud.tolist()]
+    points += [points[k] for k in rng.integers(0, len(points), 400).tolist()]
+    points = [points[k] for k in rng.permutation(len(points)).tolist()]
+    assert len(points) == 10**4 and len(set(points)) < len(points)
+    assert _dedup_points(points) == oracle_dedup(points)
+    assert convex_hull(points) == oracle_hull(points)
 
 
 def test_dedup_chains_keep_first_occurrence():

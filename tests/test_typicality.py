@@ -114,6 +114,48 @@ def test_spectrum_stats_refuse_a_bad_length_in_a_stack_before_any_table():
         spectrum_projector_stats([[0.5, 0.5]] * 3, [2, 3.5, 4], 0.3)
 
 
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_thresholds_refuse_a_bool_alpha(flag):
+    with pytest.raises(InvalidInputError, match=r"^threshold parameter must be positive and finite, got True$"):
+        threshold_for(flag, 3, PRESET_FIXED)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_typical_sets_refuse_a_bool_delta(flag):
+    dist = ProbabilityDistribution(("0", "1"), np.array([0.5, 0.5]))
+    with pytest.raises(InvalidInputError, match=r"^delta must be positive and finite, got True$"):
+        TypicalSet(dist, 3, flag)
+
+
+def test_averaged_state_refusals_name_the_given_alpha():
+    # 3e153 * sqrt(2) squared at n = 4 overflows; the message names 3e+153
+    channel = product_broadcast_channel(orthogonal_pure_channel(2), depolarized_channel(0.1, 2)).marginal(1)
+    dist = ProbabilityDistribution.uniform(channel.alphabet)
+    message = r"^threshold parameter 3e\+153 times sqrt\(\|A\|\) = sqrt\(2\) for the averaged state is out of range"
+    with pytest.raises(InvalidInputError, match=message):
+        averaged_state_projector(channel, dist, 4, 3e153)
+    # the scaled parameter decides: 1.3e-162 squared underflows, 1.3e-162 * sqrt(2) squared does not
+    with pytest.raises(InvalidInputError):
+        threshold_for(1.3e-162, 2, PRESET_FIXED)
+    assert averaged_state_projector(channel, dist, 2, 1.3e-162).taus[0] == 1.3e-162 * math.sqrt(2)
+
+
+def test_empty_state_stacks_give_no_reports_after_checking_n_and_alpha():
+    empty = np.zeros((0, 2, 2))
+    assert verify_state_projector_bounds(empty, 3, 0.5) == []
+    with pytest.raises(InvalidInputError, match=r"^block length must be an integer >= 1, got 0$"):
+        verify_state_projector_bounds(empty, 0, 0.5)
+    with pytest.raises(InvalidInputError, match=r"^threshold parameter must be positive and finite, got -1.0$"):
+        verify_state_projector_bounds(empty, 3, -1.0)
+    with pytest.raises(InvalidInputError, match=r"^threshold parameter 1e\+300 is out of range"):
+        verify_state_projector_bounds(empty, 3, 1e300)
+
+
+def test_empty_conditional_stacks_give_no_reports():
+    dist = ProbabilityDistribution(("0", "1"), np.array([0.5, 0.5]))
+    assert verify_conditional_projector_bounds(np.zeros((0, 2, 2, 2)), [], dist, 0.5) == []
+
+
 # ---------------------------------------------------------------------------
 # frequency-typical word sets
 # ---------------------------------------------------------------------------
