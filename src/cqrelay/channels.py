@@ -16,9 +16,11 @@ import numpy as np
 from .errors import InvalidInputError, RelayError
 from .operators import (
     ProbabilityDistribution,
-    _integral,
+    _integer_arg,
     _power,
+    _real_arg,
     _require_bytes,
+    _words_bytes,
     checked_operator,
     hermitian_part,
     partial_trace,
@@ -130,16 +132,17 @@ def product_extension(channel: CQChannel, n: int) -> CQChannel:
     """The n-letter memoryless extension; states are materialized on demand.
     Priced first: its |A|^n letter tuples, and the first word state, read for
     the dimension (two N x N Kronecker steps)."""
-    if n < 1:
-        raise InvalidInputError(f"extension length must be >= 1, got {n}")
+    n = _integer_arg(n, "extension length", 1)
     itemsize = channel.state(channel.alphabet[0]).dtype.itemsize
-    words = _power(len(channel.alphabet), n) * (120 + 8 * n)
+    words = _words_bytes(len(channel.alphabet), n)
     _require_bytes(words + 2 * _power(channel.output_dim, 2 * n) * itemsize, f"the {n}-letter extension")
     alphabet = tuple(itertools.product(channel.alphabet, repeat=n))
     return CQChannel(alphabet, _ProductStateMap(channel, n), validate=False)
 
 
 def _require_matching_alphabet(channel_alphabet: tuple, dist: ProbabilityDistribution):
+    if not isinstance(dist, ProbabilityDistribution):
+        raise InvalidInputError(f"input distribution must be a ProbabilityDistribution, got {type(dist).__name__}")
     if tuple(dist.labels) != tuple(channel_alphabet):
         raise InvalidInputError("distribution alphabet does not match channel alphabet")
 
@@ -201,9 +204,7 @@ class BroadcastCQChannel:
 
     def __init__(self, alphabet, dims: tuple[int, int], joint_states):
         self._alphabet = tuple(alphabet)
-        d1, d2 = int(dims[0]), int(dims[1])
-        if d1 < 1 or d2 < 1:
-            raise InvalidInputError(f"receiver dimensions must be positive, got {dims}")
+        d1, d2 = (_integer_arg(d, "receiver dimension", 1) for d in (dims[0], dims[1]))
         self._dims = (d1, d2)
         self._states, _ = _state_table(
             [(self._alphabet, "broadcast alphabet")], joint_states, "joint state for input", d1 * d2
@@ -266,24 +267,21 @@ class MACCQChannel:
 # ---------------------------------------------------------------------------
 
 
-def _is_pair(entry) -> bool:
-    """A [re, im] literal: two numbers, neither a bool."""
-    numbers = isinstance(entry, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-    return numbers and len(entry) == 2
-
-
 def matrix_from_literal(literal, name: str = "matrix") -> np.ndarray:
     if not isinstance(literal, list) or not literal:
         raise InvalidInputError(f"{name}: matrix literal must be a nonempty list of rows")
+    rows = []
     for i, row in enumerate(literal):
         if not isinstance(row, list) or not row:
             raise InvalidInputError(f"{name}: row {i} is not a nonempty list")
         if len(row) != len(literal[0]):
             raise InvalidInputError(f"{name}: row {i} has length {len(row)}, expected {len(literal[0])}")
+        rows.append([])
         for j, entry in enumerate(row):
-            if not _is_pair(entry):
+            if not isinstance(entry, list) or len(entry) != 2:
                 raise InvalidInputError(f"{name}: entry ({i},{j}) is not a [re, im] pair")
-    m = np.array([[complex(re, im) for re, im in row] for row in literal], dtype=complex)
+            rows[-1].append(complex(*(_real_arg(v, f"{name}: entry ({i},{j})") for v in entry)))
+    m = np.array(rows, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"{name}: matrix literal is {m.shape[0]}x{m.shape[1]}, not square")
     return m
@@ -363,11 +361,8 @@ def _parse_broadcast(data) -> BroadcastCQChannel:
     dims = data.get("dims")
     if not isinstance(dims, dict) or set(dims) != {"y1", "y2"}:
         raise InvalidInputError("broadcast 'dims' must be an object with keys 'y1' and 'y2'")
-    d1, d2 = _integral(dims["y1"]), _integral(dims["y2"])
-    if d1 is None or d2 is None:
-        raise InvalidInputError(f"broadcast 'dims' entries must be integers, got {dims!r}")
     states = _file_states(data, [(a, a) for a in alphabet], "joint state for input")
-    return BroadcastCQChannel(alphabet, (d1, d2), states)
+    return BroadcastCQChannel(alphabet, (dims["y1"], dims["y2"]), states)
 
 
 def _mac_file_keys(a1, a2) -> list:
@@ -441,6 +436,9 @@ def dump_json(obj) -> str:
 
 
 def basis_state(index: int, dim: int) -> np.ndarray:
+    index, dim = _integer_arg(index, "basis index", 0), _integer_arg(dim, "dimension", 1)
+    if index >= dim:
+        raise InvalidInputError(f"basis index {index} outside range(0, {dim})")
     v = np.zeros((dim, 1), dtype=complex)
     v[index, 0] = 1.0
     return v @ v.conj().T
@@ -448,8 +446,7 @@ def basis_state(index: int, dim: int) -> np.ndarray:
 
 def orthogonal_pure_channel(dim: int = 2) -> CQChannel:
     """Each letter maps to a distinct computational basis state."""
-    if dim < 1:
-        raise InvalidInputError("dimension must be positive")
+    dim = _integer_arg(dim, "dimension", 1)
     return CQChannel(
         tuple(str(i) for i in range(dim)),
         {str(i): basis_state(i, dim) for i in range(dim)},
@@ -464,6 +461,7 @@ def overlap_pair_channel() -> CQChannel:
 
 def depolarized_channel(p: float, dim: int = 2) -> CQChannel:
     """Basis states mixed with the maximally mixed state: (1-p)|x><x| + p*id/dim."""
+    p, dim = _real_arg(p, "mixing weight"), _integer_arg(dim, "dimension", 1)
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"mixing weight must lie in [0, 1], got {p}")
     eye = np.eye(dim, dtype=complex) / dim
@@ -475,6 +473,7 @@ def depolarized_channel(p: float, dim: int = 2) -> CQChannel:
 
 def constant_channel(n_inputs: int = 2, dim: int = 2) -> CQChannel:
     """Every input emits the maximally mixed state; zero transmissible information."""
+    n_inputs, dim = _integer_arg(n_inputs, "input count", 1), _integer_arg(dim, "dimension", 1)
     eye = np.eye(dim, dtype=complex) / dim
     return CQChannel(
         tuple(str(i) for i in range(n_inputs)),

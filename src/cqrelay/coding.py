@@ -44,8 +44,9 @@ from .operators import (
     KRON_CHUNK_COLUMNS,
     SUPPORT_REL_TOL,
     ProbabilityDistribution,
-    _integral,
+    _integer_arg,
     _power,
+    _real_arg,
     _require_bytes,
     _within,
     hermitian_part,
@@ -95,8 +96,8 @@ def sample_codebook(
     seed: int = 0,
 ) -> Codebook:
     """Draw words i.i.d. from the input distribution, kept only when typical."""
-    if m1_size < 1 or m2_size < 1:
-        raise InvalidInputError("message set sizes must be >= 1")
+    m1_size, m2_size = (_integer_arg(size, "message set size", 1) for size in (m1_size, m2_size))
+    seed = _integer_arg(seed, "seed", 0)
     tset = TypicalSet(dist, n, delta_code)
     rng = np.random.default_rng(seed)
     words = {}
@@ -745,8 +746,7 @@ def expurgate(errors: ErrorReport, delta: float) -> ExpurgationResult:
     comparison with delta is operators._within, so an average equal to
     delta in exact arithmetic passes whichever way it rounds.
     """
-    if delta <= 0.0:
-        raise InvalidInputError(f"delta must be positive, got {delta}")
+    delta = _real_arg(delta, "delta", positive=True)
     overall = errors.overall
     if not (_within(overall[1], delta) and _within(overall[2], delta)):
         raise ExpurgationError(
@@ -764,7 +764,7 @@ def expurgate(errors: ErrorReport, delta: float) -> ExpurgationResult:
     return ExpurgationResult(
         m1_kept=m1_kept,
         m2_kept=m2_kept,
-        delta=float(delta),
+        delta=delta,
         selection_error_by_m2=selection[1],
         selection_error_by_m1=selection[2],
         final_error_by_m2=final[1],
@@ -784,8 +784,6 @@ def decode_with_side_info(decoder: SquareRootDecoder, receiver: int, known_messa
     to decode many states against one group, read
     decoder.group(receiver, known_message).outcomes(states) once.
     """
-    if receiver not in (1, 2):
-        raise InvalidInputError(f"receiver must be 1 or 2, got {receiver!r}")
     state = _state_factors(state)
     return _decide(decoder.group(receiver, known_message).outcomes([state])[0])
 
@@ -811,18 +809,18 @@ def _decide(probs) -> int:
 
 def modular_sum_encode(m1: int, m2: int, size: int) -> int:
     """Relay's common message for the sum-forwarding scheme."""
-    if size < 1:
-        raise InvalidInputError("message set size must be >= 1")
-    if not 0 <= m1 < size or not 0 <= m2 < size:
+    size = _integer_arg(size, "message set size", 1)
+    m1, m2 = (_integer_arg(m, "message", 0) for m in (m1, m2))
+    if m1 >= size or m2 >= size:
         raise InvalidInputError(f"messages ({m1}, {m2}) outside range(0, {size})")
     return (m1 + m2) % size
 
 
 def modular_sum_decode(common: int, known: int, size: int) -> int:
     """Recover the partner's message from the common message and one's own."""
-    if size < 1:
-        raise InvalidInputError("message set size must be >= 1")
-    if not 0 <= common < size or not 0 <= known < size:
+    size = _integer_arg(size, "message set size", 1)
+    common, known = (_integer_arg(m, "message", 0) for m in (common, known))
+    if common >= size or known >= size:
         raise InvalidInputError(f"values ({common}, {known}) outside range(0, {size})")
     return (common - known) % size
 
@@ -834,51 +832,33 @@ def modular_sum_decode(common: int, known: int, size: int) -> int:
 _SCHEMES = ("proof-construction", "modular-sum")
 
 
-def _config_integer(value, key: str) -> int:
-    """An integral number (not a bool) as an int."""
-    out = _integral(value)
-    if out is None:
-        raise InvalidInputError(f"config {key!r} must be an integer, got {value!r}")
-    return out
-
-
-def _config_real(value, key: str) -> float:
-    """A finite number (not a bool) as a float."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        try:
-            out = float(value)
-        except OverflowError:
-            out = math.inf
-        if math.isfinite(out):
-            return out
-    raise InvalidInputError(f"config {key!r} must be a finite number, got {value!r}")
-
-
-def _config_reals(value, key: str) -> tuple:
+def _config_reals(value, what: str) -> tuple:
     if not isinstance(value, (list, tuple)):
-        raise InvalidInputError(f"config {key!r} must be a list of numbers, got {value!r}")
-    return tuple(_config_real(x, key) for x in value)
+        raise InvalidInputError(f"{what} must be a list of numbers, got {value!r}")
+    return tuple(_real_arg(x, what) for x in value)
 
 
-def _config_string(value, key: str) -> str:
+def _config_string(value, what: str) -> str:
     if not isinstance(value, str):
-        raise InvalidInputError(f"config {key!r} must be a string, got {value!r}")
+        raise InvalidInputError(f"{what} must be a string, got {value!r}")
     return value
 
 
-# config key -> (SimConfig field, check); a field whose default is None may stay None
+# config key -> (SimConfig field, check, its bound): the check reads
+# (value, what, *bound), the least integer or whether a real must be
+# positive; a field whose default is None may stay None
 _CONFIG_KEYS = {
-    "n": ("n", _config_integer),
-    "alpha": ("alpha", _config_real),
+    "n": ("n", _integer_arg, 1),
+    "alpha": ("alpha", _real_arg),
     "preset": ("preset", _config_string),
-    "delta_code": ("delta_code", _config_real),
-    "epsilon": ("epsilon", _config_real),
-    "M1": ("m1_size", _config_integer),
-    "M2": ("m2_size", _config_integer),
-    "seed": ("seed", _config_integer),
+    "delta_code": ("delta_code", _real_arg),
+    "epsilon": ("epsilon", _real_arg),
+    "M1": ("m1_size", _integer_arg, 1),
+    "M2": ("m2_size", _integer_arg, 1),
+    "seed": ("seed", _integer_arg, 0),
     "scheme": ("scheme", _config_string),
-    "max_seed_attempts": ("max_seed_attempts", _config_integer),
-    "delta": ("delta", _config_real),
+    "max_seed_attempts": ("max_seed_attempts", _integer_arg, 1),
+    "delta": ("delta", _real_arg, True),
     "dist": ("dist", _config_reals),
 }
 
@@ -901,21 +881,13 @@ class SimConfig:
     dist: tuple | None = None
 
     def __post_init__(self):
-        for key, (field, check) in _CONFIG_KEYS.items():
+        for key, (field, check, *bound) in _CONFIG_KEYS.items():
             value = getattr(self, field)
             if value is not None or self.__dataclass_fields__[field].default is not None:
-                setattr(self, field, check(value, key))
-        if self.n < 1:
-            raise InvalidInputError(f"block length must be >= 1, got {self.n}")
-        if self.seed < 0:
-            raise InvalidInputError(f"config 'seed' must be >= 0, got {self.seed}")
+                setattr(self, field, check(value, f"config {key!r}", *bound))
         self.preset = resolve_preset(self.preset)
         if self.scheme not in _SCHEMES:
             raise InvalidInputError(f"unknown scheme {self.scheme!r}; pick from {_SCHEMES}")
-        if self.max_seed_attempts < 1:
-            raise InvalidInputError("max_seed_attempts must be >= 1")
-        if self.delta <= 0.0:
-            raise InvalidInputError("delta must be positive")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":

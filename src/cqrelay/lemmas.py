@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .operators import (
-    _integral,
+    _integer_arg,
     _spectral_apply,
     _within,
     checked_operator,
@@ -221,12 +221,10 @@ def sweep_lemma_checks(
         raise InvalidInputError(f"unknown lemma names: {sorted(unknown)}")
     if not which:
         raise InvalidInputError("a sweep needs at least one lemma name")
-    if trials < 1:
-        raise InvalidInputError(f"a sweep needs at least one trial, got {trials!r}")
-    sizes = tuple(map(_integral, dims))
-    if not sizes or any(d is None or d < 1 for d in sizes):
-        raise InvalidInputError(f"a sweep needs dimensions, each an integer >= 1, got {tuple(dims)!r}")
-    dims = sizes
+    trials, seed = _integer_arg(trials, "trial count", 1), _integer_arg(seed, "seed", 0)
+    dims = tuple(_integer_arg(d, "sweep dimension", 1) for d in dims)
+    if not dims:
+        raise InvalidInputError("a sweep needs at least one dimension")
     # looked up per sweep, so a wrapped module-level check is the one called
     checks = {
         "close-states": check_measurement_on_close_states,

@@ -53,15 +53,50 @@ def _power(d: int, n: int) -> float:
     return math.inf if d > 1 and n * math.log2(d) > 1000 else float(d) ** n
 
 
-def _integral(value) -> int | None:
-    """value as an int when it is an integer or an integral float, and not a
-    bool; None otherwise.  Config files and channel files read integers by
-    this rule."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    return None
+def _words_bytes(letters: int, n: int) -> float:
+    """Price of the letters^n words of length n as tuples of labels, with
+    the set of them that checks they are distinct: up to 190 + 8n bytes a
+    word measured, most of it the set's table as it grows."""
+    return _power(letters, n) * (256 + 8 * n)
+
+
+def _integer_arg(value, what: str, least: int) -> int:
+    """value as an int of at least least: an int, a numpy integer or an
+    integral float, never a bool.  The library's one integer rule; config
+    and channel files read their integers by it too."""
+    value = value.item() if isinstance(value, np.generic) else value
+    out = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(out, bool) or not isinstance(out, int) or out < least:
+        raise InvalidInputError(f"{what} must be an integer >= {least}, got {value!r}")
+    return out
+
+
+def _real_arg(value, what: str, positive: bool = False) -> float:
+    """value as a finite float, above 0 with positive: an int, a float or a
+    numpy number, never a bool or a string.  The library's one real rule."""
+    value = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf
+        if math.isfinite(out) and (out > 0.0 or not positive):
+            return out
+    rule = "positive and finite" if positive else "a finite number"
+    raise InvalidInputError(f"{what} must be {rule}, got {value!r}")
+
+
+def _numeric_array(values, name: str, real: bool = False) -> np.ndarray:
+    """values as a float64 array, or a complex128 one when it holds complex
+    numbers and real is False.  Bools and numbers pass; ragged, string,
+    object and, with real, complex input is refused."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = np.empty(0, dtype=object)
+    if arr.dtype.kind not in ("biuf" if real else "biufc"):
+        raise InvalidInputError(f"{name} must be a rectangular array of {'real ' if real else ''}numbers")
+    return arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
 
 
 def _within(a: float, b: float) -> bool:
@@ -97,8 +132,7 @@ def _per_matrix(values: np.ndarray):
 def as_square_matrix(mat, name: str = "matrix") -> np.ndarray:
     """Array of shape (..., d, d) with finite entries: float64 for real,
     integer or bool input, complex128 otherwise."""
-    m = np.asarray(mat)
-    m = m.astype(float if m.dtype.kind in "biuf" else complex, copy=False)
+    m = _numeric_array(mat, name)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
     finite = np.isfinite(m).all(axis=(-2, -1))
@@ -331,8 +365,8 @@ def partial_trace(mat, dims: tuple[int, int], keep: int) -> np.ndarray:
     surviving factor (1 or 2).
     """
     m = as_square_matrix(mat)
-    d1, d2 = int(dims[0]), int(dims[1])
-    if d1 < 1 or d2 < 1 or d1 * d2 != m.shape[0]:
+    d1, d2 = (_integer_arg(d, "partial trace dimension", 1) for d in (dims[0], dims[1]))
+    if d1 * d2 != m.shape[0]:
         raise InvalidInputError(f"dims {dims} incompatible with matrix of size {m.shape[0]}")
     t = m.reshape(d1, d2, d1, d2)
     if keep == 1:
@@ -439,7 +473,7 @@ class ProbabilityDistribution:
             raise InvalidInputError("empty alphabet")
         if len(set(labels)) != len(labels):
             raise InvalidInputError("alphabet labels must be distinct")
-        w = np.asarray(self.weights, dtype=float).copy()
+        w = _numeric_array(self.weights, "probability weights", real=True).copy()
         if w.ndim != 1 or w.size != len(labels):
             raise InvalidInputError("alphabet and weights must have matching length")
         # NaN passes both the sign and the sum test, so finiteness comes first
@@ -465,9 +499,10 @@ class ProbabilityDistribution:
         return len(self.labels)
 
     def power(self, n: int) -> "ProbabilityDistribution":
-        """Product distribution over length-n words (tuples of labels)."""
-        if n < 1:
-            raise InvalidInputError(f"power needs n >= 1, got {n}")
+        """Product distribution over length-n words (tuples of labels), priced
+        first (_words_bytes)."""
+        n = _integer_arg(n, "word length", 1)
+        _require_bytes(_words_bytes(len(self.labels), n), f"the {n}-letter power")
         labels = tuple(itertools.product(self.labels, repeat=n))
         weights = self.weights
         for _ in range(n - 1):
@@ -481,8 +516,7 @@ def compositions(n: int, d: int) -> np.ndarray:
     Rows are in lexicographic order and R = C(n + d - 1, d - 1).  Typical
     sets, count-class tables and distribution grids all enumerate these.
     """
-    if n < 0 or d < 1:
-        raise InvalidInputError(f"compositions need n >= 0 and d >= 1, got n={n}, d={d}")
+    n, d = _integer_arg(n, "composition total", 0), _integer_arg(d, "composition length", 1)
     counts = np.zeros((1, 0), dtype=np.intp)
     remaining = np.array([n], dtype=np.intp)
     for _ in range(d - 1):

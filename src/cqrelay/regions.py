@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import BroadcastCQChannel, MACCQChannel, _chi
 from .errors import InvalidInputError
-from .operators import _require_bytes, compositions, von_neumann_entropy
+from .operators import _integer_arg, _numeric_array, _real_arg, _require_bytes, compositions, von_neumann_entropy
 
 # The two geometric tolerances.
 #
@@ -56,13 +56,11 @@ class DistributionGrid:
     def __post_init__(self):
         if not self.labels:
             raise InvalidInputError("grid needs a nonempty label alphabet")
-        if isinstance(self.resolution, bool) or not isinstance(self.resolution, (int, np.integer)):
-            raise InvalidInputError(f"grid resolution must be an integer, got {self.resolution!r}")
-        if self.resolution < 1:
-            raise InvalidInputError("grid resolution must be >= 1")
-        if self.resolution > np.iinfo(np.intp).max:
-            raise InvalidInputError(f"grid resolution {self.resolution} exceeds {np.iinfo(np.intp).max}")
+        resolution = _integer_arg(self.resolution, "grid resolution", 1)
+        if resolution > np.iinfo(np.intp).max:
+            raise InvalidInputError(f"grid resolution {resolution} exceeds {np.iinfo(np.intp).max}")
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "resolution", resolution)
 
     @property
     def size(self) -> int:
@@ -102,7 +100,7 @@ def _dedup_points(points):
 
 def _point_array(points) -> np.ndarray:
     """Rate points as a finite (P, 2) float array."""
-    pts = np.asarray(points, dtype=float)
+    pts = _numeric_array(points, "rate points", real=True)
     if pts.size == 0:
         return pts.reshape(0, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -204,6 +202,7 @@ class RateRegion:
         return tuple(planes)
 
     def contains(self, r1: float, r2: float, tol: float = 2 * _LENGTH_TOL) -> bool:
+        r1, r2, tol = _real_arg(r1, "rate R1"), _real_arg(r2, "rate R2"), _real_arg(tol, "tolerance")
         return all(a * r1 + b * r2 <= c + tol for a, b, c in self.halfplanes)
 
     def max_sum_rate(self) -> float:

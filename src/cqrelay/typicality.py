@@ -32,9 +32,11 @@ import numpy as np
 from .channels import CQChannel, _letter_sum, _require_matching_alphabet, output_state
 from .errors import InvalidInputError, ResourceLimitError
 from .operators import (
-    _integral,
+    _integer_arg,
     _kept_row_sums,
+    _numeric_array,
     _power,
+    _real_arg,
     _require_bytes,
     _support_cut,
     _within,
@@ -58,29 +60,14 @@ def resolve_preset(preset: str) -> str:
     return preset
 
 
-def _block_length(n, what: str = "block length") -> int:
-    """n as an int: an integer, or an integral float, of at least 1 and not a bool."""
-    length = _integral(n)
-    if length is None or length < 1:
-        raise InvalidInputError(f"{what} must be an integer >= 1, got {n!r}")
-    return length
-
-
-def _positive_finite(value, what: str) -> float:
-    """A positive finite number, not a bool, as a float."""
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0.0):
-        raise InvalidInputError(f"{what} must be positive and finite, got {value}")
-    return float(value)
-
-
 def threshold_for(alpha: float, length: int, preset: str) -> float:
     """Per-index frequency threshold for a block of the given length.
 
     alpha must be a positive finite number whose bounds stay representable:
     tau^2 may not underflow to 0 and (length * alpha)^2 may not overflow.
     """
-    alpha = _positive_finite(alpha, "threshold parameter")
-    length = _block_length(length)
+    alpha = _real_arg(alpha, "threshold parameter", positive=True)
+    length = _integer_arg(length, "block length", 1)
     tau = alpha if resolve_preset(preset) == PRESET_FIXED else alpha / math.sqrt(length)
     scaled = length * alpha
     if tau * tau == 0.0 or not math.isfinite(scaled * scaled):
@@ -100,8 +87,8 @@ class TypicalSet:
     """
 
     def __init__(self, dist: ProbabilityDistribution, n: int, delta: float):
-        n = _block_length(n, "word length")
-        delta = _positive_finite(delta, "delta")
+        n = _integer_arg(n, "word length", 1)
+        delta = _real_arg(delta, "delta", positive=True)
         d = len(dist.labels)
         # the mask and the float window tests it is read from
         _require_bytes(24 * d * (n + 1), f"typical-set mask for n={n}, d={d}")
@@ -397,7 +384,7 @@ def typical_projector(rho, n: int, alpha: float, preset: str = PRESET_FIXED) -> 
         raise InvalidInputError(f"state must be one d x d matrix, got shape {np.shape(rho)}")
     # validated from the one eigh whose decomposition the projector reads
     w, u = _eigenpairs(rho, "state")
-    n = _block_length(n)
+    n = _integer_arg(n, "block length", 1)
     _require_bytes(_projector_bytes(u.shape[0], n), f"typical projector for n={n}")
     return _projector({0: (w, u)}, (0,) * n, alpha, preset)
 
@@ -417,8 +404,8 @@ def conditional_typical_projector(
 
 def _averaged_state_alpha(alpha: float, a_size: int, n: int, preset: str) -> float:
     """alpha*sqrt(|alphabet|), checked at block length n; a refusal names the given alpha."""
-    scaled = _positive_finite(alpha, "threshold parameter") * math.sqrt(a_size)
-    n, preset = _block_length(n), resolve_preset(preset)
+    scaled = _real_arg(alpha, "threshold parameter", positive=True) * math.sqrt(a_size)
+    n, preset = _integer_arg(n, "block length", 1), resolve_preset(preset)
     try:
         threshold_for(scaled, n, preset)
     except InvalidInputError:
@@ -582,16 +569,16 @@ def spectrum_projector_stats(eigenvalues, n, tau) -> SpectrumProjectorStats:
     chunks: the capture adds the admissible classes in table order, so it
     matches a class-by-class loop bit for bit.
     """
-    w = _clean_eigenvalues(np.asarray(eigenvalues, dtype=float))
+    w = _clean_eigenvalues(_numeric_array(eigenvalues, "eigenvalues", real=True))
     flat = w.reshape(-1, w.shape[-1])
     lengths = np.broadcast_to(np.asarray(n), (len(flat),))
-    taus = np.broadcast_to(np.asarray(tau, dtype=float), (len(flat),))
+    taus = np.broadcast_to(_numeric_array(tau, "thresholds", real=True), (len(flat),))
     if not (np.isfinite(taus) & (taus >= 0.0)).all():
         raise InvalidInputError(f"thresholds must be finite and >= 0, got {tau!r}")
     capture = np.zeros(len(flat))
     lam_max = np.zeros(len(flat))
     ranks = np.zeros(len(flat), dtype=object)
-    for length in sorted({_block_length(k) for k in set(lengths.tolist())}):
+    for length in sorted({_integer_arg(k, "block length", 1) for k in set(lengths.tolist())}):
         table = _count_table(length, w.shape[-1])
         # each spectrum holds a few rows of table length at once
         chunk = max(1, COUNT_WORKING_BYTES // (32 * len(table.counts)))
@@ -828,7 +815,7 @@ def verify_state_projector_bounds(rho, n: int, alpha: float, preset: str = PRESE
     # validated from the eigh whose spectrum the reports read
     op = checked_operator(rho, "state", density=True, vectors=True)
     preset = resolve_preset(preset)
-    d, n = op.matrix.shape[-1], _block_length(n)
+    d, n = op.matrix.shape[-1], _integer_arg(n, "block length", 1)
     threshold_for(alpha, n, preset)  # refused for an empty stack too
     spectra = op.spectrum.reshape(-1, 1, d)
     reports = []

@@ -187,7 +187,7 @@ def test_product_extension_caps_the_alphabet_of_one_dimensional_outputs():
     # tuples must still be refused before any is formed
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match=r"^the 40-letter extension needs about 4\.51e\+05 GiB, above"):
+        with pytest.raises(ResourceLimitError, match=r"^the 40-letter extension needs about 5\.9e\+05 GiB, above"):
             product_extension(constant_channel(2, dim=1), 40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -329,7 +329,7 @@ def test_broadcast_dims_follow_the_config_integer_rule(tmp_path, capsys, value):
     assert main([*argv, _write_json(tmp_path, data)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: broadcast 'dims' entries must be integers, got {{'y1': {value!r}, 'y2': 2}}\n"
+    assert err == f"error: receiver dimension must be an integer >= 1, got {value!r}\n"
     data["dims"]["y1"] = 2.0
     assert main([*argv, _write_json(tmp_path, data)]) == 0
     capsys.readouterr()

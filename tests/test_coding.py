@@ -536,6 +536,14 @@ def test_expurgation_rejects_large_average():
         expurgate(report, 0.0)
 
 
+def test_expurgation_refuses_a_nan_delta_up_front():
+    # NaN passes a delta <= 0 test; the positive-real rule refuses it
+    # before any average is compared with it
+    first1 = {(i, j): 0.1 for i in range(2) for j in range(2)}
+    with pytest.raises(InvalidInputError, match=r"^delta must be positive and finite, got nan$"):
+        expurgate(synthetic_report(first1, dict(first1)), float("nan"))
+
+
 def test_expurgation_on_real_pipeline():
     bc = noisy_broadcast()
     cb = sample_codebook(uniform_binary(), 6, 2, 2, seed=4)
@@ -568,7 +576,8 @@ def test_decode_with_side_info_validation():
     cb = sample_codebook(uniform_binary(), 4, 2, 2, seed=1)
     dec = build_square_root_decoder(cb, bc, alpha=0.5)
     state = bc.marginal(1).word_state(cb.word(0, 0))
-    with pytest.raises(InvalidInputError):
+    # the decoder's group lookup is the one receiver check
+    with pytest.raises(InvalidInputError, match=r"^receiver 3 has no side-information group for known index 0$"):
         decode_with_side_info(dec, 3, 0, state)
     with pytest.raises(InvalidInputError):
         decode_with_side_info(dec, 1, 9, state)

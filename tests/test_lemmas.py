@@ -168,7 +168,7 @@ def test_sweep_lemma_checks_subset_and_validation():
 )
 def test_sweeps_refuse_an_empty_lemma_list_and_bad_dimensions(kwargs):
     # none of these may pass vacuously or fail on an unrelated check
-    refusal = r"^a sweep needs (at least one lemma name|dimensions, each an integer >= 1)"
+    refusal = r"^(a sweep needs at least one (lemma name|dimension)$|sweep dimension must be an integer >= 1, got )"
     with pytest.raises(InvalidInputError, match=refusal):
         sweep_lemma_checks(trials=3, **kwargs)
 

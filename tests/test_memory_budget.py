@@ -110,6 +110,23 @@ def test_region_stack_price_bounds_its_peak(monkeypatch):
     assert_tight_upper_bounds(runs)
 
 
+def test_a_distribution_power_is_priced_before_its_words(monkeypatch):
+    # within the budget the price bounds the peak, at the block length
+    # whose set of words grew its table furthest (3^9 words, measured); the
+    # 4096 binary words of length 12 are priced above a 256 KiB budget and
+    # refused before any is formed
+    for letters, ns in ((3, (7, 8, 9)), (2, (8, 10, 12))):
+        dist = ProbabilityDistribution.uniform(tuple(str(i) for i in range(letters)))
+        runs = []
+        for n in ns:
+            peak, prices = priced_peak(monkeypatch, operators, lambda: dist.power(n))
+            runs.append((peak, prices[0]))
+        assert_tight_upper_bounds(runs)
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", 2**18)
+    with pytest.raises(ResourceLimitError, match=r"^the 12-letter power needs about "):
+        dist.power(12)
+
+
 def test_count_table_price_bounds_its_build(monkeypatch):
     runs = []
     for n in (20, 40, 60):

@@ -506,10 +506,17 @@ def test_grid_stacks_are_priced_at_their_dtype(monkeypatch, kind):
         _grid_search(kind, cplx, 7)
 
 
-@pytest.mark.parametrize("resolution", [2.5, True, 3.0, "3", None])
+@pytest.mark.parametrize("resolution", [2.5, True, "3", None])
 def test_grid_resolution_must_be_an_integer(resolution):
     with pytest.raises(InvalidInputError, match="grid resolution must be an integer"):
         DistributionGrid(("0", "1"), resolution)
+
+
+def test_grid_resolution_takes_an_integral_float():
+    # the library's one integer rule: an integral float reads as its integer
+    grid = DistributionGrid(("0", "1"), 3.0)
+    assert type(grid.resolution) is int and grid.resolution == 3
+    assert np.array_equal(grid.weight_matrix(), DistributionGrid(("0", "1"), 3).weight_matrix())
 
 
 def test_grid_resolution_beyond_an_index_is_refused():
