@@ -345,7 +345,7 @@ def _file_states(data, keys, what: str, literal_what: str | None = None) -> dict
 
 def _check_declared_dims(data, dim: int) -> None:
     dims = data.get("dims")
-    if dims is not None and dims != dim:
+    if dims is not None and _integer_arg(dims, "declared dims", 1) != dim:
         raise InvalidInputError(f"declared dims {dims!r} but states have dimension {dim}")
 
 

@@ -400,6 +400,7 @@ class SquareRootDecoder:
     def group(self, receiver: int, known: int):
         """The decoding group of the receiver's side-information group whose
         known index is known; receiver 1 knows m2, receiver 2 knows m1."""
+        receiver, known = _integer_arg(receiver, "receiver", 1), _integer_arg(known, "known index", 0)
         pairs = _side_info_groups(receiver, self.m1_size, self.m2_size).get(known) if receiver in (1, 2) else None
         if pairs is None:
             raise InvalidInputError(f"receiver {receiver} has no side-information group for known index {known}")

@@ -109,6 +109,7 @@ def check_hayashi_nagaoka(s_op, t_op) -> LemmaCheckResult:
 
 def gaussian_draws(rng: np.random.Generator, dim: int, count: int = 1) -> np.ndarray:
     """count draws of G, shape (count, 2, dim, dim), as count generator calls draw them."""
+    dim, count = _integer_arg(dim, "draw dimension", 1), _integer_arg(count, "draw count", 0)
     return rng.standard_normal((count, 2, dim, dim))
 
 

@@ -450,7 +450,7 @@ def spectrum_entropy_bits(eigenvalues: np.ndarray):
 
     A (..., d) stack of spectra gives one entropy per row.
     """
-    w = np.asarray(eigenvalues, dtype=float)
+    w = _numeric_array(eigenvalues, "spectrum", real=True)
     h = -np.asarray(_kept_row_sums(w, w > _support_cut(w), _plogp))
     return _per_matrix(np.where(h > 0.0, h, 0.0))
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import BroadcastCQChannel, MACCQChannel, _chi
+from .channels import BroadcastCQChannel, MACCQChannel, _averaged_states, _letter_sum
 from .errors import InvalidInputError
 from .operators import _integer_arg, _numeric_array, _real_arg, _require_bytes, compositions, von_neumann_entropy
 
@@ -32,13 +32,18 @@ _LENGTH_TOL = 1e-8
 _TURN_TOL = 1e-12
 
 
-def _require_stack_bytes(points: int, state: np.ndarray, what: str) -> None:
-    """Price a grid of points states like state, averaged against float64
-    weights (so float64 for real letter states, complex128 otherwise): four
-    such stacks, for the entropies' eigensolves, and 256 bytes a point for
-    the bounds, corners and hull candidates."""
-    itemsize = np.result_type(float, state.dtype).itemsize
-    _require_bytes(points * (4 * state.shape[-1] ** 2 * itemsize + 256), f"{what} grid of {points} points")
+# The grid is walked whole rows at a time, up to this many points (at least
+# one row), so a region's memory does not grow with its grid.
+_CHUNK_POINTS = 2048
+
+# Prices in bytes: a grid point's bounds and corners beyond its state
+# stacks; a Pareto candidate as it is folded and as the hull takes it; a
+# slice average's weights and entropies beyond its stacks; a grid weight as
+# its lattice is built.
+_POINT_BYTES = 256
+_CANDIDATE_BYTES = 512
+_SLICE_BYTES = 64
+_WEIGHT_BYTES = 32
 
 
 class RatePair(NamedTuple):
@@ -241,11 +246,6 @@ def intersect_regions(first: RateRegion, second: RateRegion) -> RateRegion:
     return RateRegion.from_points(poly)
 
 
-def _with_origin(corners: np.ndarray) -> np.ndarray:
-    """The origin once, then the corners as (x, y) rows in grid order."""
-    return np.concatenate([np.zeros((1, 2)), corners.reshape(-1, 2)])
-
-
 def _union_candidates(points) -> np.ndarray:
     """The points of a union of downward-closed sets that its hull can need.
 
@@ -282,50 +282,39 @@ def _union_candidates(points) -> np.ndarray:
     return pts[keep]
 
 
-def _pentagon_bounds(
-    mac: MACCQChannel, grid: DistributionGrid, variant: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (G1, G2) arrays A (caps R2), B (caps R1) and C (caps R1 + R2).
+def _union_region(rows: int, row_points: int, held: int, point_bytes: int, corners, what: str) -> RateRegion:
+    """The hull of a union of downward-closed sets over a grid of rows.
 
-    The second sender's grid has the first one's resolution.
+    corners(lo, hi) gives the corners of the sets of rows lo..hi-1, in grid
+    order, as an array of (x, y) rows.  Whole rows are taken up to
+    _CHUNK_POINTS points at a time (at least one row).  Each chunk's corners
+    are cut to their own candidates, which wait until they are as many as
+    the running candidates (which start from the origin) and are then
+    folded into them, so no candidate is sorted again for every chunk.
+    Dominance is transitive and each fold keeps grid order and the first of
+    exact repeats, so the candidates are those of the whole grid at once.
+    Before each chunk, and before the hull, what is priced at the held
+    bytes the chunks share, point_bytes a chunk point and the candidates at
+    their count.
     """
-    if variant not in ("conditional", "as-written"):
-        raise InvalidInputError(f"unknown region variant {variant!r}")
-    a1, a2 = mac.alphabets
-    d1, d2 = len(a1), len(a2)
-    if grid.labels != tuple(a1):
-        raise InvalidInputError("grid labels must match the first sender alphabet")
-    grid2 = DistributionGrid(tuple(a2), grid.resolution)
-    states = np.stack([np.stack([mac.state(y1, y2) for y2 in a2]) for y1 in a1])
-    dim = states.shape[-1]
-    _require_stack_bytes(grid.size * grid2.size, states, "MAC region")
-    ent = von_neumann_entropy(states.reshape(d1 * d2, dim, dim)).reshape(d1, d2)
+    step = max(1, _CHUNK_POINTS // row_points)
+    kept, waiting = np.zeros((1, 2)), []
+    for lo in range(0, rows, step):
+        hi = min(rows, lo + step)
+        candidates = len(kept) + sum(map(len, waiting))
+        _require_bytes(held + (hi - lo) * row_points * point_bytes + candidates * _CANDIDATE_BYTES, what)
+        waiting.append(_union_candidates(corners(lo, hi)))
+        if sum(map(len, waiting)) >= len(kept) or hi == rows:
+            kept, waiting = _union_candidates(np.concatenate([kept, *waiting])), []
+    _require_bytes(held + len(kept) * _CANDIDATE_BYTES, what)
+    return RateRegion.from_points(kept)
 
-    q1 = grid.weight_matrix()  # (G1, d1)
-    q2 = grid2.weight_matrix()  # (G2, d2)
-    g1, g2 = q1.shape[0], q2.shape[0]
 
-    # Slice averages reused by both variants: over sender 1 per y2, and the
-    # mirror image.
-    slice2 = np.einsum("gi,ijkl->gjkl", q1, states)
-    h_slice2 = von_neumann_entropy(slice2.reshape(-1, dim, dim)).reshape(g1, d2)
-    slice1 = np.einsum("hj,ijkl->hikl", q2, states)
-    h_slice1 = von_neumann_entropy(slice1.reshape(-1, dim, dim)).reshape(g2, d1)
-
-    sigma = np.einsum("hj,gjkl->ghkl", q2, slice2)  # (G1, G2, dim, dim)
-    h_sigma = von_neumann_entropy(sigma.reshape(-1, dim, dim)).reshape(g1, g2)
-    mean_ent = q1 @ ent @ q2.T  # (G1, G2)
-    c_bound = h_sigma - mean_ent
-
-    # Convention: the bound built from the first sender's distribution caps
-    # R2, the mirror-image bound caps R1.
-    if variant == "conditional":
-        a_bound = (h_slice2 - q1 @ ent) @ q2.T
-        b_bound = q1 @ (h_slice1 - q2 @ ent.T).T
-    else:
-        a_bound = h_sigma - q1 @ h_slice1.T
-        b_bound = h_sigma - h_slice2 @ q2.T
-    return a_bound, b_bound, c_bound
+def _stack_bytes(state: np.ndarray) -> int:
+    """A price of one matrix like state, averaged against float64 weights
+    (so float64 for real letter states, complex128 otherwise), in each of
+    the four stacks an entropy of a stack of them holds."""
+    return 4 * state.shape[-1] ** 2 * np.result_type(float, state.dtype).itemsize
 
 
 def mac_region(mac: MACCQChannel, grid: DistributionGrid, variant: str = "conditional") -> RateRegion:
@@ -337,25 +326,87 @@ def mac_region(mac: MACCQChannel, grid: DistributionGrid, variant: str = "condit
     specializations come out right); 'as-written' scores each sender
     against the other-averaged channel.  The second sender's grid has the
     same resolution over its own alphabet.
+
+    The letter entropies, both grids' weights, and the slice averages over
+    each sender with their entropies are computed once; the average states
+    of the (Q1, Q2) pairs, their bounds and corners go a chunk of Q1 rows
+    at a time.
     """
-    a, b, c = (np.maximum(bound, 0.0) for bound in _pentagon_bounds(mac, grid, variant))
-    aa, bb = np.minimum(a, c), np.minimum(b, c)
-    zero = np.zeros_like(c)
-    # Corners (B, 0), (0, A), (B, min(A, C - B)) and (min(B, C - A), A); their
-    # stack is freed once the origin is prepended, before the candidates step.
-    corners = [bb, zero, zero, aa, bb, np.minimum(aa, c - bb), np.minimum(bb, c - aa), aa]
-    return RateRegion.from_points(_union_candidates(_with_origin(np.stack(corners, axis=-1))))
+    if variant not in ("conditional", "as-written"):
+        raise InvalidInputError(f"unknown region variant {variant!r}")
+    a1, a2 = mac.alphabets
+    d1, d2 = len(a1), len(a2)
+    if grid.labels != tuple(a1):
+        raise InvalidInputError("grid labels must match the first sender alphabet")
+    grid2 = DistributionGrid(tuple(a2), grid.resolution)
+    states = np.stack([np.stack([mac.state(y1, y2) for y2 in a2]) for y1 in a1])
+    dim = states.shape[-1]
+    g1, g2 = grid.size, grid2.size
+    stack = _stack_bytes(states)
+    slices = g1 * d2 + g2 * d1
+    what = f"MAC region grid of {g1 * g2} points"
+    _require_bytes(slices * (stack + _SLICE_BYTES), what)
+    ent = von_neumann_entropy(states.reshape(d1 * d2, dim, dim)).reshape(d1, d2)
+    q1 = grid.weight_matrix()  # (G1, d1)
+    q2 = grid2.weight_matrix()  # (G2, d2)
+
+    # Slice averages: over sender 1 per y2, and the mirror image.
+    slice2 = np.einsum("gi,ijkl->gjkl", q1, states)
+    h_slice2 = von_neumann_entropy(slice2.reshape(-1, dim, dim)).reshape(g1, d2)
+    slice1 = np.einsum("hj,ijkl->hikl", q2, states)
+    h_slice1 = von_neumann_entropy(slice1.reshape(-1, dim, dim)).reshape(g2, d1)
+    del slice1
+    q1_ent = q1 @ ent  # (G1, d2)
+    if variant == "conditional":
+        info2, info1 = h_slice2 - q1_ent, h_slice1 - q2 @ ent.T
+
+    def corners(lo, hi):
+        sigma = np.einsum("hj,gjkl->ghkl", q2, slice2[lo:hi])
+        h_sigma = von_neumann_entropy(sigma.reshape(-1, dim, dim)).reshape(hi - lo, g2)
+        del sigma
+        c = h_sigma - q1_ent[lo:hi] @ q2.T
+        # Convention: the bound built from the first sender's distribution
+        # caps R2, the mirror-image bound caps R1.
+        if variant == "conditional":
+            a, b = info2[lo:hi] @ q2.T, q1[lo:hi] @ info1.T
+        else:
+            a, b = h_sigma - q1[lo:hi] @ h_slice1.T, h_sigma - h_slice2[lo:hi] @ q2.T
+        a, b, c = (np.maximum(bound, 0.0) for bound in (a, b, c))
+        aa, bb = np.minimum(a, c), np.minimum(b, c)
+        zero = np.zeros_like(c)
+        # Corners (B, 0), (0, A), (B, min(A, C - B)) and (min(B, C - A), A).
+        pentagons = [bb, zero, zero, aa, bb, np.minimum(aa, c - bb), np.minimum(bb, c - aa), aa]
+        return np.stack(pentagons, axis=-1).reshape(-1, 2)
+
+    # the chunks share the slices over sender 1 and every slice's weights
+    held = slice2.nbytes + slices * _SLICE_BYTES
+    return _union_region(g1, g2, held, stack + _POINT_BYTES, corners, what)
 
 
 def broadcast_region(bc: BroadcastCQChannel, grid: DistributionGrid) -> RateRegion:
-    """Union of per-distribution rectangles (chi to each receiver), then hull."""
+    """Union of per-distribution rectangles (chi to each receiver), then hull.
+
+    The letter entropies and the grid's weights are computed once; the
+    average states, the chi pair and the corners go a chunk of grid points
+    at a time.
+    """
     if grid.labels != bc.alphabet:
         raise InvalidInputError("grid labels must match the broadcast alphabet")
     marginals = (bc.marginal(1), bc.marginal(2))
-    for marginal in marginals:
-        _require_stack_bytes(grid.size, marginal.state(bc.alphabet[0]), "broadcast region")
+    letters = [np.stack([marginal.state(x) for x in bc.alphabet]) for marginal in marginals]
+    what = f"broadcast region grid of {grid.size} points"
+    _require_bytes(grid.size * len(bc.alphabet) * _WEIGHT_BYTES, what)
     weights = grid.weight_matrix()
-    x1, x2 = (np.maximum(_chi(marginal, weights), 0.0) for marginal in marginals)
-    zero = np.zeros_like(x1)
-    corners = [x1, zero, zero, x2, x1, x2]
-    return RateRegion.from_points(_union_candidates(_with_origin(np.stack(corners, axis=-1))))
+    letter_ent = [von_neumann_entropy(stack) for stack in letters]
+
+    def corners(lo, hi):
+        w = weights[lo:hi]
+        x1, x2 = (
+            np.maximum(von_neumann_entropy(_averaged_states(marginal, w)) - _letter_sum(w, ent.__getitem__), 0.0)
+            for marginal, ent in zip(marginals, letter_ent)
+        )
+        zero = np.zeros_like(x1)
+        return np.stack([x1, zero, zero, x2, x1, x2], axis=-1).reshape(-1, 2)
+
+    point_bytes = max(_stack_bytes(stack) for stack in letters) + _POINT_BYTES
+    return _union_region(grid.size, 1, weights.nbytes, point_bytes, corners, what)

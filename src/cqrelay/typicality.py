@@ -158,6 +158,7 @@ class TypicalSet:
         Each try makes the draws of rng.choice(d, size=n, p=weights).  An
         empty set is refused before the first draw.
         """
+        max_tries = _integer_arg(max_tries, "sample tries", 0)
         if self._empty:
             raise InvalidInputError(f"typical set is empty for n={self.n}, delta={self.delta}; no words to draw")
         cdf = np.cumsum(self.dist.weights)
@@ -393,7 +394,10 @@ def conditional_typical_projector(
     channel: CQChannel, word, alpha: float, preset: str = PRESET_FIXED
 ) -> TypicalProjector:
     """Typical projector of the product state selected by an input word."""
-    word = tuple(word)
+    try:
+        word = tuple(word)
+    except TypeError:
+        raise InvalidInputError(f"conditioning word must be a sequence of input letters, got {word!r}") from None
     if not word:
         raise InvalidInputError("conditioning word is empty")
     _require_bytes(_projector_bytes(channel.output_dim, len(word)), f"typical projector for n={len(word)}")

@@ -27,13 +27,14 @@ from cqrelay.channels import (
     orthogonal_pure_channel,
     product_broadcast_channel,
 )
-from cqrelay.coding import build_square_root_decoder, modular_sum_encode, sample_codebook
+from cqrelay.coding import build_square_root_decoder, decode_with_side_info, modular_sum_encode, sample_codebook
 from cqrelay.errors import InvalidInputError, RelayError
-from cqrelay.lemmas import sweep_lemma_checks
+from cqrelay.lemmas import gaussian_draws, sweep_lemma_checks
 from cqrelay.operators import ProbabilityDistribution, checked_operator, compositions, partial_trace
 from cqrelay.regions import RateRegion, convex_hull
 from cqrelay.typicality import (
     TypicalSet,
+    conditional_typical_projector,
     spectrum_projector_stats,
     threshold_for,
     typical_projector,
@@ -48,6 +49,8 @@ CHANNEL = depolarized_channel(0.1)
 BC = product_broadcast_channel(orthogonal_pure_channel(2), depolarized_channel(0.1, 2))
 CODEBOOK = sample_codebook(DIST, 2, 2, 2, seed=0)
 SQUARE = RateRegion.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+DECODER = build_square_root_decoder(CODEBOOK, BC, 0.3)
+WORD_STATE = BC.marginal(1).word_state(CODEBOOK.word(0, 0))
 
 # malformed calls, each refused with InvalidInputError, not another
 # exception and not a return
@@ -78,6 +81,11 @@ PROBES = {
     "decoder string alpha": lambda: build_square_root_decoder(CODEBOOK, BC, "0.3"),
     "power fractional n": lambda: DIST.power(2.5),
     "depolarized fractional dim": lambda: depolarized_channel(0.1, 2.5),
+    "spectrum entropy string eigenvalue": lambda: operators.spectrum_entropy_bits(["x", 0.5]),
+    "gaussian draws string dim": lambda: gaussian_draws(np.random.default_rng(0), "x"),
+    "typical set sample string tries": lambda: TypicalSet(DIST, 3, 0.5).sample(np.random.default_rng(0), "x"),
+    "conditional projector integer word": lambda: conditional_typical_projector(CHANNEL, 5, 0.5),
+    "decode bool receiver": lambda: decode_with_side_info(DECODER, True, 0, WORD_STATE),
 }
 
 
@@ -92,6 +100,7 @@ def test_integral_floats_read_as_their_integers():
     assert len(DIST.power(np.float64(3.0))) == 8
     assert BroadcastCQChannel(("0",), (1.0, 2.0), {"0": np.eye(2) / 2}).dims == (1, 2)
     assert modular_sum_encode(np.int64(2), 1.0, 3.0) == 0
+    assert decode_with_side_info(DECODER, 1.0, 0, WORD_STATE) == decode_with_side_info(DECODER, 1, 0, WORD_STATE) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +163,8 @@ SCALAR_SLOTS = {
     "power n": lambda v: DIST.power(v),
     "depolarized p": lambda v: depolarized_channel(v, 2),
     "depolarized dim": lambda v: depolarized_channel(0.1, v),
+    "decode receiver": lambda v: decode_with_side_info(DECODER, v, 0, WORD_STATE),
+    "decode known index": lambda v: decode_with_side_info(DECODER, 1, v, WORD_STATE),
 }
 
 MALFORMED = st.one_of(

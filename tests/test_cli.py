@@ -319,6 +319,24 @@ def test_mac_file_whose_pair_keys_collide_exits_one(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("kind", ["cq", "mac"])
+def test_a_bool_declared_dims_is_refused(tmp_path, capsys, kind):
+    # one-dimensional channels, whose files declare "dims": true; True == 1,
+    # but the one integer rule refuses a bool, and a declared 1 loads
+    one = [[[1.0, 0.0]]]
+    if kind == "cq":
+        data, argv = {"kind": "cq", "alphabet": ["0"], "states": {"0": one}}, ["chi", "--channel"]
+    else:
+        data = {"kind": "mac", "alphabets": [["0"], ["0"]], "states": {"0,0": one}}
+        argv = ["region", "mac", "--mac-channel"]
+    data["dims"] = 1
+    assert main([*argv, _write_json(tmp_path, data)]) == 0
+    capsys.readouterr()
+    data["dims"] = True
+    assert main([*argv, _write_json(tmp_path, data)]) == 1
+    assert assert_one_error_line(capsys) == "error: declared dims must be an integer >= 1, got True"
+
+
 @pytest.mark.parametrize("value", [2.5, True, "2"])
 def test_broadcast_dims_follow_the_config_integer_rule(tmp_path, capsys, value):
     # a fractional, boolean or string receiver dimension is refused, not
@@ -588,13 +606,14 @@ def test_count_tables_past_the_float_range_are_refused_before_they_are_built(n, 
 
 
 def test_region_grid_beyond_byte_limit_exits_three(tmp_path, capsys):
-    # the adder MAC's grid of 10^10 points at grid 100000 is priced at 5 TiB
-    # and the broadcast grid of 10^7 + 1 points at 3.6 GiB (four (G, 2, 2)
-    # stacks and 256 bytes a point); each is refused before any grid array
-    # is built
+    # a streamed grid holds its per-sender arrays whole: at grid 10^10 the
+    # adder MAC's 4 (10^10 + 1) slice averages are priced at 13 TiB and the
+    # broadcast grid's 10^10 + 1 weight rows at 596 GiB; each is refused
+    # before any grid array is built
     mac = write_channel(tmp_path, "adder-mac", "mac.json")
     bc = write_channel(tmp_path, "product-broadcast", "bc.json")
-    for kind, k in (("mac", 100000), ("bidirectional", 100000), ("broadcast", 10**7)):
+    for kind in ("mac", "bidirectional", "broadcast"):
+        k = 10**10
         argv = ["region", kind, "--mac-channel", mac, "--bc-channel", bc, "--grid-k", str(k)]
         tracemalloc.start()
         try:
@@ -604,7 +623,7 @@ def test_region_grid_beyond_byte_limit_exits_three(tmp_path, capsys):
             tracemalloc.stop()
         assert peak < 2 * 2**20
         line = assert_one_error_line(capsys)
-        what = "broadcast region grid of 10000001 points" if kind == "broadcast" else "MAC region grid of 10000200001 points"
+        what = "broadcast region grid of 10000000001 points" if kind == "broadcast" else "MAC region grid of 100000000020000000001 points"
         assert re.fullmatch(rf"error: {what} needs about [0-9.e+]+ GiB, above the 2 GiB memory budget", line)
 
 

@@ -101,12 +101,17 @@ def test_exact_second_kind_price_bounds_its_peak(monkeypatch):
 
 
 def test_region_stack_price_bounds_its_peak(monkeypatch):
+    # grids 64, 128 and 512 are walked in 3, 9 and 171 chunks of whole
+    # rows; the largest price, of the slices, of a chunk with the running
+    # candidates, or of the hull, bounds the peak
     mac = adder_mac_channel()
     runs = []
-    for k in (32, 64, 128):
+    for k in (64, 128, 512):
         grid = DistributionGrid(tuple(mac.alphabets[0]), k)
         peak, prices = priced_peak(monkeypatch, regions, lambda: mac_region(mac, grid))
-        runs.append((peak, prices[0]))
+        rows = regions._CHUNK_POINTS // (k + 1)
+        assert len(prices) == 1 + math.ceil((k + 1) / rows) + 1  # the slices, each chunk, the hull
+        runs.append((peak, max(prices)))
     assert_tight_upper_bounds(runs)
 
 

@@ -2,10 +2,11 @@
 
 ``convex_hull``'s dedup checks each point against the kept points in the
 neighbouring cells of a hash grid of 2*tol cells; ``mac_region`` and
-``broadcast_region`` build their corners as arrays with the origin once.
-The oracle is the direct construction: a point-by-point
-dedup against every kept point, a hull of all rounded points, and point
-lists built one pentagon or rectangle at a time with the origin in each.
+``broadcast_region`` evaluate their grids a chunk of rows at a time and
+fold each chunk's Pareto candidates into the running ones.  The oracle is
+the direct construction: a point-by-point dedup against every kept point,
+a hull of all rounded points, and point lists built one pentagon or
+rectangle at a time, each from its own entropies, with the origin in each.
 Every result must be equal to the oracle's, not merely close.
 """
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqrelay import regions
 from cqrelay.channels import (
     BroadcastCQChannel,
     MACCQChannel,
@@ -27,7 +29,7 @@ from cqrelay.channels import (
 )
 from cqrelay.errors import InvalidInputError
 from cqrelay.lemmas import random_density
-from cqrelay.operators import ProbabilityDistribution
+from cqrelay.operators import ProbabilityDistribution, von_neumann_entropy
 from cqrelay.regions import (
     _LENGTH_TOL,
     _TURN_TOL,
@@ -35,7 +37,6 @@ from cqrelay.regions import (
     RatePair,
     RateRegion,
     _dedup_points,
-    _pentagon_bounds,
     broadcast_region,
     convex_hull,
     mac_region,
@@ -104,14 +105,38 @@ def oracle_pentagon_points(a, b, c):
     return [(0.0, 0.0), (bb, 0.0), (0.0, aa), (bb, min(aa, c - bb)), (min(bb, c - aa), aa)]
 
 
+def oracle_pentagon_bounds(rho, h, q1, q2, variant):
+    """(A, B, C) of one pair (Q1, Q2) from its own entropies: rho[i][j] is
+    the state of the sender letters (i, j) and h[i][j] its entropy."""
+    n1, n2 = range(len(q1)), range(len(q2))
+
+    def mix(pairs):
+        return sum(w * r for w, r in pairs)
+
+    h_sigma = von_neumann_entropy(mix([(q1[i] * q2[j], rho[i][j]) for i in n1 for j in n2]))
+    c = h_sigma - sum(q1[i] * q2[j] * h[i][j] for i in n1 for j in n2)
+    # the average over sender 1 at y2 = j, and over sender 2 at y1 = i
+    h_over1 = [von_neumann_entropy(mix([(q1[i], rho[i][j]) for i in n1])) for j in n2]
+    h_over2 = [von_neumann_entropy(mix([(q2[j], rho[i][j]) for j in n2])) for i in n1]
+    if variant == "conditional":
+        a = sum(q2[j] * (h_over1[j] - sum(q1[i] * h[i][j] for i in n1)) for j in n2)
+        b = sum(q1[i] * (h_over2[i] - sum(q2[j] * h[i][j] for j in n2)) for i in n1)
+    else:
+        a = h_sigma - sum(q1[i] * h_over2[i] for i in n1)
+        b = h_sigma - sum(q2[j] * h_over1[j] for j in n2)
+    return a, b, c
+
+
 def oracle_mac_points(mac, grid, variant):
-    a_bound, b_bound, c_bound = _pentagon_bounds(mac, grid, variant)
+    """Pentagon corners one pair (Q1, Q2) at a time, in grid order."""
+    a1, a2 = mac.alphabets
+    rho = [[mac.state(y1, y2) for y2 in a2] for y1 in a1]
+    h = [[von_neumann_entropy(r) for r in row] for row in rho]
+    grid2 = DistributionGrid(tuple(a2), grid.resolution)
     points = []
-    for i in range(a_bound.shape[0]):
-        for j in range(a_bound.shape[1]):
-            points.extend(
-                oracle_pentagon_points(float(a_bound[i, j]), float(b_bound[i, j]), float(c_bound[i, j]))
-            )
+    for q1 in grid.weight_matrix().tolist():
+        for q2 in grid2.weight_matrix().tolist():
+            points.extend(oracle_pentagon_points(*oracle_pentagon_bounds(rho, h, q1, q2, variant)))
     return points
 
 
@@ -242,15 +267,27 @@ MACS = {
 }
 
 
+# Chunks of one grid row, of three rows, and of the whole grid: the fold of
+# each chunk's Pareto candidates must give the vertices of all corners at once.
+CHUNK_ROWS = (1, 3, None)
+
+
+def chunked(monkeypatch, rows, row_points, total_rows):
+    monkeypatch.setattr(regions, "_CHUNK_POINTS", (rows or total_rows) * row_points)
+
+
 @pytest.mark.parametrize("variant", ["conditional", "as-written"])
 @pytest.mark.parametrize("name", sorted(MACS))
-def test_mac_region_matches_oracle(name, variant):
+def test_mac_region_matches_oracle(monkeypatch, name, variant):
     make, grids = MACS[name]
     mac = make()
     for k in grids:
         grid = DistributionGrid(tuple(mac.alphabets[0]), k)
-        got = mac_region(mac, grid, variant)
-        assert got.vertices == oracle_vertices(oracle_mac_points(mac, grid, variant))
+        want = oracle_vertices(oracle_mac_points(mac, grid, variant))
+        row_points = DistributionGrid(tuple(mac.alphabets[1]), k).size
+        for rows in CHUNK_ROWS:
+            chunked(monkeypatch, rows, row_points, grid.size)
+            assert mac_region(mac, grid, variant).vertices == want
 
 
 BROADCASTS = {
@@ -261,9 +298,46 @@ BROADCASTS = {
 
 
 @pytest.mark.parametrize("name", sorted(BROADCASTS))
-def test_broadcast_region_matches_oracle(name):
+def test_broadcast_region_matches_oracle(monkeypatch, name):
     bc = BROADCASTS[name]()
     for k in (8, 16):
         grid = DistributionGrid(bc.alphabet, k)
-        got = broadcast_region(bc, grid)
-        assert got.vertices == oracle_vertices(oracle_broadcast_points(bc, grid))
+        want = oracle_vertices(oracle_broadcast_points(bc, grid))
+        for rows in CHUNK_ROWS:
+            chunked(monkeypatch, rows, 1, grid.size)
+            assert broadcast_region(bc, grid).vertices == want
+
+
+def decomposed(monkeypatch):
+    """The number of matrices of each entropy regions asks for, in order."""
+    sizes = []
+
+    def spy(rho):
+        sizes.append(int(np.prod(np.shape(rho)[:-2], dtype=int)))
+        return von_neumann_entropy(rho)
+
+    monkeypatch.setattr(regions, "von_neumann_entropy", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("rows", CHUNK_ROWS)
+def test_letter_and_slice_entropies_are_decomposed_once(monkeypatch, rows):
+    # the 3 x 3 letter states, then the slices over each sender (15 grid
+    # rows of 3), once; then one stack of average states per chunk
+    mac = random_mac(3, 4)
+    grid = DistributionGrid(tuple(mac.alphabets[0]), 4)
+    g = grid.size
+    chunked(monkeypatch, rows, g, g)
+    sizes = decomposed(monkeypatch)
+    mac_region(mac, grid)
+    step = rows or g
+    assert sizes == [9, 3 * g, 3 * g] + [min(step, g - lo) * g for lo in range(0, g, step)]
+    # the broadcast: each marginal's letters once, then both chi stacks per chunk
+    bc = random_bc(3, 10)
+    grid = DistributionGrid(bc.alphabet, 6)
+    g = grid.size
+    chunked(monkeypatch, rows, 1, g)
+    sizes = decomposed(monkeypatch)
+    broadcast_region(bc, grid)
+    step = rows or g
+    assert sizes == [3, 3] + [min(step, g - lo) for lo in range(0, g, step) for _ in (1, 2)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqrelay import operators
+from cqrelay import operators, regions
 from cqrelay.channels import (
     BroadcastCQChannel,
     MACCQChannel,
@@ -466,12 +466,12 @@ def test_broadcast_region_validation():
 
 
 def test_grid_searches_refuse_oversized_state_stacks():
-    # a binary grid of 10^7 points is priced at 3.6 GiB: four (G, 2, 2)
-    # float64 stacks and 256 bytes a point
+    # a streamed grid holds its weights whole: the 10^10 + 1 rows of a
+    # binary grid are priced at 596 GiB, 32 bytes a weight as they are built
     ch = orthogonal_pure_channel()
     bc = product_broadcast_channel(ch, ch)
-    with pytest.raises(ResourceLimitError, match=r"^broadcast region grid of 10000001 points needs about 3\.58 GiB"):
-        broadcast_region(bc, DistributionGrid(bc.alphabet, 10**7))
+    with pytest.raises(ResourceLimitError, match=r"^broadcast region grid of 10000000001 points needs about 596 GiB"):
+        broadcast_region(bc, DistributionGrid(bc.alphabet, 10**10))
 
 
 def _real_and_complex_twins(kind):
@@ -495,15 +495,19 @@ def _grid_search(kind, channel, k):
 @pytest.mark.parametrize("kind", ["mac", "broadcast"])
 def test_grid_stacks_are_priced_at_their_dtype(monkeypatch, kind):
     real, cplx = _real_and_complex_twins(kind)
-    # grid 7 is 64 MAC points of 3x3 states or 8 simplex points of 2x2
-    # marginal states; a budget between the float64 and the complex128
-    # prices (four stacks and 256 bytes a point) admits the first and not
-    # the second
-    points, dim = (64, 3) if kind == "mac" else (8, 2)
-    monkeypatch.setattr(operators, "MEMORY_BUDGET", points * (4 * dim * dim * 12 + 256))
-    _grid_search(kind, real, 7)
+    # grid 15 is 256 MAC points of 3x3 states, grid 63 is 64 simplex points
+    # of 2x2 marginal states; a budget at the float64 twin's largest price
+    # admits it, and the complex128 twin's chunk, whose stacks take twice
+    # the bytes an entry, is priced above it
+    k = 15 if kind == "mac" else 63
+    prices = []
+    check = regions._require_bytes
+    monkeypatch.setattr(regions, "_require_bytes", lambda nbytes, what: (prices.append(nbytes), check(nbytes, what)))
+    _grid_search(kind, real, k)
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", max(prices))
+    _grid_search(kind, real, k)
     with pytest.raises(ResourceLimitError):
-        _grid_search(kind, cplx, 7)
+        _grid_search(kind, cplx, k)
 
 
 @pytest.mark.parametrize("resolution", [2.5, True, "3", None])
